@@ -330,12 +330,13 @@ func New(cfg Config) *Server {
 // Submit validates and accepts an audit request, returning the new job's
 // status. The error, when non-nil, carries an HTTP status via statusErr.
 func (s *Server) Submit(req *SubmitRequest) (JobStatus, error) {
-	return s.submit(req, "")
+	return s.submit(req, "", true)
 }
 
-// submit is Submit with a recovery id: RecoverJobs replays journaled
-// requests through it so a crashed job reappears under its original id.
-func (s *Server) submit(req *SubmitRequest, recoverID string) (JobStatus, error) {
+// submit is Submit with a recovery id — RecoverJobs replays journaled
+// requests through it so a crashed job reappears under its original id —
+// and a journal switch: watch refreshes (watch.go) submit unjournaled.
+func (s *Server) submit(req *SubmitRequest, recoverID string, journal bool) (JobStatus, error) {
 	n, opts, err := req.normalize()
 	if err != nil {
 		return JobStatus{}, &statusErr{code: 400, err: err}
@@ -358,6 +359,9 @@ func (s *Server) submit(req *SubmitRequest, recoverID string) (JobStatus, error)
 		wire: req, dbFP: n.DBFingerprint,
 		selfContained: len(req.Records) > 0,
 		noForward:     req.NoForward || recoverID != "",
+	}
+	if !journal {
+		extra.journalReq = nil
 	}
 	if len(req.Records) == 0 {
 		// Server-database jobs participate in the delta lineage: register the
@@ -421,7 +425,7 @@ type jobExtras struct {
 	// job can enter the queue, so a kill -9 cannot silently discard accepted
 	// work. Marshaling is deferred until the job is known to compute — hits
 	// never pay for it. recoverID replays a journaled job under its original
-	// id at boot.
+	// id at boot. A nil journalReq leaves the job unjournaled.
 	journalKind string
 	journalReq  any
 	recoverID   string
@@ -539,7 +543,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 	}
 
-	if !hit && s.store != nil && extra.journalKind != "" {
+	if !hit && s.store != nil && extra.journalReq != nil {
 		// The job will compute (or coalesce): journal it BEFORE it can enter
 		// the queue. Once any client observes this job id, a kill -9 must not
 		// silently discard the work — the next boot replays the journal. The

@@ -90,6 +90,13 @@ func TestSubmitValidation(t *testing.T) {
 		func() *SubmitRequest { r := quickRequest(""); r.Deployments[0].Kinds = []string{"nope"}; return r }(),
 		func() *SubmitRequest { r := quickRequest(""); r.Deployments[0].Needed = 5; return r }(),
 		func() *SubmitRequest { r := quickRequest(""); r.Records[0].Kind = "router"; return r }(),
+		// A server listed twice used to be queued and fail in a worker on a
+		// duplicate fault-graph event label.
+		func() *SubmitRequest {
+			r := quickRequest("")
+			r.Deployments[0].Servers = []string{"s1", "s1"}
+			return r
+		}(),
 		// Negative sampler workers would fall through to GOMAXPROCS and
 		// make a content-addressed result host-dependent.
 		func() *SubmitRequest {
@@ -105,6 +112,15 @@ func TestSubmitValidation(t *testing.T) {
 		} else if httpStatus(err) != 400 {
 			t.Errorf("case %d: want 400, got %d", i, httpStatus(err))
 		}
+	}
+	// The recommendation pool never had the hole: placement validation
+	// rejects a repeated node at submission too.
+	dup := &RecommendRequest{Records: testRecords(), Nodes: []string{"s1", "s2", "s1"}, Replicas: 2}
+	if _, err := s.Recommend(dup); err == nil || httpStatus(err) != 400 {
+		t.Errorf("recommend with a repeated node: want 400, got %v", err)
+	}
+	if st := s.Stats(); st.Submitted != 0 {
+		t.Errorf("%d invalid requests became jobs", st.Submitted)
 	}
 }
 

@@ -179,6 +179,67 @@ func BenchmarkFig7DeltaResubmit(b *testing.B) {
 	}
 }
 
+// BenchmarkWatchRefreshPlan times what a watch refresher pays per refresh
+// when the ingest that woke it missed the watched servers: the unjournaled
+// re-submit, i.e. delta planning over a full lineage (lineagePerKey retained
+// generations, as a long-lived watch has) plus the whole-result adoption.
+// The cost must follow the batch ingested since the newest generation — one
+// diff, one key per record — not the number of generations nor, at 50k
+// records, an allocating comparison sort that is slower than the audit the
+// delta hit exists to avoid.
+func BenchmarkWatchRefreshPlan(b *testing.B) {
+	for _, n := range []int{64, 50_000} {
+		b.Run(fmt.Sprintf("ingest=%d", n), func(b *testing.B) {
+			s := New(Config{Workers: 1})
+			b.Cleanup(func() { benchShutdown(b, s) })
+			gen := 0
+			unrelated := func() *IngestRequest {
+				gen++
+				batch := make([]RecordWire, n)
+				for i := range batch {
+					host := fmt.Sprintf("spare-%d-%d", gen, (i*7919)%n)
+					batch[i] = RecordWire{Kind: "hardware", HW: host, Type: "NIC", Dep: host + "-X520"}
+				}
+				return &IngestRequest{Records: batch}
+			}
+			refresh := func() {
+				st, err := s.submit(deltaAuditRequest("refresh"), "", false)
+				if err != nil || st.State != StateDone || !st.DeltaHit {
+					b.Fatalf("refresh was not adopted from the lineage: %+v %v", st, err)
+				}
+			}
+			if _, err := s.Ingest(&IngestRequest{Records: deltaRecords()}); err != nil {
+				b.Fatal(err)
+			}
+			cold, err := s.Submit(deltaAuditRequest("cold"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			if end, err := s.WaitDone(ctx, cold.ID, time.Minute); err != nil || end.State != StateDone {
+				b.Fatalf("cold audit: %v %+v", err, end)
+			}
+			for g := 1; g < lineagePerKey; g++ {
+				if _, err := s.Ingest(unrelated()); err != nil {
+					b.Fatal(err)
+				}
+				refresh()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if _, err := s.Ingest(unrelated()); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				refresh()
+			}
+		})
+	}
+}
+
 // BenchmarkFig7ColdAudit is the delta benchmark's baseline: the full k=16
 // minimal-RG computation a delta hit avoids.
 func BenchmarkFig7ColdAudit(b *testing.B) {

@@ -209,6 +209,9 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 		if e.fp == snap.Fingerprint() || len(e.specs) == 0 {
 			continue
 		}
+		if partial != nil && dirtierThan(e.snap, partial.entry.snap, snap) {
+			continue
+		}
 		diff := e.snap.Diff(snap)
 		if diff.Empty() {
 			continue
@@ -275,6 +278,9 @@ func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, pr
 		if e.fp == snap.Fingerprint() || len(e.nodes) == 0 {
 			continue
 		}
+		if chosen != nil && dirtierThan(e.snap, chosen.snap, snap) {
+			continue
+		}
 		diff := e.snap.Diff(snap)
 		if diff.Empty() {
 			continue
@@ -321,6 +327,14 @@ seeding:
 	}
 	preq.SeedScores = seed
 	return &deltaPlan{dirty: dirtyNodes}
+}
+
+// dirtierThan reports that e, p and snap are successive generations of one
+// log (e oldest), so e's diff against snap contains p's: once p is dirty, e
+// can be neither the clean ancestor nor a better partial one and is skipped
+// undiffed. Ancestors from another database are always diffed.
+func dirtierThan(e, p, snap *depdb.Snapshot) bool {
+	return snap.Extends(p) && p.Extends(e)
 }
 
 // retrieveResult fetches a completed result by content address, walking the

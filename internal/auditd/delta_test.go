@@ -384,3 +384,163 @@ func TestDeltaSurvivesRestart(t *testing.T) {
 		t.Fatalf("restarted daemon ran %d computations, want 0", got)
 	}
 }
+
+// exhaustiveAuditPlan is the planner's reference: the loop as it was before
+// ancestors were skipped — diff every retained generation, newest first; the
+// first clean one wins outright, else the newest dirty one.
+func exhaustiveAuditPlan(entries []*lineageEntry, snap *depdb.Snapshot, specs []sia.GraphSpec) (chosen *lineageEntry, subjects []string) {
+	for i := len(entries) - 1; i >= 0; i-- {
+		e := entries[i]
+		if e.fp == snap.Fingerprint() {
+			continue
+		}
+		diff := e.snap.Diff(snap)
+		if diff.Empty() {
+			continue
+		}
+		dirty, subj := sia.DirtyDeployments(specs, diff)
+		clean := true
+		for _, d := range dirty {
+			clean = clean && !d
+		}
+		if clean {
+			return e, nil
+		}
+		if chosen == nil {
+			chosen, subjects = e, subj
+		}
+	}
+	return chosen, subjects
+}
+
+// TestDeltaPlanSkipsOnlyOlderSameLogAncestors: with three retained
+// generations of one request and the newest of them dirty, the planner —
+// which no longer diffs the older generations of the same log — must choose
+// what the exhaustive loop chooses. A clean ancestor from ANOTHER database,
+// older than all of them, must still be found and adopted: the skip applies
+// to same-log entries only.
+func TestDeltaPlanSkipsOnlyOlderSameLogAncestors(t *testing.T) {
+	specs := []sia.GraphSpec{
+		{Deployment: "front", Servers: []string{"s1", "s2"}},
+		{Deployment: "back", Servers: []string{"s3", "s4"}},
+	}
+	dirtyRec := RecordWire{Kind: "software", Pgm: "etcd", HW: "s3", Deps: []string{"libc6"}}
+	spare := func(i int) RecordWire {
+		return RecordWire{Kind: "hardware", HW: fmt.Sprintf("spare-%d", i), Type: "NIC", Dep: fmt.Sprintf("nic-%d", i)}
+	}
+	localDB := func(records []RecordWire) *depdb.DB {
+		db := depdb.New()
+		for _, w := range records {
+			r, err := w.Record()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := db.Put(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return db
+	}
+	const crossKey = "cross-database-ancestor"
+
+	for _, crossDB := range []bool{false, true} {
+		t.Run(fmt.Sprintf("crossDB=%v", crossDB), func(t *testing.T) {
+			s := New(Config{Workers: 2})
+			defer shutdown(t, s)
+			n, _, err := deltaAuditRequest("").normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			reqKey := n.requestKey()
+
+			var crossJSON string
+			if crossDB {
+				// The oldest lineage entry: a different database that already
+				// holds the dirtying record and differs from the final server
+				// database only in machines nobody audits.
+				other := localDB(append(deltaRecords(), dirtyRec, spare(99)))
+				rep, err := sia.AuditDeployments(other.Snapshot(), "", specs, sia.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				crossJSON = auditsJSON(t, rep)
+				s.mu.Lock()
+				s.cache.Put(crossKey, rep)
+				s.lineage.addLocked(&lineageReg{reqKey: reqKey, entry: &lineageEntry{
+					resultKey: crossKey, fp: other.Fingerprint(), snap: other.Snapshot(), specs: specs,
+				}})
+				s.mu.Unlock()
+			}
+
+			// Three same-log generations: one computed, two adopted.
+			all := deltaRecords()
+			mustIngest(t, s, all)
+			waitDone(t, s, mustSubmit(t, s, deltaAuditRequest("g1")).ID)
+			for i := 1; i <= 2; i++ {
+				mustIngest(t, s, []RecordWire{spare(i)})
+				all = append(all, spare(i))
+				if st := mustSubmit(t, s, deltaAuditRequest("adopt")); !st.DeltaHit || len(st.DirtySubjects) != 0 {
+					t.Fatalf("generation %d was not adopted whole: %+v", i+1, st)
+				}
+			}
+			// The newest generation goes dirty.
+			mustIngest(t, s, []RecordWire{dirtyRec, spare(3)})
+			all = append(all, dirtyRec, spare(3))
+
+			snap, err := s.resolveDB(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.mu.Lock()
+			entries := s.lineage.lookupLocked(reqKey)
+			s.mu.Unlock()
+			wantGens := 3
+			if crossDB {
+				wantGens = 4
+			}
+			if len(entries) != wantGens {
+				t.Fatalf("lineage holds %d generations, want %d", len(entries), wantGens)
+			}
+			chosen, wantDirty := exhaustiveAuditPlan(entries, snap, specs)
+			if chosen == nil {
+				t.Fatal("the exhaustive planner found no ancestor")
+			}
+			if crossDB != (chosen.resultKey == crossKey) || crossDB != (len(wantDirty) == 0) {
+				t.Fatalf("reference plan chose %q dirty %v with crossDB=%v", chosen.resultKey, wantDirty, crossDB)
+			}
+
+			before := s.Stats()
+			st := mustSubmit(t, s, deltaAuditRequest("planned"))
+			if crossDB && st.State != StateDone {
+				t.Fatalf("a clean ancestor must be adopted within the submit: %+v", st)
+			}
+			end := waitDone(t, s, st.ID)
+			if end.State != StateDone || !end.DeltaHit {
+				t.Fatalf("planned job = %+v", end)
+			}
+			if !reflect.DeepEqual(end.DirtySubjects, wantDirty) {
+				t.Fatalf("DirtySubjects = %v, exhaustive plan says %v", end.DirtySubjects, wantDirty)
+			}
+			after := s.Stats()
+			hits, partials := after.DeltaHits-before.DeltaHits, after.DeltaPartials-before.DeltaPartials
+			if crossDB && (hits != 1 || partials != 0) || !crossDB && (hits != 0 || partials != 1) {
+				t.Fatalf("crossDB=%v: the planned job counted %d adoptions and %d partials", crossDB, hits, partials)
+			}
+
+			got, err := s.Report(st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			full, err := sia.AuditDeployments(localDB(all).Snapshot(), "", specs, sia.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if auditsJSON(t, got) != auditsJSON(t, full) {
+				t.Fatal("planned report diverges from the full recompute")
+			}
+			if crossDB && auditsJSON(t, got) != crossJSON {
+				t.Fatal("the adopted report is not the cross-database ancestor's")
+			}
+		})
+	}
+}

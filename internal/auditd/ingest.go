@@ -177,6 +177,13 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 			close(w.done)
 		}
 	}
+	// Stage the group once: the validation and per-record fingerprint digests
+	// serve both the persisted preview and the in-memory commit.
+	batch, err := depdb.NewBatch(records...)
+	if err != nil {
+		fail(500, err) // unreachable after the per-record validation in Ingest
+		return
+	}
 
 	s.mu.Lock()
 	if s.closed && s.db == nil {
@@ -192,14 +199,14 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 	db := s.db
 	s.mu.Unlock()
 
-	// ingestMu serializes the Put with its segment persistence (snapMeta is
-	// guarded by it). Put itself is atomic (all records or none) and safe
-	// against concurrent snapshot readers; the job-table lock is not held
+	// ingestMu serializes the commit with its segment persistence (snapMeta
+	// is guarded by it). PutBatch itself is atomic and safe against
+	// concurrent snapshot readers; the job-table lock is not held
 	// across it.
 	//
 	// On a durable service, persist the group BEFORE committing to the live
 	// database: a failed disk write then leaves the memory DB untouched, so
-	// the clients' retries cannot duplicate records (depdb.Put appends
+	// the clients' retries cannot duplicate records (depdb appends
 	// blindly and duplicates change the canonical fingerprint). Only the
 	// group (and, the first time, the pre-existing records) is written —
 	// never a copy of the whole database per request. While the breaker is
@@ -209,7 +216,7 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 	durable := false
 	if s.store != nil {
 		if s.breaker.allow() {
-			if err := s.persistIngestLocked(db, records); err != nil {
+			if err := s.persistIngestLocked(db, batch); err != nil {
 				s.storeFailure(fmt.Sprintf("persisting ingest of %d records", len(records)), err)
 				s.ingestMu.Unlock()
 				fail(503, fmt.Errorf("snapshot not persisted, no records ingested (safe to retry): %w", err))
@@ -221,13 +228,7 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 			s.m.storeSkipped.Add(1)
 		}
 	}
-	if err := db.Put(records...); err != nil {
-		// Unreachable after the per-record validation above, but never
-		// silently diverge memory from the persisted snapshot chain.
-		s.ingestMu.Unlock()
-		fail(500, err)
-		return
-	}
+	db.PutBatch(batch)
 	if s.store != nil && !durable {
 		s.snapDirty = true
 	}

@@ -150,7 +150,7 @@ func (s *Server) RecoverJobs() (int, error) {
 				s.dropJournal(e.Key, err)
 				continue
 			}
-			if _, err := s.submit(&req, id); err != nil {
+			if _, err := s.submit(&req, id, true); err != nil {
 				s.dropJournal(e.Key, err)
 				continue
 			}

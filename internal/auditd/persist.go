@@ -314,8 +314,9 @@ func (s *Server) persistResult(label, key string, res any) []string {
 // acknowledged, so every acknowledged ingest replays and every crash leaves
 // a consistent chain (an orphaned segment from an unacknowledged ingest is
 // overwritten by the retry or swept at boot). Caller holds s.ingestMu.
-func (s *Server) persistIngestLocked(db *depdb.DB, batch []deps.Record) error {
-	newFP := db.FingerprintWith(batch...)
+func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
+	newFP := db.FingerprintWith(staged)
+	batch := staged.Records()
 	meta := s.snapMeta
 	var evicted []string
 	if meta.Segments == 0 || s.snapDirty {

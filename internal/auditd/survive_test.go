@@ -215,6 +215,85 @@ func TestCanceledJobNotResurrected(t *testing.T) {
 	}
 }
 
+// TestWatchRefreshNotResurrected: a watch refresher's re-audit is submitted
+// unjournaled — nobody holds its job id across a crash and its SSE stream
+// dies with the daemon — so a kill -9 with a refresh in flight leaves no
+// job/<id> record for it and the next boot recovers only the job a client
+// submitted, exactly as TestJournalRecoveryAfterCrash pins.
+func TestWatchRefreshNotResurrected(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	release := make(chan struct{})
+	s1 := New(Config{Workers: 1, Store: st1, RunHook: blockingHook(release)})
+	defer shutdown(t, s1) // cancels the parked computations at test end
+	mustIngest(t, s1, deltaRecords())
+
+	sub, err := s1.Watch(deltaAuditRequest("live"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	// The initial refresh is submitted and parks on the hook.
+	watchStats(t, s1, "one refresh in flight", func(st Stats) bool {
+		return st.WatchReaudits == 1 && st.Submitted == 1
+	})
+	if keys := journalEntries(st1); len(keys) != 0 {
+		t.Fatalf("an in-flight watch refresh was journaled: %v", keys)
+	}
+	client := mustSubmit(t, s1, &SubmitRequest{
+		Title:       "client",
+		Deployments: []DeploymentWire{{Name: "solo", Servers: []string{"s1", "s3"}}},
+	})
+	if client.ID != "job-000002" || client.State == StateDone {
+		t.Fatalf("client job = %+v, want a queued job-000002 behind the refresh", client)
+	}
+	if err := st1.Close(); err != nil { // kill -9
+		t.Fatal(err)
+	}
+
+	st2 := openStore(t, dir)
+	if keys := journalEntries(st2); len(keys) != 1 || keys[0] != "job/job-000002" {
+		t.Fatalf("journal after crash = %v, want only the client's [job/job-000002]", keys)
+	}
+	db, err := RestoreDB(st2)
+	if err != nil || db == nil {
+		t.Fatalf("RestoreDB = %v, %v", db, err)
+	}
+	s2 := New(Config{Workers: 1, Store: st2, DB: db})
+	defer gracefulShutdown(t, s2)
+	if n, err := s2.RecoverJobs(); err != nil || n != 1 {
+		t.Fatalf("RecoverJobs = %d, %v; want the client job alone", n, err)
+	}
+	if got := s2.Stats().JobsRecovered; got != 1 {
+		t.Fatalf("JobsRecovered = %d, want 1", got)
+	}
+	if done := waitDone(t, s2, client.ID); done.State != StateDone || !done.Recovered {
+		t.Fatalf("recovered client job = %+v", done)
+	}
+	if _, err := s2.Status("job-000001"); httpStatus(err) != 404 {
+		t.Fatalf("the refresh job came back after the restart: %v", err)
+	}
+	waitNoJournal(t, st2)
+
+	// A completed refresh on the rebooted daemon leaves nothing behind
+	// either, spliced computation included.
+	sub2, err := s2.Watch(deltaAuditRequest("live"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub2.Close()
+	nextWatchEvent(t, sub2)
+	puts := st2.Stats().Puts
+	mustIngest(t, s2, []RecordWire{{Kind: "software", Pgm: "etcd", HW: "s3", Deps: []string{"libc6"}}})
+	if ev := nextWatchEvent(t, sub2); !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 1 {
+		t.Fatalf("refresh after a dirtying ingest = %+v, want a splice", ev.Job)
+	}
+	// Segment + pointer for the ingest, one result for the splice: no job/.
+	if got := st2.Stats().Puts - puts; got != 3 {
+		t.Fatalf("ingest + spliced refresh wrote %d store records, want 3", got)
+	}
+}
+
 // faultStore opens a store in dir routed through the injecting FS.
 func faultStore(t *testing.T, dir string, fs *faultinject.FS) *store.Store {
 	t.Helper()

@@ -165,9 +165,9 @@ func (s *Server) notifyWatchers(records []deps.Record) {
 }
 
 // refreshLoop is a subscription's refresher: it sleeps until dirt
-// accumulates, re-audits the stored request through the ordinary Submit
-// path (cache, lineage, delta planning and journaling all apply), and
-// streams the outcome. It exits when the subscription ends — Close,
+// accumulates, re-audits the stored request through the ordinary submit
+// path (cache, lineage and delta planning all apply), and streams the
+// outcome. It exits when the subscription ends — Close,
 // eviction, shutdown — or on a fatal submit error.
 func (s *Server) refreshLoop(sub *watch.Sub, req *SubmitRequest) {
 	defer s.watchWG.Done()
@@ -213,7 +213,9 @@ func (s *Server) refreshLoop(sub *watch.Sub, req *SubmitRequest) {
 // the service refused the submission for a non-transient reason (shutdown,
 // or a request the database outgrew).
 func (s *Server) refreshOnce(sub *watch.Sub, req *SubmitRequest, trigger []string) (ev *WatchEvent, fatal bool) {
-	st, err := s.Submit(req)
+	// Unjournaled: nobody holds a refresh job's id across a crash, and a
+	// reconnecting watcher's initial report re-audits anyway.
+	st, err := s.submit(req, "", false)
 	if err != nil {
 		if httpStatus(err) == 429 {
 			// Queue full: requeue the refresh and retry after a beat. Kick

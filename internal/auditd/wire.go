@@ -143,9 +143,17 @@ func (r *SubmitRequest) normalize() (normalized, sia.Options, error) {
 	if len(r.Deployments) == 0 {
 		return n, opts, fmt.Errorf("auditd: request has no deployments")
 	}
+	seen := make(map[string]struct{}) // one deployment's servers; a small set stays on the stack
 	for i, d := range r.Deployments {
 		if d.Name == "" || len(d.Servers) == 0 {
 			return n, opts, fmt.Errorf("auditd: deployment %d needs a name and at least one server", i)
+		}
+		clear(seen) // a repeated server would only fail later, in a worker, on a duplicate event label
+		for _, srv := range d.Servers {
+			if _, dup := seen[srv]; dup {
+				return n, opts, fmt.Errorf("auditd: deployment %q lists server %q twice", d.Name, srv)
+			}
+			seen[srv] = struct{}{}
 		}
 		if d.Needed < 0 || d.Needed > len(d.Servers) {
 			return n, opts, fmt.Errorf("auditd: deployment %q: needed=%d out of range 0..%d", d.Name, d.Needed, len(d.Servers))

@@ -36,6 +36,11 @@ func TestSubmitNormalizeErrors(t *testing.T) {
 			wantErr: "at least one server",
 		},
 		{
+			name:    "server listed twice",
+			mutate:  func(r *SubmitRequest) { r.Deployments[0].Servers = []string{"s1", "s2", "s1"} },
+			wantErr: `lists server "s1" twice`,
+		},
+		{
 			name:    "needed negative",
 			mutate:  func(r *SubmitRequest) { r.Deployments[0].Needed = -1 },
 			wantErr: "out of range",

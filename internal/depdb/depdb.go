@@ -173,15 +173,70 @@ func New() *DB {
 	return &DB{v: view{index: make(map[string]map[deps.Kind][]int)}}
 }
 
+// merge folds another sum into s: one 2048-bit wrapping addition, the same
+// arithmetic add applies per record, so summing a batch apart and merging it
+// equals adding its records one by one.
+func (s *fpSum) merge(o *fpSum) {
+	var carry uint64
+	for i := range s.limbs {
+		s.limbs[i], carry = bits.Add64(s.limbs[i], o.limbs[i], carry)
+	}
+	s.count += o.count
+}
+
+// Batch is a validated set of records staged for insertion, with its
+// contribution to the fingerprint — the sum of its records' digests —
+// already hashed. The multiset hash is additive, so the contribution does
+// not depend on the database the batch lands in: FingerprintWith previews it
+// and PutBatch commits it without hashing any record a second time.
+type Batch struct {
+	records []deps.Record
+	sum     fpSum
+}
+
+// NewBatch validates records and hashes each one once. Either every record
+// is valid or no batch is returned.
+func NewBatch(records ...deps.Record) (*Batch, error) {
+	sum, err := stage(records)
+	if err != nil {
+		return nil, err
+	}
+	return &Batch{records: records, sum: sum}, nil
+}
+
+// stage validates records and sums their digests.
+func stage(records []deps.Record) (fpSum, error) {
+	var sum fpSum
+	for i, r := range records {
+		if err := r.Validate(); err != nil {
+			return fpSum{}, fmt.Errorf("depdb: record %d: %w", i, err)
+		}
+		sum.add(canonicalLine(r))
+	}
+	return sum, nil
+}
+
+// Records returns the batch's records in insertion order (not a copy).
+func (b *Batch) Records() []deps.Record { return b.records }
+
 // Put validates and stores records. Either all records are stored or none.
 // Any registered snapshot is invalidated; snapshots taken earlier keep
 // serving their frozen prefix of the log.
 func (db *DB) Put(records ...deps.Record) error {
-	for i, r := range records {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("depdb: record %d: %w", i, err)
-		}
+	sum, err := stage(records)
+	if err != nil {
+		return err
 	}
+	db.commit(records, &sum)
+	return nil
+}
+
+// PutBatch stores a staged batch: Put without the validation and hashing
+// NewBatch already did.
+func (db *DB) PutBatch(b *Batch) { db.commit(b.records, &b.sum) }
+
+// commit appends validated records, whose digests sum to sum, to the log.
+func (db *DB) commit(records []deps.Record, sum *fpSum) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.snap = nil
@@ -195,9 +250,8 @@ func (db *DB) Put(records ...deps.Record) error {
 			db.v.index[subj] = byKind
 		}
 		byKind[r.Kind] = append(byKind[r.Kind], pos)
-		db.sum.add(canonicalLine(r))
 	}
-	return nil
+	db.sum.merge(sum)
 }
 
 // Snapshot returns the registered immutable view of the database's current
@@ -228,18 +282,14 @@ func (db *DB) Fingerprint() string {
 }
 
 // FingerprintWith returns the fingerprint the database would have after
-// appending records, without modifying anything — the audit service uses it
-// to persist an ingest's outcome before committing the ingest. Cost is
-// O(len(records)) regardless of database size. The records are assumed
-// valid; invalid ones would make the eventual Put fail and the preview
-// meaningless.
-func (db *DB) FingerprintWith(records ...deps.Record) string {
+// PutBatch(b), without modifying anything — the audit service uses it to
+// persist an ingest's outcome before committing the ingest. Cost is O(1):
+// the batch's digests were summed when it was staged.
+func (db *DB) FingerprintWith(b *Batch) string {
 	db.mu.RLock()
 	sum := db.sum
 	db.mu.RUnlock()
-	for _, r := range records {
-		sum.add(canonicalLine(r))
-	}
+	sum.merge(&b.sum)
 	return sum.fingerprint()
 }
 
@@ -332,6 +382,12 @@ func (s *Snapshot) Fingerprint() string { return s.fp }
 
 // Len returns the number of records in the snapshot.
 func (s *Snapshot) Len() int { return s.limit }
+
+// Extends reports whether s is the same or a later generation of the
+// database o was taken from. o's records are then a prefix of s's, so
+// o.Diff(s) is exactly the log suffix ingested in between — and a snapshot
+// that o itself extends diffs against s to a superset of that suffix.
+func (s *Snapshot) Extends(o *Snapshot) bool { return s.db == o.db && s.limit >= o.limit }
 
 // Subjects returns every subject with at least one record, sorted.
 func (s *Snapshot) Subjects() []string {

@@ -60,8 +60,11 @@ func (d Diff) Subjects() []string {
 // Diff computes the canonical difference from snapshot a to snapshot b: the
 // records to add and remove so a's multiset becomes b's. Snapshots of the
 // same database short-circuit — the younger generation's log suffix IS the
-// diff, making the ingest-then-re-audit case O(records ingested) — while
-// snapshots of unrelated databases compare full multisets.
+// diff: it is copied and sorted canonically with one key built per record,
+// so the ingest-then-re-audit case costs O(n) allocations and O(n log n)
+// string compares in the n records ingested between the two, independent of
+// database size — while snapshots of unrelated databases compare full
+// multisets.
 func (a *Snapshot) Diff(b *Snapshot) Diff {
 	if a.db == b.db {
 		lo, hi := a.limit, b.limit
@@ -170,9 +173,29 @@ func identityKey(r deps.Record) string {
 	}
 }
 
-// sortCanonically orders records by their canonical serialization.
+// sortCanonically orders records by their canonical serialization. Each
+// record's key is built once and records and keys are sorted together, so
+// the sort allocates O(n) and its comparisons are plain string compares.
 func sortCanonically(records []deps.Record) {
-	sort.Slice(records, func(i, j int) bool {
-		return canonicalLine(records[i]) < canonicalLine(records[j])
-	})
+	if len(records) < 2 {
+		return
+	}
+	keys := make([]string, len(records))
+	for i, r := range records {
+		keys[i] = canonicalLine(r)
+	}
+	sort.Sort(&byCanonicalKey{records: records, keys: keys})
+}
+
+// byCanonicalKey sorts records and their precomputed keys in lockstep.
+type byCanonicalKey struct {
+	records []deps.Record
+	keys    []string
+}
+
+func (b *byCanonicalKey) Len() int           { return len(b.keys) }
+func (b *byCanonicalKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b *byCanonicalKey) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.records[i], b.records[j] = b.records[j], b.records[i]
 }
