@@ -1028,6 +1028,8 @@ func (s *Server) Stats() Stats {
 		Compute:      s.m.compute.Snapshot(),
 		IngestCommit: s.m.ingestCommit.Snapshot(),
 		IngestNotify: s.m.ingestNotify.Snapshot(),
+		ResultEncode: s.m.resultEncode.Snapshot(),
+		ResultBytes:  s.m.resultBytes.Load(),
 
 		Uptime:  time.Since(s.began),
 		Runtime: telemetry.ReadRuntime(),

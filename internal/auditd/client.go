@@ -23,7 +23,25 @@ import (
 // maxResponseBody is the client-side read cap. Reports can dwarf requests
 // (a k=24 fat-tree audit carries >10⁴ risk groups), so this is deliberately
 // far larger than the server's request bound — a sanity stop, not a budget.
-const maxResponseBody = 1 << 30
+// A variable so tests can shrink it.
+var maxResponseBody int64 = 1 << 30
+
+// readBody reads a response body, in one allocation when the server sent a
+// Content-Length; a body over maxResponseBody is an error here rather than a
+// JSON syntax error on a silently cut-off read.
+func readBody(resp *http.Response) ([]byte, error) {
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n > 0 && n <= maxResponseBody {
+		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without regrowing
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody+1)); err != nil {
+		return nil, err
+	}
+	if int64(buf.Len()) > maxResponseBody {
+		return nil, fmt.Errorf("auditd: response exceeds %d bytes", maxResponseBody)
+	}
+	return buf.Bytes(), nil
+}
 
 // RetryPolicy controls the client's backoff on transient failures: refused
 // connections (daemon restarting), 429 (queue full) and 502/503/504.
@@ -202,7 +220,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
+	body, err := readBody(resp)
 	if err != nil {
 		return err
 	}
@@ -219,10 +237,15 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 		}
 		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
 		return nil
+	case *[]byte: // the caller decodes: hand the body over as read
+		*out = body
+		return nil
+	default:
+		return json.Unmarshal(body, out)
 	}
-	return json.Unmarshal(body, out)
 }
 
 // transientError classifies an error as worth retrying, with the server's
@@ -318,36 +341,44 @@ func (c *Client) WaitDone(ctx context.Context, id string) (JobStatus, error) {
 // silently zero-valued report — the shared result endpoint serves all
 // payload kinds.
 func (c *Client) Report(ctx context.Context, id string) (*report.Report, error) {
-	raw, err := c.result(ctx, id)
-	if err != nil {
+	rep := new(report.Report)
+	if err := c.result(ctx, id, "audit", rep, func() bool { return rep.Audits == nil }); err != nil {
 		return nil, err
 	}
-	switch resultKind(raw) {
-	case "recommendation":
-		return nil, fmt.Errorf("auditd: job %s is a recommendation job; use RecommendResult", id)
-	case "private-audit":
-		return nil, fmt.Errorf("auditd: job %s is a private-audit job; use PrivateAuditResult", id)
-	}
-	var rep report.Report
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return nil, err
-	}
-	return &rep, nil
+	return rep, nil
 }
 
-// result fetches a finished job's raw payload from the shared endpoint.
-func (c *Client) result(ctx context.Context, id string) (json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/report", nil, &raw); err != nil {
-		return nil, err
+// result fetches a finished job's payload from the shared endpoint and
+// decodes it once into out, the result type of job kind want. Only a decode
+// that failed or left out without its kind's marker fields (per empty) is
+// sniffed for being another kind's payload, so the success path reads the
+// body exactly once.
+func (c *Client) result(ctx context.Context, id, want string, out any, empty func() bool) error {
+	var body []byte
+	if err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/report", nil, &body); err != nil {
+		return err
 	}
-	return raw, nil
+	err := json.Unmarshal(body, out)
+	if err != nil || empty() {
+		if kind := resultKind(body); kind != "" && kind != want {
+			return fmt.Errorf("auditd: job %s is %s", id, kindHints[kind])
+		}
+	}
+	return err
+}
+
+// kindHints completes "job … is …" when a typed getter is pointed at
+// another kind's job.
+var kindHints = map[string]string{
+	"audit":          "an audit job; use Report",
+	"recommendation": "a recommendation job; use RecommendResult",
+	"private-audit":  "a private-audit job; use PrivateAuditResult",
 }
 
 // resultKind sniffs which job kind a result payload belongs to: audit
 // reports carry "audits", recommendations carry "rankings" + "strategy",
 // private audits carry "entries" + "protocol".
-func resultKind(raw json.RawMessage) string {
+func resultKind(raw []byte) string {
 	var probe struct {
 		Audits   json.RawMessage `json:"audits"`
 		Rankings json.RawMessage `json:"rankings"`
@@ -378,21 +409,11 @@ func (c *Client) Recommend(ctx context.Context, req *RecommendRequest) (JobStatu
 // RecommendResult fetches a finished recommendation job's ranking; asking
 // for an audit job's result is an error (see Report).
 func (c *Client) RecommendResult(ctx context.Context, id string) (*RecommendResponse, error) {
-	raw, err := c.result(ctx, id)
-	if err != nil {
+	res := new(RecommendResponse)
+	if err := c.result(ctx, id, "recommendation", res, func() bool { return res.Strategy == "" && res.Rankings == nil }); err != nil {
 		return nil, err
 	}
-	switch resultKind(raw) {
-	case "audit":
-		return nil, fmt.Errorf("auditd: job %s is an audit job; use Report", id)
-	case "private-audit":
-		return nil, fmt.Errorf("auditd: job %s is a private-audit job; use PrivateAuditResult", id)
-	}
-	var res RecommendResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return res, nil
 }
 
 // PrivateAudit submits a private (PIA) audit job; poll it with Status or
@@ -406,21 +427,11 @@ func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (Jo
 // PrivateAuditResult fetches a finished private-audit job's report; asking
 // for another job kind's result is an error (see Report).
 func (c *Client) PrivateAuditResult(ctx context.Context, id string) (*PrivateAuditResponse, error) {
-	raw, err := c.result(ctx, id)
-	if err != nil {
+	res := new(PrivateAuditResponse)
+	if err := c.result(ctx, id, "private-audit", res, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
 		return nil, err
 	}
-	switch resultKind(raw) {
-	case "audit":
-		return nil, fmt.Errorf("auditd: job %s is an audit job; use Report", id)
-	case "recommendation":
-		return nil, fmt.Errorf("auditd: job %s is a recommendation job; use RecommendResult", id)
-	}
-	var res PrivateAuditResponse
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
+	return res, nil
 }
 
 // RegisterProvider registers (or replaces) a private-audit provider dataset
@@ -484,38 +495,38 @@ func (c *Client) Cached(ctx context.Context, key string) (*report.Report, error)
 // typed Cached would silently mis-decode a recommendation into an
 // almost-empty report.
 func (c *Client) CachedAny(ctx context.Context, key string) (any, error) {
-	var raw json.RawMessage
-	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &raw); err != nil {
+	var body []byte
+	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &body); err != nil {
 		return nil, err
 	}
-	return DecodeResultPayload(raw)
+	return DecodeResultPayload(body)
 }
 
 // DecodeResultPayload decodes a raw result payload — as served unwrapped by
 // the shared report endpoint and /v1/cache/{key} — into its concrete type:
-// *report.Report, *RecommendResponse or *PrivateAuditResponse, sniffed by
-// shape exactly as the typed result fetchers do.
+// *report.Report, *RecommendResponse or *PrivateAuditResponse, by shape
+// exactly as the typed result fetchers do. It tries the report first — the
+// common and by far the largest kind decodes in one pass — and sniffs the
+// shape only when that came back without audits.
 func DecodeResultPayload(raw json.RawMessage) (any, error) {
-	switch resultKind(raw) {
-	case "recommendation":
-		res := new(RecommendResponse)
-		if err := json.Unmarshal(raw, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	case "private-audit":
-		res := new(PrivateAuditResponse)
-		if err := json.Unmarshal(raw, res); err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		rep := new(report.Report)
-		if err := json.Unmarshal(raw, rep); err != nil {
-			return nil, err
-		}
+	rep := new(report.Report)
+	err := json.Unmarshal(raw, rep)
+	if err == nil && rep.Audits != nil {
 		return rep, nil
 	}
+	var res any = rep
+	switch resultKind(raw) {
+	case "recommendation":
+		res = new(RecommendResponse)
+		err = json.Unmarshal(raw, res)
+	case "private-audit":
+		res = new(PrivateAuditResponse)
+		err = json.Unmarshal(raw, res)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // Metrics fetches the raw metrics exposition text.
@@ -529,7 +540,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	blob, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBody))
+	blob, err := readBody(resp)
 	return string(blob), err
 }
 

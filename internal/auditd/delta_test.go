@@ -60,7 +60,7 @@ func auditsJSON(t *testing.T, rep *report.Report) string {
 	for i := range audits {
 		audits[i].Elapsed = 0
 	}
-	blob, err := json.Marshal(audits)
+	blob, err := json.Marshal(report.Report{Audits: audits})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package auditd
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -37,12 +38,42 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+// encodeJSON renders v as one compact JSON line. Encoding happens before any
+// header is written, so a value encoding/json rejects (an unsupported float
+// in some payload) becomes a 500 with the error envelope, not a 200 with an
+// empty body.
+func encodeJSON(code int, v interface{}) (int, *bytes.Buffer) {
+	buf := new(bytes.Buffer)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(errorBody{Error: "encode response: " + err.Error()}) // a string cannot fail
+	}
+	return code, buf
+}
+
+// writeBody sends an encoded body in one write, Content-Length set so
+// clients can size their read.
+func writeBody(w http.ResponseWriter, code int, body *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) // client gone mid-write is not actionable
+	w.Write(body.Bytes()) // client gone mid-write is not actionable
+}
+
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	code, body := encodeJSON(code, v)
+	writeBody(w, code, body)
+}
+
+// writeResult serves a finished job's payload — the bodies that dwarf every
+// other response — recording what the encode cost and how much went out.
+func (s *Server) writeResult(w http.ResponseWriter, res any) {
+	start := time.Now()
+	code, body := encodeJSON(200, res)
+	s.m.resultEncode.ObserveSince(start)
+	s.m.resultBytes.Add(int64(body.Len()))
+	writeBody(w, code, body)
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -241,7 +272,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, 200, res)
+	s.writeResult(w, res)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -259,7 +290,7 @@ func (s *Server) handleCached(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	writeJSON(w, 200, rep)
+	s.writeResult(w, rep)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -44,6 +44,7 @@ type metrics struct {
 
 	jobsRecovered atomic.Int64 // journaled jobs re-enqueued at boot
 	workerPanics  atomic.Int64 // workload panics isolated to their own job
+	resultBytes   atomic.Int64 // encoded result payload bytes served (report and cache routes)
 
 	// Latency histograms (lock-free; Observe is two atomic adds). Store
 	// put/get latencies live in store.Stats, next to the data they time.
@@ -52,6 +53,7 @@ type metrics struct {
 	compute      telemetry.Histogram // worker time inside the run closure
 	ingestCommit telemetry.Histogram // ingest group commit (persist + apply + notify)
 	ingestNotify telemetry.Histogram // ingest dirtying a watch → event queued
+	resultEncode telemetry.Histogram // JSON encode of a served result payload (report and cache routes)
 }
 
 // Stats is a point-in-time snapshot of the service counters, exported for
@@ -130,6 +132,11 @@ type Stats struct {
 	Compute      telemetry.HistogramSnapshot
 	IngestCommit telemetry.HistogramSnapshot
 	IngestNotify telemetry.HistogramSnapshot
+	// ResultEncode times the JSON encode of each result payload served by
+	// GET /v1/audits/{id}/report and /v1/cache/{key}; ResultBytes totals the
+	// encoded bytes — the two numbers behind "why did this read take 4 ms".
+	ResultEncode telemetry.HistogramSnapshot
+	ResultBytes  int64
 
 	// Uptime, Runtime, and Build describe the process itself for the
 	// auditd_uptime_seconds / auditd_goroutines / auditd_heap_bytes /
@@ -207,6 +214,8 @@ func (s Stats) render(w io.Writer) {
 	hist("auditd_job_compute_seconds", "Worker time spent inside run closures.", s.Compute)
 	hist("auditd_ingest_commit_seconds", "Ingest group commit latency (snapshot persist, depdb apply, watch notify).", s.IngestCommit)
 	hist("auditd_ingest_notify_seconds", "Latency from an ingest dirtying a watch subscription to its notification event being queued.", s.IngestNotify)
+	hist("auditd_result_encode_seconds", "JSON encode time of result payloads served by the report and cache routes.", s.ResultEncode)
+	counter("auditd_result_bytes_total", "Encoded result payload bytes served by the report and cache routes.", s.ResultBytes)
 	// The degraded gauge renders unconditionally: a dashboard watching an
 	// incident must never see the series vanish because the store flag is
 	// off (memory-only daemons legitimately report 0 forever).

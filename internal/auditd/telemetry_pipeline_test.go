@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -261,6 +263,11 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	mustSubmit(t, s, req) // memory hit → job-duration observation
 	mustIngest(t, s, deltaRecords())
+	rec := httptest.NewRecorder() // served result → result-encode observation
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/audits/"+job.ID+"/report", nil))
+	if rec.Code != 200 {
+		t.Fatalf("report fetch: HTTP %d", rec.Code)
+	}
 
 	var b strings.Builder
 	s.Stats().render(&b)
@@ -340,10 +347,20 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	// The serve paths above must have produced observations.
 	for _, fam := range []string{"auditd_job_duration_seconds", "auditd_job_queue_wait_seconds",
 		"auditd_job_compute_seconds", "auditd_ingest_commit_seconds",
-		"auditd_store_put_seconds"} {
+		"auditd_store_put_seconds", "auditd_result_encode_seconds"} {
 		if h, ok := telemetry.ParseHistogram(b.String(), fam); !ok || h.Count() == 0 {
 			t.Fatalf("%s has no observations after cold+hit+ingest", fam)
 		}
+	}
+	if want := fmt.Sprintf("\nauditd_result_bytes_total %d\n", rec.Body.Len()); !strings.Contains(b.String(), want) {
+		t.Fatalf("exposition lacks %q after serving a %d-byte report", want, rec.Body.Len())
+	}
+	// Recording a served result costs the read path no allocation.
+	if n := testing.AllocsPerRun(100, func() {
+		s.m.resultEncode.ObserveSince(time.Now())
+		s.m.resultBytes.Add(1)
+	}); n != 0 {
+		t.Fatalf("result metrics allocate %.0f times per served result", n)
 	}
 	if !strings.Contains(b.String(), "auditd_build_info{go_version=") {
 		t.Fatal("exposition lacks auditd_build_info")

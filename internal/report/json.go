@@ -1,12 +1,17 @@
-// Stable JSON encodings for audit reports.
+// Stable JSON encoding for audit reports.
 //
 // encoding/json refuses NaN outright, and unweighted audits legitimately
-// carry NaN in RGEntry.Prob/Importance and DeploymentAudit.FailureProb ("no
-// probability known"). The custom marshalers below encode unknown
-// probabilities by omission and decode omission (or null) back to NaN, so a
-// report round-trips bit-stable through the audit service's HTTP API.
-// Elapsed times are pinned to integer nanoseconds under "elapsed_ns" rather
-// than time.Duration's default encoding, keeping the wire format explicit.
+// carry NaN in RGEntry.Prob/Importance and DeploymentAudit.Score/FailureProb
+// ("no probability known"). The codec encodes unknown probabilities by
+// omission and decodes omission (or null) back to NaN, so a report
+// round-trips bit-stable through the HTTP API, the store and the journal.
+// Elapsed times are pinned to integer nanoseconds under "elapsed_ns".
+//
+// It hangs off Report alone and goes through flat wire structs, so a whole
+// report is one encoding/json pass each way: marshalers on the nested types
+// would cost a json.Marshal call per risk group and a scan-validate-decode
+// triple per nesting level. A DeploymentAudit or RGEntry therefore has no
+// JSON form of its own — wrap it in a Report.
 package report
 
 import (
@@ -15,12 +20,39 @@ import (
 	"time"
 )
 
-// nanOmit maps NaN to nil so "unknown" serializes as an omitted field.
-func nanOmit(f float64) *float64 {
-	if math.IsNaN(f) {
+type reportWire struct {
+	Title  string      `json:"title"`
+	Audits []auditWire `json:"audits"`
+}
+
+type auditWire struct {
+	Deployment  string   `json:"deployment"`
+	Sources     []string `json:"sources"`
+	Expected    int      `json:"expected"`
+	RGs         []rgWire `json:"rgs"`
+	Unexpected  int      `json:"unexpected"`
+	Score       *float64 `json:"score,omitempty"`
+	ScoreTopN   int      `json:"score_top_n"`
+	FailureProb *float64 `json:"failure_prob,omitempty"`
+	Algorithm   string   `json:"algorithm"`
+	ElapsedNS   int64    `json:"elapsed_ns"`
+	Truncated   bool     `json:"truncated,omitempty"`
+}
+
+type rgWire struct {
+	Components []string `json:"components"`
+	Size       int      `json:"size"`
+	Prob       *float64 `json:"prob,omitempty"`
+	Importance *float64 `json:"importance,omitempty"`
+}
+
+// nanOmit maps NaN to nil so "unknown" serializes as an omitted field; the
+// wire struct borrows the pointer for one Marshal.
+func nanOmit(f *float64) *float64 {
+	if math.IsNaN(*f) {
 		return nil
 	}
-	return &f
+	return f
 }
 
 // orNaN maps a missing/null field back to NaN.
@@ -31,84 +63,42 @@ func orNaN(p *float64) float64 {
 	return *p
 }
 
-type rgEntryJSON struct {
-	Components []string `json:"components"`
-	Size       int      `json:"size"`
-	Prob       *float64 `json:"prob,omitempty"`
-	Importance *float64 `json:"importance,omitempty"`
-}
-
-// MarshalJSON encodes the entry with unknown (NaN) probabilities omitted.
-func (e RGEntry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(rgEntryJSON{
-		Components: e.Components,
-		Size:       e.Size,
-		Prob:       nanOmit(e.Prob),
-		Importance: nanOmit(e.Importance),
-	})
-}
-
-// UnmarshalJSON decodes the entry, mapping omitted or null probabilities
-// back to NaN.
-func (e *RGEntry) UnmarshalJSON(data []byte) error {
-	var w rgEntryJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
-	*e = RGEntry{
-		Components: w.Components,
-		Size:       w.Size,
-		Prob:       orNaN(w.Prob),
-		Importance: orNaN(w.Importance),
-	}
-	return nil
-}
-
-type deploymentAuditJSON struct {
-	Deployment  string    `json:"deployment"`
-	Sources     []string  `json:"sources"`
-	Expected    int       `json:"expected"`
-	RGs         []RGEntry `json:"rgs"`
-	Unexpected  int       `json:"unexpected"`
-	Score       *float64  `json:"score,omitempty"`
-	ScoreTopN   int       `json:"score_top_n"`
-	FailureProb *float64  `json:"failure_prob,omitempty"`
-	Algorithm   string    `json:"algorithm"`
-	ElapsedNS   int64     `json:"elapsed_ns"`
-	Truncated   bool      `json:"truncated,omitempty"`
-}
-
-// MarshalJSON encodes the audit with an omitted failure probability when it
-// is unknown (unweighted audits) and the elapsed time as integer
-// nanoseconds.
-func (d DeploymentAudit) MarshalJSON() ([]byte, error) {
-	return json.Marshal(deploymentAuditJSON{
+// toWire is the audit's wire form. Nil and empty slices stay distinct (null
+// vs []).
+func (d *DeploymentAudit) toWire() auditWire {
+	w := auditWire{
 		Deployment:  d.Deployment,
 		Sources:     d.Sources,
 		Expected:    d.Expected,
-		RGs:         d.RGs,
 		Unexpected:  d.Unexpected,
-		Score:       nanOmit(d.Score),
+		Score:       nanOmit(&d.Score),
 		ScoreTopN:   d.ScoreTopN,
-		FailureProb: nanOmit(d.FailureProb),
+		FailureProb: nanOmit(&d.FailureProb),
 		Algorithm:   d.Algorithm,
 		ElapsedNS:   d.Elapsed.Nanoseconds(),
 		Truncated:   d.Truncated,
-	})
+	}
+	if d.RGs != nil {
+		w.RGs = make([]rgWire, len(d.RGs))
+		for j := range d.RGs {
+			e := &d.RGs[j]
+			w.RGs[j] = rgWire{
+				Components: e.Components,
+				Size:       e.Size,
+				Prob:       nanOmit(&e.Prob),
+				Importance: nanOmit(&e.Importance),
+			}
+		}
+	}
+	return w
 }
 
-// UnmarshalJSON decodes the audit, mapping omitted probabilities back to
-// NaN.
-func (d *DeploymentAudit) UnmarshalJSON(data []byte) error {
-	var w deploymentAuditJSON
-	if err := json.Unmarshal(data, &w); err != nil {
-		return err
-	}
+// fromWire is toWire's inverse.
+func (d *DeploymentAudit) fromWire(w *auditWire) {
 	*d = DeploymentAudit{
 		Deployment:  w.Deployment,
 		Sources:     w.Sources,
 		Expected:    w.Expected,
-		RGs:         w.RGs,
 		Unexpected:  w.Unexpected,
 		Score:       orNaN(w.Score),
 		ScoreTopN:   w.ScoreTopN,
@@ -116,6 +106,46 @@ func (d *DeploymentAudit) UnmarshalJSON(data []byte) error {
 		Algorithm:   w.Algorithm,
 		Elapsed:     time.Duration(w.ElapsedNS),
 		Truncated:   w.Truncated,
+	}
+	if w.RGs != nil {
+		d.RGs = make([]RGEntry, len(w.RGs))
+		for j := range w.RGs {
+			e := &w.RGs[j]
+			d.RGs[j] = RGEntry{
+				Components: e.Components,
+				Size:       e.Size,
+				Prob:       orNaN(e.Prob),
+				Importance: orNaN(e.Importance),
+			}
+		}
+	}
+}
+
+// MarshalJSON encodes the report with unknown (NaN) probabilities omitted
+// and elapsed times as integer nanoseconds.
+func (r Report) MarshalJSON() ([]byte, error) {
+	w := reportWire{Title: r.Title}
+	if r.Audits != nil {
+		w.Audits = make([]auditWire, len(r.Audits))
+		for i := range r.Audits {
+			w.Audits[i] = r.Audits[i].toWire()
+		}
+	}
+	return json.Marshal(&w)
+}
+
+// UnmarshalJSON decodes a report, overwriting the receiver whole.
+func (r *Report) UnmarshalJSON(data []byte) error {
+	var w reportWire
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	*r = Report{Title: w.Title}
+	if w.Audits != nil {
+		r.Audits = make([]DeploymentAudit, len(w.Audits))
+		for i := range w.Audits {
+			r.Audits[i].fromWire(&w.Audits[i])
+		}
 	}
 	return nil
 }

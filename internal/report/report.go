@@ -64,12 +64,12 @@ func (d *DeploymentAudit) SizeVector() []int {
 }
 
 // Report is a full auditing report over alternative deployments, ranked
-// most-independent first. Its JSON form is stable (see json.go): unknown
-// probabilities are omitted rather than encoded as NaN, which
-// encoding/json rejects.
+// most-independent first. Its JSON form is stable and defined by the codec
+// in json.go: unknown probabilities are omitted rather than encoded as NaN,
+// which encoding/json rejects.
 type Report struct {
-	Title  string            `json:"title"`
-	Audits []DeploymentAudit `json:"audits"`
+	Title  string
+	Audits []DeploymentAudit
 }
 
 // CompareMode selects how deployments are ranked in the report.
