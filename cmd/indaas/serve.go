@@ -32,7 +32,7 @@ func cmdServe(args []string) error {
 	depsPath := fs.String("deps", "", "Table 1 XML file to preload (optional; requests may inline records)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = one per CPU)")
 	queue := fs.Int("queue", 0, "max queued computations (0 = default 128)")
-	cacheEntries := fs.Int("cache", 0, "result cache entries (0 = default 512, negative disables)")
+	cacheEntries := fs.Int("cache", 0, "in-memory result tier entries (0 = default 512; negative disables it — without -data-dir finished reports then answer 410)")
 	timeout := fs.Duration("timeout", 0, "default per-job timeout (0 = none)")
 	grace := fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight jobs")
 	dataDir := fs.String("data-dir", "", "persistent store directory (empty = memory-only service)")

@@ -21,6 +21,11 @@
 // computation is still in flight coalesce onto it instead of enqueueing
 // again. Cancellation reference-counts coalesced jobs: a computation's
 // context is canceled only when its last interested job is.
+//
+// A finished result is held once, as bytes (see EncodedResult): encoded when
+// its computation completes, cached, stored and served as that one slice. A
+// job keeps only a handle — content address, title, provenance — and a
+// report read resolves the address through the result tiers.
 package auditd
 
 import (
@@ -28,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"runtime"
 	"sync"
 	"time"
@@ -47,8 +53,10 @@ type Config struct {
 	// QueueDepth bounds the number of computations waiting for a worker;
 	// submissions beyond it are rejected with 429 (default 128).
 	QueueDepth int
-	// CacheEntries bounds the result cache (default 512; 0 keeps the
-	// default, negative disables caching).
+	// CacheEntries bounds the in-memory result tier: how many finished
+	// results, each held once as its encoded bytes, stay readable without the
+	// disk tier (default 512; 0 keeps the default). Negative disables the
+	// tier — with no Store either, every finished job's report answers 410.
 	CacheEntries int
 	// DB is an optional preloaded dependency database, audited when a
 	// request carries no inline records. Writers may keep inserting while
@@ -61,11 +69,13 @@ type Config struct {
 	// the request does not set its own (default: none).
 	DefaultTimeout time.Duration
 	// JobRetention bounds the job table: once more jobs than this exist,
-	// the oldest *terminal* jobs (and their report copies) are evicted, so
-	// an always-on daemon does not grow without bound. Evicted jobs 404 on
-	// status/report lookups; their reports stay reachable through
-	// /v1/cache/{key} while cached. Default 4096; negative disables
-	// eviction.
+	// the oldest *terminal* jobs are evicted, so an always-on daemon does not
+	// grow without bound. A job is a handle (well under 1 KB), never a
+	// result: how long its report stays readable is bounded by the result
+	// tiers, and a retained job whose result every tier has dropped answers
+	// 410 Gone (resubmit to recompute). Evicted jobs 404 on status/report
+	// lookups; their reports stay reachable through /v1/cache/{key} while
+	// cached. Default 4096; negative disables eviction.
 	JobRetention int
 	// Store, when set, makes the service durable: completed results are
 	// written through to disk before their jobs report done, in-memory cache
@@ -156,6 +166,7 @@ const (
 // cancellation plumbing are shared across job kinds.
 type computation struct {
 	key     string
+	kind    string // workload kind: names the result type when it is encoded
 	ctx     context.Context
 	cancel  context.CancelFunc
 	jobs    []*job // attached jobs, including canceled ones
@@ -177,7 +188,8 @@ type computation struct {
 	queueDone func()
 }
 
-// job is one client submission.
+// job is one client submission: a handle on its result (key, title,
+// provenance) — a done job's payload is whatever the tiers hold under key.
 type job struct {
 	id        string
 	key       string
@@ -195,7 +207,6 @@ type job struct {
 	started       time.Time
 	finished      time.Time
 	err           error
-	result        any           // per-job copy: own Title, shared payload
 	done          chan struct{} // closed when the job reaches a terminal state
 	comp          *computation  // nil once terminal or when served from cache
 	// timeout is this job's run-time cap; the watchdog timer is armed when
@@ -235,10 +246,12 @@ type Server struct {
 	// Config.ExtraTiers.
 	tiers []ResultTier
 
-	mu       sync.Mutex
-	db       *depdb.DB // cfg.DB, or created lazily by the first ingest
-	jobs     map[string]*job
-	order    []string // job IDs in submission order
+	mu   sync.Mutex
+	db   *depdb.DB // cfg.DB, or created lazily by the first ingest
+	jobs map[string]*job
+	// order[head:] are the live job IDs in submission order (see pruneLocked).
+	order    []string
+	head     int
 	inflight map[string]*computation
 	cache    *memoryTier
 	lineage  *lineageIndex // delta-audit ancestry (see delta.go)
@@ -304,7 +317,7 @@ func New(cfg Config) *Server {
 	// Assemble the result-tier chain: memory, then disk, then any extras.
 	s.tiers = append(s.tiers, s.cache)
 	if s.store != nil {
-		s.tiers = append(s.tiers, &diskTier{s: s})
+		s.tiers = append(s.tiers, &diskTier{st: s.store})
 	}
 	s.tiers = append(s.tiers, cfg.ExtraTiers...)
 	// The executor owns the worker pool; WrapExecutor may interpose a
@@ -355,13 +368,10 @@ func (s *Server) submit(req *SubmitRequest, recoverID string, journal bool) (Job
 		return rep, nil
 	}
 	extra := &jobExtras{
-		journalKind: journalKindAudit, journalReq: req, recoverID: recoverID,
-		wire: req, dbFP: n.DBFingerprint,
+		kind: KindAudit, wire: req, unjournaled: !journal, recoverID: recoverID,
+		dbFP:          n.DBFingerprint,
 		selfContained: len(req.Records) > 0,
 		noForward:     req.NoForward || recoverID != "",
-	}
-	if !journal {
-		extra.journalReq = nil
 	}
 	if len(req.Records) == 0 {
 		// Server-database jobs participate in the delta lineage: register the
@@ -415,23 +425,23 @@ func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
 // was planned (adopted ancestor result, partial recompute, dirty subjects)
 // and what to publish into the lineage when it completes.
 type jobExtras struct {
-	adopt   any      // pre-resolved result: finish instantly, no computation
-	deltaH  bool     // job is a delta hit (adopt) or delta partial
-	partial bool     // job re-audits only its dirty subjects
-	dirty   []string // the dirty subjects
-	reg     *lineageReg
-	// journalKind/journalReq describe how to journal the submission: the
-	// wire request is marshaled and persisted under the job's id before the
-	// job can enter the queue, so a kill -9 cannot silently discard accepted
-	// work. Marshaling is deferred until the job is known to compute — hits
-	// never pay for it. recoverID replays a journaled job under its original
-	// id at boot. A nil journalReq leaves the job unjournaled.
-	journalKind string
-	journalReq  any
+	adopt    *EncodedResult // pre-resolved result: finish instantly, no computation
+	adoptRep *report.Report // adopt's struct, when the lineage retained one
+	partial  bool           // job re-audits only its dirty subjects
+	dirty    []string       // the dirty subjects
+	reg      *lineageReg
+	// kind/wire describe the submission to the journal and the executor:
+	// unless unjournaled, the wire request is marshaled and persisted under
+	// the job's id before the job can enter the queue, so a kill -9 cannot
+	// silently discard accepted work. Marshaling is deferred until the job is
+	// known to compute — hits never pay for it. recoverID replays a
+	// journaled job under its original id at boot.
+	kind        string
+	wire        any
+	unjournaled bool
 	recoverID   string
-	// wire/dbFP/selfContained/noForward populate the Workload's routing
-	// facts (see executor.go) when the job actually computes.
-	wire          any
+	// dbFP/selfContained/noForward are the Workload's remaining routing
+	// facts (see executor.go), used when the job actually computes.
 	dbFP          string
 	selfContained bool
 	noForward     bool
@@ -439,9 +449,8 @@ type jobExtras struct {
 
 // applyPlan folds a delta plan into the extras.
 func (e *jobExtras) applyPlan(p *deltaPlan) {
-	e.deltaH = true
 	if p.adopt != nil {
-		e.adopt = p.adopt
+		e.adopt, e.adoptRep = p.adopt, p.adoptRep
 		return
 	}
 	e.partial = true
@@ -453,28 +462,22 @@ func (e *jobExtras) applyPlan(p *deltaPlan) {
 // in-flight computation absorbs the job, and otherwise run is queued for the
 // worker pool. Shared by audit submissions and placement recommendations.
 func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx context.Context) (any, error), extra *jobExtras) (JobStatus, error) {
-	if extra == nil {
-		extra = &jobExtras{}
-	}
 	timeout := s.cfg.DefaultTimeout
 	if timeoutMS > 0 {
 		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 
+	var evicted []string
 	if extra.adopt != nil {
 		// Adopted ancestor result: write it through under its new content
 		// address before any waiter can observe "done", like a computed
 		// result (persistResult does IO; the lock is not held yet).
-		evicted := s.persistResult("delta-adopted result", key, extra.adopt)
-		defer func() {
-			s.mu.Lock()
-			s.dropCachedLocked(evicted, key)
-			s.mu.Unlock()
-		}()
+		evicted = s.persistResult("delta-adopted result", key, extra.adopt)
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.dropCachedLocked(evicted, key)
 	if s.closed {
 		s.m.rejected.Add(1)
 		return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
@@ -489,37 +492,16 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		recovered: extra.recoverID != "",
 	}
 
-	if extra.adopt != nil {
-		// Delta hit: the database changed but the change missed this job's
-		// subjects, so the ancestor result answers it verbatim.
-		s.cache.Put(key, extra.adopt)
-		j.state = StateDone
-		j.deltaHit = true
-		j.started, j.finished = j.submitted, j.submitted
-		j.result = retitle(extra.adopt, j.title)
-		close(j.done)
-		s.m.jobDuration.Observe(0) // served within the submit call
-		s.m.deltaHits.Add(1)
-		if extra.reg != nil {
-			extra.reg.entry.resultKey = key
-			s.lineage.addLocked(extra.reg)
-		}
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		s.m.submitted.Add(1)
-		s.pruneLocked()
-		if extra.recoverID != "" {
-			// The recovered job settled from its durable ancestor; its
-			// journal record is done.
-			go s.clearJournals([]string{j.id})
-		}
-		return j.statusLocked(), nil
-	}
-
-	var res any
+	// A delta adoption — the database changed but the change missed this
+	// job's subjects, so the ancestor's bytes answer it verbatim — is a hit
+	// whose result arrived with the submission.
+	adopted := extra.adopt != nil
 	var hit, diskHit bool
-	if r, ok := s.cache.Get(key); ok {
-		res, hit = r, true
+	if adopted {
+		s.cache.Put(key, extra.adopt)
+		hit = true
+	} else if _, ok := s.cache.Get(key); ok {
+		hit = true
 	} else if len(s.tiers) > 1 && s.inflight[key] == nil {
 		// Probe the lower result tiers — disk, then any extras (a cluster
 		// peer's cache) — with the job-table lock released: reading,
@@ -527,7 +509,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		// over HTTP) must not stall unrelated submits and polls. The memory
 		// fast path above never pays for this.
 		s.mu.Unlock()
-		r, tier, ok := s.probeLowerTiers(key)
+		r, tier, ok := s.retrieveResult(key, 1)
 		s.mu.Lock()
 		if s.closed {
 			// Shutdown began during the probe; the executor may be closed.
@@ -536,21 +518,21 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 		if ok {
 			// An identical job may have promoted the same bytes during the
-			// probe; overwriting with an equal decode is harmless.
+			// probe; overwriting with an equal copy is harmless.
 			s.cache.Put(key, r)
-			res, hit = r, true
+			hit = true
 			diskHit = tier == tierDisk
 		}
 	}
 
-	if !hit && s.store != nil && extra.journalReq != nil {
+	if !hit && s.store != nil && !extra.unjournaled {
 		// The job will compute (or coalesce): journal it BEFORE it can enter
 		// the queue. Once any client observes this job id, a kill -9 must not
 		// silently discard the work — the next boot replays the journal. The
 		// marshal and IO happen with the lock released (same discipline as
 		// the disk probe).
 		s.mu.Unlock()
-		jr := s.journalFor(extra.journalKind, extra.journalReq)
+		jr := s.journalFor(extra.kind, extra.wire)
 		if jr != nil {
 			s.persistJob(j.id, jr)
 		}
@@ -561,34 +543,37 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 			return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
 		}
 		j.journaled = jr != nil
-		if r, ok := s.cache.Get(key); ok {
+		if _, ok := s.cache.Get(key); ok {
 			// The identical computation completed while the journal write was
 			// in flight; serve the hit.
-			res, hit = r, true
+			hit = true
 		}
 	}
 
 	if hit {
-		// Content-addressed hit (memory or disk): finish instantly, never
-		// touch the queue. A disk hit serves a result computed before a
-		// restart (or evicted from the memory LRU) without recomputation.
+		// Content-addressed hit (memory, disk, peer or adopted ancestor):
+		// finish instantly, never touch the queue. A disk hit serves a result
+		// computed before a restart (or evicted from memory) uncomputed.
 		j.state = StateDone
-		j.cached = true
-		j.diskHit = diskHit
+		j.cached, j.deltaHit, j.diskHit = !adopted, adopted, diskHit
 		j.started, j.finished = j.submitted, j.submitted
-		j.result = retitle(res, j.title)
 		close(j.done)
 		s.m.jobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the disk probe for disk hits
-		if diskHit {
+		switch {
+		case adopted:
+			s.m.deltaHits.Add(1)
+		case diskHit:
 			s.m.storeHits.Add(1)
-		} else {
+		default:
 			s.m.cacheHits.Add(1)
 		}
 		if extra.reg != nil {
 			// A hit still anchors a lineage generation — after a restart the
 			// first disk hit re-seeds the ancestry for future delta audits.
+			// An adoption is the same bytes under a new address, so the
+			// ancestor's retained struct (if any) moves to this generation.
 			extra.reg.entry.resultKey = key
-			s.lineage.addLocked(extra.reg)
+			s.lineage.addLocked(extra.reg, extra.adoptRep)
 		}
 		if j.journaled || extra.recoverID != "" {
 			// The hit resolved after the journal write (or this is a
@@ -623,6 +608,7 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		cctx, cancel := context.WithCancel(telemetry.WithTrace(s.baseCtx, tr))
 		comp := &computation{
 			key:       key,
+			kind:      extra.kind,
 			ctx:       cctx,
 			cancel:    cancel,
 			jobs:      []*job{j},
@@ -633,11 +619,11 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 		}
 		wl := &Workload{
 			Key:           key,
-			Kind:          extra.journalKind,
+			Kind:          extra.kind,
 			Wire:          extra.wire,
 			DBFingerprint: extra.dbFP,
 			SelfContained: extra.selfContained,
-			NoForward:     extra.noForward || extra.wire == nil,
+			NoForward:     extra.noForward,
 			Run:           run,
 		}
 		cb := ExecCallbacks{
@@ -676,25 +662,33 @@ func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx contex
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention bound so
-// the job table (and the report copies it pins) stays finite in an
-// always-on daemon. Active jobs are never evicted. Caller holds s.mu.
+// the job table stays finite in an always-on daemon. Active jobs are never
+// evicted. A full table evicts on every submit, hit path included, so
+// eviction is O(1): the oldest terminal job is almost always at the head, and
+// any active jobs ahead of it move up one slot instead of the whole tail
+// moving down. Caller holds s.mu.
 func (s *Server) pruneLocked() {
 	if s.cfg.JobRetention < 0 {
 		return
 	}
 	for len(s.jobs) > s.cfg.JobRetention {
-		evicted := false
-		for i, id := range s.order {
-			if s.jobs[id].terminal() {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
+		i := s.head
+		for i < len(s.order) && !s.jobs[s.order[i]].terminal() {
+			i++
 		}
-		if !evicted {
+		if i == len(s.order) {
 			return // everything is in flight; try again on the next submit
 		}
+		delete(s.jobs, s.order[i])
+		copy(s.order[s.head+1:i+1], s.order[s.head:i])
+		s.order[s.head] = ""
+		s.head++
+	}
+	if s.head > len(s.order)/2 {
+		// The dead prefix outgrew the live tail: slide the tail down — O(1)
+		// amortised, and the slice never exceeds twice the live table.
+		s.order = s.order[:copy(s.order, s.order[s.head:])]
+		s.head = 0
 	}
 }
 
@@ -749,8 +743,8 @@ func (s *Server) compStarted(comp *computation) {
 
 // compDone is the executor's Done callback: the computation finished (or was
 // discarded while queued — then running is still false and err carries the
-// cancellation). It persists the result, settles every attached job and
-// tombstones their journal records.
+// cancellation). It encodes the result — the one encode it ever gets —
+// persists it, settles every attached job and tombstones their journals.
 func (s *Server) compDone(comp *computation, res any, err error) {
 	if !comp.running {
 		// Canceled while queued: the executor discarded it without running.
@@ -758,27 +752,38 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		if comp.queueDone != nil {
 			comp.queueDone() // don't leave the phase open on the dead trace
 		}
-		s.finishLocked(comp, nil, err)
+		s.finishLocked(comp, nil, nil, err)
 		s.mu.Unlock()
 		return
 	}
 
-	// Write through to the disk store BEFORE any waiter observes "done": a
-	// client that sees its job complete may kill -9 the daemon immediately
-	// and must still find the result after restart.
+	var enc *EncodedResult
 	var evicted []string
-	if err == nil && res != nil {
-		endPersist := func() {}
-		if s.store != nil {
-			endPersist = comp.trace.Start("persist")
+	if err == nil {
+		// A result the codec cannot express (an Inf, a nil) fails the job
+		// here rather than every later read; nothing is cached or persisted.
+		endEncode := comp.trace.Start("encode")
+		start := time.Now()
+		enc, err = encodeResult(comp.kind, res)
+		s.m.resultEncode.ObserveSince(start)
+		endEncode()
+		if err != nil {
+			err = fmt.Errorf("encode result: %w", err)
 		}
-		evicted = s.persistResult(comp.label, comp.key, res)
+	}
+	if err == nil && s.store != nil {
+		// Write through to the disk store BEFORE any waiter observes "done":
+		// a client that sees its job complete may kill -9 the daemon
+		// immediately and must still find the result after restart.
+		endPersist := comp.trace.Start("persist")
+		evicted = s.persistResult(comp.label, comp.key, enc)
 		endPersist()
 	}
+	rep, _ := res.(*report.Report) // offered to the lineage (see lineageIndex.reports)
 
 	s.mu.Lock()
 	s.dropCachedLocked(evicted, comp.key)
-	s.finishLocked(comp, res, err)
+	s.finishLocked(comp, enc, rep, err)
 	cleared := journaledIDsLocked(comp.jobs)
 	s.mu.Unlock()
 	// The jobs are settled and (on success) the result is durable: their
@@ -787,17 +792,18 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 }
 
 // finishLocked records a computation's outcome, caches successful results,
-// and settles every attached job. Caller holds s.mu.
-func (s *Server) finishLocked(comp *computation, res any, err error) {
+// and settles every attached job. rep is the result's struct when it is a
+// report, offered to the lineage. Caller holds s.mu.
+func (s *Server) finishLocked(comp *computation, enc *EncodedResult, rep *report.Report, err error) {
 	comp.cancel() // release the context's timer resources
 	if s.inflight[comp.key] == comp {
 		delete(s.inflight, comp.key)
 	}
-	if err == nil && res != nil {
-		s.cache.Put(comp.key, res)
+	if err == nil {
+		s.cache.Put(comp.key, enc)
 		if comp.reg != nil {
 			comp.reg.entry.resultKey = comp.key
-			s.lineage.addLocked(comp.reg)
+			s.lineage.addLocked(comp.reg, rep)
 		}
 	}
 	now := time.Now()
@@ -814,7 +820,6 @@ func (s *Server) finishLocked(comp *computation, res any, err error) {
 		switch {
 		case err == nil:
 			j.state = StateDone
-			j.result = retitle(res, j.title)
 			s.m.completed.Add(1)
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 			j.state = StateCanceled
@@ -916,20 +921,56 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 	return j.statusLocked(), nil
 }
 
-// Result returns a finished job's payload — a *report.Report for audit
-// jobs, a *RecommendResponse for recommendation jobs. A 409 error means the
-// job is not done yet (or was canceled/failed).
-func (s *Server) Result(id string) (any, error) {
+// resolve turns a finished job's handle into its result: the bytes its
+// content address resolves to through the result tiers, the job's title, and
+// the report struct when the lineage happens to retain it. A 409 error means
+// the job is not done (or was canceled/failed); a 410 that every tier has
+// dropped the result since (a memory-only daemon past CacheEntries, a store
+// that evicted it) — resubmitting the request recomputes it.
+func (s *Server) resolve(id string) (*EncodedResult, string, *report.Report, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
+	if !ok || j.state != StateDone {
+		s.mu.Unlock()
+		if !ok {
+			return nil, "", nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+		}
+		return nil, "", nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
+	}
+	key, title, rep := j.key, j.title, s.lineage.reports[j.key]
+	s.mu.Unlock()
+	enc, _, ok := s.retrieveResult(key, 0)
 	if !ok {
-		return nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+		return nil, "", nil, &statusErr{code: http.StatusGone, err: fmt.Errorf("the result of job %s is no longer held (evicted from every result tier); resubmit the request to recompute it", id)}
 	}
-	if j.state != StateDone {
-		return nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
+	return enc, title, rep, nil
+}
+
+// Result returns a finished job's payload as a struct under the job's title
+// — a *report.Report, *RecommendResponse or *PrivateAuditResponse. Results
+// are kept as bytes: unless the lineage retains this very report the call
+// decodes them, which is why HTTP serving never comes through here.
+func (s *Server) Result(id string) (any, error) {
+	enc, title, rep, err := s.resolve(id)
+	if err != nil {
+		return nil, err
 	}
-	return j.result, nil
+	if rep != nil {
+		titled := *rep // the retained struct is shared: title a shallow copy
+		titled.Title = title
+		return &titled, nil
+	}
+	return s.materialize(enc, title)
+}
+
+// materialize decodes an encoded result for a consumer that needs a struct.
+func (s *Server) materialize(enc *EncodedResult, title string) (any, error) {
+	s.m.resultDecodes.Add(1)
+	res, err := enc.Decode(title)
+	if err != nil {
+		return nil, fmt.Errorf("decode stored result: %w", err)
+	}
+	return res, nil
 }
 
 // Report returns a finished audit job's report; see Result.
@@ -949,7 +990,7 @@ func (s *Server) Report(id string) (*report.Report, error) {
 // present. Deliberately memory-only: a clustered peer probes this endpoint
 // through its peer tier, and answering from lower tiers here would let two
 // nodes probe each other in a loop.
-func (s *Server) Cached(key string) (any, error) {
+func (s *Server) Cached(key string) (*EncodedResult, error) {
 	res, ok := s.cache.Get(key)
 	if !ok {
 		return nil, &statusErr{code: 404, err: fmt.Errorf("no cached result for %s", key)}
@@ -961,8 +1002,8 @@ func (s *Server) Cached(key string) (any, error) {
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.order))
-	for _, id := range s.order {
+	out := make([]JobStatus, 0, len(s.jobs))
+	for _, id := range s.order[s.head:] {
 		out = append(out, s.jobs[id].statusLocked())
 	}
 	return out
@@ -1023,13 +1064,14 @@ func (s *Server) Stats() Stats {
 		JobsRecovered: s.m.jobsRecovered.Load(),
 		WorkerPanics:  s.m.workerPanics.Load(),
 
-		JobDuration:  s.m.jobDuration.Snapshot(),
-		QueueWait:    s.m.queueWait.Snapshot(),
-		Compute:      s.m.compute.Snapshot(),
-		IngestCommit: s.m.ingestCommit.Snapshot(),
-		IngestNotify: s.m.ingestNotify.Snapshot(),
-		ResultEncode: s.m.resultEncode.Snapshot(),
-		ResultBytes:  s.m.resultBytes.Load(),
+		JobDuration:   s.m.jobDuration.Snapshot(),
+		QueueWait:     s.m.queueWait.Snapshot(),
+		Compute:       s.m.compute.Snapshot(),
+		IngestCommit:  s.m.ingestCommit.Snapshot(),
+		IngestNotify:  s.m.ingestNotify.Snapshot(),
+		ResultEncode:  s.m.resultEncode.Snapshot(),
+		ResultDecodes: s.m.resultDecodes.Load(),
+		ResultBytes:   s.m.resultBytes.Load(),
 
 		Uptime:  time.Since(s.began),
 		Runtime: telemetry.ReadRuntime(),
@@ -1193,27 +1235,6 @@ func (j *job) statusLocked() JobStatus {
 		st.TraceCounts = j.trace.Counts()
 	}
 	return st
-}
-
-// retitle shallow-copies a cached result with a per-job title; the payload
-// slices are shared and treated as immutable once cached.
-func retitle(res any, title string) any {
-	switch v := res.(type) {
-	case *report.Report:
-		cp := *v
-		cp.Title = title
-		return &cp
-	case *RecommendResponse:
-		cp := *v
-		cp.Title = title
-		return &cp
-	case *PrivateAuditResponse:
-		cp := *v
-		cp.Title = title
-		return &cp
-	default:
-		return res
-	}
 }
 
 // statusErr pairs an error with the HTTP status it should map to. On the

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +474,91 @@ func TestJobRetention(t *testing.T) {
 	}
 	if _, err := s.Status(ids[len(ids)-1]); err != nil {
 		t.Fatalf("newest job must survive: %v", err)
+	}
+}
+
+// TestJobRetentionWrapsAroundActiveJobs drives a full table through many
+// times its retention — every submit evicts, the order slice compacts over
+// and over — with two computations held open: the oldest job in the table
+// and one submitted mid-stream. Active jobs are never evicted, however many
+// terminal jobs are pruned around them; the listing stays in submission
+// order and within the bound; and once released they age out like any job.
+func TestJobRetentionWrapsAroundActiveJobs(t *testing.T) {
+	const retention = 4
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	var holding atomic.Bool
+	s := New(Config{Workers: 2, JobRetention: retention, RunHook: func(ctx context.Context, key string) error {
+		if holding.Load() {
+			<-release
+		}
+		return nil
+	}})
+	defer shutdown(t, s)
+	defer releaseOnce.Do(func() { close(release) }) // a failed assertion must not strand shutdown behind the held jobs
+	distinct := func(name string) *SubmitRequest {
+		req := quickRequest(name)
+		req.Deployments[0].Name = name // distinct keys
+		return req
+	}
+	submitHeld := func(name string) string { return mustSubmit(t, s, distinct(name)).ID }
+
+	hit := distinct("hit")
+	waitDone(t, s, mustSubmit(t, s, hit).ID)
+	holding.Store(true) // every computation from here on blocks until released
+	active := []string{submitHeld("held-first")}
+	var last string
+	for i := 0; i < 20*retention; i++ {
+		if i == 7 {
+			active = append(active, submitHeld("held-later"))
+		}
+		st := mustSubmit(t, s, hit) // a memory hit: terminal on arrival
+		if !st.Cached {
+			t.Fatalf("submit %d was not a hit: %+v", i, st)
+		}
+		last = st.ID
+		jobs := s.Jobs()
+		if len(jobs) > retention {
+			t.Fatalf("after %d submits the table lists %d jobs, retention is %d", i+1, len(jobs), retention)
+		}
+		listed := map[string]string{}
+		for _, j := range jobs {
+			listed[j.ID] = j.State
+		}
+		for _, id := range active {
+			if st, ok := listed[id]; !ok || st == StateDone {
+				t.Fatalf("after %d submits active job %s is %q in the listing (\"\" = evicted)", i+1, id, st)
+			}
+		}
+		for j := 1; j < len(jobs); j++ {
+			if jobs[j-1].ID >= jobs[j].ID { // ids are zero-padded sequence numbers
+				t.Fatalf("listing out of submission order: %s before %s", jobs[j-1].ID, jobs[j].ID)
+			}
+		}
+		if jobs[len(jobs)-1].ID != last {
+			t.Fatalf("newest job %s missing from the listing", last)
+		}
+	}
+	s.mu.Lock()
+	slots, live := len(s.order), len(s.order)-s.head
+	s.mu.Unlock()
+	if live != len(s.Jobs()) || slots > 2*(retention+1) {
+		t.Fatalf("order slice holds %d slots for %d live jobs", slots, live)
+	}
+
+	releaseOnce.Do(func() { close(release) })
+	for _, id := range active {
+		if st := waitDone(t, s, id); st.State != StateDone {
+			t.Fatalf("released job %s finished %s", id, st.State)
+		}
+	}
+	for i := 0; i < retention; i++ {
+		mustSubmit(t, s, hit)
+	}
+	for _, id := range active {
+		if _, err := s.Status(id); httpStatus(err) != 404 {
+			t.Fatalf("finished job %s must age out like any other, got %v", id, err)
+		}
 	}
 }
 

@@ -82,9 +82,9 @@ func BenchmarkSubmitMemoryHitTraced(b *testing.B) {
 }
 
 // BenchmarkSubmitDiskHit measures the disk-tier fallback: the in-memory LRU
-// is emptied before every submit, so each iteration pays the store read,
-// checksum verification and JSON decode a restarted daemon pays on its
-// first hit per key.
+// is emptied before every submit, so each iteration pays the store read and
+// checksum verification a restarted daemon pays on its first hit per key
+// (the record's bytes are adopted as read; nothing decodes).
 func BenchmarkSubmitDiskHit(b *testing.B) {
 	st, err := store.Open(store.Options{Dir: b.TempDir()})
 	if err != nil {

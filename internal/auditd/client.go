@@ -342,23 +342,24 @@ func (c *Client) WaitDone(ctx context.Context, id string) (JobStatus, error) {
 // payload kinds.
 func (c *Client) Report(ctx context.Context, id string) (*report.Report, error) {
 	rep := new(report.Report)
-	if err := c.result(ctx, id, "audit", rep, func() bool { return rep.Audits == nil }); err != nil {
+	decode := func(body []byte) error { return report.DecodeJSON(body, rep) }
+	if err := c.result(ctx, id, KindAudit, decode, func() bool { return rep.Audits == nil }); err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
 // result fetches a finished job's payload from the shared endpoint and
-// decodes it once into out, the result type of job kind want. Only a decode
-// that failed or left out without its kind's marker fields (per empty) is
-// sniffed for being another kind's payload, so the success path reads the
-// body exactly once.
-func (c *Client) result(ctx context.Context, id, want string, out any, empty func() bool) error {
+// decodes it once with decode, into the result type of job kind want. Only a
+// decode that failed or left its target without its kind's marker fields
+// (per empty) is sniffed for being another kind's payload, so the success
+// path reads the body exactly once.
+func (c *Client) result(ctx context.Context, id, want string, decode func(body []byte) error, empty func() bool) error {
 	var body []byte
 	if err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/report", nil, &body); err != nil {
 		return err
 	}
-	err := json.Unmarshal(body, out)
+	err := decode(body)
 	if err != nil || empty() {
 		if kind := resultKind(body); kind != "" && kind != want {
 			return fmt.Errorf("auditd: job %s is %s", id, kindHints[kind])
@@ -370,14 +371,15 @@ func (c *Client) result(ctx context.Context, id, want string, out any, empty fun
 // kindHints completes "job … is …" when a typed getter is pointed at
 // another kind's job.
 var kindHints = map[string]string{
-	"audit":          "an audit job; use Report",
-	"recommendation": "a recommendation job; use RecommendResult",
-	"private-audit":  "a private-audit job; use PrivateAuditResult",
+	KindAudit:        "an audit job; use Report",
+	KindRecommend:    "a recommendation job; use RecommendResult",
+	KindPrivateAudit: "a private-audit job; use PrivateAuditResult",
 }
 
-// resultKind sniffs which job kind a result payload belongs to: audit
+// resultKind sniffs which workload kind a result payload belongs to: audit
 // reports carry "audits", recommendations carry "rankings" + "strategy",
-// private audits carry "entries" + "protocol".
+// private audits carry "entries" + "protocol". "" means raw is not a JSON
+// object.
 func resultKind(raw []byte) string {
 	var probe struct {
 		Audits   json.RawMessage `json:"audits"`
@@ -390,12 +392,12 @@ func resultKind(raw []byte) string {
 		return ""
 	}
 	if probe.Audits == nil && (probe.Entries != nil || probe.Protocol != "") {
-		return "private-audit"
+		return KindPrivateAudit
 	}
 	if probe.Audits == nil && (probe.Rankings != nil || probe.Strategy != "") {
-		return "recommendation"
+		return KindRecommend
 	}
-	return "audit"
+	return KindAudit
 }
 
 // Recommend submits a placement recommendation job; poll it with Status or
@@ -410,7 +412,8 @@ func (c *Client) Recommend(ctx context.Context, req *RecommendRequest) (JobStatu
 // for an audit job's result is an error (see Report).
 func (c *Client) RecommendResult(ctx context.Context, id string) (*RecommendResponse, error) {
 	res := new(RecommendResponse)
-	if err := c.result(ctx, id, "recommendation", res, func() bool { return res.Strategy == "" && res.Rankings == nil }); err != nil {
+	decode := func(body []byte) error { return json.Unmarshal(body, res) }
+	if err := c.result(ctx, id, KindRecommend, decode, func() bool { return res.Strategy == "" && res.Rankings == nil }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -428,7 +431,8 @@ func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (Jo
 // for another job kind's result is an error (see Report).
 func (c *Client) PrivateAuditResult(ctx context.Context, id string) (*PrivateAuditResponse, error) {
 	res := new(PrivateAuditResponse)
-	if err := c.result(ctx, id, "private-audit", res, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
+	decode := func(body []byte) error { return json.Unmarshal(body, res) }
+	if err := c.result(ctx, id, KindPrivateAudit, decode, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -489,44 +493,17 @@ func (c *Client) Cached(ctx context.Context, key string) (*report.Report, error)
 	return &rep, nil
 }
 
-// CachedAny looks any result kind up by its content address, decoding the
-// payload by shape (see DecodeResultPayload). Cluster peers probe each
-// other's caches with it, where a key's kind is not known in advance — the
-// typed Cached would silently mis-decode a recommendation into an
-// almost-empty report.
-func (c *Client) CachedAny(ctx context.Context, key string) (any, error) {
+// CachedResult looks any result kind up by its content address and adopts
+// the body as served, sniffing its kind without decoding it: the form a
+// cluster peer tier hands straight to the local result tiers, where a key's
+// kind is not known in advance — the typed Cached would silently mis-decode a
+// recommendation into an almost-empty report.
+func (c *Client) CachedResult(ctx context.Context, key string) (*EncodedResult, error) {
 	var body []byte
 	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &body); err != nil {
 		return nil, err
 	}
-	return DecodeResultPayload(body)
-}
-
-// DecodeResultPayload decodes a raw result payload — as served unwrapped by
-// the shared report endpoint and /v1/cache/{key} — into its concrete type:
-// *report.Report, *RecommendResponse or *PrivateAuditResponse, by shape
-// exactly as the typed result fetchers do. It tries the report first — the
-// common and by far the largest kind decodes in one pass — and sniffs the
-// shape only when that came back without audits.
-func DecodeResultPayload(raw json.RawMessage) (any, error) {
-	rep := new(report.Report)
-	err := json.Unmarshal(raw, rep)
-	if err == nil && rep.Audits != nil {
-		return rep, nil
-	}
-	var res any = rep
-	switch resultKind(raw) {
-	case "recommendation":
-		res = new(RecommendResponse)
-		err = json.Unmarshal(raw, res)
-	case "private-audit":
-		res = new(PrivateAuditResponse)
-		err = json.Unmarshal(raw, res)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return EncodedResultFromPayload(body)
 }
 
 // Metrics fetches the raw metrics exposition text.

@@ -37,7 +37,8 @@ import (
 // are kept; across identities the lineageMaxKeys least recently registered
 // are dropped wholesale. Entries are small — they reference results by
 // content address and snapshots by generation mark — except recommendation
-// score memos, which are capped separately.
+// score memos, which are capped separately, and the one report struct an
+// identity may retain (lineageIndex.reports).
 const (
 	lineagePerKey  = 4
 	lineageMaxKeys = 256
@@ -62,6 +63,9 @@ type lineageEntry struct {
 	kinds  []deps.Kind
 	nodes  []string
 	scores map[string]placement.Score
+	// rep is set only on lookupLocked's copies: the identity's retained
+	// report struct, when this entry is the generation it belongs to.
+	rep *report.Report
 }
 
 // lineageReg is the registration a submission carries through the job
@@ -79,17 +83,26 @@ type lineageIndex struct {
 	// scoreTotal tracks the retained recommendation score entries across
 	// every lineage entry, enforcing the aggregate lineageMaxScores budget.
 	scoreTotal int
+	// reports is the one place a result outlives its encode as a struct: by
+	// result address, the report of the NEWEST generation of an identity
+	// that already had an older one — a watch, or a client re-auditing after
+	// ingest, whose next refresh splices against exactly this report. At
+	// most one per identity (≤ lineageMaxKeys); a one-shot request never
+	// gets a second generation and so pins nothing.
+	reports map[string]*report.Report
 }
 
 func newLineageIndex() *lineageIndex {
-	return &lineageIndex{entries: make(map[string][]*lineageEntry)}
+	return &lineageIndex{entries: make(map[string][]*lineageEntry), reports: make(map[string]*report.Report)}
 }
 
 // addLocked publishes an entry, deduplicating by fingerprint and enforcing
 // the retention bounds. Registering a known identity refreshes its recency,
 // so the keys evicted past lineageMaxKeys really are the least recently
-// registered ones. Caller holds Server.mu.
-func (l *lineageIndex) addLocked(reg *lineageReg) {
+// registered ones. rep, when the caller holds the generation's report as a
+// struct, is retained under the rule on lineageIndex.reports. Caller holds
+// Server.mu.
+func (l *lineageIndex) addLocked(reg *lineageReg, rep *report.Report) {
 	if reg == nil || reg.entry == nil || reg.entry.resultKey == "" {
 		return
 	}
@@ -109,6 +122,12 @@ func (l *lineageIndex) addLocked(reg *lineageReg) {
 	} else {
 		l.order = append(l.order, reg.reqKey)
 	}
+	if len(es) > 0 {
+		delete(l.reports, es[len(es)-1].resultKey) // no longer the newest
+		if rep != nil {
+			l.reports[reg.entry.resultKey] = rep
+		}
+	}
 	l.scoreTotal += len(reg.entry.scores)
 	es = append(es, reg.entry)
 	for len(es) > lineagePerKey {
@@ -121,6 +140,7 @@ func (l *lineageIndex) addLocked(reg *lineageReg) {
 		l.order = l.order[1:]
 		for _, e := range l.entries[oldest] {
 			l.scoreTotal -= len(e.scores)
+			delete(l.reports, e.resultKey)
 		}
 		delete(l.entries, oldest)
 	}
@@ -161,6 +181,7 @@ func (l *lineageIndex) lookupLocked(reqKey string) []*lineageEntry {
 	out := make([]*lineageEntry, len(es))
 	for i, e := range es {
 		cp := *e
+		cp.rep = l.reports[e.resultKey]
 		out[i] = &cp
 	}
 	return out
@@ -170,7 +191,9 @@ func (l *lineageIndex) lookupLocked(reqKey string) []*lineageEntry {
 type deltaPlan struct {
 	// adopt, when non-nil, is an ancestor result valid verbatim for the new
 	// database generation: the job can finish without touching the queue.
-	adopt any
+	// adoptRep is its struct if the lineage retained one.
+	adopt    *EncodedResult
+	adoptRep *report.Report
 	// run, when set, replaces the full recompute with a partial one that
 	// re-audits only the dirty subjects.
 	run func(ctx context.Context) (any, error)
@@ -240,16 +263,22 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 	if chosen == nil || chosen.nDirty == len(specs) {
 		return nil // nothing to reuse, or everything dirty anyway
 	}
-	ancestor, ok := s.retrieveResult(chosen.entry.resultKey)
-	if !ok {
-		return nil
-	}
-	oldRep, ok := ancestor.(*report.Report)
-	if !ok {
-		return nil
-	}
-	if chosen.nDirty == 0 {
-		return &deltaPlan{adopt: ancestor}
+	oldRep := chosen.entry.rep
+	if chosen.nDirty == 0 || oldRep == nil {
+		ancestor, _, ok := s.retrieveResult(chosen.entry.resultKey, 0)
+		if !ok || ancestor.kind != KindAudit {
+			return nil
+		}
+		if chosen.nDirty == 0 {
+			return &deltaPlan{adopt: ancestor, adoptRep: oldRep} // the bytes move; nothing decodes
+		}
+		// Splicing needs the ancestor's audits as structs: decode once. The
+		// spliced report becomes the retained generation for the next refresh.
+		res, err := s.materialize(ancestor, "")
+		if err != nil {
+			return nil
+		}
+		oldRep = res.(*report.Report)
 	}
 	dirty := chosen.dirty
 	return &deltaPlan{
@@ -299,11 +328,8 @@ func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, pr
 		return nil
 	}
 	if len(dirtyNodes) == 0 {
-		ancestor, ok := s.retrieveResult(chosen.resultKey)
-		if !ok {
-			return nil
-		}
-		if _, isRec := ancestor.(*RecommendResponse); !isRec {
+		ancestor, _, ok := s.retrieveResult(chosen.resultKey, 0)
+		if !ok || ancestor.kind != KindRecommend {
 			return nil
 		}
 		return &deltaPlan{adopt: ancestor, scores: chosen.scores}
@@ -335,18 +361,6 @@ seeding:
 // undiffed. Ancestors from another database are always diffed.
 func dirtierThan(e, p, snap *depdb.Snapshot) bool {
 	return snap.Extends(p) && p.Extends(e)
-}
-
-// retrieveResult fetches a completed result by content address, walking the
-// result-tier chain in order (memory, disk, any extras). Never called with
-// Server.mu held — lower tiers do IO.
-func (s *Server) retrieveResult(key string) (any, bool) {
-	for _, t := range s.tiers {
-		if res, ok := t.Get(key); ok {
-			return res, true
-		}
-	}
-	return nil, false
 }
 
 // spliceAudit produces the report a full recompute against db would produce,

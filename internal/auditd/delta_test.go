@@ -464,11 +464,15 @@ func TestDeltaPlanSkipsOnlyOlderSameLogAncestors(t *testing.T) {
 					t.Fatal(err)
 				}
 				crossJSON = auditsJSON(t, rep)
+				enc, err := encodeResult(KindAudit, rep)
+				if err != nil {
+					t.Fatal(err)
+				}
 				s.mu.Lock()
-				s.cache.Put(crossKey, rep)
+				s.cache.Put(crossKey, enc)
 				s.lineage.addLocked(&lineageReg{reqKey: reqKey, entry: &lineageEntry{
 					resultKey: crossKey, fp: other.Fingerprint(), snap: other.Snapshot(), specs: specs,
-				}})
+				}}, nil)
 				s.mu.Unlock()
 			}
 

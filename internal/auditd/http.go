@@ -38,42 +38,48 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// encodeJSON renders v as one compact JSON line. Encoding happens before any
-// header is written, so a value encoding/json rejects (an unsupported float
-// in some payload) becomes a 500 with the error envelope, not a 200 with an
-// empty body.
-func encodeJSON(code int, v interface{}) (int, *bytes.Buffer) {
-	buf := new(bytes.Buffer)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
+// writeJSON renders v as one compact JSON line and sends it in one write,
+// Content-Length set so clients can size their read. Encoding happens before
+// any header is written, so a value encoding/json rejects becomes a 500 with
+// the error envelope, not a 200 with an empty body.
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		body.Reset()
 		code = http.StatusInternalServerError
-		json.NewEncoder(buf).Encode(errorBody{Error: "encode response: " + err.Error()}) // a string cannot fail
+		json.NewEncoder(&body).Encode(errorBody{Error: "encode response: " + err.Error()}) // a string cannot fail
 	}
-	return code, buf
-}
-
-// writeBody sends an encoded body in one write, Content-Length set so
-// clients can size their read.
-func writeBody(w http.ResponseWriter, code int, body *bytes.Buffer) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(body.Len()))
 	w.WriteHeader(code)
 	w.Write(body.Bytes()) // client gone mid-write is not actionable
 }
 
-func writeJSON(w http.ResponseWriter, code int, v interface{}) {
-	code, body := encodeJSON(code, v)
-	writeBody(w, code, body)
+// writeResult serves a finished job's payload — the bodies that dwarf every
+// other response — without touching a codec: the stored bytes go out as
+// they are, behind a few bytes carrying the title.
+func (s *Server) writeResult(w http.ResponseWriter, res *EncodedResult, title string, err error) {
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	head := res.head(title)
+	n := len(head) + len(res.obj) - 1
+	s.m.resultBytes.Add(int64(n))
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(n))
+	w.WriteHeader(200)
+	w.Write(head)        // client gone mid-write is not actionable
+	w.Write(res.obj[1:]) // ditto
 }
 
-// writeResult serves a finished job's payload — the bodies that dwarf every
-// other response — recording what the encode cost and how much went out.
-func (s *Server) writeResult(w http.ResponseWriter, res any) {
-	start := time.Now()
-	code, body := encodeJSON(200, res)
-	s.m.resultEncode.ObserveSince(start)
-	s.m.resultBytes.Add(int64(body.Len()))
-	writeBody(w, code, body)
+// reply answers a call's outcome: v as a 200, or err's status and envelope.
+func reply(w http.ResponseWriter, v any, err error) {
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	writeJSON(w, 200, v)
 }
 
 func writeErr(w http.ResponseWriter, err error) {
@@ -116,66 +122,40 @@ const (
 	ReplicatedHeader = "X-Indaas-Replicated"
 )
 
+// handleJob serves the three job-submission routes: it decodes the request,
+// marks it as already routed when a cluster peer forwarded it, submits it,
+// and answers 202 (accepted, result pending) or 200 (a result tier already
+// held the answer). Whatever the kind, the job's lifecycle — poll, result,
+// cancel — then runs through the shared /v1/audits/{id} endpoints.
+func handleJob[R any](w http.ResponseWriter, r *http.Request, noForward func(*R) *bool, submit func(*R) (JobStatus, error)) {
+	var req R
+	if !decodeJSON(w, r, &req) {
+		return
+	}
+	*noForward(&req) = r.Header.Get(ForwardedHeader) != ""
+	st, err := submit(&req)
+	if err != nil {
+		writeErr(w, err)
+		return
+	}
+	telemetry.AnnotateJob(r, st.ID)
+	code := 202
+	if st.State == StateDone {
+		code = 200
+	}
+	writeJSON(w, code, st)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req SubmitRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.Submit(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202 // accepted, result pending
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
+	handleJob(w, r, func(q *SubmitRequest) *bool { return &q.NoForward }, s.Submit)
 }
 
-// handleRecommend submits a placement recommendation job; the job lifecycle
-// (poll, result, cancel) runs through the shared /v1/audits/{id} endpoints.
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	var req RecommendRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.Recommend(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
+	handleJob(w, r, func(q *RecommendRequest) *bool { return &q.NoForward }, s.Recommend)
 }
 
-// handlePrivateAudit submits a private (PIA) audit job; like
-// recommendations, its lifecycle runs through the shared /v1/audits/{id}
-// endpoints.
 func (s *Server) handlePrivateAudit(w http.ResponseWriter, r *http.Request) {
-	var req PrivateAuditRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	req.NoForward = r.Header.Get(ForwardedHeader) != ""
-	st, err := s.PrivateAudit(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202
-	if st.State == StateDone {
-		code = 200 // cache hit: already answered
-	}
-	writeJSON(w, code, st)
+	handleJob(w, r, func(q *PrivateAuditRequest) *bool { return &q.NoForward }, s.PrivateAudit)
 }
 
 // handleRegisterProvider registers (or replaces) a private-audit provider
@@ -186,11 +166,7 @@ func (s *Server) handleRegisterProvider(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	info, err := s.RegisterProvider(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, 200, info)
+	reply(w, info, err)
 }
 
 // handleProviders lists registered provider datasets — fingerprints and
@@ -209,11 +185,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	req.Replicated = r.Header.Get(ReplicatedHeader) != ""
 	resp, err := s.Ingest(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, 200, resp)
+	reply(w, resp, err)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -246,11 +218,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	telemetry.AnnotateJob(r, r.PathValue("id"))
 	st, err := s.WaitDone(r.Context(), r.PathValue("id"), wait)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, 200, st)
+	reply(w, st, err)
 }
 
 // handleTrace returns a job's phase timeline as JSON (GET
@@ -259,38 +227,22 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	telemetry.AnnotateJob(r, r.PathValue("id"))
 	resp, err := s.Trace(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, 200, resp)
+	reply(w, resp, err)
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
-	res, err := s.Result(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.writeResult(w, res)
+	res, title, _, err := s.resolve(r.PathValue("id"))
+	s.writeResult(w, res, title, err)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	writeJSON(w, 200, st)
+	reply(w, st, err)
 }
 
 func (s *Server) handleCached(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.Cached(r.PathValue("key"))
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	s.writeResult(w, rep)
+	res, err := s.Cached(r.PathValue("key"))
+	s.writeResult(w, res, "", err)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -258,6 +258,9 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 		}
 	}
 
+	// Observed before the waiters are released: an acknowledged ingest is
+	// already in the histogram when its caller reads /metrics.
+	s.m.ingestCommit.Observe(time.Since(commitStart))
 	for _, w := range group {
 		w.resp = IngestResponse{
 			Added:       len(w.records),
@@ -267,5 +270,4 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 		}
 		close(w.done)
 	}
-	s.m.ingestCommit.Observe(time.Since(commitStart))
 }

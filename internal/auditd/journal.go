@@ -17,18 +17,12 @@ import (
 // interrupted it.
 const jobKeyPrefix = "job/"
 
-// The journal's job kinds are the workload kinds (see executor.go): one
-// vocabulary for what a job is, on disk and on the wire.
-const (
-	journalKindAudit     = KindAudit
-	journalKindRecommend = KindRecommend
-	journalKindPrivate   = KindPrivateAudit
-)
-
 // journalRecord is the disk envelope of one accepted job: enough to replay
-// the submission verbatim. Requests are stored in their wire form, so a
-// replay walks the same validation, normalization, delta planning, and
-// caching as the original call.
+// the submission verbatim. Kind is the workload kind (see executor.go): one
+// vocabulary for what a job is, in the journal, on the wire and on a result.
+// Requests are stored in their wire form, so a replay walks the same
+// validation, normalization, delta planning, and caching as the original
+// call.
 type journalRecord struct {
 	Kind    string          `json:"kind"`
 	Request json.RawMessage `json:"request"`
@@ -144,7 +138,7 @@ func (s *Server) RecoverJobs() (int, error) {
 			continue
 		}
 		switch jr.Kind {
-		case journalKindAudit:
+		case KindAudit:
 			var req SubmitRequest
 			if err := json.Unmarshal(jr.Request, &req); err != nil {
 				s.dropJournal(e.Key, err)
@@ -154,7 +148,7 @@ func (s *Server) RecoverJobs() (int, error) {
 				s.dropJournal(e.Key, err)
 				continue
 			}
-		case journalKindRecommend:
+		case KindRecommend:
 			var req RecommendRequest
 			if err := json.Unmarshal(jr.Request, &req); err != nil {
 				s.dropJournal(e.Key, err)
@@ -164,7 +158,7 @@ func (s *Server) RecoverJobs() (int, error) {
 				s.dropJournal(e.Key, err)
 				continue
 			}
-		case journalKindPrivate:
+		case KindPrivateAudit:
 			var req PrivateAuditRequest
 			if err := json.Unmarshal(jr.Request, &req); err != nil {
 				s.dropJournal(e.Key, err)

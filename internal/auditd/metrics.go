@@ -45,6 +45,7 @@ type metrics struct {
 	jobsRecovered atomic.Int64 // journaled jobs re-enqueued at boot
 	workerPanics  atomic.Int64 // workload panics isolated to their own job
 	resultBytes   atomic.Int64 // encoded result payload bytes served (report and cache routes)
+	resultDecodes atomic.Int64 // stored results decoded into structs (Result/Report, delta planners)
 
 	// Latency histograms (lock-free; Observe is two atomic adds). Store
 	// put/get latencies live in store.Stats, next to the data they time.
@@ -53,7 +54,7 @@ type metrics struct {
 	compute      telemetry.Histogram // worker time inside the run closure
 	ingestCommit telemetry.Histogram // ingest group commit (persist + apply + notify)
 	ingestNotify telemetry.Histogram // ingest dirtying a watch → event queued
-	resultEncode telemetry.Histogram // JSON encode of a served result payload (report and cache routes)
+	resultEncode telemetry.Histogram // the one JSON encode of each computed result, at completion
 }
 
 // Stats is a point-in-time snapshot of the service counters, exported for
@@ -132,11 +133,13 @@ type Stats struct {
 	Compute      telemetry.HistogramSnapshot
 	IngestCommit telemetry.HistogramSnapshot
 	IngestNotify telemetry.HistogramSnapshot
-	// ResultEncode times the JSON encode of each result payload served by
-	// GET /v1/audits/{id}/report and /v1/cache/{key}; ResultBytes totals the
-	// encoded bytes — the two numbers behind "why did this read take 4 ms".
-	ResultEncode telemetry.HistogramSnapshot
-	ResultBytes  int64
+	// ResultEncode times the one JSON encode each computed result gets, and
+	// ResultDecodes counts stored results decoded back into structs
+	// (in-process Result/Report calls, delta planners): serving a report or
+	// cache read moves neither. ResultBytes totals the bytes those reads wrote.
+	ResultEncode  telemetry.HistogramSnapshot
+	ResultDecodes int64
+	ResultBytes   int64
 
 	// Uptime, Runtime, and Build describe the process itself for the
 	// auditd_uptime_seconds / auditd_goroutines / auditd_heap_bytes /
@@ -214,7 +217,8 @@ func (s Stats) render(w io.Writer) {
 	hist("auditd_job_compute_seconds", "Worker time spent inside run closures.", s.Compute)
 	hist("auditd_ingest_commit_seconds", "Ingest group commit latency (snapshot persist, depdb apply, watch notify).", s.IngestCommit)
 	hist("auditd_ingest_notify_seconds", "Latency from an ingest dirtying a watch subscription to its notification event being queued.", s.IngestNotify)
-	hist("auditd_result_encode_seconds", "JSON encode time of result payloads served by the report and cache routes.", s.ResultEncode)
+	hist("auditd_result_encode_seconds", "JSON encode time of computed results (one encode per computation; reads serve the stored bytes).", s.ResultEncode)
+	counter("auditd_result_decodes_total", "Stored results decoded into structs (in-process consumers and delta planners; never the HTTP read path).", s.ResultDecodes)
 	counter("auditd_result_bytes_total", "Encoded result payload bytes served by the report and cache routes.", s.ResultBytes)
 	// The degraded gauge renders unconditionally: a dashboard watching an
 	// incident must never see the series vanish because the store flag is

@@ -8,7 +8,6 @@ import (
 
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/report"
 	"indaas/internal/store"
 )
 
@@ -62,64 +61,6 @@ func readSnapMeta(st *store.Store) snapMeta {
 		return snapMeta{}
 	}
 	return meta
-}
-
-// persistedResult is the disk envelope for a completed computation: a kind
-// tag telling the decoder which concrete wire type the payload holds.
-type persistedResult struct {
-	Kind    string          `json:"kind"` // "audit", "recommend" or "private-audit"
-	Payload json.RawMessage `json:"payload"`
-}
-
-// encodeResult serializes a completed result for the disk store. All
-// payload types already define stable, NaN-safe JSON.
-func encodeResult(res any) ([]byte, error) {
-	var kind string
-	switch res.(type) {
-	case *report.Report:
-		kind = "audit"
-	case *RecommendResponse:
-		kind = "recommend"
-	case *PrivateAuditResponse:
-		kind = "private-audit"
-	default:
-		return nil, fmt.Errorf("auditd: result type %T is not persistable", res)
-	}
-	payload, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(persistedResult{Kind: kind, Payload: payload})
-}
-
-// decodeResult reverses encodeResult.
-func decodeResult(blob []byte) (any, error) {
-	var env persistedResult
-	if err := json.Unmarshal(blob, &env); err != nil {
-		return nil, err
-	}
-	switch env.Kind {
-	case "audit":
-		rep := new(report.Report)
-		if err := json.Unmarshal(env.Payload, rep); err != nil {
-			return nil, err
-		}
-		return rep, nil
-	case "recommend":
-		resp := new(RecommendResponse)
-		if err := json.Unmarshal(env.Payload, resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	case "private-audit":
-		resp := new(PrivateAuditResponse)
-		if err := json.Unmarshal(env.Payload, resp); err != nil {
-			return nil, err
-		}
-		return resp, nil
-	default:
-		return nil, fmt.Errorf("auditd: unknown persisted result kind %q", env.Kind)
-	}
 }
 
 // RestoreDB rebuilds the dependency database a crashed or restarted daemon
@@ -256,33 +197,13 @@ func sweepStaleSegments(st *store.Store, live snapMeta) {
 	}
 }
 
-// diskGet serves a content address from the disk store after an in-memory
-// miss. It is called WITHOUT s.mu held — the read, checksum verification
-// and JSON decode may take milliseconds for a large report and must not
-// stall the job table; the store synchronizes itself. IO or decode failures
-// degrade to a miss: the computation simply reruns.
-func (s *Server) diskGet(key string) (any, bool) {
-	if s.store == nil {
-		return nil, false
-	}
-	blob, kind, ok, err := s.store.Get(key)
-	if err != nil || !ok || kind != store.KindResult {
-		return nil, false
-	}
-	res, err := decodeResult(blob)
-	if err != nil {
-		return nil, false
-	}
-	return res, true
-}
-
 // persistResult writes a completed computation through to the disk store,
 // returning any keys the store evicted to stay within budget (mirrored into
 // the memory LRU by the caller). Persist failures are logged once with the
 // label (which job or delta adoption was being written) and feed the
 // circuit breaker, but never fail the job: the result still lives in
 // memory. While the breaker is open the write is skipped outright.
-func (s *Server) persistResult(label, key string, res any) []string {
+func (s *Server) persistResult(label, key string, res *EncodedResult) []string {
 	if s.store == nil {
 		return nil
 	}
@@ -290,12 +211,7 @@ func (s *Server) persistResult(label, key string, res any) []string {
 		s.m.storeSkipped.Add(1)
 		return nil
 	}
-	blob, err := encodeResult(res)
-	if err != nil {
-		s.m.storeErrors.Add(1)
-		return nil
-	}
-	evicted, err := s.store.Put(key, store.KindResult, blob)
+	evicted, err := s.store.Put(key, store.KindResult, res.envelope())
 	if err != nil {
 		s.storeFailure("persisting result of "+label, err)
 	} else {

@@ -456,8 +456,7 @@ func (s *Server) privateAudit(req *PrivateAuditRequest, recoverID string) (JobSt
 		}
 	}
 	extra := &jobExtras{
-		journalKind: journalKindPrivate, journalReq: req, recoverID: recoverID,
-		wire:          req,
+		kind: KindPrivateAudit, wire: req, recoverID: recoverID,
 		selfContained: inline,
 		noForward:     req.NoForward || recoverID != "" || !inline,
 	}

@@ -101,7 +101,7 @@ func TestPrivateAuditServed(t *testing.T) {
 	}
 
 	// Identical resubmission: answered from cache, nothing recomputed, and
-	// the retitle path hands back the new title on a shallow copy.
+	// the shared bytes go out under the new job's title.
 	before := s.Stats()
 	st2, err := c.PrivateAudit(ctx, testPrivateAuditRequest("served again"))
 	if err != nil {
@@ -119,7 +119,7 @@ func TestPrivateAuditServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res2.Title != "served again" || res.Title != "served" {
-		t.Fatalf("retitle leaked: %q / %q", res2.Title, res.Title)
+		t.Fatalf("titles leaked between jobs sharing one result: %q / %q", res2.Title, res.Title)
 	}
 	if after.PrivateAudits != 2 || after.PrivatePairs != 1 {
 		t.Fatalf("PrivateAudits=%d PrivatePairs=%d, want 2/1", after.PrivateAudits, after.PrivatePairs)

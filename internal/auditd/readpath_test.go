@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"indaas/internal/report"
+	"indaas/internal/store"
 )
 
 // The report read path: daemon encode → HTTP → client decode. These tests
@@ -53,49 +54,116 @@ func upgradeFixtureReport() *report.Report {
 	}
 }
 
-// TestStoredResultFromPR12Decodes: a result record written by the parent
-// commit's store codec (nested marshalers) decodes to the same report and
-// re-encodes to the same bytes, so old data directories stay readable and
-// content-stable across the upgrade. %#v is the comparison form: it prints
-// NaN as NaN and tells nil slices from empty ones.
+// servedBytes is what the report route writes for res under title: the
+// title head, then the stored bytes.
+func servedBytes(res *EncodedResult, title string) []byte {
+	return append(res.head(title), res.obj[1:]...)
+}
+
+// legacyEnvelope is the disk envelope as the pre-bytes store codec wrote it
+// (kept here as the format's reference): the payload struct marshaled, then
+// wrapped in {"kind","payload"} by a second marshal.
+func legacyEnvelope(t *testing.T, kind string, res any) []byte {
+	t.Helper()
+	payload, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := json.Marshal(struct {
+		Kind    string          `json:"kind"`
+		Payload json.RawMessage `json:"payload"`
+	}{kind, payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
+}
+
+// TestStoredResultFromPR12Decodes: a result record written by PR 12's store
+// codec (nested marshalers, and a payload stored under an escaped, non-empty
+// title) is adopted by slicing, decodes to the same report, and is served —
+// under any job's title — byte-identical to a fresh encode, so old data
+// directories stay readable and content-stable across the upgrade. %#v is
+// the comparison form: it prints NaN as NaN and tells nil slices from empty
+// ones.
 func TestStoredResultFromPR12Decodes(t *testing.T) {
 	blob, err := os.ReadFile(filepath.Join("testdata", "stored_result_pr12.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := decodeResult(blob)
+	want := upgradeFixtureReport()
+	if !bytes.Equal(blob, legacyEnvelope(t, KindAudit, want)) {
+		t.Fatal("the fixture is no longer what the legacy codec writes for upgradeFixtureReport()")
+	}
+	stored, err := parseEnvelope(bytes.Clone(blob))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := fmt.Sprintf("%#v", res), fmt.Sprintf("%#v", upgradeFixtureReport()); got != want {
+	res, err := stored.Decode(want.Title)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprintf("%#v", res), fmt.Sprintf("%#v", want); got != want {
 		t.Errorf("decoded report differs.\ngot:  %s\nwant: %s", got, want)
 	}
-	again, err := encodeResult(res)
+	fresh, err := encodeResult(KindAudit, want)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(again, blob) {
-		t.Errorf("re-encode differs from the stored bytes.\ngot:  %s\nwant: %s", again, blob)
+	if stored.kind != fresh.kind || !bytes.Equal(stored.obj, fresh.obj) {
+		t.Errorf("stored bytes differ from a fresh encode.\ngot:  %s\nwant: %s", stored.obj, fresh.obj)
+	}
+	line, _ := json.Marshal(want)
+	if got := servedBytes(stored, want.Title); string(got) != string(line)+"\n" {
+		t.Errorf("served under its old title:\ngot:  %s\nwant: %s", got, line)
+	}
+	// Written back, the record is the legacy envelope of the untitled report
+	// — titles belong to jobs — and reads back to the same bytes.
+	untitled := *want
+	untitled.Title = ""
+	again := stored.envelope()
+	if !bytes.Equal(again, legacyEnvelope(t, KindAudit, &untitled)) {
+		t.Errorf("re-written envelope is not the legacy format: %s", again)
+	}
+	if back, err := parseEnvelope(again); err != nil || !bytes.Equal(back.obj, stored.obj) {
+		t.Errorf("re-written envelope reads back differently: %v", err)
 	}
 }
 
-// TestResponsesAreCompactWithContentLength pins the response shape of a
-// success and of an encode failure: one compact JSON line, Content-Length
-// matching it, and a 500 with the error envelope — not a 200 with an empty
-// body — when the payload holds a value encoding/json rejects.
+// corruptingExecutor is the local pool with every finished report made
+// unencodable: +Inf is the one float the report codec does not cover.
+type corruptingExecutor struct{ Executor }
+
+func (e corruptingExecutor) Submit(ctx context.Context, w *Workload, cb ExecCallbacks) error {
+	done := cb.Done
+	cb.Done = func(res any, err error) {
+		if rep, ok := res.(*report.Report); ok {
+			rep.Audits[0].RGs[0].Prob = math.Inf(1)
+		}
+		done(res, err)
+	}
+	return e.Executor.Submit(ctx, w, cb)
+}
+
+// TestResponsesAreCompactWithContentLength pins the response shape of the
+// byte path — one compact JSON line, Content-Length matching it, the job's
+// title in front of bytes no codec touched — and where an unencodable result
+// now surfaces: when its computation completes, as a failed job naming the
+// encode, with nothing cached or persisted, never as a 500 on a later read.
 func TestResponsesAreCompactWithContentLength(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
-	s.cache.Put("good", upgradeFixtureReport())
-	bad := upgradeFixtureReport()
-	bad.Audits[0].RGs[0].Prob = math.Inf(1)
-	s.cache.Put("bad", bad)
+	good, err := encodeResult(KindAudit, upgradeFixtureReport())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Put("good", good)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	get := func(key string) (*http.Response, []byte) {
+	get := func(path string) (*http.Response, []byte) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/cache/" + key)
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,32 +173,73 @@ func TestResponsesAreCompactWithContentLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		if resp.Header.Get("Content-Length") != strconv.Itoa(len(body)) || resp.Header.Get("Content-Type") != "application/json" {
-			t.Fatalf("%s: headers %v for a %d-byte body", key, resp.Header, len(body))
+			t.Fatalf("%s: headers %v for a %d-byte body", path, resp.Header, len(body))
 		}
 		return resp, body
 	}
 
-	resp, body := get("good")
-	want, _ := json.Marshal(upgradeFixtureReport())
+	// The cache route serves the stored bytes untitled.
+	untitled := upgradeFixtureReport()
+	untitled.Title = ""
+	want, _ := json.Marshal(untitled)
+	resp, body := get("/v1/cache/good")
 	if resp.StatusCode != 200 || string(body) != string(want)+"\n" {
-		t.Fatalf("good: HTTP %d, body is not the compact encoding plus a newline:\n%s", resp.StatusCode, body)
+		t.Fatalf("cache read: HTTP %d, body is not the compact encoding plus a newline:\n%s", resp.StatusCode, body)
+	}
+	// The report route serves them under the job's own title.
+	job := mustSubmit(t, s, quickRequest(`a "quoted" <title> & ünï`))
+	waitDone(t, s, job.ID)
+	rep, err := s.Report(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ = json.Marshal(rep)
+	resp, body = get("/v1/audits/" + job.ID + "/report")
+	if resp.StatusCode != 200 || string(body) != string(want)+"\n" {
+		t.Fatalf("report read: HTTP %d, body is not the titled compact encoding plus a newline:\n%s\nwant %s", resp.StatusCode, body, want)
+	}
+	st := s.Stats()
+	if st.ResultEncode.Count() != 1 || st.ResultBytes != int64(len(want)+1+len(string(mustJSON(t, untitled)))+1) {
+		t.Fatalf("result metrics: %d encodes (want the one computation), %d bytes served", st.ResultEncode.Count(), st.ResultBytes)
 	}
 
-	resp, body = get("bad")
-	var eb errorBody
-	if resp.StatusCode != 500 || json.Unmarshal(body, &eb) != nil || !strings.Contains(eb.Error, "encode response") {
-		t.Fatalf("bad: HTTP %d body %q, want 500 with the error envelope", resp.StatusCode, body)
+	// An unencodable result fails its job at completion, on a durable daemon
+	// too: the store sees neither the result nor a lingering journal record.
+	dir := t.TempDir()
+	stor, err := store.Open(store.Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
 	}
-	c := NewClient(ts.URL, ts.Client())
-	c.Retry.MaxAttempts = 1
-	if _, err := c.Cached(context.Background(), "bad"); err == nil || httpStatus(err) != 500 || !strings.Contains(err.Error(), "encode response") {
-		t.Fatalf("client on an encode failure: %v", err)
+	defer stor.Close()
+	bad := New(Config{Workers: 1, Store: stor, WrapExecutor: func(local Executor) Executor { return corruptingExecutor{local} }})
+	defer shutdown(t, bad)
+	end := waitDone(t, bad, mustSubmit(t, bad, quickRequest("unencodable")).ID)
+	if end.State != StateFailed || !strings.Contains(end.Error, "encode result") {
+		t.Fatalf("job with an unencodable result = %s %q, want failed naming the encode", end.State, end.Error)
 	}
+	if _, err := bad.Result(end.ID); httpStatus(err) != 409 {
+		t.Fatalf("Result of the failed job: %v, want 409", err)
+	}
+	if _, err := bad.Cached(end.CacheKey); httpStatus(err) != 404 {
+		t.Fatalf("the unencodable result was cached: %v", err)
+	}
+	for _, e := range stor.Entries() {
+		if e.Kind == store.KindResult || e.Kind == store.KindJob {
+			t.Fatalf("the store holds %q (kind %v) after an encode failure", e.Key, e.Kind)
+		}
+	}
+	if st := bad.Stats(); st.Failed != 1 || st.CacheEntries != 0 || st.ResultEncode.Count() != 1 {
+		t.Fatalf("after an encode failure: %d failed, %d cached, %d encodes", st.Failed, st.CacheEntries, st.ResultEncode.Count())
+	}
+}
 
-	// Both served payloads were measured; the failed one counts its envelope.
-	if st := s.Stats(); st.ResultEncode.Count() != 3 || st.ResultBytes <= int64(len(want)) {
-		t.Fatalf("result metrics: %d encodes, %d bytes", st.ResultEncode.Count(), st.ResultBytes)
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	blob, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return blob
 }
 
 // TestClientRejectsOversizedResponse: a body past maxResponseBody fails as
@@ -223,9 +332,12 @@ func TestResultGettersWrongKindErrors(t *testing.T) {
 				t.Errorf("%s getter on a %s job: err = %v, want %q", getterKind, jobKind, err, want)
 			}
 		}
-		any1, err := c.CachedAny(ctx, job.CacheKey)
-		if err != nil || fmt.Sprintf("%T", any1) != wantType[jobKind] {
-			t.Errorf("CachedAny on a %s result: %T, %v", jobKind, any1, err)
+		enc, err := c.CachedResult(ctx, job.CacheKey)
+		if err != nil {
+			t.Fatalf("CachedResult on a %s result: %v", jobKind, err)
+		}
+		if any1, err := enc.Decode(""); err != nil || fmt.Sprintf("%T", any1) != wantType[jobKind] {
+			t.Errorf("CachedResult on a %s result decodes to %T, %v", jobKind, any1, err)
 		}
 		resp, err := http.Get(ts.URL + "/v1/audits/" + job.ID + "/report")
 		if err != nil {
@@ -233,22 +345,29 @@ func TestResultGettersWrongKindErrors(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		any2, err := DecodeResultPayload(body)
+		served, err := EncodedResultFromPayload(bytes.Clone(body))
+		if err != nil {
+			t.Fatalf("adopting a served %s body: %v", jobKind, err)
+		}
+		any2, err := served.Decode("kinds")
 		again, _ := json.Marshal(any2)
 		if err != nil || fmt.Sprintf("%T", any2) != wantType[jobKind] || string(again)+"\n" != string(body) {
-			t.Errorf("DecodeResultPayload on a %s body: %T, %v, re-encodes to %s", jobKind, any2, err, again)
+			t.Errorf("a served %s body adopted by shape: %T, %v, re-encodes to %s", jobKind, any2, err, again)
 		}
 	}
 
-	// Shapes no job produces decode as they always have: anything without
-	// another kind's markers is a report, and malformed input is an error.
-	for _, in := range []string{`{}`, `{"title":"t","audits":null}`, `{"audits":[],"rankings":[]}`, `null`} {
-		if res, err := DecodeResultPayload([]byte(in)); err != nil || fmt.Sprintf("%T", res) != "*report.Report" {
-			t.Errorf("DecodeResultPayload(%s) = %T, %v", in, res, err)
+	// Shapes no job produces: an object without another kind's markers is a
+	// report, and anything that is not one JSON object is an error.
+	for _, in := range []string{`{}`, `{"title":"t","audits":null}`, `{"audits":[],"rankings":[]}`} {
+		enc, err := EncodedResultFromPayload([]byte(in))
+		if err != nil || enc.kind != KindAudit {
+			t.Errorf("EncodedResultFromPayload(%s) = %+v, %v", in, enc, err)
 		}
 	}
-	if res, err := DecodeResultPayload([]byte(`{"audits":`)); err == nil || res != nil {
-		t.Errorf("DecodeResultPayload on truncated input = %v, %v", res, err)
+	for _, in := range []string{`{"audits":`, `null`, `[]`, ``} {
+		if enc, err := EncodedResultFromPayload([]byte(in)); err == nil {
+			t.Errorf("EncodedResultFromPayload(%s) = %+v, want an error", in, enc)
+		}
 	}
 }
 
@@ -307,9 +426,39 @@ func TestClientReportAllocBudget(t *testing.T) {
 	}
 }
 
+// discardResponse is a ResponseWriter that keeps nothing.
+type discardResponse struct{ h http.Header }
+
+func (d discardResponse) Header() http.Header         { return d.h }
+func (d discardResponse) WriteHeader(int)             {}
+func (d discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
+// BenchmarkWriteResult is the byte-path rung below the handler: a finished
+// report's stored bytes written under a job's title — what a hit's read costs
+// once the job-table and tier lookups are done. allocs/op is the number to
+// watch: the title head and the two header values, independent of k.
+func BenchmarkWriteResult(b *testing.B) {
+	for _, k := range []int{8, 16} {
+		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {
+			s, _, job := readPathServer(b, k)
+			res, title, _, err := s.resolve(job.ID)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w := discardResponse{h: http.Header{}}
+			b.SetBytes(int64(len(res.obj)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.writeResult(w, res, title, nil)
+			}
+		})
+	}
+}
+
 // BenchmarkHandlerReport is the handler rung of the read path: GET
-// /v1/audits/{id}/report into a recorder, so encode and response writing are
-// separable from Server.Result (a map lookup) and from the network.
+// /v1/audits/{id}/report into a recorder — routing, the job-table and tier
+// lookups and the write, separable from the network. No codec runs here.
 func BenchmarkHandlerReport(b *testing.B) {
 	for _, k := range []int{8, 16} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) {

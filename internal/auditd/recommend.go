@@ -252,8 +252,8 @@ func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, 
 	}
 
 	extra := &jobExtras{
-		journalKind: journalKindRecommend, journalReq: req, recoverID: recoverID,
-		wire: req, dbFP: n.DBFingerprint,
+		kind: KindRecommend, wire: req, recoverID: recoverID,
+		dbFP:          n.DBFingerprint,
 		selfContained: len(req.Records) > 0,
 		noForward:     req.NoForward || recoverID != "",
 	}

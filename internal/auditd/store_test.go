@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -312,43 +314,45 @@ func TestStoreEvictionMirroredIntoMemory(t *testing.T) {
 	}
 }
 
-// TestResultCodec pins the disk envelope: both payload types round-trip,
-// and garbage fails loudly instead of producing a zero-valued result.
+// TestResultCodec pins the disk envelope: every payload kind round-trips
+// through it, titles stay off the stored bytes, and garbage fails loudly
+// instead of producing a zero-valued result.
 func TestResultCodec(t *testing.T) {
-	if _, err := encodeResult(42); err == nil {
-		t.Error("encodeResult accepted an unpersistable type")
+	for _, bad := range []any{42, nil, math.Inf(1), []int{1}} {
+		if _, err := encodeResult(KindAudit, bad); err == nil {
+			t.Errorf("encodeResult accepted %v, which is not a result object", bad)
+		}
 	}
-	if _, err := decodeResult([]byte("{")); err == nil {
-		t.Error("decodeResult accepted truncated JSON")
-	}
-	if _, err := decodeResult([]byte(`{"kind":"mystery","payload":{}}`)); err == nil {
-		t.Error("decodeResult accepted an unknown kind")
-	}
-
-	rep := &report.Report{Title: "codec"}
-	blob, err := encodeResult(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeResult(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := back.(*report.Report); !ok || got.Title != "codec" {
-		t.Fatalf("report round-trip = %#v", back)
+	for _, blob := range []string{"", "{", `{"kind":"mystery","payload":{}}`, `{"kind":"audit","payload":}`, `{"kind":"audit","payload":{"title":"open}}`} {
+		if _, err := parseEnvelope([]byte(blob)); err == nil {
+			t.Errorf("parseEnvelope accepted %q", blob)
+		}
 	}
 
-	resp := &RecommendResponse{Strategy: "exact", Replicas: 2}
-	blob, err = encodeResult(resp)
-	if err != nil {
-		t.Fatal(err)
+	results := map[string]any{
+		KindAudit:        &report.Report{Title: "codec"},
+		KindRecommend:    &RecommendResponse{Title: "codec", Strategy: "exact", Replicas: 2},
+		KindPrivateAudit: &PrivateAuditResponse{Title: "codec", Protocol: "p-sop", Pairs: 3},
 	}
-	back, err = decodeResult(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := back.(*RecommendResponse); !ok || got.Strategy != "exact" || got.Replicas != 2 {
-		t.Fatalf("recommend round-trip = %#v", back)
+	for kind, res := range results {
+		enc, err := encodeResult(kind, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(enc.obj, []byte("codec")) {
+			t.Errorf("%s: the stored bytes carry the title: %s", kind, enc.obj)
+		}
+		stored, err := parseEnvelope(enc.envelope())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stored.kind != kind || !bytes.Equal(stored.obj, enc.obj) {
+			t.Errorf("%s: envelope round-trip = %s %s", kind, stored.kind, stored.obj)
+		}
+		back, err := stored.Decode("codec")
+		if err != nil || !reflect.DeepEqual(back, res) {
+			t.Errorf("%s round-trip = %#v, %v", kind, back, err)
+		}
 	}
 }
 

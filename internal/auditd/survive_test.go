@@ -167,7 +167,7 @@ func TestStaleJournalSelfHeals(t *testing.T) {
 	waitNoJournal(t, st1)
 	// Re-create the journal record the crash would have left behind.
 	blob, _ := json.Marshal(req)
-	rec, _ := json.Marshal(journalRecord{Kind: journalKindAudit, Request: blob})
+	rec, _ := json.Marshal(journalRecord{Kind: KindAudit, Request: blob})
 	if _, err := st1.Put(journalKey(j.ID), store.KindJob, rec); err != nil {
 		t.Fatal(err)
 	}

@@ -373,21 +373,36 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 // is never probed.
 type missTier struct{}
 
-func (missTier) Name() string             { return "miss" }
-func (missTier) Get(string) (any, bool)   { return nil, false }
-func (missTier) Put(string, any) []string { return nil }
-func (missTier) Remove(string)            {}
+func (missTier) Name() string                      { return "miss" }
+func (missTier) Get(string) (*EncodedResult, bool) { return nil, false }
+
+// Hit-path allocation gates: the counts measured at this commit (22 and 71)
+// plus two. Under the race detector sync.Pool misses at random (measured 28
+// and 73–74), so the gates widen by raceAllocSlack there.
+const (
+	serverDBHitAllocBudget = 24
+	inlineHitAllocBudget   = 73
+	raceAllocSlack         = 8
+)
 
 // TestMemoryHitAllocBudget is the alloc guard behind
 // BenchmarkSubmitMemoryHitTraced: with tracing threaded through the
-// pipeline, the memory-hit path must still stay within its historical
-// budget because hits never allocate a trace. The "seams" variant runs the
-// same budget with the executor wrapped and an extra result tier appended —
-// the interfaces the cluster layer hangs off — proving the extraction left
-// the hit path alone: hits never reach the executor, and the tier chain
-// stops at memory.
+// pipeline, the memory-hit path must still stay within its budget because
+// hits never allocate a trace. Two request shapes are gated, because they
+// are two different numbers that used to be quoted as one: "server-db" is a
+// record-less request against the daemon's database — the shape the service
+// benchmark's auditd.submit_hit_allocs reads (≈ 24 there; it submits a
+// one-deployment request and counts whole-process mallocs) — and "inline"
+// carries its seven records in the request, so every submit also builds and
+// fingerprints a private DepDB before it can even compute its content
+// address: that construction, not the hit path, is most of its count. Each
+// gate is the measured count plus two. The "seams" variant runs the same
+// budgets with the executor wrapped and an extra result tier appended — the
+// interfaces the cluster layer hangs off — proving the extraction left the
+// hit path alone: hits never reach the executor, and the tier chain stops
+// at memory.
 func TestMemoryHitAllocBudget(t *testing.T) {
-	cases := []struct {
+	configs := []struct {
 		name string
 		cfg  Config
 	}{
@@ -398,25 +413,45 @@ func TestMemoryHitAllocBudget(t *testing.T) {
 			ExtraTiers:   []ResultTier{missTier{}},
 		}},
 	}
-	for _, tc := range cases {
+	shapes := []struct {
+		name   string
+		req    func(title string) *SubmitRequest
+		budget float64
+	}{
+		{"server-db", func(title string) *SubmitRequest {
+			return &SubmitRequest{Title: title, Deployments: quickRequest("").Deployments}
+		}, serverDBHitAllocBudget},
+		{"inline", quickRequest, inlineHitAllocBudget},
+	}
+	for _, tc := range configs {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(tc.cfg)
-			defer shutdown(t, s)
-			req := quickRequest("allocs-" + tc.name)
-			job := mustSubmit(t, s, req)
-			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			defer cancel()
-			if end, err := s.WaitDone(ctx, job.ID, 30*time.Second); err != nil || end.State != StateDone {
-				t.Fatalf("priming job: %v %+v", err, end)
-			}
-			allocs := testing.AllocsPerRun(200, func() {
-				st, err := s.Submit(req)
-				if err != nil || st.State != StateDone || !st.Cached {
-					panic(fmt.Sprintf("not a memory hit: %+v %v", st, err))
-				}
-			})
-			if allocs > 80 {
-				t.Fatalf("memory-hit submit = %.0f allocs/op, budget 80", allocs)
+			for _, shape := range shapes {
+				t.Run(shape.name, func(t *testing.T) {
+					s := New(tc.cfg)
+					defer shutdown(t, s)
+					mustIngest(t, s, testRecords())
+					req := shape.req("allocs-" + tc.name)
+					job := mustSubmit(t, s, req)
+					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+					defer cancel()
+					if end, err := s.WaitDone(ctx, job.ID, 30*time.Second); err != nil || end.State != StateDone {
+						t.Fatalf("priming job: %v %+v", err, end)
+					}
+					allocs := testing.AllocsPerRun(200, func() {
+						st, err := s.Submit(req)
+						if err != nil || st.State != StateDone || !st.Cached {
+							panic(fmt.Sprintf("not a memory hit: %+v %v", st, err))
+						}
+					})
+					budget := shape.budget
+					if raceEnabled {
+						budget += raceAllocSlack
+					}
+					t.Logf("memory-hit submit (%s request) = %.0f allocs/op, budget %.0f", shape.name, allocs, budget)
+					if allocs > budget {
+						t.Fatalf("memory-hit submit (%s request) = %.0f allocs/op, budget %.0f", shape.name, allocs, budget)
+					}
+				})
 			}
 		})
 	}

@@ -4,98 +4,131 @@ package auditd
 // addressed tiers probed in order — the in-memory LRU first, then the disk
 // store, then any extra tiers the embedder configured (a clustered node adds
 // a peer-cache tier that asks the key's hash owner). Every tier serves the
-// same (key → result) contract, so composing them is just a slice.
+// same (key → encoded result) contract, so composing them is just a slice,
+// and a result moving between tiers is a pointer moving: no tier decodes.
 
-import "sync"
+import (
+	"container/list"
+	"sync"
 
-// ResultTier is one layer of the content-addressed result hierarchy.
-// Implementations synchronize themselves; the server calls them without its
-// job-table lock held (except the first, memory tier, whose calls may come
-// from under it — Get/Put/Remove must therefore never block on IO for the
-// memory tier, and lower tiers are only ever probed with the lock released).
+	"indaas/internal/store"
+)
+
+// ResultTier is one layer of the content-addressed result hierarchy as the
+// server reads it: results enter the memory tier and the store where they
+// are computed; a tier below memory is only ever probed. Implementations
+// synchronize themselves and are called without the job-table lock held.
 type ResultTier interface {
 	// Name identifies the tier ("memory", "disk", "peer") for attribution:
 	// the server counts a hit against the right metric by name.
 	Name() string
 	// Get returns the result stored under key, if any.
-	Get(key string) (any, bool)
-	// Put stores a completed result, returning the keys the tier evicted to
-	// make room (mirrored out of the memory tier by the caller). Read-only
-	// tiers no-op.
-	Put(key string, res any) (evicted []string)
-	// Remove drops the key if present (used to mirror lower-tier evictions).
-	Remove(key string)
+	Get(key string) (*EncodedResult, bool)
 }
 
 // tierDisk is the disk tier's Name; enqueue uses it to attribute a
 // lower-tier hit to auditd_store_hits_total and JobStatus.DiskHit.
 const tierDisk = "disk"
 
-// memoryTier is the first tier: the LRU result cache behind its own lock, so
-// reads that used to require the server's job-table lock (delta planning,
-// /v1/cache) can run against the tier directly.
+// memoryTier is the first tier: a bounded LRU of encoded results behind its
+// own lock, so delta planning, report reads and /v1/cache never take the
+// job-table lock. Entries are immutable and shared by reference (an adopting
+// key, a response being written).
 type memoryTier struct {
-	mu  sync.Mutex
-	lru *resultCache
+	mu      sync.Mutex
+	cap     int
+	order   *list.List // front = most recently used; values are *cacheEntry
+	entries map[string]*list.Element
+}
+
+type cacheEntry struct {
+	key string
+	res *EncodedResult
 }
 
 func newMemoryTier(capacity int) *memoryTier {
-	return &memoryTier{lru: newResultCache(capacity)}
+	return &memoryTier{cap: capacity, order: list.New(), entries: make(map[string]*list.Element)}
 }
 
 func (t *memoryTier) Name() string { return "memory" }
 
-func (t *memoryTier) Get(key string) (any, bool) {
+// Get returns the cached result for key and marks it recently used.
+func (t *memoryTier) Get(key string) (*EncodedResult, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lru.get(key)
+	el, ok := t.entries[key]
+	if !ok {
+		return nil, false
+	}
+	t.order.MoveToFront(el)
+	return el.Value.(*cacheEntry).res, true
 }
 
-func (t *memoryTier) Put(key string, res any) []string {
+// Put stores a completed result, dropping the least recently used entries
+// beyond capacity.
+func (t *memoryTier) Put(key string, res *EncodedResult) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.lru.put(key, res)
-	return nil
+	if t.cap <= 0 {
+		return
+	}
+	if el, ok := t.entries[key]; ok {
+		el.Value.(*cacheEntry).res = res
+		t.order.MoveToFront(el)
+		return
+	}
+	t.entries[key] = t.order.PushFront(&cacheEntry{key: key, res: res})
+	for t.order.Len() > t.cap {
+		oldest := t.order.Back()
+		t.order.Remove(oldest)
+		delete(t.entries, oldest.Value.(*cacheEntry).key)
+	}
 }
 
+// Remove drops key if present; it mirrors disk-store evictions so the memory
+// tier never claims an entry the durable tier has given up on.
 func (t *memoryTier) Remove(key string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.lru.remove(key)
+	if el, ok := t.entries[key]; ok {
+		t.order.Remove(el)
+		delete(t.entries, key)
+	}
 }
 
 // Len reports live entries (the auditd_cache_entries gauge).
 func (t *memoryTier) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.lru.len()
+	return t.order.Len()
 }
 
-// diskTier adapts the persistent store (plus its circuit breaker and result
-// codec, which live on the Server) to the tier contract. Get decodes a
-// persisted result; Put writes through with the generic label — the compute
-// path keeps calling persistResult directly so failures log the owning job.
+// diskTier is the persistent store read as a tier; writes go through
+// Server.persistResult, next to the circuit breaker.
 type diskTier struct {
-	s *Server
+	st *store.Store
 }
 
 func (t *diskTier) Name() string { return tierDisk }
 
-func (t *diskTier) Get(key string) (any, bool) { return t.s.diskGet(key) }
-
-func (t *diskTier) Put(key string, res any) []string {
-	return t.s.persistResult("result", key, res)
+// Get adopts a stored record's bytes as read (see parseEnvelope); the store
+// verifies their checksum and nothing decodes. An IO failure or a record
+// that is not a result envelope is a miss: the computation simply reruns.
+func (t *diskTier) Get(key string) (*EncodedResult, bool) {
+	blob, kind, ok, err := t.st.Get(key)
+	if err != nil || !ok || kind != store.KindResult {
+		return nil, false
+	}
+	res, err := parseEnvelope(blob)
+	return res, err == nil
 }
 
-// Remove is a no-op: disk eviction is policy-driven (store GC, size/age
-// budgets), never a mirror of another tier's eviction.
-func (t *diskTier) Remove(string) {}
-
-// probeLowerTiers asks every tier below memory for the key, in order,
-// returning the first hit and the name of the tier that served it. Callers
-// must not hold s.mu: lower tiers do IO (disk reads, peer HTTP fetches).
-func (s *Server) probeLowerTiers(key string) (res any, tier string, ok bool) {
-	for _, t := range s.tiers[1:] {
+// retrieveResult fetches a completed result by content address from the
+// tiers at and below from (0 = memory), in order, returning the first hit
+// and the name of the tier that served it. Callers probing below memory must
+// not hold s.mu: lower tiers do IO (disk reads, peer HTTP fetches).
+func (s *Server) retrieveResult(key string, from int) (res *EncodedResult, tier string, ok bool) {
+	for _, t := range s.tiers[from:] {
 		if r, hit := t.Get(key); hit {
 			return r, t.Name(), true
 		}

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"context"
+
+	"indaas/internal/auditd"
 )
 
 // peerTier is the cluster's ResultTier: after the local memory and disk
@@ -11,15 +13,15 @@ import (
 // /v1/cache endpoint, which answers from its memory tier only, so two nodes
 // can never chase each other's caches in a loop.
 //
-// The tier is read-only: results are Put into a peer's cache by the peer
-// computing them, never pushed from outside, so Put and Remove are no-ops.
+// The tier is read-only: results enter a peer's cache by the peer computing
+// them, never pushed from outside.
 type peerTier struct {
 	n *Node
 }
 
 func (t *peerTier) Name() string { return "peer" }
 
-func (t *peerTier) Get(key string) (any, bool) {
+func (t *peerTier) Get(key string) (*auditd.EncodedResult, bool) {
 	owner := t.n.ring.owner(key, t.n.peerAlive)
 	if owner == "" || owner == t.n.cfg.Self {
 		return nil, false
@@ -32,14 +34,10 @@ func (t *peerTier) Get(key string) (any, bool) {
 	// miss (or a dead peer) must cost at most one RTT before computing.
 	ctx, cancel := context.WithTimeout(context.Background(), healthTimeout)
 	defer cancel()
-	res, err := c.CachedAny(ctx, key)
+	res, err := c.CachedResult(ctx, key) // adopted as bytes: the kind is sniffed, nothing decodes
 	if err != nil {
 		return nil, false
 	}
 	t.n.m.peerCacheHits.Add(1)
 	return res, true
 }
-
-func (t *peerTier) Put(key string, res any) []string { return nil }
-
-func (t *peerTier) Remove(key string) {}

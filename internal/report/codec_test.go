@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -462,10 +463,14 @@ func TestEncodeAllocsBoundedByRGs(t *testing.T) {
 
 var benchSink any
 
+// BenchmarkReportEncode times both ways to the same bytes: "marshal" is
+// json.Marshal(report), which re-validates and compacts what MarshalJSON
+// returns; "direct" is EncodeJSON, the entry point the daemon's encode-once
+// calls.
 func BenchmarkReportEncode(b *testing.B) {
 	for _, n := range benchSizes {
 		rep := sizedReport(n)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%d/marshal", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				blob, err := json.Marshal(rep)
@@ -475,16 +480,29 @@ func BenchmarkReportEncode(b *testing.B) {
 				benchSink = blob
 			}
 		})
+		b.Run(fmt.Sprintf("%d/direct", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var buf bytes.Buffer
+				if err := EncodeJSON(&buf, rep); err != nil {
+					b.Fatal(err)
+				}
+				benchSink = buf.Bytes()
+			}
+		})
 	}
 }
 
+// BenchmarkReportDecode: "unmarshal" is json.Unmarshal(blob, report), which
+// validates blob, finds the Unmarshaler and validates it again inside;
+// "direct" is DecodeJSON — one validation scan.
 func BenchmarkReportDecode(b *testing.B) {
 	for _, n := range benchSizes {
 		blob, err := json.Marshal(sizedReport(n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
+		b.Run(fmt.Sprintf("%d/unmarshal", n), func(b *testing.B) {
 			b.ReportAllocs()
 			b.SetBytes(int64(len(blob)))
 			for i := 0; i < b.N; i++ {
@@ -495,5 +513,52 @@ func BenchmarkReportDecode(b *testing.B) {
 				benchSink = rep
 			}
 		})
+		b.Run(fmt.Sprintf("%d/direct", n), func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(blob)))
+			for i := 0; i < b.N; i++ {
+				rep := new(Report)
+				if err := DecodeJSON(blob, rep); err != nil {
+					b.Fatal(err)
+				}
+				benchSink = rep
+			}
+		})
+	}
+}
+
+// TestExplicitEntryPointsMatchMarshalers: EncodeJSON writes exactly
+// json.Marshal's bytes plus a newline, DecodeJSON reads them back to the
+// report json.Unmarshal produces, and both reject what the wrappers reject.
+func TestExplicitEntryPointsMatchMarshalers(t *testing.T) {
+	for _, n := range append([]int{0}, benchSizes...) {
+		rep := sizedReport(n)
+		rep.Title = `t "<&>" ü`
+		want, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := EncodeJSON(&buf, rep); err != nil || buf.String() != string(want)+"\n" {
+			t.Fatalf("%d RGs: EncodeJSON (%v) differs from json.Marshal plus a newline", n, err)
+		}
+		var direct, wrapped Report
+		if err := DecodeJSON(buf.Bytes(), &direct); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(want, &wrapped); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fmt.Sprintf("%#v", direct), fmt.Sprintf("%#v", wrapped); got != want {
+			t.Fatalf("%d RGs: DecodeJSON and json.Unmarshal disagree", n)
+		}
+	}
+	bad := sizedReport(1)
+	bad.Audits[0].RGs[0].Prob = math.Inf(1)
+	if err := EncodeJSON(io.Discard, bad); err == nil {
+		t.Error("EncodeJSON accepted +Inf")
+	}
+	if err := DecodeJSON([]byte(`{"audits":`), new(Report)); err == nil {
+		t.Error("DecodeJSON accepted truncated input")
 	}
 }

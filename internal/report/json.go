@@ -16,6 +16,7 @@ package report
 
 import (
 	"encoding/json"
+	"io"
 	"math"
 	"time"
 )
@@ -121,21 +122,32 @@ func (d *DeploymentAudit) fromWire(w *auditWire) {
 	}
 }
 
-// MarshalJSON encodes the report with unknown (NaN) probabilities omitted
-// and elapsed times as integer nanoseconds.
-func (r Report) MarshalJSON() ([]byte, error) {
-	w := reportWire{Title: r.Title}
+// wire is the report's wire form, pointing into the report.
+func (r *Report) wire() *reportWire {
+	w := &reportWire{Title: r.Title}
 	if r.Audits != nil {
 		w.Audits = make([]auditWire, len(r.Audits))
 		for i := range r.Audits {
 			w.Audits[i] = r.Audits[i].toWire()
 		}
 	}
-	return json.Marshal(&w)
+	return w
 }
 
-// UnmarshalJSON decodes a report, overwriting the receiver whole.
-func (r *Report) UnmarshalJSON(data []byte) error {
+// EncodeJSON writes the report to w as one compact, newline-terminated JSON
+// line, unknown (NaN) probabilities omitted and elapsed times as integer
+// nanoseconds. It is the codec's explicit encode entry point: callers that
+// hold a *Report call it directly, because reaching the same bytes through
+// json.Marshal(report) makes encoding/json re-validate and compact the
+// marshaler's output — a second pass over every byte.
+func EncodeJSON(w io.Writer, r *Report) error {
+	return json.NewEncoder(w).Encode(r.wire())
+}
+
+// DecodeJSON decodes a report from its wire JSON, overwriting r whole. It is
+// the explicit decode entry point: json.Unmarshal(data, report) validates
+// data, finds the Unmarshaler and lands here to validate it again.
+func DecodeJSON(data []byte, r *Report) error {
 	var w reportWire
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
@@ -149,3 +161,11 @@ func (r *Report) UnmarshalJSON(data []byte) error {
 	}
 	return nil
 }
+
+// MarshalJSON is EncodeJSON for callers that embed a report in a larger
+// encoding/json value.
+func (r Report) MarshalJSON() ([]byte, error) { return json.Marshal(r.wire()) }
+
+// UnmarshalJSON is DecodeJSON for callers decoding a report embedded in a
+// larger value.
+func (r *Report) UnmarshalJSON(data []byte) error { return DecodeJSON(data, r) }
