@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"indaas/internal/depdb"
+	"indaas/internal/deps"
 	"indaas/internal/report"
 	"indaas/internal/sia"
 	"indaas/internal/store"
@@ -268,9 +269,11 @@ type Server struct {
 	// ingestMu serializes ingests with their snapshot persistence so the
 	// durable current-snapshot pointer can never lag a concurrent ingest.
 	// snapMeta (the persisted snapshot chain's state) is guarded by it.
-	// snapDirty records that an ingest was committed in memory only while
-	// degraded: the persisted chain lags the live database, so the next
-	// durable ingest must lay down a fresh full base segment.
+	// snapDirty records that the next durable ingest must lay down a fresh
+	// full base segment: an ingest was committed in memory only while
+	// degraded, so the persisted chain lags the live database — or the
+	// database compacted its log, so the chain replays history the database
+	// itself has let go of.
 	ingestMu  sync.Mutex
 	snapMeta  snapMeta
 	snapDirty bool
@@ -400,15 +403,17 @@ func (s *Server) submit(req *SubmitRequest, recoverID string, journal bool) (Job
 // ingests). The snapshot's fingerprint content-addresses the chosen view.
 func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
 	if len(records) > 0 {
-		fresh := depdb.New()
+		recs := make([]deps.Record, len(records))
 		for i, w := range records {
 			r, err := w.Record()
 			if err != nil {
 				return nil, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
 			}
-			if err := fresh.Put(r); err != nil {
-				return nil, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
-			}
+			recs[i] = r
+		}
+		fresh := depdb.New()
+		if err := fresh.Put(recs...); err != nil {
+			return nil, &statusErr{code: 400, err: err}
 		}
 		return fresh.Snapshot(), nil
 	}

@@ -7,10 +7,11 @@ import (
 
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
+	"indaas/internal/watch"
 )
 
-// IngestRequest is the body of POST /v1/depdb: dependency records to append
-// to the server's database.
+// IngestRequest is the body of POST /v1/depdb: dependency records observed
+// about the fleet, to fold into the server's database.
 type IngestRequest struct {
 	Records []RecordWire `json:"records"`
 	// Replicated marks an ingest pushed by a cluster peer's replication hook
@@ -26,9 +27,10 @@ type IngestRequest struct {
 // against the server database will carry, so a client can tell exactly
 // which data a later cached result was computed from.
 type IngestResponse struct {
-	// Added is the number of records stored by this request.
+	// Added is the number of records this request carried, all accepted.
 	Added int `json:"added"`
-	// Total is the database's record count after the ingest.
+	// Total is the database's live record count after the ingest. A record
+	// that supersedes another, or re-observes one, does not raise it.
 	Total int `json:"total"`
 	// Fingerprint is the canonical content hash of the database snapshot
 	// registered by this ingest. Concurrent ingests may commit as one group
@@ -55,11 +57,14 @@ type ingestWaiter struct {
 	err     error
 }
 
-// Ingest validates and appends dependency records to the server's database,
-// registering a fresh snapshot. All records are stored or none. Jobs
-// submitted earlier keep auditing the snapshot they resolved at submission
-// time; jobs submitted after see the grown database (and a new cache-key
-// fingerprint).
+// Ingest validates dependency records and folds them into the server's
+// database, registering a fresh snapshot if they change its state. All
+// records are stored or none. Jobs submitted earlier keep auditing the
+// snapshot they resolved at submission time; jobs submitted after see the
+// new state (and a new cache-key fingerprint). Ingest is idempotent: records
+// that say what the database already says — a retried batch, a route
+// re-observed in a new capture window — are acknowledged with the unchanged
+// fingerprint and wake nobody.
 //
 // Durability is group-committed: admitted batches are handed to a single
 // committer goroutine that folds every batch currently waiting into ONE
@@ -158,9 +163,10 @@ func (s *Server) ingestCommitter() {
 
 // commitGroup makes one group of admitted batches live: persisted (one
 // segment + one pointer flip), committed to the in-memory database, watch
-// subscriptions notified, and every waiter answered. On a persist failure
-// the memory database is untouched and every waiter gets 503 — each client
-// can safely retry, exactly as with per-request commits.
+// subscriptions notified and peers sent the records that changed its state,
+// and every waiter answered. On a persist failure the memory database is
+// untouched and every waiter gets 503 — each client can safely retry, exactly
+// as with per-request commits.
 func (s *Server) commitGroup(group []*ingestWaiter) {
 	commitStart := time.Now()
 	n := 0
@@ -205,13 +211,12 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 	// across it.
 	//
 	// On a durable service, persist the group BEFORE committing to the live
-	// database: a failed disk write then leaves the memory DB untouched, so
-	// the clients' retries cannot duplicate records (depdb appends
-	// blindly and duplicates change the canonical fingerprint). Only the
-	// group (and, the first time, the pre-existing records) is written —
-	// never a copy of the whole database per request. While the breaker is
-	// open the group is committed to memory only and the chain is marked
-	// stale (snapDirty), so the next durable ingest rebuilds it in full.
+	// database: a failed disk write then leaves the memory DB untouched, and
+	// the memory DB never holds what a restart would lose. Only the group
+	// (and, the first time, the pre-existing records) is written — never a
+	// copy of the whole database per request. While the breaker is open the
+	// group is committed to memory only and the chain is marked stale
+	// (snapDirty), so the next durable ingest rebuilds it in full.
 	s.ingestMu.Lock()
 	durable := false
 	if s.store != nil {
@@ -228,33 +233,41 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 			s.m.storeSkipped.Add(1)
 		}
 	}
-	db.PutBatch(batch)
-	if s.store != nil && !durable {
+	before := db.Snapshot()
+	changed := db.PutBatch(batch)
+	snap := db.Snapshot()
+	// The chain on disk goes stale when it missed this group, and is worth
+	// replacing when the database just started a fresh log: the superseded
+	// records it dropped are most of what the chain would replay.
+	if s.store != nil && (!durable && len(changed) > 0 || !snap.Extends(before)) {
 		s.snapDirty = true
 	}
 	s.m.ingestedRecords.Add(int64(len(records)))
 	s.m.ingestGroups.Add(1)
-	snap := db.Snapshot()
 	s.ingestMu.Unlock()
 
-	// Mark watch subscriptions dirty BEFORE acknowledging any waiter: by the
-	// time a pusher's ingest returns, the re-audit it owes is already owed.
-	s.notifyWatchers(records)
-
-	// Replicate locally originated records to cluster peers BEFORE
-	// acknowledging: when an ingest through this node returns, the fleet's
-	// fingerprints have converged (the hook retries/marks peers internally).
-	// Peer-replicated records are never pushed onward — replication is a
-	// star from the originating node, so there is no echo.
-	if hook := s.cfg.ReplicateHook; hook != nil {
-		var originated []RecordWire
-		for _, w := range group {
-			if !w.replica {
-				originated = append(originated, w.wire...)
-			}
+	// Only the records that changed the database's state go any further: an
+	// exact re-observation owes no re-audit and tells a peer nothing.
+	if len(changed) > 0 {
+		// Mark watch subscriptions dirty BEFORE acknowledging any waiter: by
+		// the time a pusher's ingest returns, the re-audit it owes is
+		// already owed.
+		touches := make([]watch.Touch, len(changed))
+		for j, i := range changed {
+			touches[j] = watch.Touch{Subject: records[i].Subject(), Kind: int(records[i].Kind)}
 		}
-		if len(originated) > 0 {
-			hook(originated)
+		s.watchHub.Notify(touches)
+
+		// Replicate locally originated records to cluster peers BEFORE
+		// acknowledging: when an ingest through this node returns, the
+		// fleet's fingerprints have converged (the hook retries/marks peers
+		// internally). Peer-replicated records are never pushed onward —
+		// replication is a star from the originating node, so there is no
+		// echo.
+		if hook := s.cfg.ReplicateHook; hook != nil {
+			if originated := originatedWire(group, changed); len(originated) > 0 {
+				hook(originated)
+			}
 		}
 	}
 
@@ -270,4 +283,22 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 		}
 		close(w.done)
 	}
+}
+
+// originatedWire returns the wire form of the group's records at the given
+// indices (ascending, into the group's batches laid end to end), leaving out
+// those a peer replicated here.
+func originatedWire(group []*ingestWaiter, indices []int) []RecordWire {
+	var out []RecordWire
+	start := 0 // index of w's first record
+	for _, w := range group {
+		end := start + len(w.records)
+		for ; len(indices) > 0 && indices[0] < end; indices = indices[1:] {
+			if !w.replica {
+				out = append(out, w.wire[indices[0]-start])
+			}
+		}
+		start = end
+	}
+	return out
 }

@@ -19,10 +19,11 @@ import (
 // holds a snapMeta naming a generation and its segment count, and
 // depdb/seg/<gen>/<i> holds the i-th batch of records (Table 1 XML). Each
 // ingest appends one segment — O(batch) bytes — instead of rewriting the
-// whole database; RestoreDB replays the chain in order and consolidates it
-// back to a single segment, so chains stay short across restarts and a
-// crash between writes is harmless (the current pointer flips only after
-// the segment it names is durable).
+// whole database; RestoreDB replays the chain in order — replay reduces as
+// ingest did, so it lands on the same state — and consolidates it back to a
+// single segment of the live records, so chains stay short across restarts
+// and a crash between writes is harmless (the current pointer flips only
+// after the segment it names is durable).
 const (
 	// currentSnapshotKey stores the snapMeta of the chain a restarted
 	// daemon should replay.
@@ -37,11 +38,19 @@ const (
 
 // snapMeta is the JSON value of currentSnapshotKey: which generation of the
 // snapshot chain is live, how many segments it has, and the canonical
-// fingerprint replaying them must reproduce.
+// fingerprint replaying them must reproduce — under the fingerprint
+// algorithm of the stated version. A meta written before the field existed
+// reads as version 0 and holds a multiset (v2) fingerprint.
 type snapMeta struct {
 	Fingerprint string `json:"fingerprint"`
+	FPVersion   int    `json:"fp_version,omitempty"`
 	Gen         int    `json:"gen"`
 	Segments    int    `json:"segments"`
+}
+
+// newSnapMeta stamps a chain's meta with the running fingerprint algorithm.
+func newSnapMeta(fp string, gen, segments int) snapMeta {
+	return snapMeta{Fingerprint: fp, FPVersion: depdb.FingerprintVersion, Gen: gen, Segments: segments}
 }
 
 func segmentKey(gen, i int) string {
@@ -50,7 +59,9 @@ func segmentKey(gen, i int) string {
 
 // readSnapMeta loads the persisted chain state; a missing or legacy-format
 // pointer yields the zero meta (Segments == 0 ⇒ nothing persisted yet, so
-// the next ingest starts a fresh generation with a full base segment).
+// the next ingest starts a fresh generation with a full base segment), and
+// so does a chain addressed under another fingerprint algorithm that
+// RestoreDB was not given to re-key: nothing may be appended to it.
 func readSnapMeta(st *store.Store) snapMeta {
 	var meta snapMeta
 	blob, _, ok, err := st.Get(currentSnapshotKey)
@@ -59,6 +70,9 @@ func readSnapMeta(st *store.Store) snapMeta {
 	}
 	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
 		return snapMeta{}
+	}
+	if meta.FPVersion != depdb.FingerprintVersion {
+		return snapMeta{Gen: meta.Gen}
 	}
 	return meta
 }
@@ -71,7 +85,10 @@ func readSnapMeta(st *store.Store) snapMeta {
 // it stay addressable. A chain longer than one segment is consolidated back
 // to a single segment while the daemon is still offline — the one moment
 // O(database) persistence work is acceptable — and stale generations are
-// swept.
+// swept. A chain written under an older fingerprint algorithm is re-keyed
+// instead of verified: its records replay to the same current state, which
+// is re-addressed under today's fingerprint and rewritten, and results
+// stored under the old address are simply never asked for again.
 func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	blob, _, ok, err := st.Get(currentSnapshotKey)
 	if err != nil {
@@ -101,11 +118,14 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 			return nil, fmt.Errorf("auditd: replaying snapshot segment %d/%d: %w", meta.Gen, i, err)
 		}
 	}
-	if got := db.Fingerprint(); got != meta.Fingerprint {
+	rekey := meta.FPVersion != depdb.FingerprintVersion
+	if got := db.Fingerprint(); rekey {
+		meta.Fingerprint = got
+	} else if got != meta.Fingerprint {
 		return nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, got)
 	}
 	live := meta
-	if meta.Segments > 1 {
+	if meta.Segments > 1 || rekey {
 		next, err := consolidateChain(st, db, meta)
 		if err != nil {
 			return nil, err
@@ -135,7 +155,7 @@ func restoreLegacyDB(st *store.Store, legacyFP string) (*depdb.DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	meta := snapMeta{Fingerprint: db.Fingerprint(), Gen: 1, Segments: 1}
+	meta := newSnapMeta(db.Fingerprint(), 1, 1)
 	if _, err := writeChain(st, db.Records(), meta); err != nil {
 		return nil, fmt.Errorf("auditd: migrating legacy snapshot: %w", err)
 	}
@@ -148,7 +168,7 @@ func restoreLegacyDB(st *store.Store, legacyFP string) (*depdb.DB, error) {
 // generation is fully durable before the current pointer flips, so a crash
 // at any point leaves a replayable chain.
 func consolidateChain(st *store.Store, db *depdb.DB, meta snapMeta) (snapMeta, error) {
-	next := snapMeta{Fingerprint: meta.Fingerprint, Gen: meta.Gen + 1, Segments: 1}
+	next := newSnapMeta(meta.Fingerprint, meta.Gen+1, 1)
 	if _, err := writeChain(st, db.Records(), next); err != nil {
 		return meta, fmt.Errorf("auditd: consolidating snapshot chain: %w", err)
 	}
@@ -225,29 +245,35 @@ func (s *Server) persistResult(label, key string, res *EncodedResult) []string {
 // appended as one new chain segment and the current pointer advances. Only
 // the very first durable write of a database (nothing persisted yet — e.g. a
 // -deps preload about to take its first ingest) pays O(database) to lay down
-// the base segment. Crash ordering: the segment is durable before the
-// pointer names it, and the pointer is durable before the ingest is
-// acknowledged, so every acknowledged ingest replays and every crash leaves
-// a consistent chain (an orphaned segment from an unacknowledged ingest is
-// overwritten by the retry or swept at boot). Caller holds s.ingestMu.
+// the base segment, and a group of nothing but re-observations — a retried
+// batch — costs nothing: the chain already replays to the state it leads to.
+// Crash ordering: the segment is durable before the pointer names it, and
+// the pointer is durable before the ingest is acknowledged, so every
+// acknowledged ingest replays and every crash leaves a consistent chain (an
+// orphaned segment from an unacknowledged ingest is overwritten by the retry
+// or swept at boot). Caller holds s.ingestMu.
 func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 	newFP := db.FingerprintWith(staged)
 	batch := staged.Records()
 	meta := s.snapMeta
 	var evicted []string
-	if meta.Segments == 0 || s.snapDirty {
+	switch {
+	case meta.Segments > 0 && !s.snapDirty && newFP == meta.Fingerprint:
+		return nil
+	case meta.Segments == 0 || s.snapDirty:
 		// First durable snapshot — or the persisted chain went stale while
-		// degraded ingests were committed to memory only: the base segment
-		// must carry everything the live database already holds plus the
-		// batch. A fresh generation replaces the stale chain; its old
-		// segments are swept at the next boot.
-		meta = snapMeta{Fingerprint: newFP, Gen: meta.Gen + 1, Segments: 1}
+		// degraded ingests were committed to memory only, or the database
+		// compacted and the chain is mostly superseded history: the base
+		// segment carries everything the live database holds plus the
+		// batch. A fresh generation replaces the old chain; its segments
+		// are swept at the next boot.
+		meta = newSnapMeta(newFP, meta.Gen+1, 1)
 		ev, err := writeChain(s.store, append(db.Records(), batch...), meta)
 		evicted = append(evicted, ev...)
 		if err != nil {
 			return err
 		}
-	} else {
+	default:
 		var buf bytes.Buffer
 		if err := deps.EncodeXML(&buf, batch); err != nil {
 			return err

@@ -3,6 +3,7 @@ package auditd
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -67,8 +68,9 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
+// nicRecord is server i's NIC: distinct i, distinct live records.
 func nicRecord(i int) RecordWire {
-	return WireRecords([]deps.Record{deps.NewHardware("s1", "NIC", "x520")})[i%1]
+	return WireRecords([]deps.Record{deps.NewHardware(fmt.Sprintf("s%d", i+1), "NIC", "x520")})[0]
 }
 
 // TestIngestRateLimit429: a batch that outruns the bucket is refused whole
@@ -104,14 +106,16 @@ func TestIngestThrottleSelfPaces(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 	ctx := context.Background()
-	batch := []RecordWire{nicRecord(0), nicRecord(1), nicRecord(2), nicRecord(3)}
+	first := []RecordWire{nicRecord(0), nicRecord(1), nicRecord(2), nicRecord(3)}
+	batch := []RecordWire{nicRecord(4), nicRecord(5), nicRecord(6), nicRecord(7)}
 
 	noRetry := NewClient(ts.URL, ts.Client())
 	noRetry.Retry = RetryPolicy{MaxAttempts: 1}
-	if _, err := noRetry.Ingest(ctx, batch); err != nil {
+	admitted, err := noRetry.Ingest(ctx, first)
+	if err != nil {
 		t.Fatalf("ingest within burst: %v", err)
 	}
-	_, err := noRetry.Ingest(ctx, batch)
+	_, err = noRetry.Ingest(ctx, batch)
 	if httpStatus(err) != 429 {
 		t.Fatalf("ingest past burst = %v, want 429", err)
 	}
@@ -131,10 +135,12 @@ func TestIngestThrottleSelfPaces(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 900*time.Millisecond {
 		t.Fatalf("retry fired after %v, want the server's Retry-After honored", elapsed)
 	}
-	// The refused batch never landed (all or nothing); the two admitted
-	// batches did.
-	if resp.Total != 8 {
-		t.Fatalf("database holds %d records, want the two admitted batches", resp.Total)
+	// The refused attempt left nothing behind (all or nothing): the first
+	// ingest saw its own four records, and the retry that got through added
+	// exactly its four.
+	if admitted.Total != 4 || resp.Total != 8 || resp.Fingerprint == admitted.Fingerprint {
+		t.Fatalf("database went %d → %d records (%s → %s), want the two admitted batches: 4 → 8",
+			admitted.Total, resp.Total, admitted.Fingerprint, resp.Fingerprint)
 	}
 	if st := s.Stats(); st.IngestThrottled < 2 {
 		t.Fatalf("IngestThrottled = %d, want both refusals counted", st.IngestThrottled)

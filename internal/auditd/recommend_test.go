@@ -257,10 +257,11 @@ func TestIngestThenRecommend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 18 + 3 re-ingested records (depdb stores duplicates; the fingerprint
-	// canonicalizes) — the rejected batch must not have left partial rows.
-	if after.Total != 21 {
-		t.Fatalf("rejected batch leaked rows: total=%d, want 21", after.Total)
+	// The three re-ingested records say what the database already says: all
+	// accepted, nothing changed. A row leaked from the rejected batch would
+	// show as a nineteenth record under another fingerprint.
+	if after.Added != 3 || after.Total != 18 || after.Fingerprint != resp2.Fingerprint {
+		t.Fatalf("re-ingest after a rejected batch: %+v, want 18 records under %s", after, resp2.Fingerprint)
 	}
 }
 

@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"indaas/internal/depdb"
+	"indaas/internal/deps"
 	"indaas/internal/report"
 	"indaas/internal/store"
 )
@@ -247,6 +251,158 @@ func TestRestoreLegacyStoreMigrates(t *testing.T) {
 	}
 	if db2.Fingerprint() != db.Fingerprint() {
 		t.Fatal("second restore diverged")
+	}
+}
+
+// TestRestoreV2StoreRekeys boots the data directory of a daemon that ran
+// the multiset (v2) fingerprint: testdata/v2store is that daemon's store
+// after two ingests — the second replaces a disk, flaps it back and
+// re-observes a route — and one record-less audit, stored under its v2
+// address. The chain's recorded fingerprint commits to twelve observations
+// the reduced state has eight records for; RestoreDB must not refuse to boot
+// over that, must serve the v3 fingerprint of the current state, must
+// rewrite the chain under it, and the daemon must never answer a submit from
+// the result the v2 address still names.
+func TestRestoreV2StoreRekeys(t *testing.T) {
+	var v2 struct {
+		Fingerprint string `json:"fingerprint"`
+		Total       int    `json:"total"`
+		CacheKey    string `json:"cache_key"`
+	}
+	blob, err := os.ReadFile("testdata/v2store/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &v2); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile("testdata/v2store/store.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "store.log"), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openStore(t, dir)
+	if meta := readSnapMeta(st); meta.Segments != 0 {
+		t.Fatalf("a v2 chain read as appendable: %+v", meta)
+	}
+	if _, _, ok, _ := st.Get(v2.CacheKey); !ok {
+		t.Fatal("the fixture no longer holds the result stored under the v2 address")
+	}
+	db, err := RestoreDB(st)
+	if err != nil {
+		t.Fatalf("a v2 data directory failed boot: %v", err)
+	}
+	// The current state: the first ingest's records with s2's disk replaced.
+	want := depdb.New()
+	for _, w := range testRecords() {
+		r, err := w.Record()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := want.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := want.Put(deps.NewHardware("s2", "Disk", "S2-NVME")); err != nil {
+		t.Fatal(err)
+	}
+	if db.Fingerprint() != want.Fingerprint() || db.Fingerprint() == v2.Fingerprint {
+		t.Fatalf("restored fingerprint %s, want the v3 fingerprint %s (v2 was %s)", db.Fingerprint(), want.Fingerprint(), v2.Fingerprint)
+	}
+	if db.Len() != 8 || v2.Total != 12 {
+		t.Fatalf("restored %d live records from %d observations, want 8 from 12", db.Len(), v2.Total)
+	}
+	meta := readSnapMeta(st)
+	if meta.FPVersion != depdb.FingerprintVersion || meta.Fingerprint != db.Fingerprint() || meta.Segments != 1 {
+		t.Fatalf("re-keyed chain meta = %+v", meta)
+	}
+	if snapshots, _ := countSnapshotEntries(st); snapshots != 1 {
+		t.Fatalf("re-keyed chain holds %d segments, want 1", snapshots)
+	}
+
+	s := New(Config{Workers: 1, DB: db, Store: st})
+	job := mustSubmit(t, s, &SubmitRequest{Title: "v3", Deployments: quickRequest("").Deployments})
+	if job.CacheKey == v2.CacheKey || job.Cached || job.DiskHit {
+		t.Fatalf("submit after the re-key = %+v, answered from the v2 address %s", job, v2.CacheKey)
+	}
+	if end := waitDone(t, s, job.ID); end.State != StateDone {
+		t.Fatalf("audit after the re-key: %+v", end)
+	}
+	if st := s.Stats(); st.Computations != 1 || st.StoreHits != 0 {
+		t.Fatalf("computations %d, disk hits %d, want the audit computed", st.Computations, st.StoreHits)
+	}
+	gracefulShutdown(t, s)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The re-keyed directory is a native one: it restores verified, and the
+	// audit computed above is a disk hit under its v3 address.
+	st2 := openStore(t, dir)
+	db2, err := RestoreDB(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db2.Fingerprint() != db.Fingerprint() {
+		t.Fatalf("second restore: %s, want %s", db2.Fingerprint(), db.Fingerprint())
+	}
+	s2 := New(Config{Workers: 1, DB: db2, Store: st2})
+	defer gracefulShutdown(t, s2)
+	again := mustSubmit(t, s2, &SubmitRequest{Title: "v3", Deployments: quickRequest("").Deployments})
+	if again.CacheKey != job.CacheKey || !again.DiskHit {
+		t.Fatalf("resubmit after a second restart = %+v, want a disk hit under %s", again, job.CacheKey)
+	}
+}
+
+// TestCompactionLaysFreshBase: a durable daemon under churn does not grow its
+// snapshot chain with its uptime. When the database compacts its log, the
+// next ingest replaces the chain with one base segment of the live records,
+// so the chain a restart replays stays within a small multiple of the
+// state's size however many observations went by — and replays to the
+// fingerprint the daemon last acknowledged.
+func TestCompactionLaysFreshBase(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	mustIngest(t, s, testRecords()) // 8 live records
+	var last IngestResponse
+	longest, bases := 0, 0
+	for i := 0; i < 200; i++ {
+		gen := s.snapMeta.Gen
+		last = mustIngest(t, s, WireRecords([]deps.Record{
+			deps.NewHardware("s1", "Disk", fmt.Sprintf("S1-disk-%d", i)),
+		}))
+		if s.snapMeta.Gen != gen {
+			bases++
+			if s.snapMeta.Segments != 1 {
+				t.Fatalf("flap %d: a fresh generation holds %d segments", i, s.snapMeta.Segments)
+			}
+		}
+		longest = max(longest, s.snapMeta.Segments)
+	}
+	if last.Total != 8 || !last.Durable {
+		t.Fatalf("after 200 flaps: %+v", last)
+	}
+	// Compaction runs once superseded entries outnumber the 8 live records;
+	// the base is written by the ingest after.
+	if longest > 12 || bases < 15 {
+		t.Fatalf("the chain reached %d segments and was re-based %d times over 200 flaps of an 8-record database", longest, bases)
+	}
+	gracefulShutdown(t, s)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2 := openStore(t, dir)
+	db, err := RestoreDB(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Fingerprint() != last.Fingerprint || db.Len() != 8 {
+		t.Fatalf("restart replayed to %s with %d records, want %s with 8", db.Fingerprint(), db.Len(), last.Fingerprint)
 	}
 }
 

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"indaas/internal/deps"
 	"indaas/internal/report"
 	"indaas/internal/sia"
 	"indaas/internal/watch"
@@ -151,17 +150,6 @@ func watchInterest(specs []sia.GraphSpec) watch.Interest {
 		in.Kinds = 0
 	}
 	return in
-}
-
-// notifyWatchers marks subscriptions touched by an ingested batch dirty.
-// Called by the ingest committer after the batch is live, before the
-// ingest is acknowledged; cost is O(batch).
-func (s *Server) notifyWatchers(records []deps.Record) {
-	touches := make([]watch.Touch, len(records))
-	for i, r := range records {
-		touches[i] = watch.Touch{Subject: r.Subject(), Kind: int(r.Kind)}
-	}
-	s.watchHub.Notify(touches)
 }
 
 // refreshLoop is a subscription's refresher: it sleeps until dirt

@@ -6,21 +6,40 @@
 // subject (the server a record is about) and kind, and can persist itself to
 // the Table 1 XML format.
 //
-// Long-running readers — concurrent audit jobs in particular — should not
-// hold the database's lock for the duration of a graph build. Snapshot
-// returns a registered immutable view over the append-only record log: the
-// view is a (generation, fingerprint) pair, so taking one costs O(1) no
-// matter how large the database has grown, and any number of snapshots of
-// different generations share the same storage. Snapshot queries briefly
-// read-lock the database per call (never across a graph build) and see only
-// the frozen prefix of the log.
+// The database IS its reduced state. Acquisition is continuous and
+// re-observes the same dependencies indefinitely, so a record is not an
+// event to be kept but a statement about one identity — a hardware slot of
+// a machine, a program on a host, one route between two endpoints. A
+// hardware or software record supersedes the previous record of its
+// identity; a route already on file, or any record equal to the live one,
+// is an exact re-observation and changes nothing: not the fingerprint, not
+// the registered snapshot, not Len. Len, Records, Encode, every query and
+// Diff speak of the live records only, in first-observation order of their
+// identities. Redundant routes between the same endpoints are distinct
+// routes and all live.
+//
+// Storage is an append-only log of the records that changed state, a
+// per-subject position index over it, and a map from identity to the log
+// position of its live record. Long-running readers — concurrent audit jobs
+// in particular — should not hold the database's lock for the duration of a
+// graph build: Snapshot returns a registered immutable view, a (log, length,
+// fingerprint) mark that costs O(1) to take, and any number of snapshots of
+// one log share its storage. Snapshot queries briefly read-lock the
+// database per call (never across a graph build) and see only the frozen
+// prefix. The log is one epoch of the database's life: when its superseded
+// entries outnumber the live ones, the next commit starts a fresh log
+// holding only the live records, so memory and query cost follow the size
+// of the current state, not the uptime. A snapshot pins the log it was taken
+// from and keeps answering from it.
 //
 // A snapshot carries a content Fingerprint, the canonical hash the audit
-// service uses to content-address cached results. The fingerprint is
-// maintained incrementally as records are inserted — a homomorphic multiset
-// hash over canonical record serializations — so appending a batch costs
-// O(batch), not O(database). Two snapshots can also be compared record-wise
-// with Diff, the primitive delta audits are built on.
+// service uses to content-address cached results. It commits to the reduced
+// state and nothing else — same live records, same fingerprint, whatever
+// order, repetition or compaction produced them — and is maintained
+// incrementally: a homomorphic set hash over canonical record
+// serializations from which a superseded record's digest is subtracted, so
+// a commit costs O(batch), not O(database). Two snapshots can also be
+// compared record-wise with Diff, the primitive delta audits are built on.
 package depdb
 
 import (
@@ -31,6 +50,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,65 +59,130 @@ import (
 )
 
 // Reader is the read side of a dependency database: what graph builders
-// need. Both *DB (live) and *Snapshot (frozen) implement it.
+// need. Both *DB (live) and *Snapshot (frozen) implement it. Every method
+// answers from the reduced state.
 type Reader interface {
-	// Query returns the records for subject of the given kind, in
-	// insertion order.
+	// Query returns the live records for subject of the given kind, in
+	// first-observation order of their identities.
 	Query(subject string, kind deps.Kind) []deps.Record
-	// QueryAll returns every record about subject, grouped network,
-	// hardware, software (each group in insertion order).
+	// QueryAll returns every live record about subject, grouped network,
+	// hardware, software.
 	QueryAll(subject string) []deps.Record
-	// Networks returns the current network state for subject: one record
-	// per distinct route, exact re-observations collapsed. Redundant routes
-	// between the same endpoints are distinct routes and all survive.
+	// Networks returns the network state for subject: one record per
+	// distinct route. Redundant routes between the same endpoints are
+	// distinct routes and all survive.
 	Networks(subject string) []deps.Network
-	// HardwareOf returns the current hardware state for subject: the latest
-	// record per slot (machine, component type), so a replaced component
-	// shows only its present model.
+	// HardwareOf returns the hardware state for subject: the latest record
+	// per slot (machine, component type), so a replaced component shows
+	// only its present model.
 	HardwareOf(subject string) []deps.Hardware
-	// SoftwareOf returns the current software state for subject: the latest
-	// record per program, so an upgrade shows only the new closure.
+	// SoftwareOf returns the software state for subject: the latest record
+	// per program, so an upgrade shows only the new closure.
 	SoftwareOf(subject string) []deps.Software
 	// Subjects returns every subject with at least one record, sorted.
 	Subjects() []string
-	// Len returns the number of stored records.
+	// Len returns the number of live records.
 	Len() int
 }
 
-// view is the shared read-only query core: an append-only record log plus a
-// per-subject, per-kind position index. Positions within a bucket are
-// strictly increasing, which lets a snapshot see the prefix of any bucket by
-// cutting at its generation's record count.
-type view struct {
-	records []deps.Record
-	// index[subject][kind] -> ascending positions into records
+// recLog is one epoch of the database: the records that changed state since
+// the log was started, in commit order, plus a per-subject, per-kind
+// position index. Positions within a bucket are strictly increasing, which
+// lets a snapshot see the prefix of any bucket by cutting at its length. A
+// log only grows; compaction starts a new one and leaves this one to the
+// snapshots that pin it.
+type recLog struct {
+	entries []entry
+	// index[subject][kind] -> ascending positions into entries
 	index map[string]map[deps.Kind][]int
 }
 
-// query returns the records for subject of the given kind among the first
-// limit log entries.
-func (v *view) query(subject string, kind deps.Kind, limit int) []deps.Record {
-	byKind, ok := v.index[subject]
-	if !ok {
-		return nil
+// entry is one logged record and the position of the entry it superseded
+// (-1 when it is the first observation of its identity in this log). An
+// identity's entries all share a subject and kind, so a chain of prev links
+// never leaves its index bucket.
+type entry struct {
+	rec  deps.Record
+	prev int
+}
+
+func newLog(subjects int) *recLog {
+	return &recLog{index: make(map[string]map[deps.Kind][]int, subjects)}
+}
+
+// append logs r as superseding the entry at prev and returns its position.
+func (l *recLog) append(r deps.Record, prev int) int {
+	pos := len(l.entries)
+	l.entries = append(l.entries, entry{rec: r, prev: prev})
+	subj := r.Subject()
+	byKind := l.index[subj]
+	if byKind == nil {
+		byKind = make(map[deps.Kind][]int)
+		l.index[subj] = byKind
 	}
-	positions := byKind[kind]
+	byKind[r.Kind] = append(byKind[r.Kind], pos)
+	return pos
+}
+
+// reduce folds n entries — those at positions, ascending, or the first n of
+// the log when positions is nil — to their live records: each identity once,
+// holding its latest record, in first-observation order. at[i] is where the
+// i-th visited entry's identity sits in the result; it is nil when nothing
+// was superseded and the result is the entries themselves.
+func (l *recLog) reduce(positions []int, n int) (out []deps.Record, at []int) {
+	out = make([]deps.Record, 0, n)
+	for i := 0; i < n; i++ {
+		p := i
+		if positions != nil {
+			p = positions[i]
+		}
+		e := &l.entries[p]
+		if e.prev < 0 {
+			if at != nil {
+				at[i] = len(out)
+			}
+			out = append(out, e.rec)
+			continue
+		}
+		if at == nil { // first supersession: every entry so far sits at its own rank
+			at = make([]int, n)
+			for j := 0; j < i; j++ {
+				at[j] = j
+			}
+		}
+		j := e.prev
+		if positions != nil {
+			j = sort.SearchInts(positions, e.prev)
+		}
+		at[i] = at[j]
+		out[at[i]] = e.rec
+	}
+	return out, at
+}
+
+// query returns the live records for subject of the given kind among the
+// first limit log entries.
+func (l *recLog) query(subject string, kind deps.Kind, limit int) []deps.Record {
+	positions := l.index[subject][kind]
 	cut := sort.SearchInts(positions, limit)
 	if cut == 0 {
 		return nil
 	}
-	out := make([]deps.Record, 0, cut)
-	for _, p := range positions[:cut] {
-		out = append(out, v.records[p])
-	}
+	out, _ := l.reduce(positions[:cut], cut)
+	return out
+}
+
+// records returns the live records among the first limit log entries.
+func (l *recLog) records(limit int) []deps.Record {
+	out, _ := l.reduce(nil, limit)
 	return out
 }
 
 // subjects returns the subjects with at least one record among the first
 // limit log entries, sorted.
-func (v *view) subjects(limit int) []string {
-	out := make([]string, 0, len(v.index))
-	for s, byKind := range v.index {
+func (l *recLog) subjects(limit int) []string {
+	out := make([]string, 0, len(l.index))
+	for s, byKind := range l.index {
 		for _, positions := range byKind {
 			if len(positions) > 0 && positions[0] < limit {
 				out = append(out, s)
@@ -109,43 +194,77 @@ func (v *view) subjects(limit int) []string {
 	return out
 }
 
+// digest is one record's contribution to the fingerprint: 2048 bits, four
+// domain-separated SHA-512s over its canonical line, as little-endian limbs.
+type digest [fpLimbs]uint64
+
+const fpLimbs = 32
+
+func digestOf(line string) (d digest) {
+	var stack [160]byte
+	buf := append(append(stack[:0], 0), line...)
+	for block := 0; block < 4; block++ {
+		buf[0] = byte(block)
+		h := sha512.Sum512(buf)
+		for i := 0; i < 8; i++ {
+			d[block*8+i] = binary.LittleEndian.Uint64(h[i*8:])
+		}
+	}
+	return d
+}
+
 // fpSum is the incrementally-maintained fingerprint state: a 2048-bit
-// homomorphic multiset hash (the wrapping sum of per-record digests,
-// AdHash-style) plus the record count. Insertion order cannot matter
-// because addition commutes; appending one record costs four SHA-512s over
-// its canonical line, O(1) regardless of database size. The state is 2048
-// bits — not one hash block — because additive multiset hashes at small
-// moduli fall to Wagner's generalized-birthday attack (AdHash wants a
+// homomorphic set hash (the wrapping sum of the live records' digests,
+// AdHash-style) plus the live-record count. Insertion order cannot matter
+// because addition commutes, and a superseded record leaves no trace
+// because wrapping subtraction is addition's exact inverse; a record costs
+// four SHA-512s over its canonical line, O(1) regardless of database size.
+// The state is 2048 bits — not one hash block — because additive hashes at
+// small moduli fall to Wagner's generalized-birthday attack (AdHash wants a
 // modulus well past 1600 bits for a comfortable margin); an ingest client
 // must not be able to craft a batch whose digest sum collides and thereby
 // alias a changed database to stale content-addressed results.
 type fpSum struct {
 	count uint64
-	limbs [fpLimbs]uint64 // little-endian 2048-bit accumulator
+	limbs digest // little-endian 2048-bit accumulator
 }
 
-const fpLimbs = 32
-
-// add folds one canonical record line into the sum. The record's 2048-bit
-// digest is four domain-separated SHA-512s over the line.
-func (s *fpSum) add(line string) {
-	buf := make([]byte, 1+len(line))
-	copy(buf[1:], line)
+// add folds one live record's digest into the sum.
+func (s *fpSum) add(d *digest) {
 	var carry uint64
-	limb := 0
-	for block := byte(0); block < 4; block++ {
-		buf[0] = block
-		h := sha512.Sum512(buf)
-		for i := 0; i < 8; i++ {
-			s.limbs[limb], carry = bits.Add64(s.limbs[limb], binary.LittleEndian.Uint64(h[i*8:]), carry)
-			limb++
-		}
+	for i := range s.limbs {
+		s.limbs[i], carry = bits.Add64(s.limbs[i], d[i], carry)
 	}
 	s.count++
 }
 
-// fingerprint renders the canonical content hash of the accumulated multiset.
-func (s fpSum) fingerprint() string {
+// sub takes a superseded record's digest back out: add's inverse.
+func (s *fpSum) sub(d *digest) {
+	var borrow uint64
+	for i := range s.limbs {
+		s.limbs[i], borrow = bits.Sub64(s.limbs[i], d[i], borrow)
+	}
+	s.count--
+}
+
+// replace makes the record whose digest is d the live record under a key
+// whose live record's digest was old; onFile says whether it had one. A
+// route on file keeps no digest: nothing but the same route shares its key.
+// It reports whether anything changed: an exact re-observation leaves the
+// sum alone.
+func (s *fpSum) replace(old *digest, onFile bool, d *digest) bool {
+	if onFile {
+		if old == nil || *old == *d {
+			return false
+		}
+		s.sub(old)
+	}
+	s.add(d)
+	return true
+}
+
+// fingerprint renders the canonical content hash of the accumulated set.
+func (s *fpSum) fingerprint() string {
 	var buf [len(fpDomain) + 8 + fpLimbs*8]byte
 	copy(buf[:], fpDomain)
 	binary.BigEndian.PutUint64(buf[len(fpDomain):], s.count)
@@ -156,110 +275,187 @@ func (s fpSum) fingerprint() string {
 	return hex.EncodeToString(h[:])
 }
 
-// fpDomain separates the fingerprint hash domain from raw record hashes.
-const fpDomain = "indaas/depdb/fingerprint/v2\n"
+// fpDomain separates the fingerprint hash domain from raw record hashes. v3
+// commits to the reduced state; v2 committed to the multiset of every
+// observation ever made, so no v2 fingerprint names the same thing.
+const fpDomain = "indaas/depdb/fingerprint/v3\n"
+
+// FingerprintVersion is the generation of the fingerprint algorithm (the
+// number in its hash domain). Whoever stores a fingerprint stores this
+// beside it, and re-addresses what it stored when the two disagree.
+const FingerprintVersion = 3
+
+// deadPerLive is when a log is compacted: as soon as its superseded entries
+// outnumber the live records by more than this factor.
+const deadPerLive = 1
 
 // DB is an in-memory dependency database with per-subject, per-kind indexes.
 // The zero value is not usable; call New.
 type DB struct {
 	mu   sync.RWMutex
-	v    view
-	sum  fpSum
-	snap *Snapshot // registered snapshot; nil after a write
+	log  *recLog
+	live map[identity]liveRec
+	// digests holds, for every hardware and software identity, the digest of
+	// its live record: what an exact re-observation is recognized by and what
+	// a superseding record takes back out of the sum, without rehashing.
+	digests []digest
+	dead    int // superseded entries in log
+	sum     fpSum
+	snap    *Snapshot // registered snapshot; nil after a state change
+
+	deadPerLive int // the constant, except in tests
+}
+
+// liveRec locates the live record of a liveKey: its position in the current
+// log and its slot in DB.digests (-1 for a route).
+type liveRec struct {
+	pos, digest int
 }
 
 // New returns an empty database.
 func New() *DB {
-	return &DB{v: view{index: make(map[string]map[deps.Kind][]int)}}
+	return &DB{log: newLog(0), live: make(map[identity]liveRec), deadPerLive: deadPerLive}
 }
 
-// merge folds another sum into s: one 2048-bit wrapping addition, the same
-// arithmetic add applies per record, so summing a batch apart and merging it
-// equals adding its records one by one.
-func (s *fpSum) merge(o *fpSum) {
-	var carry uint64
-	for i := range s.limbs {
-		s.limbs[i], carry = bits.Add64(s.limbs[i], o.limbs[i], carry)
-	}
-	s.count += o.count
-}
-
-// Batch is a validated set of records staged for insertion, with its
-// contribution to the fingerprint — the sum of its records' digests —
-// already hashed. The multiset hash is additive, so the contribution does
-// not depend on the database the batch lands in: FingerprintWith previews it
-// and PutBatch commits it without hashing any record a second time.
+// Batch is a validated set of records staged for insertion: each record's
+// live key and digest are built once, independent of the database the batch
+// lands in. FingerprintWith previews the batch against current state and
+// PutBatch commits it without serializing or hashing any of its records a
+// second time.
 type Batch struct {
 	records []deps.Record
-	sum     fpSum
+	staged  []staged // parallel to records
+}
+
+type staged struct {
+	key    identity
+	digest digest
 }
 
 // NewBatch validates records and hashes each one once. Either every record
 // is valid or no batch is returned.
 func NewBatch(records ...deps.Record) (*Batch, error) {
-	sum, err := stage(records)
+	b, err := stage(records)
 	if err != nil {
 		return nil, err
 	}
-	return &Batch{records: records, sum: sum}, nil
+	return &b, nil
 }
 
-// stage validates records and sums their digests.
-func stage(records []deps.Record) (fpSum, error) {
-	var sum fpSum
+// stage validates records and builds their keys and digests.
+func stage(records []deps.Record) (Batch, error) {
+	b := Batch{records: records, staged: make([]staged, len(records))}
 	for i, r := range records {
 		if err := r.Validate(); err != nil {
-			return fpSum{}, fmt.Errorf("depdb: record %d: %w", i, err)
+			return Batch{}, fmt.Errorf("depdb: record %d: %w", i, err)
 		}
-		sum.add(canonicalLine(r))
+		line := canonicalLine(r)
+		b.staged[i] = staged{key: liveKey(r, line), digest: digestOf(line)}
 	}
-	return sum, nil
+	return b, nil
 }
 
 // Records returns the batch's records in insertion order (not a copy).
 func (b *Batch) Records() []deps.Record { return b.records }
 
 // Put validates and stores records. Either all records are stored or none.
-// Any registered snapshot is invalidated; snapshots taken earlier keep
-// serving their frozen prefix of the log.
+// Unless every record is an exact re-observation, the registered snapshot
+// is invalidated; snapshots taken earlier keep serving their frozen view.
 func (db *DB) Put(records ...deps.Record) error {
-	sum, err := stage(records)
+	b, err := stage(records)
 	if err != nil {
 		return err
 	}
-	db.commit(records, &sum)
+	db.PutBatch(&b)
 	return nil
 }
 
-// PutBatch stores a staged batch: Put without the validation and hashing
-// NewBatch already did.
-func (db *DB) PutBatch(b *Batch) { db.commit(b.records, &b.sum) }
+// liveKey names which live record r, whose canonical line is line, competes
+// with: the one of its identity for hardware and software, which a new record
+// supersedes, and for a route only the identical route, which it re-observes.
+func liveKey(r deps.Record, line string) identity {
+	if r.Kind == deps.KindNetwork {
+		return identity{kind: r.Kind, a: line}
+	}
+	return identityOf(r)
+}
 
-// commit appends validated records, whose digests sum to sum, to the log.
-func (db *DB) commit(records []deps.Record, sum *fpSum) {
+// onFile returns the record live under key, if there is one, and its digest
+// (nil for a route).
+func (db *DB) onFile(key identity) (lr liveRec, old *digest, ok bool) {
+	lr, ok = db.live[key]
+	if ok && lr.digest >= 0 {
+		old = &db.digests[lr.digest]
+	}
+	return lr, old, ok
+}
+
+// PutBatch stores a staged batch — Put without the validation and hashing
+// NewBatch already did — and returns the indices, ascending, of the records
+// that changed the database's state. Exact re-observations are not among
+// them; when there are no others, nothing happened: the fingerprint, Len
+// and the registered snapshot are what they were.
+func (db *DB) PutBatch(b *Batch) (changed []int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.snap = nil
-	for _, r := range records {
-		pos := len(db.v.records)
-		db.v.records = append(db.v.records, r)
-		subj := r.Subject()
-		byKind := db.v.index[subj]
-		if byKind == nil {
-			byKind = make(map[deps.Kind][]int)
-			db.v.index[subj] = byKind
+	for i, r := range b.records {
+		st := &b.staged[i]
+		lr, old, onFile := db.onFile(st.key)
+		if !db.sum.replace(old, onFile, &st.digest) {
+			continue
 		}
-		byKind[r.Kind] = append(byKind[r.Kind], pos)
+		if changed == nil {
+			changed = make([]int, 0, len(b.records)-i)
+			db.log.entries = slices.Grow(db.log.entries, len(b.records)-i)
+		}
+		changed = append(changed, i)
+		switch {
+		case onFile:
+			*old = st.digest
+			lr.pos = db.log.append(r, lr.pos)
+			db.dead++
+		case r.Kind == deps.KindNetwork:
+			lr = liveRec{pos: db.log.append(r, -1), digest: -1}
+		default:
+			lr = liveRec{pos: db.log.append(r, -1), digest: len(db.digests)}
+			db.digests = append(db.digests, st.digest)
+		}
+		db.live[st.key] = lr
 	}
-	db.sum.merge(sum)
+	if changed == nil {
+		return nil
+	}
+	db.snap = nil
+	if db.dead > db.deadPerLive*len(db.live) {
+		db.compact()
+	}
+	return changed
+}
+
+// compact starts a fresh log holding only the live records, in the
+// first-observation order the old log gave their identities, so every query
+// answers as before. Caller holds the write lock.
+func (db *DB) compact() {
+	old := db.log
+	live, at := old.reduce(nil, len(old.entries))
+	db.log = newLog(len(old.index))
+	db.log.entries = make([]entry, 0, len(live))
+	for _, r := range live {
+		db.log.append(r, -1)
+	}
+	for key, lr := range db.live {
+		lr.pos = at[lr.pos]
+		db.live[key] = lr
+	}
+	db.dead = 0
 }
 
 // Snapshot returns the registered immutable view of the database's current
-// contents. The snapshot is built at most once per write generation: calls
-// between two Puts return the identical *Snapshot, so concurrent audit jobs
-// share one frozen view (and one Fingerprint). Creating it is O(1) — the
-// snapshot is a generation mark over the append-only log, not a copy — and
-// it stays valid, and unchanged, after later Puts.
+// contents. The snapshot is built at most once per state change: calls
+// between two changes return the identical *Snapshot, so concurrent audit
+// jobs share one frozen view (and one Fingerprint). Creating it is O(1) — the
+// snapshot is a length mark over the current log, not a copy — and it stays
+// valid, and unchanged, after later Puts.
 func (db *DB) Snapshot() *Snapshot {
 	db.mu.RLock()
 	s := db.snap
@@ -270,7 +466,7 @@ func (db *DB) Snapshot() *Snapshot {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.snap == nil {
-		db.snap = &Snapshot{db: db, limit: len(db.v.records), fp: db.sum.fingerprint()}
+		db.snap = &Snapshot{db: db, log: db.log, limit: len(db.log.entries), n: len(db.live), fp: db.sum.fingerprint()}
 	}
 	return db.snap
 }
@@ -283,68 +479,87 @@ func (db *DB) Fingerprint() string {
 
 // FingerprintWith returns the fingerprint the database would have after
 // PutBatch(b), without modifying anything — the audit service uses it to
-// persist an ingest's outcome before committing the ingest. Cost is O(1):
-// the batch's digests were summed when it was staged.
+// persist an ingest's outcome before committing the ingest. It runs the
+// reduction PutBatch would, over the digests the batch and the database
+// already hold: O(batch) arithmetic, nothing hashed.
 func (db *DB) FingerprintWith(b *Batch) string {
 	db.mu.RLock()
+	defer db.mu.RUnlock()
 	sum := db.sum
-	db.mu.RUnlock()
-	sum.merge(&b.sum)
+	var pending map[identity]*digest // live key -> digest of the batch record that will be live under it
+	for i := range b.staged {
+		st := &b.staged[i]
+		old, onFile := pending[st.key]
+		if !onFile {
+			_, old, onFile = db.onFile(st.key)
+		}
+		if sum.replace(old, onFile, &st.digest) {
+			if pending == nil {
+				pending = make(map[identity]*digest, len(b.staged)-i)
+			}
+			pending[st.key] = &st.digest
+		}
+	}
 	return sum.fingerprint()
 }
 
-// Len returns the number of stored records.
+// Len returns the number of live records.
 func (db *DB) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return len(db.v.records)
+	return len(db.live)
 }
 
 // Subjects returns every subject that has at least one record, sorted.
 func (db *DB) Subjects() []string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.v.subjects(len(db.v.records))
+	return db.log.subjects(len(db.log.entries))
 }
 
-// Query returns the records for subject of the given kind, in insertion
-// order. The returned slice is a copy.
+// Query returns the live records for subject of the given kind; see Reader.
+// The returned slice is a copy.
 func (db *DB) Query(subject string, kind deps.Kind) []deps.Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.v.query(subject, kind, len(db.v.records))
+	return db.log.query(subject, kind, len(db.log.entries))
 }
 
-// QueryAll returns every record about subject, grouped network, hardware,
-// software (each group in insertion order).
+// QueryAll returns every live record about subject, grouped network,
+// hardware, software.
 func (db *DB) QueryAll(subject string) []deps.Record {
+	return queryAll(db, subject)
+}
+
+func queryAll(r Reader, subject string) []deps.Record {
 	var out []deps.Record
 	for _, k := range []deps.Kind{deps.KindNetwork, deps.KindHardware, deps.KindSoftware} {
-		out = append(out, db.Query(subject, k)...)
+		out = append(out, r.Query(subject, k)...)
 	}
 	return out
 }
 
-// Records returns a copy of every stored record in insertion order.
+// Records returns a copy of every live record, in first-observation order of
+// their identities.
 func (db *DB) Records() []deps.Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return append([]deps.Record(nil), db.v.records...)
+	return db.log.records(len(db.log.entries))
 }
 
-// Networks returns the current network state for subject; see Reader.
+// Networks returns the network state for subject; see Reader.
 func (db *DB) Networks(subject string) []deps.Network {
-	return unwrapNetworks(db.Query(subject, deps.KindNetwork))
+	return networks(db.Query(subject, deps.KindNetwork))
 }
 
-// HardwareOf returns the current hardware state for subject; see Reader.
+// HardwareOf returns the hardware state for subject; see Reader.
 func (db *DB) HardwareOf(subject string) []deps.Hardware {
-	return unwrapHardware(db.Query(subject, deps.KindHardware))
+	return hardware(db.Query(subject, deps.KindHardware))
 }
 
-// SoftwareOf returns the current software state for subject; see Reader.
+// SoftwareOf returns the software state for subject; see Reader.
 func (db *DB) SoftwareOf(subject string) []deps.Software {
-	return unwrapSoftware(db.Query(subject, deps.KindSoftware))
+	return software(db.Query(subject, deps.KindSoftware))
 }
 
 // WriteXML persists the whole database in the Table 1 XML format.
@@ -352,8 +567,8 @@ func (db *DB) WriteXML(w io.Writer) error {
 	return deps.EncodeXML(w, db.Records())
 }
 
-// ReadXML loads records from the Table 1 XML format into the database,
-// appending to any existing content.
+// ReadXML loads records from the Table 1 XML format into the database, on
+// top of any existing content.
 func (db *DB) ReadXML(r io.Reader) error {
 	records, err := deps.DecodeXML(r)
 	if err != nil {
@@ -362,74 +577,75 @@ func (db *DB) ReadXML(r io.Reader) error {
 	return db.Put(records...)
 }
 
-// Snapshot is an immutable point-in-time view of a DB: the prefix of the
-// database's append-only record log that existed when the snapshot was
-// taken. Queries read-lock the owning database briefly per call — never for
+// Snapshot is an immutable point-in-time view of a DB: the prefix of one of
+// the database's logs that existed when the snapshot was taken, which it
+// pins. Queries read-lock the owning database briefly per call — never for
 // the duration of a graph build — so audit jobs and writers make progress
 // together while the snapshot's contents stay frozen.
 type Snapshot struct {
 	db    *DB
-	limit int // the snapshot sees records[:limit]
+	log   *recLog
+	limit int // the snapshot sees log.entries[:limit]
+	n     int // live records among them
 	fp    string
 }
 
 // Fingerprint returns the snapshot's canonical content hash: a SHA-256
-// commitment to the multiset of its records' canonical serializations,
-// hex-encoded. Two databases loaded with the same records in any insertion
-// order have equal fingerprints, which is what makes the hash usable as a
+// commitment to the set of its live records' canonical serializations,
+// hex-encoded. Two databases holding the same live records have equal
+// fingerprints however they came to hold them — any insertion order, any
+// number of re-observations, any superseded history — and databases whose
+// live records differ do not, which is what makes the hash usable as a
 // content-address for cached audit results.
 func (s *Snapshot) Fingerprint() string { return s.fp }
 
-// Len returns the number of records in the snapshot.
-func (s *Snapshot) Len() int { return s.limit }
+// Len returns the number of live records in the snapshot.
+func (s *Snapshot) Len() int { return s.n }
 
-// Extends reports whether s is the same or a later generation of the
-// database o was taken from. o's records are then a prefix of s's, so
-// o.Diff(s) is exactly the log suffix ingested in between — and a snapshot
-// that o itself extends diffs against s to a superset of that suffix.
-func (s *Snapshot) Extends(o *Snapshot) bool { return s.db == o.db && s.limit >= o.limit }
+// Extends reports whether s is the same or a later generation of the log o
+// was taken from. o.Diff(s) then costs only the entries logged in between —
+// and a snapshot that o itself extends diffs against s to a superset of
+// them. It is false across a compaction: the two then compare as unrelated
+// databases do, state against state.
+func (s *Snapshot) Extends(o *Snapshot) bool { return s.log == o.log && s.limit >= o.limit }
 
 // Subjects returns every subject with at least one record, sorted.
 func (s *Snapshot) Subjects() []string {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	return s.db.v.subjects(s.limit)
+	return s.log.subjects(s.limit)
 }
 
-// Query returns the records for subject of the given kind, in insertion
-// order.
+// Query returns the live records for subject of the given kind; see Reader.
 func (s *Snapshot) Query(subject string, kind deps.Kind) []deps.Record {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	return s.db.v.query(subject, kind, s.limit)
+	return s.log.query(subject, kind, s.limit)
 }
 
-// QueryAll returns every record about subject, grouped network, hardware,
-// software.
+// QueryAll returns every live record about subject, grouped network,
+// hardware, software.
 func (s *Snapshot) QueryAll(subject string) []deps.Record {
-	var out []deps.Record
-	for _, k := range []deps.Kind{deps.KindNetwork, deps.KindHardware, deps.KindSoftware} {
-		out = append(out, s.Query(subject, k)...)
-	}
-	return out
+	return queryAll(s, subject)
 }
 
-// Records returns a copy of every record in insertion order.
+// Records returns a copy of every live record, in first-observation order of
+// their identities.
 func (s *Snapshot) Records() []deps.Record {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
-	return append([]deps.Record(nil), s.db.v.records[:s.limit]...)
+	return s.log.records(s.limit)
 }
 
-// Encode writes the snapshot's records in the canonical Table 1 XML format,
-// the durable form the audit service's disk store persists. DecodeSnapshot
-// reverses it; the round-trip preserves the Fingerprint.
+// Encode writes the snapshot's live records in the canonical Table 1 XML
+// format, the durable form the audit service's disk store persists.
+// DecodeSnapshot reverses it; the round-trip preserves the Fingerprint.
 func (s *Snapshot) Encode(w io.Writer) error {
 	return deps.EncodeXML(w, s.Records())
 }
 
 // DecodeDB reconstructs a mutable database from Encode's output — the form
-// a restarted daemon wants, since later ingests keep appending to it.
+// a restarted daemon wants, since later ingests keep landing in it.
 func DecodeDB(r io.Reader) (*DB, error) {
 	records, err := deps.DecodeXML(r)
 	if err != nil {
@@ -454,72 +670,47 @@ func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
 	return db.Snapshot(), nil
 }
 
-// Networks returns the current network state for subject; see Reader.
+// Networks returns the network state for subject; see Reader.
 func (s *Snapshot) Networks(subject string) []deps.Network {
-	return unwrapNetworks(s.Query(subject, deps.KindNetwork))
+	return networks(s.Query(subject, deps.KindNetwork))
 }
 
-// HardwareOf returns the current hardware state for subject; see Reader.
+// HardwareOf returns the hardware state for subject; see Reader.
 func (s *Snapshot) HardwareOf(subject string) []deps.Hardware {
-	return unwrapHardware(s.Query(subject, deps.KindHardware))
+	return hardware(s.Query(subject, deps.KindHardware))
 }
 
-// SoftwareOf returns the current software state for subject; see Reader.
+// SoftwareOf returns the software state for subject; see Reader.
 func (s *Snapshot) SoftwareOf(subject string) []deps.Software {
-	return unwrapSoftware(s.Query(subject, deps.KindSoftware))
+	return software(s.Query(subject, deps.KindSoftware))
 }
 
-// The unwrap helpers reduce a subject's insertion-ordered record log to its
-// current state. The log is append-only — continuous acquisition re-observes
-// the same dependencies indefinitely — so raw pass-through would hand graph
-// builders every observation ever made: duplicate fault-graph events at
-// best, an unboundedly growing graph at worst. Hardware and software reduce
-// latest-wins per identity (a record supersedes the previous observation of
-// the same slot or program); networks collapse exact re-observations only,
-// because redundant routes between the same endpoints share an identity and
-// must all survive. Order is first observation of each identity, so churn
-// does not reshuffle graph layout.
+// The typed accessors unwrap a query's records, which are already the
+// subject's current state: hardware and software reduce latest-wins per
+// identity, networks hold each distinct route once (redundant routes between
+// the same endpoints share an identity and all survive). Order is first
+// observation of each identity, so churn does not reshuffle graph layout.
 
-func unwrapNetworks(recs []deps.Record) []deps.Network {
-	seen := make(map[string]bool, len(recs))
-	out := make([]deps.Network, 0, len(recs))
-	for _, r := range recs {
-		line := canonicalLine(r)
-		if seen[line] {
-			continue
-		}
-		seen[line] = true
-		out = append(out, *r.Network)
+func networks(recs []deps.Record) []deps.Network {
+	out := make([]deps.Network, len(recs))
+	for i, r := range recs {
+		out[i] = *r.Network
 	}
 	return out
 }
 
-func unwrapHardware(recs []deps.Record) []deps.Hardware {
-	at := make(map[string]int, len(recs))
-	out := make([]deps.Hardware, 0, len(recs))
-	for _, r := range recs {
-		id := identityKey(r)
-		if i, ok := at[id]; ok {
-			out[i] = *r.Hardware
-			continue
-		}
-		at[id] = len(out)
-		out = append(out, *r.Hardware)
+func hardware(recs []deps.Record) []deps.Hardware {
+	out := make([]deps.Hardware, len(recs))
+	for i, r := range recs {
+		out[i] = *r.Hardware
 	}
 	return out
 }
 
-func unwrapSoftware(recs []deps.Record) []deps.Software {
-	at := make(map[string]int, len(recs))
-	out := make([]deps.Software, 0, len(recs))
-	for _, r := range recs {
-		id := identityKey(r)
-		if i, ok := at[id]; ok {
-			out[i] = *r.Software
-			continue
-		}
-		at[id] = len(out)
-		out = append(out, *r.Software)
+func software(recs []deps.Record) []deps.Software {
+	out := make([]deps.Software, len(recs))
+	for i, r := range recs {
+		out[i] = *r.Software
 	}
 	return out
 }

@@ -197,14 +197,25 @@ func TestConcurrentAccess(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if db.Len() != 8*50 {
-		t.Errorf("Len = %d, want %d", db.Len(), 8*50)
+	// Each goroutine observed its own CPU slot fifty times over: eight live
+	// records, and the state eight single observations produce.
+	if db.Len() != 8 {
+		t.Errorf("Len = %d, want 8: re-observations must not accumulate", db.Len())
+	}
+	once := New()
+	for i := 0; i < 8; i++ {
+		if err := once.Put(deps.NewHardware("S"+string(rune('A'+i)), "CPU", "m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.Fingerprint() != once.Fingerprint() {
+		t.Error("fifty observations of each record fingerprint differently from one")
 	}
 }
 
-// TestCurrentStateViews: the unwrapped accessors reduce the append-only log
-// to current state. Continuous acquisition re-observes dependencies forever;
-// graph builders must see one event per component, not one per observation.
+// TestCurrentStateViews: the database holds current state. Continuous
+// acquisition re-observes dependencies forever; graph builders must see one
+// event per component, not one per observation.
 func TestCurrentStateViews(t *testing.T) {
 	db := New()
 	err := db.Put(
@@ -253,8 +264,12 @@ func TestCurrentStateViews(t *testing.T) {
 		t.Errorf("snapshot views disagree: hw=%v sw=%v net=%v",
 			s.HardwareOf("S1"), s.SoftwareOf("S1"), s.Networks("S1"))
 	}
-	// The raw log is untouched: Query still returns every observation.
-	if got := len(db.Query("S1", deps.KindHardware)); got != 4 {
-		t.Errorf("raw hardware log has %d records, want 4", got)
+	// Query, Len and Records speak of the same state, not of the nine
+	// observations that led to it.
+	if got := len(db.Query("S1", deps.KindHardware)); got != 2 {
+		t.Errorf("Query(hardware) = %d records, want the 2 live ones", got)
+	}
+	if db.Len() != 5 || len(db.Records()) != 5 || s.Len() != 5 {
+		t.Errorf("Len = %d, Records = %d, snapshot Len = %d, want 5 live records", db.Len(), len(db.Records()), s.Len())
 	}
 }

@@ -13,19 +13,20 @@ type RecordChange struct {
 	Old, New deps.Record
 }
 
-// Diff is the canonical difference between two snapshots: the records one
-// must add to and remove from the receiver to obtain the argument. Records
-// sharing an identity on both sides are reported as Changed instead. The
-// diff is order-independent — it compares record multisets, not insertion
-// logs — and its slices are sorted canonically, so two equal-content
-// snapshot pairs always diff identically.
+// Diff is the canonical difference between two snapshots' reduced states:
+// the live records one must add to and remove from the receiver to obtain
+// the argument. Records sharing an identity on both sides are reported as
+// Changed instead. The diff depends on the two states only — not on
+// insertion order, superseded history, or whether the snapshots share a log
+// — and its slices are sorted canonically (Changed by its New record), so
+// two equal-content snapshot pairs always diff identically.
 type Diff struct {
 	Added   []deps.Record
 	Removed []deps.Record
 	Changed []RecordChange
 }
 
-// Empty reports whether the two snapshots hold identical record multisets.
+// Empty reports whether the two snapshots hold identical live records.
 func (d Diff) Empty() bool {
 	return len(d.Added) == 0 && len(d.Removed) == 0 && len(d.Changed) == 0
 }
@@ -58,63 +59,85 @@ func (d Diff) Subjects() []string {
 }
 
 // Diff computes the canonical difference from snapshot a to snapshot b: the
-// records to add and remove so a's multiset becomes b's. Snapshots of the
-// same database short-circuit — the younger generation's log suffix IS the
-// diff: it is copied and sorted canonically with one key built per record,
-// so the ingest-then-re-audit case costs O(n) allocations and O(n log n)
-// string compares in the n records ingested between the two, independent of
-// database size — while snapshots of unrelated databases compare full
-// multisets.
+// live records to add, remove and change so a's state becomes b's.
+// Snapshots of one log short-circuit — only identities with an entry in the
+// log suffix between the two can differ, so the ingest-then-re-audit case
+// costs O(n) allocations and O(n log n) string compares in the n entries
+// logged between them, independent of database size — while snapshots
+// separated by a compaction, or of unrelated databases, compare their full
+// states. Both routes give the same answer.
 func (a *Snapshot) Diff(b *Snapshot) Diff {
-	if a.db == b.db {
-		lo, hi := a.limit, b.limit
-		removed := false
-		if lo > hi {
-			lo, hi = hi, lo
-			removed = true
-		}
-		a.db.mu.RLock()
-		suffix := append([]deps.Record(nil), a.db.v.records[lo:hi]...)
-		a.db.mu.RUnlock()
-		sortCanonically(suffix)
-		if removed {
-			return Diff{Removed: suffix}
-		}
-		return Diff{Added: suffix}
-	}
-
-	// Cross-database: compare record multisets by canonical line.
-	type slot struct {
-		count int // b occurrences minus a occurrences
-		rec   deps.Record
-	}
-	counts := make(map[string]*slot)
-	for _, r := range b.Records() {
-		line := canonicalLine(r)
-		s := counts[line]
-		if s == nil {
-			s = &slot{rec: r}
-			counts[line] = s
-		}
-		s.count++
-	}
-	for _, r := range a.Records() {
-		line := canonicalLine(r)
-		s := counts[line]
-		if s == nil {
-			s = &slot{rec: r}
-			counts[line] = s
-		}
-		s.count--
+	if a.log != b.log {
+		return diffStates(a.Records(), b.Records())
 	}
 	var d Diff
-	for _, s := range counts {
-		for i := 0; i < s.count; i++ {
-			d.Added = append(d.Added, s.rec)
+	if a.limit <= b.limit {
+		d = a.diffSuffix(b.limit)
+	} else { // backwards: what b's successor a added, a.Diff(b) removes
+		d = b.diffSuffix(a.limit)
+		d.Added, d.Removed = nil, d.Added
+		for i, c := range d.Changed {
+			d.Changed[i] = RecordChange{Old: c.New, New: c.Old}
 		}
-		for i := 0; i < -s.count; i++ {
-			d.Removed = append(d.Removed, s.rec)
+	}
+	sortCanonically(d.Added)
+	sortCanonically(d.Removed)
+	d.sortChanged()
+	return d
+}
+
+// diffSuffix diffs s against the later generation of its own log that ends
+// at hi, unsorted. Nothing is ever removed going forward: an identity first
+// logged in the suffix was added, one logged before it and again inside it
+// changed — unless the suffix brought it back to where it was.
+func (s *Snapshot) diffSuffix(hi int) Diff {
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	lo, entries := s.limit, s.log.entries
+	superseded := make([]bool, hi-lo) // suffix entries that a later suffix entry replaced
+	for _, e := range entries[lo:hi] {
+		if e.prev >= lo {
+			superseded[e.prev-lo] = true
 		}
+	}
+	var d Diff
+	for p := lo; p < hi; p++ {
+		if superseded[p-lo] {
+			continue
+		}
+		now := entries[p]
+		was := now.prev
+		for was >= lo {
+			was = entries[was].prev
+		}
+		if was < 0 {
+			d.Added = append(d.Added, now.rec)
+		} else if old := entries[was].rec; canonicalLine(old) != canonicalLine(now.rec) {
+			d.Changed = append(d.Changed, RecordChange{Old: old, New: now.rec})
+		}
+	}
+	return d
+}
+
+// diffStates compares two reduced states by canonical line; within one
+// state every line is distinct. Added and removed records that share an
+// identity pair up as changes.
+func diffStates(a, b []deps.Record) Diff {
+	unmatched := make(map[string]int, len(a)) // line -> index in a
+	for i, r := range a {
+		unmatched[canonicalLine(r)] = i
+	}
+	var d Diff
+	for _, r := range b {
+		line := canonicalLine(r)
+		if _, ok := unmatched[line]; ok {
+			delete(unmatched, line)
+			continue
+		}
+		d.Added = append(d.Added, r)
+	}
+	for _, i := range unmatched {
+		d.Removed = append(d.Removed, a[i])
 	}
 	sortCanonically(d.Added)
 	sortCanonically(d.Removed)
@@ -129,15 +152,15 @@ func (d *Diff) pairChanged() {
 	if len(d.Added) == 0 || len(d.Removed) == 0 {
 		return
 	}
-	removedByID := make(map[string][]int, len(d.Removed))
+	removedByID := make(map[identity][]int, len(d.Removed))
 	for i, r := range d.Removed {
-		id := identityKey(r)
+		id := identityOf(r)
 		removedByID[id] = append(removedByID[id], i)
 	}
 	consumedRemoved := make([]bool, len(d.Removed))
 	var added []deps.Record
 	for _, r := range d.Added {
-		id := identityKey(r)
+		id := identityOf(r)
 		if idxs := removedByID[id]; len(idxs) > 0 {
 			old := d.Removed[idxs[0]]
 			consumedRemoved[idxs[0]] = true
@@ -156,20 +179,24 @@ func (d *Diff) pairChanged() {
 	d.Added, d.Removed = added, removed
 }
 
-// identityKey names what a record is *about*, content aside: a route between
+// identity names what a record is *about*, content aside: a route between
 // two endpoints, a hardware slot of a machine, a program on a host. Two
 // records with equal identity but different content constitute a change.
-func identityKey(r deps.Record) string {
-	const fs = "\x1f"
+type identity struct {
+	kind deps.Kind
+	a, b string
+}
+
+func identityOf(r deps.Record) identity {
 	switch r.Kind {
 	case deps.KindNetwork:
-		return "net" + fs + r.Network.Src + fs + r.Network.Dst
+		return identity{r.Kind, r.Network.Src, r.Network.Dst}
 	case deps.KindHardware:
-		return "hw" + fs + r.Hardware.HW + fs + r.Hardware.Type
+		return identity{r.Kind, r.Hardware.HW, r.Hardware.Type}
 	case deps.KindSoftware:
-		return "sw" + fs + r.Software.Pgm + fs + r.Software.HW
+		return identity{r.Kind, r.Software.Pgm, r.Software.HW}
 	default:
-		return canonicalLine(r)
+		return identity{kind: r.Kind, a: canonicalLine(r)}
 	}
 }
 
@@ -184,18 +211,31 @@ func sortCanonically(records []deps.Record) {
 	for i, r := range records {
 		keys[i] = canonicalLine(r)
 	}
-	sort.Sort(&byCanonicalKey{records: records, keys: keys})
+	sort.Sort(&byKey{keys: keys, swap: func(i, j int) { records[i], records[j] = records[j], records[i] }})
 }
 
-// byCanonicalKey sorts records and their precomputed keys in lockstep.
-type byCanonicalKey struct {
-	records []deps.Record
-	keys    []string
+// sortChanged orders changes by the canonical serialization of their New
+// record, the order pairChanged produces.
+func (d *Diff) sortChanged() {
+	if len(d.Changed) < 2 {
+		return
+	}
+	keys := make([]string, len(d.Changed))
+	for i, c := range d.Changed {
+		keys[i] = canonicalLine(c.New)
+	}
+	sort.Sort(&byKey{keys: keys, swap: func(i, j int) { d.Changed[i], d.Changed[j] = d.Changed[j], d.Changed[i] }})
 }
 
-func (b *byCanonicalKey) Len() int           { return len(b.keys) }
-func (b *byCanonicalKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b *byCanonicalKey) Swap(i, j int) {
+// byKey sorts precomputed keys, and whatever swap moves, in lockstep.
+type byKey struct {
+	keys []string
+	swap func(i, j int)
+}
+
+func (b *byKey) Len() int           { return len(b.keys) }
+func (b *byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b *byKey) Swap(i, j int) {
 	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.records[i], b.records[j] = b.records[j], b.records[i]
+	b.swap(i, j)
 }

@@ -46,7 +46,7 @@ func TestDiffSameDBAppendOnly(t *testing.T) {
 	}
 }
 
-// TestDiffCrossDB compares unrelated databases: multiset semantics, order
+// TestDiffCrossDB compares unrelated databases: state against state, order
 // independence, and identity pairing into Changed.
 func TestDiffCrossDB(t *testing.T) {
 	a, b := New(), New()
@@ -75,7 +75,7 @@ func TestDiffCrossDB(t *testing.T) {
 	if got := d.Subjects(); !reflect.DeepEqual(got, []string{"s1", "s2"}) {
 		t.Fatalf("Subjects = %v", got)
 	}
-	// Equal multisets in different insertion orders diff empty.
+	// Equal states reached in different insertion orders diff empty.
 	c := New()
 	mustPut(t, c, shared[1], shared[0], deps.NewHardware("s1", "Disk", "old-model"))
 	if d := a.Snapshot().Diff(c.Snapshot()); !d.Empty() {
@@ -83,16 +83,24 @@ func TestDiffCrossDB(t *testing.T) {
 	}
 }
 
-// TestDiffDuplicateRecords: depdb stores duplicates; the diff counts
-// multiplicities rather than treating records as a set.
+// TestDiffDuplicateRecords: a record observed three times is the record
+// observed once — one live record, nothing to diff.
 func TestDiffDuplicateRecords(t *testing.T) {
 	rec := deps.NewSoftware("redis", "s1", "libjemalloc2")
 	a, b := New(), New()
 	mustPut(t, a, rec)
 	mustPut(t, b, rec, rec, rec)
-	d := a.Snapshot().Diff(b.Snapshot())
-	if len(d.Added) != 2 || len(d.Removed) != 0 || len(d.Changed) != 0 {
-		t.Fatalf("diff = %+v, want 2 duplicate additions", d)
+	if b.Len() != 1 || a.Fingerprint() != b.Fingerprint() {
+		t.Fatalf("three observations: Len = %d, fingerprints equal = %v; want one live record, the same state",
+			b.Len(), a.Fingerprint() == b.Fingerprint())
+	}
+	if d := a.Snapshot().Diff(b.Snapshot()); !d.Empty() {
+		t.Fatalf("diff = %+v, want empty", d)
+	}
+	before := b.Snapshot()
+	mustPut(t, b, rec)
+	if d := before.Diff(b.Snapshot()); !d.Empty() || b.Snapshot() != before {
+		t.Fatalf("a further re-observation: diff = %+v, snapshot re-registered = %v", d, b.Snapshot() != before)
 	}
 }
 
@@ -132,30 +140,47 @@ func TestFingerprintWithMatchesPut(t *testing.T) {
 	}
 }
 
-// TestSumMergeCarries: merging batch sums is the same 2048-bit wrapping
-// addition add performs per record, carries across limbs included.
-func TestSumMergeCarries(t *testing.T) {
-	var a, b fpSum
-	for i := range a.limbs {
-		a.limbs[i] = ^uint64(0)
+// TestSumSubInvertsAdd: sub is the exact inverse of add over the whole
+// 2048-bit width, carries and borrows across limbs included, so a
+// superseded record leaves no trace in the sum.
+func TestSumSubInvertsAdd(t *testing.T) {
+	var s fpSum
+	for i := range s.limbs {
+		s.limbs[i] = ^uint64(0)
 	}
-	b.limbs[0], b.count = 1, 1
-	a.merge(&b)
-	if a.limbs != [fpLimbs]uint64{} || a.count != 1 {
-		t.Fatalf("(2^2048-1) + 1 = %v count %d, want all-zero limbs", a.limbs, a.count)
+	one := digest{1}
+	s.add(&one)
+	if s.limbs != (digest{}) || s.count != 1 {
+		t.Fatalf("(2^2048-1) + 1 = %v count %d, want all-zero limbs", s.limbs, s.count)
 	}
-	var whole, left, right fpSum
-	for i, line := range []string{"x", "yy", "zzz", "wwww"} {
-		whole.add(line)
-		if i < 2 {
-			left.add(line)
-		} else {
-			right.add(line)
+	s.sub(&one)
+	for i := range s.limbs {
+		if s.limbs[i] != ^uint64(0) {
+			t.Fatalf("0 - 1: limb %d = %x, want the borrow to run through every limb", i, s.limbs[i])
 		}
 	}
-	left.merge(&right)
-	if left != whole {
-		t.Fatal("sum of partial sums differs from the sequential sum")
+	var kept, churned fpSum
+	x, y, z := digestOf("x"), digestOf("yy"), digestOf("zzz")
+	kept.add(&x)
+	kept.add(&z)
+	for _, d := range []*digest{&y, &x, &z} {
+		churned.add(d)
+	}
+	churned.sub(&y)
+	if churned != kept {
+		t.Fatal("adding then subtracting a digest does not restore the sum")
+	}
+	yy := digestOf("yy")
+	if !churned.replace(&z, true, &y) || churned.replace(&yy, true, &y) || churned.replace(nil, true, &y) {
+		t.Fatal("replace misreports what changed")
+	}
+	kept.sub(&z)
+	kept.add(&y)
+	if churned != kept {
+		t.Fatal("replace is not subtract-old, add-new")
+	}
+	if !churned.replace(nil, false, &z) || churned.count != 3 {
+		t.Fatal("replace under a new key must add")
 	}
 }
 
