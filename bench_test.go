@@ -1,6 +1,7 @@
 // Package repro's root benchmarks regenerate every table and figure of the
 // paper's evaluation (§6) as testing.B benchmarks, one per artifact, plus
-// ablation benches for the design choices called out in DESIGN.md §6.
+// ablation benches for the engine's design choices (the paper-section map
+// in docs/ARCHITECTURE.md places each package; PERFORMANCE.md has the numbers).
 //
 // Run everything:
 //
@@ -516,7 +517,7 @@ func BenchmarkFig9Full(b *testing.B) {
 	}
 }
 
-// --- ablation benches (DESIGN.md §6) ---------------------------------------
+// --- ablation benches (results in PERFORMANCE.md) --------------------------
 
 // BenchmarkAblationMinimizeCadence compares per-node absorption against
 // final-only minimization in the exact algorithm. The workload is the k=4

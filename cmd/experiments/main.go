@@ -7,7 +7,8 @@
 //
 // By default every experiment runs at laptop scale; -full approaches the
 // paper's parameters (hours of runtime for fig7/fig8/fig9). -verify exits
-// non-zero if any acceptance criterion from DESIGN.md §3 fails.
+// non-zero if any of the paper's §6 claims an experiment checks fails (the
+// paper-section map in docs/ARCHITECTURE.md places each harness).
 package main
 
 import (

@@ -1,0 +1,93 @@
+package auditd
+
+import (
+	"context"
+	"errors"
+
+	"indaas/internal/depdb"
+	"indaas/internal/report"
+	"indaas/internal/sia"
+)
+
+// auditKind is the structural independence audit (§4.1): POST /v1/audits, a
+// SubmitRequest in, a ranked report.Report out.
+var auditKind = &jobKind{
+	name:       KindAudit,
+	route:      "/v1/audits",
+	hint:       "an audit job; use Report",
+	titled:     true,
+	newRequest: func() jobRequest { return new(SubmitRequest) },
+	decodeResult: func(obj []byte, title string) (any, error) {
+		rep := new(report.Report)
+		err := report.DecodeJSON(obj, rep)
+		rep.Title = title
+		return rep, err
+	},
+}
+
+// Submit validates and accepts an audit request, returning the new job's
+// status. The error, when non-nil, carries an HTTP status via statusErr.
+func (s *Server) Submit(req *SubmitRequest) (JobStatus, error) {
+	return s.submitJob(auditKind, req, origin{})
+}
+
+// prepare readies an audit: the run closure audits the request's deployments
+// against the resolved snapshot. Server-database requests join the delta
+// lineage — the (fingerprint, snapshot, specs) generation is registered on
+// completion, and an ancestor generation is reused now if one fits.
+func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
+	n, opts, err := r.normalize()
+	if err != nil {
+		return nil, &statusErr{code: 400, err: err}
+	}
+	snap, err := s.resolveDB(r.Records)
+	if err != nil {
+		return nil, err
+	}
+	n.DBFingerprint = snap.Fingerprint()
+	specs := n.specs()
+	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, Workload: Workload{
+		Key:           n.key(),
+		DBFingerprint: n.DBFingerprint,
+		SelfContained: len(r.Records) > 0,
+		Run: func(ctx context.Context) (any, error) {
+			rep, err := sia.AuditDeploymentsContext(ctx, snap, "", specs, opts)
+			if err != nil {
+				return nil, err
+			}
+			return rep, nil
+		},
+	}}
+	if len(r.Records) == 0 {
+		p.reg = &lineageReg{reqKey: n.requestKey(), entry: &lineageEntry{
+			fp: snap.Fingerprint(), snap: snap, specs: specs,
+		}}
+		s.planAuditDelta(p, snap, specs, opts)
+	}
+	return p, nil
+}
+
+// resolveDB picks the dependency database a request runs against: a fresh
+// store built from inline records, or the registered snapshot of the
+// server's database (preloaded via Config.DB or grown through /v1/depdb
+// ingests). The snapshot's fingerprint content-addresses the chosen view.
+func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
+	if len(records) > 0 {
+		recs, err := recordsFromWire(records)
+		if err != nil {
+			return nil, err
+		}
+		fresh := depdb.New()
+		if err := fresh.Put(recs...); err != nil {
+			return nil, &statusErr{code: 400, err: err}
+		}
+		return fresh.Snapshot(), nil
+	}
+	s.mu.Lock()
+	db := s.db
+	s.mu.Unlock()
+	if db == nil {
+		return nil, &statusErr{code: 400, err: errors.New("request has no records and the server has no preloaded database")}
+	}
+	return db.Snapshot(), nil
+}

@@ -36,12 +36,11 @@ import (
 	"net/http"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"indaas/internal/depdb"
-	"indaas/internal/deps"
 	"indaas/internal/report"
-	"indaas/internal/sia"
 	"indaas/internal/store"
 	"indaas/internal/telemetry"
 	"indaas/internal/watch"
@@ -161,30 +160,19 @@ const (
 	StateCanceled = "canceled"
 )
 
-// computation is one unit of submitted work; several coalesced jobs may wait
-// on it. The actual workload — an audit or a placement recommendation — is
-// the Workload handed to the executor, so the queue, worker pool, cache and
-// cancellation plumbing are shared across job kinds.
+// computation is a prepared job's workload once admit has handed it to the
+// executor: one unit of work, on which several coalesced jobs may wait. The
+// queue, worker pool, cache and cancellation plumbing are shared across job
+// kinds; what runs is the Workload.
 type computation struct {
-	key     string
-	kind    string // workload kind: names the result type when it is encoded
-	ctx     context.Context
-	cancel  context.CancelFunc
-	jobs    []*job // attached jobs, including canceled ones
-	refs    int    // attached jobs still interested in the result
-	running bool   // the executor started it (guarded by Server.mu)
-	// label names the computation in store-failure logs ("job <id>" of the
-	// first attached job); set by compStarted, read only by compDone on the
-	// same goroutine afterward.
-	label string
-	// reg, when set, publishes the completed result into the delta-audit
-	// lineage index so later submissions against a grown database can reuse
-	// it (see delta.go).
-	reg *lineageReg
+	*preparedJob // Key, kind, reg — and job, the first one attached
+	cancel       context.CancelFunc
+	jobs         []*job // attached jobs, including canceled ones
+	refs         int    // attached jobs still interested in the result
+	running      bool   // the executor started it (guarded by Server.mu)
 	// trace records the computation's pipeline phases; it is carried down to
 	// sia/riskgroup/delta through the computation context. queueDone closes
-	// the queue-wait phase when a worker picks the computation up. Both are
-	// nil only for hit-path jobs, which never reach a worker.
+	// the queue-wait phase when a worker picks the computation up.
 	trace     *telemetry.Trace
 	queueDone func()
 }
@@ -192,17 +180,16 @@ type computation struct {
 // job is one client submission: a handle on its result (key, title,
 // provenance) — a done job's payload is whatever the tiers hold under key.
 type job struct {
-	id        string
-	key       string
-	title     string
-	state     string
-	cached    bool
-	diskHit   bool // cached, and the copy came from the disk store
-	coalesced bool
-	// deltaHit marks a job answered through the delta-audit lineage;
-	// dirtySubjects lists the re-audited servers (empty for a whole-result
-	// adoption).
-	deltaHit      bool
+	id    string
+	key   string
+	title string
+	state string
+	// prov is how the job came by its result (see provenance). Two facts are
+	// orthogonal to it: partial — the job's computation, its own or the one
+	// it coalesced onto, re-audits only dirtySubjects and splices the rest
+	// from a delta ancestor — and recovered, below.
+	prov          provenance
+	partial       bool
 	dirtySubjects []string
 	submitted     time.Time
 	started       time.Time
@@ -217,7 +204,8 @@ type job struct {
 	timeout time.Duration
 	timer   *time.Timer
 	// journaled means a job/<id> record is on disk and must be tombstoned
-	// when the job settles (guarded by Server.mu; see journal.go).
+	// when the job settles: bookkeeping, not provenance — whoever flips it
+	// off has claimed the tombstone (guarded by Server.mu; see journal.go).
 	journaled bool
 	// recovered marks a job replayed from the journal after a crash.
 	recovered bool
@@ -226,6 +214,14 @@ type job struct {
 	// the hit path allocates nothing for telemetry.
 	trace *telemetry.Trace
 }
+
+// bornDone is the done channel of every job that was terminal when it was
+// admitted — a hit: closed from the start, shared, never waited on.
+var bornDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 func (j *job) terminal() bool {
 	return j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
@@ -251,13 +247,18 @@ type Server struct {
 	db   *depdb.DB // cfg.DB, or created lazily by the first ingest
 	jobs map[string]*job
 	// order[head:] are the live job IDs in submission order (see pruneLocked).
-	order    []string
-	head     int
-	inflight map[string]*computation
-	cache    *memoryTier
-	lineage  *lineageIndex // delta-audit ancestry (see delta.go)
-	nextID   uint64
-	closed   bool
+	order   []string
+	head    int
+	cache   *memoryTier
+	lineage *lineageIndex // delta-audit ancestry (see delta.go)
+	closed  bool
+	// inflight maps a content address to its queued or running *computation.
+	// Written only under mu; the lock-free resolve stage peeks at it to skip
+	// lower-tier probes that cannot hit yet.
+	inflight sync.Map
+	// nextID is the last job id handed out (see allocID); off the lock so a
+	// miss can be journaled under its id before it is admitted.
+	nextID atomic.Uint64
 	// providers is the registered private-audit dataset registry (see
 	// privateaudit.go), persisted under pia/provider/ store keys.
 	providers map[string]providerDataset
@@ -307,7 +308,6 @@ func New(cfg Config) *Server {
 		db:        cfg.DB,
 		jobs:      make(map[string]*job),
 		providers: make(map[string]providerDataset),
-		inflight:  make(map[string]*computation),
 		cache:     newMemoryTier(cfg.CacheEntries),
 		lineage:   newLineageIndex(),
 		store:     cfg.Store,
@@ -343,327 +343,144 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Submit validates and accepts an audit request, returning the new job's
-// status. The error, when non-nil, carries an HTTP status via statusErr.
-func (s *Server) Submit(req *SubmitRequest) (JobStatus, error) {
-	return s.submit(req, "", true)
-}
-
-// submit is Submit with a recovery id — RecoverJobs replays journaled
-// requests through it so a crashed job reappears under its original id —
-// and a journal switch: watch refreshes (watch.go) submit unjournaled.
-func (s *Server) submit(req *SubmitRequest, recoverID string, journal bool) (JobStatus, error) {
-	n, opts, err := req.normalize()
-	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
-	}
-	snap, err := s.resolveDB(req.Records)
-	if err != nil {
-		return JobStatus{}, err
-	}
-	n.DBFingerprint = snap.Fingerprint()
-	specs := n.specs()
-	run := func(ctx context.Context) (any, error) {
-		rep, err := sia.AuditDeploymentsContext(ctx, snap, "", specs, opts)
-		if err != nil {
-			return nil, err
-		}
-		return rep, nil
-	}
-	extra := &jobExtras{
-		kind: KindAudit, wire: req, unjournaled: !journal, recoverID: recoverID,
-		dbFP:          n.DBFingerprint,
-		selfContained: len(req.Records) > 0,
-		noForward:     req.NoForward || recoverID != "",
-	}
-	if len(req.Records) == 0 {
-		// Server-database jobs participate in the delta lineage: register the
-		// (fingerprint, snapshot, specs) generation on completion, and try to
-		// reuse an ancestor generation now.
-		reqKey := n.requestKey()
-		extra.reg = &lineageReg{reqKey: reqKey, entry: &lineageEntry{
-			fp: snap.Fingerprint(), snap: snap, specs: specs,
-		}}
-		if plan := s.planAuditDelta(reqKey, n.key(), snap, specs, opts); plan != nil {
-			extra.applyPlan(plan)
-			if plan.run != nil {
-				run = plan.run
-				// A delta splice embeds local lineage state; it cannot be
-				// re-expressed to a remote node.
-				extra.noForward = true
-			}
-		}
-	}
-	return s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
-}
-
-// resolveDB picks the dependency database a request runs against: a fresh
-// store built from inline records, or the registered snapshot of the
-// server's database (preloaded via Config.DB or grown through /v1/depdb
-// ingests). The snapshot's fingerprint content-addresses the chosen view.
-func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
-	if len(records) > 0 {
-		recs := make([]deps.Record, len(records))
-		for i, w := range records {
-			r, err := w.Record()
-			if err != nil {
-				return nil, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
-			}
-			recs[i] = r
-		}
-		fresh := depdb.New()
-		if err := fresh.Put(recs...); err != nil {
-			return nil, &statusErr{code: 400, err: err}
-		}
-		return fresh.Snapshot(), nil
-	}
-	s.mu.Lock()
-	db := s.db
-	s.mu.Unlock()
-	if db == nil {
-		return nil, &statusErr{code: 400, err: errors.New("request has no records and the server has no preloaded database")}
-	}
-	return db.Snapshot(), nil
-}
-
-// jobExtras carries per-submission delta context into enqueue: how the job
-// was planned (adopted ancestor result, partial recompute, dirty subjects)
-// and what to publish into the lineage when it completes.
-type jobExtras struct {
-	adopt    *EncodedResult // pre-resolved result: finish instantly, no computation
-	adoptRep *report.Report // adopt's struct, when the lineage retained one
-	partial  bool           // job re-audits only its dirty subjects
-	dirty    []string       // the dirty subjects
-	reg      *lineageReg
-	// kind/wire describe the submission to the journal and the executor:
-	// unless unjournaled, the wire request is marshaled and persisted under
-	// the job's id before the job can enter the queue, so a kill -9 cannot
-	// silently discard accepted work. Marshaling is deferred until the job is
-	// known to compute — hits never pay for it. recoverID replays a
-	// journaled job under its original id at boot.
-	kind        string
-	wire        any
-	unjournaled bool
-	recoverID   string
-	// dbFP/selfContained/noForward are the Workload's remaining routing
-	// facts (see executor.go), used when the job actually computes.
-	dbFP          string
-	selfContained bool
-	noForward     bool
-}
-
-// applyPlan folds a delta plan into the extras.
-func (e *jobExtras) applyPlan(p *deltaPlan) {
-	if p.adopt != nil {
-		e.adopt, e.adoptRep = p.adopt, p.adoptRep
-		return
-	}
-	e.partial = true
-	e.dirty = p.dirty
-}
-
-// enqueue registers a job for the content-addressed computation key: a
-// cache hit or an adopted delta ancestor finishes instantly, an identical
-// in-flight computation absorbs the job, and otherwise run is queued for the
-// worker pool. Shared by audit submissions and placement recommendations.
-func (s *Server) enqueue(key, title string, timeoutMS int64, run func(ctx context.Context) (any, error), extra *jobExtras) (JobStatus, error) {
-	timeout := s.cfg.DefaultTimeout
-	if timeoutMS > 0 {
-		timeout = time.Duration(timeoutMS) * time.Millisecond
-	}
-
-	var evicted []string
-	if extra.adopt != nil {
-		// Adopted ancestor result: write it through under its new content
-		// address before any waiter can observe "done", like a computed
-		// result (persistResult does IO; the lock is not held yet).
-		evicted = s.persistResult("delta-adopted result", key, extra.adopt)
-	}
-
+// admit is the submit path's locked stage: with everything slow already done
+// by resolveJob, it takes the job-table lock once and decides. A closing
+// service refuses (503). A hit — found by resolve, or landed in the memory
+// tier since resolve looked: a journal write is a long window — settles the
+// job on the spot; an identical in-flight computation absorbs it; otherwise
+// its computation is handed to the executor, or refused (429) if the queue is
+// full. A refusal makes the journal record resolve may have written stale —
+// except a *recovered* job's, which stays for the next boot to retry: the
+// refusal is the service's condition, not the job's. Only submitJob calls it.
+func (s *Server) admit(p *preparedJob) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.dropCachedLocked(evicted, key)
-	if s.closed {
+	j := p.job
+	if err := s.placeLocked(p); err != nil {
 		s.m.rejected.Add(1)
-		return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
-	}
-	j := &job{
-		id:        s.allocIDLocked(extra.recoverID),
-		key:       key,
-		title:     title,
-		submitted: time.Now(),
-		done:      make(chan struct{}),
-		timeout:   timeout,
-		recovered: extra.recoverID != "",
-	}
-
-	// A delta adoption — the database changed but the change missed this
-	// job's subjects, so the ancestor's bytes answer it verbatim — is a hit
-	// whose result arrived with the submission.
-	adopted := extra.adopt != nil
-	var hit, diskHit bool
-	if adopted {
-		s.cache.Put(key, extra.adopt)
-		hit = true
-	} else if _, ok := s.cache.Get(key); ok {
-		hit = true
-	} else if len(s.tiers) > 1 && s.inflight[key] == nil {
-		// Probe the lower result tiers — disk, then any extras (a cluster
-		// peer's cache) — with the job-table lock released: reading,
-		// checksumming and decoding a large persisted report (or fetching it
-		// over HTTP) must not stall unrelated submits and polls. The memory
-		// fast path above never pays for this.
-		s.mu.Unlock()
-		r, tier, ok := s.retrieveResult(key, 1)
-		s.mu.Lock()
-		if s.closed {
-			// Shutdown began during the probe; the executor may be closed.
-			s.m.rejected.Add(1)
-			return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
-		}
-		if ok {
-			// An identical job may have promoted the same bytes during the
-			// probe; overwriting with an equal copy is harmless.
-			s.cache.Put(key, r)
-			hit = true
-			diskHit = tier == tierDisk
-		}
-	}
-
-	if !hit && s.store != nil && !extra.unjournaled {
-		// The job will compute (or coalesce): journal it BEFORE it can enter
-		// the queue. Once any client observes this job id, a kill -9 must not
-		// silently discard the work — the next boot replays the journal. The
-		// marshal and IO happen with the lock released (same discipline as
-		// the disk probe).
-		s.mu.Unlock()
-		jr := s.journalFor(extra.kind, extra.wire)
-		if jr != nil {
-			s.persistJob(j.id, jr)
-		}
-		s.mu.Lock()
-		if s.closed {
-			go s.clearJournals([]string{j.id})
-			s.m.rejected.Add(1)
-			return JobStatus{}, &statusErr{code: 503, err: errors.New("service is shutting down")}
-		}
-		j.journaled = jr != nil
-		if _, ok := s.cache.Get(key); ok {
-			// The identical computation completed while the journal write was
-			// in flight; serve the hit.
-			hit = true
-		}
-	}
-
-	if hit {
-		// Content-addressed hit (memory, disk, peer or adopted ancestor):
-		// finish instantly, never touch the queue. A disk hit serves a result
-		// computed before a restart (or evicted from memory) uncomputed.
-		j.state = StateDone
-		j.cached, j.deltaHit, j.diskHit = !adopted, adopted, diskHit
-		j.started, j.finished = j.submitted, j.submitted
-		close(j.done)
-		s.m.jobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the disk probe for disk hits
-		switch {
-		case adopted:
-			s.m.deltaHits.Add(1)
-		case diskHit:
-			s.m.storeHits.Add(1)
-		default:
-			s.m.cacheHits.Add(1)
-		}
-		if extra.reg != nil {
-			// A hit still anchors a lineage generation — after a restart the
-			// first disk hit re-seeds the ancestry for future delta audits.
-			// An adoption is the same bytes under a new address, so the
-			// ancestor's retained struct (if any) moves to this generation.
-			extra.reg.entry.resultKey = key
-			s.lineage.addLocked(extra.reg, extra.adoptRep)
-		}
-		if j.journaled || extra.recoverID != "" {
-			// The hit resolved after the journal write (or this is a
-			// recovered job whose result was durable all along): the journal
-			// record is stale.
-			j.journaled = false
-			go s.clearJournals([]string{j.id})
-		}
-	} else if comp := s.inflight[key]; comp != nil {
-		// Identical computation already queued or running: coalesce.
-		j.state = StateQueued
-		if comp.running {
-			j.state = StateRunning
-			j.started = time.Now()
-			s.armTimeoutLocked(j)
-		}
-		j.coalesced = true
-		j.deltaHit = extra.partial
-		j.dirtySubjects = extra.dirty
-		j.comp = comp
-		j.trace = comp.trace
-		comp.jobs = append(comp.jobs, j)
-		comp.refs++
-		s.m.coalesced.Add(1)
-	} else {
-		// A computation will actually run: this is the only path that pays
-		// for a trace. Backdating it to the submission instant puts the
-		// journal write and queue time inside queue-wait instead of leaving
-		// an unaccounted gap before the first phase.
-		tr := telemetry.NewAt(j.submitted)
-		j.trace = tr
-		cctx, cancel := context.WithCancel(telemetry.WithTrace(s.baseCtx, tr))
-		comp := &computation{
-			key:       key,
-			kind:      extra.kind,
-			ctx:       cctx,
-			cancel:    cancel,
-			jobs:      []*job{j},
-			refs:      1,
-			reg:       extra.reg,
-			trace:     tr,
-			queueDone: tr.StartAt("queue-wait", j.submitted),
-		}
-		wl := &Workload{
-			Key:           key,
-			Kind:          extra.kind,
-			Wire:          extra.wire,
-			DBFingerprint: extra.dbFP,
-			SelfContained: extra.selfContained,
-			NoForward:     extra.noForward,
-			Run:           run,
-		}
-		cb := ExecCallbacks{
-			Started: func() { s.compStarted(comp) },
-			Done:    func(res any, err error) { s.compDone(comp, res, err) },
-		}
-		if err := s.exec.Submit(cctx, wl, cb); err == nil {
-			j.state = StateQueued
-			j.comp = comp
-			s.inflight[key] = comp
-			s.m.cacheMisses.Add(1)
-			if extra.partial {
-				j.deltaHit = true
-				j.dirtySubjects = extra.dirty
-				s.m.deltaPartials.Add(1)
-				s.m.deltaDirty.Add(int64(len(extra.dirty)))
-			}
-		} else {
-			cancel()
-			s.m.rejected.Add(1)
-			if j.journaled && extra.recoverID == "" {
-				// The rejected submission never became a job; drop its
-				// journal. A rejected *recovered* job keeps its record so the
-				// next boot retries once the queue has room.
-				j.journaled = false
-				go s.clearJournals([]string{j.id})
-			}
-			return JobStatus{}, &statusErr{code: 429, err: fmt.Errorf("queue full (%d computations pending)", s.cfg.QueueDepth)}
-		}
+		p.staleJournal = j.journaled && !j.recovered
+		return JobStatus{}, err
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
 	s.m.submitted.Add(1)
 	s.pruneLocked()
 	return j.statusLocked(), nil
+}
+
+// placeLocked is admit's decision. Caller holds s.mu.
+func (s *Server) placeLocked(p *preparedJob) error {
+	if s.closed {
+		return &statusErr{code: 503, err: errors.New("service is shutting down")}
+	}
+	if p.prov == provComputed {
+		if _, ok := s.cache.Get(p.Key); ok {
+			p.prov = provMemoryHit
+		}
+	}
+	if p.prov.hit() {
+		s.settleHitLocked(p)
+	} else if comp, ok := s.inflight.Load(p.Key); ok {
+		s.coalesceLocked(p, comp.(*computation))
+	} else {
+		return s.startLocked(p)
+	}
+	return nil
+}
+
+// settleHitLocked finishes a job whose content address a result tier (or an
+// adopted delta ancestor) already answers: instantly, never touching the
+// queue. A disk hit serves a result computed before a restart (or evicted
+// from memory) uncomputed. Caller holds s.mu.
+func (s *Server) settleHitLocked(p *preparedJob) {
+	j := p.job
+	j.state = StateDone
+	j.prov = p.prov
+	j.started, j.finished = j.submitted, j.submitted
+	j.done = bornDone
+	s.m.jobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the probe for lower-tier hits
+	switch p.prov {
+	case provAdopted:
+		s.m.deltaHits.Add(1)
+	case provDiskHit:
+		s.m.storeHits.Add(1)
+	default:
+		s.m.cacheHits.Add(1)
+	}
+	if p.reg != nil {
+		// A hit still anchors a lineage generation — after a restart the
+		// first disk hit re-seeds the ancestry for future delta audits. An
+		// adoption is the same bytes under a new address, so the ancestor's
+		// retained struct (if any) moves to this generation.
+		p.reg.entry.resultKey = p.Key
+		s.lineage.addLocked(p.reg, p.adoptRep)
+	}
+	if j.journaled {
+		// The hit landed after the journal write, or this is a recovered job
+		// whose result was durable all along: the record has done its work.
+		j.journaled = false
+		p.staleJournal = true
+	}
+}
+
+// coalesceLocked attaches a job to the identical computation already queued
+// or running. Caller holds s.mu.
+func (s *Server) coalesceLocked(p *preparedJob, comp *computation) {
+	j := p.job
+	j.state = StateQueued
+	if comp.running {
+		j.state = StateRunning
+		j.started = time.Now()
+		s.armTimeoutLocked(j)
+	}
+	j.prov = provCoalesced
+	j.partial, j.dirtySubjects = p.partial, p.dirty
+	j.done = make(chan struct{})
+	j.comp = comp
+	j.trace = comp.trace
+	comp.jobs = append(comp.jobs, j)
+	comp.refs++
+	s.m.coalesced.Add(1)
+}
+
+// startLocked hands a job's own computation to the executor; a saturated
+// executor refuses the submission with 429. Caller holds s.mu.
+func (s *Server) startLocked(p *preparedJob) error {
+	j := p.job
+	// A computation will actually run: this is the only path that pays for a
+	// trace. Backdating it to the submission instant puts the journal write
+	// and queue time inside queue-wait instead of leaving an unaccounted gap
+	// before the first phase.
+	tr := telemetry.NewAt(j.submitted)
+	cctx, cancel := context.WithCancel(telemetry.WithTrace(s.baseCtx, tr))
+	comp := &computation{
+		preparedJob: p,
+		cancel:      cancel,
+		jobs:        []*job{j},
+		refs:        1,
+		trace:       tr,
+		queueDone:   tr.StartAt("queue-wait", j.submitted),
+	}
+	cb := ExecCallbacks{
+		Started: func() { s.compStarted(comp) },
+		Done:    func(res any, err error) { s.compDone(comp, res, err) },
+	}
+	if err := s.exec.Submit(cctx, &p.Workload, cb); err != nil {
+		cancel()
+		return &statusErr{code: 429, err: fmt.Errorf("queue full (%d computations pending)", s.cfg.QueueDepth)}
+	}
+	j.state = StateQueued
+	j.done = make(chan struct{})
+	j.comp = comp
+	j.trace = tr
+	s.inflight.Store(p.Key, comp)
+	s.m.cacheMisses.Add(1)
+	if p.partial {
+		j.partial, j.dirtySubjects = true, p.dirty
+		s.m.deltaPartials.Add(1)
+		s.m.deltaDirty.Add(int64(len(p.dirty)))
+	}
+	return nil
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention bound so
@@ -709,21 +526,6 @@ func (s *Server) armTimeoutLocked(j *job) {
 	})
 }
 
-// expireJob cancels a job whose run-time cap elapsed. Only this job is
-// detached; a computation shared with other jobs keeps running for them.
-func (s *Server) expireJob(id string, after time.Duration) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.terminal() {
-		s.mu.Unlock()
-		return
-	}
-	s.cancelLocked(j, fmt.Errorf("timed out after %v: %w", after, context.DeadlineExceeded))
-	cleared := journaledIDsLocked([]*job{j})
-	s.mu.Unlock()
-	s.clearJournals(cleared)
-}
-
 // compStarted is the executor's Started callback: the computation left the
 // queue and is about to run. It closes the queue-wait phase and moves every
 // attached job into StateRunning.
@@ -731,12 +533,9 @@ func (s *Server) compStarted(comp *computation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	comp.running = true
-	comp.label = "job " + comp.jobs[0].id // first attached job; fixed for the computation's life
 	now := time.Now()
-	if comp.queueDone != nil {
-		comp.queueDone()
-		s.m.queueWait.Observe(now.Sub(comp.jobs[0].submitted))
-	}
+	comp.queueDone()
+	s.m.queueWait.Observe(now.Sub(comp.job.submitted))
 	for _, j := range comp.jobs {
 		if !j.terminal() {
 			j.state = StateRunning
@@ -746,25 +545,15 @@ func (s *Server) compStarted(comp *computation) {
 	}
 }
 
-// compDone is the executor's Done callback: the computation finished (or was
+// compDone is the executor's Done callback: the computation finished, or was
 // discarded while queued — then running is still false and err carries the
-// cancellation). It encodes the result — the one encode it ever gets —
-// persists it, settles every attached job and tombstones their journals.
+// cancellation. It encodes the result — the one encode it ever gets; a
+// result handed over as bytes already (a cluster owner's report body) is kept
+// as it is — persists it, caches it, settles every attached job and
+// tombstones their journals.
 func (s *Server) compDone(comp *computation, res any, err error) {
-	if !comp.running {
-		// Canceled while queued: the executor discarded it without running.
-		s.mu.Lock()
-		if comp.queueDone != nil {
-			comp.queueDone() // don't leave the phase open on the dead trace
-		}
-		s.finishLocked(comp, nil, nil, err)
-		s.mu.Unlock()
-		return
-	}
-
-	var enc *EncodedResult
-	var evicted []string
-	if err == nil {
+	enc, relayed := res.(*EncodedResult)
+	if err == nil && !relayed {
 		// A result the codec cannot express (an Inf, a nil) fails the job
 		// here rather than every later read; nothing is cached or persisted.
 		endEncode := comp.trace.Start("encode")
@@ -781,14 +570,31 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		// a client that sees its job complete may kill -9 the daemon
 		// immediately and must still find the result after restart.
 		endPersist := comp.trace.Start("persist")
-		evicted = s.persistResult(comp.label, comp.key, enc)
+		s.dropCached(s.persistResult("job "+comp.job.id, comp.Key, enc), comp.Key)
 		endPersist()
 	}
-	rep, _ := res.(*report.Report) // offered to the lineage (see lineageIndex.reports)
 
 	s.mu.Lock()
-	s.dropCachedLocked(evicted, comp.key)
-	s.finishLocked(comp, enc, rep, err)
+	if !comp.running {
+		comp.queueDone() // don't leave the phase open on the dead trace
+	}
+	comp.cancel() // release the context's timer resources
+	s.inflight.CompareAndDelete(comp.Key, comp)
+	if err == nil {
+		s.cache.Put(comp.Key, enc)
+		if comp.reg != nil {
+			comp.reg.entry.resultKey = comp.Key
+			rep, _ := res.(*report.Report) // offered to the lineage (see lineageIndex.reports)
+			s.lineage.addLocked(comp.reg, rep)
+		}
+	}
+	now := time.Now()
+	for _, j := range comp.jobs {
+		if !j.terminal() { // else canceled individually earlier
+			s.m.jobDuration.Observe(now.Sub(j.submitted))
+			s.settleLocked(j, now, err)
+		}
+	}
 	cleared := journaledIDsLocked(comp.jobs)
 	s.mu.Unlock()
 	// The jobs are settled and (on success) the result is durable: their
@@ -796,107 +602,85 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 	s.clearJournals(cleared)
 }
 
-// finishLocked records a computation's outcome, caches successful results,
-// and settles every attached job. rep is the result's struct when it is a
-// report, offered to the lineage. Caller holds s.mu.
-func (s *Server) finishLocked(comp *computation, enc *EncodedResult, rep *report.Report, err error) {
-	comp.cancel() // release the context's timer resources
-	if s.inflight[comp.key] == comp {
-		delete(s.inflight, comp.key)
+// settleLocked moves a non-terminal job into its terminal state — the one
+// place that happens once a job has left admit: done for a nil err, canceled
+// for a cancellation or an elapsed deadline, failed otherwise. Caller holds
+// s.mu.
+func (s *Server) settleLocked(j *job, now time.Time, err error) {
+	if j.timer != nil {
+		j.timer.Stop()
 	}
-	if err == nil {
-		s.cache.Put(comp.key, enc)
-		if comp.reg != nil {
-			comp.reg.entry.resultKey = comp.key
-			s.lineage.addLocked(comp.reg, rep)
-		}
+	j.finished, j.comp, j.err = now, nil, err
+	switch {
+	case err == nil:
+		j.state = StateDone
+		s.m.completed.Add(1)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		j.state = StateCanceled
+		s.m.canceled.Add(1)
+	default:
+		j.state = StateFailed
+		s.m.failed.Add(1)
 	}
-	now := time.Now()
-	for _, j := range comp.jobs {
-		if j.terminal() { // canceled individually earlier
-			continue
-		}
-		if j.timer != nil {
-			j.timer.Stop()
-		}
-		j.finished = now
-		j.comp = nil
-		s.m.jobDuration.Observe(now.Sub(j.submitted))
-		switch {
-		case err == nil:
-			j.state = StateDone
-			s.m.completed.Add(1)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			j.state = StateCanceled
-			j.err = err
-			s.m.canceled.Add(1)
-		default:
-			j.state = StateFailed
-			j.err = err
-			s.m.failed.Add(1)
-		}
-		close(j.done)
-	}
+	close(j.done)
 }
 
-// Cancel cancels a job. Canceling the last job attached to a computation
-// cancels the computation's context, which the RG algorithms observe within
-// their poll interval, releasing the worker.
+// Cancel cancels a job (idempotent). Canceling the last job attached to a
+// computation cancels the computation's context, which the RG algorithms
+// observe within their poll interval, releasing the worker.
 func (s *Server) Cancel(id string) (JobStatus, error) {
+	return s.cancelJob(id, context.Canceled)
+}
+
+// expireJob cancels a job whose run-time cap elapsed. Only this job is
+// detached; a computation shared with other jobs keeps running for them.
+func (s *Server) expireJob(id string, after time.Duration) {
+	s.cancelJob(id, fmt.Errorf("timed out after %v: %w", after, context.DeadlineExceeded))
+}
+
+// cancelJob moves a non-terminal job to StateCanceled with the given cause
+// and detaches it from its computation, canceling the computation only when
+// this was its last interested job. Its journal record goes too: a
+// deliberately canceled job must not be resurrected at the next boot.
+func (s *Server) cancelJob(id string, cause error) (JobStatus, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j, err := s.jobLocked(id)
+	if err != nil {
 		s.mu.Unlock()
-		return JobStatus{}, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+		return JobStatus{}, err
 	}
-	if j.terminal() {
-		st := j.statusLocked()
-		s.mu.Unlock()
-		return st, nil // idempotent
+	if comp := j.comp; !j.terminal() {
+		s.settleLocked(j, time.Now(), cause)
+		if comp.refs--; comp.refs == 0 {
+			// Last interested job: stop the computation and unregister it so
+			// new identical submissions start fresh instead of attaching to
+			// a dying run.
+			comp.cancel()
+			s.inflight.CompareAndDelete(comp.Key, comp)
+		}
 	}
-	s.cancelLocked(j, context.Canceled)
 	st := j.statusLocked()
-	// A deliberately canceled job must not be resurrected at the next boot.
 	cleared := journaledIDsLocked([]*job{j})
 	s.mu.Unlock()
 	s.clearJournals(cleared)
 	return st, nil
 }
 
-// cancelLocked moves a non-terminal job to StateCanceled with the given
-// cause and detaches it from its computation, canceling the computation
-// only when this was its last interested job. Caller holds s.mu.
-func (s *Server) cancelLocked(j *job, cause error) {
-	if j.timer != nil {
-		j.timer.Stop()
+// jobLocked looks a job up by id; unknown ids are a 404. Caller holds s.mu.
+func (s *Server) jobLocked(id string) (*job, error) {
+	if j, ok := s.jobs[id]; ok {
+		return j, nil
 	}
-	j.state = StateCanceled
-	j.finished = time.Now()
-	j.err = cause
-	s.m.canceled.Add(1)
-	close(j.done)
-	if comp := j.comp; comp != nil {
-		j.comp = nil
-		comp.refs--
-		if comp.refs == 0 {
-			// Last interested job: stop the computation and unregister it
-			// so new identical submissions start fresh instead of
-			// attaching to a dying run.
-			comp.cancel()
-			if s.inflight[comp.key] == comp {
-				delete(s.inflight, comp.key)
-			}
-		}
-	}
+	return nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
 }
 
 // Status returns a job's current status.
 func (s *Server) Status(id string) (JobStatus, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobStatus{}, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+	j, err := s.jobLocked(id)
+	if err != nil {
+		return JobStatus{}, err
 	}
 	return j.statusLocked(), nil
 }
@@ -905,10 +689,10 @@ func (s *Server) Status(id string) (JobStatus, error) {
 // or ctx is done; it returns the status current at that moment.
 func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
+	j, err := s.jobLocked(id)
 	s.mu.Unlock()
-	if !ok {
-		return JobStatus{}, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+	if err != nil {
+		return JobStatus{}, err
 	}
 	if wait > 0 {
 		t := time.NewTimer(wait)
@@ -934,13 +718,13 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 // that evicted it) — resubmitting the request recomputes it.
 func (s *Server) resolve(id string) (*EncodedResult, string, *report.Report, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.state != StateDone {
+	j, err := s.jobLocked(id)
+	if err == nil && j.state != StateDone {
+		err = &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
+	}
+	if err != nil {
 		s.mu.Unlock()
-		if !ok {
-			return nil, "", nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
-		}
-		return nil, "", nil, &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
+		return nil, "", nil, err
 	}
 	key, title, rep := j.key, j.title, s.lineage.reports[j.key]
 	s.mu.Unlock()
@@ -1089,10 +873,10 @@ func (s *Server) Stats() Stats {
 // phases; they return an empty timeline rather than an error.
 func (s *Server) Trace(id string) (TraceResponse, error) {
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok {
+	j, err := s.jobLocked(id)
+	if err != nil {
 		s.mu.Unlock()
-		return TraceResponse{}, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+		return TraceResponse{}, err
 	}
 	resp := TraceResponse{ID: j.id, State: j.state}
 	elapsed := time.Since(j.submitted)
@@ -1119,52 +903,6 @@ func (s *Server) appendJobSpan(id, name string, start time.Time, d time.Duration
 	}
 	s.mu.Unlock()
 	tr.Span(name, start, d)
-}
-
-// StoreGC applies the persistent store's size/age eviction policy now and
-// mirrors any evictions into the in-memory cache — the same bookkeeping a
-// Put-triggered eviction gets. A memory-only service no-ops. It returns how
-// many entries were evicted.
-func (s *Server) StoreGC() (int, error) {
-	if s.store == nil {
-		return 0, nil
-	}
-	evicted, err := s.store.GC()
-	if err != nil {
-		s.m.storeErrors.Add(1)
-	}
-	if len(evicted) > 0 {
-		s.mu.Lock()
-		s.dropCachedLocked(evicted, "")
-		s.mu.Unlock()
-	}
-	return len(evicted), err
-}
-
-// StartStoreGC runs StoreGC every interval until the returned stop function
-// is called, so an idle daemon still enforces -store-max-age: without the
-// ticker, eviction only runs inside Put and a quiet store never ages
-// anything out. Stop is idempotent; a memory-only service (or interval <= 0)
-// gets a no-op.
-func (s *Server) StartStoreGC(interval time.Duration) (stop func()) {
-	if s.store == nil || interval <= 0 {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.StoreGC() // a GC failure increments auditd_store_errors_total
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // Shutdown stops the service gracefully: new submissions and ingests are
@@ -1209,17 +947,19 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// statusLocked renders the job's wire status. Caller holds s.mu (or owns
-// the job exclusively).
+// statusLocked renders the job's wire status, deriving the provenance
+// booleans clients know from the one provenance value: a peer-tier hit
+// renders as cached, like a memory hit. Caller holds s.mu (or owns the job
+// exclusively).
 func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
 		ID:            j.id,
 		State:         j.state,
 		CacheKey:      j.key,
-		Cached:        j.cached,
-		DiskHit:       j.diskHit,
-		Coalesced:     j.coalesced,
-		DeltaHit:      j.deltaHit,
+		Cached:        j.prov == provMemoryHit || j.prov == provDiskHit || j.prov == provPeerHit,
+		DiskHit:       j.prov == provDiskHit,
+		Coalesced:     j.prov == provCoalesced,
+		DeltaHit:      j.prov == provAdopted || j.partial,
 		DirtySubjects: j.dirtySubjects,
 		Recovered:     j.recovered,
 		SubmittedAt:   j.submitted,

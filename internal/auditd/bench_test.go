@@ -203,7 +203,7 @@ func BenchmarkWatchRefreshPlan(b *testing.B) {
 				return &IngestRequest{Records: batch}
 			}
 			refresh := func() {
-				st, err := s.submit(deltaAuditRequest("refresh"), "", false)
+				st, err := s.submitJob(auditKind, deltaAuditRequest("refresh"), origin{refresh: true})
 				if err != nil || st.State != StateDone || !st.DeltaHit {
 					b.Fatalf("refresh was not adopted from the lineage: %+v %v", st, err)
 				}

@@ -94,11 +94,11 @@ type Client struct {
 	// header holds extra headers applied to every request (see SetHeader).
 	header map[string]string
 	hc     *http.Client
-	// Retry is the transient-failure policy applied to every call. Submits,
-	// polls, and report fetches are content-addressed or read-only, hence
-	// idempotent and always retried; Ingest appends records, so it is only
-	// resent when the connection was refused (nothing reached the server)
-	// or the server said 429/503 before ingesting.
+	// Retry is the transient-failure policy applied to every call. Every
+	// call is idempotent — submits are content-addressed, polls and fetches
+	// read-only, and an ingest of records already on file changes nothing —
+	// so a request whose fate is unknown (the connection broke mid-flight) is
+	// resent like one that provably never arrived.
 	Retry RetryPolicy
 }
 
@@ -159,15 +159,8 @@ func (c *Client) rotate() {
 	}
 }
 
+// do marshals body once and runs the attempt loop.
 func (c *Client) do(ctx context.Context, method, path string, body, out interface{}) error {
-	return c.doRetry(ctx, method, path, body, out, true)
-}
-
-// doRetry marshals body once and runs the attempt loop. idempotent widens
-// the retry set to include ambiguous transport failures (the request may
-// have executed); non-idempotent calls only retry errors that prove the
-// server did not act.
-func (c *Client) doRetry(ctx context.Context, method, path string, body, out interface{}, idempotent bool) error {
 	var blob []byte
 	if body != nil {
 		var err error
@@ -185,7 +178,7 @@ func (c *Client) doRetry(ctx context.Context, method, path string, body, out int
 		if err == nil || attempt+1 >= attempts {
 			return err
 		}
-		retry, hint := transientError(err, idempotent)
+		retry, hint := transientError(err)
 		if !retry {
 			return err
 		}
@@ -225,17 +218,7 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 		return err
 	}
 	if resp.StatusCode >= 400 {
-		var ra time.Duration
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		var eb errorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-			return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: %s", eb.Error)}
-		}
-		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+		return responseError(resp, body)
 	}
 	switch out := out.(type) {
 	case nil:
@@ -248,11 +231,25 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 	}
 }
 
+// responseError turns an error response into a statusErr carrying the server's
+// message (the JSON error envelope, when the body is one) and Retry-After hint.
+func responseError(resp *http.Response, body []byte) error {
+	se := &statusErr{code: resp.StatusCode, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
+		se.retryAfter = time.Duration(secs) * time.Second
+	}
+	var eb errorBody
+	if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
+		se.err = fmt.Errorf("auditd: %s", eb.Error)
+	}
+	return se
+}
+
 // transientError classifies an error as worth retrying, with the server's
-// Retry-After hint when one came back. A refused connection means nothing
-// reached the daemon — safe to resend anything; other transport errors are
-// ambiguous and retried only for idempotent requests.
-func transientError(err error, idempotent bool) (bool, time.Duration) {
+// Retry-After hint when one came back: 429 and 502/503/504, and any transport
+// failure that is not the caller's own context ending — whether or not the
+// request reached the daemon, resending it is safe (see Client.Retry).
+func transientError(err error) (bool, time.Duration) {
 	var se *statusErr
 	if errors.As(err, &se) {
 		switch se.code {
@@ -263,13 +260,7 @@ func transientError(err error, idempotent bool) (bool, time.Duration) {
 	}
 	var ue *url.Error
 	if errors.As(err, &ue) {
-		if errors.Is(ue.Err, context.Canceled) || errors.Is(ue.Err, context.DeadlineExceeded) {
-			return false, 0
-		}
-		if errors.Is(err, syscall.ECONNREFUSED) {
-			return true, 0
-		}
-		return idempotent, 0
+		return !errors.Is(ue.Err, context.Canceled) && !errors.Is(ue.Err, context.DeadlineExceeded), 0
 	}
 	return false, 0
 }
@@ -286,11 +277,27 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// submit posts a wire request to its job kind's route.
+func (c *Client) submit(ctx context.Context, k *jobKind, req any) (JobStatus, error) {
+	var st JobStatus
+	err := c.do(ctx, http.MethodPost, k.route, req, &st)
+	return st, err
+}
+
 // Submit submits an audit job.
 func (c *Client) Submit(ctx context.Context, req *SubmitRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/audits", req, &st)
-	return st, err
+	return c.submit(ctx, auditKind, req)
+}
+
+// SubmitWorkload re-submits a workload's wire request on the route of its
+// kind: the cluster router's one call for relaying a job of any kind to the
+// node that owns it, without interpreting the request.
+func (c *Client) SubmitWorkload(ctx context.Context, w *Workload) (JobStatus, error) {
+	k := kindByName(w.Kind)
+	if k == nil || w.Wire == nil {
+		return JobStatus{}, fmt.Errorf("auditd: workload %s (kind %q) has no wire form to submit", w.Key, w.Kind)
+	}
+	return c.submit(ctx, k, w.Wire)
 }
 
 // Status fetches a job's status; wait > 0 long-polls server-side.
@@ -315,7 +322,7 @@ func (c *Client) WaitDone(ctx context.Context, id string) (JobStatus, error) {
 	for {
 		st, err := c.Status(ctx, id, 10*time.Second)
 		if err != nil {
-			retry, hint := transientError(err, true)
+			retry, hint := transientError(err)
 			if !retry {
 				return st, err
 			}
@@ -343,7 +350,7 @@ func (c *Client) WaitDone(ctx context.Context, id string) (JobStatus, error) {
 func (c *Client) Report(ctx context.Context, id string) (*report.Report, error) {
 	rep := new(report.Report)
 	decode := func(body []byte) error { return report.DecodeJSON(body, rep) }
-	if err := c.result(ctx, id, KindAudit, decode, func() bool { return rep.Audits == nil }); err != nil {
+	if err := c.result(ctx, id, auditKind, decode, func() bool { return rep.Audits == nil }); err != nil {
 		return nil, err
 	}
 	return rep, nil
@@ -354,26 +361,34 @@ func (c *Client) Report(ctx context.Context, id string) (*report.Report, error) 
 // decode that failed or left its target without its kind's marker fields
 // (per empty) is sniffed for being another kind's payload, so the success
 // path reads the body exactly once.
-func (c *Client) result(ctx context.Context, id, want string, decode func(body []byte) error, empty func() bool) error {
+func (c *Client) result(ctx context.Context, id string, want *jobKind, decode func(body []byte) error, empty func() bool) error {
 	var body []byte
 	if err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/report", nil, &body); err != nil {
 		return err
 	}
 	err := decode(body)
 	if err != nil || empty() {
-		if kind := resultKind(body); kind != "" && kind != want {
-			return fmt.Errorf("auditd: job %s is %s", id, kindHints[kind])
+		if kind := kindByName(resultKind(body)); kind != nil && kind != want {
+			return fmt.Errorf("auditd: job %s is %s", id, kind.hint)
 		}
 	}
 	return err
 }
 
-// kindHints completes "job … is …" when a typed getter is pointed at
-// another kind's job.
-var kindHints = map[string]string{
-	KindAudit:        "an audit job; use Report",
-	KindRecommend:    "a recommendation job; use RecommendResult",
-	KindPrivateAudit: "a private-audit job; use PrivateAuditResult",
+// JobResult fetches a finished job's result — of any kind — and adopts the
+// body as served, without decoding it (see EncodedResultFromPayload): what a
+// cluster router relays from the node that computed a forwarded job.
+func (c *Client) JobResult(ctx context.Context, id string) (*EncodedResult, error) {
+	return c.encodedResult(ctx, "/v1/audits/"+url.PathEscape(id)+"/report")
+}
+
+// encodedResult GETs a result payload and adopts its bytes.
+func (c *Client) encodedResult(ctx context.Context, path string) (*EncodedResult, error) {
+	var body []byte
+	if err := c.do(ctx, http.MethodGet, path, nil, &body); err != nil {
+		return nil, err
+	}
+	return EncodedResultFromPayload(body)
 }
 
 // resultKind sniffs which workload kind a result payload belongs to: audit
@@ -403,9 +418,7 @@ func resultKind(raw []byte) string {
 // Recommend submits a placement recommendation job; poll it with Status or
 // WaitDone like any audit job and fetch the result with RecommendResult.
 func (c *Client) Recommend(ctx context.Context, req *RecommendRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/recommend", req, &st)
-	return st, err
+	return c.submit(ctx, recommendKind, req)
 }
 
 // RecommendResult fetches a finished recommendation job's ranking; asking
@@ -413,7 +426,7 @@ func (c *Client) Recommend(ctx context.Context, req *RecommendRequest) (JobStatu
 func (c *Client) RecommendResult(ctx context.Context, id string) (*RecommendResponse, error) {
 	res := new(RecommendResponse)
 	decode := func(body []byte) error { return json.Unmarshal(body, res) }
-	if err := c.result(ctx, id, KindRecommend, decode, func() bool { return res.Strategy == "" && res.Rankings == nil }); err != nil {
+	if err := c.result(ctx, id, recommendKind, decode, func() bool { return res.Strategy == "" && res.Rankings == nil }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -422,9 +435,7 @@ func (c *Client) RecommendResult(ctx context.Context, id string) (*RecommendResp
 // PrivateAudit submits a private (PIA) audit job; poll it with Status or
 // WaitDone like any audit job and fetch the result with PrivateAuditResult.
 func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (JobStatus, error) {
-	var st JobStatus
-	err := c.do(ctx, http.MethodPost, "/v1/private-audits", req, &st)
-	return st, err
+	return c.submit(ctx, privateAuditKind, req)
 }
 
 // PrivateAuditResult fetches a finished private-audit job's report; asking
@@ -432,7 +443,7 @@ func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (Jo
 func (c *Client) PrivateAuditResult(ctx context.Context, id string) (*PrivateAuditResponse, error) {
 	res := new(PrivateAuditResponse)
 	decode := func(body []byte) error { return json.Unmarshal(body, res) }
-	if err := c.result(ctx, id, KindPrivateAudit, decode, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
+	if err := c.result(ctx, id, privateAuditKind, decode, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -457,14 +468,14 @@ func (c *Client) Providers(ctx context.Context) ([]ProviderInfo, error) {
 	return out.Providers, err
 }
 
-// Ingest appends dependency records to the server's database and returns
-// the database's new canonical fingerprint. Ingest is NOT idempotent — a
-// duplicated batch changes the fingerprint — so only failures that prove
-// the server did not ingest (refused connection, 429/503 rejections, which
-// the server sends before committing anything) are retried.
+// Ingest reports dependency records to the server's database and returns
+// the database's canonical fingerprint. The database holds current state, so
+// ingest is idempotent — records already on file change neither the
+// fingerprint nor anything downstream of it — and a batch whose first attempt
+// may or may not have landed is resent like any other request.
 func (c *Client) Ingest(ctx context.Context, records []RecordWire) (IngestResponse, error) {
 	var resp IngestResponse
-	err := c.doRetry(ctx, http.MethodPost, "/v1/depdb", &IngestRequest{Records: records}, &resp, false)
+	err := c.do(ctx, http.MethodPost, "/v1/depdb", &IngestRequest{Records: records}, &resp)
 	return resp, err
 }
 
@@ -499,11 +510,7 @@ func (c *Client) Cached(ctx context.Context, key string) (*report.Report, error)
 // kind is not known in advance — the typed Cached would silently mis-decode a
 // recommendation into an almost-empty report.
 func (c *Client) CachedResult(ctx context.Context, key string) (*EncodedResult, error) {
-	var body []byte
-	if err := c.do(ctx, http.MethodGet, "/v1/cache/"+url.PathEscape(key), nil, &body); err != nil {
-		return nil, err
-	}
-	return EncodedResultFromPayload(body)
+	return c.encodedResult(ctx, "/v1/cache/"+url.PathEscape(key))
 }
 
 // Metrics fetches the raw metrics exposition text.
@@ -572,17 +579,7 @@ func (w *Watcher) connect() error {
 	if resp.StatusCode != http.StatusOK {
 		defer resp.Body.Close()
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		var ra time.Duration
-		if v := resp.Header.Get("Retry-After"); v != "" {
-			if secs, err := strconv.Atoi(v); err == nil && secs >= 0 {
-				ra = time.Duration(secs) * time.Second
-			}
-		}
-		var eb errorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Error != "" {
-			return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: %s", eb.Error)}
-		}
-		return &statusErr{code: resp.StatusCode, retryAfter: ra, err: fmt.Errorf("auditd: HTTP %d", resp.StatusCode)}
+		return responseError(resp, body)
 	}
 	w.body = resp.Body
 	w.rd = bufio.NewReader(resp.Body)
@@ -609,7 +606,7 @@ func (w *Watcher) Next() (*WatchEvent, error) {
 			return nil, err
 		}
 		if err := w.connect(); err != nil {
-			retry, hint := transientError(err, true)
+			retry, hint := transientError(err)
 			if !retry {
 				return nil, err
 			}

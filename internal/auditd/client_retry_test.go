@@ -3,7 +3,8 @@ package auditd
 // Client retry/backoff tests, driven by fake transports: refused
 // connections and 429/503 rejections are retried with capped jittered
 // backoff (honoring Retry-After), ambiguous transport failures are retried
-// only for idempotent calls, and WaitDone rides out a full daemon restart.
+// too — every call is idempotent — and WaitDone rides out a full daemon
+// restart.
 
 import (
 	"context"
@@ -84,29 +85,60 @@ func TestClientRetriesRefusedConnection(t *testing.T) {
 	}
 }
 
-// TestIngestNotRetriedOnAmbiguousError: a transport failure that may have
-// reached the server must not resend a non-idempotent ingest — a duplicate
-// batch would silently change the database fingerprint. Idempotent calls
-// keep retrying.
-func TestIngestNotRetriedOnAmbiguousError(t *testing.T) {
-	bt := &brokenTransport{}
-	c := NewClient("http://127.0.0.1:0", &http.Client{Transport: bt})
-	c.Retry = fastRetry()
+// lostReplyTransport delivers the first n round trips to the server and then
+// loses the reply: the ambiguous failure, where the caller cannot know
+// whether the request was acted on.
+type lostReplyTransport struct {
+	calls atomic.Int64
+	n     int64
+	base  http.RoundTripper
+}
+
+func (l *lostReplyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	resp, err := l.base.RoundTrip(r)
+	if err == nil && l.calls.Add(1) <= l.n {
+		resp.Body.Close()
+		return nil, errors.New("connection reset mid-flight")
+	}
+	return resp, err
+}
+
+// TestIngestRetriedOnAmbiguousErrorConverges: an ingest whose reply was lost
+// after the server committed it is resent like any other request, and —
+// ingest being idempotent — the database lands on the fingerprint one clean
+// delivery produces. A transport that never delivers exhausts the attempts.
+func TestIngestRetriedOnAmbiguousErrorConverges(t *testing.T) {
 	ctx := context.Background()
+	ref := New(Config{Workers: 1})
+	defer gracefulShutdown(t, ref)
+	want := mustIngest(t, ref, testRecords())
 
-	if _, err := c.Ingest(ctx, []RecordWire{{Kind: "hardware", HW: "h", Type: "Disk", Dep: "d"}}); err == nil {
+	s := New(Config{Workers: 1})
+	defer gracefulShutdown(t, s)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	lt := &lostReplyTransport{n: 1, base: ts.Client().Transport}
+	c := NewClient(ts.URL, &http.Client{Transport: lt})
+	c.Retry = fastRetry()
+	got, err := c.Ingest(ctx, testRecords())
+	if err != nil || got != want {
+		t.Fatalf("ingest through a lost reply = %+v, %v; one clean delivery answers %+v", got, err, want)
+	}
+	if calls := lt.calls.Load(); calls != 2 {
+		t.Fatalf("ingest attempts = %d, want 2 (one committed but unanswered, one re-observing)", calls)
+	}
+	if fp := s.dbFingerprint(); fp != want.Fingerprint {
+		t.Fatalf("database fingerprint after the retry = %s, want %s", fp, want.Fingerprint)
+	}
+
+	bt := &brokenTransport{}
+	dead := NewClient("http://127.0.0.1:0", &http.Client{Transport: bt})
+	dead.Retry = fastRetry()
+	if _, err := dead.Ingest(ctx, testRecords()); err == nil {
 		t.Fatal("broken transport reported success")
 	}
-	if got := bt.calls.Load(); got != 1 {
-		t.Fatalf("ingest attempts = %d, want exactly 1", got)
-	}
-
-	bt.calls.Store(0)
-	if _, err := c.Status(ctx, "job-000001", 0); err == nil {
-		t.Fatal("broken transport reported success")
-	}
-	if got := bt.calls.Load(); got != int64(c.Retry.MaxAttempts) {
-		t.Fatalf("status attempts = %d, want %d", got, c.Retry.MaxAttempts)
+	if calls := bt.calls.Load(); calls != int64(dead.Retry.MaxAttempts) {
+		t.Fatalf("ingest attempts = %d, want %d", calls, dead.Retry.MaxAttempts)
 	}
 }
 

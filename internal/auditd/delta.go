@@ -24,13 +24,13 @@ package auditd
 import (
 	"context"
 	"fmt"
-	"indaas/internal/telemetry"
 
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
 	"indaas/internal/placement"
 	"indaas/internal/report"
 	"indaas/internal/sia"
+	"indaas/internal/telemetry"
 )
 
 // Lineage bounds: per request identity the newest lineagePerKey generations
@@ -187,40 +187,25 @@ func (l *lineageIndex) lookupLocked(reqKey string) []*lineageEntry {
 	return out
 }
 
-// deltaPlan is the outcome of delta planning for one submission.
-type deltaPlan struct {
-	// adopt, when non-nil, is an ancestor result valid verbatim for the new
-	// database generation: the job can finish without touching the queue.
-	// adoptRep is its struct if the lineage retained one.
-	adopt    *EncodedResult
-	adoptRep *report.Report
-	// run, when set, replaces the full recompute with a partial one that
-	// re-audits only the dirty subjects.
-	run func(ctx context.Context) (any, error)
-	// dirty lists the re-audited subjects (empty for adopt).
-	dirty []string
-	// scores, for an adopted recommendation, is the ancestor's score memo —
-	// chained onto the new generation's lineage entry so delta searches keep
-	// working across consecutive clean ingests.
-	scores map[string]placement.Score
-}
-
 // planAuditDelta looks for an ancestor result to reuse for an audit
-// submission against the server database. It returns nil when no usable
-// ancestor exists (first audit of this shape, lineage evicted, ancestor
-// result no longer retrievable) — the caller then runs the full compute.
-func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs []sia.GraphSpec, opts sia.Options) *deltaPlan {
+// submission against the server database, and turns p into an adoption
+// (p.adopt: the ancestor is valid verbatim for the new database generation,
+// the job can finish without touching the queue) or a partial recompute
+// (p.Run re-audits only p.dirty and splices the rest). It leaves p alone when
+// no usable ancestor exists (first audit of this shape, lineage evicted,
+// ancestor result no longer retrievable) — the full compute then runs.
+func (s *Server) planAuditDelta(p *preparedJob, snap *depdb.Snapshot, specs []sia.GraphSpec, opts sia.Options) {
 	type candidate struct {
 		entry    *lineageEntry
 		dirty    []bool
 		subjects []string
 		nDirty   int
 	}
-	if _, hit := s.cache.Get(key); hit {
-		return nil // plain content-addressed hit; enqueue handles it
+	if _, hit := s.cache.Get(p.Key); hit {
+		return // plain content-addressed hit; the resolve stage finds it
 	}
 	s.mu.Lock()
-	entries := s.lineage.lookupLocked(reqKey)
+	entries := s.lineage.lookupLocked(p.reg.reqKey)
 	s.mu.Unlock()
 	// Diffing and dirty analysis run without Server.mu: entries are
 	// immutable once published, and the work is O(records ingested since
@@ -261,44 +246,49 @@ func (s *Server) planAuditDelta(reqKey, key string, snap *depdb.Snapshot, specs 
 		chosen = partial
 	}
 	if chosen == nil || chosen.nDirty == len(specs) {
-		return nil // nothing to reuse, or everything dirty anyway
+		return // nothing to reuse, or everything dirty anyway
 	}
 	oldRep := chosen.entry.rep
 	if chosen.nDirty == 0 || oldRep == nil {
 		ancestor, _, ok := s.retrieveResult(chosen.entry.resultKey, 0)
-		if !ok || ancestor.kind != KindAudit {
-			return nil
+		if !ok || ancestor.kind != auditKind {
+			return
 		}
 		if chosen.nDirty == 0 {
-			return &deltaPlan{adopt: ancestor, adoptRep: oldRep} // the bytes move; nothing decodes
+			p.adopt, p.adoptRep = ancestor, oldRep // the bytes move; nothing decodes
+			return
 		}
 		// Splicing needs the ancestor's audits as structs: decode once. The
 		// spliced report becomes the retained generation for the next refresh.
 		res, err := s.materialize(ancestor, "")
 		if err != nil {
-			return nil
+			return
 		}
 		oldRep = res.(*report.Report)
 	}
 	dirty := chosen.dirty
-	return &deltaPlan{
-		dirty: chosen.subjects,
-		run: func(ctx context.Context) (any, error) {
-			return spliceAudit(ctx, snap, specs, opts, oldRep, dirty)
-		},
+	p.partial, p.dirty = true, chosen.subjects
+	// A delta splice embeds local lineage state; it cannot be re-expressed to
+	// a remote node.
+	p.NoForward = true
+	p.Run = func(ctx context.Context) (any, error) {
+		return spliceAudit(ctx, snap, specs, opts, oldRep, dirty)
 	}
 }
 
 // planRecommendDelta is planAuditDelta's analogue for placement
-// recommendations. A clean pool adopts the ancestor response whole; a
-// partially dirty pool seeds the search with the ancestor's scores for every
-// candidate free of dirty nodes.
-func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, preq *placement.Request, kinds []deps.Kind, universe []string) *deltaPlan {
-	if _, hit := s.cache.Get(key); hit {
-		return nil
+// recommendations. A clean pool adopts the ancestor response whole, chaining
+// its score memo onto the new generation's lineage entry so delta searches
+// keep working across consecutive clean ingests; a partially dirty pool seeds
+// the search (preq) with the ancestor's scores for every candidate free of
+// dirty nodes.
+func (s *Server) planRecommendDelta(p *preparedJob, snap *depdb.Snapshot, preq *placement.Request) {
+	if _, hit := s.cache.Get(p.Key); hit {
+		return
 	}
+	kinds, universe := p.reg.entry.kinds, p.reg.entry.nodes
 	s.mu.Lock()
-	entries := s.lineage.lookupLocked(reqKey)
+	entries := s.lineage.lookupLocked(p.reg.reqKey)
 	s.mu.Unlock()
 	var chosen *lineageEntry
 	var dirtyNodes []string
@@ -325,14 +315,13 @@ func (s *Server) planRecommendDelta(reqKey, key string, snap *depdb.Snapshot, pr
 	}
 
 	if chosen == nil || len(dirtyNodes) == len(universe) {
-		return nil
+		return
 	}
 	if len(dirtyNodes) == 0 {
-		ancestor, _, ok := s.retrieveResult(chosen.resultKey, 0)
-		if !ok || ancestor.kind != KindRecommend {
-			return nil
+		if ancestor, _, ok := s.retrieveResult(chosen.resultKey, 0); ok && ancestor.kind == recommendKind {
+			p.adopt, p.reg.entry.scores = ancestor, chosen.scores
 		}
-		return &deltaPlan{adopt: ancestor, scores: chosen.scores}
+		return
 	}
 	seed := make(map[string]placement.Score, len(chosen.scores))
 	dirtySet := make(map[string]bool, len(dirtyNodes))
@@ -349,10 +338,11 @@ seeding:
 		seed[k] = sc
 	}
 	if len(seed) == 0 {
-		return nil // nothing reusable; a plain full search is equivalent
+		return // nothing reusable; a plain full search is equivalent
 	}
-	preq.SeedScores = seed
-	return &deltaPlan{dirty: dirtyNodes}
+	// The search is seeded with local lineage scores; it stays on this node.
+	preq.SeedScores, p.NoForward = seed, true
+	p.partial, p.dirty = true, dirtyNodes
 }
 
 // dirtierThan reports that e, p and snap are successive generations of one

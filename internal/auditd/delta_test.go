@@ -464,7 +464,7 @@ func TestDeltaPlanSkipsOnlyOlderSameLogAncestors(t *testing.T) {
 					t.Fatal(err)
 				}
 				crossJSON = auditsJSON(t, rep)
-				enc, err := encodeResult(KindAudit, rep)
+				enc, err := encodeResult(auditKind, rep)
 				if err != nil {
 					t.Fatal(err)
 				}

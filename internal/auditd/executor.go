@@ -16,9 +16,8 @@ import (
 	"time"
 )
 
-// Workload kinds, shared with the crash journal's job kinds: every
-// submission path tags its workload so a remote executor knows which wire
-// endpoint to re-submit it to and which result type to fetch back.
+// The names of the registered job kinds (see jobkind.go): what a workload, a
+// journal record and a stored result are tagged with.
 const (
 	KindAudit        = "audit"
 	KindRecommend    = "recommend"
@@ -32,13 +31,12 @@ type Workload struct {
 	// executor anywhere may compute this workload and the result is valid
 	// under Key on every node.
 	Key string
-	// Kind names the workload family — KindAudit, KindRecommend or
-	// KindPrivateAudit — so a remote executor knows which result type to
-	// fetch back.
+	// Kind names the workload's registered job kind (KindAudit …).
 	Kind string
 	// Wire is the workload's wire request (*SubmitRequest and friends), nil
 	// when the submission cannot be re-expressed over HTTP. A remote executor
-	// re-submits it verbatim to the owning node.
+	// re-submits it verbatim to the owning node (Client.SubmitWorkload posts
+	// it to the kind's route).
 	Wire any
 	// DBFingerprint is the database snapshot the run closure captured; a
 	// remote executor may only forward a non-self-contained workload to a
@@ -61,7 +59,9 @@ type Workload struct {
 // once with the outcome; a workload canceled while still queued gets
 // Done(nil, ctx.Err()) without Started. Both are invoked from the executing
 // goroutine — never synchronously from Submit, whose caller may hold locks —
-// and Started always precedes Done.
+// and Started always precedes Done. res is the result as a struct, or — from
+// an executor that had the work done elsewhere — as the *EncodedResult it
+// fetched, which the server keeps without re-encoding.
 type ExecCallbacks struct {
 	Started func()
 	Done    func(res any, err error)

@@ -18,9 +18,9 @@ const maxRequestBody = 32 << 20
 // Handler returns the service's HTTP API.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/audits", s.handleSubmit)
-	mux.HandleFunc("POST /v1/recommend", s.handleRecommend)
-	mux.HandleFunc("POST /v1/private-audits", s.handlePrivateAudit)
+	for _, k := range jobKinds {
+		mux.HandleFunc("POST "+k.route, s.handleJob(k))
+	}
 	mux.HandleFunc("POST /v1/providers", s.handleRegisterProvider)
 	mux.HandleFunc("GET /v1/providers", s.handleProviders)
 	mux.HandleFunc("POST /v1/depdb", s.handleIngest)
@@ -122,40 +122,29 @@ const (
 	ReplicatedHeader = "X-Indaas-Replicated"
 )
 
-// handleJob serves the three job-submission routes: it decodes the request,
-// marks it as already routed when a cluster peer forwarded it, submits it,
-// and answers 202 (accepted, result pending) or 200 (a result tier already
-// held the answer). Whatever the kind, the job's lifecycle — poll, result,
-// cancel — then runs through the shared /v1/audits/{id} endpoints.
-func handleJob[R any](w http.ResponseWriter, r *http.Request, noForward func(*R) *bool, submit func(*R) (JobStatus, error)) {
-	var req R
-	if !decodeJSON(w, r, &req) {
-		return
+// handleJob serves a job kind's submission route: it decodes the kind's
+// request, notes whether a cluster peer already routed it, submits it, and
+// answers 202 (accepted, result pending) or 200 (a result tier already held
+// the answer). Whatever the kind, the job's lifecycle — poll, result, cancel —
+// then runs through the shared /v1/audits/{id} endpoints.
+func (s *Server) handleJob(k *jobKind) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		req := k.newRequest()
+		if !decodeJSON(w, r, req) {
+			return
+		}
+		st, err := s.submitJob(k, req, origin{forwarded: r.Header.Get(ForwardedHeader) != ""})
+		if err != nil {
+			writeErr(w, err)
+			return
+		}
+		telemetry.AnnotateJob(r, st.ID)
+		code := 202
+		if st.State == StateDone {
+			code = 200
+		}
+		writeJSON(w, code, st)
 	}
-	*noForward(&req) = r.Header.Get(ForwardedHeader) != ""
-	st, err := submit(&req)
-	if err != nil {
-		writeErr(w, err)
-		return
-	}
-	telemetry.AnnotateJob(r, st.ID)
-	code := 202
-	if st.State == StateDone {
-		code = 200
-	}
-	writeJSON(w, code, st)
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	handleJob(w, r, func(q *SubmitRequest) *bool { return &q.NoForward }, s.Submit)
-}
-
-func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
-	handleJob(w, r, func(q *RecommendRequest) *bool { return &q.NoForward }, s.Recommend)
-}
-
-func (s *Server) handlePrivateAudit(w http.ResponseWriter, r *http.Request) {
-	handleJob(w, r, func(q *PrivateAuditRequest) *bool { return &q.NoForward }, s.PrivateAudit)
 }
 
 // handleRegisterProvider registers (or replaces) a private-audit provider

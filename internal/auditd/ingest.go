@@ -83,13 +83,9 @@ func (s *Server) Ingest(req *IngestRequest) (IngestResponse, error) {
 	if len(req.Records) == 0 {
 		return IngestResponse{}, &statusErr{code: 400, err: errors.New("ingest has no records")}
 	}
-	records := make([]deps.Record, 0, len(req.Records))
-	for i, w := range req.Records {
-		r, err := w.Record()
-		if err != nil {
-			return IngestResponse{}, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
-		}
-		records = append(records, r)
+	records, err := recordsFromWire(req.Records)
+	if err != nil {
+		return IngestResponse{}, err
 	}
 
 	if !req.Replicated {

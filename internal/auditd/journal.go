@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"net/http"
 	"strconv"
 	"strings"
 
@@ -30,47 +31,32 @@ type journalRecord struct {
 
 func journalKey(id string) string { return jobKeyPrefix + id }
 
-// journalFor builds the journal payload for a submission, or nil — meaning
-// "do not journal" — on a memory-only service.
-func (s *Server) journalFor(kind string, req any) *journalRecord {
-	if s.store == nil {
-		return nil
-	}
+// journalJob persists an accepted job's {kind, request} record, reporting
+// whether the job now counts as journaled. The write is skipped while
+// degraded: a job accepted in memory-only mode is lost by a crash, exactly as
+// it would be on a service with no store at all. Called without s.mu held.
+func (s *Server) journalJob(id, kind string, req any) bool {
 	blob, err := json.Marshal(req)
 	if err != nil {
-		// Wire requests always marshal; never block a submission on this.
-		return nil
-	}
-	return &journalRecord{Kind: kind, Request: blob}
-}
-
-// persistJob journals an accepted job. Skipped while degraded: a job
-// accepted in memory-only mode is lost by a crash, exactly as it would be
-// on a service with no store at all. Called without s.mu held.
-func (s *Server) persistJob(id string, jr *journalRecord) {
-	if s.store == nil || jr == nil {
-		return
+		return false // wire requests always marshal; never block a submission on this
 	}
 	if !s.breaker.allow() {
 		s.m.storeSkipped.Add(1)
-		return
+		return true
 	}
-	blob, err := json.Marshal(jr)
+	rec, err := json.Marshal(journalRecord{Kind: kind, Request: blob})
 	if err != nil {
 		s.m.storeErrors.Add(1)
-		return
+		return true
 	}
-	evicted, err := s.store.Put(journalKey(id), store.KindJob, blob)
+	evicted, err := s.store.Put(journalKey(id), store.KindJob, rec)
 	if err != nil {
 		s.storeFailure("journaling job "+id, err)
 	} else {
 		s.storeOK()
 	}
-	if len(evicted) > 0 {
-		s.mu.Lock()
-		s.dropCachedLocked(evicted, "")
-		s.mu.Unlock()
-	}
+	s.dropCached(evicted, "")
+	return true
 }
 
 // clearJournals tombstones the journal records of settled jobs. Failures
@@ -114,89 +100,84 @@ func journaledIDsLocked(jobs []*job) []string {
 // after RestoreDB and before serving traffic, so a client polling a
 // pre-crash job id finds it again under the same id with Recovered set.
 // Jobs whose results became durable before the crash settle instantly as
-// disk hits. Records that can no longer be replayed are dropped (with a
-// log line) rather than wedging every future boot. Returns the number of
-// jobs re-enqueued.
+// disk hits. Records that can no longer be replayed (unreadable, an unknown
+// kind, a request the service now rejects as invalid) are dropped with a log
+// line rather than wedging every future boot; a record the service merely
+// has no room for right now (429, 503) stays on disk for the next call or the
+// next boot — it is accepted work. Returns the number of jobs re-enqueued.
 func (s *Server) RecoverJobs() (int, error) {
 	if s.store == nil {
 		return 0, nil
 	}
-	recovered := 0
+	recovered, deferred := 0, 0
 	for _, e := range s.store.Entries() { // oldest first: submission order
 		if e.Kind != store.KindJob || !strings.HasPrefix(e.Key, jobKeyPrefix) {
 			continue
 		}
 		id := strings.TrimPrefix(e.Key, jobKeyPrefix)
-		blob, _, ok, err := s.store.Get(e.Key)
-		if err != nil || !ok {
-			s.dropJournal(e.Key, fmt.Errorf("unreadable: ok=%v err=%v", ok, err))
-			continue
+		s.mu.Lock()
+		_, known := s.jobs[id]
+		s.mu.Unlock()
+		if known {
+			continue // live in this process: its record is not a crash's
 		}
-		var jr journalRecord
-		if err := json.Unmarshal(blob, &jr); err != nil {
-			s.dropJournal(e.Key, err)
-			continue
+		k, req, err := s.readJournal(e.Key)
+		if err == nil {
+			_, err = s.submitJob(k, req, origin{recoverID: id})
 		}
-		switch jr.Kind {
-		case KindAudit:
-			var req SubmitRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.submit(&req, id, true); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-		case KindRecommend:
-			var req RecommendRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.recommend(&req, id); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-		case KindPrivateAudit:
-			var req PrivateAuditRequest
-			if err := json.Unmarshal(jr.Request, &req); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
-			if _, err := s.privateAudit(&req, id); err != nil {
-				s.dropJournal(e.Key, err)
-				continue
-			}
+		switch code := httpStatus(err); {
+		case err == nil:
+			recovered++
+			s.m.jobsRecovered.Add(1)
+			log.Printf("auditd: recovered job %s from the journal", id)
+		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
+			deferred++
 		default:
-			s.dropJournal(e.Key, fmt.Errorf("unknown job kind %q", jr.Kind))
-			continue
+			log.Printf("auditd: dropping journal record %s: %v", e.Key, err)
+			if derr := s.store.Delete(e.Key); derr != nil {
+				log.Printf("auditd: dropping journal record %s: %v", e.Key, derr)
+			}
 		}
-		recovered++
-		s.m.jobsRecovered.Add(1)
-		log.Printf("auditd: recovered job %s from the journal", id)
+	}
+	if deferred > 0 {
+		log.Printf("auditd: %d journaled jobs found no room in the queue; their records stay for the next recovery", deferred)
 	}
 	return recovered, nil
 }
 
-// dropJournal deletes a journal record that cannot be replayed, logging why.
-func (s *Server) dropJournal(key string, err error) {
-	log.Printf("auditd: dropping journal record %s: %v", key, err)
-	if derr := s.store.Delete(key); derr != nil {
-		log.Printf("auditd: dropping journal record %s: %v", key, derr)
+// readJournal loads one journal record as its kind and a filled wire request.
+func (s *Server) readJournal(key string) (*jobKind, jobRequest, error) {
+	blob, _, ok, err := s.store.Get(key)
+	if err != nil || !ok {
+		return nil, nil, fmt.Errorf("unreadable: ok=%v err=%v", ok, err)
 	}
+	var jr journalRecord
+	if err := json.Unmarshal(blob, &jr); err != nil {
+		return nil, nil, err
+	}
+	k := kindByName(jr.Kind)
+	if k == nil {
+		return nil, nil, fmt.Errorf("unknown job kind %q", jr.Kind)
+	}
+	req := k.newRequest()
+	if err := json.Unmarshal(jr.Request, req); err != nil {
+		return nil, nil, err
+	}
+	return k, req, nil
 }
 
-// allocIDLocked assigns a job id: the next fresh one, or — when replaying
-// the journal — the job's original id, bumping the counter past it so the
-// ids of recovered and new jobs never collide.
-func (s *Server) allocIDLocked(recoverID string) string {
-	if recoverID != "" {
-		if n, err := strconv.ParseUint(strings.TrimPrefix(recoverID, "job-"), 10, 64); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-		return recoverID
+// allocID assigns a job id: the next fresh one, or — when replaying the
+// journal — the job's original id, raising the counter past it so the ids of
+// recovered and new jobs never collide. Lock-free, so the resolve stage can
+// journal a job under its id; an id whose submission is then refused is
+// simply never used (ids have gaps).
+func (s *Server) allocID(recoverID string) string {
+	if recoverID == "" {
+		return fmt.Sprintf("job-%06d", s.nextID.Add(1))
 	}
-	s.nextID++
-	return fmt.Sprintf("job-%06d", s.nextID)
+	if n, err := strconv.ParseUint(strings.TrimPrefix(recoverID, "job-"), 10, 64); err == nil {
+		for cur := s.nextID.Load(); n > cur && !s.nextID.CompareAndSwap(cur, n); cur = s.nextID.Load() {
+		}
+	}
+	return recoverID
 }

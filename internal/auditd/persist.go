@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"sync"
+	"time"
 
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
@@ -297,17 +299,16 @@ func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 	}
 	s.snapMeta = meta
 	s.snapDirty = false
-	s.mu.Lock()
-	s.dropCachedLocked(evicted, "")
-	s.mu.Unlock()
+	s.dropCached(evicted, "")
 	return nil
 }
 
-// dropCachedLocked mirrors disk-store evictions into the in-memory LRU so
-// the two tiers cannot disagree about what is retrievable. except (usually
-// the key just written) is spared: even if the store could not retain it,
-// the in-memory copy stays valid. Caller holds s.mu.
-func (s *Server) dropCachedLocked(keys []string, except string) {
+// dropCached mirrors disk-store evictions into the in-memory LRU so the two
+// tiers cannot disagree about what is retrievable. except (usually the key
+// just written) is spared: even if the store could not retain it, the
+// in-memory copy stays valid. The memory tier locks itself; s.mu is not
+// needed.
+func (s *Server) dropCached(keys []string, except string) {
 	for _, key := range keys {
 		if key == except {
 			continue
@@ -315,4 +316,46 @@ func (s *Server) dropCachedLocked(keys []string, except string) {
 		s.cache.Remove(key)
 		s.m.storeEvictions.Add(1)
 	}
+}
+
+// StoreGC applies the persistent store's size/age eviction policy now and
+// mirrors any evictions into the in-memory cache — the same bookkeeping a
+// Put-triggered eviction gets. A memory-only service no-ops. It returns how
+// many entries were evicted.
+func (s *Server) StoreGC() (int, error) {
+	if s.store == nil {
+		return 0, nil
+	}
+	evicted, err := s.store.GC()
+	if err != nil {
+		s.m.storeErrors.Add(1)
+	}
+	s.dropCached(evicted, "")
+	return len(evicted), err
+}
+
+// StartStoreGC runs StoreGC every interval until the returned stop function
+// is called, so an idle daemon still enforces -store-max-age: without the
+// ticker, eviction only runs inside Put and a quiet store never ages
+// anything out. Stop is idempotent; a memory-only service (or interval <= 0)
+// gets a no-op.
+func (s *Server) StartStoreGC(interval time.Duration) (stop func()) {
+	if s.store == nil || interval <= 0 {
+		return func() {}
+	}
+	done := make(chan struct{})
+	go func() {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				s.StoreGC() // a GC failure increments auditd_store_errors_total
+			case <-done:
+				return
+			}
+		}
+	}()
+	var once sync.Once
+	return func() { once.Do(func() { close(done) }) }
 }

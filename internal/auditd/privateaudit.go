@@ -222,10 +222,6 @@ type PrivateAuditRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's run time; same semantics as audit jobs.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // providerRef is a provider's identity inside the canonical form: its name
@@ -414,57 +410,63 @@ func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse,
 	return resp, nil
 }
 
+// privateAuditKind is the private independence audit (§4.2): POST
+// /v1/private-audits, a PrivateAuditRequest in, a PrivateAuditResponse out.
+var privateAuditKind = &jobKind{
+	name:       KindPrivateAudit,
+	route:      "/v1/private-audits",
+	hint:       "a private-audit job; use PrivateAuditResult",
+	newRequest: func() jobRequest { return new(PrivateAuditRequest) },
+	decodeResult: func(obj []byte, title string) (any, error) {
+		pia := new(PrivateAuditResponse)
+		err := json.Unmarshal(obj, pia)
+		pia.Title = title
+		return pia, err
+	},
+}
+
 // PrivateAudit validates and accepts a private audit, returning the new
 // job's status. Private-audit jobs share the audit queue, worker pool,
 // result caches and cancellation plumbing: poll and fetch them through the
 // same /v1/audits/{id} endpoints.
 func (s *Server) PrivateAudit(req *PrivateAuditRequest) (JobStatus, error) {
-	return s.privateAudit(req, "")
+	return s.submitJob(privateAuditKind, req, origin{})
 }
 
-// privateAudit is PrivateAudit with a recovery id: RecoverJobs replays
-// journaled requests through it so a crashed job reappears under its
-// original id.
-func (s *Server) privateAudit(req *PrivateAuditRequest, recoverID string) (JobStatus, error) {
-	n, cfg, provs, deployments, err := req.normalize(s.lookupProvider)
+// prepare readies a private audit: providers resolve against this node's
+// registry, and the run closure drives the protocol rounds.
+func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
+	n, cfg, provs, deployments, err := r.normalize(s.lookupProvider)
 	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return nil, &statusErr{code: 400, err: err}
 	}
 	infos := make([]ProviderInfo, len(n.Providers))
 	for i, ref := range n.Providers {
 		infos[i] = ProviderInfo{Name: ref.Name, Fingerprint: ref.Fingerprint, Components: len(provs[i].Components)}
 	}
-	protocol := n.Protocol
-	pairs := len(deployments)
-	run := func(ctx context.Context) (any, error) {
-		start := time.Now()
-		rep, err := pia.AuditDeploymentsContext(ctx, cfg, provs, deployments)
-		if err != nil {
-			return nil, err
-		}
-		s.m.privatePairs.Add(int64(pairs))
-		return PrivateAuditResponseFromReport(rep, infos, protocol, time.Since(start)), nil
-	}
 	// The request is self-contained only when every provider inlines its
 	// components; a registry reference resolves against THIS node's provider
 	// registry and must not be forwarded to a peer that may lack it.
 	inline := true
-	for _, p := range req.Providers {
-		if len(p.Components) == 0 {
-			inline = false
-			break
-		}
+	for _, p := range r.Providers {
+		inline = inline && len(p.Components) > 0
 	}
-	extra := &jobExtras{
-		kind: KindPrivateAudit, wire: req, recoverID: recoverID,
-		selfContained: inline,
-		noForward:     req.NoForward || recoverID != "" || !inline,
-	}
-	st, err := s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
-	if err == nil {
-		s.m.privateAudits.Add(1)
-	}
-	return st, err
+	protocol := n.Protocol
+	pairs := len(deployments)
+	return &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.privateAudits, Workload: Workload{
+		Key:           n.key(),
+		SelfContained: inline,
+		NoForward:     !inline,
+		Run: func(ctx context.Context) (any, error) {
+			start := time.Now()
+			rep, err := pia.AuditDeploymentsContext(ctx, cfg, provs, deployments)
+			if err != nil {
+				return nil, err
+			}
+			s.m.privatePairs.Add(int64(pairs))
+			return PrivateAuditResponseFromReport(rep, infos, protocol, time.Since(start)), nil
+		},
+	}}, nil
 }
 
 // PrivateAuditResponse is the wire form of a completed private audit. Its

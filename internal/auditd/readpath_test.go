@@ -106,7 +106,7 @@ func TestStoredResultFromPR12Decodes(t *testing.T) {
 	if got, want := fmt.Sprintf("%#v", res), fmt.Sprintf("%#v", want); got != want {
 		t.Errorf("decoded report differs.\ngot:  %s\nwant: %s", got, want)
 	}
-	fresh, err := encodeResult(KindAudit, want)
+	fresh, err := encodeResult(auditKind, want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func (e corruptingExecutor) Submit(ctx context.Context, w *Workload, cb ExecCall
 func TestResponsesAreCompactWithContentLength(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
-	good, err := encodeResult(KindAudit, upgradeFixtureReport())
+	good, err := encodeResult(auditKind, upgradeFixtureReport())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestResultGettersWrongKindErrors(t *testing.T) {
 	// report, and anything that is not one JSON object is an error.
 	for _, in := range []string{`{}`, `{"title":"t","audits":null}`, `{"audits":[],"rankings":[]}`} {
 		enc, err := EncodedResultFromPayload([]byte(in))
-		if err != nil || enc.kind != KindAudit {
+		if err != nil || enc.kind != auditKind {
 			t.Errorf("EncodedResultFromPayload(%s) = %+v, %v", in, enc, err)
 		}
 	}

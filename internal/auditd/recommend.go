@@ -2,13 +2,13 @@ package auditd
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math"
 	"sort"
 
 	"indaas/internal/deps"
 	"indaas/internal/placement"
-	"indaas/internal/sia"
 )
 
 // RecommendRequest is the body of POST /v1/recommend: pick the most
@@ -59,10 +59,6 @@ type RecommendRequest struct {
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's run time; same semantics as audit jobs.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // normalizedRecommend is the canonical, defaults-applied form the cache key
@@ -79,13 +75,9 @@ type normalizedRecommend struct {
 	BeamWidth     int      `json:"beam_width,omitempty"`
 	MaxCandidates int      `json:"max_candidates,omitempty"`
 	Kinds         []string `json:"kinds,omitempty"`
-	Algorithm     string   `json:"algorithm"`
-	Rounds        int      `json:"rounds,omitempty"`
-	Seed          int64    `json:"seed,omitempty"`
-	Workers       int      `json:"workers,omitempty"` // sampler workers
-	FailureProb   float64  `json:"failure_prob,omitempty"`
-	MaxSets       int      `json:"max_sets,omitempty"`
-	MaxSize       int      `json:"max_size,omitempty"`
+	algorithmOptions
+	MaxSets int `json:"max_sets,omitempty"`
+	MaxSize int `json:"max_size,omitempty"`
 }
 
 // normalize validates the request and produces the canonical form (minus
@@ -111,44 +103,19 @@ func (r *RecommendRequest) normalize() (normalizedRecommend, placement.Request, 
 		}
 		kindList = append(kindList, k)
 	}
-	var opts sia.Options
-	switch r.Algorithm {
-	case "", "minimal-rg":
-		n.Algorithm = "minimal-rg"
-		opts.Algorithm = sia.MinimalRG
-	case "failure-sampling":
-		n.Algorithm = "failure-sampling"
-		opts.Algorithm = sia.FailureSampling
-		n.Rounds = r.Rounds
-		if n.Rounds == 0 {
-			n.Rounds = 100_000
-		}
-		n.Seed = r.Seed
-		if n.Seed == 0 {
-			n.Seed = 1
-		}
-		n.Workers = r.SamplerWorkers
-		if n.Workers == 0 {
-			n.Workers = 1 // host-independent by default, like audits
-		}
-		opts.Rounds, opts.Seed, opts.Workers = n.Rounds, n.Seed, n.Workers
-	default:
-		return n, preq, fmt.Errorf("auditd: unknown algorithm %q", r.Algorithm)
+	algo, opts, err := normalizeAlgorithm(r.Algorithm, r.Rounds, r.Seed, r.SamplerWorkers, r.FailureProb, r.MaxSets, r.MaxSize)
+	if err != nil {
+		return n, preq, err
 	}
-	if r.FailureProb < 0 || r.FailureProb > 1 {
-		return n, preq, fmt.Errorf("auditd: failure_prob %v out of [0,1]", r.FailureProb)
-	}
-	if r.TopK < 0 || r.BeamWidth < 0 || r.MaxCandidates < 0 || r.MaxSets < 0 ||
-		r.MaxSize < 0 || r.Rounds < 0 || r.TimeoutMS < 0 || r.SamplerWorkers < 0 || r.Workers < 0 {
-		return n, preq, fmt.Errorf("auditd: negative option")
+	if r.TopK < 0 || r.BeamWidth < 0 || r.MaxCandidates < 0 || r.TimeoutMS < 0 || r.Workers < 0 {
+		return n, preq, errNegativeOption
 	}
 	var probFn func(string) float64
 	if r.FailureProb > 0 {
 		p := r.FailureProb
 		probFn = func(string) float64 { return p }
-		opts.RankMode = sia.RankByProb
 	}
-	opts.MaxSets, opts.MaxSize = r.MaxSets, r.MaxSize
+	n.algorithmOptions, n.MaxSets, n.MaxSize = algo, r.MaxSets, r.MaxSize
 
 	n.Fixed = append([]string(nil), r.Fixed...)
 	sort.Strings(n.Fixed)
@@ -161,8 +128,6 @@ func (r *RecommendRequest) normalize() (normalizedRecommend, placement.Request, 
 	n.BeamWidth = r.BeamWidth
 	n.MaxCandidates = r.MaxCandidates
 	n.Kinds = kinds
-	n.FailureProb = r.FailureProb
-	n.MaxSets, n.MaxSize = r.MaxSets, r.MaxSize
 
 	preq = placement.Request{
 		Fixed:         n.Fixed,
@@ -203,31 +168,48 @@ func (r *RecommendRequest) PlacementRequest() (placement.Request, error) {
 	return preq, err
 }
 
+// recommendKind is the placement recommendation (§5): POST /v1/recommend, a
+// RecommendRequest in, a RecommendResponse out.
+var recommendKind = &jobKind{
+	name:       KindRecommend,
+	route:      "/v1/recommend",
+	hint:       "a recommendation job; use RecommendResult",
+	newRequest: func() jobRequest { return new(RecommendRequest) },
+	decodeResult: func(obj []byte, title string) (any, error) {
+		rec := new(RecommendResponse)
+		err := json.Unmarshal(obj, rec)
+		rec.Title = title
+		return rec, err
+	},
+}
+
 // Recommend validates and accepts a placement recommendation, returning the
 // new job's status. Recommendation jobs share the audit queue, worker pool,
 // result cache and cancellation plumbing: poll and fetch them through the
 // same /v1/audits/{id} endpoints.
 func (s *Server) Recommend(req *RecommendRequest) (JobStatus, error) {
-	return s.recommend(req, "")
+	return s.submitJob(recommendKind, req, origin{})
 }
 
-// recommend is Recommend with a recovery id: RecoverJobs replays journaled
-// requests through it so a crashed job reappears under its original id.
-func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, error) {
-	n, preq, err := req.normalize()
+// prepare readies a recommendation: the candidate pool is resolved against
+// the snapshot, structurally impossible searches are refused, and the run
+// closure searches the deployment space. Server-database requests delta at
+// candidate granularity (see planRecommendDelta).
+func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
+	n, preq, err := r.normalize()
 	if err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return nil, &statusErr{code: 400, err: err}
 	}
-	snap, err := s.resolveDB(req.Records)
+	snap, err := s.resolveDB(r.Records)
 	if err != nil {
-		return JobStatus{}, err
+		return nil, err
 	}
 	n.DBFingerprint = snap.Fingerprint()
 
 	// Resolve the candidate pool against the snapshot: an empty pool means
 	// every subject with records, minus the fixed nodes.
-	if len(req.Nodes) > 0 {
-		n.Nodes = append([]string(nil), req.Nodes...)
+	if len(r.Nodes) > 0 {
+		n.Nodes = append([]string(nil), r.Nodes...)
 		sort.Strings(n.Nodes)
 	} else {
 		fixed := make(map[string]bool, len(n.Fixed))
@@ -241,36 +223,30 @@ func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, 
 		}
 	}
 	if len(n.Nodes) == 0 {
-		return JobStatus{}, &statusErr{code: 400, err: fmt.Errorf("auditd: no candidate nodes (empty pool and no database subjects)")}
+		return nil, &statusErr{code: 400, err: fmt.Errorf("auditd: no candidate nodes (empty pool and no database subjects)")}
 	}
 	preq.Nodes = n.Nodes
 	// Fail structurally impossible searches (duplicate nodes, pool smaller
 	// than replicas, fixed ⊇ replicas …) at submission time with a 400,
 	// like every other invalid request — not as a failed job.
 	if err := preq.Validate(); err != nil {
-		return JobStatus{}, &statusErr{code: 400, err: err}
+		return nil, &statusErr{code: 400, err: err}
 	}
 
-	extra := &jobExtras{
-		kind: KindRecommend, wire: req, recoverID: recoverID,
-		dbFP:          n.DBFingerprint,
-		selfContained: len(req.Records) > 0,
-		noForward:     req.NoForward || recoverID != "",
-	}
-	if len(req.Records) == 0 {
-		reqKey := n.requestKey()
+	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.recommendations, Workload: Workload{
+		Key:           n.key(),
+		DBFingerprint: n.DBFingerprint,
+		SelfContained: len(r.Records) > 0,
+	}}
+	if len(r.Records) == 0 {
 		universe := append(append([]string(nil), n.Fixed...), n.Nodes...)
-		entry := &lineageEntry{fp: snap.Fingerprint(), snap: snap, kinds: preq.Kinds, nodes: universe}
-		extra.reg = &lineageReg{reqKey: reqKey, entry: entry}
-		if plan := s.planRecommendDelta(reqKey, n.key(), snap, &preq, preq.Kinds, universe); plan != nil {
-			extra.applyPlan(plan)
-			entry.scores = plan.scores // adopt: chain the ancestor's memo on
-			// The plan seeded preq with local lineage scores; keep it here.
-			extra.noForward = true
-		}
+		p.reg = &lineageReg{reqKey: n.requestKey(), entry: &lineageEntry{
+			fp: snap.Fingerprint(), snap: snap, kinds: preq.Kinds, nodes: universe,
+		}}
+		s.planRecommendDelta(p, snap, &preq)
 	}
-	reg := extra.reg
-	run := func(ctx context.Context) (any, error) {
+	reg := p.reg
+	p.Run = func(ctx context.Context) (any, error) {
 		res, err := placement.Search(ctx, snap, preq)
 		if err != nil {
 			return nil, err
@@ -283,11 +259,7 @@ func (s *Server) recommend(req *RecommendRequest, recoverID string) (JobStatus, 
 		}
 		return RecommendResponseFromResult(res), nil
 	}
-	st, err := s.enqueue(n.key(), req.Title, req.TimeoutMS, run, extra)
-	if err == nil {
-		s.m.recommendations.Add(1)
-	}
-	return st, err
+	return p, nil
 }
 
 // RecommendResponse is the wire form of a completed placement search. Its

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"fmt"
 
 	"indaas/internal/report"
 )
@@ -16,7 +15,7 @@ import (
 // written (title is the first field of all three payload kinds), so serving
 // a hit runs no codec.
 type EncodedResult struct {
-	kind string // KindAudit, KindRecommend or KindPrivateAudit
+	kind *jobKind
 	// obj is the payload as one newline-terminated compact JSON object with
 	// no title: `{"audits":[…]}\n`. Never written after construction.
 	obj []byte
@@ -26,7 +25,7 @@ type EncodedResult struct {
 // newline, in a buffer the caller gives up — as a result of the given kind.
 // A leading title field is cut without copying: the byte before the next
 // field is overwritten with the opening brace.
-func newEncodedResult(kind string, line []byte) (*EncodedResult, error) {
+func newEncodedResult(kind *jobKind, line []byte) (*EncodedResult, error) {
 	const titleKey = `{"title":"`
 	if len(line) < 3 || line[0] != '{' || !bytes.HasSuffix(line, []byte("}\n")) {
 		return nil, errors.New("auditd: result payload is not one compact JSON object")
@@ -55,7 +54,7 @@ func newEncodedResult(kind string, line []byte) (*EncodedResult, error) {
 
 // encodeResult is the one encode a computed result ever gets; reports go
 // through their codec's explicit entry point.
-func encodeResult(kind string, res any) (*EncodedResult, error) {
+func encodeResult(kind *jobKind, res any) (*EncodedResult, error) {
 	var buf bytes.Buffer
 	var err error
 	if rep, ok := res.(*report.Report); ok {
@@ -73,8 +72,8 @@ func encodeResult(kind string, res any) (*EncodedResult, error) {
 // serve it — a cluster peer's answer — sniffing its kind by shape and
 // cutting its title, without decoding it. raw must not be used afterwards.
 func EncodedResultFromPayload(raw []byte) (*EncodedResult, error) {
-	kind := resultKind(raw)
-	if kind == "" {
+	kind := kindByName(resultKind(raw))
+	if kind == nil {
 		return nil, errors.New("auditd: result payload is not a JSON object")
 	}
 	if !bytes.HasSuffix(raw, []byte("\n")) {
@@ -87,7 +86,7 @@ func EncodedResultFromPayload(raw []byte) (*EncodedResult, error) {
 // carry title exactly as encoding/json renders the struct: reports always
 // have a title field, the other kinds omit an empty one.
 func (e *EncodedResult) head(title string) []byte {
-	if title == "" && e.kind != KindAudit {
+	if title == "" && !e.kind.titled {
 		return []byte("{")
 	}
 	quoted, _ := json.Marshal(title) // a string always encodes
@@ -99,7 +98,7 @@ func (e *EncodedResult) head(title string) []byte {
 }
 
 // envelopeHead opens the disk-store record of a result of the given kind.
-func envelopeHead(kind string) string { return `{"kind":"` + kind + `","payload":` }
+func envelopeHead(kind *jobKind) string { return `{"kind":"` + kind.name + `","payload":` }
 
 // envelope renders the disk-store record, byte-identical to the
 // {"kind":…,"payload":…} object earlier versions marshaled: the stored
@@ -116,34 +115,19 @@ func (e *EncodedResult) envelope() []byte {
 // place inside blob (which the caller gives up), the envelope's closing
 // brace becoming the payload's newline; a stored title is dropped.
 func parseEnvelope(blob []byte) (*EncodedResult, error) {
-	for _, kind := range []string{KindAudit, KindRecommend, KindPrivateAudit} {
-		if pre := envelopeHead(kind); bytes.HasPrefix(blob, []byte(pre)) && blob[len(blob)-1] == '}' {
+	for _, k := range jobKinds {
+		if pre := envelopeHead(k); bytes.HasPrefix(blob, []byte(pre)) && blob[len(blob)-1] == '}' {
 			blob[len(blob)-1] = '\n'
-			return newEncodedResult(kind, blob[len(pre):])
+			return newEncodedResult(k, blob[len(pre):])
 		}
 	}
 	return nil, errors.New("auditd: persisted record is not a result envelope of a known kind")
 }
 
-// Decode materialises the result as its struct — *report.Report,
+// Decode materialises the result as its kind's struct — *report.Report,
 // *RecommendResponse or *PrivateAuditResponse — under title.
-func (e *EncodedResult) Decode(title string) (res any, err error) {
-	switch e.kind {
-	case KindAudit:
-		rep := new(report.Report)
-		err = report.DecodeJSON(e.obj, rep)
-		rep.Title, res = title, rep
-	case KindRecommend:
-		rec := new(RecommendResponse)
-		err = json.Unmarshal(e.obj, rec)
-		rec.Title, res = title, rec
-	case KindPrivateAudit:
-		pia := new(PrivateAuditResponse)
-		err = json.Unmarshal(e.obj, pia)
-		pia.Title, res = title, pia
-	default:
-		err = fmt.Errorf("auditd: unknown result kind %q", e.kind)
-	}
+func (e *EncodedResult) Decode(title string) (any, error) {
+	res, err := e.kind.decodeResult(e.obj, title)
 	if err != nil {
 		return nil, err
 	}

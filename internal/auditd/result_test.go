@@ -62,21 +62,11 @@ func TestTitleSpliceMatchesReencode(t *testing.T) {
 		}
 		titles = append(titles, b.String())
 	}
-	jaccard := 0.25
-	results := map[string]func(title string) any{
-		KindAudit: func(title string) any { r := upgradeFixtureReport(); r.Title = title; return r },
-		KindRecommend: func(title string) any {
-			return &RecommendResponse{Title: title, Strategy: "exact", Replicas: 2, Rankings: []RecommendationWire{{Rank: 1, Nodes: []string{"a", "<b>"}, SizeVector: []int{0, 2}}}}
-		},
-		KindPrivateAudit: func(title string) any {
-			return &PrivateAuditResponse{Title: title, Protocol: "p-sop", Pairs: 1, Entries: []PrivateAuditEntryWire{{Providers: []string{"x", "y"}, Jaccard: &jaccard}}}
-		},
-	}
-	// A report with nothing but its title still splices (no dangling comma).
-	results["audit/empty"] = func(title string) any { return &report.Report{Title: title} }
+	results := kindSamples(t) // every registered kind, plus a report that is nothing but its title
 
 	for name, build := range results {
-		kind, _, _ := strings.Cut(name, "/")
+		kindName, _, _ := strings.Cut(name, "/")
+		kind := kindByName(kindName)
 		var canonical []byte
 		for _, storedAs := range titles {
 			fresh, err := encodeResult(kind, build(storedAs))
@@ -88,7 +78,7 @@ func TestTitleSpliceMatchesReencode(t *testing.T) {
 			} else if !bytes.Equal(fresh.obj, canonical) {
 				t.Fatalf("%s: stored bytes depend on the title it was computed under (%q):\n%s\n%s", name, storedAs, fresh.obj, canonical)
 			}
-			fromDisk, err := parseEnvelope(legacyEnvelope(t, kind, build(storedAs)))
+			fromDisk, err := parseEnvelope(legacyEnvelope(t, kindName, build(storedAs)))
 			if err != nil {
 				t.Fatalf("%s stored as %q: reading a legacy envelope: %v", name, storedAs, err)
 			}
@@ -98,7 +88,7 @@ func TestTitleSpliceMatchesReencode(t *testing.T) {
 			}
 			for source, got := range map[string]*EncodedResult{"disk": fromDisk, "peer": fromPeer} {
 				if got.kind != kind || !bytes.Equal(got.obj, canonical) {
-					t.Fatalf("%s stored as %q: %s adoption = %s %s, want %s", name, storedAs, source, got.kind, got.obj, canonical)
+					t.Fatalf("%s stored as %q: %s adoption = %s %s, want %s", name, storedAs, source, got.kind.name, got.obj, canonical)
 				}
 			}
 		}

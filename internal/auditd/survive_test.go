@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -37,23 +38,22 @@ func blockingHook(release <-chan struct{}) func(context.Context, string) error {
 	}
 }
 
-// waitNoJournal polls until the store holds no KindJob entries (journal
-// tombstones land asynchronously after a job settles).
-func waitNoJournal(t *testing.T, st *store.Store) {
+// waitJournal polls until the store holds exactly want KindJob entries
+// (a job reports done just before its journal tombstone lands).
+func waitJournal(t *testing.T, st *store.Store, want int) {
 	t.Helper()
 	for i := 0; i < 400; i++ {
-		live := 0
-		for _, e := range st.Entries() {
-			if e.Kind == store.KindJob {
-				live++
-			}
-		}
-		if live == 0 {
+		if len(journalEntries(st)) == want {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("journal records never tombstoned")
+	t.Fatalf("journal = %v, want %d records", journalEntries(st), want)
+}
+
+func waitNoJournal(t *testing.T, st *store.Store) {
+	t.Helper()
+	waitJournal(t, st, 0)
 }
 
 func journalEntries(st *store.Store) []string {
@@ -150,6 +150,61 @@ func TestJournalRecoveryAfterCrash(t *testing.T) {
 	}
 	if got := s2.Stats().Computations; got != 1 {
 		t.Fatalf("computations = %d, want only the recovered job's", got)
+	}
+}
+
+// TestRecoveryOverflowKeepsAcceptedWork: a crash that leaves more journaled
+// jobs than the queue and the workers hold at once must not cost the
+// overflow. RecoverJobs leaves the records of the jobs it found no room for
+// on disk, and a later recovery — the next boot, or as here the next call
+// once the queue drained — accepts them.
+func TestRecoveryOverflowKeepsAcceptedWork(t *testing.T) {
+	const workers, depth = 1, 2
+	const total = depth + workers + 3
+	st := openStore(t, t.TempDir())
+	defer st.Close()
+	for i := 1; i <= total; i++ { // what the crashed process had accepted
+		req := quickRequest("overflow")
+		req.Deployments[0].Name = fmt.Sprintf("deployment-%d", i) // distinct keys: nothing coalesces
+		rec := mustJSON(t, journalRecord{Kind: KindAudit, Request: mustJSON(t, req)})
+		if _, err := st.Put(journalKey(fmt.Sprintf("job-%06d", i)), store.KindJob, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release := make(chan struct{})
+	s := New(Config{Workers: workers, QueueDepth: depth, Store: st, RunHook: blockingHook(release)})
+	defer gracefulShutdown(t, s)
+
+	first, err := s.RecoverJobs()
+	// Between depth and depth+workers jobs fit, depending on how fast the
+	// worker took its first; at least three overflow either way.
+	if err != nil || first < depth || first > depth+workers {
+		t.Fatalf("RecoverJobs = %d, %v; want %d..%d accepted", first, err, depth, depth+workers)
+	}
+	if keys := journalEntries(st); len(keys) != total {
+		t.Fatalf("after an overflowing recovery the journal holds %d of %d records: %v", len(keys), total, keys)
+	}
+	if got := s.Stats().Rejected; got != int64(total-first) {
+		t.Fatalf("rejected = %d, want the %d overflow jobs", got, total-first)
+	}
+
+	close(release) // drain the queue
+	for _, j := range s.Jobs() {
+		if done := waitDone(t, s, j.ID); done.State != StateDone || !done.Recovered {
+			t.Fatalf("recovered job = %+v", done)
+		}
+	}
+	waitJournal(t, st, total-first) // tombstones land just after a job reports done
+	second, err := s.RecoverJobs()
+	if err != nil || second != total-first {
+		t.Fatalf("second RecoverJobs = %d, %v; want the %d overflow jobs", second, err, total-first)
+	}
+	for _, j := range s.Jobs() {
+		waitDone(t, s, j.ID)
+	}
+	waitJournal(t, st, 0)
+	if got := s.Stats(); got.JobsRecovered != total || got.Completed != total {
+		t.Fatalf("recovered %d and completed %d of %d journaled jobs", got.JobsRecovered, got.Completed, total)
 	}
 }
 

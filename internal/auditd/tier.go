@@ -26,8 +26,8 @@ type ResultTier interface {
 	Get(key string) (*EncodedResult, bool)
 }
 
-// tierDisk is the disk tier's Name; enqueue uses it to attribute a
-// lower-tier hit to auditd_store_hits_total and JobStatus.DiskHit.
+// tierDisk is the disk tier's Name; the resolve stage uses it to tell a disk
+// hit (auditd_store_hits_total, JobStatus.DiskHit) from a peer-tier one.
 const tierDisk = "disk"
 
 // memoryTier is the first tier: a bounded LRU of encoded results behind its

@@ -201,9 +201,7 @@ func (s *Server) refreshLoop(sub *watch.Sub, req *SubmitRequest) {
 // the service refused the submission for a non-transient reason (shutdown,
 // or a request the database outgrew).
 func (s *Server) refreshOnce(sub *watch.Sub, req *SubmitRequest, trigger []string) (ev *WatchEvent, fatal bool) {
-	// Unjournaled: nobody holds a refresh job's id across a crash, and a
-	// reconnecting watcher's initial report re-audits anyway.
-	st, err := s.submit(req, "", false)
+	st, err := s.submitJob(auditKind, req, origin{refresh: true})
 	if err != nil {
 		if httpStatus(err) == 429 {
 			// Queue full: requeue the refresh and retry after a beat. Kick

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -44,6 +45,20 @@ func (w RecordWire) Record() (deps.Record, error) {
 		return r, fmt.Errorf("auditd: unknown record kind %q", w.Kind)
 	}
 	return r, r.Validate()
+}
+
+// recordsFromWire validates wire records into native ones; the first invalid
+// record is a 400 naming its index.
+func recordsFromWire(records []RecordWire) ([]deps.Record, error) {
+	out := make([]deps.Record, len(records))
+	for i, w := range records {
+		r, err := w.Record()
+		if err != nil {
+			return nil, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
+		}
+		out[i] = r
+	}
+	return out, nil
 }
 
 // WireRecords converts native records to their wire form, for clients
@@ -112,26 +127,77 @@ type SubmitRequest struct {
 	// computation keeps its own deadline without imposing it on the other
 	// waiters — and, like Title, does not contribute to the cache key.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// NoForward pins the job to this node. Set by the HTTP layer for
-	// requests a cluster peer already forwarded once (single-hop ownership);
-	// never by clients, and excluded from JSON and the cache key.
-	NoForward bool `json:"-"`
 }
 
 // normalized is the canonical, defaults-applied form of a request that the
 // cache key hashes: two requests that can only produce identical reports
 // (titles aside) normalize identically.
 type normalized struct {
-	DBFingerprint string           `json:"db"`
-	Deployments   []DeploymentWire `json:"deployments"`
-	Algorithm     string           `json:"algorithm"`
-	Rounds        int              `json:"rounds,omitempty"`
-	Seed          int64            `json:"seed,omitempty"`
-	Workers       int              `json:"workers,omitempty"`
-	FailureProb   float64          `json:"failure_prob,omitempty"`
-	ScoreTopN     int              `json:"score_top_n,omitempty"`
-	MaxSets       int              `json:"max_sets,omitempty"`
-	MaxSize       int              `json:"max_size,omitempty"`
+	DBFingerprint    string           `json:"db"`
+	Deployments      []DeploymentWire `json:"deployments"`
+	algorithmOptions                  // algorithm … failure_prob
+	ScoreTopN        int              `json:"score_top_n,omitempty"`
+	MaxSets          int              `json:"max_sets,omitempty"`
+	MaxSize          int              `json:"max_size,omitempty"`
+}
+
+// algorithmOptions is the canonical risk-group algorithm block, embedded in
+// the normalized form of audits and recommendations alike — at the position
+// its fields always had, so content addresses are what they were.
+type algorithmOptions struct {
+	Algorithm   string  `json:"algorithm"`
+	Rounds      int     `json:"rounds,omitempty"`
+	Seed        int64   `json:"seed,omitempty"`
+	Workers     int     `json:"workers,omitempty"` // sampler workers
+	FailureProb float64 `json:"failure_prob,omitempty"`
+}
+
+var errNegativeOption = errors.New("auditd: negative option")
+
+// normalizeAlgorithm validates a request's algorithm options and applies the
+// defaults that enter a content address — 100,000 rounds, seed 1, one sampler
+// worker — returning the canonical block and the sia options to run with. It
+// is the one place those defaults live, so audits and recommendations cannot
+// drift apart.
+func normalizeAlgorithm(algorithm string, rounds int, seed int64, workers int, failureProb float64, maxSets, maxSize int) (algorithmOptions, sia.Options, error) {
+	n := algorithmOptions{FailureProb: failureProb}
+	opts := sia.Options{MaxSets: maxSets, MaxSize: maxSize}
+	switch algorithm {
+	case "", "minimal-rg":
+		n.Algorithm = "minimal-rg"
+		opts.Algorithm = sia.MinimalRG
+		// Sampler knobs are irrelevant here; keep them zero so they cannot
+		// fragment the cache key.
+	case "failure-sampling":
+		n.Algorithm = "failure-sampling"
+		opts.Algorithm = sia.FailureSampling
+		n.Rounds, n.Seed, n.Workers = rounds, seed, workers
+		if n.Rounds == 0 {
+			n.Rounds = 100_000
+		}
+		if n.Seed == 0 {
+			n.Seed = 1 // the sampler's documented Seed==0 meaning
+		}
+		if n.Workers == 0 {
+			n.Workers = 1 // host-independent by default
+		}
+		opts.Rounds, opts.Seed, opts.Workers = n.Rounds, n.Seed, n.Workers
+	default:
+		return n, opts, fmt.Errorf("auditd: unknown algorithm %q", algorithm)
+	}
+	if failureProb < 0 || failureProb > 1 {
+		return n, opts, fmt.Errorf("auditd: failure_prob %v out of [0,1]", failureProb)
+	}
+	if failureProb > 0 {
+		opts.RankMode = sia.RankByProb
+	}
+	if maxSets < 0 || maxSize < 0 || rounds < 0 || workers < 0 {
+		// Rejecting sampler_workers < 0 matters for cache correctness: the
+		// sampler maps it to GOMAXPROCS, which would make a
+		// content-addressed result depend on the host's CPU count.
+		return n, opts, errNegativeOption
+	}
+	return n, opts, nil
 }
 
 // normalize validates the request's option fields and applies defaults,
@@ -169,46 +235,16 @@ func (r *SubmitRequest) normalize() (normalized, sia.Options, error) {
 			Name: d.Name, Servers: append([]string(nil), d.Servers...), Needed: d.Needed, Kinds: kinds,
 		})
 	}
-	switch r.Algorithm {
-	case "", "minimal-rg":
-		n.Algorithm = "minimal-rg"
-		opts.Algorithm = sia.MinimalRG
-		// Sampler knobs are irrelevant here; keep them zero so they
-		// cannot fragment the cache key.
-	case "failure-sampling":
-		n.Algorithm = "failure-sampling"
-		opts.Algorithm = sia.FailureSampling
-		n.Rounds = r.Rounds
-		if n.Rounds == 0 {
-			n.Rounds = 100_000
-		}
-		n.Seed = r.Seed
-		if n.Seed == 0 {
-			n.Seed = 1 // the sampler's documented Seed==0 meaning
-		}
-		n.Workers = r.SamplerWorkers
-		if n.Workers == 0 {
-			n.Workers = 1 // host-independent by default
-		}
-		opts.Rounds, opts.Seed, opts.Workers = n.Rounds, n.Seed, n.Workers
-	default:
-		return n, opts, fmt.Errorf("auditd: unknown algorithm %q", r.Algorithm)
+	var err error
+	n.algorithmOptions, opts, err = normalizeAlgorithm(r.Algorithm, r.Rounds, r.Seed, r.SamplerWorkers, r.FailureProb, r.MaxSets, r.MaxSize)
+	if err != nil {
+		return n, opts, err
 	}
-	if r.FailureProb < 0 || r.FailureProb > 1 {
-		return n, opts, fmt.Errorf("auditd: failure_prob %v out of [0,1]", r.FailureProb)
-	}
-	n.FailureProb = r.FailureProb
-	if r.FailureProb > 0 {
-		opts.RankMode = sia.RankByProb
-	}
-	if r.ScoreTopN < 0 || r.MaxSets < 0 || r.MaxSize < 0 || r.Rounds < 0 || r.TimeoutMS < 0 || r.SamplerWorkers < 0 {
-		// Rejecting sampler_workers < 0 matters for cache correctness: the
-		// sampler maps it to GOMAXPROCS, which would make a
-		// content-addressed result depend on the host's CPU count.
-		return n, opts, fmt.Errorf("auditd: negative option")
+	if r.ScoreTopN < 0 || r.TimeoutMS < 0 {
+		return n, opts, errNegativeOption
 	}
 	n.ScoreTopN, n.MaxSets, n.MaxSize = r.ScoreTopN, r.MaxSets, r.MaxSize
-	opts.ScoreTopN, opts.MaxSets, opts.MaxSize = r.ScoreTopN, r.MaxSets, r.MaxSize
+	opts.ScoreTopN = r.ScoreTopN
 	return n, opts, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"reflect"
@@ -180,6 +181,70 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	fwd := metricValue(t, text, "auditd_cluster_forwards_total")
 	if away := float64(jobs - nodes[0].s.Stats().Computations); fwd != away {
 		t.Fatalf("coordinator counted %v forwards, want %v (jobs minus its own computations)", fwd, away)
+	}
+}
+
+// TestClusterForwardRelaysEveryKindAsBytes: a job of any kind submitted
+// through a node that does not own it is posted to the owner uninterpreted,
+// and the owner's result comes back as the bytes it served — the coordinator
+// caches them verbatim, having run no encode and no decode.
+func TestClusterForwardRelaysEveryKindAsBytes(t *testing.T) {
+	nodes := startCluster(t, 2)
+	ctx := context.Background()
+	coord, owner := nodes[0], nodes[1]
+	// Salted self-contained requests: the salt moves the key around the ring
+	// until the other node owns it.
+	kinds := map[string]func(salt int) (auditd.JobStatus, error){
+		"audit": func(salt int) (auditd.JobStatus, error) { return coord.c.Submit(ctx, inlineAudit(salt)) },
+		"recommend": func(salt int) (auditd.JobStatus, error) {
+			return coord.c.Recommend(ctx, &auditd.RecommendRequest{Records: clusterRecords(), Replicas: 2, TopK: 1 + salt})
+		},
+		"private-audit": func(salt int) (auditd.JobStatus, error) {
+			return coord.c.PrivateAudit(ctx, &auditd.PrivateAuditRequest{Protocol: "cleartext", MinHashThreshold: 100 + salt, Providers: []auditd.ProviderWire{
+				{Name: "left", Components: []string{"pkg:a", "pkg:shared"}},
+				{Name: "right", Components: []string{"pkg:x", "pkg:shared"}},
+			}})
+		},
+	}
+	cached := func(tn *testNode, key string) string {
+		resp, err := http.Get(tn.addr + "/v1/cache/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("GET %s/v1/cache/%s: HTTP %d, %v", tn.addr, key, resp.StatusCode, err)
+		}
+		return string(body)
+	}
+	for kind, submit := range kinds {
+		forwarded := false
+		for salt := 0; salt < 16 && !forwarded; salt++ {
+			before := owner.s.Stats().Computations
+			st, err := submit(salt)
+			if err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+			if done, err := coord.c.WaitDone(ctx, st.ID); err != nil || done.State != auditd.StateDone {
+				t.Fatalf("%s job = %+v, %v", kind, done, err)
+			}
+			if owner.s.Stats().Computations == before {
+				continue // the coordinator owned this key
+			}
+			forwarded = true
+			if got, want := cached(coord, st.CacheKey), cached(owner, st.CacheKey); got != want {
+				t.Errorf("%s: the coordinator holds\n%s\nthe owner computed\n%s", kind, got, want)
+			}
+		}
+		if !forwarded {
+			t.Errorf("%s: 16 salts and the other node never owned a key", kind)
+		}
+	}
+	st := coord.s.Stats()
+	if st.ResultDecodes != 0 || int64(st.ResultEncode.Count()) != st.Computations {
+		t.Errorf("coordinator ran %d decodes and %d encodes for its own %d computations; relayed jobs must add none",
+			st.ResultDecodes, st.ResultEncode.Count(), st.Computations)
 	}
 }
 

@@ -32,7 +32,7 @@ type router struct {
 // decision that could touch the network happens on a spawned goroutine; the
 // synchronous path only inspects in-memory state.
 func (r *router) Submit(ctx context.Context, w *auditd.Workload, cb auditd.ExecCallbacks) error {
-	if w.NoForward || !wireMatchesKind(w) {
+	if w.NoForward || w.Wire == nil {
 		return r.inner.Submit(ctx, w, cb)
 	}
 	if sr, ok := w.Wire.(*auditd.SubmitRequest); ok && len(sr.Deployments) >= 2 && r.n.healthyPeers() > 0 {
@@ -64,22 +64,6 @@ func (r *router) Close() { r.inner.Close() }
 func (r *router) Wait() {
 	r.wg.Wait()
 	r.inner.Wait()
-}
-
-// wireMatchesKind guards the type assertions the forwarding paths make.
-func wireMatchesKind(w *auditd.Workload) bool {
-	switch w.Kind {
-	case auditd.KindAudit:
-		_, ok := w.Wire.(*auditd.SubmitRequest)
-		return ok
-	case auditd.KindRecommend:
-		_, ok := w.Wire.(*auditd.RecommendRequest)
-		return ok
-	case auditd.KindPrivateAudit:
-		_, ok := w.Wire.(*auditd.PrivateAuditRequest)
-		return ok
-	}
-	return false
 }
 
 // eligible decides whether owner may compute w: always for self-contained
@@ -119,6 +103,13 @@ func (r *router) runLocal(ctx context.Context, w *auditd.Workload, cb auditd.Exe
 	cb.Done(res, err)
 }
 
+// computeHere finishes a workload whose remote run broke after Started was
+// relayed: it runs on this goroutine, behind the local pool's panic barrier.
+func (r *router) computeHere(ctx context.Context, w *auditd.Workload, cb auditd.ExecCallbacks) {
+	r.n.m.forwardFailures.Add(1)
+	cb.Done(r.inner.Execute(ctx, w))
+}
+
 // cancelRemote best-effort cancels a job this node forwarded; the caller's
 // context is already dead, so the cancel gets its own short one.
 func (r *router) cancelRemote(owner, id string) {
@@ -127,7 +118,8 @@ func (r *router) cancelRemote(owner, id string) {
 	r.n.fwd[owner].Cancel(ctx, id)
 }
 
-// forward ships one workload to its owner and relays the outcome. Transport
+// forward ships one workload — of any kind: the wire request is posted to its
+// kind's route uninterpreted — to its owner and relays the outcome. Transport
 // failures — the owner unreachable before or during the job — mark the peer
 // dead and fall back to local compute; a job that *ran* remotely and failed
 // is a real failure (it would fail identically here) and is relayed, not
@@ -139,7 +131,7 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 		return
 	}
 	c := r.n.fwd[owner]
-	st, err := submitByKind(ctx, c, w)
+	st, err := c.SubmitWorkload(ctx, w)
 	if err != nil {
 		r.n.m.forwardFailures.Add(1)
 		r.n.markDead(owner)
@@ -159,21 +151,19 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 		}
 		// The owner died mid-job. Its journal will replay the job when it
 		// comes back, but this client is waiting now: compute here.
-		r.n.m.forwardFailures.Add(1)
 		r.n.markDead(owner)
-		res, lerr := r.inner.Execute(ctx, w)
-		cb.Done(res, lerr)
+		r.computeHere(ctx, w, cb)
 		return
 	}
 	switch done.State {
 	case auditd.StateDone:
-		res, err := fetchResultByKind(ctx, c, w.Kind, st.ID)
+		// The owner's report body is relayed as the bytes it served: the
+		// server keeps a result as bytes anyway, so nothing decodes it here.
+		res, err := c.JobResult(ctx, st.ID)
 		if err != nil {
 			// Completed remotely but the result fetch broke: recompute — the
 			// content-addressed result is identical.
-			r.n.m.forwardFailures.Add(1)
-			res, lerr := r.inner.Execute(ctx, w)
-			cb.Done(res, lerr)
+			r.computeHere(ctx, w, cb)
 			return
 		}
 		cb.Done(res, nil)
@@ -181,44 +171,6 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 		cb.Done(nil, fmt.Errorf("job canceled on owner %s", owner))
 	default:
 		cb.Done(nil, errors.New(done.Error))
-	}
-}
-
-// submitByKind re-submits the workload's wire request to the owner's
-// matching endpoint; wireMatchesKind vetted the assertions.
-func submitByKind(ctx context.Context, c *auditd.Client, w *auditd.Workload) (auditd.JobStatus, error) {
-	switch w.Kind {
-	case auditd.KindRecommend:
-		return c.Recommend(ctx, w.Wire.(*auditd.RecommendRequest))
-	case auditd.KindPrivateAudit:
-		return c.PrivateAudit(ctx, w.Wire.(*auditd.PrivateAuditRequest))
-	default:
-		return c.Submit(ctx, w.Wire.(*auditd.SubmitRequest))
-	}
-}
-
-// fetchResultByKind fetches the finished job's result as the concrete type
-// the server caches for that workload kind.
-func fetchResultByKind(ctx context.Context, c *auditd.Client, kind, id string) (any, error) {
-	switch kind {
-	case auditd.KindRecommend:
-		res, err := c.RecommendResult(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	case auditd.KindPrivateAudit:
-		res, err := c.PrivateAuditResult(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
-	default:
-		res, err := c.Report(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		return res, nil
 	}
 }
 
@@ -260,9 +212,7 @@ func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.Subm
 	for _, sr := range results {
 		if sr.err != nil {
 			// Abandon the fan-out; compute the full parent on the local pool.
-			r.n.m.forwardFailures.Add(1)
-			res, err := r.inner.Execute(ctx, w)
-			cb.Done(res, err)
+			r.computeHere(ctx, w, cb)
 			return
 		}
 		spliced.Audits = append(spliced.Audits, sr.rep.Audits...)

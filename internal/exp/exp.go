@@ -3,7 +3,7 @@
 // artifact's rows or series, at laptop scale by default and near paper
 // scale with Full.
 //
-// Per-experiment index (see DESIGN.md §3):
+// Per-experiment index (§6 in the paper-section map, docs/ARCHITECTURE.md):
 //
 //   - Table2 / Fig6c — PIA over the four key-value stores (§6.2.3)
 //   - Table3 — generated fat-tree configurations (§6.3.1)

@@ -137,7 +137,7 @@ func (r *Fig6aResult) Render() *Table {
 	return t
 }
 
-// Verify checks the acceptance criteria of DESIGN.md §3 against the paper.
+// Verify checks the run against the paper's §6.2.1 claims.
 func (r *Fig6aResult) Verify() error {
 	if r.Pairs != 190 {
 		return fmt.Errorf("fig6a: %d pairs, want 190", r.Pairs)

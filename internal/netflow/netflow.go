@@ -7,7 +7,7 @@
 // the Miner aggregates observations back into Table 1 network dependency
 // records. The mining code path — flows in, per-server route dependencies
 // out — matches the real tool's shape; only the capture source is synthetic
-// (see DESIGN.md §1.3).
+// (§3 acquisition modules in the paper-section map, docs/ARCHITECTURE.md).
 package netflow
 
 import (

@@ -1,7 +1,7 @@
 // Package wire implements the message transport between INDaaS roles
 // (auditing client, auditing agent, data sources, PIA proxies): length-
 // prefixed JSON messages over TCP (the prototype substitute for the paper's
-// SSH channels; see DESIGN.md §1.3).
+// SSH channels; §4 agents in the paper-section map, docs/ARCHITECTURE.md).
 //
 // Framing: 4-byte big-endian payload length, then a JSON object
 // {"type": "...", "payload": ...}. Payloads are capped to guard against
