@@ -624,18 +624,31 @@ func (w *Watcher) Next() (*WatchEvent, error) {
 }
 
 // readEvent parses SSE frames until one report event arrives. Heartbeat
-// comments are skipped; a closed frame or EOF ends the stream.
+// comments are skipped; a closed frame or EOF ends the stream. A frame's data
+// is read once, as bytes, into one buffer — its "data:" lines concatenated —
+// and decoded from there; like every other response it may not pass
+// maxResponseBody.
 func (w *Watcher) readEvent() (*WatchEvent, error) {
 	var event string
-	var data []byte
+	var data []byte // the frame's data so far; the line being read is appended behind it
 	for {
-		line, err := w.rd.ReadString('\n')
-		if err != nil {
-			return nil, err
+		n := len(data)
+		for {
+			frag, err := w.rd.ReadSlice('\n')
+			if data = append(data, frag...); int64(len(data)) > maxResponseBody {
+				return nil, fmt.Errorf("auditd: response exceeds %d bytes", maxResponseBody)
+			}
+			if err == nil {
+				break
+			}
+			if err != bufio.ErrBufferFull { // a line longer than the reader's buffer comes in pieces
+				return nil, err
+			}
 		}
-		line = strings.TrimRight(line, "\r\n")
+		line := bytes.TrimRight(data[n:], "\r\n")
+		data = data[:n]
 		switch {
-		case line == "":
+		case len(line) == 0:
 			if event == "closed" {
 				return nil, errors.New("auditd: watch stream closed by server")
 			}
@@ -646,12 +659,12 @@ func (w *Watcher) readEvent() (*WatchEvent, error) {
 				}
 				return ev, nil
 			}
-			event, data = "", nil // unknown frame; keep reading
-		case strings.HasPrefix(line, ":"): // heartbeat comment
-		case strings.HasPrefix(line, "event:"):
-			event = strings.TrimSpace(strings.TrimPrefix(line, "event:"))
-		case strings.HasPrefix(line, "data:"):
-			data = append(data, strings.TrimSpace(strings.TrimPrefix(line, "data:"))...)
+			event, data = "", data[:0] // unknown frame; keep reading
+		case line[0] == ':': // heartbeat comment
+		case bytes.HasPrefix(line, []byte("event:")):
+			event = string(bytes.TrimSpace(line[len("event:"):]))
+		case bytes.HasPrefix(line, []byte("data:")):
+			data = append(data, bytes.TrimSpace(line[len("data:"):])...) // closes up over the prefix
 		}
 	}
 }

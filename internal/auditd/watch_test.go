@@ -298,6 +298,50 @@ func TestWatchSlowConsumerEvicted(t *testing.T) {
 	}
 }
 
+// TestWatcherReadsBoundedFrames drives the client's SSE reader on raw
+// streams: a frame's data lines — however many, however long, CRLF or LF —
+// concatenate into one event, and a frame past maxResponseBody fails with
+// the size error every other client path gives instead of growing.
+func TestWatcherReadsBoundedFrames(t *testing.T) {
+	read := func(stream string) (*WatchEvent, error) {
+		w := &Watcher{rd: bufio.NewReader(strings.NewReader(stream))}
+		return w.readEvent()
+	}
+	ev, err := read(": heartbeat\n\nevent: report\r\ndata: {\"seq\":7,\r\ndata:\"fingerprint\":\"fp\"}\r\n\r\n")
+	if err != nil || ev.Seq != 7 || ev.Fingerprint != "fp" {
+		t.Errorf("two data lines: event %+v, err %v", ev, err)
+	}
+	// One line several times bufio's buffer, with a report inside.
+	long := &WatchEvent{Seq: 9, Trigger: make([]string, 2000), Report: upgradeFixtureReport()}
+	for i := range long.Trigger {
+		long.Trigger[i] = fmt.Sprintf("server-%04d", i)
+	}
+	blob, err := json.Marshal(long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := "event: report\ndata: " + string(blob) + "\n\n"
+	ev, err = read("event: other\ndata: ignored\n\n" + frame)
+	if err != nil || !reflect.DeepEqual(ev.Trigger, long.Trigger) || ev.Report == nil || len(ev.Report.Audits) != len(long.Report.Audits) {
+		t.Errorf("a %d-byte data line: err %v", len(blob), err)
+	}
+
+	defer func(old int64) { maxResponseBody = old }(maxResponseBody)
+	maxResponseBody = 1024
+	for name, stream := range map[string]string{
+		"one long line":    frame,
+		"many short lines": "event: report\n" + strings.Repeat("data: "+strings.Repeat("x", 100)+"\n", 20) + "\n",
+		"no line end":      strings.Repeat("x", 5000),
+	} {
+		if _, err := read(stream); err == nil || !strings.Contains(err.Error(), "response exceeds 1024 bytes") {
+			t.Errorf("%s: err = %v, want the size error", name, err)
+		}
+	}
+	if _, err := read("event: closed\ndata: {}\n\n"); err == nil || !strings.Contains(err.Error(), "closed by server") {
+		t.Errorf("closed frame: err = %v", err)
+	}
+}
+
 // TestWatchOverHTTP drives the SSE endpoint end to end: the typed client
 // subscribes and sees the ingest-triggered splice; a plain GET with the
 // spec in the query string gets the same stream (the curl path).

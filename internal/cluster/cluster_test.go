@@ -13,10 +13,12 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,6 +45,22 @@ func (tn *testNode) kill() {
 	tn.s.Shutdown(ctx)
 }
 
+// startNode serves one clustered node on ln, wired as cmd serve wires it.
+func startNode(ln net.Listener, self string, peers []string) *testNode {
+	node := cluster.New(cluster.Config{Self: self, Peers: peers, PollInterval: 100 * time.Millisecond})
+	s := auditd.New(auditd.Config{
+		Workers:       2,
+		WrapExecutor:  node.WrapExecutor,
+		ExtraTiers:    []auditd.ResultTier{node.PeerTier()},
+		ReplicateHook: node.Replicate,
+		ExtraMetrics:  node.RenderMetrics,
+	})
+	srv := &http.Server{Handler: s.Handler()}
+	go srv.Serve(ln)
+	node.Start()
+	return &testNode{s: s, node: node, srv: srv, addr: self, c: auditd.NewClient(self, nil)}
+}
+
 // startCluster boots size clustered nodes on loopback listeners and waits
 // for their health polls to converge.
 func startCluster(t *testing.T, size int) []*testNode {
@@ -65,18 +83,7 @@ func startCluster(t *testing.T, size int) []*testNode {
 				peers = append(peers, a)
 			}
 		}
-		node := cluster.New(cluster.Config{Self: addrs[i], Peers: peers, PollInterval: 100 * time.Millisecond})
-		s := auditd.New(auditd.Config{
-			Workers:       2,
-			WrapExecutor:  node.WrapExecutor,
-			ExtraTiers:    []auditd.ResultTier{node.PeerTier()},
-			ReplicateHook: node.Replicate,
-			ExtraMetrics:  node.RenderMetrics,
-		})
-		srv := &http.Server{Handler: s.Handler()}
-		go srv.Serve(lns[i])
-		node.Start()
-		nodes[i] = &testNode{s: s, node: node, srv: srv, addr: addrs[i], c: auditd.NewClient(addrs[i], nil)}
+		nodes[i] = startNode(lns[i], addrs[i], peers)
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
@@ -348,6 +355,79 @@ func TestClusterFanoutMatchesSingleNode(t *testing.T) {
 	if !reflect.DeepEqual(normalizeReport(t, want), normalizeReport(t, got)) {
 		t.Fatalf("spliced report diverges from single-node run:\nwant %s\ngot  %s",
 			normalizeReport(t, want), normalizeReport(t, got))
+	}
+}
+
+// TestClusterFanoutRanksHostilePeerReport: the coordinator ranks what its
+// peers answer, on a goroutine of its own, so a sub-report no honest node
+// would compute must not be able to crash it. The peer here is a stub that
+// answers every sub-audit with a risk group of size 0 — which PR 12's own
+// stored fixture carries — and one of size 10¹², each of which used to index
+// or size a slice inside Report.Rank.
+func TestClusterFanoutRanksHostilePeerReport(t *testing.T) {
+	var served atomic.Int32
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimPrefix(r.URL.Path, "/v1/audits/")
+		switch {
+		case r.URL.Path == "/healthz":
+			fmt.Fprint(w, `{"ok":true,"status":"ok"}`)
+		case r.Method == http.MethodPost && r.URL.Path == "/v1/audits":
+			var sub auditd.SubmitRequest
+			if err := json.NewDecoder(r.Body).Decode(&sub); err != nil || len(sub.Deployments) != 1 {
+				http.Error(w, "want one deployment", http.StatusBadRequest)
+				return
+			}
+			json.NewEncoder(w).Encode(auditd.JobStatus{ID: sub.Deployments[0].Name, State: auditd.StateDone})
+		case id == r.URL.Path:
+			http.NotFound(w, r)
+		case strings.HasSuffix(id, "/report"):
+			served.Add(1)
+			fmt.Fprintf(w, `{"title":"","audits":[{"deployment":%q,"sources":["s1","s2"],"expected":2,"rgs":[{"components":null,"size":0},{"components":["x"],"size":1000000000000}],"unexpected":0,"score_top_n":0,"algorithm":"minimal-rg","elapsed_ns":1}]}`+"\n",
+				strings.TrimSuffix(id, "/report"))
+		default:
+			json.NewEncoder(w).Encode(auditd.JobStatus{ID: id, State: auditd.StateDone})
+		}
+	}))
+	defer peer.Close()
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tn := startNode(ln, "http://"+ln.Addr().String(), []string{peer.URL})
+	defer tn.kill()
+	ctx := context.Background()
+	waitMetric(t, ctx, tn, "auditd_cluster_peers_healthy", 1)
+
+	// Sixteen sub-audits, each routed by the hash of its own content address:
+	// all of them landing on the coordinator has probability 2⁻¹⁶.
+	req := &auditd.SubmitRequest{Title: "hostile peer", Records: clusterRecords()}
+	for i := 0; i < 16; i++ {
+		req.Deployments = append(req.Deployments, auditd.DeploymentWire{Name: fmt.Sprintf("d%02d", i), Servers: []string{"s1", "s2"}})
+	}
+	st, err := tn.c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done, err := tn.c.WaitDone(ctx, st.ID); err != nil || done.State != auditd.StateDone {
+		t.Fatalf("fan-out over a hostile peer = %+v, %v", done, err)
+	}
+	rep, err := tn.c.Report(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if served.Load() == 0 {
+		t.Fatal("no sub-audit was routed to the peer")
+	}
+	if len(rep.Audits) != 16 {
+		t.Fatalf("spliced report has %d audits, want 16", len(rep.Audits))
+	}
+	// The peer's audits have no real size-1 risk group, the coordinator's own
+	// have one (Core1): by size vector the peer's rank first, in name order.
+	for i := 1; i < int(served.Load()); i++ {
+		if a, b := rep.Audits[i-1], rep.Audits[i]; len(a.RGs) != 2 || len(b.RGs) != 2 || a.Deployment >= b.Deployment {
+			t.Fatalf("audits %d and %d are not the peer's, in name order: %q (%d RGs), %q (%d RGs)", i-1, i, a.Deployment, len(a.RGs), b.Deployment, len(b.RGs))
+		}
 	}
 }
 

@@ -48,19 +48,62 @@ type DeploymentAudit struct {
 
 // SizeVector returns how many RGs the audit has of each size 1..max. Used
 // to compare deployments at the size level of detail: fewer small RGs is
-// qualitatively safer (an RG of size s needs s simultaneous failures).
+// qualitatively safer (an RG of size s needs s simultaneous failures). The
+// vector is dense — as long as the largest size — so it is for audits this
+// process computed; Rank, which also sees reports off the wire, compares the
+// sparse histogram.
 func (d *DeploymentAudit) SizeVector() []int {
-	maxSize := 0
-	for _, rg := range d.RGs {
-		if rg.Size > maxSize {
-			maxSize = rg.Size
-		}
+	h := d.sizeHistogram()
+	if len(h) == 0 {
+		return []int{}
 	}
-	v := make([]int, maxSize)
-	for _, rg := range d.RGs {
-		v[rg.Size-1]++
+	v := make([]int, h[len(h)-1].size)
+	for _, bar := range h {
+		v[bar.size-1] = bar.count
 	}
 	return v
+}
+
+// sizeCount is one bar of a size histogram: count RGs of that size.
+type sizeCount struct{ size, count int }
+
+// sizeHistogram is SizeVector without the zeros, ascending by size. It is
+// total — a size below 1, which only a report off the wire can carry, is
+// ignored — and costs O(RGs log RGs) whatever the sizes say.
+func (d *DeploymentAudit) sizeHistogram() []sizeCount {
+	sizes := make([]int, 0, len(d.RGs))
+	for i := range d.RGs {
+		if s := d.RGs[i].Size; s >= 1 {
+			sizes = append(sizes, s)
+		}
+	}
+	sort.Ints(sizes) // a ranked RG list is ascending already
+	var h []sizeCount
+	for _, s := range sizes {
+		if n := len(h); n > 0 && h[n-1].size == s {
+			h[n-1].count++
+		} else {
+			h = append(h, sizeCount{s, 1})
+		}
+	}
+	return h
+}
+
+// lessSizes orders histograms as their dense vectors order
+// lexicographically: at the smallest size whose counts differ, fewer wins.
+func lessSizes(a, b []sizeCount) (less, differ bool) {
+	for len(a) > 0 || len(b) > 0 {
+		switch {
+		case len(b) == 0 || len(a) > 0 && a[0].size < b[0].size:
+			return false, true // a has RGs of a size b has none of
+		case len(a) == 0 || b[0].size < a[0].size:
+			return true, true
+		case a[0].count != b[0].count:
+			return a[0].count < b[0].count, true
+		}
+		a, b = a[1:], b[1:]
+	}
+	return false, false
 }
 
 // Report is a full auditing report over alternative deployments, ranked
@@ -91,41 +134,57 @@ const (
 
 // Rank sorts the report's audits per the mode.
 func (r *Report) Rank(mode CompareMode) {
-	sort.SliceStable(r.Audits, func(i, j int) bool {
-		a, b := &r.Audits[i], &r.Audits[j]
-		switch mode {
-		case CompareByFailureProb:
-			ap, bp := a.FailureProb, b.FailureProb
-			switch {
-			case math.IsNaN(ap) && math.IsNaN(bp):
-			case math.IsNaN(ap):
-				return false
-			case math.IsNaN(bp):
-				return true
-			case ap != bp:
-				return ap < bp
-			}
-		case CompareByScore:
-			if a.Score != b.Score {
-				return a.Score > b.Score
-			}
-		default:
-			av, bv := a.SizeVector(), b.SizeVector()
-			for k := 0; k < len(av) || k < len(bv); k++ {
-				var x, y int
-				if k < len(av) {
-					x = av[k]
-				}
-				if k < len(bv) {
-					y = bv[k]
-				}
-				if x != y {
-					return x < y
-				}
-			}
+	rk := ranking{audits: r.Audits, mode: mode}
+	if mode != CompareByFailureProb && mode != CompareByScore {
+		// Once per audit, not twice per comparison.
+		rk.sizes = make([][]sizeCount, len(r.Audits))
+		for i := range r.Audits {
+			rk.sizes[i] = r.Audits[i].sizeHistogram()
 		}
-		return a.Deployment < b.Deployment
-	})
+	}
+	sort.Stable(rk)
+}
+
+// ranking sorts audits together with their size histograms.
+type ranking struct {
+	audits []DeploymentAudit
+	sizes  [][]sizeCount // per audit, when the mode compares them
+	mode   CompareMode
+}
+
+func (rk ranking) Len() int { return len(rk.audits) }
+
+func (rk ranking) Swap(i, j int) {
+	rk.audits[i], rk.audits[j] = rk.audits[j], rk.audits[i]
+	if rk.sizes != nil {
+		rk.sizes[i], rk.sizes[j] = rk.sizes[j], rk.sizes[i]
+	}
+}
+
+func (rk ranking) Less(i, j int) bool {
+	a, b := &rk.audits[i], &rk.audits[j]
+	switch rk.mode {
+	case CompareByFailureProb:
+		ap, bp := a.FailureProb, b.FailureProb
+		switch {
+		case math.IsNaN(ap) && math.IsNaN(bp):
+		case math.IsNaN(ap):
+			return false
+		case math.IsNaN(bp):
+			return true
+		case ap != bp:
+			return ap < bp
+		}
+	case CompareByScore:
+		if a.Score != b.Score {
+			return a.Score > b.Score
+		}
+	default:
+		if less, differ := lessSizes(rk.sizes[i], rk.sizes[j]); differ {
+			return less
+		}
+	}
+	return a.Deployment < b.Deployment
 }
 
 // Best returns the top-ranked audit; Rank must have been called.

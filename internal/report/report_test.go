@@ -2,7 +2,10 @@ package report
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -165,5 +168,91 @@ func TestPIAReportRankAndRender(t *testing.T) {
 	out := sb.String()
 	if !strings.Contains(out, "(MinHash)") || !strings.Contains(out, "B & C") {
 		t.Errorf("PIA render:\n%s", out)
+	}
+}
+
+// denseLess is the comparator Rank used to run — two dense vectors per
+// comparison — with the one change that makes it defined everywhere: sizes
+// below 1 are left out. The reference for what order Rank must keep.
+func denseLess(a, b *DeploymentAudit) bool {
+	dense := func(d *DeploymentAudit) []int {
+		var v []int
+		for _, rg := range d.RGs {
+			if rg.Size < 1 {
+				continue
+			}
+			for len(v) < rg.Size {
+				v = append(v, 0)
+			}
+			v[rg.Size-1]++
+		}
+		return v
+	}
+	av, bv := dense(a), dense(b)
+	for k := 0; k < len(av) || k < len(bv); k++ {
+		var x, y int
+		if k < len(av) {
+			x = av[k]
+		}
+		if k < len(bv) {
+			y = bv[k]
+		}
+		if x != y {
+			return x < y
+		}
+	}
+	return a.Deployment < b.Deployment
+}
+
+// TestRankSurvivesHostileSizes: a report off the wire can carry any size —
+// PR 12's stored fixture has a 0 — and both the cluster fan-out and delta
+// splicing rank what they decode. Rank must neither index by such a size nor
+// allocate by it, and must order sane reports exactly as before.
+func TestRankSurvivesHostileSizes(t *testing.T) {
+	rank := func(rep *Report) []string {
+		rep.Rank(CompareBySizeVector)
+		return order(rep)
+	}
+	want := func(rep *Report) []string {
+		ref := &Report{Audits: append([]DeploymentAudit(nil), rep.Audits...)}
+		sort.SliceStable(ref.Audits, func(i, j int) bool { return denseLess(&ref.Audits[i], &ref.Audits[j]) })
+		return order(ref)
+	}
+	var reps []*Report
+	for _, seed := range differentialSeeds(t)[:3] { // the goldens and PR 12's stored payload
+		rep := new(Report)
+		if err := DecodeJSON(seed, rep); err != nil {
+			t.Fatal(err)
+		}
+		reps = append(reps, rep)
+	}
+	rng := rand.New(rand.NewSource(24))
+	for i := 0; i < 500; i++ {
+		reps = append(reps, randReport(rng))
+	}
+	for _, rep := range reps {
+		if w, got := want(rep), rank(rep); !reflect.DeepEqual(got, w) {
+			t.Fatalf("Rank order %v, the dense comparator's %v", got, w)
+		}
+	}
+
+	hostile := new(Report)
+	if err := DecodeJSON([]byte(`{"audits":[
+		{"deployment":"huge","rgs":[{"size":1000000000000},{"size":2}]},
+		{"deployment":"negative","rgs":[{"size":-3},{"size":2},{"size":0}]},
+		{"deployment":"plain","rgs":[{"size":2},{"size":2}]},
+		{"deployment":"none","rgs":null}]}`), hostile); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := rank(hostile)
+	runtime.ReadMemStats(&after)
+	// Fewest size-2 RGs first; "huge" trails "negative" by its one extra RG.
+	if w := []string{"none", "negative", "huge", "plain"}; !reflect.DeepEqual(got, w) {
+		t.Errorf("hostile sizes ranked %v, want %v", got, w)
+	}
+	if spent := after.TotalAlloc - before.TotalAlloc; spent > 4096 {
+		t.Errorf("ranking 7 RGs allocated %d bytes", spent)
 	}
 }
