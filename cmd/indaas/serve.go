@@ -123,10 +123,10 @@ func cmdServe(args []string) error {
 		IngestBurst:           *ingestBurst,
 		WatchBuffer:           *watchBuffer,
 	}
-	// With -peers, hang the cluster layer off the service's seams: the
-	// executor wrapper routes workloads to their hash owners, the peer tier
-	// probes the owner's cache behind memory and disk, the replication hook
-	// pushes ingests fleet-wide, and the cluster series join /metrics.
+	// With -peers, the cluster node is the service's one cluster seam: it
+	// routes workloads to their hash owners, probes the owner's cache behind
+	// memory and disk, pushes ingests fleet-wide, adds its series to /metrics,
+	// and names the peers whose forwarded/replicated headers are honoured.
 	var node *cluster.Node
 	if *peersFlag != "" {
 		self := *advertise
@@ -140,10 +140,7 @@ func cmdServe(args []string) error {
 			}
 		}
 		node = cluster.New(cluster.Config{Self: self, Peers: peers, PollInterval: *clusterPoll})
-		cfg.WrapExecutor = node.WrapExecutor
-		cfg.ExtraTiers = []auditd.ResultTier{node.PeerTier()}
-		cfg.ReplicateHook = node.Replicate
-		cfg.ExtraMetrics = node.RenderMetrics
+		cfg.Cluster = node
 		log.Info("clustering enabled", "self", self, "peers", len(peers))
 	}
 	svc := auditd.New(cfg)

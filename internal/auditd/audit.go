@@ -16,6 +16,7 @@ var auditKind = &jobKind{
 	route:      "/v1/audits",
 	hint:       "an audit job; use Report",
 	titled:     true,
+	markers:    []string{"audits"},
 	newRequest: func() jobRequest { return new(SubmitRequest) },
 	decodeResult: func(obj []byte, title string) (any, error) {
 		rep := new(report.Report)

@@ -32,7 +32,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -111,26 +110,34 @@ type Config struct {
 	// limiter use (tests only).
 	Now func() time.Time
 
-	// WrapExecutor, when set, wraps the in-process worker pool in another
-	// Executor before the server starts using it. internal/cluster installs
-	// its forwarding executor here; the wrapped local pool stays the
-	// fallback. The returned executor owns the local one's lifecycle: its
-	// Close/Wait must close and wait the pool.
-	WrapExecutor func(local Executor) Executor
-	// ExtraTiers are additional result tiers probed after memory and disk on
-	// a cache miss — a clustered node adds a peer-cache tier here. Probed in
-	// order without the server's lock held; tiers synchronize themselves.
-	ExtraTiers []ResultTier
-	// ReplicateHook, when set, is called by the ingest committer after a
-	// commit group lands locally and before its waiters are acknowledged,
-	// with the wire records of every locally originated (non-replicated)
-	// ingest in the group. internal/cluster uses it to push the records to
-	// peers so DepDB fingerprints converge across the fleet.
-	ReplicateHook func(records []RecordWire)
-	// ExtraMetrics, when set, is rendered after the built-in counters on
-	// GET /metrics (Prometheus text exposition). internal/cluster appends
-	// its auditd_cluster_* series here.
-	ExtraMetrics func(w io.Writer)
+	// Cluster, when set, joins the server to a fleet through its one seam
+	// (see Cluster); nil is a standalone daemon, which refuses the peer-only
+	// headers.
+	Cluster Cluster
+}
+
+// Cluster is the one seam a clustered node — internal/cluster's *Node —
+// plugs into the server through; the daemon itself has no cluster code.
+type Cluster interface {
+	// Executor wraps the in-process worker pool in the cluster's router,
+	// which keeps the pool as its fallback. The returned executor owns the
+	// pool's lifecycle: its Close/Wait must close and wait the pool.
+	Executor(local Executor) Executor
+	// Tier is the result tier probed after memory and disk on a miss — a
+	// peer-cache tier. It is probed without the server's lock held and
+	// synchronizes itself.
+	Tier() ResultTier
+	// Replicate is called by the ingest committer after a commit group lands
+	// locally and before its waiters are acknowledged, with the wire records
+	// of every locally originated (non-replicated) ingest in the group that
+	// changed the database, so DepDB fingerprints converge across the fleet.
+	Replicate(records []RecordWire)
+	// Metrics returns the cluster's rows of the /metrics table, drawn after
+	// the server's own.
+	Metrics() []Metric
+	// FromPeer reports whether r came from a node of the cluster: only then
+	// are ForwardedHeader and ReplicatedHeader honoured.
+	FromPeer(r *http.Request) bool
 }
 
 func (c *Config) defaults() {
@@ -234,13 +241,13 @@ type Server struct {
 	baseCtx context.Context
 	stop    context.CancelFunc
 	// exec runs every computation: the in-process worker pool, or whatever
-	// Config.WrapExecutor put in front of it (a cluster router).
+	// Config.Cluster put in front of it (a cluster router).
 	exec Executor
 	wg   sync.WaitGroup
 	m    metrics
 	// tiers is the result-tier probe chain: tiers[0] is always the memory
-	// LRU (aliased as cache), then disk when a store is configured, then
-	// Config.ExtraTiers.
+	// LRU (aliased as cache), then disk when a store is configured, then the
+	// cluster's tier.
 	tiers []ResultTier
 
 	mu   sync.Mutex
@@ -317,17 +324,16 @@ func New(cfg Config) *Server {
 		began:     time.Now(),
 	}
 	s.ingestLimit = newTokenBucket(cfg.IngestRate, cfg.IngestBurst, cfg.Now)
-	// Assemble the result-tier chain: memory, then disk, then any extras.
+	// Assemble the result-tier chain: memory, then disk, then the cluster's.
+	// The executor owns the worker pool; a cluster interposes its router.
 	s.tiers = append(s.tiers, s.cache)
 	if s.store != nil {
 		s.tiers = append(s.tiers, &diskTier{st: s.store})
 	}
-	s.tiers = append(s.tiers, cfg.ExtraTiers...)
-	// The executor owns the worker pool; WrapExecutor may interpose a
-	// cluster router in front of it.
 	s.exec = newLocalExecutor(cfg.Workers, cfg.QueueDepth, &s.m, cfg.RunHook)
-	if cfg.WrapExecutor != nil {
-		s.exec = cfg.WrapExecutor(s.exec)
+	if c := cfg.Cluster; c != nil {
+		s.tiers = append(s.tiers, c.Tier())
+		s.exec = c.Executor(s.exec)
 	}
 	if s.store != nil {
 		// Resume the persisted snapshot chain where the store left it so the
@@ -357,13 +363,13 @@ func (s *Server) admit(p *preparedJob) (JobStatus, error) {
 	defer s.mu.Unlock()
 	j := p.job
 	if err := s.placeLocked(p); err != nil {
-		s.m.rejected.Add(1)
+		s.m.Rejected.Add(1)
 		p.staleJournal = j.journaled && !j.recovered
 		return JobStatus{}, err
 	}
 	s.jobs[j.id] = j
 	s.order = append(s.order, j.id)
-	s.m.submitted.Add(1)
+	s.m.Submitted.Add(1)
 	s.pruneLocked()
 	return j.statusLocked(), nil
 }
@@ -398,14 +404,14 @@ func (s *Server) settleHitLocked(p *preparedJob) {
 	j.prov = p.prov
 	j.started, j.finished = j.submitted, j.submitted
 	j.done = bornDone
-	s.m.jobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the probe for lower-tier hits
+	s.m.JobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the probe for lower-tier hits
 	switch p.prov {
 	case provAdopted:
-		s.m.deltaHits.Add(1)
+		s.m.DeltaHits.Add(1)
 	case provDiskHit:
-		s.m.storeHits.Add(1)
+		s.m.StoreHits.Add(1)
 	default:
-		s.m.cacheHits.Add(1)
+		s.m.CacheHits.Add(1)
 	}
 	if p.reg != nil {
 		// A hit still anchors a lineage generation — after a restart the
@@ -440,7 +446,7 @@ func (s *Server) coalesceLocked(p *preparedJob, comp *computation) {
 	j.trace = comp.trace
 	comp.jobs = append(comp.jobs, j)
 	comp.refs++
-	s.m.coalesced.Add(1)
+	s.m.Coalesced.Add(1)
 }
 
 // startLocked hands a job's own computation to the executor; a saturated
@@ -474,11 +480,11 @@ func (s *Server) startLocked(p *preparedJob) error {
 	j.comp = comp
 	j.trace = tr
 	s.inflight.Store(p.Key, comp)
-	s.m.cacheMisses.Add(1)
+	s.m.CacheMisses.Add(1)
 	if p.partial {
 		j.partial, j.dirtySubjects = true, p.dirty
-		s.m.deltaPartials.Add(1)
-		s.m.deltaDirty.Add(int64(len(p.dirty)))
+		s.m.DeltaPartials.Add(1)
+		s.m.DeltaDirtySubjects.Add(int64(len(p.dirty)))
 	}
 	return nil
 }
@@ -535,7 +541,7 @@ func (s *Server) compStarted(comp *computation) {
 	comp.running = true
 	now := time.Now()
 	comp.queueDone()
-	s.m.queueWait.Observe(now.Sub(comp.job.submitted))
+	s.m.QueueWait.Observe(now.Sub(comp.job.submitted))
 	for _, j := range comp.jobs {
 		if !j.terminal() {
 			j.state = StateRunning
@@ -559,7 +565,7 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		endEncode := comp.trace.Start("encode")
 		start := time.Now()
 		enc, err = encodeResult(comp.kind, res)
-		s.m.resultEncode.ObserveSince(start)
+		s.m.ResultEncode.ObserveSince(start)
 		endEncode()
 		if err != nil {
 			err = fmt.Errorf("encode result: %w", err)
@@ -591,7 +597,7 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 	now := time.Now()
 	for _, j := range comp.jobs {
 		if !j.terminal() { // else canceled individually earlier
-			s.m.jobDuration.Observe(now.Sub(j.submitted))
+			s.m.JobDuration.Observe(now.Sub(j.submitted))
 			s.settleLocked(j, now, err)
 		}
 	}
@@ -614,13 +620,13 @@ func (s *Server) settleLocked(j *job, now time.Time, err error) {
 	switch {
 	case err == nil:
 		j.state = StateDone
-		s.m.completed.Add(1)
+		s.m.Completed.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		j.state = StateCanceled
-		s.m.canceled.Add(1)
+		s.m.Canceled.Add(1)
 	default:
 		j.state = StateFailed
-		s.m.failed.Add(1)
+		s.m.Failed.Add(1)
 	}
 	close(j.done)
 }
@@ -754,7 +760,7 @@ func (s *Server) Result(id string) (any, error) {
 
 // materialize decodes an encoded result for a consumer that needs a struct.
 func (s *Server) materialize(enc *EncodedResult, title string) (any, error) {
-	s.m.resultDecodes.Add(1)
+	s.m.ResultDecodes.Add(1)
 	res, err := enc.Decode(title)
 	if err != nil {
 		return nil, fmt.Errorf("decode stored result: %w", err)
@@ -796,76 +802,6 @@ func (s *Server) Jobs() []JobStatus {
 		out = append(out, s.jobs[id].statusLocked())
 	}
 	return out
-}
-
-// Stats snapshots the service counters.
-func (s *Server) Stats() Stats {
-	entries := s.cache.Len()
-	var storeStats store.Stats
-	if s.store != nil {
-		storeStats = s.store.Stats()
-	}
-	ws := s.watchHub.Stats()
-	degraded, reason := s.breaker.degraded()
-	return Stats{
-		StoreEnabled:       s.store != nil,
-		StoreHits:          s.m.storeHits.Load(),
-		StoreEvictions:     s.m.storeEvictions.Load(),
-		StoreErrors:        s.m.storeErrors.Load(),
-		StoreSkippedWrites: s.m.storeSkipped.Load(),
-		StoreTrips:         s.breaker.tripCount(),
-		Degraded:           degraded,
-		DegradedReason:     reason,
-		Store:              storeStats,
-
-		Submitted:       s.m.submitted.Load(),
-		Completed:       s.m.completed.Load(),
-		Failed:          s.m.failed.Load(),
-		Canceled:        s.m.canceled.Load(),
-		CacheHits:       s.m.cacheHits.Load(),
-		Coalesced:       s.m.coalesced.Load(),
-		CacheMisses:     s.m.cacheMisses.Load(),
-		Rejected:        s.m.rejected.Load(),
-		Computations:    s.m.computations.Load(),
-		BusyWorkers:     s.m.busyWorkers.Load(),
-		QueueDepth:      s.exec.QueueDepth(),
-		Workers:         s.cfg.Workers,
-		CacheEntries:    entries,
-		Recommendations: s.m.recommendations.Load(),
-		PrivateAudits:   s.m.privateAudits.Load(),
-		PrivatePairs:    s.m.privatePairs.Load(),
-		IngestedRecords: s.m.ingestedRecords.Load(),
-		IngestGroups:    s.m.ingestGroups.Load(),
-		IngestThrottled: s.m.ingestThrottled.Load(),
-
-		WatchSubscribers:   ws.Subscribers,
-		WatchSubscriptions: ws.Subscribed,
-		WatchEvents:        ws.EventsSent,
-		WatchDropped:       ws.EventsDropped,
-		WatchEvicted:       ws.Evicted,
-		WatchDirtyMarks:    ws.DirtyMarks,
-		WatchReaudits:      s.m.watchReaudits.Load(),
-
-		DeltaHits:          s.m.deltaHits.Load(),
-		DeltaPartials:      s.m.deltaPartials.Load(),
-		DeltaDirtySubjects: s.m.deltaDirty.Load(),
-
-		JobsRecovered: s.m.jobsRecovered.Load(),
-		WorkerPanics:  s.m.workerPanics.Load(),
-
-		JobDuration:   s.m.jobDuration.Snapshot(),
-		QueueWait:     s.m.queueWait.Snapshot(),
-		Compute:       s.m.compute.Snapshot(),
-		IngestCommit:  s.m.ingestCommit.Snapshot(),
-		IngestNotify:  s.m.ingestNotify.Snapshot(),
-		ResultEncode:  s.m.resultEncode.Snapshot(),
-		ResultDecodes: s.m.resultDecodes.Load(),
-		ResultBytes:   s.m.resultBytes.Load(),
-
-		Uptime:  time.Since(s.began),
-		Runtime: telemetry.ReadRuntime(),
-		Build:   telemetry.ReadBuild(),
-	}
 }
 
 // Trace returns a job's phase timeline and pipeline counts. Jobs served

@@ -105,7 +105,7 @@ func (b *breaker) tripCount() int64 {
 // being written, for which job, and the underlying error — and feeds the
 // breaker, announcing the trip into degraded mode when it happens.
 func (s *Server) storeFailure(what string, err error) {
-	s.m.storeErrors.Add(1)
+	s.m.StoreErrors.Add(1)
 	log.Printf("auditd: store write failed (%s): %v", what, err)
 	if s.breaker.failure(err) {
 		log.Printf("auditd: %d consecutive store write failures; serving degraded (memory-only), probing every %v",

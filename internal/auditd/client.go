@@ -391,26 +391,20 @@ func (c *Client) encodedResult(ctx context.Context, path string) (*EncodedResult
 	return EncodedResultFromPayload(body)
 }
 
-// resultKind sniffs which workload kind a result payload belongs to: audit
-// reports carry "audits", recommendations carry "rankings" + "strategy",
-// private audits carry "entries" + "protocol". "" means raw is not a JSON
-// object.
+// resultKind sniffs which workload kind a result payload belongs to: the
+// first kind in the table whose markers it carries, else a report. "" means
+// raw is not a JSON object.
 func resultKind(raw []byte) string {
-	var probe struct {
-		Audits   json.RawMessage `json:"audits"`
-		Rankings json.RawMessage `json:"rankings"`
-		Strategy string          `json:"strategy"`
-		Entries  json.RawMessage `json:"entries"`
-		Protocol string          `json:"protocol"`
-	}
-	if json.Unmarshal(raw, &probe) != nil {
+	var fields map[string]json.RawMessage
+	if json.Unmarshal(raw, &fields) != nil {
 		return ""
 	}
-	if probe.Audits == nil && (probe.Entries != nil || probe.Protocol != "") {
-		return KindPrivateAudit
-	}
-	if probe.Audits == nil && (probe.Rankings != nil || probe.Strategy != "") {
-		return KindRecommend
+	for _, k := range jobKinds {
+		for _, m := range k.markers {
+			if fields[m] != nil {
+				return k.name
+			}
+		}
 	}
 	return KindAudit
 }

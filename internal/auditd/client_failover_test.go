@@ -74,9 +74,10 @@ func TestClientWithoutPeersKeepsRetryingOneBase(t *testing.T) {
 
 // TestClientSetHeaderAppliesToEveryRequest: a header set once rides on every
 // request the client sends — submits and polls alike — which is what lets
-// the cluster router mark all its forwarded traffic.
+// the cluster router mark all its forwarded traffic. The daemon sits behind a
+// fake cluster: a standalone one refuses the forwarded mark.
 func TestClientSetHeaderAppliesToEveryRequest(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, Cluster: &fakeCluster{}})
 	defer gracefulShutdown(t, s)
 	inner := s.Handler()
 	var total, tagged atomic.Int64

@@ -148,7 +148,7 @@ func (e *localExecutor) Submit(ctx context.Context, w *Workload, cb ExecCallback
 func (e *localExecutor) Execute(ctx context.Context, w *Workload) (res any, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			e.m.workerPanics.Add(1)
+			e.m.WorkerPanics.Add(1)
 			res = nil
 			err = fmt.Errorf("worker panic: %v\n%s", r, debug.Stack())
 		}
@@ -179,12 +179,12 @@ func (e *localExecutor) runItem(item *execItem) {
 	if item.cb.Started != nil {
 		item.cb.Started()
 	}
-	e.m.busyWorkers.Add(1)
-	e.m.computations.Add(1)
+	e.m.BusyWorkers.Add(1)
+	e.m.Computations.Add(1)
 	computeStart := time.Now()
 	res, err := e.Execute(item.ctx, item.w)
-	e.m.compute.Observe(time.Since(computeStart))
-	e.m.busyWorkers.Add(-1)
+	e.m.Compute.Observe(time.Since(computeStart))
+	e.m.BusyWorkers.Add(-1)
 	item.cb.Done(res, err)
 }
 

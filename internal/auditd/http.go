@@ -65,7 +65,7 @@ func (s *Server) writeResult(w http.ResponseWriter, res *EncodedResult, title st
 	}
 	head := res.head(title)
 	n := len(head) + len(res.obj) - 1
-	s.m.resultBytes.Add(int64(n))
+	s.m.ResultBytes.Add(int64(n))
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(n))
 	w.WriteHeader(200)
@@ -115,25 +115,43 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 
 // ForwardedHeader marks a request a cluster peer already routed once: the
 // receiving node must compute it locally (single-hop ownership, no forward
-// loops). ReplicatedHeader marks an ingest pushed by a peer's replication
-// hook: admitted without rate limiting and not replicated onward.
+// loops). ReplicatedHeader marks an ingest pushed by a peer's replication:
+// admitted without rate limiting and not replicated onward. Both are honoured
+// only from a peer (see peerMarked).
 const (
 	ForwardedHeader  = "X-Indaas-Forwarded"
 	ReplicatedHeader = "X-Indaas-Replicated"
 )
 
-// handleJob serves a job kind's submission route: it decodes the kind's
-// request, notes whether a cluster peer already routed it, submits it, and
+// peerMarked reports whether r carries header, a mark only a cluster peer may
+// set. From anyone else — and on a standalone daemon, from anyone — the mark
+// would skip admission or replication, so the request is answered 403 here
+// and ok is false. The peer check is by source address: it cannot tell two
+// processes on one host apart.
+func (s *Server) peerMarked(w http.ResponseWriter, r *http.Request, header string) (marked, ok bool) {
+	if r.Header.Get(header) == "" {
+		return false, true
+	}
+	if s.cfg.Cluster == nil || !s.cfg.Cluster.FromPeer(r) {
+		writeJSON(w, http.StatusForbidden, errorBody{Error: header + " is honoured only from cluster peers"})
+		return true, false
+	}
+	return true, true
+}
+
+// handleJob serves a job kind's submission route: it notes whether a cluster
+// peer already routed the request, decodes the kind's request, submits it, and
 // answers 202 (accepted, result pending) or 200 (a result tier already held
 // the answer). Whatever the kind, the job's lifecycle — poll, result, cancel —
 // then runs through the shared /v1/audits/{id} endpoints.
 func (s *Server) handleJob(k *jobKind) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
+		forwarded, ok := s.peerMarked(w, r, ForwardedHeader)
 		req := k.newRequest()
-		if !decodeJSON(w, r, req) {
+		if !ok || !decodeJSON(w, r, req) {
 			return
 		}
-		st, err := s.submitJob(k, req, origin{forwarded: r.Header.Get(ForwardedHeader) != ""})
+		st, err := s.submitJob(k, req, origin{forwarded: forwarded})
 		if err != nil {
 			writeErr(w, err)
 			return
@@ -169,10 +187,11 @@ func (s *Server) handleProviders(w http.ResponseWriter, r *http.Request) {
 // handleIngest appends dependency records to the server's database.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if !decodeJSON(w, r, &req) {
+	replicated, ok := s.peerMarked(w, r, ReplicatedHeader)
+	if !ok || !decodeJSON(w, r, &req) {
 		return
 	}
-	req.Replicated = r.Header.Get(ReplicatedHeader) != ""
+	req.Replicated = replicated
 	resp, err := s.Ingest(&req)
 	reply(w, resp, err)
 }
@@ -236,10 +255,11 @@ func (s *Server) handleCached(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.Stats().render(w)
-	if s.cfg.ExtraMetrics != nil {
-		s.cfg.ExtraMetrics(w)
+	rows := s.Stats().rows()
+	if s.cfg.Cluster != nil {
+		rows = append(rows, s.cfg.Cluster.Metrics()...)
 	}
+	writeMetrics(w, rows)
 }
 
 // handleHealthz reports liveness plus the served database's identity — the
@@ -271,7 +291,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			h.Durable = false
 			h.DegradedReason = reason
 		}
-		h.StoreErrors = s.m.storeErrors.Load()
+		h.StoreErrors = s.m.StoreErrors.Load()
 	}
 	s.mu.Lock()
 	db := s.db

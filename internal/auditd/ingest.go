@@ -14,11 +14,11 @@ import (
 // about the fleet, to fold into the server's database.
 type IngestRequest struct {
 	Records []RecordWire `json:"records"`
-	// Replicated marks an ingest pushed by a cluster peer's replication hook
+	// Replicated marks an ingest pushed by a cluster peer's replication
 	// rather than originated by a client: it bypasses the admission rate
 	// limit (the originating node already admitted it) and is not replicated
-	// onward. Set by the HTTP layer from the replication header; never by
-	// clients, and excluded from JSON.
+	// onward. Set by the HTTP layer from the replication header, which it
+	// honours only from a peer; never by clients, and excluded from JSON.
 	Replicated bool `json:"-"`
 }
 
@@ -48,7 +48,7 @@ type IngestResponse struct {
 // and the response filled in when the group it joined commits.
 type ingestWaiter struct {
 	records []deps.Record
-	// wire keeps the records' wire form for Config.ReplicateHook; replica
+	// wire keeps the records' wire form for Cluster.Replicate; replica
 	// marks a peer-replicated ingest that must not be replicated onward.
 	wire    []RecordWire
 	replica bool
@@ -93,7 +93,7 @@ func (s *Server) Ingest(req *IngestRequest) (IngestResponse, error) {
 		// charged its own rate limit, and dropping a replica here would let
 		// peer fingerprints diverge under load.
 		if ok, retryAfter := s.ingestLimit.take(float64(len(records))); !ok {
-			s.m.ingestThrottled.Add(1)
+			s.m.IngestThrottled.Add(1)
 			return IngestResponse{}, &statusErr{
 				code:       429,
 				retryAfter: retryAfter,
@@ -226,7 +226,7 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 			s.storeOK()
 			durable = true
 		} else {
-			s.m.storeSkipped.Add(1)
+			s.m.StoreSkippedWrites.Add(1)
 		}
 	}
 	before := db.Snapshot()
@@ -238,8 +238,8 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 	if s.store != nil && (!durable && len(changed) > 0 || !snap.Extends(before)) {
 		s.snapDirty = true
 	}
-	s.m.ingestedRecords.Add(int64(len(records)))
-	s.m.ingestGroups.Add(1)
+	s.m.IngestedRecords.Add(int64(len(records)))
+	s.m.IngestGroups.Add(1)
 	s.ingestMu.Unlock()
 
 	// Only the records that changed the database's state go any further: an
@@ -256,20 +256,20 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 
 		// Replicate locally originated records to cluster peers BEFORE
 		// acknowledging: when an ingest through this node returns, the
-		// fleet's fingerprints have converged (the hook retries/marks peers
+		// fleet's fingerprints have converged (the cluster retries/marks peers
 		// internally). Peer-replicated records are never pushed onward —
 		// replication is a star from the originating node, so there is no
 		// echo.
-		if hook := s.cfg.ReplicateHook; hook != nil {
+		if c := s.cfg.Cluster; c != nil {
 			if originated := originatedWire(group, changed); len(originated) > 0 {
-				hook(originated)
+				c.Replicate(originated)
 			}
 		}
 	}
 
 	// Observed before the waiters are released: an acknowledged ingest is
 	// already in the histogram when its caller reads /metrics.
-	s.m.ingestCommit.Observe(time.Since(commitStart))
+	s.m.IngestCommit.Observe(time.Since(commitStart))
 	for _, w := range group {
 		w.resp = IngestResponse{
 			Added:       len(w.records),

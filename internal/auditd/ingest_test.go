@@ -17,9 +17,9 @@ import (
 func TestIngestRetryIsIdempotent(t *testing.T) {
 	st := openStore(t, t.TempDir())
 	var replicated [][]RecordWire
-	s := New(Config{Workers: 1, Store: st, ReplicateHook: func(recs []RecordWire) {
+	s := New(Config{Workers: 1, Store: st, Cluster: &fakeCluster{replicate: func(recs []RecordWire) {
 		replicated = append(replicated, recs)
-	}})
+	}}})
 	defer gracefulShutdown(t, s)
 
 	batch := testRecords()

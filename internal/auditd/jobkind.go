@@ -28,6 +28,8 @@ type jobKind struct {
 	// titled payloads carry their title field even when it is empty (reports
 	// do; the other kinds omit an empty one) — see EncodedResult.head.
 	titled bool
+	// markers are the payload fields that identify the kind's result (resultKind).
+	markers []string
 	// newRequest returns a zero wire request for the HTTP decoder and the
 	// journal replay to fill.
 	newRequest func() jobRequest
@@ -47,7 +49,7 @@ type jobRequest interface {
 
 // jobKinds is the table. Adding a kind is adding a file that defines its
 // jobKind and listing it here (docs/ARCHITECTURE.md has the recipe).
-var jobKinds = []*jobKind{auditKind, recommendKind, privateAuditKind}
+var jobKinds = []*jobKind{auditKind, privateAuditKind, recommendKind}
 
 // kindByName looks a kind up by its stored name; nil if none is registered.
 func kindByName(name string) *jobKind {

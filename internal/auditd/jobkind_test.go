@@ -226,16 +226,18 @@ func journalRoundTrip(t *testing.T, k *jobKind, fx kindFixture, want []byte) {
 
 // forwardRoundTrip: a coordinator that relays the job to an owner serves the
 // owner's report body byte for byte, having run no codec and no computation.
+// Both sit behind a fake cluster, which is what lets the owner take the
+// relay's forwarded mark from loopback.
 func forwardRoundTrip(ctx context.Context, t *testing.T, k *jobKind, fx kindFixture) {
-	owner := New(Config{Workers: 1})
+	owner := New(Config{Workers: 1, Cluster: &fakeCluster{}})
 	defer gracefulShutdown(t, owner)
 	ots := httptest.NewServer(owner.Handler())
 	defer ots.Close()
 	ownerClient := NewClient(ots.URL, ots.Client())
 	ownerClient.SetHeader(ForwardedHeader, "1")
-	coord := New(Config{Workers: 1, WrapExecutor: func(local Executor) Executor {
+	coord := New(Config{Workers: 1, Cluster: &fakeCluster{exec: func(local Executor) Executor {
 		return &relayExecutor{Executor: local, owner: ownerClient}
-	}})
+	}}})
 	defer gracefulShutdown(t, coord)
 	cts := httptest.NewServer(coord.Handler())
 	defer cts.Close()

@@ -41,12 +41,12 @@ func (s *Server) journalJob(id, kind string, req any) bool {
 		return false // wire requests always marshal; never block a submission on this
 	}
 	if !s.breaker.allow() {
-		s.m.storeSkipped.Add(1)
+		s.m.StoreSkippedWrites.Add(1)
 		return true
 	}
 	rec, err := json.Marshal(journalRecord{Kind: kind, Request: blob})
 	if err != nil {
-		s.m.storeErrors.Add(1)
+		s.m.StoreErrors.Add(1)
 		return true
 	}
 	evicted, err := s.store.Put(journalKey(id), store.KindJob, rec)
@@ -68,7 +68,7 @@ func (s *Server) clearJournals(ids []string) {
 		return
 	}
 	if !s.breaker.allow() {
-		s.m.storeSkipped.Add(int64(len(ids)))
+		s.m.StoreSkippedWrites.Add(int64(len(ids)))
 		return
 	}
 	for _, id := range ids {
@@ -128,7 +128,7 @@ func (s *Server) RecoverJobs() (int, error) {
 		switch code := httpStatus(err); {
 		case err == nil:
 			recovered++
-			s.m.jobsRecovered.Add(1)
+			s.m.JobsRecovered.Add(1)
 			log.Printf("auditd: recovered job %s from the journal", id)
 		case code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable:
 			deferred++

@@ -328,9 +328,9 @@ func (m *modelRun) check() {
 	}
 	// 5. Every accepted job is counted exactly once.
 	c := &s.m
-	hits := c.cacheHits.Load() + c.storeHits.Load() + c.deltaHits.Load()
-	if got := hits + c.coalesced.Load() + c.cacheMisses.Load(); got != c.submitted.Load() {
-		m.failf("submitted = %d, but hits %d + coalesced %d + misses %d = %d", c.submitted.Load(), hits, c.coalesced.Load(), c.cacheMisses.Load(), got)
+	hits := c.CacheHits.Load() + c.StoreHits.Load() + c.DeltaHits.Load()
+	if got := hits + c.Coalesced.Load() + c.CacheMisses.Load(); got != c.Submitted.Load() {
+		m.failf("submitted = %d, but hits %d + coalesced %d + misses %d = %d", c.Submitted.Load(), hits, c.Coalesced.Load(), c.CacheMisses.Load(), got)
 	}
 	// 6. The journal on disk is exactly the non-terminal journaled jobs: the
 	// run is single-threaded, so every moment between steps is quiescent.
@@ -386,10 +386,10 @@ func TestJobLifecycleModel(t *testing.T) {
 				m.log = append(m.log, fmt.Sprintf("seed %d (%s)", seed, name))
 				// Small bounds, so eviction from every structure is routine:
 				// the memory tier, the job table, the executor's queue.
-				cfg := Config{Workers: 1, CacheEntries: 3, JobRetention: 12, WrapExecutor: func(local Executor) Executor {
+				cfg := Config{Workers: 1, CacheEntries: 3, JobRetention: 12, Cluster: &fakeCluster{exec: func(local Executor) Executor {
 					m.exec = &manualExecutor{local: local, capacity: 4}
 					return m.exec
-				}}
+				}}}
 				if durable {
 					m.st = openStore(t, t.TempDir())
 					cfg.Store = m.st

@@ -230,7 +230,7 @@ func (s *Server) persistResult(label, key string, res *EncodedResult) []string {
 		return nil
 	}
 	if !s.breaker.allow() {
-		s.m.storeSkipped.Add(1)
+		s.m.StoreSkippedWrites.Add(1)
 		return nil
 	}
 	evicted, err := s.store.Put(key, store.KindResult, res.envelope())
@@ -314,7 +314,7 @@ func (s *Server) dropCached(keys []string, except string) {
 			continue
 		}
 		s.cache.Remove(key)
-		s.m.storeEvictions.Add(1)
+		s.m.StoreEvictions.Add(1)
 	}
 }
 
@@ -328,7 +328,7 @@ func (s *Server) StoreGC() (int, error) {
 	}
 	evicted, err := s.store.GC()
 	if err != nil {
-		s.m.storeErrors.Add(1)
+		s.m.StoreErrors.Add(1)
 	}
 	s.dropCached(evicted, "")
 	return len(evicted), err

@@ -130,7 +130,7 @@ func (s *Server) RegisterProvider(req *RegisterProviderRequest) (ProviderInfo, e
 			}
 		}
 	} else if s.store != nil {
-		s.m.storeSkipped.Add(1)
+		s.m.StoreSkippedWrites.Add(1)
 	}
 
 	s.mu.Lock()
@@ -416,6 +416,7 @@ var privateAuditKind = &jobKind{
 	name:       KindPrivateAudit,
 	route:      "/v1/private-audits",
 	hint:       "a private-audit job; use PrivateAuditResult",
+	markers:    []string{"entries", "protocol"},
 	newRequest: func() jobRequest { return new(PrivateAuditRequest) },
 	decodeResult: func(obj []byte, title string) (any, error) {
 		pia := new(PrivateAuditResponse)
@@ -453,7 +454,7 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 	}
 	protocol := n.Protocol
 	pairs := len(deployments)
-	return &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.privateAudits, Workload: Workload{
+	return &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.PrivateAudits, Workload: Workload{
 		Key:           n.key(),
 		SelfContained: inline,
 		NoForward:     !inline,
@@ -463,7 +464,7 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.m.privatePairs.Add(int64(pairs))
+			s.m.PrivatePairs.Add(int64(pairs))
 			return PrivateAuditResponseFromReport(rep, infos, protocol, time.Since(start)), nil
 		},
 	}}, nil

@@ -127,7 +127,7 @@ func TestPrivateAuditServed(t *testing.T) {
 
 	// The counters surface on /metrics under compliant names.
 	var buf bytes.Buffer
-	s.Stats().render(&buf)
+	writeMetrics(&buf, s.Stats().rows())
 	for _, want := range []string{"auditd_private_audits_total 2", "auditd_private_pairs_total 1"} {
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("/metrics missing %q", want)

@@ -211,7 +211,7 @@ func TestResponsesAreCompactWithContentLength(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stor.Close()
-	bad := New(Config{Workers: 1, Store: stor, WrapExecutor: func(local Executor) Executor { return corruptingExecutor{local} }})
+	bad := New(Config{Workers: 1, Store: stor, Cluster: &fakeCluster{exec: func(local Executor) Executor { return corruptingExecutor{local} }}})
 	defer shutdown(t, bad)
 	end := waitDone(t, bad, mustSubmit(t, bad, quickRequest("unencodable")).ID)
 	if end.State != StateFailed || !strings.Contains(end.Error, "encode result") {

@@ -174,6 +174,7 @@ var recommendKind = &jobKind{
 	name:       KindRecommend,
 	route:      "/v1/recommend",
 	hint:       "a recommendation job; use RecommendResult",
+	markers:    []string{"rankings", "strategy"},
 	newRequest: func() jobRequest { return new(RecommendRequest) },
 	decodeResult: func(obj []byte, title string) (any, error) {
 		rec := new(RecommendResponse)
@@ -233,7 +234,7 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 		return nil, &statusErr{code: 400, err: err}
 	}
 
-	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.recommendations, Workload: Workload{
+	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.Recommendations, Workload: Workload{
 		Key:           n.key(),
 		DBFingerprint: n.DBFingerprint,
 		SelfContained: len(r.Records) > 0,

@@ -523,7 +523,7 @@ func TestMetricsExposeStoreCounters(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	var sb strings.Builder
-	s.Stats().render(&sb)
+	writeMetrics(&sb, s.Stats().rows())
 	text := sb.String()
 	for _, want := range []string{
 		"auditd_store_hits_total 0",
@@ -539,7 +539,7 @@ func TestMetricsExposeStoreCounters(t *testing.T) {
 	plain := New(Config{Workers: 1})
 	defer gracefulShutdown(t, plain)
 	sb.Reset()
-	plain.Stats().render(&sb)
+	writeMetrics(&sb, plain.Stats().rows())
 	if strings.Contains(sb.String(), "auditd_store_") {
 		t.Error("memory-only service rendered store metrics")
 	}

@@ -166,7 +166,7 @@ func TestDegradedGaugeWithoutStore(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
 	var b strings.Builder
-	s.Stats().render(&b)
+	writeMetrics(&b, s.Stats().rows())
 	if !strings.Contains(b.String(), "\nauditd_degraded 0\n") {
 		t.Fatal("memory-only /metrics lacks the auditd_degraded gauge")
 	}
@@ -270,7 +270,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 
 	var b strings.Builder
-	s.Stats().render(&b)
+	writeMetrics(&b, s.Stats().rows())
 	types, samples := parseExposition(t, b.String())
 
 	seen := map[string]bool{}
@@ -357,8 +357,8 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	}
 	// Recording a served result costs the read path no allocation.
 	if n := testing.AllocsPerRun(100, func() {
-		s.m.resultEncode.ObserveSince(time.Now())
-		s.m.resultBytes.Add(1)
+		s.m.ResultEncode.ObserveSince(time.Now())
+		s.m.ResultBytes.Add(1)
 	}); n != 0 {
 		t.Fatalf("result metrics allocate %.0f times per served result", n)
 	}
@@ -397,21 +397,16 @@ const (
 // fingerprints a private DepDB before it can even compute its content
 // address: that construction, not the hit path, is most of its count. Each
 // gate is the measured count plus two. The "seams" variant runs the same
-// budgets with the executor wrapped and an extra result tier appended — the
-// interfaces the cluster layer hangs off — proving the extraction left the
-// hit path alone: hits never reach the executor, and the tier chain stops
-// at memory.
+// budgets behind a fake cluster — the executor passed through the seam and a
+// peer tier that never hits appended — proving the seam leaves the hit path
+// alone: hits never reach the executor, and the tier chain stops at memory.
 func TestMemoryHitAllocBudget(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  Config
 	}{
 		{"plain", Config{Workers: 1}},
-		{"seams", Config{
-			Workers:      1,
-			WrapExecutor: func(e Executor) Executor { return e },
-			ExtraTiers:   []ResultTier{missTier{}},
-		}},
+		{"seams", Config{Workers: 1, Cluster: &fakeCluster{}}},
 	}
 	shapes := []struct {
 		name   string

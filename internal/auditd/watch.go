@@ -183,7 +183,7 @@ func (s *Server) refreshLoop(sub *watch.Sub, req *SubmitRequest) {
 			// notify span (job completion → event queued, i.e. the re-audit
 			// poll plus report rendering) onto the job's trace.
 			if !since.IsZero() {
-				s.m.ingestNotify.Observe(time.Since(since))
+				s.m.IngestNotify.Observe(time.Since(since))
 			}
 			if ev.Job.FinishedAt != nil {
 				s.appendJobSpan(ev.Job.ID, "notify", *ev.Job.FinishedAt, time.Since(*ev.Job.FinishedAt))
@@ -216,7 +216,7 @@ func (s *Server) refreshOnce(sub *watch.Sub, req *SubmitRequest, trigger []strin
 		}
 		return &WatchEvent{Trigger: trigger, Error: err.Error()}, true
 	}
-	s.m.watchReaudits.Add(1)
+	s.m.WatchReaudits.Add(1)
 	// Wait the job out in short beats, re-checking the subscription so a
 	// closed subscriber or a shutdown never strands this goroutine behind a
 	// long computation.

@@ -1,10 +1,10 @@
 package cluster_test
 
 // Multi-node integration tests: real auditd servers on real listeners,
-// clustered through the executor/tier/replication seams exactly as cmd
-// serve wires them. They cover ownership forwarding, peer cache hits,
-// fan-out splice equality against a single-node run, ingest replication
-// convergence, and survival of a dead peer.
+// clustered through the auditd.Cluster seam exactly as cmd serve wires them.
+// They cover ownership forwarding, peer cache hits, fan-out splice equality
+// against a single-node run, ingest replication convergence, survival of a
+// dead peer, and which sources a node takes peer-only headers from.
 
 import (
 	"context"
@@ -48,13 +48,7 @@ func (tn *testNode) kill() {
 // startNode serves one clustered node on ln, wired as cmd serve wires it.
 func startNode(ln net.Listener, self string, peers []string) *testNode {
 	node := cluster.New(cluster.Config{Self: self, Peers: peers, PollInterval: 100 * time.Millisecond})
-	s := auditd.New(auditd.Config{
-		Workers:       2,
-		WrapExecutor:  node.WrapExecutor,
-		ExtraTiers:    []auditd.ResultTier{node.PeerTier()},
-		ReplicateHook: node.Replicate,
-		ExtraMetrics:  node.RenderMetrics,
-	})
+	s := auditd.New(auditd.Config{Workers: 2, Cluster: node})
 	srv := &http.Server{Handler: s.Handler()}
 	go srv.Serve(ln)
 	node.Start()
@@ -503,22 +497,48 @@ func TestClusterSurvivesDeadPeer(t *testing.T) {
 	}
 }
 
-// TestClusterMetricNames: every cluster series on the exposition page obeys
-// the repo's naming conventions (counters end in _total; the two gauges are
-// allowlisted in scripts/check_metric_names.sh).
+// TestClusterMetricNames: every cluster row of the /metrics table reaches
+// the daemon's exposition page under its declared kind, after the core
+// series (the naming rule itself is checked over the whole table in
+// internal/auditd).
 func TestClusterMetricNames(t *testing.T) {
 	nodes := startCluster(t, 2)
 	text, err := nodes[0].c.Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gauges := map[string]bool{"auditd_cluster_peers": true, "auditd_cluster_peers_healthy": true}
-	for _, name := range regexp.MustCompile(`auditd_cluster_[a-z0-9_]+`).FindAllString(text, -1) {
-		if !strings.HasSuffix(name, "_total") && !gauges[name] {
-			t.Errorf("cluster metric %s is neither a _total counter nor an allowlisted gauge", name)
+	core := strings.Index(text, "# TYPE auditd_degraded gauge\n")
+	for _, m := range nodes[0].node.Metrics() {
+		if i := strings.Index(text, "# TYPE "+m.Name+" "+string(m.Kind)+"\n"); i < core {
+			t.Errorf("cluster %s %s is missing from /metrics or precedes the core series", m.Kind, m.Name)
 		}
 	}
 	if !strings.Contains(text, "auditd_cluster_forwards_total") {
 		t.Fatal("cluster series missing from /metrics")
+	}
+}
+
+// TestNodeTrustsOnlyConfiguredPeers: a node takes peer-only headers from the
+// addresses its Self and Peers name — Self included, since a fan-out posts
+// sub-audits to its own node — and from nowhere else. An unspecified Self is
+// this machine, reached over loopback.
+func TestNodeTrustsOnlyConfiguredPeers(t *testing.T) {
+	from := func(addr string) *http.Request {
+		r := httptest.NewRequest(http.MethodPost, "/v1/depdb", nil)
+		r.RemoteAddr = addr
+		return r
+	}
+	node := cluster.New(cluster.Config{Self: "http://10.0.0.1:7080", Peers: []string{"10.0.0.2:7080", "http://[fd00::3]:7080"}})
+	for addr, want := range map[string]bool{
+		"10.0.0.1:40000": true, "10.0.0.2:40000": true, "[fd00::3]:40000": true, "[::ffff:10.0.0.2]:40000": true,
+		"10.0.0.4:40000": false, "127.0.0.1:40000": false, "192.0.2.1:1234": false, "not an address": false,
+	} {
+		if got := node.FromPeer(from(addr)); got != want {
+			t.Errorf("FromPeer(%s) = %v, want %v", addr, got, want)
+		}
+	}
+	local := cluster.New(cluster.Config{Self: ":7080", Peers: []string{"10.0.0.2:7080"}})
+	if !local.FromPeer(from("127.0.0.1:40000")) || !local.FromPeer(from("[::1]:40000")) || local.FromPeer(from("10.0.0.9:1")) {
+		t.Error("a node listening on every interface must trust loopback, and only it, as itself")
 	}
 }

@@ -1,49 +1,35 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
+
+	"indaas/internal/auditd"
 )
 
-// metrics counts the cluster layer's own traffic; the node renders them
-// onto the daemon's /metrics page through Config.ExtraMetrics, after the
-// core auditd series.
+// metrics counts the cluster layer's own traffic; Node.Metrics puts it on the
+// daemon's /metrics page, after the core auditd series.
 type metrics struct {
-	// forwards counts workloads routed to a peer that owns their content
-	// address; forwardFailures counts forwards that could not reach the
-	// owner (the workload then ran locally).
-	forwards        atomic.Int64
-	forwardFailures atomic.Int64
-	// fanouts counts many-deployment audits split across the fleet;
-	// fanoutSubaudits counts the single-deployment sub-audits they spawned.
-	fanouts         atomic.Int64
-	fanoutSubaudits atomic.Int64
-	// replicatedRecords counts ingested records pushed to peers (records ×
-	// peers); replicationFailures counts peers a push could not reach.
-	replicatedRecords   atomic.Int64
-	replicationFailures atomic.Int64
-	// peerCacheHits counts results served out of a peer's cache through the
-	// peer result tier.
-	peerCacheHits atomic.Int64
+	forwards            atomic.Int64 // workloads routed to a peer that owns their content address
+	forwardFailures     atomic.Int64 // forwards that could not reach the owner (the workload then ran locally)
+	fanouts             atomic.Int64 // many-deployment audits split across the fleet
+	fanoutSubaudits     atomic.Int64 // the single-deployment sub-audits the fan-outs spawned
+	replicatedRecords   atomic.Int64 // ingested records pushed to peers (records × peers)
+	replicationFailures atomic.Int64 // peers a push could not reach
+	peerCacheHits       atomic.Int64 // results served out of a peer's cache through the peer result tier
 }
 
-// render writes the cluster series in Prometheus exposition format. peers
-// and peersHealthy are point-in-time gauges supplied by the health poller.
-func (m *metrics) render(w io.Writer, peers, peersHealthy int) {
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
+// Metrics returns the cluster's rows of the /metrics table. The two peer
+// gauges are point-in-time readings of the health poller.
+func (n *Node) Metrics() []auditd.Metric {
+	return []auditd.Metric{
+		{Name: "auditd_cluster_peers", Help: "Configured cluster peers (excluding this node).", Kind: auditd.Gauge, Value: len(n.cfg.Peers)},
+		{Name: "auditd_cluster_peers_healthy", Help: "Peers whose last health poll succeeded.", Kind: auditd.Gauge, Value: n.healthyPeers()},
+		{Name: "auditd_cluster_forwards_total", Help: "Workloads forwarded to their hash owner.", Kind: auditd.Counter, Value: n.m.forwards.Load()},
+		{Name: "auditd_cluster_forward_failures_total", Help: "Forwards that failed over to local compute.", Kind: auditd.Counter, Value: n.m.forwardFailures.Load()},
+		{Name: "auditd_cluster_fanouts_total", Help: "Many-deployment audits split across the fleet.", Kind: auditd.Counter, Value: n.m.fanouts.Load()},
+		{Name: "auditd_cluster_fanout_subaudits_total", Help: "Single-deployment sub-audits spawned by fan-outs.", Kind: auditd.Counter, Value: n.m.fanoutSubaudits.Load()},
+		{Name: "auditd_cluster_replicated_records_total", Help: "Ingested records pushed to peers (records x peers).", Kind: auditd.Counter, Value: n.m.replicatedRecords.Load()},
+		{Name: "auditd_cluster_replication_failures_total", Help: "Peers an ingest replication could not reach.", Kind: auditd.Counter, Value: n.m.replicationFailures.Load()},
+		{Name: "auditd_cluster_peer_cache_hits_total", Help: "Results served from a peer's cache.", Kind: auditd.Counter, Value: n.m.peerCacheHits.Load()},
 	}
-	gauge := func(name, help string, v int) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-	gauge("auditd_cluster_peers", "Configured cluster peers (excluding this node).", peers)
-	gauge("auditd_cluster_peers_healthy", "Peers whose last health poll succeeded.", peersHealthy)
-	counter("auditd_cluster_forwards_total", "Workloads forwarded to their hash owner.", m.forwards.Load())
-	counter("auditd_cluster_forward_failures_total", "Forwards that failed over to local compute.", m.forwardFailures.Load())
-	counter("auditd_cluster_fanouts_total", "Many-deployment audits split across the fleet.", m.fanouts.Load())
-	counter("auditd_cluster_fanout_subaudits_total", "Single-deployment sub-audits spawned by fan-outs.", m.fanoutSubaudits.Load())
-	counter("auditd_cluster_replicated_records_total", "Ingested records pushed to peers (records x peers).", m.replicatedRecords.Load())
-	counter("auditd_cluster_replication_failures_total", "Peers an ingest replication could not reach.", m.replicationFailures.Load())
-	counter("auditd_cluster_peer_cache_hits_total", "Results served from a peer's cache.", m.peerCacheHits.Load())
 }

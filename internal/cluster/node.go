@@ -2,8 +2,10 @@ package cluster
 
 import (
 	"context"
-	"io"
+	"net"
 	"net/http"
+	"net/netip"
+	"net/url"
 	"strings"
 	"sync"
 	"time"
@@ -29,9 +31,8 @@ type Config struct {
 var forwardRetry = auditd.RetryPolicy{MaxAttempts: 3, BaseDelay: 50 * time.Millisecond, MaxDelay: 500 * time.Millisecond}
 
 // Node is one auditd process's view of the cluster. It owns the hash ring,
-// the peer health state, and the per-peer clients; its WrapExecutor,
-// PeerTier, Replicate and RenderMetrics methods plug into the matching
-// auditd.Config seams.
+// the peer health state, and the per-peer clients, and it is the server's
+// auditd.Cluster: set it as auditd.Config.Cluster.
 type Node struct {
 	cfg    Config
 	ring   *ring
@@ -39,13 +40,18 @@ type Node struct {
 	fwd    map[string]*auditd.Client // per node (self included), forwarded-marked
 	rep    map[string]*auditd.Client // per peer, replicated-marked
 	cacheC map[string]*auditd.Client // per peer, no retries: cache probes fail fast
-	hc     *http.Client
-	m      metrics
+	// trusted is what Self and Peers resolved to when the node was built: the
+	// source addresses FromPeer accepts peer-only headers from.
+	trusted map[netip.Addr]bool
+	hc      *http.Client
+	m       metrics
 
 	mu     sync.Mutex
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 }
+
+var _ auditd.Cluster = (*Node)(nil)
 
 // normalizeAddr canonicalizes one node address so ring positions and map
 // keys agree regardless of how the operator spelled it.
@@ -64,10 +70,7 @@ func normalizeAddr(addr string) string {
 // polling, and wire the node into auditd.Config before auditd.New:
 //
 //	node := cluster.New(cluster.Config{Self: self, Peers: peers})
-//	cfg.WrapExecutor = node.WrapExecutor
-//	cfg.ExtraTiers = []auditd.ResultTier{node.PeerTier()}
-//	cfg.ReplicateHook = node.Replicate
-//	cfg.ExtraMetrics = node.RenderMetrics
+//	cfg.Cluster = node
 func New(cfg Config) *Node {
 	cfg.Self = normalizeAddr(cfg.Self)
 	peers := make([]string, 0, len(cfg.Peers))
@@ -82,15 +85,17 @@ func New(cfg Config) *Node {
 		cfg.PollInterval = 2 * time.Second
 	}
 	n := &Node{
-		cfg:    cfg,
-		ring:   newRing(append([]string{cfg.Self}, peers...)),
-		peers:  make(map[string]*peerState, len(peers)),
-		fwd:    make(map[string]*auditd.Client, len(peers)+1),
-		rep:    make(map[string]*auditd.Client, len(peers)),
-		cacheC: make(map[string]*auditd.Client, len(peers)),
-		hc:     &http.Client{}, // no global timeout: forwards long-poll job completion
+		cfg:     cfg,
+		ring:    newRing(append([]string{cfg.Self}, peers...)),
+		peers:   make(map[string]*peerState, len(peers)),
+		fwd:     make(map[string]*auditd.Client, len(peers)+1),
+		rep:     make(map[string]*auditd.Client, len(peers)),
+		cacheC:  make(map[string]*auditd.Client, len(peers)),
+		trusted: make(map[netip.Addr]bool),
+		hc:      &http.Client{}, // no global timeout: forwards long-poll job completion
 	}
 	for _, addr := range append([]string{cfg.Self}, peers...) {
+		n.trust(addr)
 		c := auditd.NewClient(addr, n.hc)
 		c.Retry = forwardRetry
 		c.SetHeader(auditd.ForwardedHeader, "1")
@@ -134,22 +139,45 @@ func (n *Node) Stop() {
 	n.wg.Wait()
 }
 
-// WrapExecutor wraps the server's local worker pool with the cluster
-// router; plug it into auditd.Config.WrapExecutor.
-func (n *Node) WrapExecutor(inner auditd.Executor) auditd.Executor {
-	return &router{n: n, inner: inner}
+// trust records the addresses a node address resolves to; a host that does
+// not resolve is not trusted. An empty or unspecified host (":7080",
+// "0.0.0.0:7080") is this machine, which a node dials over loopback.
+func (n *Node) trust(addr string) {
+	host := ""
+	if u, err := url.Parse(addr); err == nil {
+		host = u.Hostname()
+	}
+	var ips []net.IP
+	if ip := net.ParseIP(host); host == "" || ip != nil && ip.IsUnspecified() {
+		ips = []net.IP{net.IPv4(127, 0, 0, 1), net.IPv6loopback}
+	} else {
+		ips, _ = net.LookupIP(host) // an IP literal resolves without a query
+	}
+	for _, ip := range ips {
+		if a, ok := netip.AddrFromSlice(ip); ok {
+			n.trusted[a.Unmap()] = true
+		}
+	}
 }
 
-// PeerTier returns the result tier that probes the hash owner's cache;
-// plug it into auditd.Config.ExtraTiers.
-func (n *Node) PeerTier() auditd.ResultTier {
+// FromPeer reports whether r arrived from an address Self or one of the
+// Peers resolved to when the node was built — the only requests whose
+// peer-only headers (forwarded, replicated) the server honours. Self counts:
+// a fan-out posts its sub-audits to this node too. A source address cannot
+// tell two processes on one host apart; that takes a fleet key.
+func (n *Node) FromPeer(r *http.Request) bool {
+	ap, err := netip.ParseAddrPort(r.RemoteAddr)
+	return err == nil && n.trusted[ap.Addr().Unmap()]
+}
+
+// Executor wraps the server's local worker pool with the cluster router.
+func (n *Node) Executor(local auditd.Executor) auditd.Executor {
+	return &router{n: n, inner: local}
+}
+
+// Tier returns the result tier that probes the hash owner's cache.
+func (n *Node) Tier() auditd.ResultTier {
 	return &peerTier{n: n}
-}
-
-// RenderMetrics appends the cluster series to the daemon's /metrics page;
-// plug it into auditd.Config.ExtraMetrics.
-func (n *Node) RenderMetrics(w io.Writer) {
-	n.m.render(w, len(n.cfg.Peers), n.healthyPeers())
 }
 
 // replicateTimeout bounds the push to one peer. Replication runs inside the
@@ -158,7 +186,7 @@ func (n *Node) RenderMetrics(w io.Writer) {
 const replicateTimeout = 10 * time.Second
 
 // Replicate pushes locally originated ingest records to every live peer and
-// waits for the pushes to settle; plug it into auditd.Config.ReplicateHook.
+// waits for the pushes to settle.
 // By the time it returns, every reachable peer serves the same database
 // fingerprint — which is what makes cache keys (and forwarded workloads)
 // valid fleet-wide. A peer that cannot be reached is marked dead and
