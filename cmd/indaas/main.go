@@ -137,8 +137,12 @@ func loadDepsXML(path string) (*depdb.DB, error) {
 		return nil, err
 	}
 	defer f.Close()
+	records, err := deps.DecodeXML(bufio.NewReader(f))
+	if err != nil {
+		return nil, fmt.Errorf("loading %s: %w", path, err)
+	}
 	db := depdb.New()
-	if err := db.ReadXML(bufio.NewReader(f)); err != nil {
+	if err := db.Put(records...); err != nil {
 		return nil, fmt.Errorf("loading %s: %w", path, err)
 	}
 	return db, nil

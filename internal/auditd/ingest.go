@@ -179,8 +179,8 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 			close(w.done)
 		}
 	}
-	// Stage the group once: the validation and per-record fingerprint digests
-	// serve both the persisted preview and the in-memory commit.
+	// Stage the group once: its canonical lines and digests serve the
+	// persisted segment, the fingerprint preview and the in-memory commit.
 	batch, err := depdb.NewBatch(records...)
 	if err != nil {
 		fail(500, err) // unreachable after the per-record validation in Ingest

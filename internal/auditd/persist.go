@@ -19,13 +19,15 @@ import (
 //
 // The dependency database persists as a *snapshot chain*: depdb/current
 // holds a snapMeta naming a generation and its segment count, and
-// depdb/seg/<gen>/<i> holds the i-th batch of records (Table 1 XML). Each
-// ingest appends one segment — O(batch) bytes — instead of rewriting the
-// whole database; RestoreDB replays the chain in order — replay reduces as
-// ingest did, so it lands on the same state — and consolidates it back to a
-// single segment of the live records, so chains stay short across restarts
-// and a crash between writes is harmless (the current pointer flips only
-// after the segment it names is durable).
+// depdb/seg/<gen>/<i> holds the i-th batch of records as depdb frames it
+// (Batch.Segment: each record's canonical line, the bytes its fingerprint
+// digest was taken over); this package stores the bytes and never encodes a
+// record itself. Each ingest appends one segment — O(batch) bytes — instead
+// of rewriting the whole database; RestoreDB replays the chain in order —
+// replay reduces as ingest did, so it lands on the same state — and
+// consolidates it back to a single segment of the live records, so chains
+// stay short across restarts and a crash between writes is harmless (the
+// current pointer flips only after the segment it names is durable).
 const (
 	// currentSnapshotKey stores the snapMeta of the chain a restarted
 	// daemon should replay.
@@ -36,23 +38,28 @@ const (
 	// snapshot under its fingerprint, named by a raw-string current pointer.
 	// RestoreDB migrates it forward.
 	legacySnapshotPrefix = "depdb/"
+	// lineSegments is the snapMeta.Format of a chain of depdb segments. A
+	// chain without it, like the pre-chain layout, holds Table 1 XML.
+	lineSegments = "lines"
 )
 
 // snapMeta is the JSON value of currentSnapshotKey: which generation of the
-// snapshot chain is live, how many segments it has, and the canonical
-// fingerprint replaying them must reproduce — under the fingerprint
-// algorithm of the stated version. A meta written before the field existed
-// reads as version 0 and holds a multiset (v2) fingerprint.
+// snapshot chain is live, how many segments it has and in which form, and
+// the canonical fingerprint replaying them must reproduce — under the
+// fingerprint algorithm of the stated version. A meta written before the
+// field existed reads as version 0 and holds a multiset (v2) fingerprint.
 type snapMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	FPVersion   int    `json:"fp_version,omitempty"`
+	Format      string `json:"format,omitempty"`
 	Gen         int    `json:"gen"`
 	Segments    int    `json:"segments"`
 }
 
-// newSnapMeta stamps a chain's meta with the running fingerprint algorithm.
+// newSnapMeta stamps a chain's meta with the running fingerprint algorithm
+// and segment form.
 func newSnapMeta(fp string, gen, segments int) snapMeta {
-	return snapMeta{Fingerprint: fp, FPVersion: depdb.FingerprintVersion, Gen: gen, Segments: segments}
+	return snapMeta{Fingerprint: fp, FPVersion: depdb.FingerprintVersion, Format: lineSegments, Gen: gen, Segments: segments}
 }
 
 func segmentKey(gen, i int) string {
@@ -62,8 +69,8 @@ func segmentKey(gen, i int) string {
 // readSnapMeta loads the persisted chain state; a missing or legacy-format
 // pointer yields the zero meta (Segments == 0 ⇒ nothing persisted yet, so
 // the next ingest starts a fresh generation with a full base segment), and
-// so does a chain addressed under another fingerprint algorithm that
-// RestoreDB was not given to re-key: nothing may be appended to it.
+// so does a chain under another fingerprint algorithm or in another form
+// that RestoreDB was not given to rewrite: nothing may be appended to it.
 func readSnapMeta(st *store.Store) snapMeta {
 	var meta snapMeta
 	blob, _, ok, err := st.Get(currentSnapshotKey)
@@ -73,7 +80,7 @@ func readSnapMeta(st *store.Store) snapMeta {
 	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
 		return snapMeta{}
 	}
-	if meta.FPVersion != depdb.FingerprintVersion {
+	if meta.FPVersion != depdb.FingerprintVersion || meta.Format != lineSegments {
 		return snapMeta{Gen: meta.Gen}
 	}
 	return meta
@@ -87,10 +94,12 @@ func readSnapMeta(st *store.Store) snapMeta {
 // it stay addressable. A chain longer than one segment is consolidated back
 // to a single segment while the daemon is still offline — the one moment
 // O(database) persistence work is acceptable — and stale generations are
-// swept. A chain written under an older fingerprint algorithm is re-keyed
-// instead of verified: its records replay to the same current state, which
-// is re-addressed under today's fingerprint and rewritten, and results
-// stored under the old address are simply never asked for again.
+// swept. An older data directory is rewritten the same way, once: a chain
+// written under an older fingerprint algorithm is re-keyed instead of
+// verified (its records replay to the same current state, which is
+// re-addressed under today's fingerprint, and results stored under the old
+// address are simply never asked for again), and a chain of Table 1 XML —
+// the pre-chain layout included — is rewritten as depdb segments.
 func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	blob, _, ok, err := st.Get(currentSnapshotKey)
 	if err != nil {
@@ -99,25 +108,21 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	if !ok {
 		return nil, nil
 	}
-	var meta snapMeta
-	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
-		return restoreLegacyDB(st, strings.TrimSpace(string(blob)))
+	meta, keys := storedChain(blob)
+	if len(keys) == 0 {
+		return nil, nil
 	}
 	db := depdb.New()
-	for i := 0; i < meta.Segments; i++ {
-		seg, _, ok, err := st.Get(segmentKey(meta.Gen, i))
+	for _, key := range keys {
+		seg, _, ok, err := st.Get(key)
 		if err != nil {
-			return nil, fmt.Errorf("auditd: reading snapshot segment %d/%d: %w", meta.Gen, i, err)
+			return nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
 		}
 		if !ok {
-			return nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %d/%d is missing", meta.Segments, meta.Gen, i)
+			return nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", len(keys), key)
 		}
-		records, err := deps.DecodeXML(bytes.NewReader(seg))
-		if err != nil {
-			return nil, fmt.Errorf("auditd: decoding snapshot segment %d/%d: %w", meta.Gen, i, err)
-		}
-		if err := db.Put(records...); err != nil {
-			return nil, fmt.Errorf("auditd: replaying snapshot segment %d/%d: %w", meta.Gen, i, err)
+		if err := replaySegment(db, meta.Format, seg); err != nil {
+			return nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
 		}
 	}
 	rekey := meta.FPVersion != depdb.FingerprintVersion
@@ -127,68 +132,60 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 		return nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, got)
 	}
 	live := meta
-	if meta.Segments > 1 || rekey {
-		next, err := consolidateChain(st, db, meta)
-		if err != nil {
-			return nil, err
+	if len(keys) > 1 || rekey || meta.Format != lineSegments {
+		// The next generation is durable before the current pointer names
+		// it, so a crash at any point leaves a replayable chain.
+		live = newSnapMeta(meta.Fingerprint, meta.Gen+1, 1)
+		if _, err := writeSegment(st, live, db.Segment()); err != nil {
+			return nil, fmt.Errorf("auditd: consolidating snapshot chain: %w", err)
 		}
-		live = next
+		for _, key := range keys {
+			st.Delete(key) // best-effort; swept on next boot
+		}
 	}
 	sweepStaleSegments(st, live)
 	return db, nil
 }
 
-// restoreLegacyDB migrates a pre-chain store: the current pointer held a raw
-// fingerprint string and the whole database sat under depdb/<fp>. The
-// fingerprint algorithm has changed since, so the entry is re-addressed
-// under a fresh single-segment chain and the legacy keys are deleted.
-func restoreLegacyDB(st *store.Store, legacyFP string) (*depdb.DB, error) {
-	if legacyFP == "" {
-		return nil, nil
+// storedChain reads the current pointer: the chain's meta and its segment
+// keys in replay order. A pointer that is no snapMeta is the pre-chain
+// layout — a raw fingerprint, of an older algorithm, naming one
+// whole-database XML snapshot under depdb/<fp> — and reads as a one-segment
+// XML chain of that key.
+func storedChain(blob []byte) (snapMeta, []string) {
+	var meta snapMeta
+	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
+		if fp := strings.TrimSpace(string(blob)); fp != "" {
+			return snapMeta{Segments: 1}, []string{legacySnapshotPrefix + fp}
+		}
+		return snapMeta{}, nil
 	}
-	blob, _, ok, err := st.Get(legacySnapshotPrefix + legacyFP)
-	if err != nil {
-		return nil, fmt.Errorf("auditd: reading legacy snapshot %s: %w", legacyFP, err)
+	keys := make([]string, meta.Segments)
+	for i := range keys {
+		keys[i] = segmentKey(meta.Gen, i)
 	}
-	if !ok {
-		return nil, fmt.Errorf("auditd: store names current snapshot %s but holds no entry for it", legacyFP)
-	}
-	db, err := depdb.DecodeDB(bytes.NewReader(blob))
-	if err != nil {
-		return nil, err
-	}
-	meta := newSnapMeta(db.Fingerprint(), 1, 1)
-	if _, err := writeChain(st, db.Records(), meta); err != nil {
-		return nil, fmt.Errorf("auditd: migrating legacy snapshot: %w", err)
-	}
-	st.Delete(legacySnapshotPrefix + legacyFP) // best-effort; superseded
-	return db, nil
+	return meta, keys
 }
 
-// consolidateChain rewrites a multi-segment chain as one segment under the
-// next generation and deletes the old generation's segments. The new
-// generation is fully durable before the current pointer flips, so a crash
-// at any point leaves a replayable chain.
-func consolidateChain(st *store.Store, db *depdb.DB, meta snapMeta) (snapMeta, error) {
-	next := newSnapMeta(meta.Fingerprint, meta.Gen+1, 1)
-	if _, err := writeChain(st, db.Records(), next); err != nil {
-		return meta, fmt.Errorf("auditd: consolidating snapshot chain: %w", err)
+// replaySegment puts one stored segment into db, all of it or none. A chain
+// written before segments were depdb's own form holds Table 1 XML; this is
+// the one place the daemon still reads it.
+func replaySegment(db *depdb.DB, format string, seg []byte) error {
+	if format == lineSegments {
+		return db.PutSegment(seg)
 	}
-	for i := 0; i < meta.Segments; i++ {
-		st.Delete(segmentKey(meta.Gen, i)) // best-effort; swept on next boot
+	records, err := deps.DecodeXML(bytes.NewReader(seg))
+	if err != nil {
+		return err
 	}
-	return next, nil
+	return db.Put(records...)
 }
 
-// writeChain persists records as a fresh single-segment chain and flips the
-// current pointer to it, returning any result keys the store evicted to
-// stay in budget (empty at boot time, when only RestoreDB calls write).
-func writeChain(st *store.Store, records []deps.Record, meta snapMeta) ([]string, error) {
-	var buf bytes.Buffer
-	if err := deps.EncodeXML(&buf, records); err != nil {
-		return nil, err
-	}
-	evicted, err := st.Put(segmentKey(meta.Gen, 0), store.KindSnapshot, buf.Bytes())
+// writeSegment persists seg as the last segment of meta's chain, then flips
+// the current pointer to meta, returning any result keys the store evicted
+// to stay in budget (none at boot time, when only RestoreDB writes).
+func writeSegment(st *store.Store, meta snapMeta, seg []byte) ([]string, error) {
+	evicted, err := st.Put(segmentKey(meta.Gen, meta.Segments-1), store.KindSnapshot, seg)
 	if err != nil {
 		return evicted, err
 	}
@@ -256,9 +253,8 @@ func (s *Server) persistResult(label, key string, res *EncodedResult) []string {
 // or swept at boot). Caller holds s.ingestMu.
 func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 	newFP := db.FingerprintWith(staged)
-	batch := staged.Records()
 	meta := s.snapMeta
-	var evicted []string
+	var seg []byte
 	switch {
 	case meta.Segments > 0 && !s.snapDirty && newFP == meta.Fingerprint:
 		return nil
@@ -270,32 +266,15 @@ func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 		// batch. A fresh generation replaces the old chain; its segments
 		// are swept at the next boot.
 		meta = newSnapMeta(newFP, meta.Gen+1, 1)
-		ev, err := writeChain(s.store, append(db.Records(), batch...), meta)
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
+		seg = append(db.Segment(), staged.Segment()...)
 	default:
-		var buf bytes.Buffer
-		if err := deps.EncodeXML(&buf, batch); err != nil {
-			return err
-		}
-		ev, err := s.store.Put(segmentKey(meta.Gen, meta.Segments), store.KindSnapshot, buf.Bytes())
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
 		meta.Fingerprint = newFP
 		meta.Segments++
-		blob, err := json.Marshal(meta)
-		if err != nil {
-			return err
-		}
-		ev, err = s.store.Put(currentSnapshotKey, store.KindMeta, blob)
-		evicted = append(evicted, ev...)
-		if err != nil {
-			return err
-		}
+		seg = staged.Segment()
+	}
+	evicted, err := writeSegment(s.store, meta, seg)
+	if err != nil {
+		return err
 	}
 	s.snapMeta = meta
 	s.snapDirty = false

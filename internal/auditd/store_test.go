@@ -215,7 +215,7 @@ func TestRestoreLegacyStoreMigrates(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if err := legacy.Snapshot().Encode(&buf); err != nil {
+	if err := deps.EncodeXML(&buf, legacy.Records()); err != nil {
 		t.Fatal(err)
 	}
 	const oldFP = "0123456789abcdef-old-algorithm-fingerprint"
@@ -250,6 +250,123 @@ func TestRestoreLegacyStoreMigrates(t *testing.T) {
 	}
 	if db2.Fingerprint() != db.Fingerprint() {
 		t.Fatal("second restore diverged")
+	}
+}
+
+// TestDurableIngestSurvivesRestart: every record an ingest acknowledges as
+// durable restores, whatever its names hold — a comma inside a list item,
+// surrounding spaces, a newline, a control character, markup, non-ASCII
+// text, a program with no deps. The chain replays to the acknowledged
+// fingerprint and the records it was acknowledged over, both from the
+// multi-segment chain the ingests wrote and from the one segment the first
+// boot consolidates it into.
+func TestDurableIngestSurvivesRestart(t *testing.T) {
+	records := []deps.Record{
+		deps.NewSoftware("p", "h", "a,b"),
+		deps.NewNetwork("s1", "Internet", " tor1", "core 1 "),
+		deps.NewHardware("s1", "NIC", "x\x01y"),
+		deps.NewHardware("s1", "Disk", "line\nbreak"),
+		deps.NewSoftware(`<&"'>`, "s1", "libc6=2.31"),
+		deps.NewHardware("s2", "CPU", "Xéon ✓"),
+		deps.NewSoftware("bare", "s2"),
+	}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	var ack IngestResponse
+	for _, r := range records {
+		if ack = mustIngest(t, s, WireRecords([]deps.Record{r})); !ack.Durable {
+			t.Fatalf("ingest of %v not durable: %+v", r, ack)
+		}
+	}
+	want := s.db.Records()
+	gracefulShutdown(t, s)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for boot := 1; boot <= 2; boot++ {
+		st := openStore(t, dir)
+		db, err := RestoreDB(st)
+		if err != nil {
+			t.Fatalf("boot %d: %v", boot, err)
+		}
+		if db.Fingerprint() != ack.Fingerprint || !reflect.DeepEqual(db.Records(), want) {
+			t.Fatalf("boot %d restored %s\n got %v\nwant %v (%s)", boot, db.Fingerprint(), db.Records(), want, ack.Fingerprint)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestoreXMLChainMigrates boots the data directory of a daemon that
+// stored its chain as Table 1 XML: testdata/xmlchain is that daemon's store
+// after three ingests — the second replaces s2's disk and re-observes a
+// route, the third adds a route and re-observes a program. RestoreDB must
+// replay it to the fingerprint the daemon acknowledged last, leave one
+// segment in depdb's line form, and a second boot must read no XML.
+func TestRestoreXMLChainMigrates(t *testing.T) {
+	var want struct {
+		Fingerprint string `json:"fingerprint"`
+		Segments    int    `json:"segments"`
+		Total       int    `json:"total"`
+	}
+	blob, err := os.ReadFile("testdata/xmlchain/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	log, err := os.ReadFile("testdata/xmlchain/store.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := openStore(t, dir)
+	if snapshots, _ := countSnapshotEntries(st); snapshots != want.Segments || want.Segments < 2 {
+		t.Fatalf("the fixture holds %d segments, its record says %d", snapshots, want.Segments)
+	}
+	if meta := readSnapMeta(st); meta.Segments != 0 {
+		t.Fatalf("an XML chain read as appendable: %+v", meta)
+	}
+	db, err := RestoreDB(st)
+	if err != nil {
+		t.Fatalf("an XML data directory failed boot: %v", err)
+	}
+	if db.Fingerprint() != want.Fingerprint || db.Len() != want.Total {
+		t.Fatalf("restored %s with %d records, want %s with %d", db.Fingerprint(), db.Len(), want.Fingerprint, want.Total)
+	}
+	meta := readSnapMeta(st)
+	if meta.Format != lineSegments || meta.Segments != 1 || meta.Fingerprint != want.Fingerprint {
+		t.Fatalf("rewritten chain meta = %+v", meta)
+	}
+	if snapshots, _ := countSnapshotEntries(st); snapshots != 1 {
+		t.Fatalf("the rewritten chain holds %d segments, want 1", snapshots)
+	}
+	seg, _, _, err := st.Get(segmentKey(meta.Gen, 0))
+	if err != nil || !bytes.Equal(seg, db.Segment()) {
+		t.Fatalf("the rewritten segment is not the live records' line form (%v)", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The second boot replays the line form as it is: nothing is rewritten.
+	st2 := openStore(t, dir)
+	db2, err := RestoreDB(st2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db2.Fingerprint() != want.Fingerprint || !reflect.DeepEqual(db2.Records(), db.Records()) {
+		t.Fatalf("second boot restored %s, want %s", db2.Fingerprint(), want.Fingerprint)
+	}
+	if again := readSnapMeta(st2); again != meta {
+		t.Fatalf("the second boot rewrote the chain: %+v, was %+v", again, meta)
 	}
 }
 

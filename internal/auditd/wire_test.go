@@ -181,11 +181,18 @@ func TestRecordWireErrors(t *testing.T) {
 		{"network without src", RecordWire{Kind: "network", Dst: "b", Route: []string{"x"}}},
 		{"hardware without dep", RecordWire{Kind: "hardware", HW: "a", Type: "Disk"}},
 		{"software without pgm", RecordWire{Kind: "software", HW: "a", Deps: []string{"libc6"}}},
+		{"list separator in a dep", RecordWire{Kind: "software", Pgm: "p", HW: "h", Deps: []string{"a\x1eb"}}},
+		{"field separator in a name", RecordWire{Kind: "hardware", HW: "s1\x1fNIC", Type: "x", Dep: "m"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := tc.w.Record(); err == nil {
 				t.Fatalf("Record() accepted %+v", tc.w)
+			}
+			// Through ingest it is a 400 naming the record.
+			_, err := recordsFromWire(append(testRecords()[:1], tc.w))
+			if httpStatus(err) != 400 || !strings.Contains(err.Error(), "record 1") {
+				t.Fatalf("ingest of %+v: %v", tc.w, err)
 			}
 		})
 	}

@@ -3,8 +3,10 @@
 // Dependency acquisition modules store their adapted records here; the
 // auditing agent queries it while building dependency graphs (§4.1.1
 // Steps 2-6). The store is safe for concurrent use, indexes records by
-// subject (the server a record is about) and kind, and can persist itself to
-// the Table 1 XML format.
+// subject (the server a record is about) and kind, and owns the one byte form
+// of a record: its canonical line, rendered once when the record is staged,
+// is both what the fingerprint hashes and — framed into a segment — what the
+// audit service persists (Segment, PutSegment).
 //
 // The database IS its reduced state. Acquisition is continuous and
 // re-observes the same dependencies indefinitely, so a record is not an
@@ -13,7 +15,7 @@
 // hardware or software record supersedes the previous record of its
 // identity; a route already on file, or any record equal to the live one,
 // is an exact re-observation and changes nothing: not the fingerprint, not
-// the registered snapshot, not Len. Len, Records, Encode, every query and
+// the registered snapshot, not Len. Len, Records, Segment, every query and
 // Diff speak of the live records only, in first-observation order of their
 // identities. Redundant routes between the same endpoints are distinct
 // routes and all live.
@@ -48,7 +50,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"math/bits"
 	"slices"
 	"sort"
@@ -97,12 +98,13 @@ type recLog struct {
 	index map[string]map[deps.Kind][]int
 }
 
-// entry is one logged record and the position of the entry it superseded
-// (-1 when it is the first observation of its identity in this log). An
-// identity's entries all share a subject and kind, so a chain of prev links
-// never leaves its index bucket.
+// entry is one logged record, its canonical line, and the position of the
+// entry it superseded (-1 when it is the first observation of its identity in
+// this log). An identity's entries all share a subject and kind, so a chain of
+// prev links never leaves its index bucket.
 type entry struct {
 	rec  deps.Record
+	line string // canonicalLine(rec), rendered once by stage
 	prev int
 }
 
@@ -110,27 +112,28 @@ func newLog(subjects int) *recLog {
 	return &recLog{index: make(map[string]map[deps.Kind][]int, subjects)}
 }
 
-// append logs r as superseding the entry at prev and returns its position.
-func (l *recLog) append(r deps.Record, prev int) int {
+// append logs e and returns its position.
+func (l *recLog) append(e entry) int {
 	pos := len(l.entries)
-	l.entries = append(l.entries, entry{rec: r, prev: prev})
-	subj := r.Subject()
+	l.entries = append(l.entries, e)
+	subj := e.rec.Subject()
 	byKind := l.index[subj]
 	if byKind == nil {
 		byKind = make(map[deps.Kind][]int)
 		l.index[subj] = byKind
 	}
-	byKind[r.Kind] = append(byKind[r.Kind], pos)
+	byKind[e.rec.Kind] = append(byKind[e.rec.Kind], pos)
 	return pos
 }
 
-// reduce folds n entries — those at positions, ascending, or the first n of
-// the log when positions is nil — to their live records: each identity once,
-// holding its latest record, in first-observation order. at[i] is where the
-// i-th visited entry's identity sits in the result; it is nil when nothing
-// was superseded and the result is the entries themselves.
-func (l *recLog) reduce(positions []int, n int) (out []deps.Record, at []int) {
-	out = make([]deps.Record, 0, n)
+// reduce folds n entries of l — those at positions, ascending, or the first n
+// of the log when positions is nil — to their live entries, each read out
+// through val: each identity once, holding its latest entry, in
+// first-observation order. at[i] is where the i-th visited entry's identity
+// sits in the result; it is nil when nothing was superseded and the result is
+// the entries themselves.
+func reduce[T any](l *recLog, positions []int, n int, val func(*entry) T) (out []T, at []int) {
+	out = make([]T, 0, n)
 	for i := 0; i < n; i++ {
 		p := i
 		if positions != nil {
@@ -141,7 +144,7 @@ func (l *recLog) reduce(positions []int, n int) (out []deps.Record, at []int) {
 			if at != nil {
 				at[i] = len(out)
 			}
-			out = append(out, e.rec)
+			out = append(out, val(e))
 			continue
 		}
 		if at == nil { // first supersession: every entry so far sits at its own rank
@@ -155,10 +158,15 @@ func (l *recLog) reduce(positions []int, n int) (out []deps.Record, at []int) {
 			j = sort.SearchInts(positions, e.prev)
 		}
 		at[i] = at[j]
-		out[at[i]] = e.rec
+		out[at[i]] = val(e)
 	}
 	return out, at
 }
+
+// The values reduce reads out of a live entry.
+func recordOf(e *entry) deps.Record { return e.rec }
+func entryOf(e *entry) entry        { return *e }
+func lineOf(e *entry) string        { return e.line }
 
 // query returns the live records for subject of the given kind among the
 // first limit log entries.
@@ -168,13 +176,13 @@ func (l *recLog) query(subject string, kind deps.Kind, limit int) []deps.Record 
 	if cut == 0 {
 		return nil
 	}
-	out, _ := l.reduce(positions[:cut], cut)
+	out, _ := reduce(l, positions[:cut], cut, recordOf)
 	return out
 }
 
 // records returns the live records among the first limit log entries.
 func (l *recLog) records(limit int) []deps.Record {
-	out, _ := l.reduce(nil, limit)
+	out, _ := reduce(l, nil, limit, recordOf)
 	return out
 }
 
@@ -318,10 +326,10 @@ func New() *DB {
 }
 
 // Batch is a validated set of records staged for insertion: each record's
-// live key and digest are built once, independent of the database the batch
-// lands in. FingerprintWith previews the batch against current state and
-// PutBatch commits it without serializing or hashing any of its records a
-// second time.
+// canonical line, live key and digest are built once, independent of the
+// database the batch lands in. FingerprintWith previews the batch against
+// current state, Segment persists it and PutBatch commits it without
+// serializing or hashing any of its records a second time.
 type Batch struct {
 	records []deps.Record
 	staged  []staged // parallel to records
@@ -330,6 +338,7 @@ type Batch struct {
 type staged struct {
 	key    identity
 	digest digest
+	line   string
 }
 
 // NewBatch validates records and hashes each one once. Either every record
@@ -350,13 +359,25 @@ func stage(records []deps.Record) (Batch, error) {
 			return Batch{}, fmt.Errorf("depdb: record %d: %w", i, err)
 		}
 		line := canonicalLine(r)
-		b.staged[i] = staged{key: liveKey(r, line), digest: digestOf(line)}
+		b.staged[i] = staged{key: liveKey(r, line), digest: digestOf(line), line: line}
 	}
 	return b, nil
 }
 
-// Records returns the batch's records in insertion order (not a copy).
-func (b *Batch) Records() []deps.Record { return b.records }
+// Segment returns the batch's durable form: its records' canonical lines —
+// the bytes their digests were taken over — in insertion order, each framed
+// by its uvarint length. PutSegment reads it back.
+func (b *Batch) Segment() []byte {
+	var seg []byte
+	for i := range b.staged {
+		seg = appendFrame(seg, b.staged[i].line)
+	}
+	return seg
+}
+
+func appendFrame(seg []byte, line string) []byte {
+	return append(binary.AppendUvarint(seg, uint64(len(line))), line...)
+}
 
 // Put validates and stores records. Either all records are stored or none.
 // Unless every record is an exact re-observation, the registered snapshot
@@ -409,15 +430,17 @@ func (db *DB) PutBatch(b *Batch) (changed []int) {
 			db.log.entries = slices.Grow(db.log.entries, len(b.records)-i)
 		}
 		changed = append(changed, i)
+		e := entry{rec: r, line: st.line, prev: -1}
 		switch {
 		case onFile:
 			*old = st.digest
-			lr.pos = db.log.append(r, lr.pos)
+			e.prev = lr.pos
+			lr.pos = db.log.append(e)
 			db.dead++
 		case r.Kind == deps.KindNetwork:
-			lr = liveRec{pos: db.log.append(r, -1), digest: -1}
+			lr = liveRec{pos: db.log.append(e), digest: -1}
 		default:
-			lr = liveRec{pos: db.log.append(r, -1), digest: len(db.digests)}
+			lr = liveRec{pos: db.log.append(e), digest: len(db.digests)}
 			db.digests = append(db.digests, st.digest)
 		}
 		db.live[st.key] = lr
@@ -437,11 +460,12 @@ func (db *DB) PutBatch(b *Batch) (changed []int) {
 // answers as before. Caller holds the write lock.
 func (db *DB) compact() {
 	old := db.log
-	live, at := old.reduce(nil, len(old.entries))
+	live, at := reduce(old, nil, len(old.entries), entryOf)
 	db.log = newLog(len(old.index))
 	db.log.entries = make([]entry, 0, len(live))
-	for _, r := range live {
-		db.log.append(r, -1)
+	for _, e := range live {
+		e.prev = -1
+		db.log.append(e)
 	}
 	for key, lr := range db.live {
 		lr.pos = at[lr.pos]
@@ -562,17 +586,37 @@ func (db *DB) SoftwareOf(subject string) []deps.Software {
 	return software(db.Query(subject, deps.KindSoftware))
 }
 
-// WriteXML persists the whole database in the Table 1 XML format.
-func (db *DB) WriteXML(w io.Writer) error {
-	return deps.EncodeXML(w, db.Records())
+// Segment returns the live records in Batch.Segment's form, in
+// first-observation order of their identities: PutSegment of it into a fresh
+// database reproduces Records and the fingerprint.
+func (db *DB) Segment() []byte {
+	db.mu.RLock()
+	lines, _ := reduce(db.log, nil, len(db.log.entries), lineOf)
+	db.mu.RUnlock()
+	var seg []byte
+	for _, line := range lines {
+		seg = appendFrame(seg, line)
+	}
+	return seg
 }
 
-// ReadXML loads records from the Table 1 XML format into the database, on
-// top of any existing content.
-func (db *DB) ReadXML(r io.Reader) error {
-	records, err := deps.DecodeXML(r)
-	if err != nil {
-		return err
+// PutSegment stores the records of a segment, on top of any existing content:
+// every record is framed whole and passes Put's validation, and all of them
+// are stored, or the segment is refused and the database left untouched. A
+// frame never allocates more than the bytes that follow it.
+func (db *DB) PutSegment(seg []byte) error {
+	var records []deps.Record
+	for len(seg) > 0 {
+		n, k := binary.Uvarint(seg)
+		if k <= 0 || n > uint64(len(seg)-k) {
+			return fmt.Errorf("depdb: segment record %d: truncated or malformed length", len(records))
+		}
+		r, err := parseLine(string(seg[k : k+int(n)]))
+		if err != nil {
+			return fmt.Errorf("depdb: segment record %d: %w", len(records), err)
+		}
+		records = append(records, r)
+		seg = seg[k+int(n):]
 	}
 	return db.Put(records...)
 }
@@ -637,37 +681,12 @@ func (s *Snapshot) Records() []deps.Record {
 	return s.log.records(s.limit)
 }
 
-// Encode writes the snapshot's live records in the canonical Table 1 XML
-// format, the durable form the audit service's disk store persists.
-// DecodeSnapshot reverses it; the round-trip preserves the Fingerprint.
-func (s *Snapshot) Encode(w io.Writer) error {
-	return deps.EncodeXML(w, s.Records())
-}
-
-// DecodeDB reconstructs a mutable database from Encode's output — the form
-// a restarted daemon wants, since later ingests keep landing in it.
-func DecodeDB(r io.Reader) (*DB, error) {
-	records, err := deps.DecodeXML(r)
-	if err != nil {
-		return nil, fmt.Errorf("depdb: decoding snapshot: %w", err)
-	}
-	db := New()
-	if err := db.Put(records...); err != nil {
-		return nil, fmt.Errorf("depdb: decoding snapshot: %w", err)
-	}
-	return db, nil
-}
-
-// DecodeSnapshot reconstructs an immutable snapshot from Encode's output.
-// Record order inside the encoding does not matter: the fingerprint is
-// order-independent, so the decoded snapshot content-addresses identically
-// to the one encoded.
-func DecodeSnapshot(r io.Reader) (*Snapshot, error) {
-	db, err := DecodeDB(r)
-	if err != nil {
-		return nil, err
-	}
-	return db.Snapshot(), nil
+// live returns the snapshot's live entries, in first-observation order.
+func (s *Snapshot) live() []entry {
+	s.db.mu.RLock()
+	defer s.db.mu.RUnlock()
+	out, _ := reduce(s.log, nil, s.limit, entryOf)
+	return out
 }
 
 // Networks returns the network state for subject; see Reader.
@@ -715,11 +734,13 @@ func software(recs []deps.Record) []deps.Software {
 	return out
 }
 
-// canonicalLine serializes one record canonically (field separator 0x1f,
-// list separator 0x1e — neither occurs in component names); the fingerprint
-// and Diff both key on it.
+// The canonical line's field and list separators. deps.Record.Validate
+// rejects both bytes in every name, so no two records share a line.
+const fs, ls = "\x1f", "\x1e"
+
+// canonicalLine serializes one record canonically; the fingerprint, Diff and
+// the durable segment all read it. stage renders it once per record.
 func canonicalLine(r deps.Record) string {
-	const fs, ls = "\x1f", "\x1e"
 	switch r.Kind {
 	case deps.KindNetwork:
 		n := r.Network
@@ -733,4 +754,34 @@ func canonicalLine(r deps.Record) string {
 	default:
 		return fmt.Sprintf("kind(%d)", int(r.Kind))
 	}
+}
+
+// parseLine is canonicalLine's inverse on every line of a valid record. What
+// it returns is not yet validated: a separator left inside a field, or an
+// empty one, is Validate's to refuse.
+func parseLine(line string) (deps.Record, error) {
+	tag, rest, _ := strings.Cut(line, fs)
+	a, rest, _ := strings.Cut(rest, fs)
+	b, c, ok := strings.Cut(rest, fs)
+	if !ok {
+		return deps.Record{}, fmt.Errorf("a line needs four fields")
+	}
+	switch tag {
+	case "net":
+		return deps.NewNetwork(a, b, splitList(c)...), nil
+	case "hw":
+		return deps.NewHardware(a, b, c), nil
+	case "sw":
+		return deps.NewSoftware(a, b, splitList(c)...), nil
+	}
+	return deps.Record{}, fmt.Errorf("unknown record tag %q", tag)
+}
+
+// splitList reverses strings.Join(list, ls). A valid list has no empty item,
+// so the empty string is the empty list.
+func splitList(s string) []string {
+	if s == "" {
+		return nil
+	}
+	return strings.Split(s, ls)
 }

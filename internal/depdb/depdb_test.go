@@ -2,6 +2,7 @@ package depdb
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"sync"
 	"testing"
@@ -108,21 +109,35 @@ func TestQueryReturnsCopy(t *testing.T) {
 	}
 }
 
+// loadXML puts the records of a Table 1 XML document into db, all or none —
+// the path of the CLI's -deps files and of a data directory written before
+// segments were depdb's own form.
+func loadXML(db *DB, r io.Reader) error {
+	records, err := deps.DecodeXML(r)
+	if err != nil {
+		return err
+	}
+	return db.Put(records...)
+}
+
+// TestXMLPersistence: a database exported as Table 1 XML loads back with the
+// same records, subjects and per-kind state.
 func TestXMLPersistence(t *testing.T) {
 	db := New()
-	if err := db.Put(sampleRecords()...); err != nil {
-		t.Fatal(err)
-	}
+	mustPut(t, db, sampleRecords()...)
 	var buf bytes.Buffer
-	if err := db.WriteXML(&buf); err != nil {
-		t.Fatalf("WriteXML: %v", err)
+	if err := deps.EncodeXML(&buf, db.Records()); err != nil {
+		t.Fatalf("EncodeXML: %v", err)
 	}
 	db2 := New()
-	if err := db2.ReadXML(&buf); err != nil {
-		t.Fatalf("ReadXML: %v", err)
+	if err := loadXML(db2, &buf); err != nil {
+		t.Fatalf("loadXML: %v", err)
 	}
 	if db2.Len() != db.Len() {
 		t.Fatalf("reloaded %d records, want %d", db2.Len(), db.Len())
+	}
+	if db2.Fingerprint() != db.Fingerprint() {
+		t.Errorf("fingerprint drifted across XML: %s, want %s", db2.Fingerprint(), db.Fingerprint())
 	}
 	if !reflect.DeepEqual(db2.Subjects(), db.Subjects()) {
 		t.Errorf("subjects differ after reload: %v vs %v", db2.Subjects(), db.Subjects())
@@ -132,20 +147,18 @@ func TestXMLPersistence(t *testing.T) {
 	}
 }
 
+// TestSnapshotEncodeDecodeRoundTrip: a snapshot's encoded form is its
+// database's segment; decoded into a fresh database it yields a snapshot
+// with the same fingerprint, records and subjects.
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	db := New()
-	if err := db.Put(sampleRecords()...); err != nil {
-		t.Fatalf("Put: %v", err)
-	}
+	mustPut(t, db, sampleRecords()...)
 	snap := db.Snapshot()
-	var buf bytes.Buffer
-	if err := snap.Encode(&buf); err != nil {
-		t.Fatalf("Encode: %v", err)
+	fresh := New()
+	if err := fresh.PutSegment(db.Segment()); err != nil {
+		t.Fatalf("PutSegment: %v", err)
 	}
-	decoded, err := DecodeSnapshot(&buf)
-	if err != nil {
-		t.Fatalf("DecodeSnapshot: %v", err)
-	}
+	decoded := fresh.Snapshot()
 	if decoded.Fingerprint() != snap.Fingerprint() {
 		t.Errorf("fingerprint drifted across the round-trip:\n  encoded %s\n  decoded %s",
 			snap.Fingerprint(), decoded.Fingerprint())
@@ -162,15 +175,20 @@ func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := DecodeSnapshot(bytes.NewBufferString("not xml")); err == nil {
-		t.Error("DecodeSnapshot accepted garbage")
+	db := New()
+	empty := db.Snapshot().Fingerprint()
+	if err := db.PutSegment([]byte("not a segment")); err == nil {
+		t.Error("PutSegment accepted garbage")
+	}
+	if db.Len() != 0 || db.Snapshot().Fingerprint() != empty {
+		t.Error("garbage load modified the snapshot")
 	}
 }
 
 func TestReadXMLRejectsGarbage(t *testing.T) {
 	db := New()
-	if err := db.ReadXML(bytes.NewBufferString("nope")); err == nil {
-		t.Error("ReadXML accepted garbage")
+	if err := loadXML(db, bytes.NewBufferString("nope")); err == nil {
+		t.Error("loadXML accepted garbage")
 	}
 	if db.Len() != 0 {
 		t.Error("garbage load modified the database")

@@ -1,7 +1,9 @@
 package depdb
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"indaas/internal/deps"
 )
@@ -65,32 +67,57 @@ func (d Diff) Subjects() []string {
 // costs O(n) allocations and O(n log n) string compares in the n entries
 // logged between them, independent of database size — while snapshots
 // separated by a compaction, or of unrelated databases, compare their full
-// states. Both routes give the same answer.
+// states. Both routes give the same answer. Records are compared and sorted
+// by the canonical lines the log stored with them; nothing is re-rendered.
 func (a *Snapshot) Diff(b *Snapshot) Diff {
-	if a.log != b.log {
-		return diffStates(a.Records(), b.Records())
-	}
-	var d Diff
-	if a.limit <= b.limit {
-		d = a.diffSuffix(b.limit)
-	} else { // backwards: what b's successor a added, a.Diff(b) removes
-		d = b.diffSuffix(a.limit)
-		d.Added, d.Removed = nil, d.Added
-		for i, c := range d.Changed {
-			d.Changed[i] = RecordChange{Old: c.New, New: c.Old}
+	var added, removed []entry
+	var changed []change
+	switch {
+	case a.log != b.log:
+		added, removed = diffStates(a.live(), b.live())
+	case a.limit <= b.limit:
+		added, changed = a.diffSuffix(b.limit)
+	default: // backwards: what b's successor a added, a.Diff(b) removes
+		removed, changed = b.diffSuffix(a.limit)
+		for i, c := range changed {
+			changed[i] = change{old: c.new, new: c.old}
 		}
 	}
-	sortCanonically(d.Added)
-	sortCanonically(d.Removed)
-	d.sortChanged()
+	slices.SortFunc(added, byLine)
+	slices.SortFunc(removed, byLine)
+	if a.log != b.log {
+		added, removed, changed = pairChanged(added, removed)
+	}
+	slices.SortFunc(changed, func(x, y change) int { return byLine(x.new, y.new) })
+	d := Diff{Added: recordsOf(added), Removed: recordsOf(removed)}
+	for _, c := range changed {
+		d.Changed = append(d.Changed, RecordChange{Old: c.old.rec, New: c.new.rec})
+	}
 	return d
+}
+
+// change is a RecordChange with both sides' canonical lines.
+type change struct{ old, new entry }
+
+func byLine(x, y entry) int { return strings.Compare(x.line, y.line) }
+
+// recordsOf returns the records of es, nil when there are none.
+func recordsOf(es []entry) []deps.Record {
+	if len(es) == 0 {
+		return nil
+	}
+	out := make([]deps.Record, len(es))
+	for i := range es {
+		out[i] = es[i].rec
+	}
+	return out
 }
 
 // diffSuffix diffs s against the later generation of its own log that ends
 // at hi, unsorted. Nothing is ever removed going forward: an identity first
 // logged in the suffix was added, one logged before it and again inside it
 // changed — unless the suffix brought it back to where it was.
-func (s *Snapshot) diffSuffix(hi int) Diff {
+func (s *Snapshot) diffSuffix(hi int) (added []entry, changed []change) {
 	s.db.mu.RLock()
 	defer s.db.mu.RUnlock()
 	lo, entries := s.limit, s.log.entries
@@ -100,7 +127,6 @@ func (s *Snapshot) diffSuffix(hi int) Diff {
 			superseded[e.prev-lo] = true
 		}
 	}
-	var d Diff
 	for p := lo; p < hi; p++ {
 		if superseded[p-lo] {
 			continue
@@ -111,72 +137,63 @@ func (s *Snapshot) diffSuffix(hi int) Diff {
 			was = entries[was].prev
 		}
 		if was < 0 {
-			d.Added = append(d.Added, now.rec)
-		} else if old := entries[was].rec; canonicalLine(old) != canonicalLine(now.rec) {
-			d.Changed = append(d.Changed, RecordChange{Old: old, New: now.rec})
+			added = append(added, now)
+		} else if old := entries[was]; old.line != now.line {
+			changed = append(changed, change{old: old, new: now})
 		}
 	}
-	return d
+	return added, changed
 }
 
-// diffStates compares two reduced states by canonical line; within one
-// state every line is distinct. Added and removed records that share an
-// identity pair up as changes.
-func diffStates(a, b []deps.Record) Diff {
+// diffStates compares two reduced states by canonical line, unsorted; within
+// one state every line is distinct.
+func diffStates(a, b []entry) (added, removed []entry) {
 	unmatched := make(map[string]int, len(a)) // line -> index in a
-	for i, r := range a {
-		unmatched[canonicalLine(r)] = i
+	for i, e := range a {
+		unmatched[e.line] = i
 	}
-	var d Diff
-	for _, r := range b {
-		line := canonicalLine(r)
-		if _, ok := unmatched[line]; ok {
-			delete(unmatched, line)
+	for _, e := range b {
+		if _, ok := unmatched[e.line]; ok {
+			delete(unmatched, e.line)
 			continue
 		}
-		d.Added = append(d.Added, r)
+		added = append(added, e)
 	}
 	for _, i := range unmatched {
-		d.Removed = append(d.Removed, a[i])
+		removed = append(removed, a[i])
 	}
-	sortCanonically(d.Added)
-	sortCanonically(d.Removed)
-	d.pairChanged()
-	return d
+	return added, removed
 }
 
-// pairChanged moves added/removed pairs sharing an identity into Changed.
+// pairChanged moves added/removed pairs sharing an identity into changed.
 // Both slices are canonically sorted, so the pairing — first unconsumed
 // match per identity — is deterministic.
-func (d *Diff) pairChanged() {
-	if len(d.Added) == 0 || len(d.Removed) == 0 {
-		return
+func pairChanged(added, removed []entry) (a, r []entry, changed []change) {
+	if len(added) == 0 || len(removed) == 0 {
+		return added, removed, nil
 	}
-	removedByID := make(map[identity][]int, len(d.Removed))
-	for i, r := range d.Removed {
-		id := identityOf(r)
+	removedByID := make(map[identity][]int, len(removed))
+	for i, e := range removed {
+		id := identityOf(e.rec)
 		removedByID[id] = append(removedByID[id], i)
 	}
-	consumedRemoved := make([]bool, len(d.Removed))
-	var added []deps.Record
-	for _, r := range d.Added {
-		id := identityOf(r)
+	consumed := make([]bool, len(removed))
+	for _, e := range added {
+		id := identityOf(e.rec)
 		if idxs := removedByID[id]; len(idxs) > 0 {
-			old := d.Removed[idxs[0]]
-			consumedRemoved[idxs[0]] = true
+			consumed[idxs[0]] = true
 			removedByID[id] = idxs[1:]
-			d.Changed = append(d.Changed, RecordChange{Old: old, New: r})
+			changed = append(changed, change{old: removed[idxs[0]], new: e})
 			continue
 		}
-		added = append(added, r)
+		a = append(a, e)
 	}
-	var removed []deps.Record
-	for i, r := range d.Removed {
-		if !consumedRemoved[i] {
-			removed = append(removed, r)
+	for i, e := range removed {
+		if !consumed[i] {
+			r = append(r, e)
 		}
 	}
-	d.Added, d.Removed = added, removed
+	return a, r, changed
 }
 
 // identity names what a record is *about*, content aside: a route between
@@ -198,44 +215,4 @@ func identityOf(r deps.Record) identity {
 	default:
 		return identity{kind: r.Kind, a: canonicalLine(r)}
 	}
-}
-
-// sortCanonically orders records by their canonical serialization. Each
-// record's key is built once and records and keys are sorted together, so
-// the sort allocates O(n) and its comparisons are plain string compares.
-func sortCanonically(records []deps.Record) {
-	if len(records) < 2 {
-		return
-	}
-	keys := make([]string, len(records))
-	for i, r := range records {
-		keys[i] = canonicalLine(r)
-	}
-	sort.Sort(&byKey{keys: keys, swap: func(i, j int) { records[i], records[j] = records[j], records[i] }})
-}
-
-// sortChanged orders changes by the canonical serialization of their New
-// record, the order pairChanged produces.
-func (d *Diff) sortChanged() {
-	if len(d.Changed) < 2 {
-		return
-	}
-	keys := make([]string, len(d.Changed))
-	for i, c := range d.Changed {
-		keys[i] = canonicalLine(c.New)
-	}
-	sort.Sort(&byKey{keys: keys, swap: func(i, j int) { d.Changed[i], d.Changed[j] = d.Changed[j], d.Changed[i] }})
-}
-
-// byKey sorts precomputed keys, and whatever swap moves, in lockstep.
-type byKey struct {
-	keys []string
-	swap func(i, j int)
-}
-
-func (b *byKey) Len() int           { return len(b.keys) }
-func (b *byKey) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
-func (b *byKey) Swap(i, j int) {
-	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
-	b.swap(i, j)
 }

@@ -152,18 +152,20 @@ var modelServers = []string{"s1", "s2", "s3", "s4"}
 
 // randomRecord draws from a universe small enough that identities collide
 // constantly: 4 servers × 2 slots × 3 models, 2 programs × 3 closures,
-// 3 routes per server.
+// 3 routes per server. Its names use what the Table 1 XML form could not
+// carry — a list separator, spaces, a newline, markup, non-ASCII text, a
+// control character — and nothing Validate refuses.
 func randomRecord(rng *rand.Rand) deps.Record {
 	s := modelServers[rng.Intn(len(modelServers))]
 	switch rng.Intn(3) {
 	case 0:
-		return deps.NewNetwork(s, "Internet", "tor-"+s, fmt.Sprintf("core%d", rng.Intn(3)))
+		return deps.NewNetwork(s, "Internet", "tor-"+s, []string{"core0", "core,1", " core 2 "}[rng.Intn(3)])
 	case 1:
 		slot := []string{"NIC", "Disk"}[rng.Intn(2)]
-		return deps.NewHardware(s, slot, fmt.Sprintf("%s-%s-m%d", s, slot, rng.Intn(3)))
+		return deps.NewHardware(s, slot, s+"-"+slot+[]string{"-m0", "-m\n1", `-<m&"2>`}[rng.Intn(3)])
 	default:
 		pgm := []string{"nginx", "etcd"}[rng.Intn(2)]
-		return deps.NewSoftware(pgm, s, "libc6", fmt.Sprintf("libssl%d", rng.Intn(3)))
+		return deps.NewSoftware(pgm, s, "libc6", []string{"libssl0", "libssl é1", "libssl\x012"}[rng.Intn(3)])
 	}
 }
 
@@ -260,6 +262,14 @@ func TestModelRandomized(t *testing.T) {
 				}
 				if got := snap.Records(); !reflect.DeepEqual(got, want) {
 					t.Fatalf("trial %d step %d db %d: Records\n got %v\nwant %v", trial, step, d, got, want)
+				}
+				// The durable form: the live state through its segment.
+				restored := depdb.New()
+				if err := restored.PutSegment(db.Segment()); err != nil {
+					t.Fatalf("trial %d step %d db %d: segment refused: %v", trial, step, d, err)
+				}
+				if restored.Fingerprint() != snap.Fingerprint() || !reflect.DeepEqual(restored.Records(), want) {
+					t.Fatalf("trial %d step %d db %d: the segment restores to %s\n got %v\nwant %v", trial, step, d, restored.Fingerprint(), restored.Records(), want)
 				}
 				for _, s := range modelServers {
 					for _, k := range []deps.Kind{deps.KindNetwork, deps.KindHardware, deps.KindSoftware} {

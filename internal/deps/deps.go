@@ -111,7 +111,9 @@ func NewSoftware(pgm, hw string, dep ...string) Record {
 }
 
 // Validate reports whether the record is structurally sound: the payload
-// matching Kind is present, all others absent, and mandatory fields set.
+// matching Kind is present, all others absent, mandatory fields set, and no
+// name holds U+001E or U+001F — the bytes DepDB's canonical record line
+// separates lists and fields with, so that line stays injective.
 func (r Record) Validate() error {
 	switch r.Kind {
 	case KindNetwork:
@@ -126,12 +128,18 @@ func (r Record) Validate() error {
 				return fmt.Errorf("deps: network record %s->%s has empty route element", r.Network.Src, r.Network.Dst)
 			}
 		}
+		if hasSeparator(r.Network.Src, r.Network.Dst) || hasSeparator(r.Network.Route...) {
+			return fmt.Errorf("deps: network record %q->%q: %s", r.Network.Src, r.Network.Dst, separatorErr)
+		}
 	case KindHardware:
 		if r.Hardware == nil || r.Network != nil || r.Software != nil {
 			return fmt.Errorf("deps: hardware record with wrong payload")
 		}
 		if r.Hardware.HW == "" || r.Hardware.Type == "" || r.Hardware.Dep == "" {
 			return fmt.Errorf("deps: hardware record needs hw, type and dep")
+		}
+		if hasSeparator(r.Hardware.HW, r.Hardware.Type, r.Hardware.Dep) {
+			return fmt.Errorf("deps: hardware record %q/%q: %s", r.Hardware.HW, r.Hardware.Type, separatorErr)
 		}
 	case KindSoftware:
 		if r.Software == nil || r.Network != nil || r.Hardware != nil {
@@ -145,10 +153,25 @@ func (r Record) Validate() error {
 				return fmt.Errorf("deps: software record %s has empty dep", r.Software.Pgm)
 			}
 		}
+		if hasSeparator(r.Software.Pgm, r.Software.HW) || hasSeparator(r.Software.Dep...) {
+			return fmt.Errorf("deps: software record %q on %q: %s", r.Software.Pgm, r.Software.HW, separatorErr)
+		}
 	default:
 		return fmt.Errorf("deps: unknown kind %d", int(r.Kind))
 	}
 	return nil
+}
+
+const separatorErr = "a name holds a reserved separator byte (U+001E or U+001F)"
+
+// hasSeparator reports whether any name holds U+001E or U+001F.
+func hasSeparator(names ...string) bool {
+	for _, s := range names {
+		if strings.ContainsAny(s, "\x1e\x1f") {
+			return true
+		}
+	}
+	return false
 }
 
 // Subject returns the machine/endpoint a record is about: Src for network

@@ -15,6 +15,8 @@ import (
 //	<software pgm="Riak1" hw="S1" dep="libc6,libsvn1"/>
 //
 // A document is a <dependencies> element containing any number of records.
+// It is the import/export format (-deps files, cmd/depgen) only: a list item
+// holding a comma, or a control character, does not survive the round trip.
 
 type xmlNetwork struct {
 	XMLName xml.Name `xml:"network"`
