@@ -33,9 +33,9 @@ func (s *Server) Submit(req *SubmitRequest) (JobStatus, error) {
 }
 
 // prepare readies an audit: the run closure audits the request's deployments
-// against the resolved snapshot. Server-database requests join the delta
-// lineage — the (fingerprint, snapshot, specs) generation is registered on
-// completion, and an ancestor generation is reused now if one fits.
+// against the resolved snapshot, and the address commits to the records they
+// read (normalized.address). A multi-deployment server-database audit splices
+// in the deployment audits the server holds (planSplice).
 func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
 	n, opts, err := r.normalize()
 	if err != nil {
@@ -45,12 +45,14 @@ func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.DBFingerprint = snap.Fingerprint()
+	inline := len(r.Records) > 0
+	parts := n.address(snap, inline)
 	specs := n.specs()
 	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, Workload: Workload{
 		Key:           n.key(),
-		DBFingerprint: n.DBFingerprint,
-		SelfContained: len(r.Records) > 0,
+		Parts:         parts,
+		DBFingerprint: snap.Fingerprint(),
+		SelfContained: inline,
 		Run: func(ctx context.Context) (any, error) {
 			rep, err := sia.AuditDeploymentsContext(ctx, snap, "", specs, opts)
 			if err != nil {
@@ -59,11 +61,8 @@ func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
 			return rep, nil
 		},
 	}}
-	if len(r.Records) == 0 {
-		p.reg = &lineageReg{reqKey: n.requestKey(), entry: &lineageEntry{
-			fp: snap.Fingerprint(), snap: snap, specs: specs,
-		}}
-		s.planAuditDelta(p, snap, specs, opts)
+	if !inline && len(parts) > 0 {
+		s.planSplice(p, snap, specs, opts)
 	}
 	return p, nil
 }
@@ -71,7 +70,7 @@ func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
 // resolveDB picks the dependency database a request runs against: a fresh
 // store built from inline records, or the registered snapshot of the
 // server's database (preloaded via Config.DB or grown through /v1/depdb
-// ingests). The snapshot's fingerprint content-addresses the chosen view.
+// ingests).
 func (s *Server) resolveDB(records []RecordWire) (*depdb.Snapshot, error) {
 	if len(records) > 0 {
 		recs, err := recordsFromWire(records)

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"indaas/internal/depdb"
+	"indaas/internal/placement"
 	"indaas/internal/report"
 	"indaas/internal/store"
 	"indaas/internal/telemetry"
@@ -172,7 +173,7 @@ const (
 // queue, worker pool, cache and cancellation plumbing are shared across job
 // kinds; what runs is the Workload.
 type computation struct {
-	*preparedJob // Key, kind, reg — and job, the first one attached
+	*preparedJob // Key, kind — and job, the first one attached
 	cancel       context.CancelFunc
 	jobs         []*job // attached jobs, including canceled ones
 	refs         int    // attached jobs still interested in the result
@@ -193,8 +194,8 @@ type job struct {
 	state string
 	// prov is how the job came by its result (see provenance). Two facts are
 	// orthogonal to it: partial — the job's computation, its own or the one
-	// it coalesced onto, re-audits only dirtySubjects and splices the rest
-	// from a delta ancestor — and recovered, below.
+	// it coalesced onto, re-audits only dirtySubjects' deployments and
+	// splices the rest from held audits — and recovered, below.
 	prov          provenance
 	partial       bool
 	dirtySubjects []string
@@ -217,8 +218,8 @@ type job struct {
 	// recovered marks a job replayed from the journal after a crash.
 	recovered bool
 	// trace is the attached computation's phase trace (shared by every
-	// coalesced job); nil for jobs served from a cache/disk/delta hit, so
-	// the hit path allocates nothing for telemetry.
+	// coalesced job); nil for jobs served from a tier hit, so the hit path
+	// allocates nothing for telemetry.
 	trace *telemetry.Trace
 }
 
@@ -254,11 +255,10 @@ type Server struct {
 	db   *depdb.DB // cfg.DB, or created lazily by the first ingest
 	jobs map[string]*job
 	// order[head:] are the live job IDs in submission order (see pruneLocked).
-	order   []string
-	head    int
-	cache   *memoryTier
-	lineage *lineageIndex // delta-audit ancestry (see delta.go)
-	closed  bool
+	order  []string
+	head   int
+	cache  *memoryTier
+	closed bool
 	// inflight maps a content address to its queued or running *computation.
 	// Written only under mu; the lock-free resolve stage peeks at it to skip
 	// lower-tier probes that cannot hit yet.
@@ -269,6 +269,11 @@ type Server struct {
 	// providers is the registered private-audit dataset registry (see
 	// privateaudit.go), persisted under pia/provider/ store keys.
 	providers map[string]providerDataset
+	// audits and scores are the delta memos (see delta.go): decoded audit
+	// results and candidate scores by content address, each behind its own
+	// lock.
+	audits *memo[*report.Report]
+	scores *memo[placement.Score]
 
 	store *store.Store // cfg.Store; nil for a memory-only service
 	// breaker trips the daemon into degraded (memory-only) serving after
@@ -316,7 +321,8 @@ func New(cfg Config) *Server {
 		jobs:      make(map[string]*job),
 		providers: make(map[string]providerDataset),
 		cache:     newMemoryTier(cfg.CacheEntries),
-		lineage:   newLineageIndex(),
+		audits:    newMemo[*report.Report](heldAudits),
+		scores:    newMemo[placement.Score](heldScores),
 		store:     cfg.Store,
 		breaker:   newBreaker(cfg.StoreFailureThreshold, cfg.StoreRetryInterval, cfg.Now),
 		ingestCh:  make(chan *ingestWaiter, maxIngestGroup),
@@ -380,8 +386,8 @@ func (s *Server) placeLocked(p *preparedJob) error {
 		return &statusErr{code: 503, err: errors.New("service is shutting down")}
 	}
 	if p.prov == provComputed {
-		if _, ok := s.cache.Get(p.Key); ok {
-			p.prov = provMemoryHit
+		if r, ok := s.cache.Get(p.Key); ok {
+			p.prov, p.hit = provMemoryHit, r
 		}
 	}
 	if p.prov.hit() {
@@ -394,10 +400,10 @@ func (s *Server) placeLocked(p *preparedJob) error {
 	return nil
 }
 
-// settleHitLocked finishes a job whose content address a result tier (or an
-// adopted delta ancestor) already answers: instantly, never touching the
-// queue. A disk hit serves a result computed before a restart (or evicted
-// from memory) uncomputed. Caller holds s.mu.
+// settleHitLocked finishes a job whose content address a result tier already
+// answers: instantly, never touching the queue. A disk hit serves a result
+// computed before a restart (or evicted from memory) uncomputed. Caller holds
+// s.mu.
 func (s *Server) settleHitLocked(p *preparedJob) {
 	j := p.job
 	j.state = StateDone
@@ -405,21 +411,15 @@ func (s *Server) settleHitLocked(p *preparedJob) {
 	j.started, j.finished = j.submitted, j.submitted
 	j.done = bornDone
 	s.m.JobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the probe for lower-tier hits
-	switch p.prov {
-	case provAdopted:
-		s.m.DeltaHits.Add(1)
-	case provDiskHit:
+	if p.prov == provDiskHit {
 		s.m.StoreHits.Add(1)
-	default:
+	} else {
 		s.m.CacheHits.Add(1)
 	}
-	if p.reg != nil {
-		// A hit still anchors a lineage generation — after a restart the
-		// first disk hit re-seeds the ancestry for future delta audits. An
-		// adoption is the same bytes under a new address, so the ancestor's
-		// retained struct (if any) moves to this generation.
-		p.reg.entry.resultKey = p.Key
-		s.lineage.addLocked(p.reg, p.adoptRep)
+	if on := p.hit.computedOn; on != "" && on != p.DBFingerprint {
+		// The database moved since this process computed the result, and
+		// every change missed the records the job reads.
+		s.m.DeltaHits.Add(1)
 	}
 	if j.journaled {
 		// The hit landed after the journal write, or this is a recovered job
@@ -569,6 +569,8 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		endEncode()
 		if err != nil {
 			err = fmt.Errorf("encode result: %w", err)
+		} else {
+			enc.computedOn = comp.DBFingerprint
 		}
 	}
 	if err == nil && s.store != nil {
@@ -588,11 +590,6 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 	s.inflight.CompareAndDelete(comp.Key, comp)
 	if err == nil {
 		s.cache.Put(comp.Key, enc)
-		if comp.reg != nil {
-			comp.reg.entry.resultKey = comp.Key
-			rep, _ := res.(*report.Report) // offered to the lineage (see lineageIndex.reports)
-			s.lineage.addLocked(comp.reg, rep)
-		}
 	}
 	now := time.Now()
 	for _, j := range comp.jobs {
@@ -718,7 +715,7 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 
 // resolve turns a finished job's handle into its result: the bytes its
 // content address resolves to through the result tiers, the job's title, and
-// the report struct when the lineage happens to retain it. A 409 error means
+// the report struct when the audits memo happens to hold it. A 409 error means
 // the job is not done (or was canceled/failed); a 410 that every tier has
 // dropped the result since (a memory-only daemon past CacheEntries, a store
 // that evicted it) — resubmitting the request recomputes it.
@@ -732,8 +729,9 @@ func (s *Server) resolve(id string) (*EncodedResult, string, *report.Report, err
 		s.mu.Unlock()
 		return nil, "", nil, err
 	}
-	key, title, rep := j.key, j.title, s.lineage.reports[j.key]
+	key, title := j.key, j.title
 	s.mu.Unlock()
+	rep, _ := s.audits.Get(key)
 	enc, _, ok := s.retrieveResult(key, 0)
 	if !ok {
 		return nil, "", nil, &statusErr{code: http.StatusGone, err: fmt.Errorf("the result of job %s is no longer held (evicted from every result tier); resubmit the request to recompute it", id)}
@@ -743,7 +741,7 @@ func (s *Server) resolve(id string) (*EncodedResult, string, *report.Report, err
 
 // Result returns a finished job's payload as a struct under the job's title
 // — a *report.Report, *RecommendResponse or *PrivateAuditResponse. Results
-// are kept as bytes: unless the lineage retains this very report the call
+// are kept as bytes: unless the audits memo holds this very report the call
 // decodes them, which is why HTTP serving never comes through here.
 func (s *Server) Result(id string) (any, error) {
 	enc, title, rep, err := s.resolve(id)
@@ -751,7 +749,7 @@ func (s *Server) Result(id string) (any, error) {
 		return nil, err
 	}
 	if rep != nil {
-		titled := *rep // the retained struct is shared: title a shallow copy
+		titled := *rep // the held struct is shared: title a shallow copy
 		titled.Title = title
 		return &titled, nil
 	}
@@ -805,8 +803,8 @@ func (s *Server) Jobs() []JobStatus {
 }
 
 // Trace returns a job's phase timeline and pipeline counts. Jobs served
-// from a cache, disk, or delta hit never ran a computation and have no
-// phases; they return an empty timeline rather than an error.
+// from a tier hit never ran a computation and have no phases; they return an
+// empty timeline rather than an error.
 func (s *Server) Trace(id string) (TraceResponse, error) {
 	s.mu.Lock()
 	j, err := s.jobLocked(id)
@@ -895,7 +893,7 @@ func (j *job) statusLocked() JobStatus {
 		Cached:        j.prov == provMemoryHit || j.prov == provDiskHit || j.prov == provPeerHit,
 		DiskHit:       j.prov == provDiskHit,
 		Coalesced:     j.prov == provCoalesced,
-		DeltaHit:      j.prov == provAdopted || j.partial,
+		DeltaHit:      j.partial,
 		DirtySubjects: j.dirtySubjects,
 		Recovered:     j.recovered,
 		SubmittedAt:   j.submitted,

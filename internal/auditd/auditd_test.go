@@ -73,7 +73,7 @@ func waitDone(t *testing.T, s *Server, id string) JobStatus {
 	return st
 }
 
-func shutdown(t *testing.T, s *Server) {
+func shutdown(t testing.TB, s *Server) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()

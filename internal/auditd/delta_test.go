@@ -67,13 +67,48 @@ func auditsJSON(t *testing.T, rep *report.Report) string {
 	return string(blob)
 }
 
+// deltaSpecs are deltaAuditRequest's deployments as sia specs.
+var deltaSpecs = []sia.GraphSpec{
+	{Deployment: "front", Servers: []string{"s1", "s2"}},
+	{Deployment: "back", Servers: []string{"s3", "s4"}},
+}
+
+// localDB builds a plain database from wire records — the ground truth side
+// of every comparison here.
+func localDB(t *testing.T, records []RecordWire) *depdb.DB {
+	t.Helper()
+	db := depdb.New()
+	for _, w := range records {
+		r, err := w.Record()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Put(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// fullRecompute audits deltaSpecs from scratch over records.
+func fullRecompute(t *testing.T, records []RecordWire) string {
+	t.Helper()
+	rep, err := sia.AuditDeployments(localDB(t, records).Snapshot(), "", deltaSpecs, sia.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return auditsJSON(t, rep)
+}
+
 // TestDeltaHitAfterUnrelatedIngest is the headline acceptance case: one
-// ingested record that no audited deployment depends on must not force a
-// recomputation — the re-submitted audit is answered instantly from the
-// lineage, byte for byte.
+// ingested record that no audited deployment depends on leaves the content
+// address where it was, so the re-submitted audit is a plain memory hit — it
+// computes nothing, writes nothing to the store, and serves the same bytes.
 func TestDeltaHitAfterUnrelatedIngest(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer shutdown(t, s)
+	stor := openStore(t, t.TempDir())
+	defer stor.Close()
+	s := New(Config{Workers: 2, Store: stor})
+	defer gracefulShutdown(t, s)
 	mustIngest(t, s, deltaRecords())
 
 	first := mustSubmit(t, s, deltaAuditRequest("cold"))
@@ -85,39 +120,35 @@ func TestDeltaHitAfterUnrelatedIngest(t *testing.T) {
 
 	// One NIC record about a server no deployment audits.
 	mustIngest(t, s, []RecordWire{{Kind: "hardware", HW: "spare-9", Type: "NIC", Dep: "spare-9-X520"}})
+	before := s.Stats()
 
 	second := mustSubmit(t, s, deltaAuditRequest("warm"))
-	if second.State != StateDone || !second.DeltaHit || second.Cached {
-		t.Fatalf("resubmission after unrelated ingest = %+v, want an instant delta hit", second)
+	if second.State != StateDone || !second.Cached || second.DeltaHit || len(second.DirtySubjects) != 0 {
+		t.Fatalf("resubmission after unrelated ingest = %+v, want a plain memory hit", second)
 	}
-	if second.CacheKey == first.CacheKey {
-		t.Fatal("the ingest must have changed the content address")
-	}
-	if len(second.DirtySubjects) != 0 {
-		t.Fatalf("unrelated ingest reported dirty subjects %v", second.DirtySubjects)
+	if second.CacheKey != first.CacheKey {
+		t.Fatalf("an ingest no audited server reads moved the content address %s -> %s", first.CacheKey, second.CacheKey)
 	}
 	rep2, err := s.Report(second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if auditsJSON(t, rep1) != auditsJSON(t, rep2) {
-		t.Fatal("delta-served report differs from the original")
+		t.Fatal("the resubmission's report differs from the original")
 	}
-	st := s.Stats()
-	if st.Computations != 1 || st.DeltaHits != 1 || st.DeltaPartials != 0 {
-		t.Fatalf("stats after delta hit: %+v", st)
+	after := s.Stats()
+	// A memory hit on a result computed before the ingest: a delta hit.
+	if after.Computations != before.Computations || after.CacheHits != before.CacheHits+1 || after.DeltaHits != before.DeltaHits+1 || after.DeltaPartials != 0 {
+		t.Fatalf("stats around the resubmission: %+v -> %+v", before, after)
 	}
-	// The adopted result is a first-class cache entry: a third identical
-	// submission is a plain content-addressed hit.
-	third := mustSubmit(t, s, deltaAuditRequest("again"))
-	if !third.Cached || third.DeltaHit {
-		t.Fatalf("third submission = %+v, want a plain cache hit", third)
+	if puts := after.Store.PutLatency.Count() - before.Store.PutLatency.Count(); puts != 0 {
+		t.Fatalf("the resubmission wrote %d store records, want none", puts)
 	}
 }
 
 // TestDeltaPartialRecomputesOnlyDirty: an ingest touching one deployment's
-// server re-audits that deployment only, splices the other from the
-// ancestor, and still produces exactly what a full recompute would.
+// server re-audits that deployment only, splices the other from the held
+// audits, and still produces exactly what a full recompute would.
 func TestDeltaPartialRecomputesOnlyDirty(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
@@ -132,63 +163,160 @@ func TestDeltaPartialRecomputesOnlyDirty(t *testing.T) {
 
 	second := mustSubmit(t, s, deltaAuditRequest("delta"))
 	end := waitDone(t, s, second.ID)
-	if end.State != StateDone || !end.DeltaHit {
+	if end.State != StateDone || !end.DeltaHit || end.Cached {
 		t.Fatalf("partial delta job = %+v", end)
 	}
-	if !reflect.DeepEqual(end.DirtySubjects, []string{"s3"}) {
-		t.Fatalf("DirtySubjects = %v, want [s3]", end.DirtySubjects)
+	if !reflect.DeepEqual(end.DirtySubjects, []string{"s3", "s4"}) {
+		t.Fatalf("DirtySubjects = %v, want the re-audited deployment's servers [s3 s4]", end.DirtySubjects)
 	}
 	st := s.Stats()
-	if st.Computations != 2 || st.DeltaPartials != 1 || st.DeltaHits != 0 || st.DeltaDirtySubjects != 1 {
+	if st.Computations != 2 || st.DeltaPartials != 1 || st.DeltaHits != 0 || st.DeltaDirtySubjects != 2 {
 		t.Fatalf("stats after partial delta: %+v", st)
 	}
+	tr, err := s.Trace(second.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Counts["subjects_spliced"] != 1 {
+		t.Fatalf("the partial job spliced %d deployments, want 1 (front)", tr.Counts["subjects_spliced"])
+	}
 
-	// Ground truth: a full recompute over the same post-ingest records.
 	got, err := s.Report(second.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := depdb.New()
-	for _, w := range append(records, dirtyRec) {
-		r, err := w.Record()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Put(r); err != nil {
-			t.Fatal(err)
-		}
+	if want := fullRecompute(t, append(records, dirtyRec)); auditsJSON(t, got) != want {
+		t.Fatalf("spliced report diverges from full recompute:\n got %s\nwant %s", auditsJSON(t, got), want)
 	}
-	want, err := sia.AuditDeployments(db.Snapshot(), "", []sia.GraphSpec{
-		{Deployment: "front", Servers: []string{"s1", "s2"}},
-		{Deployment: "back", Servers: []string{"s3", "s4"}},
-	}, sia.Options{})
+}
+
+// TestDeltaSpliceHoldsWholeRequest: the audits memo bounds requests, not
+// deployment audits, so an audit of more deployments than it holds groups
+// still re-audits only the deployment a one-server ingest dirtied.
+func TestDeltaSpliceHoldsWholeRequest(t *testing.T) {
+	const n = heldAudits + 44
+	s := New(Config{Workers: 2})
+	defer shutdown(t, s)
+	var records []RecordWire
+	req := &SubmitRequest{Title: "wide"}
+	for i := 0; i < n; i++ {
+		a, b := fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i)
+		for _, srv := range []string{a, b} {
+			records = append(records, WireRecords([]deps.Record{
+				deps.NewNetwork(srv, "Internet", "ToR"+srv, "Core1"),
+				deps.NewHardware(srv, "Disk", srv+"-disk"),
+			})...)
+		}
+		req.Deployments = append(req.Deployments, DeploymentWire{Name: fmt.Sprintf("d%d", i), Servers: []string{a, b}})
+	}
+	mustIngest(t, s, records)
+	waitDone(t, s, mustSubmit(t, s, req).ID)
+
+	dirtyRec := RecordWire{Kind: "software", Pgm: "etcd", HW: "a7", Deps: []string{"libc6"}}
+	mustIngest(t, s, []RecordWire{dirtyRec})
+	end := waitDone(t, s, mustSubmit(t, s, req).ID)
+	if end.State != StateDone || !end.DeltaHit || !reflect.DeepEqual(end.DirtySubjects, []string{"a7", "b7"}) {
+		t.Fatalf("resubmission after a one-server ingest = %+v, want a splice re-auditing [a7 b7]", end)
+	}
+	tr, err := s.Trace(end.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if auditsJSON(t, got) != auditsJSON(t, want) {
-		t.Fatalf("spliced report diverges from full recompute:\n got %s\nwant %s", auditsJSON(t, got), auditsJSON(t, want))
+	if tr.Counts["subjects_spliced"] != n-1 {
+		t.Fatalf("the splice took %d held deployment audits, want %d", tr.Counts["subjects_spliced"], n-1)
+	}
+
+	got, err := s.Report(end.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := *req
+	inline.Records = append(records, dirtyRec)
+	full, err := s.Report(waitDone(t, s, mustSubmit(t, s, &inline).ID).ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if auditsJSON(t, got) != auditsJSON(t, full) {
+		t.Fatal("the wide splice diverges from a full recompute")
+	}
+}
+
+// TestMemoGroups pins the memo's unit: a group is dropped whole once it is
+// the least recently used past capacity, a key answers from the newest group
+// holding it, and a group no key answers from any more frees its slot.
+func TestMemoGroups(t *testing.T) {
+	m := newMemo[int](2)
+	m.PutAll([]string{"a", "b", "c"}, []int{1, 2, 3})
+	m.Put("x", 9)
+	if v, ok := m.Get("b"); !ok || v != 2 || m.Len() != 2 {
+		t.Fatalf("Get(b) = %d, %v with %d groups", v, ok, m.Len())
+	}
+	m.PutAll([]string{"c", "d"}, []int{30, 4}) // drops x's group, the oldest
+	if _, ok := m.Get("x"); ok {
+		t.Fatal("x outlived its group")
+	}
+	if v, _ := m.Get("c"); v != 30 {
+		t.Fatalf("c answers %d, want the newest group's 30", v)
+	}
+	m.Put("d", 40) // drops {a, b}
+	if _, ok := m.Get("a"); ok {
+		t.Fatal("a outlived its group")
+	}
+	m.Put("c", 300) // {c, d} answers nothing now: it goes, and {d} stays
+	if v, ok := m.Get("d"); !ok || v != 40 || m.Len() != 2 {
+		t.Fatalf("Get(d) = %d, %v with %d groups, want 40 with 2", v, ok, m.Len())
+	}
+	m.Remove("d")
+	if _, ok := m.Get("d"); ok || m.Len() != 1 {
+		t.Fatalf("after Remove(d): %d groups, d held %v", m.Len(), ok)
+	}
+	m.PutAll([]string{"e", "e"}, []int{5, 6}) // a repeated key keeps the later value
+	if v, _ := m.Get("e"); v != 6 || m.Len() != 2 {
+		t.Fatalf("e = %d with %d groups", v, m.Len())
+	}
+	if v, _ := m.Get("c"); v != 300 {
+		t.Fatalf("c = %d, want 300", v)
 	}
 }
 
 // TestDeltaDifferentialRandomized is the property test: across a randomized
 // ingest sequence — batches that hit audited servers, miss them, or both —
-// every delta-served report must equal the full recompute byte for byte.
+// each resubmission is answered the way the records its deployments read say
+// it must be (a hit for a state already audited, a splice re-auditing exactly
+// the deployments whose records are new, a full computation when both are),
+// and every served report equals the full recompute byte for byte.
 func TestDeltaDifferentialRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
 
 	var all []RecordWire
+	mirror := depdb.New()
 	ingest := func(batch []RecordWire) {
 		mustIngest(t, s, batch)
 		all = append(all, batch...)
+		for _, w := range batch {
+			r, err := w.Record()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := mirror.Put(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// audited names each deployment state — and each pair of them — that a
+	// submission has already computed.
+	audited := make(map[string]bool)
+	scopes := func() (front, back string) {
+		snap := mirror.Snapshot()
+		return "front " + snap.Scope(deltaSpecs[0].Servers, nil), "back " + snap.Scope(deltaSpecs[1].Servers, nil)
 	}
 	ingest(deltaRecords())
+	front, back := scopes()
+	waitDone(t, s, mustSubmit(t, s, deltaAuditRequest("cold")).ID)
+	audited[front], audited[back], audited[front+back] = true, true, true
 
-	specs := []sia.GraphSpec{
-		{Deployment: "front", Servers: []string{"s1", "s2"}},
-		{Deployment: "back", Servers: []string{"s3", "s4"}},
-	}
 	randomBatch := func(i int) []RecordWire {
 		var batch []RecordWire
 		n := 1 + rng.Intn(3)
@@ -212,52 +340,63 @@ func TestDeltaDifferentialRandomized(t *testing.T) {
 		return batch
 	}
 
+	paths := make(map[string]int)
 	for i := 0; i < 15; i++ {
 		ingest(randomBatch(i))
+		front, back := scopes()
+		var wantDirty []string
+		if !audited[front] {
+			wantDirty = append(wantDirty, deltaSpecs[0].Servers...)
+		}
+		if !audited[back] {
+			wantDirty = append(wantDirty, deltaSpecs[1].Servers...)
+		}
 		st := mustSubmit(t, s, deltaAuditRequest(fmt.Sprintf("round-%d", i)))
 		end := waitDone(t, s, st.ID)
 		if end.State != StateDone {
 			t.Fatalf("round %d finished %s (%s)", i, end.State, end.Error)
 		}
+		switch {
+		case audited[front+back]:
+			paths["hit"]++
+			if !end.Cached || end.DeltaHit {
+				t.Fatalf("round %d: a state already audited was not a plain hit: %+v", i, end)
+			}
+		case len(wantDirty) == 4:
+			paths["full"]++
+			if end.Cached || end.DeltaHit || len(end.DirtySubjects) != 0 {
+				t.Fatalf("round %d: both deployments moved, want a full computation: %+v", i, end)
+			}
+		default:
+			paths["splice"]++
+			if end.Cached || !end.DeltaHit || !reflect.DeepEqual(end.DirtySubjects, wantDirty) {
+				t.Fatalf("round %d: want a splice re-auditing %v, got %+v", i, wantDirty, end)
+			}
+		}
+		audited[front], audited[back], audited[front+back] = true, true, true
 		got, err := s.Report(st.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db := depdb.New()
-		for _, w := range all {
-			r, err := w.Record()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Put(r); err != nil {
-				t.Fatal(err)
-			}
+		if auditsJSON(t, got) != fullRecompute(t, all) {
+			t.Fatalf("round %d: served report diverges from full recompute", i)
 		}
-		want, err := sia.AuditDeployments(db.Snapshot(), "", specs, sia.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if auditsJSON(t, got) != auditsJSON(t, want) {
-			t.Fatalf("round %d: delta result diverges from full recompute", i)
-		}
+	}
+	if paths["hit"] == 0 || paths["splice"] == 0 {
+		t.Fatalf("randomized run exercised too few paths: %v", paths)
 	}
 	st := s.Stats()
-	if st.DeltaHits == 0 || st.DeltaPartials == 0 {
-		t.Fatalf("randomized run exercised no delta paths: %+v", st)
-	}
-	// Partial jobs run a (reduced) computation; only whole-result adoptions
-	// and cache hits skip the queue entirely.
-	if st.DeltaHits+st.CacheHits+st.Computations != st.Submitted {
-		t.Fatalf("job accounting inconsistent: %+v", st)
-	}
-	if st.DeltaPartials > st.Computations {
-		t.Fatalf("more partials than computations: %+v", st)
+	// Every round follows an ingest, so each hit is a delta hit.
+	if st.CacheHits+st.Computations != st.Submitted || st.DeltaPartials != int64(paths["splice"]) || st.DeltaHits != int64(paths["hit"]) {
+		t.Fatalf("job accounting inconsistent with paths %v: %+v", paths, st)
 	}
 }
 
 // TestRecommendDeltaSeedsScores: after an ingest that touches one pool node,
 // a repeated recommendation re-audits only the candidates containing that
-// node; after an unrelated ingest it does not search at all.
+// node — the rest are in the server's candidate memo under unchanged
+// addresses — and ranks exactly as a full search; after an unrelated ingest
+// it is a plain hit.
 func TestRecommendDeltaSeedsScores(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
@@ -265,7 +404,7 @@ func TestRecommendDeltaSeedsScores(t *testing.T) {
 
 	// The pool is pinned explicitly: a record-less pool resolves from the
 	// database's subjects, so ingesting ANY new machine would legitimately
-	// change the search space (and thus the lineage identity).
+	// change the search space (and thus the content address).
 	pool := []string{"n1", "n2", "n3", "n4", "n5", "n6"}
 	req := func(title string) *RecommendRequest {
 		return &RecommendRequest{Title: title, Nodes: pool, Replicas: 2, TopK: 3, Strategy: "exact"}
@@ -280,14 +419,14 @@ func TestRecommendDeltaSeedsScores(t *testing.T) {
 		t.Fatalf("cold search evaluated %d, want 15", res1.Evaluated)
 	}
 
-	// Unrelated ingest → whole-result adoption.
+	// Unrelated ingest → the same address, a plain hit.
 	mustIngest(t, s, []RecordWire{{Kind: "hardware", HW: "spare-1", Type: "Disk", Dep: "spare-disk"}})
-	second, err := s.Recommend(req("adopted"))
+	second, err := s.Recommend(req("unrelated"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.State != StateDone || !second.DeltaHit || len(second.DirtySubjects) != 0 {
-		t.Fatalf("recommend after unrelated ingest = %+v, want instant delta hit", second)
+	if second.State != StateDone || !second.Cached || second.CacheKey != first.CacheKey {
+		t.Fatalf("recommend after unrelated ingest = %+v, want a plain hit on %s", second, first.CacheKey)
 	}
 
 	// n1 grows a dependency → only the five n1-containing candidates move.
@@ -297,27 +436,18 @@ func TestRecommendDeltaSeedsScores(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := waitDone(t, s, third.ID)
-	if !end.DeltaHit || !reflect.DeepEqual(end.DirtySubjects, []string{"n1"}) {
-		t.Fatalf("partial recommend = %+v", end)
+	if end.State != StateDone || end.Cached || end.CacheKey == first.CacheKey || len(end.DirtySubjects) != 0 {
+		t.Fatalf("recommend after an n1 ingest = %+v", end)
 	}
 	res3 := mustRecommendResult(t, s, third.ID)
 	if res3.Evaluated != 5 {
-		t.Fatalf("partial delta evaluated %d candidates, want the 5 containing n1", res3.Evaluated)
+		t.Fatalf("partial search evaluated %d candidates, want the 5 containing n1", res3.Evaluated)
 	}
 
 	// Ground truth: a full search over an equivalent local database.
-	db := depdb.New()
-	for _, w := range append(append([]RecordWire(nil), recommendRecords()...),
+	db := localDB(t, append(append([]RecordWire(nil), recommendRecords()...),
 		RecordWire{Kind: "hardware", HW: "spare-1", Type: "Disk", Dep: "spare-disk"},
-		RecordWire{Kind: "software", Pgm: "etcd", HW: "n1", Deps: []string{"libc6"}}) {
-		r, err := w.Record()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Put(r); err != nil {
-			t.Fatal(err)
-		}
-	}
+		RecordWire{Kind: "software", Pgm: "etcd", HW: "n1", Deps: []string{"libc6"}}))
 	full, err := placement.Search(context.Background(), db,
 		placement.Request{Nodes: pool, Replicas: 2, TopK: 3, Strategy: placement.Exact})
 	if err != nil {
@@ -327,8 +457,8 @@ func TestRecommendDeltaSeedsScores(t *testing.T) {
 		t.Fatalf("ranking lengths differ: %d vs %d", len(full.Top), len(res3.Rankings))
 	}
 	for i := range full.Top {
-		if !reflect.DeepEqual(full.Top[i].Nodes, res3.Rankings[i].Nodes) {
-			t.Fatalf("rank %d: delta %v vs full %v", i+1, res3.Rankings[i].Nodes, full.Top[i].Nodes)
+		if !reflect.DeepEqual(full.Top[i].Nodes, res3.Rankings[i].Nodes) || full.Top[i].Score.Independence != res3.Rankings[i].Score {
+			t.Fatalf("rank %d: partial %v vs full %v", i+1, res3.Rankings[i], full.Top[i])
 		}
 	}
 }
@@ -346,9 +476,10 @@ func mustRecommendResult(t *testing.T, s *Server, id string) *RecommendResponse 
 	return resp
 }
 
-// TestDeltaSurvivesRestart: the lineage index is in-memory, but a restarted
-// durable daemon re-anchors it from its first disk hit — so ingest-then-
-// re-audit keeps delta-hitting across restarts.
+// TestDeltaSurvivesRestart: the address is a function of the records the
+// audit reads, which a restarted durable daemon restores — so after a restart
+// and an ingest no audited server reads, the resubmission is a disk hit under
+// the pre-restart address with zero computations.
 func TestDeltaSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
@@ -369,97 +500,46 @@ func TestDeltaSurvivesRestart(t *testing.T) {
 	s2 := New(Config{Workers: 1, DB: db, Store: st2})
 	defer gracefulShutdown(t, s2)
 
-	// First post-restart submission: a disk hit that anchors the lineage.
-	anchor := mustSubmit(t, s2, deltaAuditRequest("anchor"))
-	if anchor.State != StateDone || !anchor.DiskHit {
-		t.Fatalf("anchor = %+v, want a disk hit", anchor)
-	}
-	// Ingest-then-resubmit must now delta-hit with zero computations.
 	mustIngest(t, s2, []RecordWire{{Kind: "hardware", HW: "spare-2", Type: "NIC", Dep: "spare-2-nic"}})
 	after := mustSubmit(t, s2, deltaAuditRequest("post-restart"))
-	if after.State != StateDone || !after.DeltaHit {
-		t.Fatalf("post-restart delta = %+v", after)
+	if after.State != StateDone || !after.DiskHit || after.CacheKey != first.CacheKey {
+		t.Fatalf("post-restart resubmission = %+v, want a disk hit on %s", after, first.CacheKey)
 	}
 	if got := s2.Stats().Computations; got != 0 {
 		t.Fatalf("restarted daemon ran %d computations, want 0", got)
 	}
 }
 
-// exhaustiveAuditPlan is the planner's reference: the loop as it was before
-// ancestors were skipped — diff every retained generation, newest first; the
-// first clean one wins outright, else the newest dirty one.
-func exhaustiveAuditPlan(entries []*lineageEntry, snap *depdb.Snapshot, specs []sia.GraphSpec) (chosen *lineageEntry, subjects []string) {
-	for i := len(entries) - 1; i >= 0; i-- {
-		e := entries[i]
-		if e.fp == snap.Fingerprint() {
-			continue
-		}
-		diff := e.snap.Diff(snap)
-		if diff.Empty() {
-			continue
-		}
-		dirty, subj := sia.DirtyDeployments(specs, diff)
-		clean := true
-		for _, d := range dirty {
-			clean = clean && !d
-		}
-		if clean {
-			return e, nil
-		}
-		if chosen == nil {
-			chosen, subjects = e, subj
-		}
-	}
-	return chosen, subjects
-}
-
-// TestDeltaPlanSkipsOnlyOlderSameLogAncestors: with three retained
-// generations of one request and the newest of them dirty, the planner —
-// which no longer diffs the older generations of the same log — must choose
-// what the exhaustive loop chooses. A clean ancestor from ANOTHER database,
-// older than all of them, must still be found and adopted: the skip applies
-// to same-log entries only.
+// TestDeltaPlanSkipsOnlyOlderSameLogAncestors: an address names the records
+// a result read, not the database it was computed in. A result computed
+// against ANOTHER database whose audited servers hold the records the server
+// now holds — it differs only in machines nobody audits — is a plain hit;
+// across generations of the server's own database, unrelated ingests keep
+// the address and a dirtying one splices. Either way the served report is
+// the full recompute.
 func TestDeltaPlanSkipsOnlyOlderSameLogAncestors(t *testing.T) {
-	specs := []sia.GraphSpec{
-		{Deployment: "front", Servers: []string{"s1", "s2"}},
-		{Deployment: "back", Servers: []string{"s3", "s4"}},
-	}
 	dirtyRec := RecordWire{Kind: "software", Pgm: "etcd", HW: "s3", Deps: []string{"libc6"}}
 	spare := func(i int) RecordWire {
 		return RecordWire{Kind: "hardware", HW: fmt.Sprintf("spare-%d", i), Type: "NIC", Dep: fmt.Sprintf("nic-%d", i)}
 	}
-	localDB := func(records []RecordWire) *depdb.DB {
-		db := depdb.New()
-		for _, w := range records {
-			r, err := w.Record()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := db.Put(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return db
-	}
-	const crossKey = "cross-database-ancestor"
 
 	for _, crossDB := range []bool{false, true} {
 		t.Run(fmt.Sprintf("crossDB=%v", crossDB), func(t *testing.T) {
 			s := New(Config{Workers: 2})
 			defer shutdown(t, s)
-			n, _, err := deltaAuditRequest("").normalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqKey := n.requestKey()
 
-			var crossJSON string
+			var crossKey, crossJSON string
 			if crossDB {
-				// The oldest lineage entry: a different database that already
-				// holds the dirtying record and differs from the final server
-				// database only in machines nobody audits.
-				other := localDB(append(deltaRecords(), dirtyRec, spare(99)))
-				rep, err := sia.AuditDeployments(other.Snapshot(), "", specs, sia.Options{})
+				// A result computed elsewhere, against a database that already
+				// holds the dirtying record and one spare the server never sees.
+				other := localDB(t, append(deltaRecords(), dirtyRec, spare(99))).Snapshot()
+				n, _, err := deltaAuditRequest("").normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				n.address(other, false)
+				crossKey = n.key()
+				rep, err := sia.AuditDeployments(other, "", deltaSpecs, sia.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -468,82 +548,46 @@ func TestDeltaPlanSkipsOnlyOlderSameLogAncestors(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s.mu.Lock()
 				s.cache.Put(crossKey, enc)
-				s.lineage.addLocked(&lineageReg{reqKey: reqKey, entry: &lineageEntry{
-					resultKey: crossKey, fp: other.Fingerprint(), snap: other.Snapshot(), specs: specs,
-				}}, nil)
-				s.mu.Unlock()
 			}
 
-			// Three same-log generations: one computed, two adopted.
+			// Generations of the server's own database: one computed, two
+			// that only add spares, then one that dirties s3.
 			all := deltaRecords()
 			mustIngest(t, s, all)
-			waitDone(t, s, mustSubmit(t, s, deltaAuditRequest("g1")).ID)
+			g1 := mustSubmit(t, s, deltaAuditRequest("g1"))
+			waitDone(t, s, g1.ID)
 			for i := 1; i <= 2; i++ {
 				mustIngest(t, s, []RecordWire{spare(i)})
 				all = append(all, spare(i))
-				if st := mustSubmit(t, s, deltaAuditRequest("adopt")); !st.DeltaHit || len(st.DirtySubjects) != 0 {
-					t.Fatalf("generation %d was not adopted whole: %+v", i+1, st)
+				if st := mustSubmit(t, s, deltaAuditRequest("unrelated")); !st.Cached || st.CacheKey != g1.CacheKey {
+					t.Fatalf("generation %d moved the address or missed: %+v", i+1, st)
 				}
 			}
-			// The newest generation goes dirty.
 			mustIngest(t, s, []RecordWire{dirtyRec, spare(3)})
 			all = append(all, dirtyRec, spare(3))
 
-			snap, err := s.resolveDB(nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.mu.Lock()
-			entries := s.lineage.lookupLocked(reqKey)
-			s.mu.Unlock()
-			wantGens := 3
-			if crossDB {
-				wantGens = 4
-			}
-			if len(entries) != wantGens {
-				t.Fatalf("lineage holds %d generations, want %d", len(entries), wantGens)
-			}
-			chosen, wantDirty := exhaustiveAuditPlan(entries, snap, specs)
-			if chosen == nil {
-				t.Fatal("the exhaustive planner found no ancestor")
-			}
-			if crossDB != (chosen.resultKey == crossKey) || crossDB != (len(wantDirty) == 0) {
-				t.Fatalf("reference plan chose %q dirty %v with crossDB=%v", chosen.resultKey, wantDirty, crossDB)
-			}
-
 			before := s.Stats()
 			st := mustSubmit(t, s, deltaAuditRequest("planned"))
-			if crossDB && st.State != StateDone {
-				t.Fatalf("a clean ancestor must be adopted within the submit: %+v", st)
-			}
 			end := waitDone(t, s, st.ID)
-			if end.State != StateDone || !end.DeltaHit {
-				t.Fatalf("planned job = %+v", end)
-			}
-			if !reflect.DeepEqual(end.DirtySubjects, wantDirty) {
-				t.Fatalf("DirtySubjects = %v, exhaustive plan says %v", end.DirtySubjects, wantDirty)
-			}
 			after := s.Stats()
-			hits, partials := after.DeltaHits-before.DeltaHits, after.DeltaPartials-before.DeltaPartials
-			if crossDB && (hits != 1 || partials != 0) || !crossDB && (hits != 0 || partials != 1) {
-				t.Fatalf("crossDB=%v: the planned job counted %d adoptions and %d partials", crossDB, hits, partials)
+			if crossDB {
+				if st.State != StateDone || !st.Cached || st.CacheKey != crossKey || after.Computations != before.Computations {
+					t.Fatalf("the other database's result was not a plain hit on %s: %+v", crossKey, st)
+				}
+			} else if end.Cached || !end.DeltaHit || !reflect.DeepEqual(end.DirtySubjects, []string{"s3", "s4"}) || after.DeltaPartials != before.DeltaPartials+1 {
+				t.Fatalf("the dirtying generation = %+v, want a splice re-auditing [s3 s4]", end)
 			}
 
 			got, err := s.Report(st.ID)
 			if err != nil {
 				t.Fatal(err)
 			}
-			full, err := sia.AuditDeployments(localDB(all).Snapshot(), "", specs, sia.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if auditsJSON(t, got) != auditsJSON(t, full) {
+			if auditsJSON(t, got) != fullRecompute(t, all) {
 				t.Fatal("planned report diverges from the full recompute")
 			}
 			if crossDB && auditsJSON(t, got) != crossJSON {
-				t.Fatal("the adopted report is not the cross-database ancestor's")
+				t.Fatal("the hit served something other than the other database's result")
 			}
 		})
 	}

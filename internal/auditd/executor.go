@@ -31,6 +31,10 @@ type Workload struct {
 	// executor anywhere may compute this workload and the result is valid
 	// under Key on every node.
 	Key string
+	// Parts are, for a multi-deployment audit, the address each deployment
+	// gets as a one-deployment request against the same database: the
+	// cluster's fan-out routes each sub-audit by its part.
+	Parts []string
 	// Kind names the workload's registered job kind (KindAudit …).
 	Kind string
 	// Wire is the workload's wire request (*SubmitRequest and friends), nil
@@ -48,7 +52,7 @@ type Workload struct {
 	SelfContained bool
 	// NoForward pins the workload to the local pool: set for requests that
 	// were already forwarded once (single-hop ownership), journal-recovered
-	// jobs, and delta-planned runs that splice local lineage state.
+	// jobs, and runs that splice deployment audits held on this node.
 	NoForward bool
 	// Run computes the result. It must honor ctx cancellation.
 	Run func(ctx context.Context) (any, error)

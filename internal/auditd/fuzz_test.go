@@ -1,0 +1,189 @@
+package auditd
+
+import (
+	"encoding/json"
+	"os"
+	"slices"
+	"testing"
+
+	"indaas/internal/depdb"
+	"indaas/internal/deps"
+	"indaas/internal/report"
+)
+
+// requestFixtures are the request bodies the smoke legs post, as the fuzz
+// targets' seeds.
+var requestFixtures = []string{"../../scripts/smoke_request.json", "../../scripts/recommend_request.json"}
+
+// fixtureRecords reads every record of the request fixtures.
+func fixtureRecords(f *testing.F) []RecordWire {
+	var out []RecordWire
+	for _, path := range requestFixtures {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var req struct {
+			Records []RecordWire `json:"records"`
+		}
+		if err := json.Unmarshal(blob, &req); err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, req.Records...)
+	}
+	return out
+}
+
+// FuzzRecordWire drives the record boundary clients and replicating peers
+// reach: a wire record is refused with a 400, or it validates, frames into a
+// one-record segment, and reloads through PutSegment to the database a direct
+// commit builds — same fingerprint, same scope digest for its subject and
+// kind. Nothing panics.
+func FuzzRecordWire(f *testing.F) {
+	for _, w := range append(fixtureRecords(f), deltaRecords()...) {
+		blob, err := json.Marshal(w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
+	for _, s := range []string{
+		`{"kind":"hardware","hw":"s1","type":"NIC","dep":"a\u001fb"}`,
+		`{"kind":"software","pgm":"p","hw":"h","deps":["x\u001ey","z"]}`,
+		`{"kind":"network","src":"s","dst":"d","route":[]}`,
+		`{"kind":"network","src":"","dst":"d","route":["r"]}`,
+		`{"kind":"disk","hw":"s1"}`,
+		`{"kind":"software","pgm":"p","hw":"h"}`,
+		`{}`,
+		`[`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var w RecordWire
+		if json.Unmarshal(blob, &w) != nil {
+			return // the HTTP decoder's 400
+		}
+		recs, err := recordsFromWire([]RecordWire{w})
+		if err != nil {
+			if httpStatus(err) != 400 {
+				t.Fatalf("record refused with %d: %v", httpStatus(err), err)
+			}
+			return
+		}
+		b, err := depdb.NewBatch(recs...)
+		if err != nil {
+			t.Fatalf("a validated record is refused by NewBatch: %v", err)
+		}
+		loaded, direct := depdb.New(), depdb.New()
+		if err := loaded.PutSegment(b.Segment()); err != nil {
+			t.Fatalf("a validated record's segment does not reload: %v", err)
+		}
+		direct.PutBatch(b)
+		if loaded.Fingerprint() != direct.Fingerprint() {
+			t.Fatalf("the reloaded record has fingerprint %s, the committed one %s", loaded.Fingerprint(), direct.Fingerprint())
+		}
+		subj, kinds := []string{recs[0].Subject()}, []deps.Kind{recs[0].Kind}
+		if got, want := loaded.Snapshot().Scope(subj, kinds), direct.Snapshot().Scope(subj, kinds); got != want {
+			t.Fatalf("the reloaded record has scope %s, the committed one %s", got, want)
+		}
+	})
+}
+
+// FuzzAuditPrepare drives the audit kind's submission boundary — what clients
+// and forwarding peers send — through normalize and prepare against a fixed
+// server database: a request is refused with a 4xx, or it prepares to an
+// address that two prepares agree on, whose per-deployment parts are the
+// addresses its one-deployment sub-requests get. Nothing panics.
+func FuzzAuditPrepare(f *testing.F) {
+	db := depdb.New()
+	var all []deps.Record
+	for _, w := range append(fixtureRecords(f), deltaRecords()...) {
+		r, err := w.Record()
+		if err != nil {
+			f.Fatal(err)
+		}
+		all = append(all, r)
+	}
+	if err := db.Put(all...); err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{Workers: 1, DB: db})
+	f.Cleanup(func() { shutdown(f, s) })
+
+	for _, path := range requestFixtures[:1] {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+		var req SubmitRequest
+		if err := json.Unmarshal(blob, &req); err != nil {
+			f.Fatal(err)
+		}
+		req.Records = nil // the same deployments against the server database
+		f.Add(mustJSON(f, &req))
+	}
+	// The golden report's deployments, as the request that would audit them.
+	golden, err := os.ReadFile("testdata/e2e_report_golden.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var rep report.Report
+	if err := json.Unmarshal(golden, &rep); err != nil {
+		f.Fatal(err)
+	}
+	fromGolden := &SubmitRequest{Title: rep.Title}
+	for _, a := range rep.Audits {
+		fromGolden.Deployments = append(fromGolden.Deployments, DeploymentWire{Name: a.Deployment, Servers: a.Sources})
+	}
+	f.Add(mustJSON(f, fromGolden))
+	f.Add(mustJSON(f, deltaAuditRequest("delta")))
+	for _, s := range []string{
+		`{"deployments":[{"name":"a","servers":["s1","s1"]}]}`,
+		`{"deployments":[{"name":"a","servers":["s1"],"kinds":["network","network","disk"]}]}`,
+		`{"deployments":[{"name":"a","servers":["s1"],"needed":-1},{"name":"b","servers":["s2"]}]}`,
+		`{"deployments":[{"name":"x","servers":["nobody"],"kinds":["software"]},{"name":"x","servers":["nobody"]}],"algorithm":"failure-sampling","rounds":10}`,
+		`{"deployments":[]}`,
+		`{"records":[{"kind":"bogus"}],"deployments":[{"name":"a","servers":["s1"]}]}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var req SubmitRequest
+		if json.Unmarshal(blob, &req) != nil {
+			return // the HTTP decoder's 400
+		}
+		p, err := req.prepare(s)
+		if err != nil {
+			if code := httpStatus(err); code/100 != 4 {
+				t.Fatalf("request refused with %d: %v", code, err)
+			}
+			return
+		}
+		again, err := req.prepare(s)
+		if err != nil {
+			t.Fatalf("a second prepare refuses what the first took: %v", err)
+		}
+		if again.Key != p.Key || !slices.Equal(again.Parts, p.Parts) {
+			t.Fatalf("a second prepare gives key %s parts %v, the first %s %v", again.Key, again.Parts, p.Key, p.Parts)
+		}
+		if len(req.Deployments) == 1 {
+			if p.Parts != nil {
+				t.Fatalf("a one-deployment request has parts %v", p.Parts)
+			}
+			return
+		}
+		if len(p.Parts) != len(req.Deployments) {
+			t.Fatalf("%d deployments, %d parts", len(req.Deployments), len(p.Parts))
+		}
+		for i := range req.Deployments {
+			sub := req
+			sub.Deployments = req.Deployments[i : i+1]
+			one, err := sub.prepare(s)
+			if err != nil || one.Key != p.Parts[i] {
+				t.Fatalf("deployment %d: its one-deployment request prepares to %v (%v), the part says %s", i, one, err, p.Parts[i])
+			}
+		}
+	})
+}

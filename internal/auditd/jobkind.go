@@ -11,8 +11,6 @@ package auditd
 import (
 	"sync/atomic"
 	"time"
-
-	"indaas/internal/report"
 )
 
 // jobKind is one registered kind of job.
@@ -40,9 +38,9 @@ type jobKind struct {
 
 // jobRequest is a kind's wire request. prepare is the whole of a kind's
 // submission logic: validate and normalize, resolve the data it runs against,
-// derive the content address, plan a delta against the lineage if the kind
-// has one, and build the run closure with its routing facts. An error carries
-// its HTTP status (see statusErr).
+// derive the content address, plan a splice if the kind has one, and build
+// the run closure with its routing facts. An error carries its HTTP status
+// (see statusErr).
 type jobRequest interface {
 	prepare(s *Server) (*preparedJob, error)
 }
@@ -86,7 +84,6 @@ const (
 	provMemoryHit                   // the memory tier held the result
 	provDiskHit                     // the disk store held it (promoted to memory)
 	provPeerHit                     // an extra tier — a cluster peer's cache — held it
-	provAdopted                     // a delta ancestor's bytes answer it verbatim
 	provCoalesced                   // attached to an identical in-flight computation
 )
 
@@ -101,16 +98,10 @@ type preparedJob struct {
 	Workload
 	title     string
 	timeoutMS int64
-	// reg, when set, publishes the finished result into the delta-audit
-	// lineage. A delta planner that found a usable ancestor leaves either
-	// adopt — its result valid verbatim, adoptRep its struct when retained:
-	// finish instantly, no computation — or partial: Run re-audits only the
-	// dirty subjects.
-	reg      *lineageReg
-	adopt    *EncodedResult
-	adoptRep *report.Report
-	partial  bool
-	dirty    []string
+	// partial marks a run that splices held deployment audits (planSplice);
+	// dirty lists the servers of the deployments it re-audits.
+	partial bool
+	dirty   []string
 	// accepted is the kind's own counter of accepted jobs, if it keeps one.
 	accepted *atomic.Int64
 
@@ -118,11 +109,13 @@ type preparedJob struct {
 	org  origin
 	// job is the handle the resolve stage builds, under a pre-allocated id,
 	// for admit to settle, attach or start — or drop. prov is what answered
-	// it so far (provComputed = nothing yet). staleJournal asks submitJob to
-	// tombstone the job's journal record: admit made no job for it to speak
-	// for, or settled the job on the spot.
+	// it so far (provComputed = nothing yet), and hit the result a tier
+	// answered with. staleJournal asks submitJob to tombstone the job's
+	// journal record: admit made no job for it to speak for, or settled the
+	// job on the spot.
 	job          *job
 	prov         provenance
+	hit          *EncodedResult
 	staleJournal bool
 }
 
@@ -150,8 +143,7 @@ func (s *Server) submitJob(k *jobKind, req jobRequest, org origin) (JobStatus, e
 }
 
 // resolveJob is the submit path's lock-free stage: all the IO a submission
-// may need happens here, before admit takes the job-table lock once. An
-// adopted ancestor is written through under its new address; otherwise the
+// may need happens here, before admit takes the job-table lock once. The
 // memory tier is probed, then — unless an identical computation is in flight,
 // whose result the lower tiers cannot hold yet — disk and any extras (a
 // cluster peer's cache): reading and checksumming a large persisted report,
@@ -174,17 +166,8 @@ func (s *Server) resolveJob(p *preparedJob) {
 		j.timeout = time.Duration(p.timeoutMS) * time.Millisecond
 	}
 	p.job = j
-	if p.adopt != nil {
-		// A delta adoption — the database changed but the change missed this
-		// job's subjects — is a hit whose result arrived with the submission.
-		// Persist it before any waiter can observe "done", like a computed one.
-		s.dropCached(s.persistResult("delta-adopted result", p.Key, p.adopt), p.Key)
-		s.cache.Put(p.Key, p.adopt)
-		p.prov = provAdopted
-		return
-	}
-	if _, ok := s.cache.Get(p.Key); ok {
-		p.prov = provMemoryHit
+	if r, ok := s.cache.Get(p.Key); ok {
+		p.prov, p.hit = provMemoryHit, r
 		return
 	}
 	if _, busy := s.inflight.Load(p.Key); !busy && len(s.tiers) > 1 {
@@ -192,7 +175,7 @@ func (s *Server) resolveJob(p *preparedJob) {
 			// An identical job may have promoted the same bytes during the
 			// probe; overwriting with an equal copy is harmless.
 			s.cache.Put(p.Key, r)
-			p.prov = provPeerHit
+			p.prov, p.hit = provPeerHit, r
 			if tier == tierDisk {
 				p.prov = provDiskHit
 			}

@@ -284,7 +284,6 @@ func TestJobStatusProvenanceGolden(t *testing.T) {
 		{"memory hit", job{prov: provMemoryHit}, `"cached":true,`},
 		{"disk hit", job{prov: provDiskHit}, `"cached":true,"disk_hit":true,`},
 		{"peer hit", job{prov: provPeerHit}, `"cached":true,`},
-		{"adopted", job{prov: provAdopted}, `"delta_hit":true,`},
 		{"partial", job{prov: provComputed, partial: true, dirtySubjects: dirty}, `"delta_hit":true,"dirty_subjects":["s1","s2"],`},
 		{"coalesced", job{prov: provCoalesced}, `"coalesced":true,`},
 		{"coalesced onto a partial", job{prov: provCoalesced, partial: true, dirtySubjects: dirty}, `"coalesced":true,"delta_hit":true,"dirty_subjects":["s1","s2"],`},
@@ -320,7 +319,9 @@ func TestAlgorithmOptionsKeepContentAddresses(t *testing.T) {
 		{&SubmitRequest{Deployments: deployments, Algorithm: "failure-sampling", Rounds: 2000, Seed: 42, SamplerWorkers: 4, FailureProb: 0.25, ScoreTopN: 2, MaxSets: 6, MaxSize: 3, TimeoutMS: 50},
 			"14fcd885a2b4ccd07d1a2929912ec342c11f7b3ee859e1229c86c834080913a6"},
 	} {
-		if got, err := c.req.CacheKey("fp"); err != nil || got != c.want {
+		n, _, err := c.req.normalize()
+		n.DBFingerprint = "fp"
+		if got := n.key(); err != nil || got != c.want {
 			t.Errorf("audit request %d: key %s, %v; want %s", i, got, err, c.want)
 		}
 	}

@@ -33,9 +33,9 @@ type counters[C, H any] struct {
 	IngestGroups       C // commit groups: concurrent ingests fold into one per fsync pair, so ≪ requests under load
 	IngestThrottled    C // ingests rejected by the admission rate limit
 	WatchReaudits      C // re-audit jobs submitted by watch refreshers
-	DeltaHits          C // jobs answered whole from an ancestor result: the database change missed their subjects
-	DeltaPartials      C // jobs that re-audited only their dirty subjects and spliced the rest from an ancestor
-	DeltaDirtySubjects C // dirty subjects totalled across delta-partial jobs
+	DeltaHits          C // memory hits on a result this process computed against an older database: every change since missed the records the job reads
+	DeltaPartials      C // jobs that spliced held deployment audits, re-auditing only the deployments the memo lacked
+	DeltaDirtySubjects C // servers of the deployments delta-partial jobs re-audited
 	StoreHits          C // jobs answered from the disk tier
 	StoreEvictions     C // disk evictions mirrored into the memory LRU
 	StoreErrors        C // persist failures (results stayed in memory)
@@ -52,7 +52,7 @@ type counters[C, H any] struct {
 	IngestNotify H // ingest dirtying a watch → event queued
 	// ResultEncode times the one JSON encode each computed result gets, and
 	// ResultDecodes counts stored results decoded back into structs
-	// (in-process Result/Report calls, delta planners): serving a report or
+	// (in-process Result/Report calls): serving a report or
 	// cache read moves neither. ResultBytes totals the bytes those reads wrote.
 	ResultEncode  H
 	ResultDecodes C
@@ -132,13 +132,12 @@ func (s *Server) Stats() Stats {
 }
 
 // HitRate is the fraction of accepted jobs that did not need their own
-// computation (memory cache hits, disk store hits, delta lineage hits, and
-// in-flight coalescing).
+// computation (memory, disk and peer tier hits, and in-flight coalescing).
 func (s Stats) HitRate() float64 {
 	if s.Submitted == 0 {
 		return 0
 	}
-	return float64(s.CacheHits+s.StoreHits+s.DeltaHits+s.Coalesced) / float64(s.Submitted)
+	return float64(s.CacheHits+s.StoreHits+s.Coalesced) / float64(s.Submitted)
 }
 
 // MetricKind is a series' Prometheus type, as its # TYPE line spells it.
@@ -196,9 +195,9 @@ func (s Stats) rows() []Metric {
 		{"auditd_watch_evicted_total", "Watch subscribers evicted as slow consumers.", Counter, s.WatchEvicted},
 		{"auditd_watch_dirty_marks_total", "Times an ingest marked a watch subscription dirty.", Counter, s.WatchDirtyMarks},
 		{"auditd_watch_reaudits_total", "Re-audit jobs submitted by watch refreshers.", Counter, s.WatchReaudits},
-		{"auditd_delta_hits_total", "Jobs answered whole from an ancestor result (database changed, subjects untouched).", Counter, s.DeltaHits},
-		{"auditd_delta_partial_total", "Jobs that re-audited only their dirty subjects and spliced the rest.", Counter, s.DeltaPartials},
-		{"auditd_delta_dirty_subjects_total", "Dirty subjects re-audited across delta-partial jobs.", Counter, s.DeltaDirtySubjects},
+		{"auditd_delta_hits_total", "Memory hits on a result this process computed against an older database: every change since missed the records the job reads.", Counter, s.DeltaHits},
+		{"auditd_delta_partial_total", "Jobs that spliced held deployment audits, re-auditing only the deployments the memo lacked.", Counter, s.DeltaPartials},
+		{"auditd_delta_dirty_subjects_total", "Servers of the deployments re-audited across delta-partial jobs.", Counter, s.DeltaDirtySubjects},
 		{"auditd_cache_hit_rate", "Fraction of jobs served without a dedicated computation.", Gauge, s.HitRate()},
 		{"auditd_cache_entries", "Reports currently in the result cache.", Gauge, s.CacheEntries},
 		{"auditd_queue_depth", "Computations waiting for a worker.", Gauge, s.QueueDepth},
@@ -212,7 +211,7 @@ func (s Stats) rows() []Metric {
 		{"auditd_ingest_commit_seconds", "Ingest group commit latency (snapshot persist, depdb apply, watch notify).", Histogram, s.IngestCommit},
 		{"auditd_ingest_notify_seconds", "Latency from an ingest dirtying a watch subscription to its notification event being queued.", Histogram, s.IngestNotify},
 		{"auditd_result_encode_seconds", "JSON encode time of computed results (one encode per computation; reads serve the stored bytes).", Histogram, s.ResultEncode},
-		{"auditd_result_decodes_total", "Stored results decoded into structs (in-process consumers and delta planners; never the HTTP read path).", Counter, s.ResultDecodes},
+		{"auditd_result_decodes_total", "Stored results decoded into structs (in-process consumers; never the HTTP read path).", Counter, s.ResultDecodes},
 		{"auditd_result_bytes_total", "Encoded result payload bytes served by the report and cache routes.", Counter, s.ResultBytes},
 		{"auditd_degraded", "1 while the daemon serves memory-only after store failures.", Gauge, degraded},
 	}

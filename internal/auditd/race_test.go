@@ -10,8 +10,8 @@ import (
 
 // TestConcurrentIngestSubmitRecommend interleaves ingests, audits and
 // recommendations on a durable server. The -race run in CI is the real
-// assertion — ingest persistence, snapshot resolution, delta planning and
-// lineage registration all racing — while the checks here pin that every
+// assertion — ingest persistence, snapshot resolution, scope digests and
+// memo fills all racing — while the checks here pin that every
 // job completes and every ingest lands.
 func TestConcurrentIngestSubmitRecommend(t *testing.T) {
 	st := openStore(t, t.TempDir())

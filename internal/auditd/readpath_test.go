@@ -233,7 +233,7 @@ func TestResponsesAreCompactWithContentLength(t *testing.T) {
 	}
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	blob, err := json.Marshal(v)
 	if err != nil {

@@ -63,7 +63,8 @@ type RecommendRequest struct {
 
 // normalizedRecommend is the canonical, defaults-applied form the cache key
 // hashes. Op keeps recommendation keys disjoint from audit keys even if the
-// remaining fields ever marshaled identically.
+// remaining fields ever marshaled identically. For a server-database search
+// the db field is the scope of fixed ∪ nodes under the kinds.
 type normalizedRecommend struct {
 	Op            string   `json:"op"` // always "recommend"
 	DBFingerprint string   `json:"db"`
@@ -81,8 +82,8 @@ type normalizedRecommend struct {
 }
 
 // normalize validates the request and produces the canonical form (minus
-// the DB fingerprint and node pool, resolved by the caller against the
-// database snapshot) plus the placement request to run.
+// the db field and node pool, resolved by the caller against the database
+// snapshot) plus the placement request to run.
 func (r *RecommendRequest) normalize() (normalizedRecommend, placement.Request, error) {
 	n := normalizedRecommend{Op: "recommend"}
 	var preq placement.Request
@@ -149,15 +150,6 @@ func (n *normalizedRecommend) key() string {
 	return canonicalKey(n)
 }
 
-// requestKey derives the database-independent identity; see
-// normalized.requestKey. The resolved node pool is part of the identity, so
-// an ingest that adds a pool subject naturally starts a fresh lineage.
-func (n *normalizedRecommend) requestKey() string {
-	c := *n
-	c.DBFingerprint = ""
-	return canonicalKey(&c)
-}
-
 // PlacementRequest validates the request's options and converts them into
 // the placement engine's form, with the same defaults the service applies
 // (sampler pinned to Seed 1 / one worker for host-independent results).
@@ -194,8 +186,9 @@ func (s *Server) Recommend(req *RecommendRequest) (JobStatus, error) {
 
 // prepare readies a recommendation: the candidate pool is resolved against
 // the snapshot, structurally impossible searches are refused, and the run
-// closure searches the deployment space. Server-database requests delta at
-// candidate granularity (see planRecommendDelta).
+// closure searches the deployment space. A server-database search reads and
+// fills the server's candidate scores (candidateScores), so it re-audits only
+// the candidates whose records moved since they were last scored.
 func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 	n, preq, err := r.normalize()
 	if err != nil {
@@ -205,8 +198,6 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.DBFingerprint = snap.Fingerprint()
-
 	// Resolve the candidate pool against the snapshot: an empty pool means
 	// every subject with records, minus the fixed nodes.
 	if len(r.Nodes) > 0 {
@@ -234,32 +225,26 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 		return nil, &statusErr{code: 400, err: err}
 	}
 
+	inline := len(r.Records) > 0
+	n.DBFingerprint = snap.Fingerprint()
+	if !inline {
+		n.DBFingerprint = snap.Scope(append(append([]string(nil), n.Fixed...), n.Nodes...), preq.Kinds)
+		preq.Cache = &candidateScores{memo: s.scores, snap: snap, kinds: n.Kinds, audit: normalized{
+			algorithmOptions: n.algorithmOptions, MaxSets: n.MaxSets, MaxSize: n.MaxSize,
+		}}
+	}
 	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.Recommendations, Workload: Workload{
 		Key:           n.key(),
-		DBFingerprint: n.DBFingerprint,
-		SelfContained: len(r.Records) > 0,
+		DBFingerprint: snap.Fingerprint(),
+		SelfContained: inline,
+		Run: func(ctx context.Context) (any, error) {
+			res, err := placement.Search(ctx, snap, preq)
+			if err != nil {
+				return nil, err
+			}
+			return RecommendResponseFromResult(res), nil
+		},
 	}}
-	if len(r.Records) == 0 {
-		universe := append(append([]string(nil), n.Fixed...), n.Nodes...)
-		p.reg = &lineageReg{reqKey: n.requestKey(), entry: &lineageEntry{
-			fp: snap.Fingerprint(), snap: snap, kinds: preq.Kinds, nodes: universe,
-		}}
-		s.planRecommendDelta(p, snap, &preq)
-	}
-	reg := p.reg
-	p.Run = func(ctx context.Context) (any, error) {
-		res, err := placement.Search(ctx, snap, preq)
-		if err != nil {
-			return nil, err
-		}
-		if reg != nil && len(res.Scores) <= lineageMaxScores {
-			// Retain the memo for future delta searches. Safe without a
-			// lock: the entry is published to the lineage only after this
-			// closure returns (finishLocked).
-			reg.entry.scores = res.Scores
-		}
-		return RecommendResponseFromResult(res), nil
-	}
 	return p, nil
 }
 

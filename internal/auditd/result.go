@@ -19,6 +19,10 @@ type EncodedResult struct {
 	// obj is the payload as one newline-terminated compact JSON object with
 	// no title: `{"audits":[…]}\n`. Never written after construction.
 	obj []byte
+	// computedOn is the database fingerprint this process computed the
+	// result against (Workload.DBFingerprint); empty for a result read from
+	// disk or relayed by a peer. Set before the result is shared.
+	computedOn string
 }
 
 // newEncodedResult adopts line — one compact payload object and its

@@ -128,7 +128,7 @@ func liveHeap() uint64 {
 // more cold k=16 audits than the memory tier holds, on a store-less daemon,
 // the live heap the jobs added is their encoded results still in the tier
 // (≤ 1.2× their size — no second, decoded copy anywhere) plus ≤ 2 KB per
-// job for its handle, trace and lineage entry; the evicted jobs answer 410
+// job for its handle and trace; the evicted jobs answer 410
 // with a resubmit hint while their handles still poll; and the same
 // sequence on a durable daemon answers every report, the evicted ones from
 // disk.
@@ -289,12 +289,11 @@ func TestReadPathsRunNoCodec(t *testing.T) {
 	}
 }
 
-// TestWatchRefreshRunsOneEncodeNoDecode: once a watched request has a second
-// generation the lineage retains the newest report as a struct, so every
-// further refresh — splice against it, hand it to the subscriber — costs
-// exactly one encode (the spliced result's) and no decode. Only the first
-// two reports pay one: the initial report's struct for the subscriber, and
-// the first refresh's ancestor.
+// TestWatchRefreshRunsOneEncodeNoDecode: a watched multi-deployment request
+// holds its deployment audits and its newest report as structs in the audits
+// memo, so every report — the initial one and each refresh's splice — costs
+// exactly one encode (its computation's) and no decode, and a resubmission
+// after an unrelated ingest is a plain hit that costs neither.
 func TestWatchRefreshRunsOneEncodeNoDecode(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
@@ -307,52 +306,45 @@ func TestWatchRefreshRunsOneEncodeNoDecode(t *testing.T) {
 	if ev := nextWatchEvent(t, sub); ev.Report == nil || ev.Report.Title != "live" {
 		t.Fatalf("initial event = %+v", ev)
 	}
-	if enc, dec := codecCounts(s); enc != 1 || dec != 1 {
-		t.Fatalf("initial report: %d encodes, %d decodes, want 1 and 1", enc, dec)
+	if enc, dec := codecCounts(s); enc != 1 || dec != 0 {
+		t.Fatalf("initial report: %d encodes, %d decodes, want 1 and 0", enc, dec)
 	}
 	flap := func(i int) {
 		subject := []string{"s3", "s1"}[i%2] // alternate the dirty deployment
 		mustIngest(t, s, []RecordWire{{Kind: "software", Pgm: fmt.Sprintf("daemon-%d", i), HW: subject, Deps: []string{"libc6"}}})
 	}
-	flap(0)
-	if ev := nextWatchEvent(t, sub); !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 1 {
-		t.Fatalf("first refresh = %+v, want a splice", ev.Job)
-	}
-	if enc, dec := codecCounts(s); enc != 2 || dec != 2 {
-		t.Fatalf("first refresh: %d encodes, %d decodes in total, want 2 and 2 (the ancestor decodes once)", enc, dec)
-	}
-	for i := 1; i <= 6; i++ {
+	for i := 0; i <= 6; i++ {
 		encBefore, decBefore := codecCounts(s)
 		if i == 4 {
-			// A change that misses every watched server adopts the newest
-			// result whole under a new address: the bytes move, the retained
-			// struct moves with them, nothing is encoded or decoded.
+			// A change that misses every watched server keeps the address: the
+			// resubmission is a memory hit, and its in-process read takes the
+			// held struct — nothing is encoded or decoded.
 			mustIngest(t, s, []RecordWire{{Kind: "hardware", HW: "spare", Type: "NIC", Dep: "spare-nic"}})
-			st := mustSubmit(t, s, deltaAuditRequest("adopter"))
-			if !st.DeltaHit || len(st.DirtySubjects) != 0 || st.State != StateDone {
-				t.Fatalf("resubmission after an unrelated ingest = %+v, want a whole adoption", st)
+			st := mustSubmit(t, s, deltaAuditRequest("unrelated"))
+			if !st.Cached || st.DeltaHit || st.State != StateDone {
+				t.Fatalf("resubmission after an unrelated ingest = %+v, want a plain hit", st)
 			}
-			if rep, err := s.Report(st.ID); err != nil || rep.Title != "adopter" {
-				t.Fatalf("adopted report: %v", err)
+			if rep, err := s.Report(st.ID); err != nil || rep.Title != "unrelated" {
+				t.Fatalf("resubmission's report: %v", err)
 			}
 			if enc, dec := codecCounts(s); enc != encBefore || dec != decBefore {
-				t.Fatalf("a whole adoption and its in-process read ran %d encodes, %d decodes", enc-encBefore, dec-decBefore)
+				t.Fatalf("a plain hit and its in-process read ran %d encodes, %d decodes", enc-encBefore, dec-decBefore)
 			}
 		}
 		flap(i)
 		ev := nextWatchEvent(t, sub)
-		if ev.Error != "" || ev.Report == nil || ev.Report.Title != "live" || !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 1 {
+		if ev.Error != "" || ev.Report == nil || ev.Report.Title != "live" || !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 2 {
 			t.Fatalf("refresh %d = %+v", i+1, ev)
 		}
 		if enc, dec := codecCounts(s); enc != encBefore+1 || dec != decBefore {
 			t.Fatalf("refresh %d ran %d encodes and %d decodes, want exactly one encode", i+1, enc-encBefore, dec-decBefore)
 		}
 	}
-	s.mu.Lock()
-	retained := len(s.lineage.reports)
-	s.mu.Unlock()
-	if retained != 1 {
-		t.Fatalf("the lineage retains %d report structs for one watched identity, want 1", retained)
+	// One group per report the watch computed — the initial audit and seven
+	// splices; the plain hit added none. Each older group pins only its
+	// assembled report and the deployment audit its refresh re-audited.
+	if held := s.audits.Len(); held != 1+7 {
+		t.Fatalf("the audits memo holds %d groups, want 8", held)
 	}
 	// The streamed splice is still what a full recompute produces.
 	last := mustSubmit(t, s, deltaAuditRequest("check"))
@@ -371,6 +363,6 @@ func TestWatchRefreshRunsOneEncodeNoDecode(t *testing.T) {
 		t.Fatal(err)
 	}
 	if auditsJSON(t, got) != auditsJSON(t, full) {
-		t.Fatal("after a run of retained-struct splices the report diverges from a full recompute")
+		t.Fatal("after a run of held-audit splices the report diverges from a full recompute")
 	}
 }

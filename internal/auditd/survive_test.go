@@ -68,8 +68,9 @@ func journalEntries(st *store.Store) []string {
 
 // TestJournalRecoveryAfterCrash is the tentpole contract: a job accepted
 // before a kill -9 is re-enqueued at the next boot under its original id,
-// completes with the same report an uninterrupted run produces, re-anchors
-// the delta lineage, and its journal record is tombstoned.
+// completes with the same report an uninterrupted run produces, is served
+// again after an ingest its servers do not read, and its journal record is
+// tombstoned.
 func TestJournalRecoveryAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
@@ -138,15 +139,15 @@ func TestJournalRecoveryAfterCrash(t *testing.T) {
 	waitNoJournal(t, st2)
 
 	// Fresh ids continue past the recovered one, and the recovered job's
-	// completion re-anchored the lineage: ingest-then-resubmit delta-hits.
+	// result answers its address: ingest-then-resubmit is a plain hit.
 	next := mustSubmit(t, s2, deltaAuditRequest("next"))
 	if next.ID != "job-000002" {
 		t.Fatalf("post-recovery id = %s, want job-000002", next.ID)
 	}
 	mustIngest(t, s2, []RecordWire{{Kind: "hardware", HW: "spare-9", Type: "NIC", Dep: "spare-9-nic"}})
 	delta := mustSubmit(t, s2, deltaAuditRequest("post-crash-delta"))
-	if delta.State != StateDone || !delta.DeltaHit {
-		t.Fatalf("post-crash delta = %+v", delta)
+	if delta.State != StateDone || !delta.Cached {
+		t.Fatalf("post-crash resubmission = %+v, want a plain hit", delta)
 	}
 	if got := s2.Stats().Computations; got != 1 {
 		t.Fatalf("computations = %d, want only the recovered job's", got)
@@ -340,7 +341,7 @@ func TestWatchRefreshNotResurrected(t *testing.T) {
 	nextWatchEvent(t, sub2)
 	puts := st2.Stats().Puts
 	mustIngest(t, s2, []RecordWire{{Kind: "software", Pgm: "etcd", HW: "s3", Deps: []string{"libc6"}}})
-	if ev := nextWatchEvent(t, sub2); !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 1 {
+	if ev := nextWatchEvent(t, sub2); !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 2 {
 		t.Fatalf("refresh after a dirtying ingest = %+v, want a splice", ev.Job)
 	}
 	// Segment + pointer for the ingest, one result for the splice: no job/.

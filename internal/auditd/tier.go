@@ -30,78 +30,123 @@ type ResultTier interface {
 // hit (auditd_store_hits_total, JobStatus.DiskHit) from a peer-tier one.
 const tierDisk = "disk"
 
-// memoryTier is the first tier: a bounded LRU of encoded results behind its
-// own lock, so delta planning, report reads and /v1/cache never take the
-// job-table lock. Entries are immutable and shared by reference (an adopting
-// key, a response being written).
-type memoryTier struct {
+// memo is a bounded LRU map from content address to a value held in memory,
+// behind its own lock so splice planning, report reads and /v1/cache never
+// take the job-table lock. Values are immutable and shared by reference.
+// Recency and the bound count groups — the values one PutAll holds, dropped
+// together — so a request's values are held whole however many it has. A key
+// answers from the newest group holding it. A capacity ≤ 0 holds nothing.
+type memo[V any] struct {
 	mu      sync.Mutex
-	cap     int
-	order   *list.List // front = most recently used; values are *cacheEntry
-	entries map[string]*list.Element
+	cap     int        // in groups
+	order   *list.List // front = most recently used; values are *memoGroup[V]
+	entries map[string]memoSlot
 }
 
-type cacheEntry struct {
-	key string
-	res *EncodedResult
+// memoGroup is one PutAll's values, index-aligned with their keys; live
+// counts the keys that still answer from it.
+type memoGroup[V any] struct {
+	keys []string
+	vals []V
+	live int
+}
+
+// memoSlot is where a key's value is: its group's element and index.
+type memoSlot struct {
+	el *list.Element
+	i  int
+}
+
+func newMemo[V any](capacity int) *memo[V] {
+	return &memo[V]{cap: capacity, order: list.New(), entries: make(map[string]memoSlot)}
+}
+
+// Get returns the value held for key and marks its group recently used.
+func (m *memo[V]) Get(key string) (V, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sl, ok := m.entries[key]
+	if !ok {
+		var zero V
+		return zero, false
+	}
+	m.order.MoveToFront(sl.el)
+	return sl.el.Value.(*memoGroup[V]).vals[sl.i], true
+}
+
+// Put holds val under key as a group of its own.
+func (m *memo[V]) Put(key string, val V) {
+	m.PutAll([]string{key}, []V{val})
+}
+
+// PutAll holds vals[i] under keys[i] as one group, dropping the least
+// recently used groups beyond capacity.
+func (m *memo[V]) PutAll(keys []string, vals []V) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.cap <= 0 {
+		return
+	}
+	g := &memoGroup[V]{keys: keys, vals: vals}
+	el := m.order.PushFront(g)
+	for i, k := range keys {
+		if m.entries[k].el != el {
+			m.forgetLocked(k)
+			g.live++
+		}
+		m.entries[k] = memoSlot{el, i}
+	}
+	for m.order.Len() > m.cap {
+		oldest := m.order.Back()
+		for _, k := range oldest.Value.(*memoGroup[V]).keys {
+			if m.entries[k].el == oldest {
+				delete(m.entries, k)
+			}
+		}
+		m.order.Remove(oldest)
+	}
+}
+
+// Remove drops key if present.
+func (m *memo[V]) Remove(key string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.forgetLocked(key)
+}
+
+// forgetLocked stops key answering from its group, and drops the group once
+// no key answers from it. Caller holds m.mu.
+func (m *memo[V]) forgetLocked(key string) {
+	sl, ok := m.entries[key]
+	if !ok {
+		return
+	}
+	delete(m.entries, key)
+	g := sl.el.Value.(*memoGroup[V])
+	if g.live--; g.live == 0 {
+		m.order.Remove(sl.el)
+	}
+}
+
+// Len reports the groups held: for the memory tier, its entries.
+func (m *memo[V]) Len() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.order.Len()
+}
+
+// memoryTier is the first tier: the memo of encoded results. Remove mirrors
+// disk-store evictions so the memory tier never claims an entry the durable
+// tier has given up on; Len is the auditd_cache_entries gauge.
+type memoryTier struct {
+	*memo[*EncodedResult]
 }
 
 func newMemoryTier(capacity int) *memoryTier {
-	return &memoryTier{cap: capacity, order: list.New(), entries: make(map[string]*list.Element)}
+	return &memoryTier{newMemo[*EncodedResult](capacity)}
 }
 
 func (t *memoryTier) Name() string { return "memory" }
-
-// Get returns the cached result for key and marks it recently used.
-func (t *memoryTier) Get(key string) (*EncodedResult, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.entries[key]
-	if !ok {
-		return nil, false
-	}
-	t.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-// Put stores a completed result, dropping the least recently used entries
-// beyond capacity.
-func (t *memoryTier) Put(key string, res *EncodedResult) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.cap <= 0 {
-		return
-	}
-	if el, ok := t.entries[key]; ok {
-		el.Value.(*cacheEntry).res = res
-		t.order.MoveToFront(el)
-		return
-	}
-	t.entries[key] = t.order.PushFront(&cacheEntry{key: key, res: res})
-	for t.order.Len() > t.cap {
-		oldest := t.order.Back()
-		t.order.Remove(oldest)
-		delete(t.entries, oldest.Value.(*cacheEntry).key)
-	}
-}
-
-// Remove drops key if present; it mirrors disk-store evictions so the memory
-// tier never claims an entry the durable tier has given up on.
-func (t *memoryTier) Remove(key string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if el, ok := t.entries[key]; ok {
-		t.order.Remove(el)
-		delete(t.entries, key)
-	}
-}
-
-// Len reports live entries (the auditd_cache_entries gauge).
-func (t *memoryTier) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.order.Len()
-}
 
 // diskTier is the persistent store read as a tier; writes go through
 // Server.persistResult, next to the circuit breaker.

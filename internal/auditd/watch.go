@@ -5,11 +5,11 @@ package auditd
 // ingest that touches one of the request's subjects triggers a re-audit
 // whose report is pushed to the subscriber over SSE (GET /v1/watch).
 //
-// The design leans entirely on the delta-audit machinery (delta.go): a
-// refresh is a plain re-Submit of the stored request, so the lineage index
-// decides — per refresh — whether the previous report can be adopted whole
-// (the change missed this request's subjects), spliced (only the dirty
-// deployments re-audit), or must recompute. Between refreshes, dirt only
+// The design leans entirely on content addressing (delta.go): a refresh is a
+// plain re-Submit of the stored request, whose address commits to the
+// records its deployments read — so per refresh the result tiers answer a
+// state seen before, the audits memo splices the deployments whose records
+// did not move, or the request recomputes. Between refreshes, dirt only
 // accumulates (internal/watch): a thousand ingests while one re-audit runs
 // cost exactly one follow-up re-audit, never a backlog.
 
@@ -42,16 +42,17 @@ var (
 var watchHeartbeat = 15 * time.Second
 
 // WatchEvent is one frame of a watch stream: the re-audit job's status
-// (which carries the delta verdict — delta_hit, dirty_subjects) and, when
-// the job succeeded, the fresh report.
+// (which says how it was answered — cached, delta_hit, dirty_subjects) and,
+// when the job succeeded, the fresh report.
 type WatchEvent struct {
 	// Seq numbers the subscription's events from 1.
 	Seq uint64 `json:"seq"`
 	// Trigger lists the ingested subjects that caused this refresh; empty
 	// for the subscription's initial report.
 	Trigger []string `json:"trigger,omitempty"`
-	// Job is the re-audit's terminal status: DeltaHit/DirtySubjects tell
-	// whether the refresh adopted, spliced, or recomputed.
+	// Job is the re-audit's terminal status: Cached when a result tier
+	// already held the refreshed address, DeltaHit/DirtySubjects when the
+	// refresh spliced held deployment audits, neither when it recomputed.
 	Job JobStatus `json:"job"`
 	// Fingerprint is the server database's canonical fingerprint at
 	// delivery time.
@@ -126,7 +127,7 @@ func (s *Server) Watch(req *SubmitRequest, buffer int) (*Subscription, error) {
 // union of the deployments' servers, and the union of the kinds any spec
 // wants (any spec wanting all kinds widens the mask to all). This mirrors
 // sia.DirtyDeployments — a touch that cannot dirty any spec never wakes the
-// refresher; one that might is settled precisely by the delta planner.
+// refresher; one that might is settled precisely by the refreshed address.
 func watchInterest(specs []sia.GraphSpec) watch.Interest {
 	var in watch.Interest
 	seen := make(map[string]struct{})
@@ -154,7 +155,7 @@ func watchInterest(specs []sia.GraphSpec) watch.Interest {
 
 // refreshLoop is a subscription's refresher: it sleeps until dirt
 // accumulates, re-audits the stored request through the ordinary submit
-// path (cache, lineage and delta planning all apply), and streams the
+// path (result tiers and splicing all apply), and streams the
 // outcome. It exits when the subscription ends — Close,
 // eviction, shutdown — or on a fatal submit error.
 func (s *Server) refreshLoop(sub *watch.Sub, req *SubmitRequest) {

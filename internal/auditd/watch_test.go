@@ -104,8 +104,8 @@ func TestWatchStreamsSplicedReaudit(t *testing.T) {
 	if ev2.Job.State != StateDone || !ev2.Job.DeltaHit || ev2.Report == nil {
 		t.Fatalf("re-audit event = %+v, want a spliced delta report", ev2)
 	}
-	if !reflect.DeepEqual(ev2.Job.DirtySubjects, []string{"s3"}) {
-		t.Fatalf("DirtySubjects = %v, want [s3]", ev2.Job.DirtySubjects)
+	if !reflect.DeepEqual(ev2.Job.DirtySubjects, []string{"s3", "s4"}) {
+		t.Fatalf("DirtySubjects = %v, want the re-audited deployment's servers [s3 s4]", ev2.Job.DirtySubjects)
 	}
 
 	// Acceptance: the spliced report a subscriber receives equals the full

@@ -131,7 +131,9 @@ type SubmitRequest struct {
 
 // normalized is the canonical, defaults-applied form of a request that the
 // cache key hashes: two requests that can only produce identical reports
-// (titles aside) normalize identically.
+// (titles aside) normalize identically. DBFingerprint is the "db" field: an
+// inline request's private-database fingerprint, or the scope of the server
+// records its deployments read.
 type normalized struct {
 	DBFingerprint    string           `json:"db"`
 	Deployments      []DeploymentWire `json:"deployments"`
@@ -201,8 +203,8 @@ func normalizeAlgorithm(algorithm string, rounds int, seed int64, workers int, f
 }
 
 // normalize validates the request's option fields and applies defaults,
-// returning the canonical form (minus the DB fingerprint, filled in by the
-// caller) and the sia options to run with.
+// returning the canonical form (minus the db field, filled in by
+// normalized.address) and the sia options to run with.
 func (r *SubmitRequest) normalize() (normalized, sia.Options, error) {
 	var n normalized
 	var opts sia.Options
@@ -274,32 +276,10 @@ func (n *normalized) specs() []sia.GraphSpec {
 }
 
 // key derives the content address: the SHA-256 of the canonical JSON of the
-// normalized request (which embeds the DepDB snapshot fingerprint).
+// normalized request, whose db field names the records it reads (see
+// normalized.address).
 func (n *normalized) key() string {
 	return canonicalKey(n)
-}
-
-// CacheKey derives the content address the request would be cached under
-// against a database with the given fingerprint, without submitting it. The
-// cluster router uses it to route the per-deployment sub-audits of a fanned-
-// out request to their hash owners.
-func (r *SubmitRequest) CacheKey(dbFingerprint string) (string, error) {
-	n, _, err := r.normalize()
-	if err != nil {
-		return "", err
-	}
-	n.DBFingerprint = dbFingerprint
-	return n.key(), nil
-}
-
-// requestKey derives the database-independent identity of the request: the
-// content address with the DepDB fingerprint blanked. Results computed for
-// the same requestKey against different database generations form one
-// lineage, which is what delta audits walk to find a reusable ancestor.
-func (n *normalized) requestKey() string {
-	c := *n
-	c.DBFingerprint = ""
-	return canonicalKey(&c)
 }
 
 // canonicalKey hashes a normalized request form (audit or recommendation)
@@ -330,14 +310,15 @@ type JobStatus struct {
 	// Coalesced is true when the job attached to an identical in-flight
 	// computation instead of enqueueing its own.
 	Coalesced bool `json:"coalesced,omitempty"`
-	// DeltaHit is true when the job was answered through the delta-audit
-	// lineage: the database changed since an identical request was computed,
-	// but the change did not reach the job's subjects (instant answer,
-	// DirtySubjects empty) or reached only some of them (only those were
-	// re-audited; DirtySubjects lists them).
+	// DeltaHit is true when the job's computation spliced deployment audits
+	// the server held from earlier computations into its report, auditing
+	// only the deployments whose records moved. (An ingest that misses every
+	// audited server leaves the content address alone: that resubmission is a
+	// plain Cached hit.)
 	DeltaHit bool `json:"delta_hit,omitempty"`
-	// DirtySubjects are the job's subjects whose dependency records changed
-	// since the ancestor result this job reused was computed.
+	// DirtySubjects are the servers of the deployments a DeltaHit job
+	// re-audited; empty when every deployment was spliced. Recommendations
+	// omit it: their Evaluated count is the candidates re-scored.
 	DirtySubjects []string `json:"dirty_subjects,omitempty"`
 	// Recovered marks a job replayed from the crash journal at boot: a
 	// submission an earlier process accepted but never settled, re-enqueued

@@ -289,6 +289,71 @@ func TestClusterPeerCacheHit(t *testing.T) {
 	}
 }
 
+// TestClusterPeerHitAcrossDivergedDatabases: two nodes whose databases
+// differ only in a machine no deployment names share results. The address of
+// a server-database audit names the records its deployment reads, so both
+// nodes derive the same one: computed on the key's owner, it is a peer-tier
+// hit on the other node, which computes nothing.
+func TestClusterPeerHitAcrossDivergedDatabases(t *testing.T) {
+	nodes := startCluster(t, 2)
+	ctx := context.Background()
+	if _, err := nodes[0].c.Ingest(ctx, clusterRecords()); err != nil {
+		t.Fatal(err)
+	}
+	// A record only node 1 holds: a replica is never replicated onward.
+	if _, err := nodes[1].s.Ingest(&auditd.IngestRequest{Replicated: true, Records: []auditd.RecordWire{
+		{Kind: "hardware", HW: "spare-1", Type: "NIC", Dep: "spare-1-x520"},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if nodes[0].s.Stats().IngestedRecords == nodes[1].s.Stats().IngestedRecords {
+		t.Fatal("the two databases did not diverge")
+	}
+	// Salt the deployment name until node 0 owns the address, so the first
+	// run computes on the owner: a non-owner would compute locally, its
+	// database being ineligible for the forward.
+	owner, other := nodes[0], nodes[1]
+	var req *auditd.SubmitRequest
+	var key string
+	for salt := 0; salt < 16 && req == nil; salt++ {
+		r := &auditd.SubmitRequest{
+			Title:       "diverged",
+			Deployments: []auditd.DeploymentWire{{Name: fmt.Sprintf("s1+s2-%d", salt), Servers: []string{"s1", "s2"}}},
+		}
+		st, err := owner.c.Submit(ctx, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if done, err := owner.c.WaitDone(ctx, st.ID); err != nil || done.State != auditd.StateDone {
+			t.Fatalf("run on node 0 = %+v, %v", done, err)
+		}
+		if owner.node.OwnerOf(st.CacheKey) == owner.addr {
+			req, key = r, st.CacheKey
+		}
+	}
+	if req == nil {
+		t.Fatal("16 salts and node 0 never owned an address")
+	}
+	before := other.s.Stats().Computations
+	st, err := other.c.Submit(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != auditd.StateDone || !st.Cached || st.CacheKey != key {
+		t.Fatalf("submit on the non-owner = %+v, want a peer-tier hit on %s", st, key)
+	}
+	if got := other.s.Stats().Computations; got != before {
+		t.Fatalf("the non-owner computed (%d -> %d) a result its peer holds", before, got)
+	}
+	text, err := other.c.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metricValue(t, text, "auditd_cluster_peer_cache_hits_total") != 1 {
+		t.Fatal("the hit did not come from the peer tier")
+	}
+}
+
 // TestClusterFanoutMatchesSingleNode: a many-deployment audit fanned out
 // across the fleet splices to exactly the report a lone node computes —
 // same deployments, same order, same risk groups.

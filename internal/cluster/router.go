@@ -35,7 +35,7 @@ func (r *router) Submit(ctx context.Context, w *auditd.Workload, cb auditd.ExecC
 	if w.NoForward || w.Wire == nil {
 		return r.inner.Submit(ctx, w, cb)
 	}
-	if sr, ok := w.Wire.(*auditd.SubmitRequest); ok && len(sr.Deployments) >= 2 && r.n.healthyPeers() > 0 {
+	if sr, ok := w.Wire.(*auditd.SubmitRequest); ok && len(sr.Deployments) >= 2 && len(w.Parts) == len(sr.Deployments) && r.n.healthyPeers() > 0 {
 		r.wg.Add(1)
 		go r.fanout(ctx, w, sr, cb)
 		return nil
@@ -176,8 +176,10 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 
 // fanout splits a many-deployment audit into one sub-audit per deployment,
 // routes each — over HTTP, self included, all marked forwarded — to the
-// hash owner of its own content address, and splices the sub-reports back
-// into one report ranked exactly as a single-node run would have ranked it.
+// hash owner of its own content address (the workload's part for it, the
+// address the sub-audit gets wherever the deployment's records match), and
+// splices the sub-reports back into one report ranked exactly as a
+// single-node run would have ranked it.
 // Any sub-audit failing abandons the fan-out and computes the whole parent
 // locally: the spliced answer must never be partial.
 func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.SubmitRequest, cb auditd.ExecCallbacks) {
@@ -203,7 +205,7 @@ func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.Subm
 		wg.Add(1)
 		go func(i int, sub auditd.SubmitRequest) {
 			defer wg.Done()
-			results[i].rep, results[i].err = r.subAudit(ctx, w, &sub)
+			results[i].rep, results[i].err = r.subAudit(ctx, w, w.Parts[i], &sub)
 		}(i, sub)
 	}
 	wg.Wait()
@@ -225,15 +227,12 @@ func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.Subm
 	cb.Done(spliced, nil)
 }
 
-// subAudit runs one single-deployment sub-request on the owner of its own
-// content address. Owners that are dead, diverged, or this node itself all
-// resolve to self — the sub still travels the forwarded-HTTP path, so every
-// sub-audit is journaled, cached, and counted identically wherever it runs.
-func (r *router) subAudit(ctx context.Context, parent *auditd.Workload, sub *auditd.SubmitRequest) (*report.Report, error) {
-	key, err := sub.CacheKey(parent.DBFingerprint)
-	if err != nil {
-		return nil, err
-	}
+// subAudit runs one single-deployment sub-request on the owner of its
+// content address, key. Owners that are dead, diverged, or this node itself
+// all resolve to self — the sub still travels the forwarded-HTTP path, so
+// every sub-audit is journaled, cached, and counted identically wherever it
+// runs.
+func (r *router) subAudit(ctx context.Context, parent *auditd.Workload, key string, sub *auditd.SubmitRequest) (*report.Report, error) {
 	owner := r.n.ring.owner(key, r.n.peerAlive)
 	if owner == "" || owner == r.n.cfg.Self {
 		owner = r.n.cfg.Self

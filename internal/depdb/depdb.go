@@ -40,8 +40,10 @@
 // order, repetition or compaction produced them — and is maintained
 // incrementally: a homomorphic set hash over canonical record
 // serializations from which a superseded record's digest is subtracted, so
-// a commit costs O(batch), not O(database). Two snapshots can also be
-// compared record-wise with Diff, the primitive delta audits are built on.
+// a commit costs O(batch), not O(database). Scope addresses a part of the
+// state the same way — the records some subjects hold under some kinds — so a
+// result that reads only those keeps its address while the rest of the
+// database moves. Two snapshots can also be compared record-wise with Diff.
 package depdb
 
 import (
@@ -632,6 +634,10 @@ type Snapshot struct {
 	limit int // the snapshot sees log.entries[:limit]
 	n     int // live records among them
 	fp    string
+	// scopes memoizes Scope's per-(subject, kind) digests, computed on first
+	// use: the snapshot is immutable, so each is computed once.
+	scopeMu sync.Mutex
+	scopes  map[pairKey][sha256.Size]byte
 }
 
 // Fingerprint returns the snapshot's canonical content hash: a SHA-256

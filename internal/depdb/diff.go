@@ -34,8 +34,8 @@ func (d Diff) Empty() bool {
 }
 
 // Touched returns every record the diff mentions: additions, removals, and
-// both sides of each change. Dirty-subject analysis (sia.DirtySubjects)
-// iterates this.
+// both sides of each change. Dirty-deployment analysis
+// (sia.DirtyDeployments) iterates this.
 func (d Diff) Touched() []deps.Record {
 	out := make([]deps.Record, 0, len(d.Added)+len(d.Removed)+2*len(d.Changed))
 	out = append(out, d.Added...)

@@ -18,3 +18,7 @@ func (db *DB) LogLen() int {
 	defer db.mu.RUnlock()
 	return len(db.log.entries)
 }
+
+// HashDomains are the prefixes of every hash the package commits to: the
+// fingerprint's and the two scope digests'.
+var HashDomains = []string{fpDomain, pairDomain, scopeDomain}

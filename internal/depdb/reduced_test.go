@@ -169,6 +169,50 @@ func randomRecord(rng *rand.Rand) deps.Record {
 	}
 }
 
+// modelKinds are the three record kinds, in Query order.
+var modelKinds = []deps.Kind{deps.KindNetwork, deps.KindHardware, deps.KindSoftware}
+
+// checkScopes holds snap's scope digests to the model: every (server, kind)
+// digest, and every server's all-kinds one, equals that of a fresh database
+// given the live records in a random order; and a digest moved from before
+// exactly when that pair's live records did (prev are the live records
+// before) — a batch about one subject leaves every other subject's digests
+// byte-equal.
+func checkScopes(t *testing.T, at string, rng *rand.Rand, snap, before *depdb.Snapshot, live, prev []deps.Record) {
+	t.Helper()
+	shuffled := append([]deps.Record(nil), live...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	fresh := depdb.New()
+	put(t, fresh, shuffled...)
+	ref := fresh.Snapshot()
+	pairState := func(recs []deps.Record, subject string, kind deps.Kind) string {
+		var lines []string
+		for _, r := range recs {
+			if r.Kind == kind && r.Subject() == subject {
+				lines = append(lines, fmt.Sprintf("%+v%+v%+v", r.Network, r.Hardware, r.Software))
+			}
+		}
+		sort.Strings(lines)
+		return strings.Join(lines, "\n")
+	}
+	for _, s := range modelServers {
+		subj := []string{s}
+		if got, want := snap.Scope(subj, nil), ref.Scope(subj, nil); got != want {
+			t.Fatalf("%s: Scope(%s) = %s, a fresh database with the same records says %s", at, s, got, want)
+		}
+		for _, k := range modelKinds {
+			kinds := []deps.Kind{k}
+			if got, want := snap.Scope(subj, kinds), ref.Scope(subj, kinds); got != want {
+				t.Fatalf("%s: Scope(%s, %v) = %s, a fresh database with the same records says %s", at, s, k, got, want)
+			}
+			changed := pairState(prev, s, k) != pairState(live, s, k)
+			if was, now := before.Scope(subj, kinds), snap.Scope(subj, kinds); (was != now) != changed {
+				t.Fatalf("%s: Scope(%s, %v) moved = %v, its live records changed = %v", at, s, k, was != now, changed)
+			}
+		}
+	}
+}
+
 func reportJSON(t *testing.T, db depdb.Reader) string {
 	t.Helper()
 	specs := []sia.GraphSpec{
@@ -229,6 +273,7 @@ func TestModelRandomized(t *testing.T) {
 				}
 			}
 			stream = append(stream, batch...)
+			prev := m.records()
 			var wantChanged []int
 			for i, r := range batch {
 				if m.put(r) {
@@ -278,6 +323,7 @@ func TestModelRandomized(t *testing.T) {
 						}
 					}
 				}
+				checkScopes(t, fmt.Sprintf("trial %d step %d db %d", trial, step, d), rng, snap, before, want, prev)
 			}
 			if every.LogLen() != every.Len() {
 				t.Fatalf("trial %d step %d: compacting at every step leaves %d log entries for %d live records", trial, step, every.LogLen(), every.Len())

@@ -13,24 +13,19 @@ import (
 
 // evaluator scores candidate deployments through the SIA pipeline, fanning
 // batches across a worker pool and memoizing per-deployment scores so the
-// iterative strategies (greedy, beam) never audit the same node set twice.
+// iterative strategies (greedy, beam) never audit the same node set twice;
+// Request.Cache, when set, answers before any audit runs.
 type evaluator struct {
 	db  depdb.Reader
 	req *Request
 
 	mu        sync.Mutex
 	cache     map[string]Score
-	evaluated int // audits actually run (cache misses)
+	evaluated int // audits actually run
 }
 
 func newEvaluator(db depdb.Reader, req *Request) *evaluator {
-	cache := make(map[string]Score, len(req.SeedScores))
-	// Seeded scores behave exactly like memoized ones: consulted before any
-	// audit runs, excluded from the evaluated count.
-	for k, s := range req.SeedScores {
-		cache[k] = s
-	}
-	return &evaluator{db: db, req: req, cache: cache}
+	return &evaluator{db: db, req: req, cache: make(map[string]Score)}
 }
 
 func (e *evaluator) evaluatedCount() int {
@@ -39,20 +34,9 @@ func (e *evaluator) evaluatedCount() int {
 	return e.evaluated
 }
 
-// scoresCopy snapshots the memo (seeds included) for Result.Scores.
-func (e *evaluator) scoresCopy() map[string]Score {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make(map[string]Score, len(e.cache))
-	for k, s := range e.cache {
-		out[k] = s
-	}
-	return out
-}
-
 // scoreBatch returns one score per deployment (each a sorted node list),
-// auditing cache misses in parallel. The first audit error cancels the rest
-// of the batch; a canceled context surfaces as ctx.Err().
+// scoring memo misses in parallel. The first audit error cancels the rest of
+// the batch; a canceled context surfaces as ctx.Err().
 func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, error) {
 	scores := make([]Score, len(sets))
 	var misses []int
@@ -64,7 +48,6 @@ func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, e
 			misses = append(misses, i)
 		}
 	}
-	e.evaluated += len(misses)
 	e.mu.Unlock()
 	if len(misses) == 0 {
 		return scores, nil
@@ -81,6 +64,7 @@ func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, e
 	defer cancel()
 	var (
 		next     atomic.Int64
+		audited  atomic.Int64
 		wg       sync.WaitGroup
 		errOnce  sync.Once
 		firstErr error
@@ -105,7 +89,7 @@ func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, e
 					return
 				}
 				idx := misses[i]
-				s, err := e.scoreOne(bctx, sets[idx])
+				s, err := e.score(bctx, sets[idx], &audited)
 				if err != nil {
 					fail(err)
 					return
@@ -115,6 +99,9 @@ func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, e
 		}()
 	}
 	wg.Wait()
+	e.mu.Lock()
+	e.evaluated += int(audited.Load())
+	e.mu.Unlock()
 	if firstErr != nil {
 		// Prefer the caller's cancellation cause over the derived batch
 		// context's.
@@ -129,6 +116,26 @@ func (e *evaluator) scoreBatch(ctx context.Context, sets [][]string) ([]Score, e
 	}
 	e.mu.Unlock()
 	return scores, nil
+}
+
+// score returns a candidate's score from Request.Cache or, failing that, by
+// auditing it — counted in audited — and telling the cache.
+func (e *evaluator) score(ctx context.Context, nodes []string, audited *atomic.Int64) (Score, error) {
+	c := e.req.Cache
+	var key string
+	if c != nil {
+		s, k, ok := c.Get(nodes)
+		if ok {
+			return s, nil
+		}
+		key = k
+	}
+	audited.Add(1)
+	s, err := e.scoreOne(ctx, nodes)
+	if err == nil && c != nil {
+		c.Put(key, s)
+	}
+	return s, err
 }
 
 // scoreOne audits a single deployment: fault graph build (§4.1.1) plus RG

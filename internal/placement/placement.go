@@ -128,14 +128,21 @@ type Request struct {
 	Prob func(component string) float64
 	// Audit tunes each candidate's SIA run (algorithm, rounds, bounds).
 	Audit sia.Options
-	// SeedScores primes the evaluator's memo with already-known deployment
-	// scores, keyed by DeploymentKey. Delta recommendations pass the scores
-	// of a previous identical search here, restricted to deployments whose
-	// servers' records are unchanged — the search then re-audits only the
-	// candidates that actually moved. Seeding never changes the result,
-	// only which candidates are recomputed; Result.Evaluated counts actual
-	// audits, so seeded candidates don't inflate it.
-	SeedScores map[string]Score
+	// Cache, when set, holds candidate scores known from outside this search
+	// — the audit service's memo of earlier searches over the same records.
+	// It is asked before a candidate is audited, and told every score an audit
+	// produces. A cached score is never re-audited, so Result.Evaluated counts
+	// only the audits this search ran; the ranking is the same either way.
+	Cache ScoreCache
+}
+
+// ScoreCache is Request.Cache: candidate scores by deployment, each a sorted
+// node list. Get also returns the deployment's key in the cache, which Put
+// takes back after a miss, so a candidate is addressed once. Implementations
+// synchronize themselves; the search calls them from its worker goroutines.
+type ScoreCache interface {
+	Get(nodes []string) (s Score, key string, ok bool)
+	Put(key string, s Score)
 }
 
 // Validate applies defaults in place and rejects impossible searches.
@@ -236,16 +243,13 @@ type Result struct {
 	// TotalCandidates is the full combination count C(pool, choose); the
 	// exact strategy scores all of them, greedy and beam a fraction.
 	TotalCandidates int
-	// Evaluated counts the candidate audits actually run (deployments
-	// re-visited by beam rounds are scored once).
+	// Evaluated counts the candidate audits actually run: deployments
+	// re-visited by beam rounds are scored once, and Request.Cache hits are
+	// not audited.
 	Evaluated int
 	// Top is the ranking, most independent first, at most TopK entries.
 	Top     []Ranked
 	Elapsed time.Duration
-	// Scores is the evaluator's full memo after the search — every
-	// deployment scored (or seeded), keyed by DeploymentKey. A later delta
-	// search over a changed database seeds from it via Request.SeedScores.
-	Scores map[string]Score
 }
 
 // Search runs the requested strategy and returns the ranked recommendation.
@@ -290,7 +294,6 @@ func Search(ctx context.Context, db depdb.Reader, req Request) (*Result, error) 
 		Evaluated:       e.evaluatedCount(),
 		Top:             top,
 		Elapsed:         time.Since(start),
-		Scores:          e.scoresCopy(),
 	}, nil
 }
 
@@ -361,16 +364,4 @@ func sortedCopy(nodes []string) []string {
 // deploymentKey is the canonical identity of a node set.
 func deploymentKey(sorted []string) string {
 	return strings.Join(sorted, "\x1f")
-}
-
-// DeploymentKey returns the canonical identity of a deployment's node set —
-// the key space of Request.SeedScores and Result.Scores. Node order does not
-// matter.
-func DeploymentKey(nodes []string) string {
-	return deploymentKey(sortedCopy(nodes))
-}
-
-// KeyNodes inverts DeploymentKey.
-func KeyNodes(key string) []string {
-	return strings.Split(key, "\x1f")
 }

@@ -4,46 +4,17 @@ import (
 	"sort"
 
 	"indaas/internal/depdb"
-	"indaas/internal/deps"
 )
 
-// This file maps DepDB changes onto the audit subjects they can affect — the
-// analysis delta audits are built on. BuildGraph reads exactly the records
-// of a deployment's servers, restricted to the spec's kinds (§4.1.1 Steps
-// 2–6), so a diffed record reaches a deployment's fault-graph cone iff its
-// subject is one of the deployment's servers and its kind is one the spec
-// wants. A deployment none of whose servers are touched builds a
-// byte-identical fault graph against either snapshot, and therefore audits
-// identically.
-
-// DirtySubjects returns the sorted subjects whose dependency records of a
-// wanted kind differ between the two snapshots the diff compares. kinds nil
-// or empty means all kinds — the convention GraphSpec.Kinds uses.
-func DirtySubjects(d depdb.Diff, kinds []deps.Kind) []string {
-	want := func(k deps.Kind) bool {
-		if len(kinds) == 0 {
-			return true
-		}
-		for _, kk := range kinds {
-			if kk == k {
-				return true
-			}
-		}
-		return false
-	}
-	set := make(map[string]bool)
-	for _, r := range d.Touched() {
-		if want(r.Kind) {
-			set[r.Subject()] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
+// This file maps DepDB changes onto the audit subjects they can affect.
+// BuildGraph reads exactly the records of a deployment's servers, restricted
+// to the spec's kinds (§4.1.1 Steps 2–6), so a diffed record reaches a
+// deployment's fault-graph cone iff its subject is one of the deployment's
+// servers and its kind is one the spec wants. A deployment none of whose
+// servers are touched builds a byte-identical fault graph against either
+// snapshot, and therefore audits identically — which is also why the audit
+// service can address a result by depdb.Snapshot.Scope over its deployments'
+// servers and kinds.
 
 // DirtyDeployments reports, for each spec, whether its fault graph can
 // differ between two snapshots related by diff — true iff some diffed record

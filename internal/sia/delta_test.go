@@ -49,29 +49,3 @@ func TestDirtyDeployments(t *testing.T) {
 		t.Fatalf("empty diff dirtied something: %v %v", dirty, subjects)
 	}
 }
-
-// TestDirtySubjects covers the kind-filtered subject set used by the
-// placement delta path.
-func TestDirtySubjects(t *testing.T) {
-	a, b := depdb.New(), depdb.New()
-	base := []deps.Record{
-		deps.NewNetwork("n1", "Internet", "tor1"),
-		deps.NewHardware("n2", "Disk", "old"),
-	}
-	if err := a.Put(base...); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put(base[0], deps.NewHardware("n2", "Disk", "new"), deps.NewSoftware("etcd", "n3", "libc6")); err != nil {
-		t.Fatal(err)
-	}
-	d := a.Snapshot().Diff(b.Snapshot())
-	if got := DirtySubjects(d, nil); !reflect.DeepEqual(got, []string{"n2", "n3"}) {
-		t.Fatalf("all kinds: %v", got)
-	}
-	if got := DirtySubjects(d, []deps.Kind{deps.KindSoftware}); !reflect.DeepEqual(got, []string{"n3"}) {
-		t.Fatalf("software only: %v", got)
-	}
-	if got := DirtySubjects(d, []deps.Kind{deps.KindNetwork}); len(got) != 0 {
-		t.Fatalf("network only: %v", got)
-	}
-}

@@ -5,8 +5,10 @@
 #       `indaas serve`, submit an audit over HTTP, poll it to completion and
 #       diff the JSON report (elapsed zeroed) against the golden file shared
 #       with the Go e2e test; assert an identical resubmission is a cache
-#       hit; run a placement recommendation against its golden file; and
-#       exercise the /v1/depdb ingest path.
+#       hit; run a placement recommendation against its golden file;
+#       exercise the /v1/depdb ingest path; and assert an ingest no audited
+#       server reads leaves an audit's cache_key, and so its cached result,
+#       in place.
 #
 #   ./scripts/smoke.sh restart    durability leg: serve with -data-dir,
 #       submit an audit and ingest records, kill -9 the daemon, restart it
@@ -43,8 +45,9 @@
 #       limit, subscribe a raw SSE watcher over GET /v1/watch, replay agent
 #       churn with `indaas loadgen` (whose own watch probe must see re-audit
 #       notifications), and assert the SSE watcher streamed re-audits, the
-#       429 path throttled at least once, the delta engine kept re-audits
-#       incremental, and computations stayed far below ingested records.
+#       429 path throttled at least once, tier hits and memo splices kept
+#       re-audits incremental, and computations stayed far below ingested
+#       records.
 #
 # The daemon is always reaped on exit — success, failure, or signal — and
 # every HTTP call carries a timeout, so a hung leg fails fast with the
@@ -175,13 +178,14 @@ if [ "$MODE" = base ]; then
     [ "$TOP_INGESTED" = "$TOP_INLINE" ] || die "ingested top-1 $TOP_INGESTED != inline top-1 $TOP_INLINE"
 
     # Delta audits: audit the server database, ingest one record no audited
-    # deployment depends on (which still changes the DB fingerprint, i.e.
-    # the content address), and re-submit. The re-audit must be answered
-    # instantly from the lineage — delta_hit, no new computation — with a
-    # byte-identical report.
+    # deployment depends on (which changes the DB fingerprint but not the
+    # records the audit reads), and re-submit. The content address names
+    # those records, so the re-audit is a plain cache hit under the same
+    # cache_key — no new computation — with a byte-identical report.
     DELTA_BODY='{"deployments":[{"name":"n1+n3","servers":["n1","n3"]}]}'
     DID=$(submit v1/audits "$DELTA_BODY")
     wait_done "$DID" delta-cold-audit
+    DKEY=$("${CURL[@]}" "$BASE/v1/audits/$DID" | jq -r .cache_key)
     "${CURL[@]}" "$BASE/v1/audits/$DID/report" > "$TMP/delta-before.json"
     COMPUTATIONS_BEFORE=$(metric auditd_computations_total)
 
@@ -190,14 +194,13 @@ if [ "$MODE" = base ]; then
         "$BASE/v1/depdb" >/dev/null || die "delta ingest failed"
 
     DHIT=$("${CURL[@]}" -X POST -H 'Content-Type: application/json' --data "$DELTA_BODY" "$BASE/v1/audits")
-    [ "$(jq -r '.delta_hit == true and .state == "done"' <<<"$DHIT")" = true ] ||
-        die "re-audit after unrelated ingest was not a delta hit: $DHIT"
+    [ "$(jq -r --arg key "$DKEY" '.cached == true and .state == "done" and .cache_key == $key' <<<"$DHIT")" = true ] ||
+        die "re-audit after unrelated ingest was not a cache hit under $DKEY: $DHIT"
     DHID=$(jq -r .id <<<"$DHIT")
     "${CURL[@]}" "$BASE/v1/audits/$DHID/report" > "$TMP/delta-after.json"
-    diff "$TMP/delta-before.json" "$TMP/delta-after.json" || die "delta-served report drifted"
-    [ "$(metric auditd_delta_hits_total)" -ge 1 ] || die "auditd_delta_hits_total did not increment"
+    diff "$TMP/delta-before.json" "$TMP/delta-after.json" || die "re-served report drifted"
     [ "$(metric auditd_computations_total)" = "$COMPUTATIONS_BEFORE" ] ||
-        die "delta re-audit ran a full recomputation"
+        die "re-audit after an unrelated ingest ran a computation"
 
     # Telemetry: the cold audit's trace must break its latency into phases
     # (queue-wait, graph-build, minimal-rgs at minimum), and the end-to-end
@@ -207,7 +210,10 @@ if [ "$MODE" = base ]; then
     [ "$PHASES" -ge 3 ] || die "cold audit trace has $PHASES phases, want >= 3: $TRACE"
     jq -e '[.trace[].name] | contains(["queue-wait","graph-build","minimal-rgs"])' <<<"$TRACE" >/dev/null ||
         die "cold audit trace misses a pipeline phase: $TRACE"
-    "${CURL[@]}" "$BASE/metrics" | grep -q '^auditd_job_duration_seconds_bucket{le=' ||
+    # Read the page whole first: grep -q stops at its first match, and under
+    # pipefail the curl it cut off would fail the check.
+    METRICS=$("${CURL[@]}" "$BASE/metrics")
+    grep -q '^auditd_job_duration_seconds_bucket{le=' <<<"$METRICS" ||
         die "/metrics lacks the auditd_job_duration_seconds histogram"
 
     echo "smoke OK: report + recommendation match goldens; cache, ingest, delta-audit and trace legs confirmed"
@@ -386,7 +392,8 @@ if [ "$MODE" = stream ]; then
     # Raw SSE watcher on the HTTP surface: deployment "a" sits in the
     # churned part of the fleet, "b" on quiet servers (loadgen's probe owns
     # the first four and only ever flaps srv0_0_0) — so every re-audit has a
-    # clean deployment to splice against and stays incremental.
+    # clean deployment whose held audit the memo splices, and stays
+    # incremental.
     SSE_LOG="$TMP/sse.log"
     SPEC='{"title":"smoke sse","deployments":[{"name":"a","servers":["srv1_0_0","srv1_0_1"]},{"name":"b","servers":["srv0_1_0","srv0_1_1"]}]}'
     curl -sN --max-time 120 --get --data-urlencode "spec=$SPEC" "$BASE/v1/watch" > "$SSE_LOG" &
@@ -413,8 +420,8 @@ if [ "$MODE" = stream ]; then
     echo "smoke stream: ingested=$INGESTED computations=$COMPUTATIONS delta_hits=$HITS delta_partial=$PARTIAL throttled=$THROTTLED reaudits=$REAUDITS"
 
     [ "$((HITS + PARTIAL))" -ge 1 ] || die "no re-audit stayed incremental (hits=$HITS partial=$PARTIAL)"
-    # The majority of triggered re-audits must reuse an ancestor (each
-    # watcher's very first audit is necessarily cold).
+    # The majority of triggered re-audits must be result-tier hits or memo
+    # splices (each watcher's very first audit is necessarily cold).
     [ "$(((HITS + PARTIAL) * 2))" -gt "$REAUDITS" ] ||
         die "only $((HITS + PARTIAL)) of $REAUDITS re-audits were incremental"
     [ "$THROTTLED" -ge 1 ] || die "the rate limit never throttled despite loadgen outrunning -ingest-rate"
