@@ -47,10 +47,10 @@ func BenchmarkTable2PIA(b *testing.B) {
 }
 
 // BenchmarkTable2PIAPrivate runs the same audit through the real P-SOP
-// protocol (512-bit keys).
+// protocol (X25519).
 func BenchmarkTable2PIAPrivate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolPSOP, Bits: 512})
+		res, err := exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolPSOP})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -363,7 +363,7 @@ func BenchmarkFig8PSOP(b *testing.B) {
 				b.ResetTimer()
 				var bytes int64
 				for i := 0; i < b.N; i++ {
-					res, err := psi.PSOP(psi.PSOPConfig{Bits: 512}, sets)
+					res, err := psi.PSOP(psi.PSOPConfig{}, sets)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -433,7 +433,7 @@ func BenchmarkFig9SIAvsPIA(b *testing.B) {
 	})
 	b.Run("PIA-P-SOP", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP, Bits: 512}, providers, deployments); err != nil {
+			if _, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP}, providers, deployments); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -449,11 +449,11 @@ func BenchmarkFig9SIAvsPIA(b *testing.B) {
 }
 
 // BenchmarkPrivateAuditBatch times one batched private audit — every pair
-// of 6 providers with 200-component sets through P-SOP at 512 bits, one
-// shared commutative group — across worker counts, reporting pairs/sec (the
-// figure /v1/private-audits returns as pairs_per_sec). On a single-core
-// host the worker counts tie and the row worth recording is the batch
-// throughput itself; on an N-core host the pairs fan out N-wide.
+// of 6 providers with 200-component sets through P-SOP over X25519 — across
+// worker counts, reporting pairs/sec (the figure /v1/private-audits returns
+// as pairs_per_sec). On a single-core host the worker counts tie and the row
+// worth recording is the batch throughput itself; on an N-core host the
+// pairs fan out N-wide.
 func BenchmarkPrivateAuditBatch(b *testing.B) {
 	providers := benchProviders(6, 200)
 	deployments := pia.AllPairs(6)
@@ -461,7 +461,7 @@ func BenchmarkPrivateAuditBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				rep, err := pia.AuditDeployments(
-					pia.Config{Protocol: pia.ProtocolPSOP, Bits: 512, Workers: workers},
+					pia.Config{Protocol: pia.ProtocolPSOP, Workers: workers},
 					providers, deployments)
 				if err != nil {
 					b.Fatal(err)
@@ -476,11 +476,11 @@ func BenchmarkPrivateAuditBatch(b *testing.B) {
 }
 
 // BenchmarkFig9Full runs the SIA-vs-PIA comparison at near-paper scale:
-// paper key size (1024 bits), 10⁵ sampling rounds, provider counts up to 8.
-// Two-way deployments run over 500-component sets; three-way deployments
-// over 80-component sets, because the three-way minimal-RG family is the
-// cross product of the private sets (n³ minimal risk groups per triple) —
-// which is Fig. 9's own point about trusted-auditor SIA at the
+// the paper's KS key size (1024 bits), 10⁵ sampling rounds, provider counts
+// up to 8. Two-way deployments run over 500-component sets; three-way
+// deployments over 80-component sets, because the three-way minimal-RG
+// family is the cross product of the private sets (n³ minimal risk groups
+// per triple) — which is Fig. 9's own point about trusted-auditor SIA at the
 // component-set level. Gated like the Fig. 7 full points; measured numbers
 // live in PERFORMANCE.md:
 //
@@ -568,20 +568,6 @@ func BenchmarkAblationSamplerWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := riskgroup.Sampler{Rounds: 20_000, Bias: 0.97, Shrink: true, Seed: 1, Workers: workers}
 				if _, err := s.Sample(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationPSOPKeySize sweeps the commutative key size.
-func BenchmarkAblationPSOPKeySize(b *testing.B) {
-	sets := benchSets(2, 100)
-	for _, bits := range []int{512, 1024, 2048} {
-		b.Run(fmt.Sprintf("bits=%d", bits), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := psi.PSOP(psi.PSOPConfig{Bits: bits}, sets); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -47,12 +47,8 @@ func main() {
 			return exp.RunFig6a(cfg)
 		}},
 		{"fig6b", func(bool) (renderable, error) { return exp.RunFig6b() }},
-		{"table2", func(full bool) (renderable, error) {
-			cfg := exp.Table2Config{Protocol: pia.ProtocolPSOP, Bits: 512}
-			if full {
-				cfg.Bits = 1024 // the paper's key size
-			}
-			return exp.RunTable2(cfg)
+		{"table2", func(bool) (renderable, error) {
+			return exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolPSOP})
 		}},
 		{"fig7", func(full bool) (renderable, error) {
 			cfg := exp.Fig7Config{}

@@ -338,7 +338,6 @@ func cmdProxy(args []string) error {
 func cmdPSOP(args []string) error {
 	fs := flag.NewFlagSet("psop", flag.ExitOnError)
 	proxies := fs.String("proxies", "", "comma-separated proxy addresses (required, ≥ 2)")
-	bits := fs.Int("bits", 1024, "commutative key size (1024 or 2048)")
 	runID := fs.String("run", "", "run identifier (default: random)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -351,7 +350,7 @@ func cmdPSOP(args []string) error {
 	if id == "" {
 		id = fmt.Sprintf("psop-%d", os.Getpid())
 	}
-	inter, union, err := agent.SupervisePSOP(id, addrs, *bits)
+	inter, union, err := agent.SupervisePSOP(id, addrs)
 	if err != nil {
 		return err
 	}

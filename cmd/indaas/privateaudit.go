@@ -73,7 +73,7 @@ func cmdPrivateAudit(args []string) error {
 	var deployments listFlag
 	fs.Var(&deployments, "deploy", "deployment to audit: providerA,providerB[,...] (repeatable; default: every pair)")
 	protocol := fs.String("protocol", "p-sop", "p-sop, ks or cleartext")
-	bits := fs.Int("bits", 0, "protocol key size (0 = service default 512; paper setting 1024)")
+	bits := fs.Int("bits", 0, "KS Paillier key size (0 = service default 512; paper setting 1024); p-sop ignores it")
 	minhashM := fs.Int("minhash-m", 0, "MinHash signature size (0 = exact sets; ks defaults to 512)")
 	minhashThreshold := fs.Int("minhash-threshold", 0, "switch to MinHash above this component count (0 = never)")
 	ksBlindBits := fs.Int("ks-blind-bits", 0, "KS blinding-coefficient width (0 = full width)")

@@ -88,7 +88,7 @@ func main() {
 	}
 	fmt.Println()
 
-	inter, union, err := agent.SupervisePSOP("demo-run", proxyAddrs, 1024)
+	inter, union, err := agent.SupervisePSOP("demo-run", proxyAddrs)
 	if err != nil {
 		log.Fatal(err)
 	}

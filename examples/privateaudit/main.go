@@ -5,7 +5,7 @@
 // packages, without any cloud's package list ever appearing in an audit
 // request or response.
 //
-//	go run ./examples/privateaudit [-cleartext] [-bits N]
+//	go run ./examples/privateaudit [-cleartext]
 //
 // The walk-through exercises the full /v1 surface: POST /v1/providers to
 // register each dataset (the service answers with a content fingerprint,
@@ -34,7 +34,6 @@ import (
 
 func main() {
 	cleartext := flag.Bool("cleartext", false, "skip the private protocol (trusted-auditor baseline)")
-	bits := flag.Int("bits", 512, "commutative key size for P-SOP (paper: 1024)")
 	flag.Parse()
 
 	svc := auditd.New(auditd.Config{Workers: 2})
@@ -82,7 +81,6 @@ func main() {
 			{"Cloud1", "Cloud3", "Cloud4"}, {"Cloud2", "Cloud3", "Cloud4"},
 		},
 		Protocol: protocol,
-		Bits:     *bits,
 	}
 	fmt.Printf("\nsubmitting private audit (%s, %d deployments)…\n", protocol, len(req.Deployments))
 	st, err := client.PrivateAudit(ctx, req)

@@ -1,12 +1,15 @@
 package agent
 
 import (
+	"encoding/base64"
 	"math"
 	"strings"
 	"testing"
 
+	"indaas/internal/crypto/commutative"
 	"indaas/internal/deps"
 	"indaas/internal/psi"
+	"indaas/internal/wire"
 )
 
 func TestWireRecordRoundTrip(t *testing.T) {
@@ -214,7 +217,7 @@ func TestPSOPOverLoopback(t *testing.T) {
 		proxies = append(proxies, p)
 		addrs = append(addrs, p.Addr())
 	}
-	inter, union, err := SupervisePSOP("run-1", addrs, 1024)
+	inter, union, err := SupervisePSOP("run-1", addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +229,7 @@ func TestPSOPOverLoopback(t *testing.T) {
 		t.Errorf("P-SOP over TCP = (%d,%d), want (%d,%d)", inter, union, wantInter, wantUnion)
 	}
 	// A second run on the same proxies must work (fresh run ID).
-	inter2, union2, err := SupervisePSOP("run-2", addrs, 1024)
+	inter2, union2, err := SupervisePSOP("run-2", addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +237,59 @@ func TestPSOPOverLoopback(t *testing.T) {
 		t.Errorf("second run = (%d,%d)", inter2, union2)
 	}
 	// Duplicate run ID must be rejected.
-	if _, _, err := SupervisePSOP("run-1", addrs, 1024); err == nil {
+	if _, _, err := SupervisePSOP("run-1", addrs); err == nil {
 		t.Error("duplicate run ID accepted")
+	}
+}
+
+// TestProxyRefusesDegenerateElements: a dishonest predecessor could plant a
+// low-order point, which every key maps to the same value and so matches at
+// every party, or send bytes that are not a point at all. The hop must fail
+// the run by name rather than re-encrypt and forward either.
+func TestProxyRefusesDegenerateElements(t *testing.T) {
+	p, err := NewProxy("127.0.0.1:0", []string{"pkg:a"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	// The successor and supervisor addresses are never dialled: a refused
+	// hop fails before it forwards anything.
+	if err := p.startRun(PSOPStart{RunID: "run-bad", Ring: []string{p.Addr(), "127.0.0.1:1"}, Supervisor: "127.0.0.1:1"}); err != nil {
+		t.Fatal(err)
+	}
+	key, err := commutative.NewKey(strings.NewReader(strings.Repeat("k", commutative.Size)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := key.EncryptElement([]byte("pkg:b"))
+	one := make([]byte, commutative.Size)
+	one[0] = 1
+	for _, tc := range []struct {
+		name string
+		elem []byte
+	}{
+		{"all-zero", make([]byte, commutative.Size)},
+		{"one", one},
+		{"short", valid[:commutative.Size-1]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, err := wire.Dial(p.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fwd := PSOPForward{RunID: "run-bad", Owner: 1, Hops: 1, Elements: []string{
+				base64.StdEncoding.EncodeToString(valid[:]),
+				base64.StdEncoding.EncodeToString(tc.elem),
+			}}
+			if err := conn.Send(TypePSOPForward, fwd); err != nil {
+				t.Fatal(err)
+			}
+			err = conn.Expect(TypePSOPAck, nil)
+			if err == nil || !strings.Contains(err.Error(), `run "run-bad"`) {
+				t.Fatalf("hop answered %v, want an error naming the run", err)
+			}
+		})
 	}
 }
 
@@ -243,7 +297,7 @@ func TestProxyValidation(t *testing.T) {
 	if _, err := NewProxy("127.0.0.1:0", nil); err == nil {
 		t.Error("empty component-set accepted")
 	}
-	if _, _, err := SupervisePSOP("r", []string{"127.0.0.1:1"}, 1024); err == nil {
+	if _, _, err := SupervisePSOP("r", []string{"127.0.0.1:1"}); err == nil {
 		t.Error("single proxy accepted")
 	}
 }

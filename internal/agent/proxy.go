@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/big"
 	mathrand "math/rand"
 	"sync"
 	"time"
@@ -68,8 +67,6 @@ type PSOPStart struct {
 	// Supervisor is the address final datasets are reported to... the
 	// final holder dials the supervisor's collector listener.
 	Supervisor string `json:"supervisor"`
-	// Bits selects the shared group modulus (1024 or 2048).
-	Bits int `json:"bits"`
 }
 
 // PSOPForward carries one dataset hop around the ring.
@@ -79,7 +76,7 @@ type PSOPForward struct {
 	Owner int `json:"owner"`
 	// Hops counts how many parties have encrypted the dataset so far.
 	Hops int `json:"hops"`
-	// Elements are base64-encoded group elements.
+	// Elements are base64-encoded X25519 points.
 	Elements []string `json:"elements"`
 }
 
@@ -108,7 +105,6 @@ type Proxy struct {
 
 type proxyRun struct {
 	start PSOPStart
-	group *commutative.Group
 	key   *commutative.Key
 	perm  *mathrand.Rand
 }
@@ -214,18 +210,7 @@ func (p *Proxy) startRun(start PSOPStart) error {
 	if start.Position < 0 || start.Position >= len(start.Ring) {
 		return fmt.Errorf("agent: ring position %d out of range", start.Position)
 	}
-	bits := start.Bits
-	if bits == 0 {
-		bits = 1024
-	}
-	if bits != 1024 && bits != 2048 {
-		return fmt.Errorf("agent: P-SOP over TCP requires a shared builtin group (1024 or 2048 bits)")
-	}
-	group, err := commutative.NewGroup(bits)
-	if err != nil {
-		return err
-	}
-	key, err := group.GenerateKey(cryptorand.Reader)
+	key, err := commutative.NewKey(cryptorand.Reader)
 	if err != nil {
 		return err
 	}
@@ -237,7 +222,6 @@ func (p *Proxy) startRun(start PSOPStart) error {
 	p.rngCount++
 	p.runs[start.RunID] = &proxyRun{
 		start: start,
-		group: group,
 		key:   key,
 		perm:  mathrand.New(mathrand.NewSource(p.rngSeed + p.rngCount)),
 	}
@@ -257,19 +241,19 @@ func (p *Proxy) launch(runID string) error {
 	if err := p.sendCommitment(run, runID, dataset); err != nil {
 		return err
 	}
-	elems := make([]*big.Int, 0, len(dataset))
+	elems := make([]commutative.Point, 0, len(dataset))
 	counts := map[string]int{}
 	for _, e := range dataset {
 		counts[e]++
 		tagged := fmt.Sprintf("%s\x00%d", e, counts[e])
-		elems = append(elems, run.key.Encrypt(run.group.HashToGroup([]byte(tagged))))
+		elems = append(elems, run.key.EncryptElement([]byte(tagged)))
 	}
 	run.perm.Shuffle(len(elems), func(a, b int) { elems[a], elems[b] = elems[b], elems[a] })
 	return p.sendHop(run, PSOPForward{
 		RunID:    runID,
 		Owner:    run.start.Position,
 		Hops:     1,
-		Elements: encodeElements(run.group, elems),
+		Elements: encodeElements(elems),
 	})
 }
 
@@ -282,19 +266,16 @@ func (p *Proxy) forward(fwd PSOPForward) error {
 	if !ok {
 		return fmt.Errorf("agent: unknown P-SOP run %q", fwd.RunID)
 	}
-	elems, err := decodeElements(run.group, fwd.Elements)
+	elems, err := run.reencrypt(fwd.RunID, fwd.Elements)
 	if err != nil {
 		return err
-	}
-	for i, e := range elems {
-		elems[i] = run.key.Encrypt(e)
 	}
 	run.perm.Shuffle(len(elems), func(a, b int) { elems[a], elems[b] = elems[b], elems[a] })
 	return p.sendHop(run, PSOPForward{
 		RunID:    fwd.RunID,
 		Owner:    fwd.Owner,
 		Hops:     fwd.Hops + 1,
-		Elements: encodeElements(run.group, elems),
+		Elements: encodeElements(elems),
 	})
 }
 
@@ -344,34 +325,36 @@ func (p *Proxy) sendHop(run *proxyRun, fwd PSOPForward) error {
 	return conn.Expect(TypePSOPAck, nil)
 }
 
-func encodeElements(group *commutative.Group, elems []*big.Int) []string {
+func encodeElements(elems []commutative.Point) []string {
 	out := make([]string, len(elems))
 	for i, e := range elems {
-		out[i] = base64.StdEncoding.EncodeToString(group.Bytes(e))
+		out[i] = base64.StdEncoding.EncodeToString(e[:])
 	}
 	return out
 }
 
-func decodeElements(group *commutative.Group, in []string) ([]*big.Int, error) {
-	out := make([]*big.Int, len(in))
+// reencrypt decodes a predecessor's elements and encrypts each under the
+// run's key. An element that is not one point, or a low-order point the
+// cipher refuses, fails the run: every key maps a low-order point to the
+// same value, so forwarding it would plant a match at every party.
+func (run *proxyRun) reencrypt(runID string, in []string) ([]commutative.Point, error) {
+	out := make([]commutative.Point, len(in))
 	for i, s := range in {
 		b, err := base64.StdEncoding.DecodeString(s)
-		if err != nil {
-			return nil, fmt.Errorf("agent: bad element encoding: %w", err)
+		if err == nil {
+			out[i], err = run.key.Encrypt(b)
 		}
-		e, err := group.FromBytes(b)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("agent: P-SOP run %q: element %d refused: %w", runID, i, err)
 		}
-		out[i] = e
 	}
 	return out, nil
 }
 
 // SupervisePSOP runs one P-SOP round across the given proxy addresses and
 // returns |∩| and |∪| counted on the fully-encrypted datasets.
-func SupervisePSOP(runID string, proxies []string, bits int) (inter, union int, err error) {
-	inter, union, _, err = SupervisePSOPWithTrail(runID, proxies, bits)
+func SupervisePSOP(runID string, proxies []string) (inter, union int, err error) {
+	inter, union, _, err = SupervisePSOPWithTrail(runID, proxies)
 	return inter, union, err
 }
 
@@ -379,7 +362,7 @@ func SupervisePSOP(runID string, proxies []string, bits int) (inter, union int, 
 // signed dataset commitment (§5.2). The supervisor (typically the auditing
 // agent) listens on an ephemeral collector port for commitments and final
 // datasets; commitments with bad signatures abort the run.
-func SupervisePSOPWithTrail(runID string, proxies []string, bits int) (inter, union int, commitments []*audittrail.Commitment, err error) {
+func SupervisePSOPWithTrail(runID string, proxies []string) (inter, union int, commitments []*audittrail.Commitment, err error) {
 	k := len(proxies)
 	if k < 2 {
 		return 0, 0, nil, fmt.Errorf("agent: P-SOP needs at least two proxies")
@@ -433,7 +416,6 @@ func SupervisePSOPWithTrail(runID string, proxies []string, bits int) (inter, un
 			Ring:       proxies,
 			Position:   i,
 			Supervisor: collector.Addr(),
-			Bits:       bits,
 		})
 		if startErr == nil {
 			startErr = conn.Expect(TypePSOPAck, nil)

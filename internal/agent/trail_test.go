@@ -25,7 +25,7 @@ func TestPSOPAuditTrail(t *testing.T) {
 		defer px.Close()
 		addrs = append(addrs, px.Addr())
 	}
-	inter, union, commitments, err := SupervisePSOPWithTrail("trail-run", addrs, 1024)
+	inter, union, commitments, err := SupervisePSOPWithTrail("trail-run", addrs)
 	if err != nil {
 		t.Fatal(err)
 	}

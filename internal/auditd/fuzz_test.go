@@ -187,3 +187,82 @@ func FuzzAuditPrepare(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPrivateAuditPrepare drives the private-audit kind's submission
+// boundary through normalize and prepare against a registry of two
+// providers: a request is refused with a 4xx, or it prepares to an address
+// two prepares agree on — one that bits moves only under "ks", the one
+// protocol whose key it sizes. Nothing panics.
+func FuzzPrivateAuditPrepare(f *testing.F) {
+	s := New(Config{Workers: 1})
+	f.Cleanup(func() { shutdown(f, s) })
+	for name, comps := range map[string][]string{
+		"CloudA": {"pkg:linux-image", "pkg:libc6", "pkg:openssl", "pkg:nginx", "pkg:zookeeper", "pkg:java-runtime"},
+		"CloudB": {"pkg:linux-image", "pkg:libc6", "pkg:openssl", "pkg:httpd", "pkg:erlang"},
+	} {
+		if _, err := s.RegisterProvider(&RegisterProviderRequest{Name: name, Components: comps}); err != nil {
+			f.Fatal(err)
+		}
+	}
+
+	blob, err := os.ReadFile("../../scripts/private_audit_request.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	var smoke PrivateAuditRequest
+	if err := json.Unmarshal(blob, &smoke); err != nil {
+		f.Fatal(err)
+	}
+	for _, protocol := range []string{"ks", "cleartext"} {
+		req := smoke
+		req.Protocol, req.Bits = protocol, 256
+		f.Add(mustJSON(f, &req))
+	}
+	inline := testPrivateAuditRequest("inline")
+	inline.Providers = []ProviderWire{
+		{Name: "right", Components: []string{"pkg:y", "pkg:shared", "pkg:x", "pkg:y"}},
+		{Name: "left", Components: []string{"pkg:shared", "pkg:c", "pkg:b", "pkg:a"}},
+	}
+	f.Add(mustJSON(f, inline))
+	f.Add(mustJSON(f, testPrivateAuditRequest("by reference")))
+	for _, body := range []string{
+		`{"providers":[{"name":"CloudA"},{"name":"CloudB"},{"name":"mid","components":["pkg:libc6"]}],"deployments":[["CloudB","CloudA","mid"],["mid","CloudA"]],"minhash_m":64}`,
+		`{"providers":[{"name":"CloudA"},{"name":"CloudB"}],"protocol":"ks","bits":64}`,
+		`{"providers":[{"name":"CloudA"},{"name":"CloudA"}]}`,
+		`{"providers":[{"name":"CloudA"},{"name":"CloudB"}],"deployments":[["CloudA"]]}`,
+		`{"providers":[{"name":"CloudA"},{"name":"x","components":[""]}],"bits":-1}`,
+		`{"providers":[{"name":"a/b"},{"name":""}],"protocol":"magic"}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var req PrivateAuditRequest
+		if json.Unmarshal(blob, &req) != nil {
+			return // the HTTP decoder's 400
+		}
+		p, err := req.prepare(s)
+		if err != nil {
+			if code := httpStatus(err); code/100 != 4 {
+				t.Fatalf("request refused with %d: %v", code, err)
+			}
+			return
+		}
+		again, err := req.prepare(s)
+		if err != nil {
+			t.Fatalf("a second prepare refuses what the first took: %v", err)
+		}
+		if again.Key != p.Key {
+			t.Fatalf("a second prepare gives key %s, the first %s", again.Key, p.Key)
+		}
+		if req.Protocol == "ks" {
+			return
+		}
+		resized := req
+		resized.Bits ^= 1024
+		q, err := resized.prepare(s)
+		if err != nil || q.Key != p.Key {
+			t.Fatalf("bits=%d moves a %q request from %s to %v (%v)", resized.Bits, req.Protocol, p.Key, q, err)
+		}
+	})
+}

@@ -203,9 +203,10 @@ type PrivateAuditRequest struct {
 	Deployments [][]string `json:"deployments,omitempty"`
 	// Protocol is "p-sop" (default), "ks" or "cleartext".
 	Protocol string `json:"protocol,omitempty"`
-	// Bits is the protocol key size (default 512, the CI-scale setting;
-	// 1024 is the paper's). Ignored — and excluded from the cache key —
-	// under "cleartext".
+	// Bits is the KS baseline's Paillier key size (default 512, the
+	// CI-scale setting; 1024 is the paper's). P-SOP's X25519 cipher has one
+	// size, so "p-sop" and "cleartext" ignore Bits and keep it out of the
+	// cache key.
 	Bits int `json:"bits,omitempty"`
 	// MinHashM estimates Jaccard from m-function MinHash signatures
 	// (§4.2.4) instead of full component-sets; required under "ks"
@@ -277,7 +278,9 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) ([]string, string, b
 	default:
 		return n, cfg, nil, nil, fmt.Errorf("auditd: unknown protocol %q", r.Protocol)
 	}
-	if n.Protocol != "cleartext" {
+	n.MinHashM = r.MinHashM
+	n.MinHashThreshold = r.MinHashThreshold
+	if n.Protocol == "ks" {
 		n.Bits = r.Bits
 		if n.Bits == 0 {
 			n.Bits = 512
@@ -285,13 +288,9 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) ([]string, string, b
 		if n.Bits < 128 {
 			return n, cfg, nil, nil, fmt.Errorf("auditd: bits=%d too small (need at least 128)", n.Bits)
 		}
-	}
-	n.MinHashM = r.MinHashM
-	if n.Protocol == "ks" && n.MinHashM == 0 {
-		n.MinHashM = 512 // KS always estimates via MinHash; pin the default into the key
-	}
-	n.MinHashThreshold = r.MinHashThreshold
-	if n.Protocol == "ks" {
+		if n.MinHashM == 0 {
+			n.MinHashM = 512 // KS always estimates via MinHash; pin the default into the key
+		}
 		n.KSBlindBits = r.KSBlindBits
 	}
 	cfg.Bits = n.Bits

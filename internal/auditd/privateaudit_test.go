@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"indaas/internal/report"
+	"indaas/internal/store"
 )
 
 // testPrivateAuditRequest references the registered "left"/"right" datasets
@@ -161,6 +162,74 @@ func TestPrivateAuditInlineSharesCacheKey(t *testing.T) {
 	}
 	if !st2.Cached || st2.CacheKey != st.CacheKey {
 		t.Fatalf("inline submission missed the cache: %+v vs key %s", st2, st.CacheKey)
+	}
+}
+
+// TestPrivateAuditBitsAddressesKSOnly: bits sizes only the KS baseline's
+// Paillier key, so two p-sop requests that differ only in bits share one
+// address while two such ks requests do not. The address a p-sop request had
+// while bits still keyed it (with the 512-bit default pinned in) is never
+// read again: a result stored there is not served for the request.
+func TestPrivateAuditBitsAddressesKSOnly(t *testing.T) {
+	st := openStore(t, t.TempDir())
+	s := New(Config{Workers: 1, Store: st})
+	defer gracefulShutdown(t, s)
+	registerTestProviders(t, s)
+
+	request := func(protocol string, bits int) *PrivateAuditRequest {
+		req := testPrivateAuditRequest(protocol)
+		req.Protocol, req.Bits = protocol, bits
+		return req
+	}
+	key := func(protocol string, bits int) string {
+		t.Helper()
+		p, err := request(protocol, bits).prepare(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p.Key
+	}
+	if a, b := key("p-sop", 256), key("p-sop", 2048); a != b {
+		t.Fatalf("p-sop requests differing only in bits address %s and %s", a, b)
+	}
+	if a, b := key("p-sop", 0), key("p-sop", 512); a != b {
+		t.Fatalf("p-sop with default and explicit bits address %s and %s", a, b)
+	}
+	if a, b := key("ks", 256), key("ks", 2048); a == b {
+		t.Fatalf("ks requests differing in bits share the address %s", a)
+	}
+
+	req := request("p-sop", 0)
+	n, _, _, _, err := req.normalize(s.lookupProvider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := n
+	stale.Bits = 512
+	wrong := 0.99
+	planted, err := encodeResult(privateAuditKind, &PrivateAuditResponse{Protocol: "p-sop", Pairs: 1,
+		Entries: []PrivateAuditEntryWire{{Providers: []string{"left", "right"}, Jaccard: &wrong}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(stale.key(), store.KindResult, planted.envelope()); err != nil {
+		t.Fatal(err)
+	}
+	sub, err := s.PrivateAudit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitDone(t, s, sub.ID)
+	if done.Cached || done.CacheKey == stale.key() || s.Stats().Computations != 1 {
+		t.Fatalf("the p-sop request was answered from its pre-change address: %+v", done)
+	}
+	res, err := s.Result(sub.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, ok := res.(*PrivateAuditResponse)
+	if !ok || len(pr.Entries) != 1 || pr.Entries[0].Jaccard == nil || math.Abs(*pr.Entries[0].Jaccard-1.0/6) > 1e-9 {
+		t.Fatalf("result = %#v, want one entry with Jaccard 1/6", res)
 	}
 }
 

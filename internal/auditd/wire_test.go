@@ -260,7 +260,7 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 		{"negative workers", func(r *PrivateAuditRequest) { r.Workers = -1 }, "negative option"},
 		{"negative timeout", func(r *PrivateAuditRequest) { r.TimeoutMS = -1 }, "negative option"},
 		{"unknown protocol", func(r *PrivateAuditRequest) { r.Protocol = "magic" }, `unknown protocol "magic"`},
-		{"bits too small", func(r *PrivateAuditRequest) { r.Bits = 64 }, "too small"},
+		{"bits too small", func(r *PrivateAuditRequest) { r.Protocol, r.Bits = "ks", 64 }, "too small"},
 		{"unnamed provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "" }, "has no name"},
 		{"duplicate provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "a" }, `duplicate provider "a"`},
 		{"empty component name", func(r *PrivateAuditRequest) { r.Providers[0].Components = []string{"c1", ""} }, "empty component name"},
@@ -291,8 +291,8 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 }
 
 // TestPrivateAuditNormalizeDefaults pins the canonical form: protocol and
-// key-size defaults land in the key, parallelism and titles stay out of it,
-// and deployment lists canonicalize order-insensitively.
+// KS key-size defaults land in the key, parallelism and titles stay out of
+// it, and deployment lists canonicalize order-insensitively.
 func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 	base := &PrivateAuditRequest{
 		Providers: []ProviderWire{
@@ -305,7 +305,7 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Protocol != "p-sop" || n.Bits != 512 || cfg.Bits != 512 {
+	if n.Protocol != "p-sop" || n.Bits != 0 || cfg.Bits != 0 {
 		t.Fatalf("defaults: %+v", n)
 	}
 	if len(provs) != 3 || provs[0].Name != "a" || provs[2].Name != "c" {
@@ -335,14 +335,15 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 		t.Fatalf("key drifted on non-semantic fields:\n%s\nvs\n%s", n2.key(), key)
 	}
 
-	// KS always estimates via MinHash: the default m is pinned into the key.
+	// KS always estimates via MinHash: the default m and the default
+	// Paillier size are pinned into the key.
 	ks := &PrivateAuditRequest{Providers: base.Providers, Protocol: "ks"}
 	nks, cfgKS, _, _, err := ks.normalize(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nks.MinHashM != 512 || cfgKS.MinHashM != 512 {
-		t.Fatalf("ks minhash default: %+v", nks)
+	if nks.MinHashM != 512 || cfgKS.MinHashM != 512 || nks.Bits != 512 || cfgKS.Bits != 512 {
+		t.Fatalf("ks defaults: %+v", nks)
 	}
 
 	// Cleartext ignores bits entirely, so it cannot split the key space.

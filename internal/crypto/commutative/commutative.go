@@ -1,174 +1,104 @@
-// Package commutative implements a commutative encryption scheme — the
-// Pohlig–Hellman/SRA exponentiation cipher the paper's P-SOP prototype uses
-// ("commutative RSA" [56], §6.1.2).
+// Package commutative implements the deterministic commutative cipher
+// P-SOP's ring protocol relies on (§4.2.2): X25519 scalar multiplication on
+// Curve25519, from crypto/ecdh.
 //
-// All parties share a public prime modulus p; a key is a secret exponent e
-// coprime to p−1, and encryption is E_e(x) = x^e mod p. Because
-// (x^e)^f = (x^f)^e, encryptions under different keys commute — the property
-// P-SOP's ring protocol relies on (§4.2.2). Decryption uses d = e⁻¹ mod p−1.
+// A key is a scalar k and encryption is E_k(P) = [k]P on u-coordinates.
+// Because [a]([b]P) = [b]([a]P), encryptions under different keys commute:
+// once every party has encrypted an element, its ciphertext no longer
+// depends on the order the keys were applied in. The paper's prototype uses
+// Pohlig–Hellman exponentiation modulo a prime ("commutative RSA" [56],
+// §6.1.2); P-SOP needs only a deterministic commutative permutation of a
+// group where DDH is hard, which X25519 gives at about 128-bit security with
+// 32-byte ciphertexts.
 //
-// This is not semantically secure encryption (it is deterministic), which is
-// exactly what private set intersection needs: equal plaintexts encrypt to
-// equal ciphertexts under the same key set, so ciphertext multisets can be
+// The cipher is deterministic, not semantically secure, which is exactly
+// what private set intersection needs: equal plaintexts encrypt to equal
+// ciphertexts under the same key set, so ciphertext multisets can be
 // compared without revealing plaintexts.
 package commutative
 
 import (
-	"crypto/rand"
+	"crypto/ecdh"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"io"
-	"math/big"
 )
 
-// Group is the shared modulus all parties agree on.
-type Group struct {
-	P    *big.Int // prime modulus
-	pm1  *big.Int // p − 1
-	size int      // ciphertext byte width
+// Size is the byte width of a point, and so of every ciphertext.
+const Size = 32
+
+// Point is a Curve25519 u-coordinate: an element's hashed point, or its
+// encryption under one or more keys.
+type Point [Size]byte
+
+// domain separates P-SOP's element hash from every other use of SHA-256.
+const domain = "indaas p-sop x25519 element\x00"
+
+// candidate is the ctr-th point data may map to: SHA-256(domain ‖ ctr ‖
+// data) with bit 255 cleared. Curve25519 is twist-secure, so every such
+// u-coordinate is usable except the few low-order ones, which ECDH refuses.
+func candidate(data []byte, ctr uint32) Point {
+	h := sha256.New()
+	h.Write([]byte(domain))
+	var c [4]byte
+	binary.BigEndian.PutUint32(c[:], ctr)
+	h.Write(c[:])
+	h.Write(data)
+	var p Point
+	h.Sum(p[:0])
+	p[Size-1] &= 0x7f
+	return p
 }
 
-// rfc3526Group2 is the 1024-bit MODP group (RFC 2409 Oakley group 2), a safe
-// prime; rfc3526Group14 is the 2048-bit MODP group (RFC 3526 group 14).
-const (
-	rfc3526Group2 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-		"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-		"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-		"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-		"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE65381" +
-		"FFFFFFFFFFFFFFFF"
-	rfc3526Group14 = "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD1" +
-		"29024E088A67CC74020BBEA63B139B22514A08798E3404DD" +
-		"EF9519B3CD3A431B302B0A6DF25F14374FE1356D6D51C245" +
-		"E485B576625E7EC6F44C42E9A637ED6B0BFF5CB6F406B7ED" +
-		"EE386BFB5A899FA5AE9F24117C4B1FE649286651ECE45B3D" +
-		"C2007CB8A163BF0598DA48361C55D39A69163FA8FD24CF5F" +
-		"83655D23DCA3AD961C62F356208552BB9ED529077096966D" +
-		"670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B" +
-		"E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9" +
-		"DE2BCBF6955817183995497CEA956AE515D2261898FA0510" +
-		"15728E5A8AACAA68FFFFFFFFFFFFFFFF"
-)
-
-// NewGroup returns the shared group for the given modulus size. 1024 and
-// 2048 bits use well-known safe primes (RFC 2409/3526 MODP groups); other
-// sizes generate a fresh random prime — useful for the key-size ablation,
-// not for interoperating parties, who must share p out of band.
-func NewGroup(bits int) (*Group, error) {
-	switch bits {
-	case 1024:
-		return groupFromHex(rfc3526Group2)
-	case 2048:
-		return groupFromHex(rfc3526Group14)
-	}
-	if bits < 128 {
-		return nil, fmt.Errorf("commutative: modulus of %d bits is too small", bits)
-	}
-	p, err := rand.Prime(rand.Reader, bits)
-	if err != nil {
-		return nil, fmt.Errorf("commutative: generating %d-bit prime: %w", bits, err)
-	}
-	return newGroup(p), nil
-}
-
-func groupFromHex(hexP string) (*Group, error) {
-	p, ok := new(big.Int).SetString(hexP, 16)
-	if !ok {
-		return nil, fmt.Errorf("commutative: bad builtin prime")
-	}
-	return newGroup(p), nil
-}
-
-func newGroup(p *big.Int) *Group {
-	return &Group{
-		P:    p,
-		pm1:  new(big.Int).Sub(p, big.NewInt(1)),
-		size: (p.BitLen() + 7) / 8,
-	}
-}
-
-// CiphertextSize returns the fixed byte width of serialized group elements.
-func (g *Group) CiphertextSize() int { return g.size }
-
-// HashToGroup maps arbitrary data to a non-trivial group element: the
-// SHA-256 digest (extended to the modulus width by counter-mode hashing)
-// reduced mod p, avoiding 0 and 1.
-func (g *Group) HashToGroup(data []byte) *big.Int {
-	buf := make([]byte, 0, g.size+sha256.Size)
-	var ctr byte
-	for len(buf) < g.size {
-		h := sha256.New()
-		h.Write([]byte{ctr})
-		h.Write(data)
-		buf = h.Sum(buf)
-		ctr++
-	}
-	x := new(big.Int).SetBytes(buf[:g.size])
-	x.Mod(x, g.P)
-	if x.Cmp(big.NewInt(2)) < 0 {
-		x.Add(x, big.NewInt(2))
-	}
-	return x
-}
-
-// Bytes serializes a group element at fixed width.
-func (g *Group) Bytes(x *big.Int) []byte {
-	out := make([]byte, g.size)
-	x.FillBytes(out)
-	return out
-}
-
-// FromBytes parses a fixed-width group element.
-func (g *Group) FromBytes(b []byte) (*big.Int, error) {
-	if len(b) != g.size {
-		return nil, fmt.Errorf("commutative: element of %d bytes, want %d", len(b), g.size)
-	}
-	x := new(big.Int).SetBytes(b)
-	if x.Cmp(g.P) >= 0 {
-		return nil, fmt.Errorf("commutative: element out of group range")
-	}
-	return x, nil
-}
-
-// Key is one party's secret exponent pair.
+// Key is one party's secret scalar.
 type Key struct {
-	g *Group
-	e *big.Int // encryption exponent, coprime to p−1
-	d *big.Int // decryption exponent, e⁻¹ mod p−1
+	k *ecdh.PrivateKey
 }
 
-// GenerateKey draws a fresh key from the given randomness source.
-func (g *Group) GenerateKey(rng io.Reader) (*Key, error) {
-	one := big.NewInt(1)
-	for tries := 0; tries < 1000; tries++ {
-		e, err := rand.Int(rng, g.pm1)
-		if err != nil {
-			return nil, fmt.Errorf("commutative: drawing exponent: %w", err)
-		}
-		if e.Cmp(big.NewInt(2)) < 0 {
-			continue
-		}
-		if new(big.Int).GCD(nil, nil, e, g.pm1).Cmp(one) != 0 {
-			continue
-		}
-		d := new(big.Int).ModInverse(e, g.pm1)
-		if d == nil {
-			continue
-		}
-		return &Key{g: g, e: e, d: d}, nil
+// NewKey reads a key's 32 bytes from rng. The key is a pure function of
+// those bytes, so a fixed reader yields a fixed key.
+func NewKey(rng io.Reader) (*Key, error) {
+	var b [Size]byte
+	if _, err := io.ReadFull(rng, b[:]); err != nil {
+		return nil, fmt.Errorf("commutative: drawing key: %w", err)
 	}
-	return nil, fmt.Errorf("commutative: could not find invertible exponent")
+	k, err := ecdh.X25519().NewPrivateKey(b[:])
+	if err != nil {
+		return nil, fmt.Errorf("commutative: %w", err)
+	}
+	return &Key{k: k}, nil
 }
 
-// Group returns the key's group.
-func (k *Key) Group() *Group { return k.g }
-
-// Encrypt computes x^e mod p.
-func (k *Key) Encrypt(x *big.Int) *big.Int {
-	return new(big.Int).Exp(x, k.e, k.g.P)
+// Encrypt computes [k]P for the point encoded in in. It refuses input that
+// is not exactly Size bytes, and a low-order point — one every key maps to
+// the same value, so it would match at every party.
+func (k *Key) Encrypt(in []byte) (Point, error) {
+	var out Point
+	if len(in) != Size {
+		return out, fmt.Errorf("commutative: element of %d bytes, want %d", len(in), Size)
+	}
+	pub, err := ecdh.X25519().NewPublicKey(in)
+	if err != nil {
+		return out, fmt.Errorf("commutative: %w", err)
+	}
+	shared, err := k.k.ECDH(pub)
+	if err != nil {
+		return out, fmt.Errorf("commutative: %w", err)
+	}
+	copy(out[:], shared)
+	return out, nil
 }
 
-// Decrypt computes y^d mod p, inverting Encrypt.
-func (k *Key) Decrypt(y *big.Int) *big.Int {
-	return new(big.Int).Exp(y, k.d, k.g.P)
+// EncryptElement maps data to its point and encrypts it under k. The point
+// is data's first candidate ECDH does not refuse. Refusal depends only on
+// the point (every key refuses the low-order points), so every party
+// derives the same point.
+func (k *Key) EncryptElement(data []byte) Point {
+	for ctr := uint32(0); ; ctr++ {
+		p := candidate(data, ctr)
+		if c, err := k.Encrypt(p[:]); err == nil {
+			return c
+		}
+	}
 }

@@ -68,7 +68,7 @@ func TestTable2PrivateMatchesCleartext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := RunTable2(Table2Config{Protocol: pia.ProtocolPSOP, Bits: 512})
+	priv, err := RunTable2(Table2Config{Protocol: pia.ProtocolPSOP})
 	if err != nil {
 		t.Fatal(err)
 	}

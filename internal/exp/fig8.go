@@ -29,8 +29,8 @@ type Fig8Config struct {
 	// sweeps 10³..10⁵; KS is quadratic, so its default list is smaller).
 	PSOPElements []int
 	KSElements   []int
-	// Bits is the key size (paper: 1024 for both protocols; default 512
-	// keeps the laptop-scale run fast).
+	// Bits is KS's Paillier key size (paper: 1024; default 512 keeps the
+	// laptop-scale run fast). P-SOP's X25519 cipher has one size.
 	Bits int
 	// KSBlindBits bounds KS blinding coefficients (see psi.KSConfig).
 	KSBlindBits int
@@ -59,7 +59,7 @@ func (c *Fig8Config) defaults() {
 	}
 }
 
-// Fig8FullConfig approaches the paper's sweep (1024-bit keys, larger n).
+// Fig8FullConfig approaches the paper's sweep (1024-bit KS keys, larger n).
 func Fig8FullConfig() Fig8Config {
 	return Fig8Config{
 		PSOPElements: []int{1_000, 3_000, 10_000, 30_000, 100_000},
@@ -96,7 +96,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 			var r *psi.Result
 			elapsed, err := timed(func() error {
 				var err error
-				r, err = psi.PSOP(psi.PSOPConfig{Bits: cfg.Bits}, sets)
+				r, err = psi.PSOP(psi.PSOPConfig{}, sets)
 				return err
 			})
 			if err != nil {

@@ -35,7 +35,8 @@ type Fig9Config struct {
 	Arities []int
 	// Rounds is the sampling round count (paper: 10⁶; default 10⁴).
 	Rounds int
-	// Bits / KSBlindBits parametrize the private protocols.
+	// Bits / KSBlindBits parametrize the KS baseline's Paillier cipher;
+	// P-SOP's X25519 cipher has one size.
 	Bits        int
 	KSBlindBits int
 	// KSMinHashM is the MinHash signature width the KS runs use
@@ -136,7 +137,7 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 
 			// PIA with P-SOP.
 			elapsed, err = timed(func() error {
-				_, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP, Bits: cfg.Bits}, providers, deployments)
+				_, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP}, providers, deployments)
 				return err
 			})
 			if err != nil {

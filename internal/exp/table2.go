@@ -32,8 +32,6 @@ type Table2Config struct {
 	// cardinalities, as in the paper's case study; ProtocolCleartext for
 	// fast validation runs).
 	Protocol pia.Protocol
-	// Bits is the commutative key size (default 1024; 512 speeds up tests).
-	Bits int
 }
 
 // RunTable2 reproduces Table 2: the four clouds run their software
@@ -56,7 +54,7 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		}
 		providers[i] = pia.Provider{Name: fmt.Sprintf("Cloud%d", i+1), Components: comps}
 	}
-	piaCfg := pia.Config{Protocol: cfg.Protocol, Bits: cfg.Bits}
+	piaCfg := pia.Config{Protocol: cfg.Protocol}
 	res := &Table2Result{Protocol: cfg.Protocol.String()}
 
 	run := func(deployments []pia.Deployment) ([]Table2Entry, error) {

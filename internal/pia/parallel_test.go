@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"indaas/internal/crypto/commutative"
 	"indaas/internal/telemetry"
 )
 
@@ -39,8 +38,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}{
 		{"cleartext", Config{Protocol: ProtocolCleartext}},
 		{"cleartext minhash", Config{Protocol: ProtocolCleartext, MinHashM: 128}},
-		{"p-sop", Config{Protocol: ProtocolPSOP, Bits: 128}},
-		{"p-sop minhash", Config{Protocol: ProtocolPSOP, Bits: 128, MinHashM: 64}},
+		{"p-sop", Config{Protocol: ProtocolPSOP}},
+		{"p-sop minhash", Config{Protocol: ProtocolPSOP, MinHashM: 64}},
 		{"ks", Config{Protocol: ProtocolKS, Bits: 128, MinHashM: 64}},
 	}
 	for _, tc := range cases {
@@ -113,7 +112,7 @@ func TestCancellationMidRun(t *testing.T) {
 		{Name: "A", Components: append([]string{"uniq-a"}, big...)},
 		{Name: "B", Components: append([]string{"uniq-b"}, big...)},
 	}
-	_, err := AuditDeploymentsContext(ctx, Config{Protocol: ProtocolPSOP, Bits: 512, Workers: 2},
+	_, err := AuditDeploymentsContext(ctx, Config{Protocol: ProtocolPSOP, Workers: 2},
 		providers, []Deployment{{0, 1}, {1, 0}, {0, 1}})
 	if err == nil {
 		t.Fatal("timed-out audit completed")
@@ -140,29 +139,5 @@ func TestTraceReceivesPairs(t *testing.T) {
 	}
 	if got := tr.Counts()["pairs_audited"]; got != 6 {
 		t.Fatalf("pairs_audited = %d, want 6", got)
-	}
-}
-
-// TestSharedGroupReused: supplying a pre-agreed group skips modulus
-// generation and still matches the cleartext oracle.
-func TestSharedGroupReused(t *testing.T) {
-	providers := fourProviders()
-	clear, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, AllPairs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := commutative.NewGroup(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	priv, err := AuditDeployments(Config{Protocol: ProtocolPSOP, Group: g, Workers: 2}, providers, AllPairs(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clear.Entries {
-		if clear.Entries[i].Jaccard != priv.Entries[i].Jaccard {
-			t.Fatalf("entry %d: p-sop %v vs cleartext %v", i,
-				priv.Entries[i].Jaccard, clear.Entries[i].Jaccard)
-		}
 	}
 }

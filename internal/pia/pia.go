@@ -24,7 +24,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"indaas/internal/crypto/commutative"
 	"indaas/internal/deps"
 	"indaas/internal/minhash"
 	"indaas/internal/psi"
@@ -72,7 +71,8 @@ func (p Protocol) String() string {
 // Config tunes a PIA run.
 type Config struct {
 	Protocol Protocol
-	// Bits is the key size for the cryptographic protocols (default 1024).
+	// Bits is the Paillier key size of the KS baseline (default 1024).
+	// P-SOP's X25519 cipher has one fixed size.
 	Bits int
 	// MinHashM, when non-zero, estimates Jaccard from m-function MinHash
 	// signatures instead of the full component-sets (§4.2.4). Required
@@ -91,10 +91,6 @@ type Config struct {
 	// the report is identical for every worker count; 0 or 1 is the
 	// sequential path.
 	Workers int
-	// Group optionally supplies a pre-agreed commutative group for
-	// ProtocolPSOP, skipping modulus generation. When nil, one group is
-	// generated per audit and shared by every pair of the batch.
-	Group *commutative.Group
 }
 
 // Deployment identifies a candidate redundancy deployment by provider
@@ -128,21 +124,6 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 	if len(deployments) == 0 {
 		return nil, fmt.Errorf("pia: no deployments to audit")
 	}
-	// One pre-agreed group amortizes modulus generation across every pair of
-	// the batch ("parties must share a modulus" is the documented reuse).
-	group := cfg.Group
-	if group == nil && cfg.Protocol == ProtocolPSOP {
-		bits := cfg.Bits
-		if bits == 0 {
-			bits = 1024
-		}
-		g, err := commutative.NewGroup(bits)
-		if err != nil {
-			return nil, err
-		}
-		group = g
-	}
-
 	tr := telemetry.FromContext(ctx)
 	endPairs := tr.Start("pia-pairs")
 	defer endPairs()
@@ -156,7 +137,7 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 	}
 	if workers <= 1 {
 		for i, d := range deployments {
-			entry, err := auditOne(ctx, cfg, group, providers, d)
+			entry, err := auditOne(ctx, cfg, providers, d)
 			if err != nil {
 				return nil, err
 			}
@@ -180,7 +161,7 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 					if i >= len(deployments) || cctx.Err() != nil {
 						return
 					}
-					entry, err := auditOne(cctx, cfg, group, providers, deployments[i])
+					entry, err := auditOne(cctx, cfg, providers, deployments[i])
 					if err != nil {
 						errMu.Lock()
 						if firstErr == nil {
@@ -208,7 +189,7 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 	return rep, nil
 }
 
-func auditOne(ctx context.Context, cfg Config, group *commutative.Group, providers []Provider, d Deployment) (*report.PIAEntry, error) {
+func auditOne(ctx context.Context, cfg Config, providers []Provider, d Deployment) (*report.PIAEntry, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -260,7 +241,7 @@ func auditOne(ctx context.Context, cfg Config, group *commutative.Group, provide
 		}
 		jaccard = est
 	case cfg.Protocol == ProtocolPSOP && !useMinHash:
-		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Bits: cfg.Bits, Group: group, Workers: cfg.Workers}, sets)
+		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Workers: cfg.Workers}, sets)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +258,7 @@ func auditOne(ctx context.Context, cfg Config, group *commutative.Group, provide
 		if err != nil {
 			return nil, err
 		}
-		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Bits: cfg.Bits, Group: group, Workers: cfg.Workers}, sigSets)
+		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Workers: cfg.Workers}, sigSets)
 		if err != nil {
 			return nil, err
 		}

@@ -64,7 +64,7 @@ func TestPSOPExactMatchesCleartext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := AuditDeployments(Config{Protocol: ProtocolPSOP, Bits: 512}, providers, deployments)
+	priv, err := AuditDeployments(Config{Protocol: ProtocolPSOP}, providers, deployments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPSOPMinHashApproximates(t *testing.T) {
 		b = append(b, shared, fmt.Sprintf("b/only-%d", i))
 	}
 	providers := []Provider{{Name: "A", Components: a}, {Name: "B", Components: b}}
-	rep, err := AuditDeployments(Config{Protocol: ProtocolPSOP, Bits: 512, MinHashM: 256},
+	rep, err := AuditDeployments(Config{Protocol: ProtocolPSOP, MinHashM: 256},
 		providers, []Deployment{{0, 1}})
 	if err != nil {
 		t.Fatal(err)

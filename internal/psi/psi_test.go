@@ -48,8 +48,8 @@ func TestDisambiguate(t *testing.T) {
 
 func TestPSOPMatchesCleartext(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 6; trial++ {
-		k := 2 + trial%3
+	for trial := 0; trial < 8; trial++ {
+		k := 2 + trial%4
 		sets := make([][]string, k)
 		for i := range sets {
 			n := 5 + rng.Intn(15)
@@ -62,7 +62,7 @@ func TestPSOPMatchesCleartext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := PSOP(PSOPConfig{Bits: 512}, sets)
+		res, err := PSOP(PSOPConfig{Workers: trial % 3}, sets)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -83,7 +83,7 @@ func TestPSOPMatchesCleartext(t *testing.T) {
 func TestPSOPJaccardMatchesPlainJaccard(t *testing.T) {
 	a := []string{"pkg:libc6=2.19", "pkg:libssl=1.0.1", "router:10.0.0.1", "c1/private"}
 	b := []string{"pkg:libc6=2.19", "pkg:libssl=1.0.1", "c2/other"}
-	res, err := PSOP(PSOPConfig{Bits: 512}, [][]string{a, b})
+	res, err := PSOP(PSOPConfig{}, [][]string{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,10 +98,10 @@ func TestPSOPJaccardMatchesPlainJaccard(t *testing.T) {
 }
 
 func TestPSOPErrors(t *testing.T) {
-	if _, err := PSOP(PSOPConfig{Bits: 512}, [][]string{{"a"}}); err == nil {
+	if _, err := PSOP(PSOPConfig{}, [][]string{{"a"}}); err == nil {
 		t.Error("single party accepted")
 	}
-	if _, err := PSOP(PSOPConfig{Bits: 512}, [][]string{{"a"}, {}}); err == nil {
+	if _, err := PSOP(PSOPConfig{}, [][]string{{"a"}, {}}); err == nil {
 		t.Error("empty dataset accepted")
 	}
 }
@@ -115,7 +115,7 @@ func TestPSOPStats(t *testing.T) {
 			sets[i][j] = fmt.Sprintf("p%d-e%d", i, j%7)
 		}
 	}
-	res, err := PSOP(PSOPConfig{Bits: 512}, sets)
+	res, err := PSOP(PSOPConfig{}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +125,10 @@ func TestPSOPStats(t *testing.T) {
 	if len(res.Stats.PerParty) != 3 {
 		t.Errorf("per-party stats for %d parties", len(res.Stats.PerParty))
 	}
-	// Ring phase: each dataset of 10 elements × 64 bytes × (k−1)=2 hops,
-	// share phase: ×(k−1) more. Total = 10·64·(2·3 + 3·2) = 7680.
-	want := int64(10 * 64 * (2*3 + 2*3))
+	// Ring phase: each dataset of 10 elements × 32 bytes (one X25519 point)
+	// × (k−1)=2 hops, share phase: ×(k−1) more. Total = 10·32·(2·3 + 3·2)
+	// = 3840.
+	want := int64(10 * 32 * (2*3 + 2*3))
 	if res.Stats.BytesSent != want {
 		t.Errorf("BytesSent = %d, want %d", res.Stats.BytesSent, want)
 	}
@@ -239,7 +240,7 @@ func TestProtocolCostShape(t *testing.T) {
 		return out
 	}
 	sets := [][]string{mk(20, "a"), mk(20, "b"), mk(20, "c"), mk(20, "d")}
-	psop, err := PSOP(PSOPConfig{Bits: 512}, sets)
+	psop, err := PSOP(PSOPConfig{}, sets)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,7 +5,6 @@ import (
 	cryptorand "crypto/rand"
 	"fmt"
 	"io"
-	"math/big"
 	mathrand "math/rand"
 	"sync"
 
@@ -14,21 +13,14 @@ import (
 
 // PSOPConfig tunes the P-SOP protocol.
 type PSOPConfig struct {
-	// Bits is the commutative-cipher modulus size (default 1024, the
-	// paper's setting; 512/2048 for the key-size ablation).
-	Bits int
-	// Rand is the randomness source for key generation (default
-	// crypto/rand). Permutations are seeded from it as well.
+	// Rand is the randomness source for keys and permutations (default
+	// crypto/rand). A fixed Rand yields a deterministic transcript.
 	Rand io.Reader
-	// Group optionally reuses a pre-agreed group, skipping generation —
-	// required for non-builtin sizes when parties must share a modulus, and
-	// useful to amortize setup in benches.
-	Group *commutative.Group
-	// Workers parallelizes the modular-exponentiation loops — each party
-	// encrypting its own dataset and every re-encryption hop — across up to
-	// Workers goroutines. Key generation and permutation stay sequential so
-	// a fixed Rand still yields a deterministic transcript; the protocol
-	// result is identical for every worker count. 0 or 1 is sequential.
+	// Workers parallelizes the encryption loops — each party encrypting its
+	// own dataset and every re-encryption hop — across up to Workers
+	// goroutines. Key generation and permutation stay sequential so a fixed
+	// Rand still yields a deterministic transcript; the protocol result is
+	// identical for every worker count. 0 or 1 is sequential.
 	Workers int
 }
 
@@ -60,28 +52,16 @@ func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result,
 			return nil, fmt.Errorf("psi: party %d has an empty dataset", i)
 		}
 	}
-	bits := cfg.Bits
-	if bits == 0 {
-		bits = 1024
-	}
 	rng := cfg.Rand
 	if rng == nil {
 		rng = cryptorand.Reader
-	}
-	group := cfg.Group
-	if group == nil {
-		var err error
-		group, err = commutative.NewGroup(bits)
-		if err != nil {
-			return nil, err
-		}
 	}
 
 	// Per-party key and permutation source.
 	keys := make([]*commutative.Key, k)
 	perms := make([]*mathrand.Rand, k)
 	for i := range keys {
-		key, err := group.GenerateKey(rng)
+		key, err := commutative.NewKey(rng)
 		if err != nil {
 			return nil, fmt.Errorf("psi: party %d keygen: %w", i, err)
 		}
@@ -96,16 +76,17 @@ func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result,
 	}
 
 	var stats Stats
-	elemSize := int64(group.CiphertextSize())
+	const elemSize = commutative.Size
 
 	// Step 1: each party hashes, encrypts and permutes its own dataset.
-	datasets := make([][]*big.Int, k)
+	datasets := make([][]commutative.Point, k)
 	for i, s := range sets {
 		uniq := disambiguate(s)
-		ds := make([]*big.Int, len(uniq))
+		ds := make([]commutative.Point, len(uniq))
 		key := keys[i]
-		err := parallelFor(ctx, len(uniq), cfg.Workers, func(j int) {
-			ds[j] = key.Encrypt(group.HashToGroup([]byte(uniq[j])))
+		err := parallelFor(ctx, len(uniq), cfg.Workers, func(j int) error {
+			ds[j] = key.EncryptElement([]byte(uniq[j]))
+			return nil
 		})
 		if err != nil {
 			return nil, err
@@ -122,8 +103,11 @@ func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result,
 			stats.send(sender, int64(len(datasets[owner]))*elemSize)
 			ds := datasets[owner]
 			key := keys[holder]
-			err := parallelFor(ctx, len(ds), cfg.Workers, func(j int) {
-				ds[j] = key.Encrypt(ds[j])
+			err := parallelFor(ctx, len(ds), cfg.Workers, func(j int) (err error) {
+				if ds[j], err = key.Encrypt(ds[j][:]); err != nil {
+					return fmt.Errorf("psi: party %d re-encrypting: %w", holder, err)
+				}
+				return nil
 			})
 			if err != nil {
 				return nil, err
@@ -141,15 +125,16 @@ func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result,
 
 	// Step 4: count on ciphertexts. Disambiguation turned multisets into
 	// sets, so min/max counts reduce to membership.
-	inter, union := countCiphertexts(group, datasets)
+	inter, union := countCiphertexts(datasets)
 	return &Result{Intersection: inter, Union: union, Stats: stats}, nil
 }
 
 // parallelFor runs fn(0..n-1) across up to workers goroutines (striped so
 // slot j is always written exactly once), polling ctx between elements. With
-// workers <= 1 it degrades to a plain loop. It returns ctx's error if the
-// context ended before every element was processed.
-func parallelFor(ctx context.Context, n, workers int, fn func(j int)) error {
+// workers <= 1 it degrades to a plain loop. It returns the first error fn
+// returns, or ctx's error if the context ended before every element was
+// processed.
+func parallelFor(ctx context.Context, n, workers int, fn func(j int) error) error {
 	if workers > n {
 		workers = n
 	}
@@ -158,10 +143,14 @@ func parallelFor(ctx context.Context, n, workers int, fn func(j int)) error {
 			if j&0x3f == 0 && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			fn(j)
+			if err := fn(j); err != nil {
+				return err
+			}
 		}
 		return ctx.Err()
 	}
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -171,24 +160,27 @@ func parallelFor(ctx context.Context, n, workers int, fn func(j int)) error {
 				if ctx.Err() != nil {
 					return
 				}
-				fn(j)
+				if err := fn(j); err != nil {
+					cancel(err)
+					return
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	return ctx.Err()
+	return context.Cause(ctx)
 }
 
-func permute(rng *mathrand.Rand, ds []*big.Int) {
+func permute(rng *mathrand.Rand, ds []commutative.Point) {
 	rng.Shuffle(len(ds), func(a, b int) { ds[a], ds[b] = ds[b], ds[a] })
 }
 
-func countCiphertexts(group *commutative.Group, datasets [][]*big.Int) (inter, union int) {
+func countCiphertexts(datasets [][]commutative.Point) (inter, union int) {
 	k := len(datasets)
-	seenIn := make(map[string]int)
+	seenIn := make(map[commutative.Point]int)
 	for _, ds := range datasets {
 		for _, c := range ds {
-			seenIn[string(group.Bytes(c))]++
+			seenIn[c]++
 		}
 	}
 	union = len(seenIn)

@@ -356,9 +356,8 @@ if [ "$MODE" = pia ]; then
         die "GET /v1/providers does not list both registered providers"
 
     # Run the P-SOP audit over the registered datasets and diff the report
-    # against the golden (wall-clock and crypto-payload sizes zeroed — the
-    # modulus is fresh per run; the Jaccard, ranking and fingerprints are
-    # deterministic).
+    # against the golden (wall-clock and protocol byte counts zeroed; the
+    # Jaccard, ranking and fingerprints are deterministic).
     PIA_NORM='.elapsed_ns = 0 | .pairs_per_sec = 0 | .bytes_sent = 0
         | .entries[].elapsed_ns = 0 | .entries[].bytes_sent = 0'
     ID=$(submit v1/private-audits @scripts/private_audit_request.json)
