@@ -155,7 +155,7 @@ func cmdAudit(args []string) error {
 	fs.Var(&deployments, "deploy", "deployment to audit: name=server1,server2 (repeatable)")
 	algo := fs.String("algorithm", "minimal-rg", "minimal-rg or failure-sampling")
 	rounds := fs.Int("rounds", 100000, "sampling rounds for failure-sampling")
-	workers := fs.Int("workers", 0, "sampling goroutines (0 = one per CPU, 1 = sequential)")
+	workers := fs.Int("workers", 0, "sampling goroutines (0 = one per CPU; speed only, the result does not depend on it)")
 	prob := fs.Float64("prob", 0, "uniform component failure probability (>0 enables probability ranking)")
 	kinds := fs.String("kinds", "", "comma-separated dependency kinds to consider (network,hardware,software)")
 	maxRGs := fs.Int("max-rgs", 10, "risk groups to print per deployment")

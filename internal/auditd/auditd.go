@@ -24,16 +24,19 @@
 //
 // A finished result is held once, as bytes (see EncodedResult): encoded when
 // its computation completes, cached, stored and served as that one slice. A
-// job keeps only a handle — content address, title, provenance — and a
-// report read resolves the address through the result tiers.
+// job keeps only a constant-size record — id, content address, title,
+// provenance, timestamps — and a report read resolves the address through
+// the result tiers.
 package auditd
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,12 +73,13 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// JobRetention bounds the job table: once more jobs than this exist,
 	// the oldest *terminal* jobs are evicted, so an always-on daemon does not
-	// grow without bound. A job is a handle (well under 1 KB), never a
-	// result: how long its report stays readable is bounded by the result
-	// tiers, and a retained job whose result every tier has dropped answers
-	// 410 Gone (resubmit to recompute). Evicted jobs 404 on status/report
-	// lookups; their reports stay reachable through /v1/cache/{key} while
-	// cached. Default 4096; negative disables eviction.
+	// grow without bound. A settled job is a constant-size record (about
+	// 100 bytes for a hit), never a result: how long its report stays
+	// readable is bounded by the result tiers, and a retained job whose
+	// result every tier has dropped answers 410 Gone (resubmit to
+	// recompute). Evicted jobs 404 on status/report lookups; their reports
+	// stay reachable through /v1/cache/{key} while cached. Default 4096;
+	// negative disables eviction.
 	JobRetention int
 	// Store, when set, makes the service durable: completed results are
 	// written through to disk before their jobs report done, in-memory cache
@@ -185,26 +189,47 @@ type computation struct {
 	queueDone func()
 }
 
-// job is one client submission: a handle on its result (key, title,
-// provenance) — a done job's payload is whatever the tiers hold under key.
+// job is one client submission. Every job is a constant-size record — its
+// id, the content address of its result, title, provenance, state,
+// timestamps and, for a job that attached to a computation, the trace — and
+// a done job's payload is whatever the tiers hold under key. A job not yet
+// terminal also holds its live state, which settling drops.
 type job struct {
-	id    string
+	seq   uint64 // the id's number (see jobID)
 	key   string
 	title string
-	state string
+	// submitted, started and finished are Unix nanoseconds; 0 is not yet.
+	submitted, started, finished int64
+	state                        jobState
 	// prov is how the job came by its result (see provenance). Two facts are
 	// orthogonal to it: partial — the job's computation, its own or the one
-	// it coalesced onto, re-audits only dirtySubjects' deployments and
-	// splices the rest from held audits — and recovered, below.
-	prov          provenance
-	partial       bool
-	dirtySubjects []string
-	submitted     time.Time
-	started       time.Time
-	finished      time.Time
+	// it coalesced onto, re-audits only outcome.dirtySubjects' deployments and
+	// splices the rest from held audits — and recovered, a job replayed from
+	// the journal after a crash.
+	prov      provenance
+	partial   bool
+	recovered bool
+	// trace is the attached computation's phase trace, shared by every
+	// coalesced job; nil for a job served from a tier hit, so the hit path
+	// allocates nothing for telemetry.
+	trace *telemetry.Trace
+	// outcome is what the job reports beyond its state, when it has
+	// anything to: most jobs have none.
+	outcome *jobOutcome
+	live    *liveJob // nil once terminal, and for a hit
+}
+
+// jobOutcome is the rarer part of a job's result: the error of a failed or
+// canceled job, and the servers of the deployments a partial run re-audits.
+type jobOutcome struct {
 	err           error
-	done          chan struct{} // closed when the job reaches a terminal state
-	comp          *computation  // nil once terminal or when served from cache
+	dirtySubjects []string
+}
+
+// liveJob is the part of a job only a queued or running job needs.
+type liveJob struct {
+	done chan struct{} // closed when the job reaches a terminal state
+	comp *computation
 	// timeout is this job's run-time cap; the watchdog timer is armed when
 	// the job enters StateRunning (also for jobs coalescing onto an
 	// already-running computation), so each coalesced job keeps its own
@@ -215,24 +240,43 @@ type job struct {
 	// when the job settles: bookkeeping, not provenance — whoever flips it
 	// off has claimed the tombstone (guarded by Server.mu; see journal.go).
 	journaled bool
-	// recovered marks a job replayed from the journal after a crash.
-	recovered bool
-	// trace is the attached computation's phase trace (shared by every
-	// coalesced job); nil for jobs served from a tier hit, so the hit path
-	// allocates nothing for telemetry.
-	trace *telemetry.Trace
 }
 
-// bornDone is the done channel of every job that was terminal when it was
-// admitted — a hit: closed from the start, shared, never waited on.
+// jobState is a job's lifecycle state, in order: the terminal states last.
+type jobState uint8
+
+const (
+	jobQueued jobState = iota
+	jobRunning
+	jobDone
+	jobFailed
+	jobCanceled
+)
+
+// String is the state's wire form (StateQueued …).
+func (st jobState) String() string {
+	return [...]string{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}[st]
+}
+
+// bornDone is the done channel of every job without live state — a hit, or
+// a settled job: closed from the start, shared, never waited on.
 var bornDone = func() chan struct{} {
 	c := make(chan struct{})
 	close(c)
 	return c
 }()
 
-func (j *job) terminal() bool {
-	return j.state == StateDone || j.state == StateFailed || j.state == StateCanceled
+func (j *job) terminal() bool { return j.state >= jobDone }
+
+func (j *job) id() string { return jobID(j.seq) }
+
+// done is the channel closed when the job reaches a terminal state. Caller
+// holds s.mu.
+func (j *job) done() chan struct{} {
+	if j.live == nil {
+		return bornDone
+	}
+	return j.live.done
 }
 
 // Server is the audit service. Create with New, serve via Handler (any
@@ -251,11 +295,10 @@ type Server struct {
 	// cluster's tier.
 	tiers []ResultTier
 
-	mu   sync.Mutex
-	db   *depdb.DB // cfg.DB, or created lazily by the first ingest
-	jobs map[string]*job
-	// order[head:] are the live job IDs in submission order (see pruneLocked).
-	order  []string
+	mu sync.Mutex
+	db *depdb.DB // cfg.DB, or created lazily by the first ingest
+	// jobs[head:] are the retained jobs in id order (see pruneLocked).
+	jobs   []*job
 	head   int
 	cache  *memoryTier
 	closed bool
@@ -263,8 +306,8 @@ type Server struct {
 	// Written only under mu; the lock-free resolve stage peeks at it to skip
 	// lower-tier probes that cannot hit yet.
 	inflight sync.Map
-	// nextID is the last job id handed out (see allocID); off the lock so a
-	// miss can be journaled under its id before it is admitted.
+	// nextID is the last job sequence number handed out (see allocSeq); off
+	// the lock so a miss can be journaled under its id before it is admitted.
 	nextID atomic.Uint64
 	// providers is the registered private-audit dataset registry (see
 	// privateaudit.go), persisted under pia/provider/ store keys.
@@ -318,7 +361,6 @@ func New(cfg Config) *Server {
 		baseCtx:   ctx,
 		stop:      cancel,
 		db:        cfg.DB,
-		jobs:      make(map[string]*job),
 		providers: make(map[string]providerDataset),
 		cache:     newMemoryTier(cfg.CacheEntries),
 		audits:    newMemo[*report.Report](heldAudits),
@@ -370,13 +412,11 @@ func (s *Server) admit(p *preparedJob) (JobStatus, error) {
 	j := p.job
 	if err := s.placeLocked(p); err != nil {
 		s.m.Rejected.Add(1)
-		p.staleJournal = j.journaled && !j.recovered
+		p.staleJournal = p.journaled && !j.recovered
 		return JobStatus{}, err
 	}
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
+	s.insertLocked(j)
 	s.m.Submitted.Add(1)
-	s.pruneLocked()
 	return j.statusLocked(), nil
 }
 
@@ -386,8 +426,8 @@ func (s *Server) placeLocked(p *preparedJob) error {
 		return &statusErr{code: 503, err: errors.New("service is shutting down")}
 	}
 	if p.prov == provComputed {
-		if r, ok := s.cache.Get(p.Key); ok {
-			p.prov, p.hit = provMemoryHit, r
+		if r, key, ok := s.cache.getKey(p.Key); ok {
+			p.prov, p.hit, p.job.key = provMemoryHit, r, key
 		}
 	}
 	if p.prov.hit() {
@@ -406,11 +446,10 @@ func (s *Server) placeLocked(p *preparedJob) error {
 // s.mu.
 func (s *Server) settleHitLocked(p *preparedJob) {
 	j := p.job
-	j.state = StateDone
+	j.state = jobDone
 	j.prov = p.prov
 	j.started, j.finished = j.submitted, j.submitted
-	j.done = bornDone
-	s.m.JobDuration.Observe(time.Since(j.submitted)) // ≈0 in memory; the probe for lower-tier hits
+	s.m.JobDuration.Observe(time.Duration(time.Now().UnixNano() - j.submitted)) // ≈0 in memory; the probe for lower-tier hits
 	if p.prov == provDiskHit {
 		s.m.StoreHits.Add(1)
 	} else {
@@ -421,11 +460,22 @@ func (s *Server) settleHitLocked(p *preparedJob) {
 		// every change missed the records the job reads.
 		s.m.DeltaHits.Add(1)
 	}
-	if j.journaled {
-		// The hit landed after the journal write, or this is a recovered job
-		// whose result was durable all along: the record has done its work.
-		j.journaled = false
-		p.staleJournal = true
+	// The hit landed after the journal write, or this is a recovered job
+	// whose result was durable all along: the record has done its work.
+	p.staleJournal = p.journaled
+}
+
+// attachLocked gives a job that joins comp its trace and live state. Caller
+// holds s.mu.
+func (s *Server) attachLocked(p *preparedJob, comp *computation) {
+	j := p.job
+	j.trace = comp.trace
+	if p.partial {
+		j.partial, j.outcome = true, &jobOutcome{dirtySubjects: p.dirty}
+	}
+	j.live = &liveJob{done: make(chan struct{}), comp: comp, timeout: s.cfg.DefaultTimeout, journaled: p.journaled}
+	if p.timeoutMS > 0 {
+		j.live.timeout = time.Duration(p.timeoutMS) * time.Millisecond
 	}
 }
 
@@ -433,17 +483,14 @@ func (s *Server) settleHitLocked(p *preparedJob) {
 // or running. Caller holds s.mu.
 func (s *Server) coalesceLocked(p *preparedJob, comp *computation) {
 	j := p.job
-	j.state = StateQueued
+	s.attachLocked(p, comp)
+	j.state = jobQueued
 	if comp.running {
-		j.state = StateRunning
-		j.started = time.Now()
+		j.state = jobRunning
+		j.started = time.Now().UnixNano()
 		s.armTimeoutLocked(j)
 	}
 	j.prov = provCoalesced
-	j.partial, j.dirtySubjects = p.partial, p.dirty
-	j.done = make(chan struct{})
-	j.comp = comp
-	j.trace = comp.trace
 	comp.jobs = append(comp.jobs, j)
 	comp.refs++
 	s.m.Coalesced.Add(1)
@@ -457,7 +504,8 @@ func (s *Server) startLocked(p *preparedJob) error {
 	// trace. Backdating it to the submission instant puts the journal write
 	// and queue time inside queue-wait instead of leaving an unaccounted gap
 	// before the first phase.
-	tr := telemetry.NewAt(j.submitted)
+	submitted := time.Unix(0, j.submitted)
+	tr := telemetry.NewAt(submitted)
 	cctx, cancel := context.WithCancel(telemetry.WithTrace(s.baseCtx, tr))
 	comp := &computation{
 		preparedJob: p,
@@ -465,7 +513,7 @@ func (s *Server) startLocked(p *preparedJob) error {
 		jobs:        []*job{j},
 		refs:        1,
 		trace:       tr,
-		queueDone:   tr.StartAt("queue-wait", j.submitted),
+		queueDone:   tr.StartAt("queue-wait", submitted),
 	}
 	cb := ExecCallbacks{
 		Started: func() { s.compStarted(comp) },
@@ -475,18 +523,28 @@ func (s *Server) startLocked(p *preparedJob) error {
 		cancel()
 		return &statusErr{code: 429, err: fmt.Errorf("queue full (%d computations pending)", s.cfg.QueueDepth)}
 	}
-	j.state = StateQueued
-	j.done = make(chan struct{})
-	j.comp = comp
-	j.trace = tr
+	s.attachLocked(p, comp)
+	j.state = jobQueued
 	s.inflight.Store(p.Key, comp)
 	s.m.CacheMisses.Add(1)
 	if p.partial {
-		j.partial, j.dirtySubjects = true, p.dirty
 		s.m.DeltaPartials.Add(1)
 		s.m.DeltaDirtySubjects.Add(int64(len(p.dirty)))
 	}
 	return nil
+}
+
+// insertLocked adds an admitted job to the table. Ids are allocated before
+// admission, so a job usually lands last, but two concurrent submits can be
+// admitted out of id order: the later id then slides in a slot or two from
+// the end. Caller holds s.mu.
+func (s *Server) insertLocked(j *job) {
+	i := len(s.jobs)
+	for i > s.head && s.jobs[i-1].seq > j.seq {
+		i--
+	}
+	s.jobs = slices.Insert(s.jobs, i, j)
+	s.pruneLocked()
 }
 
 // pruneLocked evicts the oldest terminal jobs beyond the retention bound so
@@ -499,23 +557,24 @@ func (s *Server) pruneLocked() {
 	if s.cfg.JobRetention < 0 {
 		return
 	}
-	for len(s.jobs) > s.cfg.JobRetention {
+	for len(s.jobs)-s.head > s.cfg.JobRetention {
 		i := s.head
-		for i < len(s.order) && !s.jobs[s.order[i]].terminal() {
+		for i < len(s.jobs) && !s.jobs[i].terminal() {
 			i++
 		}
-		if i == len(s.order) {
+		if i == len(s.jobs) {
 			return // everything is in flight; try again on the next submit
 		}
-		delete(s.jobs, s.order[i])
-		copy(s.order[s.head+1:i+1], s.order[s.head:i])
-		s.order[s.head] = ""
+		copy(s.jobs[s.head+1:i+1], s.jobs[s.head:i])
+		s.jobs[s.head] = nil
 		s.head++
 	}
-	if s.head > len(s.order)/2 {
+	if s.head > len(s.jobs)/2 {
 		// The dead prefix outgrew the live tail: slide the tail down — O(1)
 		// amortised, and the slice never exceeds twice the live table.
-		s.order = s.order[:copy(s.order, s.order[s.head:])]
+		n := copy(s.jobs, s.jobs[s.head:])
+		clear(s.jobs[n:])
+		s.jobs = s.jobs[:n]
 		s.head = 0
 	}
 }
@@ -523,11 +582,12 @@ func (s *Server) pruneLocked() {
 // armTimeoutLocked starts a job's run-time watchdog. Caller holds s.mu and
 // has just moved the job into StateRunning.
 func (s *Server) armTimeoutLocked(j *job) {
-	if j.timeout <= 0 || j.timer != nil {
+	l := j.live
+	if l.timeout <= 0 || l.timer != nil {
 		return
 	}
-	d, id := j.timeout, j.id
-	j.timer = time.AfterFunc(d, func() {
+	d, id := l.timeout, j.id()
+	l.timer = time.AfterFunc(d, func() {
 		s.expireJob(id, d)
 	})
 }
@@ -539,12 +599,12 @@ func (s *Server) compStarted(comp *computation) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	comp.running = true
-	now := time.Now()
+	now := time.Now().UnixNano()
 	comp.queueDone()
-	s.m.QueueWait.Observe(now.Sub(comp.job.submitted))
+	s.m.QueueWait.Observe(time.Duration(now - comp.job.submitted))
 	for _, j := range comp.jobs {
 		if !j.terminal() {
-			j.state = StateRunning
+			j.state = jobRunning
 			j.started = now
 			s.armTimeoutLocked(j)
 		}
@@ -555,8 +615,9 @@ func (s *Server) compStarted(comp *computation) {
 // discarded while queued — then running is still false and err carries the
 // cancellation. It encodes the result — the one encode it ever gets; a
 // result handed over as bytes already (a cluster owner's report body) is kept
-// as it is — persists it, caches it, settles every attached job and
-// tombstones their journals.
+// as it is — persists it, tombstones the journals of its attached jobs,
+// caches it and settles them: a client that observes a job settled finds no
+// journal record left to replay it.
 func (s *Server) compDone(comp *computation, res any, err error) {
 	enc, relayed := res.(*EncodedResult)
 	if err == nil && !relayed {
@@ -578,8 +639,14 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		// a client that sees its job complete may kill -9 the daemon
 		// immediately and must still find the result after restart.
 		endPersist := comp.trace.Start("persist")
-		s.dropCached(s.persistResult("job "+comp.job.id, comp.Key, enc), comp.Key)
+		s.dropCached(s.persistResult("job "+comp.job.id(), comp.Key, enc), comp.Key)
 		endPersist()
+	}
+	if s.store != nil {
+		s.mu.Lock()
+		cleared := journaledIDsLocked(comp.jobs)
+		s.mu.Unlock()
+		s.clearJournals(cleared)
 	}
 
 	s.mu.Lock()
@@ -591,41 +658,44 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 	if err == nil {
 		s.cache.Put(comp.Key, enc)
 	}
-	now := time.Now()
+	now := time.Now().UnixNano()
 	for _, j := range comp.jobs {
 		if !j.terminal() { // else canceled individually earlier
-			s.m.JobDuration.Observe(now.Sub(j.submitted))
+			s.m.JobDuration.Observe(time.Duration(now - j.submitted))
 			s.settleLocked(j, now, err)
 		}
 	}
-	cleared := journaledIDsLocked(comp.jobs)
 	s.mu.Unlock()
-	// The jobs are settled and (on success) the result is durable: their
-	// journal records have done their work.
-	s.clearJournals(cleared)
 }
 
 // settleLocked moves a non-terminal job into its terminal state — the one
 // place that happens once a job has left admit: done for a nil err, canceled
 // for a cancellation or an elapsed deadline, failed otherwise. Caller holds
-// s.mu.
-func (s *Server) settleLocked(j *job, now time.Time, err error) {
-	if j.timer != nil {
-		j.timer.Stop()
+// s.mu. Its live state goes: a settled job is its constant-size record.
+func (s *Server) settleLocked(j *job, now int64, err error) {
+	if j.live.timer != nil {
+		j.live.timer.Stop()
 	}
-	j.finished, j.comp, j.err = now, nil, err
+	j.finished = now
+	if err != nil {
+		if j.outcome == nil {
+			j.outcome = &jobOutcome{}
+		}
+		j.outcome.err = err
+	}
 	switch {
 	case err == nil:
-		j.state = StateDone
+		j.state = jobDone
 		s.m.Completed.Add(1)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		j.state = StateCanceled
+		j.state = jobCanceled
 		s.m.Canceled.Add(1)
 	default:
-		j.state = StateFailed
+		j.state = jobFailed
 		s.m.Failed.Add(1)
 	}
-	close(j.done)
+	close(j.live.done)
+	j.live = nil
 }
 
 // Cancel cancels a job (idempotent). Canceling the last job attached to a
@@ -652,8 +722,11 @@ func (s *Server) cancelJob(id string, cause error) (JobStatus, error) {
 		s.mu.Unlock()
 		return JobStatus{}, err
 	}
-	if comp := j.comp; !j.terminal() {
-		s.settleLocked(j, time.Now(), cause)
+	var cleared []string
+	if !j.terminal() {
+		comp := j.live.comp
+		cleared = journaledIDsLocked([]*job{j})
+		s.settleLocked(j, time.Now().UnixNano(), cause)
 		if comp.refs--; comp.refs == 0 {
 			// Last interested job: stop the computation and unregister it so
 			// new identical submissions start fresh instead of attaching to
@@ -663,7 +736,6 @@ func (s *Server) cancelJob(id string, cause error) (JobStatus, error) {
 		}
 	}
 	st := j.statusLocked()
-	cleared := journaledIDsLocked([]*job{j})
 	s.mu.Unlock()
 	s.clearJournals(cleared)
 	return st, nil
@@ -671,10 +743,24 @@ func (s *Server) cancelJob(id string, cause error) (JobStatus, error) {
 
 // jobLocked looks a job up by id; unknown ids are a 404. Caller holds s.mu.
 func (s *Server) jobLocked(id string) (*job, error) {
-	if j, ok := s.jobs[id]; ok {
+	if j := s.lookupLocked(id); j != nil {
 		return j, nil
 	}
 	return nil, &statusErr{code: 404, err: fmt.Errorf("unknown job %q", id)}
+}
+
+// lookupLocked finds a retained job by id, or nil. Caller holds s.mu.
+func (s *Server) lookupLocked(id string) *job {
+	seq, ok := parseJobID(id)
+	if !ok {
+		return nil
+	}
+	live := s.jobs[s.head:]
+	i, found := slices.BinarySearchFunc(live, seq, func(j *job, seq uint64) int { return cmp.Compare(j.seq, seq) })
+	if !found {
+		return nil
+	}
+	return live[i]
 }
 
 // Status returns a job's current status.
@@ -693,6 +779,10 @@ func (s *Server) Status(id string) (JobStatus, error) {
 func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (JobStatus, error) {
 	s.mu.Lock()
 	j, err := s.jobLocked(id)
+	var done chan struct{}
+	if err == nil {
+		done = j.done()
+	}
 	s.mu.Unlock()
 	if err != nil {
 		return JobStatus{}, err
@@ -701,7 +791,7 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 		t := time.NewTimer(wait)
 		defer t.Stop()
 		select {
-		case <-j.done:
+		case <-done:
 		case <-t.C:
 		case <-ctx.Done():
 		}
@@ -722,7 +812,7 @@ func (s *Server) WaitDone(ctx context.Context, id string, wait time.Duration) (J
 func (s *Server) resolve(id string) (*EncodedResult, string, *report.Report, error) {
 	s.mu.Lock()
 	j, err := s.jobLocked(id)
-	if err == nil && j.state != StateDone {
+	if err == nil && j.state != jobDone {
 		err = &statusErr{code: 409, err: fmt.Errorf("job %s is %s", id, j.state)}
 	}
 	if err != nil {
@@ -795,9 +885,9 @@ func (s *Server) Cached(key string) (*EncodedResult, error) {
 func (s *Server) Jobs() []JobStatus {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobStatus, 0, len(s.jobs))
-	for _, id := range s.order[s.head:] {
-		out = append(out, s.jobs[id].statusLocked())
+	out := make([]JobStatus, 0, len(s.jobs)-s.head)
+	for _, j := range s.jobs[s.head:] {
+		out = append(out, j.statusLocked())
 	}
 	return out
 }
@@ -812,12 +902,12 @@ func (s *Server) Trace(id string) (TraceResponse, error) {
 		s.mu.Unlock()
 		return TraceResponse{}, err
 	}
-	resp := TraceResponse{ID: j.id, State: j.state}
-	elapsed := time.Since(j.submitted)
-	if !j.finished.IsZero() {
-		elapsed = j.finished.Sub(j.submitted)
+	resp := TraceResponse{ID: id, State: j.state.String()}
+	end := j.finished
+	if end == 0 {
+		end = time.Now().UnixNano()
 	}
-	resp.ElapsedNS = elapsed.Nanoseconds()
+	resp.ElapsedNS = end - j.submitted
 	tr := j.trace
 	s.mu.Unlock()
 	// Snapshotting takes the trace's own lock; do it outside s.mu.
@@ -832,7 +922,7 @@ func (s *Server) Trace(id string) (TraceResponse, error) {
 func (s *Server) appendJobSpan(id, name string, start time.Time, d time.Duration) {
 	s.mu.Lock()
 	var tr *telemetry.Trace
-	if j := s.jobs[id]; j != nil {
+	if j := s.lookupLocked(id); j != nil {
 		tr = j.trace
 	}
 	s.mu.Unlock()
@@ -887,27 +977,29 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // exclusively).
 func (j *job) statusLocked() JobStatus {
 	st := JobStatus{
-		ID:            j.id,
-		State:         j.state,
-		CacheKey:      j.key,
-		Cached:        j.prov == provMemoryHit || j.prov == provDiskHit || j.prov == provPeerHit,
-		DiskHit:       j.prov == provDiskHit,
-		Coalesced:     j.prov == provCoalesced,
-		DeltaHit:      j.partial,
-		DirtySubjects: j.dirtySubjects,
-		Recovered:     j.recovered,
-		SubmittedAt:   j.submitted,
+		ID:          j.id(),
+		State:       j.state.String(),
+		CacheKey:    j.key,
+		Cached:      j.prov == provMemoryHit || j.prov == provDiskHit || j.prov == provPeerHit,
+		DiskHit:     j.prov == provDiskHit,
+		Coalesced:   j.prov == provCoalesced,
+		DeltaHit:    j.partial,
+		Recovered:   j.recovered,
+		SubmittedAt: wallTime(j.submitted),
 	}
-	if !j.started.IsZero() {
-		t := j.started
+	if j.started != 0 {
+		t := wallTime(j.started)
 		st.StartedAt = &t
 	}
-	if !j.finished.IsZero() {
-		t := j.finished
+	if j.finished != 0 {
+		t := wallTime(j.finished)
 		st.FinishedAt = &t
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
+	if o := j.outcome; o != nil {
+		st.DirtySubjects = o.dirtySubjects
+		if o.err != nil {
+			st.Error = o.err.Error()
+		}
 	}
 	if j.trace != nil {
 		st.Trace = j.trace.Snapshot()
@@ -915,6 +1007,9 @@ func (j *job) statusLocked() JobStatus {
 	}
 	return st
 }
+
+// wallTime renders a job timestamp for the wire, in UTC.
+func wallTime(ns int64) time.Time { return time.Unix(0, ns).UTC() }
 
 // statusErr pairs an error with the HTTP status it should map to. On the
 // client side it also carries the server's Retry-After hint, which the

@@ -540,10 +540,10 @@ func TestJobRetentionWrapsAroundActiveJobs(t *testing.T) {
 		}
 	}
 	s.mu.Lock()
-	slots, live := len(s.order), len(s.order)-s.head
+	slots, live := len(s.jobs), len(s.jobs)-s.head
 	s.mu.Unlock()
 	if live != len(s.Jobs()) || slots > 2*(retention+1) {
-		t.Fatalf("order slice holds %d slots for %d live jobs", slots, live)
+		t.Fatalf("job table holds %d slots for %d live jobs", slots, live)
 	}
 
 	releaseOnce.Do(func() { close(release) })

@@ -144,6 +144,8 @@ func FuzzAuditPrepare(f *testing.F) {
 		`{"deployments":[{"name":"a","servers":["s1"],"kinds":["network","network","disk"]}]}`,
 		`{"deployments":[{"name":"a","servers":["s1"],"needed":-1},{"name":"b","servers":["s2"]}]}`,
 		`{"deployments":[{"name":"x","servers":["nobody"],"kinds":["software"]},{"name":"x","servers":["nobody"]}],"algorithm":"failure-sampling","rounds":10}`,
+		`{"deployments":[{"name":"a","servers":["s1","s2"]}],"algorithm":"failure-sampling","rounds":2000,"sampler_workers":1}`,
+		`{"deployments":[{"name":"a","servers":["s1","s2"]}],"algorithm":"failure-sampling","rounds":2000,"sampler_workers":1000000}`,
 		`{"deployments":[]}`,
 		`{"records":[{"kind":"bogus"}],"deployments":[{"name":"a","servers":["s1"]}]}`,
 	} {

@@ -63,8 +63,9 @@ func kindByName(name string) *jobKind {
 // is journaled and whether it may leave this node. The zero value is a
 // client's request arriving at its first node.
 type origin struct {
-	// recoverID replays a journaled job under its original id at boot.
-	recoverID string
+	// recoverSeq replays a journaled job under its original id at boot
+	// (0: not a replay).
+	recoverSeq uint64
 	// refresh marks a watch refresh: nobody holds its job id across a crash
 	// and a reconnecting watcher re-audits anyway, so it is not journaled.
 	refresh bool
@@ -107,15 +108,16 @@ type preparedJob struct {
 
 	kind *jobKind
 	org  origin
-	// job is the handle the resolve stage builds, under a pre-allocated id,
+	// job is the record the resolve stage builds, under a pre-allocated id,
 	// for admit to settle, attach or start — or drop. prov is what answered
 	// it so far (provComputed = nothing yet), and hit the result a tier
-	// answered with. staleJournal asks submitJob to tombstone the job's
-	// journal record: admit made no job for it to speak for, or settled the
-	// job on the spot.
+	// answered with. journaled says a job/<id> record is on disk for it;
+	// staleJournal asks submitJob to tombstone that record: admit made no
+	// job for it to speak for, or settled the job on the spot.
 	job          *job
 	prov         provenance
 	hit          *EncodedResult
+	journaled    bool
 	staleJournal bool
 }
 
@@ -130,11 +132,11 @@ func (s *Server) submitJob(k *jobKind, req jobRequest, org origin) (JobStatus, e
 	p.kind, p.Kind, p.Wire, p.org = k, k.name, req, org
 	// A forwarded request was routed once already, and a replayed job stays
 	// with the journal that holds it.
-	p.NoForward = p.NoForward || org.forwarded || org.recoverID != ""
+	p.NoForward = p.NoForward || org.forwarded || org.recoverSeq != 0
 	s.resolveJob(p)
 	st, err := s.admit(p)
 	if p.staleJournal {
-		s.clearJournals([]string{p.job.id})
+		s.clearJournals([]string{p.job.id()})
 	}
 	if err == nil && p.accepted != nil {
 		p.accepted.Add(1)
@@ -152,22 +154,19 @@ func (s *Server) submitJob(k *jobKind, req jobRequest, org origin) (JobStatus, e
 // job can enter the queue: once any client observes the id, a kill -9 must
 // not silently discard the work — the next boot replays the journal.
 func (s *Server) resolveJob(p *preparedJob) {
-	recovered := p.org.recoverID != ""
+	recovered := p.org.recoverSeq != 0
 	j := &job{
-		id:        s.allocID(p.org.recoverID),
+		seq:       s.allocSeq(p.org.recoverSeq),
 		key:       p.Key,
 		title:     p.title,
-		submitted: time.Now(),
-		timeout:   s.cfg.DefaultTimeout,
+		submitted: time.Now().UnixNano(),
 		recovered: recovered,
-		journaled: recovered, // its record is on disk from the boot that accepted it
-	}
-	if p.timeoutMS > 0 {
-		j.timeout = time.Duration(p.timeoutMS) * time.Millisecond
 	}
 	p.job = j
-	if r, ok := s.cache.Get(p.Key); ok {
-		p.prov, p.hit = provMemoryHit, r
+	p.journaled = recovered // its record is on disk from the boot that accepted it
+	if r, key, ok := s.cache.getKey(p.Key); ok {
+		// The hit's record shares the tier's copy of the address.
+		p.prov, p.hit, j.key = provMemoryHit, r, key
 		return
 	}
 	if _, busy := s.inflight.Load(p.Key); !busy && len(s.tiers) > 1 {
@@ -182,7 +181,7 @@ func (s *Server) resolveJob(p *preparedJob) {
 			return
 		}
 	}
-	if s.store != nil && !p.org.refresh && s.journalJob(j.id, p.Kind, p.Wire) {
-		j.journaled = true
+	if s.store != nil && !p.org.refresh && s.journalJob(j.id(), p.Kind, p.Wire) {
+		p.journaled = true
 	}
 }

@@ -284,16 +284,16 @@ func TestJobStatusProvenanceGolden(t *testing.T) {
 		{"memory hit", job{prov: provMemoryHit}, `"cached":true,`},
 		{"disk hit", job{prov: provDiskHit}, `"cached":true,"disk_hit":true,`},
 		{"peer hit", job{prov: provPeerHit}, `"cached":true,`},
-		{"partial", job{prov: provComputed, partial: true, dirtySubjects: dirty}, `"delta_hit":true,"dirty_subjects":["s1","s2"],`},
+		{"partial", job{prov: provComputed, partial: true, outcome: &jobOutcome{dirtySubjects: dirty}}, `"delta_hit":true,"dirty_subjects":["s1","s2"],`},
 		{"coalesced", job{prov: provCoalesced}, `"coalesced":true,`},
-		{"coalesced onto a partial", job{prov: provCoalesced, partial: true, dirtySubjects: dirty}, `"coalesced":true,"delta_hit":true,"dirty_subjects":["s1","s2"],`},
+		{"coalesced onto a partial", job{prov: provCoalesced, partial: true, outcome: &jobOutcome{dirtySubjects: dirty}}, `"coalesced":true,"delta_hit":true,"dirty_subjects":["s1","s2"],`},
 		{"recovered", job{prov: provComputed, recovered: true}, `"recovered":true,`},
 		{"recovered disk hit", job{prov: provDiskHit, recovered: true}, `"cached":true,"disk_hit":true,"recovered":true,`},
 	} {
 		j := c.j
 		at := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
-		j.id, j.key, j.state = "job-000007", "k", StateDone
-		j.submitted, j.started, j.finished = at, at, at.Add(time.Second)
+		j.seq, j.key, j.state = 7, "k", jobDone
+		j.submitted, j.started, j.finished = at.UnixNano(), at.UnixNano(), at.Add(time.Second).UnixNano()
 		if got, want := string(mustJSON(t, j.statusLocked())), head+c.want+times; got != want {
 			t.Errorf("%s:\n got %s\nwant %s", c.name, got, want)
 		}
@@ -303,46 +303,117 @@ func TestJobStatusProvenanceGolden(t *testing.T) {
 // TestAlgorithmOptionsKeepContentAddresses pins the content addresses of
 // fixed requests — defaults applied, knobs set, knobs set where they must be
 // ignored — to the values the parent commit derived, when audits and
-// recommendations each carried their own copy of the option block.
+// recommendations each carried their own copy of the option block. The
+// failure-sampling rows moved exactly once, when sampler_workers left the
+// address (the 64-lane sampler's family does not depend on it): was holds
+// the address each had before, which it must never take again.
 func TestAlgorithmOptionsKeepContentAddresses(t *testing.T) {
 	deployments := []DeploymentWire{{Name: "d", Servers: []string{"s1", "s2"}, Needed: 1, Kinds: []string{"software", "network"}}}
 	for i, c := range []struct {
-		req  *SubmitRequest
-		want string
+		req       *SubmitRequest
+		want, was string
 	}{
 		{&SubmitRequest{Title: "t", Deployments: deployments},
-			"3131d177d2e02ab5744adb187a48530dbdfe8fa4f81c657ea4202ba46697cd4d"},
+			"3131d177d2e02ab5744adb187a48530dbdfe8fa4f81c657ea4202ba46697cd4d", ""},
 		{&SubmitRequest{Deployments: deployments, Algorithm: "minimal-rg", Rounds: 7, Seed: 9, SamplerWorkers: 3, MaxSets: 5, MaxSize: 4, ScoreTopN: 3},
-			"56734a175e2dcbfbd0b9d5e76e797f26d61ea526da5e6e340ebed6fb2672819b"},
+			"56734a175e2dcbfbd0b9d5e76e797f26d61ea526da5e6e340ebed6fb2672819b", ""},
 		{&SubmitRequest{Deployments: deployments, Algorithm: "failure-sampling", FailureProb: 0.1},
+			"967d0604433eec16d6b8817f84535090ba7f862fc022bc62878e889d388e8768",
 			"6365fb815d5ef12c8364bffd575fd25fd727aba36073fc8ffa29ea52a9e9fd4f"},
 		{&SubmitRequest{Deployments: deployments, Algorithm: "failure-sampling", Rounds: 2000, Seed: 42, SamplerWorkers: 4, FailureProb: 0.25, ScoreTopN: 2, MaxSets: 6, MaxSize: 3, TimeoutMS: 50},
+			"d084f59ae1b04d7c9ff56ec1189a0809c6d10f52ff28aa931d979574f6c647ec",
 			"14fcd885a2b4ccd07d1a2929912ec342c11f7b3ee859e1229c86c834080913a6"},
 	} {
 		n, _, err := c.req.normalize()
 		n.DBFingerprint = "fp"
-		if got := n.key(); err != nil || got != c.want {
+		if got := n.key(); err != nil || got != c.want || got == c.was {
 			t.Errorf("audit request %d: key %s, %v; want %s", i, got, err, c.want)
 		}
 	}
 	for i, c := range []struct {
-		req  *RecommendRequest
-		want string
+		req       *RecommendRequest
+		want, was string
 	}{
 		{&RecommendRequest{Title: "t", Replicas: 2},
-			"11eecde08342d6623a15de9aa9e4ad6f9a6615e568f2fa258611fe1a5e44343d"},
+			"11eecde08342d6623a15de9aa9e4ad6f9a6615e568f2fa258611fe1a5e44343d", ""},
 		{&RecommendRequest{Replicas: 2, Algorithm: "minimal-rg", Rounds: 7, Seed: 9, SamplerWorkers: 3, MaxSets: 5, MaxSize: 4, Kinds: []string{"software", "hardware"}},
-			"7bf028bdbfcbc7a5d05fb80693428e197ae23a3e296af88469770c28c0cc447f"},
+			"7bf028bdbfcbc7a5d05fb80693428e197ae23a3e296af88469770c28c0cc447f", ""},
 		{&RecommendRequest{Replicas: 3, Fixed: []string{"z"}, Algorithm: "failure-sampling", FailureProb: 0.1},
+			"88c6d098125f963d97716060aaa4ec8e88e185c40bc10ce10bef69cc82bf437c",
 			"27c41bf97c16245a6888a6e2aa46748f016a8011f5fa4da428b681a1c12f6692"},
 		{&RecommendRequest{Replicas: 2, TopK: 5, Strategy: "beam", BeamWidth: 4, Algorithm: "failure-sampling", Rounds: 2000, Seed: 42, SamplerWorkers: 4, FailureProb: 0.25, MaxSets: 6, MaxSize: 3, Workers: 2},
+			"1f4f653d8a45167fd41227f934da87547b9838e1455bbe943e34494f1bd6616b",
 			"36053a59c1ff0023e9ccf42ca1226b2e6b257a136fefbb79310f331fd557e518"},
 	} {
 		n, _, err := c.req.normalize()
 		n.DBFingerprint, n.Nodes = "fp", []string{"a", "b", "c"}
-		if got := n.key(); err != nil || got != c.want {
+		if got := n.key(); err != nil || got != c.want || got == c.was {
 			t.Errorf("recommend request %d: key %s, %v; want %s", i, got, err, c.want)
 		}
+	}
+}
+
+// TestSamplingAddressesMovedOnce: a default failure-sampling audit and
+// recommendation no longer take the addresses they had while the sampler's
+// worker count was part of them, so a durable daemon never serves a family
+// the per-round sampler computed under an address the 64-lane one answers.
+func TestSamplingAddressesMovedOnce(t *testing.T) {
+	deployments := []DeploymentWire{{Name: "d", Servers: []string{"s1", "s2"}, Needed: 1, Kinds: []string{"software", "network"}}}
+	a, _, err := (&SubmitRequest{Deployments: deployments, Algorithm: "failure-sampling"}).normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.DBFingerprint = "fp"
+	if got, old := a.key(), "627589bb2d151ffb504fd4ba69217ff0ffae8dc3490b646d8013de3f35eae590"; got == old {
+		t.Errorf("default failure-sampling audit still has its per-round-sampler address %s", old)
+	}
+	r, _, err := (&RecommendRequest{Replicas: 2, Algorithm: "failure-sampling"}).normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.DBFingerprint, r.Nodes = "fp", []string{"a", "b", "c"}
+	if got, old := r.key(), "115a380e8a9d3bd0170728bc6c2d27473fd6b3a29603fac50850a0da8ecffd3b"; got == old {
+		t.Errorf("default failure-sampling recommendation still has its per-round-sampler address %s", old)
+	}
+}
+
+// TestSamplerWorkersOutsideAddress: sampler_workers changes only speed.
+// Requests differing only in it share one address and return identical
+// report bytes, and a million workers are clamped to the CPUs instead of
+// each getting a goroutine and an evaluator.
+func TestSamplerWorkersOutsideAddress(t *testing.T) {
+	mk := func(workers int) *SubmitRequest {
+		r := quickRequest("workers")
+		r.Algorithm, r.Rounds, r.Seed, r.SamplerWorkers = "failure-sampling", 20_000, 3, workers
+		return r
+	}
+	var keys []string
+	var bodies [][]byte
+	for _, workers := range []int{1, 1_000_000} {
+		n, _, err := mk(workers).normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if keys = append(keys, n.key()); keys[0] != keys[len(keys)-1] {
+			t.Fatalf("sampler_workers=%d moved the address: %s, want %s", workers, keys[len(keys)-1], keys[0])
+		}
+		s := New(Config{Workers: 1})
+		st := waitDone(t, s, mustSubmit(t, s, mk(workers)).ID)
+		if st.State != StateDone {
+			t.Fatalf("sampler_workers=%d: job %s: %s", workers, st.State, st.Error)
+		}
+		rep, err := s.Report(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rep.Audits {
+			rep.Audits[i].Elapsed = 0
+		}
+		bodies = append(bodies, mustJSON(t, rep))
+		shutdown(t, s)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("sampler_workers changed the report:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 

@@ -80,16 +80,16 @@ func (s *Server) clearJournals(ids []string) {
 	s.storeOK()
 }
 
-// journaledIDsLocked collects and claims the journaled ids among jobs;
-// the caller tombstones them after releasing s.mu. Claiming (flipping
-// j.journaled off) keeps the concurrent terminal paths — completion,
-// cancel, expiry — from double-clearing.
+// journaledIDsLocked collects and claims the journaled ids among the live
+// jobs; the caller tombstones them after releasing s.mu. Claiming (flipping
+// journaled off) keeps the concurrent terminal paths — completion, cancel,
+// expiry — from double-clearing.
 func journaledIDsLocked(jobs []*job) []string {
 	var ids []string
 	for _, j := range jobs {
-		if j.journaled {
-			j.journaled = false
-			ids = append(ids, j.id)
+		if j.live != nil && j.live.journaled {
+			j.live.journaled = false
+			ids = append(ids, j.id())
 		}
 	}
 	return ids
@@ -116,14 +116,18 @@ func (s *Server) RecoverJobs() (int, error) {
 		}
 		id := strings.TrimPrefix(e.Key, jobKeyPrefix)
 		s.mu.Lock()
-		_, known := s.jobs[id]
+		known := s.lookupLocked(id) != nil
 		s.mu.Unlock()
 		if known {
 			continue // live in this process: its record is not a crash's
 		}
 		k, req, err := s.readJournal(e.Key)
+		seq, ok := parseJobID(id)
+		if err == nil && !ok {
+			err = fmt.Errorf("%q is not a job id", id)
+		}
 		if err == nil {
-			_, err = s.submitJob(k, req, origin{recoverID: id})
+			_, err = s.submitJob(k, req, origin{recoverSeq: seq})
 		}
 		switch code := httpStatus(err); {
 		case err == nil:
@@ -166,18 +170,30 @@ func (s *Server) readJournal(key string) (*jobKind, jobRequest, error) {
 	return k, req, nil
 }
 
-// allocID assigns a job id: the next fresh one, or — when replaying the
-// journal — the job's original id, raising the counter past it so the ids of
-// recovered and new jobs never collide. Lock-free, so the resolve stage can
-// journal a job under its id; an id whose submission is then refused is
-// simply never used (ids have gaps).
-func (s *Server) allocID(recoverID string) string {
-	if recoverID == "" {
-		return fmt.Sprintf("job-%06d", s.nextID.Add(1))
+// allocSeq assigns a job sequence number: the next fresh one, or — when
+// replaying the journal — the job's original one, raising the counter past
+// it so the ids of recovered and new jobs never collide. Lock-free, so the
+// resolve stage can journal a job under its id; an id whose submission is
+// then refused is simply never used (ids have gaps).
+func (s *Server) allocSeq(recoverSeq uint64) uint64 {
+	if recoverSeq == 0 {
+		return s.nextID.Add(1)
 	}
-	if n, err := strconv.ParseUint(strings.TrimPrefix(recoverID, "job-"), 10, 64); err == nil {
-		for cur := s.nextID.Load(); n > cur && !s.nextID.CompareAndSwap(cur, n); cur = s.nextID.Load() {
-		}
+	for cur := s.nextID.Load(); recoverSeq > cur && !s.nextID.CompareAndSwap(cur, recoverSeq); cur = s.nextID.Load() {
 	}
-	return recoverID
+	return recoverSeq
+}
+
+// jobID renders a job sequence number as the job's id.
+func jobID(seq uint64) string { return fmt.Sprintf("job-%06d", seq) }
+
+// parseJobID is jobID's inverse: ok is false for any string jobID does not
+// render.
+func parseJobID(id string) (seq uint64, ok bool) {
+	digits, ok := strings.CutPrefix(id, "job-")
+	if !ok || len(digits) < 6 || len(digits) > 6 && digits[0] == '0' {
+		return 0, false
+	}
+	seq, err := strconv.ParseUint(digits, 10, 64)
+	return seq, err == nil && seq > 0
 }

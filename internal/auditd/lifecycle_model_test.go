@@ -252,55 +252,64 @@ func (m *modelRun) check() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	if live := len(s.order) - s.head; live != len(s.jobs) {
-		m.failf("order holds %d live ids, the table %d jobs", live, len(s.jobs))
+	for i := s.head + 1; i < len(s.jobs); i++ {
+		if s.jobs[i-1].seq >= s.jobs[i].seq {
+			m.failf("job table out of id order: %s before %s", s.jobs[i-1].id(), s.jobs[i].id())
+		}
 	}
 	attached := make(map[*computation]int) // non-terminal jobs per computation
 	journaled := make(map[string]bool)     // ids of non-terminal journaled jobs
-	for id, j := range s.jobs {
+	for _, j := range s.jobs[s.head:] {
+		id, state := j.id(), j.state.String()
 		// 1. One terminal state, entered once, and done closed exactly then
-		// (a second close would have panicked).
+		// (a second close would have panicked); a terminal job has no live
+		// state left.
 		select {
-		case <-j.done:
+		case <-j.done():
 			if !j.terminal() {
-				m.failf("%s: done is closed in state %s", id, j.state)
+				m.failf("%s: done is closed in state %s", id, state)
 			}
 		default:
 			if j.terminal() {
-				m.failf("%s: %s but done is still open", id, j.state)
+				m.failf("%s: %s but done is still open", id, state)
 			}
 		}
-		if was, ok := m.seen[id]; ok && was != j.state && (was == StateDone || was == StateFailed || was == StateCanceled) {
-			m.failf("%s left terminal state %s for %s", id, was, j.state)
+		if was, ok := m.seen[id]; ok && was != state && (was == StateDone || was == StateFailed || was == StateCanceled) {
+			m.failf("%s left terminal state %s for %s", id, was, state)
 		}
-		m.seen[id] = j.state
+		m.seen[id] = state
 		// 4. Only the enum's legal provenance values, in their legal shapes.
+		var dirty []string
+		if j.outcome != nil {
+			dirty = j.outcome.dirtySubjects
+		}
 		switch {
 		case j.prov > provCoalesced:
 			m.failf("%s: provenance %d is outside the enum", id, j.prov)
-		case j.prov.hit() && (j.state != StateDone || j.trace != nil || j.partial || len(j.dirtySubjects) > 0):
-			m.failf("%s: a hit (provenance %d) in state %s, trace %v, partial %v", id, j.prov, j.state, j.trace != nil, j.partial)
+		case j.prov.hit() && (j.state != jobDone || j.trace != nil || j.outcome != nil || j.live != nil || j.partial):
+			m.failf("%s: a hit (provenance %d) in state %s, trace %v, outcome %v, live %v, partial %v", id, j.prov, state, j.trace != nil, j.outcome != nil, j.live != nil, j.partial)
 		case !j.prov.hit() && j.trace == nil:
 			m.failf("%s: a computed or coalesced job without a trace", id)
-		case !j.partial && len(j.dirtySubjects) > 0:
-			m.failf("%s: dirty subjects %v on a job that splices nothing", id, j.dirtySubjects)
+		case !j.partial && len(dirty) > 0:
+			m.failf("%s: dirty subjects %v on a job that splices nothing", id, dirty)
 		}
 		if j.terminal() {
-			if j.comp != nil || j.journaled {
-				m.failf("%s: terminal (%s) but comp %v, journaled %v", id, j.state, j.comp != nil, j.journaled)
+			if j.live != nil {
+				m.failf("%s: terminal (%s) but still holds comp %v, journaled %v", id, state, j.live.comp != nil, j.live.journaled)
 			}
 			continue
 		}
-		if j.comp == nil {
-			m.failf("%s: %s without a computation", id, j.state)
+		if j.live == nil || j.live.comp == nil {
+			m.failf("%s: %s without a computation", id, state)
+			continue
 		}
-		attached[j.comp]++
-		if j.journaled {
+		attached[j.live.comp]++
+		if j.live.journaled {
 			journaled[journalKey(id)] = true
 		}
 	}
 	for id, was := range m.seen {
-		if _, ok := s.jobs[id]; !ok && was != StateDone && was != StateFailed && was != StateCanceled {
+		if s.lookupLocked(id) == nil && was != StateDone && was != StateFailed && was != StateCanceled {
 			m.failf("%s vanished from the table while %s", id, was)
 		}
 	}

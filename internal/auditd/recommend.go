@@ -42,8 +42,9 @@ type RecommendRequest struct {
 	// Algorithm is "minimal-rg" (default) or "failure-sampling", applied to
 	// every candidate audit.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Rounds / Seed / SamplerWorkers tune failure-sampling; the same
-	// host-independence defaults as audit submissions apply.
+	// Rounds / Seed / SamplerWorkers tune failure-sampling, with the same
+	// defaults as audit submissions. SamplerWorkers is speed only; not part
+	// of the address; clamped to the host's CPUs.
 	Rounds         int   `json:"rounds,omitempty"`
 	Seed           int64 `json:"seed,omitempty"`
 	SamplerWorkers int   `json:"sampler_workers,omitempty"`

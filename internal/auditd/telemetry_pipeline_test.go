@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -449,5 +450,42 @@ func TestMemoryHitAllocBudget(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestSettledJobBytes gates what a settled job costs the job table: 8,000
+// retained memory hits may grow the live heap by at most settledJobBytes
+// each. A hit keeps a constant-size record that shares its address with
+// the memory tier; the fields only a live job needs are gone by then.
+func TestSettledJobBytes(t *testing.T) {
+	const hits, settledJobBytes = 8000, 128
+	s := New(Config{Workers: 1, JobRetention: 2 * hits})
+	defer shutdown(t, s)
+	mustIngest(t, s, testRecords())
+	req := &SubmitRequest{Title: "settled", Deployments: quickRequest("").Deployments}
+	if end := waitDone(t, s, mustSubmit(t, s, req).ID); end.State != StateDone {
+		t.Fatalf("priming job: %+v", end)
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := 0; i < hits; i++ {
+		if st, err := s.Submit(req); err != nil || !st.Cached {
+			t.Fatalf("hit %d: %+v %v", i, st, err)
+		}
+	}
+	after := heap()
+	per := (float64(after) - float64(before)) / hits
+	t.Logf("live heap per retained memory-hit job: %.0f B (gate %d B)", per, settledJobBytes)
+	if per > settledJobBytes {
+		t.Fatalf("live heap per retained memory-hit job = %.0f B, gate %d B", per, settledJobBytes)
+	}
+	if n := len(s.Jobs()); n != hits+1 {
+		t.Fatalf("job table holds %d jobs, want %d", n, hits+1)
 	}
 }

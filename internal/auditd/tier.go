@@ -63,15 +63,8 @@ func newMemo[V any](capacity int) *memo[V] {
 
 // Get returns the value held for key and marks its group recently used.
 func (m *memo[V]) Get(key string) (V, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	sl, ok := m.entries[key]
-	if !ok {
-		var zero V
-		return zero, false
-	}
-	m.order.MoveToFront(sl.el)
-	return sl.el.Value.(*memoGroup[V]).vals[sl.i], true
+	v, _, ok := m.getKey(key)
+	return v, ok
 }
 
 // Put holds val under key as a group of its own.
@@ -105,6 +98,21 @@ func (m *memo[V]) PutAll(keys []string, vals []V) {
 		}
 		m.order.Remove(oldest)
 	}
+}
+
+// getKey is Get that also returns the memo's own copy of key, so a caller
+// that retains the key can share it instead of holding a second one.
+func (m *memo[V]) getKey(key string) (V, string, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	sl, ok := m.entries[key]
+	if !ok {
+		var zero V
+		return zero, "", false
+	}
+	m.order.MoveToFront(sl.el)
+	g := sl.el.Value.(*memoGroup[V])
+	return g.vals[sl.i], g.keys[sl.i], true
 }
 
 // Remove drops key if present.

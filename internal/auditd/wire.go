@@ -109,9 +109,9 @@ type SubmitRequest struct {
 	Rounds int `json:"rounds,omitempty"`
 	// Seed seeds the sampler (default 1).
 	Seed int64 `json:"seed,omitempty"`
-	// SamplerWorkers is the sampler's parallelism. The service default is
-	// 1 (sequential) so results — and therefore cache keys — do not depend
-	// on the host's CPU count.
+	// SamplerWorkers is the sampler's parallelism: speed only; not part of
+	// the address; clamped to the host's CPUs. The service default is 1,
+	// leaving parallelism to the job pool.
 	SamplerWorkers int `json:"sampler_workers,omitempty"`
 	// FailureProb, when > 0, assigns this uniform failure probability to
 	// every component and switches to probability ranking.
@@ -150,17 +150,17 @@ type algorithmOptions struct {
 	Algorithm   string  `json:"algorithm"`
 	Rounds      int     `json:"rounds,omitempty"`
 	Seed        int64   `json:"seed,omitempty"`
-	Workers     int     `json:"workers,omitempty"` // sampler workers
 	FailureProb float64 `json:"failure_prob,omitempty"`
 }
 
 var errNegativeOption = errors.New("auditd: negative option")
 
 // normalizeAlgorithm validates a request's algorithm options and applies the
-// defaults that enter a content address — 100,000 rounds, seed 1, one sampler
-// worker — returning the canonical block and the sia options to run with. It
-// is the one place those defaults live, so audits and recommendations cannot
-// drift apart.
+// defaults that enter a content address — 100,000 rounds, seed 1 — returning
+// the canonical block and the sia options to run with. The sampler's worker
+// count changes only its speed, so it stays out of the block (default one
+// worker: the job pool is the service's parallelism). It is the one place
+// those defaults live, so audits and recommendations cannot drift apart.
 func normalizeAlgorithm(algorithm string, rounds int, seed int64, workers int, failureProb float64, maxSets, maxSize int) (algorithmOptions, sia.Options, error) {
 	n := algorithmOptions{FailureProb: failureProb}
 	opts := sia.Options{MaxSets: maxSets, MaxSize: maxSize}
@@ -173,17 +173,14 @@ func normalizeAlgorithm(algorithm string, rounds int, seed int64, workers int, f
 	case "failure-sampling":
 		n.Algorithm = "failure-sampling"
 		opts.Algorithm = sia.FailureSampling
-		n.Rounds, n.Seed, n.Workers = rounds, seed, workers
+		n.Rounds, n.Seed = rounds, seed
 		if n.Rounds == 0 {
 			n.Rounds = 100_000
 		}
 		if n.Seed == 0 {
 			n.Seed = 1 // the sampler's documented Seed==0 meaning
 		}
-		if n.Workers == 0 {
-			n.Workers = 1 // host-independent by default
-		}
-		opts.Rounds, opts.Seed, opts.Workers = n.Rounds, n.Seed, n.Workers
+		opts.Rounds, opts.Seed, opts.Workers = n.Rounds, n.Seed, max(workers, 1)
 	default:
 		return n, opts, fmt.Errorf("auditd: unknown algorithm %q", algorithm)
 	}
@@ -194,9 +191,6 @@ func normalizeAlgorithm(algorithm string, rounds int, seed int64, workers int, f
 		opts.RankMode = sia.RankByProb
 	}
 	if maxSets < 0 || maxSize < 0 || rounds < 0 || workers < 0 {
-		// Rejecting sampler_workers < 0 matters for cache correctness: the
-		// sampler maps it to GOMAXPROCS, which would make a
-		// content-addressed result depend on the host's CPU count.
 		return n, opts, errNegativeOption
 	}
 	return n, opts, nil

@@ -127,7 +127,8 @@ func TestSubmitNormalizeErrors(t *testing.T) {
 }
 
 // TestSubmitNormalizeSamplingDefaults: the sampler path applies the
-// documented host-independent defaults explicitly so they land in the key.
+// documented defaults explicitly so they land in the key; the worker count,
+// which changes only speed, reaches the sia options alone.
 func TestSubmitNormalizeSamplingDefaults(t *testing.T) {
 	req := &SubmitRequest{
 		Records:     testRecords(),
@@ -138,7 +139,7 @@ func TestSubmitNormalizeSamplingDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Rounds != 100_000 || n.Seed != 1 || n.Workers != 1 {
+	if n.Rounds != 100_000 || n.Seed != 1 {
 		t.Fatalf("sampling defaults not applied: %+v", n)
 	}
 	if opts.Rounds != 100_000 || opts.Seed != 1 || opts.Workers != 1 {

@@ -47,10 +47,10 @@ type Fig7Config struct {
 	// ones. Biasing the coin toward failure keeps every round informative —
 	// the shrink step still reduces each failing sample to a minimal RG.
 	Bias float64
-	// Seed seeds the samplers.
+	// Seed seeds the samplers. With it fixed, each larger round count only
+	// adds rounds to the smaller one's sample, so detection grows
+	// monotonically along a topology's series.
 	Seed int64
-	// Workers is the sampler parallelism (0 = one goroutine per CPU).
-	Workers int
 }
 
 func (c *Fig7Config) defaults() {
@@ -143,7 +143,7 @@ func RunFig7(cfg Fig7Config) (*Fig7Result, error) {
 			var fam []riskgroup.RG
 			elapsed, err := timed(func() error {
 				var err error
-				fam, err = riskgroup.Sampler{Rounds: rounds, Bias: cfg.Bias, Shrink: true, Seed: cfg.Seed, Workers: cfg.Workers}.Sample(g)
+				fam, err = riskgroup.Sampler{Rounds: rounds, Bias: cfg.Bias, Shrink: true, Seed: cfg.Seed}.Sample(g)
 				return err
 			})
 			if err != nil {

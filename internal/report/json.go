@@ -24,6 +24,7 @@ import (
 	"hash/maphash"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 	"unicode"
@@ -305,8 +306,24 @@ func DecodeJSON(data []byte, r *Report) error {
 	if err := d.document(&rep); err != nil {
 		return err
 	}
+	// Arrays grow by doubling while they decode; a decoded report is often
+	// held for long (by a client, a cache, a memo), so the two that make up
+	// most of it keep no more capacity than they hold.
+	rep.Audits = exact(rep.Audits)
+	for i := range rep.Audits {
+		rep.Audits[i].RGs = exact(rep.Audits[i].RGs)
+	}
 	*r = rep
 	return nil
+}
+
+// exact returns s in a backing array of its own length when the spare
+// capacity is a quarter of it or more.
+func exact[T any](s []T) []T {
+	if cap(s)-len(s) < len(s)/4+1 {
+		return s
+	}
+	return slices.Clone(s)
 }
 
 // UnmarshalJSON is DecodeJSON for callers decoding a report embedded in a

@@ -149,9 +149,9 @@ func TestMinimizeMultiWord(t *testing.T) {
 	}
 }
 
-// TestSamplerWorkersConverge: on small graphs with plenty of rounds, the
-// single-threaded legacy path, the parallel path, and the exact algorithm
-// must all land on the same (complete) minimal-RG family.
+// TestSamplerWorkersConverge: on small graphs with plenty of rounds, one
+// worker and four land on byte-identical families, and both equal the exact
+// algorithm's (complete) minimal-RG family.
 func TestSamplerWorkersConverge(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	for i := 0; i < 12; i++ {
@@ -168,6 +168,9 @@ func TestSamplerWorkersConverge(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if familyBytes(single) != familyBytes(parallel) {
+			t.Errorf("graph %d: one worker found %v, four %v", i, labelsOf(g, single), labelsOf(g, parallel))
+		}
 		if !reflect.DeepEqual(single, exact) {
 			t.Errorf("graph %d: single-threaded sampler %v != exact %v", i, labelsOf(g, single), labelsOf(g, exact))
 		}
@@ -177,8 +180,8 @@ func TestSamplerWorkersConverge(t *testing.T) {
 	}
 }
 
-// TestSamplerParallelDeterministic: a fixed (Seed, Workers) pair must yield
-// identical families run-to-run, including with more workers than CPUs.
+// TestSamplerParallelDeterministic: a fixed Seed must yield identical
+// families run-to-run, including with more workers than CPUs.
 func TestSamplerParallelDeterministic(t *testing.T) {
 	g := fig4cGraph(t)
 	for _, workers := range []int{1, 2, 3, 8} {

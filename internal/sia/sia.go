@@ -203,7 +203,8 @@ type Options struct {
 	// Seed seeds the sampler (default 1).
 	Seed int64
 	// Workers is the sampler's parallelism: 0 means one goroutine per CPU,
-	// 1 forces the sequential path (see riskgroup.Sampler.Workers).
+	// and any count is clamped to the CPUs. It changes speed only, never the
+	// detected family (see riskgroup.Sampler.Workers).
 	Workers int
 	// RankMode picks the ranking algorithm.
 	RankMode RankMode

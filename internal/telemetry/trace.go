@@ -23,7 +23,16 @@ type Trace struct {
 
 	mu     sync.Mutex
 	phases []Phase
-	counts map[string]int64
+	// counts are few (rgs_found, rounds_sampled, subjects_spliced), so a
+	// slice holds them in a fraction of a map's bytes: a settled job keeps
+	// its trace for as long as the job table keeps the job.
+	counts []count
+}
+
+// count is one named pipeline count of a trace.
+type count struct {
+	name string
+	n    int64
 }
 
 // Phase is one completed (or still-open) span inside a trace. Offsets and
@@ -42,7 +51,7 @@ func New() *Trace { return NewAt(time.Now()) }
 // object existed (journaling an accepted job, for example) still lands
 // inside the first phase instead of in an unaccounted gap.
 func NewAt(t time.Time) *Trace {
-	return &Trace{start: t, counts: make(map[string]int64)}
+	return &Trace{start: t}
 }
 
 // Began reports when the trace's clock started.
@@ -97,8 +106,14 @@ func (t *Trace) Add(name string, n int64) {
 		return
 	}
 	t.mu.Lock()
-	t.counts[name] += n
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	for i := range t.counts {
+		if t.counts[i].name == name {
+			t.counts[i].n += n
+			return
+		}
+	}
+	t.counts = append(t.counts, count{name, n})
 }
 
 // Snapshot returns the phases recorded so far, ordered by start offset.
@@ -126,8 +141,8 @@ func (t *Trace) Counts() map[string]int64 {
 		return nil
 	}
 	out := make(map[string]int64, len(t.counts))
-	for k, v := range t.counts {
-		out[k] = v
+	for _, c := range t.counts {
+		out[c.name] = c.n
 	}
 	return out
 }
