@@ -1,6 +1,7 @@
 package auditd
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"slices"
@@ -265,6 +266,68 @@ func FuzzPrivateAuditPrepare(f *testing.F) {
 		q, err := resized.prepare(s)
 		if err != nil || q.Key != p.Key {
 			t.Fatalf("bits=%d moves a %q request from %s to %v (%v)", resized.Bits, req.Protocol, p.Key, q, err)
+		}
+	})
+}
+
+// FuzzParseEnvelope drives the bytes a daemon adopts without computing
+// them: a disk record through parseEnvelope and a peer's /v1/cache body
+// through EncodedResultFromPayload. Either the input is refused, or the
+// adopted result writes an envelope that parses back to the same payload
+// bytes and kind, and decodes or refuses to decode without panicking.
+func FuzzParseEnvelope(f *testing.F) {
+	stored, err := os.ReadFile("testdata/stored_result_pr12.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stored)
+	for kind, path := range map[string]string{
+		KindAudit:        "testdata/e2e_report_golden.json",
+		KindRecommend:    "testdata/e2e_recommend_golden.json",
+		KindPrivateAudit: "testdata/private_audit_golden.json",
+	} {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var payload bytes.Buffer
+		if err := json.Compact(&payload, blob); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload.Bytes())
+		f.Add([]byte(`{"kind":"` + kind + `","payload":` + payload.String() + `}`))
+	}
+	for i := range stored {
+		f.Add(stored[:i])
+	}
+	for _, s := range []string{
+		`{"kind":"audit","payload":{}}`,
+		`{"kind":"audit","payload":{"title":""}}`,
+		`{"kind":"audit","payload":{"title":"\"}`,
+		`{"kind":"audit","payload":{"title":"x\\"}}`,
+		`{"kind":"recommend","payload":{"title":"t","rankings":null}}`,
+		`{"kind":"private-audit","payload":[]}`,
+		`{"kind":"nope","payload":{}}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		check := func(from string, res *EncodedResult) {
+			env := res.envelope()
+			back, err := parseEnvelope(bytes.Clone(env))
+			if err != nil {
+				t.Fatalf("%s: the written envelope %q does not parse back: %v", from, env, err)
+			}
+			if back.kind != res.kind || !bytes.Equal(back.obj, res.obj) {
+				t.Fatalf("%s: the envelope reads back as %s %q, want %s %q", from, back.kind.name, back.obj, res.kind.name, res.obj)
+			}
+			_, _ = res.Decode("fuzz") // refusing is fine; panicking is not
+		}
+		if res, err := parseEnvelope(bytes.Clone(blob)); err == nil {
+			check("disk record", res)
+		}
+		if res, err := EncodedResultFromPayload(bytes.Clone(blob)); err == nil {
+			check("peer payload", res)
 		}
 	})
 }

@@ -306,8 +306,9 @@ type DB struct {
 	log  *recLog
 	live map[identity]liveRec
 	// digests holds, for every hardware and software identity, the digest of
-	// its live record: what an exact re-observation is recognized by and what
-	// a superseding record takes back out of the sum, without rehashing.
+	// its live record: what a superseding record takes back out of the sum,
+	// without rehashing. An exact re-observation is recognized by the live
+	// record's canonical line, before anything is hashed.
 	digests []digest
 	dead    int // superseded entries in log
 	sum     fpSum
@@ -328,10 +329,13 @@ func New() *DB {
 }
 
 // Batch is a validated set of records staged for insertion: each record's
-// canonical line, live key and digest are built once, independent of the
-// database the batch lands in. FingerprintWith previews the batch against
-// current state, Segment persists it and PutBatch commits it without
-// serializing or hashing any of its records a second time.
+// canonical line and live key are built once, independent of the database
+// the batch lands in. A record's digest is computed only when the record is
+// found to change state — an exact re-observation is recognized by its line
+// and never hashed — and then kept. FingerprintWith previews the batch
+// against current state, Segment persists it and PutBatch commits it
+// without serializing or hashing any of its records a second time. A Batch
+// is not safe for concurrent use.
 type Batch struct {
 	records []deps.Record
 	staged  []staged // parallel to records
@@ -339,12 +343,21 @@ type Batch struct {
 
 type staged struct {
 	key    identity
-	digest digest
 	line   string
+	digest digest // digestOf(line), once hashed
+	hashed bool
 }
 
-// NewBatch validates records and hashes each one once. Either every record
-// is valid or no batch is returned.
+// hash returns the record's digest, computing it on first use.
+func (st *staged) hash() *digest {
+	if !st.hashed {
+		st.digest, st.hashed = digestOf(st.line), true
+	}
+	return &st.digest
+}
+
+// NewBatch validates records and renders each one's canonical line once.
+// Either every record is valid or no batch is returned.
 func NewBatch(records ...deps.Record) (*Batch, error) {
 	b, err := stage(records)
 	if err != nil {
@@ -353,7 +366,7 @@ func NewBatch(records ...deps.Record) (*Batch, error) {
 	return &b, nil
 }
 
-// stage validates records and builds their keys and digests.
+// stage validates records and builds their lines and keys.
 func stage(records []deps.Record) (Batch, error) {
 	b := Batch{records: records, staged: make([]staged, len(records))}
 	for i, r := range records {
@@ -361,7 +374,7 @@ func stage(records []deps.Record) (Batch, error) {
 			return Batch{}, fmt.Errorf("depdb: record %d: %w", i, err)
 		}
 		line := canonicalLine(r)
-		b.staged[i] = staged{key: liveKey(r, line), digest: digestOf(line), line: line}
+		b.staged[i] = staged{key: liveKey(r, line), line: line}
 	}
 	return b, nil
 }
@@ -403,28 +416,32 @@ func liveKey(r deps.Record, line string) identity {
 	return identityOf(r)
 }
 
-// onFile returns the record live under key, if there is one, and its digest
-// (nil for a route).
-func (db *DB) onFile(key identity) (lr liveRec, old *digest, ok bool) {
+// onFile returns the record live under key, if there is one, its canonical
+// line and its digest (nil for a route: only the same route, the same line,
+// shares its key).
+func (db *DB) onFile(key identity) (lr liveRec, line string, old *digest, ok bool) {
 	lr, ok = db.live[key]
-	if ok && lr.digest >= 0 {
+	if !ok {
+		return lr, "", nil, false
+	}
+	if lr.digest >= 0 {
 		old = &db.digests[lr.digest]
 	}
-	return lr, old, ok
+	return lr, db.log.entries[lr.pos].line, old, true
 }
 
-// PutBatch stores a staged batch — Put without the validation and hashing
-// NewBatch already did — and returns the indices, ascending, of the records
-// that changed the database's state. Exact re-observations are not among
-// them; when there are no others, nothing happened: the fingerprint, Len
-// and the registered snapshot are what they were.
+// PutBatch stores a staged batch — Put without the validation NewBatch
+// already did — and returns the indices, ascending, of the records that
+// changed the database's state. Exact re-observations are not among them,
+// and are never hashed; when there are no others, nothing happened: the
+// fingerprint, Len and the registered snapshot are what they were.
 func (db *DB) PutBatch(b *Batch) (changed []int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for i, r := range b.records {
 		st := &b.staged[i]
-		lr, old, onFile := db.onFile(st.key)
-		if !db.sum.replace(old, onFile, &st.digest) {
+		lr, line, old, onFile := db.onFile(st.key)
+		if onFile && line == st.line || !db.sum.replace(old, onFile, st.hash()) {
 			continue
 		}
 		if changed == nil {
@@ -435,7 +452,7 @@ func (db *DB) PutBatch(b *Batch) (changed []int) {
 		e := entry{rec: r, line: st.line, prev: -1}
 		switch {
 		case onFile:
-			*old = st.digest
+			*old = *st.hash()
 			e.prev = lr.pos
 			lr.pos = db.log.append(e)
 			db.dead++
@@ -443,7 +460,7 @@ func (db *DB) PutBatch(b *Batch) (changed []int) {
 			lr = liveRec{pos: db.log.append(e), digest: -1}
 		default:
 			lr = liveRec{pos: db.log.append(e), digest: len(db.digests)}
-			db.digests = append(db.digests, st.digest)
+			db.digests = append(db.digests, *st.hash())
 		}
 		db.live[st.key] = lr
 	}
@@ -504,27 +521,33 @@ func (db *DB) Fingerprint() string {
 }
 
 // FingerprintWith returns the fingerprint the database would have after
-// PutBatch(b), without modifying anything — the audit service uses it to
-// persist an ingest's outcome before committing the ingest. It runs the
-// reduction PutBatch would, over the digests the batch and the database
-// already hold: O(batch) arithmetic, nothing hashed.
+// PutBatch(b), without modifying the database — the audit service uses it
+// to persist an ingest's outcome before committing the ingest. It runs the
+// reduction PutBatch would: O(batch) arithmetic over the digests the
+// database holds, hashing only the batch records that change state and
+// keeping their digests in b for PutBatch.
 func (db *DB) FingerprintWith(b *Batch) string {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	sum := db.sum
-	var pending map[identity]*digest // live key -> digest of the batch record that will be live under it
+	var pending map[identity]*staged // live key -> the batch record that will be live under it
 	for i := range b.staged {
 		st := &b.staged[i]
-		old, onFile := pending[st.key]
-		if !onFile {
-			_, old, onFile = db.onFile(st.key)
+		var line string
+		var old *digest
+		p, onFile := pending[st.key]
+		if onFile {
+			line, old = p.line, &p.digest
+		} else {
+			_, line, old, onFile = db.onFile(st.key)
 		}
-		if sum.replace(old, onFile, &st.digest) {
-			if pending == nil {
-				pending = make(map[identity]*digest, len(b.staged)-i)
-			}
-			pending[st.key] = &st.digest
+		if onFile && line == st.line || !sum.replace(old, onFile, st.hash()) {
+			continue
 		}
+		if pending == nil {
+			pending = make(map[identity]*staged, len(b.staged)-i)
+		}
+		pending[st.key] = st
 	}
 	return sum.fingerprint()
 }

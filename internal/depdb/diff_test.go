@@ -238,3 +238,64 @@ func TestSnapshotExtends(t *testing.T) {
 		t.Fatal("snapshots of different databases must not extend one another")
 	}
 }
+
+// TestReobservationsAreNotHashed: a record equal to the live one — or to an
+// earlier record of the same batch — is recognized by its canonical line,
+// so a batch of nothing but re-observations computes no digest in
+// FingerprintWith or PutBatch, and a mixed batch hashes only the records
+// that change state, once, however many times it is previewed.
+func TestReobservationsAreNotHashed(t *testing.T) {
+	db := New()
+	mustPut(t, db, sampleRecords()...)
+	fp := db.Fingerprint()
+	hashed := func(b *Batch) (n int) {
+		for i := range b.staged {
+			if b.staged[i].hashed {
+				n++
+			}
+		}
+		return n
+	}
+
+	again, err := NewBatch(append(sampleRecords(), sampleRecords()...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.FingerprintWith(again); got != fp {
+		t.Fatalf("re-observations moved the previewed fingerprint: %s, want %s", got, fp)
+	}
+	if changed := db.PutBatch(again); changed != nil {
+		t.Fatalf("re-observations changed records %v", changed)
+	}
+	if n := hashed(again); n != 0 {
+		t.Fatalf("a batch of re-observations hashed %d records, want 0", n)
+	}
+
+	mixed, err := NewBatch(
+		deps.NewHardware("S1", "CPU", "S1-X5550"),          // re-observed
+		deps.NewHardware("S1", "CPU", "S1-E5-2680"),        // supersedes
+		deps.NewNetwork("S1", "Internet", "ToR1", "Core1"), // re-observed route
+		deps.NewNetwork("S9", "Internet", "ToR9", "Core1"), // new route
+		deps.NewNetwork("S9", "Internet", "ToR9", "Core1"), // the same route again in the batch
+		deps.NewHardware("S1", "CPU", "S1-E5-2680"),        // the batch's own record again
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preview := db.FingerprintWith(mixed)
+	if n := hashed(mixed); n != 2 {
+		t.Fatalf("previewing a batch with two state changes hashed %d records", n)
+	}
+	if db.FingerprintWith(mixed) != preview {
+		t.Fatal("a second preview of the same batch disagrees with the first")
+	}
+	if changed := db.PutBatch(mixed); !reflect.DeepEqual(changed, []int{1, 3}) {
+		t.Fatalf("changed = %v, want [1 3]", changed)
+	}
+	if n := hashed(mixed); n != 2 {
+		t.Fatalf("committing a batch with two state changes hashed %d records in all", n)
+	}
+	if got := db.Fingerprint(); got != preview {
+		t.Fatalf("FingerprintWith = %s, PutBatch produced %s", preview, got)
+	}
+}

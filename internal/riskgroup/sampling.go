@@ -31,6 +31,14 @@ import (
 // (Seed, b), so the detected family is a function of the graph, Rounds, the
 // failure probabilities, Shrink and Seed alone — on any machine, for any
 // Workers — and growing Rounds only adds rounds to it.
+//
+// Shrinking runs in full words too. Only some of a block's lanes fail, so
+// each worker gathers the failing lanes of successive blocks, each with the
+// shrink order its block's stream drew for it, into one shrink word, and
+// shrinks all 64 of them together — one graph evaluation per removal step
+// for the whole word — whenever the word is full and once at the end of the
+// worker's blocks. Lanes shrink independently, so where a sample lands in
+// the word never changes its RG.
 type Sampler struct {
 	// Rounds is the number of sampling rounds (paper: 10³–10⁷).
 	Rounds int
@@ -70,24 +78,9 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 	if s.Rounds <= 0 {
 		return nil, fmt.Errorf("riskgroup: Sampler.Rounds must be positive, got %d", s.Rounds)
 	}
-	bias := s.Bias
-	if bias == 0 {
-		bias = 0.5
-	}
-	if bias < 0 || bias > 1 {
-		return nil, fmt.Errorf("riskgroup: Sampler.Bias %v out of [0,1]", bias)
-	}
-	thr := make([]uint64, g.NumBasics())
-	for r := range thr {
-		p := bias
-		if s.UseEventProbs {
-			n := g.Node(g.BasicAt(r))
-			if !n.HasProb() {
-				return nil, fmt.Errorf("riskgroup: UseEventProbs set but event %q has no probability", n.Label)
-			}
-			p = n.Prob
-		}
-		thr[r] = uint64(math.Round(p * (1 << 32)))
+	thr, err := s.thresholds(g)
+	if err != nil {
+		return nil, err
 	}
 	k := newWordKernel(g, thr, s.Shrink, s.Seed)
 	blocks := (s.Rounds + 63) / 64
@@ -119,6 +112,9 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 				}
 				ws.block(b, active)
 			}
+			if ws.held != 0 {
+				ws.flush()
+			}
 			found[w] = ws.seen
 		}(w)
 	}
@@ -134,6 +130,34 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 	tr.Add("rounds_sampled", int64(s.Rounds))
 	tr.Add("rgs_found", int64(len(out)))
 	return out, nil
+}
+
+// thresholds returns every basic event's failure probability, by basic
+// rank, in 32-bit fixed point: 0 never fails, 1<<32 always does. A
+// probability outside [0,1] — NaN included — is an error naming it.
+func (s Sampler) thresholds(g *faultgraph.Graph) ([]uint64, error) {
+	bias := s.Bias
+	if bias == 0 {
+		bias = 0.5
+	}
+	if !(bias >= 0 && bias <= 1) {
+		return nil, fmt.Errorf("riskgroup: Sampler.Bias %v out of [0,1]", bias)
+	}
+	thr := make([]uint64, g.NumBasics())
+	for r := range thr {
+		p := bias
+		if s.UseEventProbs {
+			n := g.Node(g.BasicAt(r))
+			switch p = n.Prob; {
+			case p == faultgraph.ProbUnknown:
+				return nil, fmt.Errorf("riskgroup: UseEventProbs set but event %q has no probability", n.Label)
+			case !(p >= 0 && p <= 1):
+				return nil, fmt.Errorf("riskgroup: event %q has probability %v, out of [0,1]", n.Label, p)
+			}
+		}
+		thr[r] = uint64(math.Round(p * (1 << 32)))
+	}
+	return thr, nil
 }
 
 // wordGate is one gate of the compiled graph: node id fails in the lanes
@@ -197,31 +221,46 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// wordWorker is one goroutine's mutable state: a word per node, the K-of-N
-// planes, the per-lane shrink orders and the RGs found so far.
+// wordWorker is one goroutine's mutable state: the block being sampled, the
+// shrink word, the K-of-N planes and the RGs found so far.
 type wordWorker struct {
 	*wordKernel
-	st     []uint64 // failure lanes by node id
+	blk    *lanes // the block being sampled
+	word   *lanes // the shrink word: failing lanes gathered across blocks
+	held   uint64 // the shrink word's occupied lanes; no event fails in the others
 	planes []uint64
 	rng    uint64
-	cand   []int32 // lane l's shrink order in cand[l*nb : l*nb+clen[l]], basic ranks
-	clen   [64]int
 	keys   []uint64 // lane l's RG bitset in keys[l*nw : (l+1)*nw]
 	seen   *rgSet
 }
 
+// lanes is 64 samples side by side: a failure word per node and, with
+// Shrink, each lane's shrink order.
+type lanes struct {
+	st   []uint64  // failure lanes by node id
+	cand []int32   // lane l's t-th shrink candidate, a node id, in cand[t<<6|l]
+	n    [64]int32 // lane l's candidate count
+}
+
+func (k *wordKernel) newLanes() *lanes {
+	x := &lanes{st: make([]uint64, k.nodes)}
+	if k.shrink {
+		x.cand = make([]int32, 64*len(k.basics))
+	}
+	return x
+}
+
 func (k *wordKernel) newWorker() *wordWorker {
-	nb := len(k.basics)
-	nw := max(1, (nb+63)/64)
+	nw := max(1, (len(k.basics)+63)/64)
 	w := &wordWorker{
 		wordKernel: k,
-		st:         make([]uint64, k.nodes),
+		blk:        k.newLanes(),
 		planes:     make([]uint64, k.maxK),
 		keys:       make([]uint64, 64*nw),
 		seen:       newRGSet(nw),
 	}
 	if k.shrink {
-		w.cand = make([]int32, 64*nb)
+		w.word = k.newLanes()
 	}
 	return w
 }
@@ -254,10 +293,9 @@ func (w *wordWorker) flip(thr uint64) uint64 {
 	return x
 }
 
-// eval propagates the basic events' lanes through every gate and returns
-// the top event's lanes.
-func (w *wordWorker) eval() uint64 {
-	st := w.st
+// eval propagates the basic events' lanes in st through every gate and
+// returns the top event's lanes.
+func (w *wordWorker) eval(st []uint64) uint64 {
 	for _, g := range w.gates {
 		kids := w.kids[g.lo:g.hi]
 		var x uint64
@@ -289,82 +327,150 @@ func (w *wordWorker) eval() uint64 {
 	return st[w.top]
 }
 
-// block samples the rounds of block b whose lanes are set in active.
+// block samples the rounds of block b whose lanes are set in active. With
+// Shrink its failing lanes go to the shrink word; without, they are
+// collected as they are.
 func (w *wordWorker) block(b int, active uint64) {
 	w.rng = splitmix64(w.seed + uint64(b))
+	st := w.blk.st
 	for r, id := range w.basics {
-		w.st[id] = w.flip(w.thr[r])
+		st[id] = w.flip(w.thr[r])
 	}
-	failed := w.eval() & active
+	failed := w.eval(st) & active
 	if failed == 0 {
 		return
 	}
-	if w.shrink {
-		w.shrinkLanes(failed)
+	if !w.shrink {
+		w.collect(st, failed)
+		return
 	}
-	w.collect(failed)
+	w.orders(failed)
+	w.gather(failed)
 }
 
-// shrinkLanes reduces every failing lane to an irreducible RG. Each lane
-// removes its own failed events in its own random order (an order shared by
-// the block finds far fewer distinct minimal RGs): step t drops every lane's
-// t-th candidate at once, evaluates the graph once, and puts the candidate
-// back in the lanes whose top event stopped failing.
-func (w *wordWorker) shrinkLanes(failed uint64) {
-	nb := len(w.basics)
+// orders draws the shrink order of every failing lane of the block: its
+// failed events, shuffled from the block's stream in ascending lane order.
+// Each lane removes its events in its own random order (an order shared by
+// the block finds far fewer distinct minimal RGs).
+func (w *wordWorker) orders(failed uint64) {
+	x := w.blk
 	for m := failed; m != 0; m &= m - 1 {
-		w.clen[bits.TrailingZeros64(m)] = 0
+		x.n[bits.TrailingZeros64(m)] = 0
 	}
-	for r, id := range w.basics {
-		for m := w.st[id] & failed; m != 0; m &= m - 1 {
+	for _, id := range w.basics {
+		for m := x.st[id] & failed; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			w.cand[l*nb+w.clen[l]] = int32(r)
-			w.clen[l]++
+			x.cand[int(x.n[l])<<6|l] = int32(id)
+			x.n[l]++
 		}
 	}
-	steps := 0
 	for m := failed; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
-		order := w.cand[l*nb : l*nb+w.clen[l]]
-		for i := len(order) - 1; i > 0; i-- {
+		for i := int(x.n[l]) - 1; i > 0; i-- {
 			j, _ := bits.Mul64(w.next(), uint64(i+1))
-			order[i], order[j] = order[j], order[i]
+			a, b := i<<6|l, int(j)<<6|l
+			x.cand[a], x.cand[b] = x.cand[b], x.cand[a]
 		}
-		steps = max(steps, len(order))
 	}
-	pending := failed
+}
+
+// gather puts the block's failing lanes into the shrink word, shrinking and
+// collecting the word whenever all 64 of its lanes are held. Filling a word
+// from two partial ones moves lanes one way or the other, so it moves the
+// fewer: the block's failing lanes into the word's free lanes, or — when the
+// word is empty, or the block is nearly full of failures — the word's lanes
+// into the block, which is adopted as the word in place. A word that fills
+// is shrunk and what is left of the other becomes the word. Lanes shrink
+// independently, so where a sample is shrunk cannot change its RG.
+func (w *wordWorker) gather(failed uint64) {
+	h, f := bits.OnesCount64(w.held), bits.OnesCount64(failed)
+	if min(h, 64-f) < min(f, 64-h) {
+		failed = w.adopt(failed)
+	}
+	for ; failed != 0 && w.held != ^uint64(0); failed &= failed - 1 {
+		w.move(bits.TrailingZeros64(failed), bits.TrailingZeros64(^w.held))
+	}
+	if w.held == ^uint64(0) {
+		w.flush()
+		if failed != 0 {
+			w.adopt(failed)
+		}
+	}
+}
+
+// adopt swaps the block and the shrink word without copying: the block's
+// lanes in mask become the word's held lanes, its other lanes cleared, and
+// the lanes the word held — returned — become the block's.
+func (w *wordWorker) adopt(mask uint64) uint64 {
+	w.blk, w.word = w.word, w.blk
+	for _, id := range w.basics {
+		w.word.st[id] &= mask
+	}
+	held := w.held
+	w.held = mask
+	return held
+}
+
+// move copies block lane l — its failed events and shrink order — into the
+// free word lane d, whose events are all clear, and holds d.
+func (w *wordWorker) move(l, d int) {
+	src, dst := w.blk, w.word
+	for t := 0; t < int(src.n[l]); t++ {
+		id := src.cand[t<<6|l]
+		dst.cand[t<<6|d] = id
+		dst.st[id] |= 1 << d
+	}
+	dst.n[d] = src.n[l]
+	w.held |= 1 << d
+}
+
+// flush shrinks every held lane of the shrink word to an irreducible RG,
+// collects it and empties the word: step t drops every lane's t-th
+// candidate at once, evaluates the graph once, and puts the candidate back
+// in the lanes whose top event stopped failing.
+func (w *wordWorker) flush() {
+	x := w.word
+	steps := 0
+	for m := w.held; m != 0; m &= m - 1 {
+		steps = max(steps, int(x.n[bits.TrailingZeros64(m)]))
+	}
+	pending := w.held
 	for t := 0; t < steps; t++ {
+		cand := x.cand[t<<6 : t<<6+64]
 		var step uint64
 		for m := pending; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			if t >= w.clen[l] {
+			if t >= int(x.n[l]) {
 				pending &^= 1 << l
 				continue
 			}
-			w.st[w.basics[w.cand[l*nb+t]]] &^= 1 << l
+			x.st[cand[l]] &^= 1 << l
 			step |= 1 << l
 		}
-		for m := step &^ w.eval(); m != 0; m &= m - 1 {
+		for m := step &^ w.eval(x.st); m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
-			w.st[w.basics[w.cand[l*nb+t]]] |= 1 << l
+			x.st[cand[l]] |= 1 << l
 		}
 	}
+	w.collect(x.st, w.held)
+	w.held = 0
 }
 
-// collect records the failed basic events of every lane in lanes as an RG.
-func (w *wordWorker) collect(lanes uint64) {
+// collect records the failed basic events in st of every lane in mask as
+// an RG.
+func (w *wordWorker) collect(st []uint64, mask uint64) {
 	nw := w.seen.nw
-	for m := lanes; m != 0; m &= m - 1 {
+	for m := mask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		clear(w.keys[l*nw : (l+1)*nw])
 	}
 	for r, id := range w.basics {
-		for m := w.st[id] & lanes; m != 0; m &= m - 1 {
+		for m := st[id] & mask; m != 0; m &= m - 1 {
 			l := bits.TrailingZeros64(m)
 			w.keys[l*nw+r>>6] |= 1 << (r & 63)
 		}
 	}
-	for m := lanes; m != 0; m &= m - 1 {
+	for m := mask; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
 		w.seen.add(w.keys[l*nw : (l+1)*nw])
 	}
