@@ -48,11 +48,9 @@ func (r *SubmitRequest) prepare(s *Server) (*preparedJob, error) {
 	inline := len(r.Records) > 0
 	parts := n.address(snap, inline)
 	specs := n.specs()
-	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, Workload: Workload{
-		Key:           n.key(),
-		Parts:         parts,
-		DBFingerprint: snap.Fingerprint(),
-		SelfContained: inline,
+	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, fingerprint: snap.Fingerprint(), Workload: Workload{
+		Key:   n.key(),
+		Parts: parts,
 		Run: func(ctx context.Context) (any, error) {
 			rep, err := sia.AuditDeploymentsContext(ctx, snap, "", specs, opts)
 			if err != nil {

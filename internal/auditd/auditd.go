@@ -455,7 +455,7 @@ func (s *Server) settleHitLocked(p *preparedJob) {
 	} else {
 		s.m.CacheHits.Add(1)
 	}
-	if on := p.hit.computedOn; on != "" && on != p.DBFingerprint {
+	if on := p.hit.computedOn; on != "" && on != p.fingerprint {
 		// The database moved since this process computed the result, and
 		// every change missed the records the job reads.
 		s.m.DeltaHits.Add(1)
@@ -631,7 +631,7 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		if err != nil {
 			err = fmt.Errorf("encode result: %w", err)
 		} else {
-			enc.computedOn = comp.DBFingerprint
+			enc.computedOn = comp.fingerprint
 		}
 	}
 	if err == nil && s.store != nil {
@@ -1022,6 +1022,10 @@ type statusErr struct {
 
 func (e *statusErr) Error() string { return e.err.Error() }
 func (e *statusErr) Unwrap() error { return e.err }
+
+// StatusCode is the HTTP status: from a Client call, the one the server
+// answered with.
+func (e *statusErr) StatusCode() int { return e.code }
 
 // httpStatus extracts the status code, defaulting to 500.
 func httpStatus(err error) int {

@@ -480,12 +480,12 @@ func (c *Client) Cancel(ctx context.Context, id string) (JobStatus, error) {
 	return st, err
 }
 
-// Trace fetches a job's phase timeline (GET /v1/jobs/{id}/trace): the
+// Trace fetches a job's phase timeline (GET /v1/audits/{id}/trace): the
 // named pipeline phases a cold computation passed through, with monotonic
 // offsets and durations. Hit-path jobs return an empty timeline.
 func (c *Client) Trace(ctx context.Context, id string) (TraceResponse, error) {
 	var tr TraceResponse
-	err := c.do(ctx, http.MethodGet, "/v1/jobs/"+url.PathEscape(id)+"/trace", nil, &tr)
+	err := c.do(ctx, http.MethodGet, "/v1/audits/"+url.PathEscape(id)+"/trace", nil, &tr)
 	return tr, err
 }
 

@@ -63,7 +63,7 @@ func (n *normalized) address(snap *depdb.Snapshot, inline bool) (parts []string)
 		return deploymentScope(snap, d)
 	}
 	if len(n.Deployments) == 1 {
-		n.DBFingerprint = dbOf(&n.Deployments[0])
+		n.DB = dbOf(&n.Deployments[0])
 		return nil
 	}
 	parts = make([]string, len(n.Deployments))
@@ -71,14 +71,14 @@ func (n *normalized) address(snap *depdb.Snapshot, inline bool) (parts []string)
 	for i := range n.Deployments {
 		part := *n
 		part.Deployments = n.Deployments[i : i+1]
-		part.DBFingerprint = dbOf(&part.Deployments[0])
+		part.DB = dbOf(&part.Deployments[0])
 		parts[i] = part.key()
-		scopes = append(scopes, part.DBFingerprint...)
+		scopes = append(scopes, part.DB...)
 	}
-	n.DBFingerprint = snap.Fingerprint()
+	n.DB = snap.Fingerprint()
 	if !inline {
 		sum := sha256.Sum256(scopes)
-		n.DBFingerprint = hex.EncodeToString(sum[:])
+		n.DB = hex.EncodeToString(sum[:])
 	}
 	return parts
 }
@@ -171,7 +171,7 @@ type candidateScores struct {
 func (c *candidateScores) Get(nodes []string) (placement.Score, string, bool) {
 	n := c.audit
 	n.Deployments = []DeploymentWire{{Name: "placement:" + strings.Join(nodes, "+"), Servers: nodes, Kinds: c.kinds}}
-	n.DBFingerprint = deploymentScope(c.snap, &n.Deployments[0])
+	n.DB = deploymentScope(c.snap, &n.Deployments[0])
 	key := n.key()
 	sc, ok := c.memo.Get(key)
 	return sc, key, ok

@@ -42,14 +42,6 @@ type Workload struct {
 	// re-submits it verbatim to the owning node (Client.SubmitWorkload posts
 	// it to the kind's route).
 	Wire any
-	// DBFingerprint is the database snapshot the run closure captured; a
-	// remote executor may only forward a non-self-contained workload to a
-	// node whose database reports the same fingerprint.
-	DBFingerprint string
-	// SelfContained means the wire request carries everything needed to
-	// compute it (inline records, inline provider components): any node can
-	// run it regardless of database state.
-	SelfContained bool
 	// NoForward pins the workload to the local pool: set for requests that
 	// were already forwarded once (single-hop ownership), journal-recovered
 	// jobs, and runs that splice deployment audits held on this node.

@@ -30,7 +30,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/audits/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/audits/{id}/report", s.handleReport)
 	mux.HandleFunc("GET /v1/audits/{id}/trace", s.handleTrace)
-	mux.HandleFunc("GET /v1/jobs/{id}/trace", s.handleTrace)
 	mux.HandleFunc("DELETE /v1/audits/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/cache/{key}", s.handleCached)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -230,8 +229,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace returns a job's phase timeline as JSON (GET
-// /v1/jobs/{id}/trace, also mounted under /v1/audits for symmetry with the
-// other job endpoints).
+// /v1/audits/{id}/trace, for a job of any kind).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	telemetry.AnnotateJob(r, r.PathValue("id"))
 	resp, err := s.Trace(r.PathValue("id"))

@@ -99,6 +99,10 @@ type preparedJob struct {
 	Workload
 	title     string
 	timeoutMS int64
+	// fingerprint is the database snapshot the run closure captured: a result
+	// it computes is tagged with it (EncodedResult.computedOn), so a later hit
+	// after the database moved counts as a delta hit.
+	fingerprint string
 	// partial marks a run that splices held deployment audits (planSplice);
 	// dirty lists the servers of the deployments it re-audits.
 	partial bool

@@ -325,7 +325,7 @@ func TestAlgorithmOptionsKeepContentAddresses(t *testing.T) {
 			"14fcd885a2b4ccd07d1a2929912ec342c11f7b3ee859e1229c86c834080913a6"},
 	} {
 		n, _, err := c.req.normalize()
-		n.DBFingerprint = "fp"
+		n.DB = "fp"
 		if got := n.key(); err != nil || got != c.want || got == c.was {
 			t.Errorf("audit request %d: key %s, %v; want %s", i, got, err, c.want)
 		}
@@ -346,7 +346,7 @@ func TestAlgorithmOptionsKeepContentAddresses(t *testing.T) {
 			"36053a59c1ff0023e9ccf42ca1226b2e6b257a136fefbb79310f331fd557e518"},
 	} {
 		n, _, err := c.req.normalize()
-		n.DBFingerprint, n.Nodes = "fp", []string{"a", "b", "c"}
+		n.DB, n.Nodes = "fp", []string{"a", "b", "c"}
 		if got := n.key(); err != nil || got != c.want || got == c.was {
 			t.Errorf("recommend request %d: key %s, %v; want %s", i, got, err, c.want)
 		}
@@ -363,7 +363,7 @@ func TestSamplingAddressesMovedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.DBFingerprint = "fp"
+	a.DB = "fp"
 	if got, old := a.key(), "627589bb2d151ffb504fd4ba69217ff0ffae8dc3490b646d8013de3f35eae590"; got == old {
 		t.Errorf("default failure-sampling audit still has its per-round-sampler address %s", old)
 	}
@@ -371,7 +371,7 @@ func TestSamplingAddressesMovedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.DBFingerprint, r.Nodes = "fp", []string{"a", "b", "c"}
+	r.DB, r.Nodes = "fp", []string{"a", "b", "c"}
 	if got, old := r.key(), "115a380e8a9d3bd0170728bc6c2d27473fd6b3a29603fac50850a0da8ecffd3b"; got == old {
 		t.Errorf("default failure-sampling recommendation still has its per-round-sampler address %s", old)
 	}

@@ -454,9 +454,8 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 	protocol := n.Protocol
 	pairs := len(deployments)
 	return &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.PrivateAudits, Workload: Workload{
-		Key:           n.key(),
-		SelfContained: inline,
-		NoForward:     !inline,
+		Key:       n.key(),
+		NoForward: !inline,
 		Run: func(ctx context.Context) (any, error) {
 			start := time.Now()
 			rep, err := pia.AuditDeploymentsContext(ctx, cfg, provs, deployments)

@@ -68,7 +68,7 @@ type RecommendRequest struct {
 // the db field is the scope of fixed ∪ nodes under the kinds.
 type normalizedRecommend struct {
 	Op            string   `json:"op"` // always "recommend"
-	DBFingerprint string   `json:"db"`
+	DB            string   `json:"db"`
 	Nodes         []string `json:"nodes"`
 	Fixed         []string `json:"fixed,omitempty"`
 	Replicas      int      `json:"replicas"`
@@ -227,17 +227,15 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 	}
 
 	inline := len(r.Records) > 0
-	n.DBFingerprint = snap.Fingerprint()
+	n.DB = snap.Fingerprint()
 	if !inline {
-		n.DBFingerprint = snap.Scope(append(append([]string(nil), n.Fixed...), n.Nodes...), preq.Kinds)
+		n.DB = snap.Scope(append(append([]string(nil), n.Fixed...), n.Nodes...), preq.Kinds)
 		preq.Cache = &candidateScores{memo: s.scores, snap: snap, kinds: n.Kinds, audit: normalized{
 			algorithmOptions: n.algorithmOptions, MaxSets: n.MaxSets, MaxSize: n.MaxSize,
 		}}
 	}
-	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.Recommendations, Workload: Workload{
-		Key:           n.key(),
-		DBFingerprint: snap.Fingerprint(),
-		SelfContained: inline,
+	p := &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.Recommendations, fingerprint: snap.Fingerprint(), Workload: Workload{
+		Key: n.key(),
 		Run: func(ctx context.Context) (any, error) {
 			res, err := placement.Search(ctx, snap, preq)
 			if err != nil {

@@ -20,7 +20,7 @@ type EncodedResult struct {
 	// no title: `{"audits":[…]}\n`. Never written after construction.
 	obj []byte
 	// computedOn is the database fingerprint this process computed the
-	// result against (Workload.DBFingerprint); empty for a result read from
+	// result against (preparedJob.fingerprint); empty for a result read from
 	// disk or relayed by a peer. Set before the result is shared.
 	computedOn string
 }

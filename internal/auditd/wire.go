@@ -131,11 +131,11 @@ type SubmitRequest struct {
 
 // normalized is the canonical, defaults-applied form of a request that the
 // cache key hashes: two requests that can only produce identical reports
-// (titles aside) normalize identically. DBFingerprint is the "db" field: an
+// (titles aside) normalize identically. DB is the "db" field: an
 // inline request's private-database fingerprint, or the scope of the server
 // records its deployments read.
 type normalized struct {
-	DBFingerprint    string           `json:"db"`
+	DB               string           `json:"db"`
 	Deployments      []DeploymentWire `json:"deployments"`
 	algorithmOptions                  // algorithm … failure_prob
 	ScoreTopN        int              `json:"score_top_n,omitempty"`
@@ -332,7 +332,7 @@ type JobStatus struct {
 	TraceCounts map[string]int64  `json:"trace_counts,omitempty"`
 }
 
-// TraceResponse is the body of GET /v1/jobs/{id}/trace: the job's phase
+// TraceResponse is the body of GET /v1/audits/{id}/trace: the job's phase
 // timeline, pipeline counts, and end-to-end elapsed time (submission to
 // completion, or to now while the job is still active).
 type TraceResponse struct {

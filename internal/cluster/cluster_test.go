@@ -47,17 +47,32 @@ func (tn *testNode) kill() {
 
 // startNode serves one clustered node on ln, wired as cmd serve wires it.
 func startNode(ln net.Listener, self string, peers []string) *testNode {
-	node := cluster.New(cluster.Config{Self: self, Peers: peers, PollInterval: 100 * time.Millisecond})
+	tn := serveNode(ln, self, peers, 100*time.Millisecond)
+	tn.node.Start()
+	return tn
+}
+
+// serveNode serves one clustered node on ln without starting its health poll.
+func serveNode(ln net.Listener, self string, peers []string, poll time.Duration) *testNode {
+	node := cluster.New(cluster.Config{Self: self, Peers: peers, PollInterval: poll})
 	s := auditd.New(auditd.Config{Workers: 2, Cluster: node})
 	srv := &http.Server{Handler: s.Handler()}
 	go srv.Serve(ln)
-	node.Start()
 	return &testNode{s: s, node: node, srv: srv, addr: self, c: auditd.NewClient(self, nil)}
 }
 
 // startCluster boots size clustered nodes on loopback listeners and waits
 // for their health polls to converge.
 func startCluster(t *testing.T, size int) []*testNode {
+	t.Helper()
+	return bootCluster(t, size, 100*time.Millisecond, func(int) []auditd.RecordWire { return nil })
+}
+
+// bootCluster is startCluster with the poll period chosen and node i holding
+// records(i) before any health poll starts. With a poll period longer than
+// the test, each node polls its peers once, before the test's first step,
+// and a test changes a node's records only where it says so.
+func bootCluster(t *testing.T, size int, poll time.Duration, records func(i int) []auditd.RecordWire) []*testNode {
 	t.Helper()
 	lns := make([]net.Listener, size)
 	addrs := make([]string, size)
@@ -77,13 +92,24 @@ func startCluster(t *testing.T, size int) []*testNode {
 				peers = append(peers, a)
 			}
 		}
-		nodes[i] = startNode(lns[i], addrs[i], peers)
+		nodes[i] = serveNode(lns[i], addrs[i], peers, poll)
 	}
 	t.Cleanup(func() {
 		for _, tn := range nodes {
 			tn.kill()
 		}
 	})
+	for i, tn := range nodes {
+		// Taken as a replica's records: pushed nowhere.
+		if recs := records(i); len(recs) > 0 {
+			if _, err := tn.s.Ingest(&auditd.IngestRequest{Replicated: true, Records: recs}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tn := range nodes {
+		tn.node.Start()
+	}
 	ctx := context.Background()
 	for _, tn := range nodes {
 		waitMetric(t, ctx, tn, "auditd_cluster_peers_healthy", float64(size-1))
@@ -310,8 +336,8 @@ func TestClusterPeerHitAcrossDivergedDatabases(t *testing.T) {
 		t.Fatal("the two databases did not diverge")
 	}
 	// Salt the deployment name until node 0 owns the address, so the first
-	// run computes on the owner: a non-owner would compute locally, its
-	// database being ineligible for the forward.
+	// run computes on the owner, not forwarded: the hit below must come from
+	// the peer tier.
 	owner, other := nodes[0], nodes[1]
 	var req *auditd.SubmitRequest
 	var key string
@@ -422,8 +448,20 @@ func TestClusterFanoutMatchesSingleNode(t *testing.T) {
 // would compute must not be able to crash it. The peer here is a stub that
 // answers every sub-audit with a risk group of size 0 — which PR 12's own
 // stored fixture carries — and one of size 10¹², each of which used to index
-// or size a slice inside Report.Rank.
+// or size a slice inside Report.Rank. It answers each sub-audit under the
+// address an honest node derives for it — a standalone daemon's — so the
+// coordinator accepts the reports and must rank them.
 func TestClusterFanoutRanksHostilePeerReport(t *testing.T) {
+	// Sixteen sub-audits, each routed by the hash of its own content address:
+	// all of them landing on the coordinator has probability 2⁻¹⁶.
+	req := &auditd.SubmitRequest{Title: "hostile peer", Records: clusterRecords()}
+	addrs := make(map[string]string)
+	honest := standalone(t, nil)
+	for i := 0; i < 16; i++ {
+		d := auditd.DeploymentWire{Name: fmt.Sprintf("d%02d", i), Servers: []string{"s1", "s2"}}
+		req.Deployments = append(req.Deployments, d)
+		addrs[d.Name], _ = runOn(t, honest, &auditd.SubmitRequest{Records: req.Records, Deployments: []auditd.DeploymentWire{d}})
+	}
 	var served atomic.Int32
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := strings.TrimPrefix(r.URL.Path, "/v1/audits/")
@@ -436,7 +474,8 @@ func TestClusterFanoutRanksHostilePeerReport(t *testing.T) {
 				http.Error(w, "want one deployment", http.StatusBadRequest)
 				return
 			}
-			json.NewEncoder(w).Encode(auditd.JobStatus{ID: sub.Deployments[0].Name, State: auditd.StateDone})
+			name := sub.Deployments[0].Name
+			json.NewEncoder(w).Encode(auditd.JobStatus{ID: name, State: auditd.StateDone, CacheKey: addrs[name]})
 		case id == r.URL.Path:
 			http.NotFound(w, r)
 		case strings.HasSuffix(id, "/report"):
@@ -458,12 +497,6 @@ func TestClusterFanoutRanksHostilePeerReport(t *testing.T) {
 	ctx := context.Background()
 	waitMetric(t, ctx, tn, "auditd_cluster_peers_healthy", 1)
 
-	// Sixteen sub-audits, each routed by the hash of its own content address:
-	// all of them landing on the coordinator has probability 2⁻¹⁶.
-	req := &auditd.SubmitRequest{Title: "hostile peer", Records: clusterRecords()}
-	for i := 0; i < 16; i++ {
-		req.Deployments = append(req.Deployments, auditd.DeploymentWire{Name: fmt.Sprintf("d%02d", i), Servers: []string{"s1", "s2"}})
-	}
 	st, err := tn.c.Submit(ctx, req)
 	if err != nil {
 		t.Fatal(err)

@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -14,66 +14,38 @@ const healthTimeout = 2 * time.Second
 
 // peerState is what this node believes about one peer, refreshed by the
 // poller and corrected inline by traffic (a refused forward marks the peer
-// dead immediately; a successful one marks it alive).
+// dead immediately).
 type peerState struct {
-	mu          sync.Mutex
-	alive       bool
-	fingerprint string // the peer's served database fingerprint
-	records     int
+	alive atomic.Bool
 }
 
-// healthView is the subset of auditd's /healthz body routing needs: is the
-// peer up, and which database generation is it serving.
-type healthView struct {
-	OK            bool   `json:"ok"`
-	Status        string `json:"status"`
-	DBRecords     int    `json:"db_records"`
-	DBFingerprint string `json:"db_fingerprint"`
-}
-
-// probe fetches addr's /healthz once. Any transport or decode failure reads
-// as dead.
-func (n *Node) probe(ctx context.Context, addr string) (healthView, bool) {
-	var hv healthView
+// probe fetches addr's /healthz once and reports whether the peer is up. Any
+// transport or decode failure reads as dead. Routing needs nothing else from
+// the body: whether a peer may compute a request is settled by the address
+// it derives for it (see router).
+func (n *Node) probe(ctx context.Context, addr string) bool {
 	ctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/healthz", nil)
 	if err != nil {
-		return hv, false
+		return false
 	}
 	resp, err := n.hc.Do(req)
 	if err != nil {
-		return hv, false
+		return false
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return hv, false
+	var hv struct {
+		OK bool `json:"ok"`
 	}
-	if json.NewDecoder(resp.Body).Decode(&hv) != nil {
-		return hv, false
-	}
-	return hv, hv.OK
+	return resp.StatusCode == http.StatusOK && json.NewDecoder(resp.Body).Decode(&hv) == nil && hv.OK
 }
 
-// refresh probes one peer and folds the result into its state, returning
-// the updated liveness and fingerprint. The router calls it synchronously
-// when a peer's cached fingerprint disagrees with a workload's — replication
-// may have converged the peer a moment ago, and one probe is cheaper than
-// computing a forwardable workload locally.
-func (n *Node) refresh(ctx context.Context, addr string) (alive bool, fingerprint string) {
-	st := n.peers[addr]
-	if st == nil {
-		return false, ""
+// refresh probes one peer and folds the result into its state.
+func (n *Node) refresh(ctx context.Context, addr string) {
+	if st := n.peers[addr]; st != nil {
+		st.alive.Store(n.probe(ctx, addr))
 	}
-	hv, ok := n.probe(ctx, addr)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.alive = ok
-	if ok {
-		st.fingerprint = hv.DBFingerprint
-		st.records = hv.DBRecords
-	}
-	return st.alive, st.fingerprint
 }
 
 // peerAlive reports the poller's current belief about addr; the node's own
@@ -83,23 +55,7 @@ func (n *Node) peerAlive(addr string) bool {
 		return true
 	}
 	st := n.peers[addr]
-	if st == nil {
-		return false
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.alive
-}
-
-// peerFingerprint returns the last fingerprint addr's /healthz reported.
-func (n *Node) peerFingerprint(addr string) string {
-	st := n.peers[addr]
-	if st == nil {
-		return ""
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.fingerprint
+	return st != nil && st.alive.Load()
 }
 
 // markDead records an observed failure against addr without waiting for the
@@ -107,9 +63,7 @@ func (n *Node) peerFingerprint(addr string) string {
 // very next workload routes around the corpse.
 func (n *Node) markDead(addr string) {
 	if st := n.peers[addr]; st != nil {
-		st.mu.Lock()
-		st.alive = false
-		st.mu.Unlock()
+		st.alive.Store(false)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 type metrics struct {
 	forwards            atomic.Int64 // workloads routed to a peer that owns their content address
 	forwardFailures     atomic.Int64 // forwards that could not reach the owner (the workload then ran locally)
+	forwardMismatches   atomic.Int64 // forwards and sub-audits whose owner derived another content address or refused them (then run on this node)
 	fanouts             atomic.Int64 // many-deployment audits split across the fleet
 	fanoutSubaudits     atomic.Int64 // the single-deployment sub-audits the fan-outs spawned
 	replicatedRecords   atomic.Int64 // ingested records pushed to peers (records × peers)
@@ -26,6 +27,7 @@ func (n *Node) Metrics() []auditd.Metric {
 		{Name: "auditd_cluster_peers_healthy", Help: "Peers whose last health poll succeeded.", Kind: auditd.Gauge, Value: n.healthyPeers()},
 		{Name: "auditd_cluster_forwards_total", Help: "Workloads forwarded to their hash owner.", Kind: auditd.Counter, Value: n.m.forwards.Load()},
 		{Name: "auditd_cluster_forward_failures_total", Help: "Forwards that failed over to local compute.", Kind: auditd.Counter, Value: n.m.forwardFailures.Load()},
+		{Name: "auditd_cluster_forward_mismatches_total", Help: "Forwards and fan-out sub-audits whose owner derived another content address or refused the request (then run locally).", Kind: auditd.Counter, Value: n.m.forwardMismatches.Load()},
 		{Name: "auditd_cluster_fanouts_total", Help: "Many-deployment audits split across the fleet.", Kind: auditd.Counter, Value: n.m.fanouts.Load()},
 		{Name: "auditd_cluster_fanout_subaudits_total", Help: "Single-deployment sub-audits spawned by fan-outs.", Kind: auditd.Counter, Value: n.m.fanoutSubaudits.Load()},
 		{Name: "auditd_cluster_replicated_records_total", Help: "Ingested records pushed to peers (records x peers).", Kind: auditd.Counter, Value: n.m.replicatedRecords.Load()},

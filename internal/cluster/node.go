@@ -187,12 +187,13 @@ const replicateTimeout = 10 * time.Second
 
 // Replicate pushes locally originated ingest records to every live peer and
 // waits for the pushes to settle.
-// By the time it returns, every reachable peer serves the same database
-// fingerprint — which is what makes cache keys (and forwarded workloads)
-// valid fleet-wide. A peer that cannot be reached is marked dead and
-// counted; it rejoins with a stale fingerprint, which routing treats as
-// "compute locally instead", so correctness degrades to single-node rather
-// than to wrong answers.
+// By the time it returns, every reachable peer holds the same records, so
+// the fleet derives the same content address for every request and a
+// forward lands where its result is shared. A peer that cannot be reached is
+// marked dead and counted; it rejoins with records missing, and a forward
+// to it of a request that reads them comes back under another address,
+// which the router answers by computing locally — so correctness degrades
+// to single-node rather than to wrong answers.
 func (n *Node) Replicate(records []auditd.RecordWire) {
 	if len(records) == 0 || len(n.cfg.Peers) == 0 {
 		return

@@ -4,13 +4,15 @@
 // workload to the hash owner of its content address, a peer ResultTier
 // probes the owner's cache behind the local memory and disk tiers, and a
 // replication hook pushes ingested records to every peer so the fleet's
-// database fingerprints — and therefore its cache keys — converge.
+// databases — and therefore its content addresses — converge.
 //
 // Membership is static (the -peers flag); liveness is not. Every node polls
-// every peer's /healthz for reachability and database identity, routes
-// around dead or diverged peers, and falls back to computing locally when a
-// forward fails — a cluster node degrades to exactly the single-node daemon,
-// never to an error.
+// every peer's /healthz for reachability and routes around dead peers. A
+// forward proves its address: the coordinator relays an owner's result only
+// when the owner derived the coordinator's own content address, and falls
+// back to computing locally when it did not or when a forward fails — a
+// cluster node degrades to exactly the single-node daemon, never to an
+// error or to another node's answer.
 package cluster
 
 import (

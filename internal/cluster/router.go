@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"time"
 
@@ -19,9 +20,15 @@ import (
 // single-deployment sub-audit per deployment, each routed to its own owner,
 // spliced back into one ranked report at the coordinator.
 //
-// Every remote path degrades to the wrapped pool: an unreachable or
-// diverged owner, a failed forward, a broken fan-out — the workload runs
-// locally and the client never learns the cluster had a bad day.
+// A forward proves its address: the coordinator relays an owner's result
+// only when the owner derived the coordinator's own address for the request
+// (w.Key, or a fan-out part), so a result computed on records this node does
+// not hold never lands under this node's address.
+//
+// Every remote path degrades to the wrapped pool: an unreachable owner, an
+// owner that derived another address, a failed forward, a broken fan-out —
+// the workload runs locally and the client never learns the cluster had a
+// bad day.
 type router struct {
 	n     *Node
 	inner auditd.Executor
@@ -66,22 +73,6 @@ func (r *router) Wait() {
 	r.inner.Wait()
 }
 
-// eligible decides whether owner may compute w: always for self-contained
-// workloads, otherwise only when the owner serves the exact database
-// snapshot the workload's key was derived from. A cached mismatch earns one
-// synchronous re-probe — replication may have converged the peer after the
-// last poll — before giving up and computing locally.
-func (r *router) eligible(ctx context.Context, owner string, w *auditd.Workload) bool {
-	if w.SelfContained {
-		return true
-	}
-	if r.n.peerFingerprint(owner) == w.DBFingerprint {
-		return true
-	}
-	alive, fp := r.n.refresh(ctx, owner)
-	return alive && fp == w.DBFingerprint
-}
-
 // runLocal computes w on the local pool after routing declined or failed,
 // honoring the callback contract on the server's behalf. The queue is tried
 // first (metrics and backpressure as if the job had never been routable);
@@ -118,23 +109,49 @@ func (r *router) cancelRemote(owner, id string) {
 	r.n.fwd[owner].Cancel(ctx, id)
 }
 
+// refused reports whether a forwarded submission's error is the owner
+// answering 400: the request is invalid on the owner's records — it holds no
+// database yet, say — which, like deriving another address, says nothing
+// about the owner's health.
+func refused(err error) bool {
+	var se interface{ StatusCode() int }
+	return errors.As(err, &se) && se.StatusCode() == http.StatusBadRequest
+}
+
+// mismatched reports whether the owner took the job st under another address
+// than want, or refused it (err). Such an owner is healthy — it reads
+// different records — so it is not marked dead; a job it took, valid under
+// its own address, is canceled on a best-effort basis, and the caller
+// computes on this node.
+func (r *router) mismatched(owner string, st auditd.JobStatus, err error, want string) bool {
+	if err == nil && st.CacheKey == want {
+		return false
+	}
+	r.n.m.forwardMismatches.Add(1)
+	if err == nil {
+		r.cancelRemote(owner, st.ID)
+	}
+	return true
+}
+
 // forward ships one workload — of any kind: the wire request is posted to its
 // kind's route uninterpreted — to its owner and relays the outcome. Transport
 // failures — the owner unreachable before or during the job — mark the peer
-// dead and fall back to local compute; a job that *ran* remotely and failed
-// is a real failure (it would fail identically here) and is relayed, not
-// retried.
+// dead and fall back to local compute; an owner that derived another address,
+// or refused the request, falls back to local compute too, alive. A job that
+// *ran* remotely under w.Key and failed is a real failure (it would fail
+// identically here) and is relayed, not retried.
 func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, cb auditd.ExecCallbacks) {
 	defer r.wg.Done()
-	if !r.eligible(ctx, owner, w) {
+	c := r.n.fwd[owner]
+	st, err := c.SubmitWorkload(ctx, w)
+	if err != nil && !refused(err) {
+		r.n.m.forwardFailures.Add(1)
+		r.n.markDead(owner)
 		r.runLocal(ctx, w, cb)
 		return
 	}
-	c := r.n.fwd[owner]
-	st, err := c.SubmitWorkload(ctx, w)
-	if err != nil {
-		r.n.m.forwardFailures.Add(1)
-		r.n.markDead(owner)
+	if r.mismatched(owner, st, err, w.Key) {
 		r.runLocal(ctx, w, cb)
 		return
 	}
@@ -181,7 +198,8 @@ func (r *router) forward(ctx context.Context, owner string, w *auditd.Workload, 
 // splices the sub-reports back into one report ranked exactly as a
 // single-node run would have ranked it.
 // Any sub-audit failing abandons the fan-out and computes the whole parent
-// locally: the spliced answer must never be partial.
+// locally, on the snapshot the parent captured: the spliced answer must never
+// be partial, nor mix records of two states.
 func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.SubmitRequest, cb auditd.ExecCallbacks) {
 	defer r.wg.Done()
 	if err := ctx.Err(); err != nil {
@@ -205,7 +223,7 @@ func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.Subm
 		wg.Add(1)
 		go func(i int, sub auditd.SubmitRequest) {
 			defer wg.Done()
-			results[i].rep, results[i].err = r.subAudit(ctx, w, w.Parts[i], &sub)
+			results[i].rep, results[i].err = r.subAudit(ctx, w.Parts[i], &sub)
 		}(i, sub)
 	}
 	wg.Wait()
@@ -228,29 +246,40 @@ func (r *router) fanout(ctx context.Context, w *auditd.Workload, sr *auditd.Subm
 }
 
 // subAudit runs one single-deployment sub-request on the owner of its
-// content address, key. Owners that are dead, diverged, or this node itself
-// all resolve to self — the sub still travels the forwarded-HTTP path, so
-// every sub-audit is journaled, cached, and counted identically wherever it
-// runs.
-func (r *router) subAudit(ctx context.Context, parent *auditd.Workload, key string, sub *auditd.SubmitRequest) (*report.Report, error) {
-	owner := r.n.ring.owner(key, r.n.peerAlive)
-	if owner == "" || owner == r.n.cfg.Self {
-		owner = r.n.cfg.Self
-	} else if !r.eligible(ctx, owner, parent) {
-		owner = r.n.cfg.Self
-	}
+// content address, key. Owners that are dead, or this node itself, resolve to
+// self — the sub still travels the forwarded-HTTP path, so every sub-audit is
+// journaled, cached, and counted identically wherever it runs. A peer owner
+// that derives another address, or refuses the sub-audit, hands it to self;
+// self deriving another address means an ingest landed after the parent was
+// prepared, and fails the sub-audit, which abandons the fan-out.
+func (r *router) subAudit(ctx context.Context, key string, sub *auditd.SubmitRequest) (*report.Report, error) {
 	r.n.m.fanoutSubaudits.Add(1)
-	c := r.n.fwd[owner]
-	st, err := c.Submit(ctx, sub)
-	if err != nil {
-		if owner != r.n.cfg.Self {
+	self := r.n.cfg.Self
+	owner := r.n.ring.owner(key, r.n.peerAlive)
+	if owner == "" {
+		owner = self
+	}
+	st, err := r.n.fwd[owner].Submit(ctx, sub)
+	if owner != self {
+		if err != nil && !refused(err) {
 			r.n.markDead(owner)
+			return nil, err
 		}
+		if r.mismatched(owner, st, err, key) {
+			owner = self
+			st, err = r.n.fwd[self].Submit(ctx, sub)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
+	if st.CacheKey != key {
+		return nil, fmt.Errorf("sub-audit %s: the database moved since the fan-out was planned", st.ID)
+	}
+	c := r.n.fwd[owner]
 	done, err := c.WaitDone(ctx, st.ID)
 	if err != nil {
-		if owner != r.n.cfg.Self && ctx.Err() == nil {
+		if owner != self && ctx.Err() == nil {
 			r.n.markDead(owner)
 		}
 		return nil, err

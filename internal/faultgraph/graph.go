@@ -177,7 +177,7 @@ func (b *Builder) BasicProb(label string, prob float64) NodeID {
 	if label == "" {
 		return b.fail("faultgraph: basic event with empty label")
 	}
-	if prob != ProbUnknown && (prob < 0 || prob > 1) {
+	if prob != ProbUnknown && !(prob >= 0 && prob <= 1) { // NaN fails both comparisons
 		return b.fail("faultgraph: event %q probability %v out of [0,1]", label, prob)
 	}
 	if id, ok := b.byLabel[label]; ok {
@@ -252,7 +252,7 @@ func (b *Builder) gate(label string, gate Gate, k int, prob float64, children []
 		}
 		seen[c] = true
 	}
-	if prob != ProbUnknown && (prob < 0 || prob > 1) {
+	if prob != ProbUnknown && !(prob >= 0 && prob <= 1) { // NaN fails both comparisons
 		return b.fail("faultgraph: event %q probability %v out of [0,1]", label, prob)
 	}
 	id := NodeID(len(b.nodes))

@@ -207,6 +207,23 @@ func TestKofNProbMatchesExact(t *testing.T) {
 	}
 }
 
+// TestBuilderRefusesNaNProbability: a NaN probability is out of [0,1] too.
+// Accepted, it would read as "no probability" to the exact analyses; the
+// error names the event it was given for.
+func TestBuilderRefusesNaNProbability(t *testing.T) {
+	b := NewBuilder()
+	b.BasicProb("disk-7", math.NaN())
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), `"disk-7"`) {
+		t.Errorf("BasicProb(NaN) error = %v, want one naming disk-7", err)
+	}
+	b = NewBuilder()
+	x := b.Basic("x")
+	b.GateProb("rack-2", OR, math.NaN(), x)
+	if err := b.Err(); err == nil || !strings.Contains(err.Error(), `"rack-2"`) {
+		t.Errorf("GateProb(NaN) error = %v, want one naming rack-2", err)
+	}
+}
+
 func TestBuilderErrors(t *testing.T) {
 	t.Run("empty label", func(t *testing.T) {
 		b := NewBuilder()

@@ -49,7 +49,7 @@ type requestInfo struct {
 type requestInfoKey struct{}
 
 // AnnotateJob tags the in-flight HTTP request (if any) with the job id it
-// resolved to, so the access log line links to /v1/jobs/{id}/trace.
+// resolved to, so the access log line links to /v1/audits/{id}/trace.
 func AnnotateJob(r *http.Request, id string) {
 	ri, _ := r.Context().Value(requestInfoKey{}).(*requestInfo)
 	if ri == nil || id == "" {

@@ -205,7 +205,7 @@ if [ "$MODE" = base ]; then
     # Telemetry: the cold audit's trace must break its latency into phases
     # (queue-wait, graph-build, minimal-rgs at minimum), and the end-to-end
     # job-duration histogram must be on /metrics.
-    TRACE=$("${CURL[@]}" "$BASE/v1/jobs/$ID/trace")
+    TRACE=$("${CURL[@]}" "$BASE/v1/audits/$ID/trace")
     PHASES=$(jq '.trace | length' <<<"$TRACE")
     [ "$PHASES" -ge 3 ] || die "cold audit trace has $PHASES phases, want >= 3: $TRACE"
     jq -e '[.trace[].name] | contains(["queue-wait","graph-build","minimal-rgs"])' <<<"$TRACE" >/dev/null ||
@@ -481,9 +481,9 @@ if [ "$MODE" = cluster ]; then
 
     # shard_body N: a distinct single-deployment, self-contained audit. One
     # deployment keeps the router on the plain forwarding path (2+ would
-    # fan out), inline records make every node eligible regardless of its
-    # DepDB, and the name salts the content address so the 16 shards spread
-    # across the ring.
+    # fan out), inline records give every node the same content address
+    # regardless of its DepDB, and the name salts that address so the 16
+    # shards spread across the ring.
     shard_body() {
         jq -c --arg n "shard-$1" \
             '{title: ("cluster " + $n), deployments: [(.deployments[0] + {name: $n})], records: .records}' \
