@@ -1,7 +1,7 @@
 // Command depgen generates dependency datasets in the Table 1 XML format:
 // data-center topologies (fat trees, the Benson-style DC), hardware
 // inventories, and software package closures. Useful for feeding
-// "indaas audit" and "indaas source" without a live infrastructure.
+// "indaas audit" and "indaas serve -deps" without a live infrastructure.
 //
 // Usage:
 //

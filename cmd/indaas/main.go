@@ -6,22 +6,10 @@
 //	    Run a structural independence audit over dependency records loaded
 //	    from a Table 1 XML file and print the ranked report.
 //
-//	indaas source -listen :7001 -deps deps.xml
-//	    Serve dependency records to auditing agents (Fig. 5a data source).
-//
-//	indaas agent -listen :7000
-//	    Run an auditing agent accepting client audit requests.
-//
-//	indaas client -agent host:7000 -source host:7001 -deploy "name=srv1,srv2"
-//	    Submit an audit specification to an agent and print the report.
-//
 //	indaas proxy -listen :7002 -components components.txt
-//	    Run a PIA proxy serving a provider's normalized component-set
-//	    (Fig. 5b) for P-SOP rounds.
-//
-//	indaas psop -proxies host1:7002,host2:7002[,...]
-//	    Supervise one P-SOP round across running proxies and print the
-//	    Jaccard similarity.
+//	    Run a provider's P-SOP proxy (Fig. 5b) over HTTP: one ring party
+//	    keeping the provider's normalized component-set, for an audit
+//	    service that registers its endpoint (private-audit -proxy).
 //
 //	indaas serve -listen :7080 [-deps deps.xml] [-data-dir DIR]
 //	    Run the always-on audit service: an HTTP/JSON API that queues audit
@@ -44,7 +32,8 @@
 //	    component-set files — locally, or through a running audit service's
 //	    /v1/private-audits endpoint where results are cached by dataset
 //	    fingerprint; -register stores datasets server-side for later
-//	    reference by name.
+//	    reference by name, and -proxy NAME=URL registers a provider's proxy
+//	    so the service supervises the P-SOP ring without the components.
 //
 //	indaas loadgen -server http://127.0.0.1:7080 -rate 10000 -duration 10s
 //	    Replay a simulated agent fleet's dependency churn against a running
@@ -57,15 +46,17 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
+	"time"
 
-	"indaas/internal/agent"
+	"indaas/internal/auditd"
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/report"
 	"indaas/internal/sia"
 )
 
@@ -78,16 +69,8 @@ func main() {
 	switch os.Args[1] {
 	case "audit":
 		err = cmdAudit(os.Args[2:])
-	case "source":
-		err = cmdSource(os.Args[2:])
-	case "agent":
-		err = cmdAgent(os.Args[2:])
-	case "client":
-		err = cmdClient(os.Args[2:])
 	case "proxy":
 		err = cmdProxy(os.Args[2:])
-	case "psop":
-		err = cmdPSOP(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "recommend":
@@ -113,12 +96,12 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: indaas <audit|source|agent|client|proxy|psop|serve|recommend|private-audit|store|loadgen> [flags]
+	fmt.Fprintln(os.Stderr, `usage: indaas <audit|proxy|serve|recommend|private-audit|store|loadgen> [flags]
 run "indaas <subcommand> -h" for the subcommand's flags`)
 }
 
 // deployFlag collects repeated -deploy "name=s1,s2[,s3...]" flags.
-type deployFlag []agent.DeploymentSpec
+type deployFlag []auditd.DeploymentWire
 
 func (d *deployFlag) String() string { return fmt.Sprint(*d) }
 
@@ -127,7 +110,7 @@ func (d *deployFlag) Set(v string) error {
 	if !ok || name == "" || servers == "" {
 		return fmt.Errorf("want name=server1,server2[,...], got %q", v)
 	}
-	*d = append(*d, agent.DeploymentSpec{Name: name, Servers: strings.Split(servers, ",")})
+	*d = append(*d, auditd.DeploymentWire{Name: name, Servers: strings.Split(servers, ",")})
 	return nil
 }
 
@@ -210,95 +193,6 @@ func cmdAudit(args []string) error {
 	return rep.Render(os.Stdout, *maxRGs)
 }
 
-func cmdSource(args []string) error {
-	fs := flag.NewFlagSet("source", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:7001", "listen address")
-	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *depsPath == "" {
-		return fmt.Errorf("source requires -deps")
-	}
-	db, err := loadDepsXML(*depsPath)
-	if err != nil {
-		return err
-	}
-	src, err := agent.NewSource(*listen, agent.StaticAcquirer(db.Records()))
-	if err != nil {
-		return err
-	}
-	defer src.Close()
-	fmt.Printf("indaas source serving %d records on %s\n", db.Len(), src.Addr())
-	waitForSignal()
-	return nil
-}
-
-func cmdAgent(args []string) error {
-	fs := flag.NewFlagSet("agent", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:7000", "listen address")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ag, err := agent.NewAgent(*listen)
-	if err != nil {
-		return err
-	}
-	defer ag.Close()
-	fmt.Printf("indaas auditing agent on %s\n", ag.Addr())
-	waitForSignal()
-	return nil
-}
-
-func cmdClient(args []string) error {
-	fs := flag.NewFlagSet("client", flag.ExitOnError)
-	agentAddr := fs.String("agent", "127.0.0.1:7000", "auditing agent address")
-	sources := fs.String("source", "", "comma-separated data source addresses (required)")
-	var deployments deployFlag
-	fs.Var(&deployments, "deploy", "deployment to audit: name=server1,server2 (repeatable)")
-	algo := fs.String("algorithm", "minimal-rg", "minimal-rg or failure-sampling")
-	rounds := fs.Int("rounds", 100000, "sampling rounds")
-	prob := fs.Float64("prob", 0, "uniform component failure probability")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *sources == "" || len(deployments) == 0 {
-		return fmt.Errorf("client requires -source and at least one -deploy")
-	}
-	cl, err := agent.NewClient(*agentAddr)
-	if err != nil {
-		return err
-	}
-	defer cl.Close()
-	resp, err := cl.Audit(agent.AuditRequest{
-		Title:       "indaas client audit",
-		Sources:     strings.Split(*sources, ","),
-		Deployments: deployments,
-		Algorithm:   *algo,
-		Rounds:      *rounds,
-		FailureProb: *prob,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("=== INDaaS auditing report: %s ===\n", resp.Title)
-	for i, a := range resp.Audits {
-		line := fmt.Sprintf("#%d %s  score=%.4f  unexpected-RGs=%d", i+1, a.Deployment, a.Score, a.Unexpected)
-		if a.FailureProb != nil {
-			line += fmt.Sprintf("  Pr(outage)=%.6f", *a.FailureProb)
-		}
-		fmt.Println(line)
-		for j, rg := range a.RGs {
-			if j >= 10 {
-				fmt.Printf("    … %d more RGs\n", len(a.RGs)-10)
-				break
-			}
-			fmt.Printf("    RG%-3d {%s}\n", j+1, strings.Join(rg, ", "))
-		}
-	}
-	return nil
-}
-
 func cmdProxy(args []string) error {
 	fs := flag.NewFlagSet("proxy", flag.ExitOnError)
 	listen := fs.String("listen", "127.0.0.1:7002", "listen address")
@@ -309,59 +203,23 @@ func cmdProxy(args []string) error {
 	if *compPath == "" {
 		return fmt.Errorf("proxy requires -components")
 	}
-	f, err := os.Open(*compPath)
+	components, err := loadComponents(*compPath)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	var components []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" && !strings.HasPrefix(line, "#") {
-			components = append(components, line)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	px, err := agent.NewProxy(*listen, components)
+	h, err := auditd.NewProxy(components)
 	if err != nil {
 		return err
 	}
-	defer px.Close()
-	fmt.Printf("indaas PIA proxy with %d components on %s\n", len(components), px.Addr())
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		return err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	go srv.Serve(ln)
+	fmt.Printf("indaas P-SOP proxy with %d components on http://%s\n", len(components), ln.Addr())
 	waitForSignal()
-	return nil
-}
-
-func cmdPSOP(args []string) error {
-	fs := flag.NewFlagSet("psop", flag.ExitOnError)
-	proxies := fs.String("proxies", "", "comma-separated proxy addresses (required, ≥ 2)")
-	runID := fs.String("run", "", "run identifier (default: random)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	addrs := strings.Split(*proxies, ",")
-	if *proxies == "" || len(addrs) < 2 {
-		return fmt.Errorf("psop requires -proxies with at least two addresses")
-	}
-	id := *runID
-	if id == "" {
-		id = fmt.Sprintf("psop-%d", os.Getpid())
-	}
-	inter, union, err := agent.SupervisePSOP(id, addrs)
-	if err != nil {
-		return err
-	}
-	rep := report.PIAReport{Title: "P-SOP round " + id}
-	j := 0.0
-	if union > 0 {
-		j = float64(inter) / float64(union)
-	}
-	rep.Entries = append(rep.Entries, report.PIAEntry{Providers: addrs, Jaccard: j})
-	fmt.Printf("|intersection| = %d, |union| = %d\n", inter, union)
-	return rep.Render(os.Stdout)
+	return srv.Close()
 }
 
 func waitForSignal() {

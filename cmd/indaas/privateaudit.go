@@ -13,17 +13,18 @@ import (
 	"indaas/internal/auditd"
 )
 
-// providerFlag collects repeated -provider "name=components.txt" flags.
-type providerFlag []struct{ name, path string }
+// providerFlag collects repeated name=value flags: -provider
+// "name=components.txt" and -proxy "name=http://host:port".
+type providerFlag []struct{ name, value string }
 
 func (p *providerFlag) String() string { return fmt.Sprint(*p) }
 
 func (p *providerFlag) Set(v string) error {
-	name, path, ok := strings.Cut(v, "=")
-	if !ok || name == "" || path == "" {
-		return fmt.Errorf("want name=components.txt, got %q", v)
+	name, value, ok := strings.Cut(v, "=")
+	if !ok || name == "" || value == "" {
+		return fmt.Errorf("want name=value, got %q", v)
 	}
-	*p = append(*p, struct{ name, path string }{name, path})
+	*p = append(*p, struct{ name, value string }{name, value})
 	return nil
 }
 
@@ -68,6 +69,8 @@ func cmdPrivateAudit(args []string) error {
 	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = run locally")
 	var providers providerFlag
 	fs.Var(&providers, "provider", "provider dataset: name=components.txt (repeatable)")
+	var proxies providerFlag
+	fs.Var(&proxies, "proxy", "provider proxy to register on the server: name=http://host:port (repeatable); the server then never holds its components")
 	uses := fs.String("use", "", "comma-separated names of datasets already registered on the server")
 	register := fs.Bool("register", false, "register -provider datasets on the server first and reference them by name")
 	var deployments listFlag
@@ -109,14 +112,14 @@ func cmdPrivateAudit(args []string) error {
 		}
 	}
 	if *server == "" {
-		if *uses != "" || *register {
-			return fmt.Errorf("private-audit: -use and -register need -server")
+		if *uses != "" || *register || len(proxies) > 0 {
+			return fmt.Errorf("private-audit: -use, -register and -proxy need -server")
 		}
 		if len(providers) < 2 {
 			return fmt.Errorf("private-audit requires at least two -provider datasets (or -server with -use)")
 		}
 		for _, p := range providers {
-			components, err := loadComponents(p.path)
+			components, err := loadComponents(p.value)
 			if err != nil {
 				return err
 			}
@@ -131,8 +134,16 @@ func cmdPrivateAudit(args []string) error {
 
 	ctx := context.Background()
 	c := auditd.NewClient(*server, nil)
+	for _, p := range proxies {
+		info, err := c.RegisterProxy(ctx, p.name, p.value)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("registered proxy %s: %d components, fingerprint %.12s…\n", info.Name, info.Components, info.Fingerprint)
+		req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name})
+	}
 	for _, p := range providers {
-		components, err := loadComponents(p.path)
+		components, err := loadComponents(p.value)
 		if err != nil {
 			return err
 		}

@@ -1,22 +1,25 @@
 // Privateaudit reproduces the paper's third case study (§6.2.3 and Table 2)
 // through the served PIA flow: four clouds — each running a different
-// key-value store — register their software dependency closures with an
-// audit service, then ask which redundancy deployment shares the fewest
-// packages, without any cloud's package list ever appearing in an audit
-// request or response.
+// key-value store — ask an audit service which redundancy deployment shares
+// the fewest packages, without any cloud's package list ever appearing in an
+// audit request or response.
 //
 //	go run ./examples/privateaudit [-cleartext]
 //
-// The walk-through exercises the full /v1 surface: POST /v1/providers to
-// register each dataset (the service answers with a content fingerprint,
-// never echoing components), POST /v1/private-audits referencing the
-// datasets by name, and a second identical submission that is answered from
-// the content-addressed cache — fingerprints match, so no protocol rounds
-// run at all.
+// It runs Table 2 twice. First in the trusted-auditor mode: each cloud
+// registers its package list under POST /v1/providers (the service answers
+// with a content fingerprint, never echoing components), POST
+// /v1/private-audits references the datasets by name, and a second identical
+// submission is answered from the content-addressed cache. Then in the
+// paper's own trust model (§4.2, Fig. 5b): each cloud keeps its list behind
+// its own P-SOP proxy, a fresh service registers only the proxies' endpoints
+// and supervises every ring over them, and the ten similarities must equal
+// the first run's.
 package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"log"
 	"math"
@@ -26,50 +29,103 @@ import (
 	"sort"
 	"strings"
 
-	"flag"
-
 	"indaas/internal/auditd"
 	"indaas/internal/swpkg"
 )
 
 func main() {
-	cleartext := flag.Bool("cleartext", false, "skip the private protocol (trusted-auditor baseline)")
+	cleartext := flag.Bool("cleartext", false, "skip the private protocol (trusted-auditor baseline; no proxied run)")
 	flag.Parse()
-
-	svc := auditd.New(auditd.Config{Workers: 2})
-	defer svc.Shutdown(context.Background())
-	ts := httptest.NewServer(svc.Handler())
-	defer ts.Close()
-	client := auditd.NewClient(ts.URL, http.DefaultClient)
 	ctx := context.Background()
 
-	// Each cloud registers its apt-rdepends package closure once. The
-	// service stores the normalized set and publishes only a fingerprint.
+	// Each cloud's apt-rdepends package closure, normalized per §4.2.3.
 	u, roots := swpkg.KeyValueStoreUniverse()
+	sets := make([][]string, len(roots))
 	for i, root := range roots {
 		ids, err := u.ClosureIDs(root)
 		if err != nil {
 			log.Fatal(err)
 		}
-		comps := make([]string, len(ids))
-		for j, id := range ids {
-			comps[j] = "pkg:" + id // §4.2.3 normalization: name+version
+		for _, id := range ids {
+			sets[i] = append(sets[i], "pkg:"+id) // name+version
 		}
-		info, err := client.RegisterProvider(ctx, fmt.Sprintf("Cloud%d", i+1), comps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("registered %-6s (%s): %4d packages, fingerprint %.12s…\n",
-			info.Name, root, info.Components, info.Fingerprint)
 	}
-
 	protocol := "p-sop"
 	if *cleartext {
 		protocol = "cleartext"
 	}
-	// Every two-way pair plus every three-way deployment, in one batched
-	// job. Providers are referenced by name only.
-	req := &auditd.PrivateAuditRequest{
+
+	fmt.Println("== trusted auditor: the service holds each cloud's package list ==")
+	svc, client := serve()
+	defer svc.Shutdown(ctx)
+	for i, comps := range sets {
+		info, err := client.RegisterProvider(ctx, cloud(i), comps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("registered %-6s (%s): %4d packages, fingerprint %.12s…\n",
+			info.Name, roots[i], info.Components, info.Fingerprint)
+	}
+	req := table2Request(protocol)
+	held := audit(client, req)
+
+	// Resubmit the identical audit: the cache key is built from the dataset
+	// fingerprints, so the service answers instantly without rerunning a
+	// single protocol round.
+	before := svc.Stats()
+	st2, err := client.PrivateAudit(ctx, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	after := svc.Stats()
+	if after.Computations != before.Computations && st2.State == auditd.StateDone {
+		log.Fatalf("expected a cache hit, but computations went %d → %d", before.Computations, after.Computations)
+	}
+	fmt.Printf("resubmitted: job %s answered %s from cache (computations still %d, cache hits %d)\n",
+		st2.ID, st2.State, after.Computations, after.CacheHits)
+	if *cleartext {
+		return
+	}
+
+	fmt.Println("\n== proxied: each cloud keeps its list behind its own P-SOP proxy ==")
+	svc2, client2 := serve()
+	defer svc2.Shutdown(ctx)
+	for i, comps := range sets {
+		proxy, err := auditd.NewProxy(comps)
+		if err != nil {
+			log.Fatal(err)
+		}
+		ps := httptest.NewServer(proxy)
+		defer ps.Close()
+		info, err := client2.RegisterProxy(ctx, cloud(i), ps.URL)
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("registered %-6s proxy %s: %4d packages, fingerprint %.12s…\n",
+			info.Name, ps.URL, info.Components, info.Fingerprint)
+	}
+	proxied := audit(client2, req)
+	for key, j := range held {
+		if proxied[key] != j {
+			log.Fatalf("J(%s) is %.4f over proxies, %.4f held by the service", key, proxied[key], j)
+		}
+	}
+	fmt.Printf("the proxied ring gives the same %d similarities\n", len(proxied))
+}
+
+func cloud(i int) string { return fmt.Sprintf("Cloud%d", i+1) }
+
+// serve starts an in-process audit service and a client for it.
+func serve() (*auditd.Server, *auditd.Client) {
+	svc := auditd.New(auditd.Config{Workers: 2})
+	ts := httptest.NewServer(svc.Handler())
+	return svc, auditd.NewClient(ts.URL, http.DefaultClient)
+}
+
+// table2Request asks for every two-way pair plus every three-way deployment
+// in one batched job, referencing the providers by name only.
+func table2Request(protocol string) *auditd.PrivateAuditRequest {
+	return &auditd.PrivateAuditRequest{
 		Title: "Table 2 redundancy deployments",
 		Providers: []auditd.ProviderWire{
 			{Name: "Cloud1"}, {Name: "Cloud2"}, {Name: "Cloud3"}, {Name: "Cloud4"},
@@ -82,7 +138,14 @@ func main() {
 		},
 		Protocol: protocol,
 	}
-	fmt.Printf("\nsubmitting private audit (%s, %d deployments)…\n", protocol, len(req.Deployments))
+}
+
+// audit runs req, renders the ranking next to the paper's Table 2 values,
+// verifies both agree (±0.0035 — see internal/exp for why a tolerance is
+// inherent) and returns the similarities by deployment ("1+2").
+func audit(client *auditd.Client, req *auditd.PrivateAuditRequest) map[string]float64 {
+	ctx := context.Background()
+	fmt.Printf("submitting private audit (%s, %d deployments)…\n", req.Protocol, len(req.Deployments))
 	st, err := client.PrivateAudit(ctx, req)
 	if err != nil {
 		log.Fatal(err)
@@ -97,43 +160,27 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	// Render the ranking next to the paper's Table 2 values and verify both
-	// agree (±0.0035 — see internal/exp for why a tolerance is inherent).
 	paper := swpkg.Table2Paper()
-	fmt.Printf("\nrank  deployment                  Jaccard  paper\n")
+	out := make(map[string]float64, len(res.Entries))
+	fmt.Printf("rank  deployment                  Jaccard  paper\n")
 	for i, e := range res.Entries {
 		var idx []string
 		for _, name := range e.Providers {
 			idx = append(idx, strings.TrimPrefix(name, "Cloud"))
 		}
 		sort.Strings(idx)
-		want := paper[strings.Join(idx, "+")]
+		key := strings.Join(idx, "+")
 		got := math.NaN()
 		if e.Jaccard != nil {
 			got = *e.Jaccard
 		}
-		fmt.Printf("#%-4d %-27s %.4f   %.4f\n", i+1, strings.Join(e.Providers, " & "), got, want)
-		if math.Abs(got-want) > 0.0035 {
-			fmt.Printf("\nWARNING: J(%s) deviates from the paper\n", strings.Join(idx, "+"))
+		out[key] = got
+		fmt.Printf("#%-4d %-27s %.4f   %.4f\n", i+1, strings.Join(e.Providers, " & "), got, paper[key])
+		if math.Abs(got-paper[key]) > 0.0035 {
+			fmt.Printf("\nWARNING: J(%s) deviates from the paper\n", key)
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("all %d similarities match the paper's Table 2 (%d bytes on the wire)\n",
-		res.Pairs, res.BytesSent)
-
-	// Resubmit the identical audit: the cache key is built from the dataset
-	// fingerprints, so the service answers instantly without rerunning a
-	// single protocol round.
-	before := svc.Stats()
-	st2, err := client.PrivateAudit(ctx, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	after := svc.Stats()
-	if after.Computations != before.Computations && st2.State == auditd.StateDone {
-		log.Fatalf("expected a cache hit, but computations went %d → %d", before.Computations, after.Computations)
-	}
-	fmt.Printf("\nresubmitted: job %s answered %s from cache (computations still %d, cache hits %d)\n",
-		st2.ID, st2.State, after.Computations, after.CacheHits)
+	fmt.Printf("all %d similarities match the paper's Table 2 (%d bytes on the wire)\n", res.Pairs, res.BytesSent)
+	return out
 }

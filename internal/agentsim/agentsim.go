@@ -1,7 +1,7 @@
 // Package agentsim simulates a fleet of data-source agents over a fat-tree
 // datacenter — the live-acquisition side of the paper's Fig. 1: every server
 // runs the three §3 acquisition modules (hardware inventory, software
-// package resolver, traffic-based network miner) behind the agent.Acquirer
+// package resolver, traffic-based network miner) behind the core.Acquirer
 // interface, and a churn generator replays the small, continuous dependency
 // changes (flapping NICs, rolling software upgrades, re-observed flows) that
 // the delta audit engine was built to absorb.
@@ -16,7 +16,6 @@ import (
 	"math/rand"
 	"sync"
 
-	"indaas/internal/agent"
 	"indaas/internal/deps"
 	"indaas/internal/hwinv"
 	"indaas/internal/netflow"
@@ -63,8 +62,7 @@ var servicePackages = []swpkg.Package{
 }
 
 // Node is one simulated server: its hardware inventory, its package
-// universe, and a view of the shared network. It implements agent.Acquirer,
-// so a node can serve a real `agent.NewSource` data-source endpoint.
+// universe, and a view of the shared network. It implements core.Acquirer.
 type Node struct {
 	Server string
 
@@ -133,7 +131,7 @@ func (f *Fleet) Servers() []string {
 // Node returns the node simulating server, or nil.
 func (f *Fleet) Node(server string) *Node { return f.bydns[server] }
 
-// Collect implements agent.Acquirer: the node runs all three acquisition
+// Collect implements core.Acquirer: the node runs all three acquisition
 // modules and returns its current Table 1 records. A non-empty subjects list
 // that does not include this node's server yields no records.
 func (n *Node) Collect(subjects []string) ([]deps.Record, error) {
@@ -244,35 +242,6 @@ func (f *Fleet) Bootstrap() ([][]deps.Record, error) {
 	return out, nil
 }
 
-// Sources starts a real agent.NewSource TCP endpoint per listed server (all
-// when servers is empty), proving the nodes speak the Fig. 5a protocol.
-// Callers own the returned sources and must Close them.
-func (f *Fleet) Sources(servers ...string) ([]*agent.Source, error) {
-	nodes := f.nodes
-	if len(servers) > 0 {
-		nodes = nodes[:0:0]
-		for _, s := range servers {
-			n := f.bydns[s]
-			if n == nil {
-				return nil, fmt.Errorf("agentsim: unknown server %q", s)
-			}
-			nodes = append(nodes, n)
-		}
-	}
-	out := make([]*agent.Source, 0, len(nodes))
-	for _, n := range nodes {
-		src, err := agent.NewSource("127.0.0.1:0", n)
-		if err != nil {
-			for _, s := range out {
-				s.Close()
-			}
-			return nil, err
-		}
-		out = append(out, src)
-	}
-	return out, nil
-}
-
 // pickNode draws a random node, skipping excluded servers.
 func (f *Fleet) pickNode(rng *rand.Rand, exclude map[string]bool) *Node {
 	for {
@@ -282,5 +251,3 @@ func (f *Fleet) pickNode(rng *rand.Rand, exclude map[string]bool) *Node {
 		}
 	}
 }
-
-var _ agent.Acquirer = (*Node)(nil)

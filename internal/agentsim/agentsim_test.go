@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"indaas/internal/agent"
 	"indaas/internal/auditd"
 	"indaas/internal/deps"
-	"indaas/internal/wire"
 )
 
 func newFleet(t *testing.T, cfg Config) *Fleet {
@@ -81,43 +79,6 @@ func TestNodeCollectFiltersSubjects(t *testing.T) {
 	own, err := n.Collect([]string{n.Server})
 	if err != nil || len(own) != len(all) {
 		t.Fatalf("Collect(self) = %d records, %v; want %d", len(own), err, len(all))
-	}
-}
-
-// TestSourceServesFleetNode proves a fleet node speaks the real Fig. 5a
-// data-source protocol: agent.NewSource over TCP, wire-level collect.
-func TestSourceServesFleetNode(t *testing.T) {
-	f := newFleet(t, Config{K: 4})
-	server := f.Servers()[3]
-	srcs, err := f.Sources(server)
-	if err != nil {
-		t.Fatalf("Sources: %v", err)
-	}
-	defer srcs[0].Close()
-
-	conn, err := wire.Dial(srcs[0].Addr())
-	if err != nil {
-		t.Fatalf("dial source: %v", err)
-	}
-	defer conn.Close()
-	if err := conn.Send(agent.TypeCollectRequest, agent.CollectRequest{Kinds: []string{"hardware"}}); err != nil {
-		t.Fatalf("send collect: %v", err)
-	}
-	var resp agent.CollectResponse
-	if err := conn.Expect(agent.TypeCollectResponse, &resp); err != nil {
-		t.Fatalf("collect response: %v", err)
-	}
-	if len(resp.Records) != 5 {
-		t.Fatalf("collected %d hardware records over TCP, want 5", len(resp.Records))
-	}
-	for _, w := range resp.Records {
-		rec, err := agent.FromWire(w)
-		if err != nil {
-			t.Fatalf("decoding %+v: %v", w, err)
-		}
-		if rec.Subject() != server {
-			t.Fatalf("record subject %q, want %q", rec.Subject(), server)
-		}
 	}
 }
 

@@ -295,6 +295,7 @@ type Server struct {
 	// cluster's tier.
 	tiers []ResultTier
 
+	// mu guards the job table and db; the registry and memos lock themselves.
 	mu sync.Mutex
 	db *depdb.DB // cfg.DB, or created lazily by the first ingest
 	// jobs[head:] are the retained jobs in id order (see pruneLocked).
@@ -309,14 +310,14 @@ type Server struct {
 	// nextID is the last job sequence number handed out (see allocSeq); off
 	// the lock so a miss can be journaled under its id before it is admitted.
 	nextID atomic.Uint64
-	// providers is the registered private-audit dataset registry (see
-	// privateaudit.go), persisted under pia/provider/ store keys.
-	providers map[string]providerDataset
 	// audits and scores are the delta memos (see delta.go): decoded audit
 	// results and candidate scores by content address, each behind its own
 	// lock.
 	audits *memo[*report.Report]
 	scores *memo[placement.Score]
+	// providerRegistry holds the private-audit providers (providers.go),
+	// behind its own lock and persisted under pia/provider/ store keys.
+	providerRegistry
 
 	store *store.Store // cfg.Store; nil for a memory-only service
 	// breaker trips the daemon into degraded (memory-only) serving after
@@ -357,19 +358,19 @@ func New(cfg Config) *Server {
 	cfg.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:       cfg,
-		baseCtx:   ctx,
-		stop:      cancel,
-		db:        cfg.DB,
-		providers: make(map[string]providerDataset),
-		cache:     newMemoryTier(cfg.CacheEntries),
-		audits:    newMemo[*report.Report](heldAudits),
-		scores:    newMemo[placement.Score](heldScores),
-		store:     cfg.Store,
-		breaker:   newBreaker(cfg.StoreFailureThreshold, cfg.StoreRetryInterval, cfg.Now),
-		ingestCh:  make(chan *ingestWaiter, maxIngestGroup),
-		watchHub:  watch.NewHub(),
-		began:     time.Now(),
+		cfg:              cfg,
+		baseCtx:          ctx,
+		stop:             cancel,
+		db:               cfg.DB,
+		cache:            newMemoryTier(cfg.CacheEntries),
+		audits:           newMemo[*report.Report](heldAudits),
+		scores:           newMemo[placement.Score](heldScores),
+		providerRegistry: providerRegistry{registered: make(map[string]registeredProvider)},
+		store:            cfg.Store,
+		breaker:          newBreaker(cfg.StoreFailureThreshold, cfg.StoreRetryInterval, cfg.Now),
+		ingestCh:         make(chan *ingestWaiter, maxIngestGroup),
+		watchHub:         watch.NewHub(),
+		began:            time.Now(),
 	}
 	s.ingestLimit = newTokenBucket(cfg.IngestRate, cfg.IngestBurst, cfg.Now)
 	// Assemble the result-tier chain: memory, then disk, then the cluster's.
@@ -390,7 +391,7 @@ func New(cfg Config) *Server {
 		// Reload the private-audit provider registry before any request —
 		// in particular before RecoverJobs replays journaled private audits
 		// that reference registered datasets.
-		s.restoreProviders()
+		s.restoreProviders(s.store)
 	}
 	s.wg.Add(1)
 	go s.ingestCommitter()

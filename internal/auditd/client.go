@@ -452,6 +452,15 @@ func (c *Client) RegisterProvider(ctx context.Context, name string, components [
 	return info, err
 }
 
+// RegisterProxy registers (or replaces) a provider whose dataset stays
+// behind its P-SOP proxy at endpoint: the server fetches the proxy's
+// fingerprint and count, and supervises every ring over the proxy.
+func (c *Client) RegisterProxy(ctx context.Context, name, endpoint string) (ProviderInfo, error) {
+	var info ProviderInfo
+	err := c.do(ctx, http.MethodPost, "/v1/providers", &RegisterProviderRequest{Name: name, Endpoint: endpoint}, &info)
+	return info, err
+}
+
 // Providers lists the server's registered private-audit datasets
 // (fingerprints and component counts only).
 func (c *Client) Providers(ctx context.Context) ([]ProviderInfo, error) {

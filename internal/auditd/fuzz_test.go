@@ -2,11 +2,17 @@ package auditd
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"indaas/internal/crypto/commutative"
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
 	"indaas/internal/report"
@@ -186,6 +192,168 @@ func FuzzAuditPrepare(f *testing.F) {
 			one, err := sub.prepare(s)
 			if err != nil || one.Key != p.Parts[i] {
 				t.Fatalf("deployment %d: its one-deployment request prepares to %v (%v), the part says %s", i, one, err, p.Parts[i])
+			}
+		}
+	})
+}
+
+// FuzzRecommendPrepare drives the recommend kind's submission boundary
+// through normalize and prepare against a fixed server database: a request is
+// refused with a 4xx, or it prepares to an address two prepares agree on and
+// its search runs. The search's shape is checked at submission — a search the
+// engine refuses is a 400, never a failed job — so only the records it reads
+// can fail it (a candidate with no records of the requested kinds), as they
+// can an audit. Nothing panics.
+func FuzzRecommendPrepare(f *testing.F) {
+	db := depdb.New()
+	var all []deps.Record
+	for _, w := range fixtureRecords(f) {
+		r, err := w.Record()
+		if err != nil {
+			f.Fatal(err)
+		}
+		all = append(all, r)
+	}
+	if err := db.Put(all...); err != nil {
+		f.Fatal(err)
+	}
+	s := New(Config{Workers: 1, DB: db})
+	f.Cleanup(func() { shutdown(f, s) })
+
+	blob, err := os.ReadFile(requestFixtures[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(blob)
+	var smoke RecommendRequest
+	if err := json.Unmarshal(blob, &smoke); err != nil {
+		f.Fatal(err)
+	}
+	server := smoke
+	server.Records = nil // the same search against the server database
+	f.Add(mustJSON(f, &server))
+	for _, strategy := range []string{"greedy", "beam", "auto"} {
+		req := server
+		req.Strategy, req.Replicas, req.Fixed = strategy, 3, []string{"n1"}
+		f.Add(mustJSON(f, &req))
+	}
+	for _, body := range []string{
+		`{"nodes":["n1","n2","n3"],"replicas":2,"algorithm":"failure-sampling","rounds":500,"failure_prob":0.1}`,
+		`{"nodes":["n1","n2"],"replicas":3}`,
+		`{"nodes":["n1","n1"],"replicas":2}`,
+		`{"nodes":["n1","n2"],"fixed":["n1","n2"],"replicas":2}`,
+		`{"nodes":["nobody","n2"],"replicas":2,"kinds":["software"]}`,
+		`{"replicas":2,"kinds":["disk"]}`,
+		`{"replicas":2,"strategy":"exact","max_candidates":1}`,
+		`{"replicas":0}`,
+		`{"replicas":2,"top_k":-1,"beam_width":-1}`,
+		`{"replicas":2,"records":[{"kind":"bogus"}]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		var req RecommendRequest
+		if json.Unmarshal(blob, &req) != nil {
+			return // the HTTP decoder's 400
+		}
+		p, err := req.prepare(s)
+		if err != nil {
+			if code := httpStatus(err); code/100 != 4 {
+				t.Fatalf("request refused with %d: %v", code, err)
+			}
+			return
+		}
+		again, err := req.prepare(s)
+		if err != nil {
+			t.Fatalf("a second prepare refuses what the first took: %v", err)
+		}
+		if again.Key != p.Key {
+			t.Fatalf("a second prepare gives key %s, the first %s", again.Key, p.Key)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		if _, err := p.Run(ctx); err != nil && strings.HasPrefix(err.Error(), "placement:") {
+			t.Fatalf("the engine refuses a search submission accepted: %v", err)
+		}
+	})
+}
+
+// FuzzPSOPHop drives a provider proxy's step endpoint — the trust boundary a
+// supervisor, or anyone who can reach the proxy, crosses — with an arbitrary
+// run id and body: the step is refused with a 4xx, or the reply carries the
+// proxy's fingerprint and exactly as many 32-byte points as were sent (its own
+// set's count for an own-set step). Nothing panics, and the open-run table
+// never exceeds its cap.
+func FuzzPSOPHop(f *testing.F) {
+	h, err := NewProxy([]string{"pkg:a", "pkg:b", "pkg:shared"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	px := h.(*proxy)
+	key, err := commutative.NewKey(strings.NewReader(strings.Repeat("k", commutative.Size)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := key.EncryptElement([]byte("pkg:b"))
+	one := make([]byte, commutative.Size)
+	one[0] = 1
+	for _, seed := range []struct {
+		run  string
+		step PSOPStep
+	}{
+		{"r1", PSOPStep{Ring: 2}},
+		{"r1", PSOPStep{Ring: 2, Elements: [][]byte{valid[:]}}},
+		{"r2", PSOPStep{Ring: 3, Elements: [][]byte{valid[:], valid[:]}}},
+		{"r3", PSOPStep{Ring: 2, Elements: [][]byte{valid[:], make([]byte, commutative.Size)}}},
+		{"r3", PSOPStep{Ring: 2, Elements: [][]byte{one}}},
+		{"r4", PSOPStep{Ring: 2, Elements: [][]byte{valid[:31]}}},
+		{"r5", PSOPStep{Ring: 1}},
+		{"r5", PSOPStep{Ring: -4}},
+		{"", PSOPStep{Ring: 2}},
+		{strings.Repeat("x", maxRunID+1), PSOPStep{Ring: 2}},
+	} {
+		f.Add(seed.run, mustJSON(f, &seed.step))
+	}
+	f.Add("r6", []byte(`{"ring":2,"elements":["AAEC"],"extra":1}`))
+	f.Add("r6", []byte(`{"ring":9223372036854775807}`))
+	f.Add("r6", []byte(`[`))
+	f.Add("r", []byte(`{"ring":22}}`)) // the handler reads one value and ignores what trails it
+	f.Fuzz(func(t *testing.T, run string, body []byte) {
+		// What was sent, as the handler's decoder reads it.
+		var step PSOPStep
+		sent := -1
+		dec := json.NewDecoder(bytes.NewReader(body))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&step) == nil {
+			sent = len(step.Elements)
+		}
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(http.MethodPost, "/v1/psop/run", bytes.NewReader(body))
+		r.SetPathValue("run", run)
+		px.handleStep(w, r)
+		if n := px.openRuns(); n > maxProxyRuns {
+			t.Fatalf("%d open runs, cap %d", n, maxProxyRuns)
+		}
+		if w.Code/100 == 4 {
+			return
+		}
+		if w.Code != 200 {
+			t.Fatalf("step answered %d: %s", w.Code, w.Body)
+		}
+		var rep PSOPReply
+		if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+			t.Fatalf("undecodable reply %q: %v", w.Body, err)
+		}
+		want := sent
+		if sent == 0 {
+			want = px.info.Components
+		}
+		if rep.Fingerprint != px.info.Fingerprint || len(rep.Elements) != want {
+			t.Fatalf("reply %s to %d elements, want %d points under %s", w.Body, sent, want, px.info.Fingerprint)
+		}
+		for i, e := range rep.Elements {
+			if len(e) != commutative.Size {
+				t.Fatalf("point %d has %d bytes", i, len(e))
 			}
 		}
 	})

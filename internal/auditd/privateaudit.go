@@ -4,31 +4,22 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"log"
 	"sort"
 	"strings"
 	"time"
 
 	"indaas/internal/pia"
 	"indaas/internal/report"
-	"indaas/internal/store"
 )
 
 // Private independence audits (§4.2) behind the daemon: POST
 // /v1/private-audits runs the P-SOP / Kissner–Song / cleartext protocols of
 // internal/pia as a run closure sharing the queue, worker pool,
 // content-addressed caches, coalescing, cancellation and crash journal with
-// audit and recommendation jobs. Provider datasets register once under POST
-// /v1/providers; jobs are content-addressed by the providers' dataset
-// *fingerprints*, so a repeated cross-provider audit — by any tenant — hits
-// cache without the request ever carrying the raw components again.
-
-// providerKeyPrefix namespaces registered provider datasets in the store.
-// KindMeta entries are never evicted, so a registered dataset survives
-// restarts for as long as the operator keeps it.
-const providerKeyPrefix = "pia/provider/"
-
-func providerKey(name string) string { return providerKeyPrefix + name }
+// audit and recommendation jobs. Providers register once under POST
+// /v1/providers (providers.go); jobs are content-addressed by the providers'
+// dataset *fingerprints* — inline, registered or proxied alike — so a
+// repeated cross-provider audit, by any tenant, hits cache.
 
 // ProviderWire is one provider dataset in a private-audit request: inline
 // when Components is non-empty, otherwise a reference to a dataset
@@ -36,156 +27,6 @@ func providerKey(name string) string { return providerKeyPrefix + name }
 type ProviderWire struct {
 	Name       string   `json:"name"`
 	Components []string `json:"components,omitempty"`
-}
-
-// RegisterProviderRequest is the body of POST /v1/providers: a provider
-// hands the service its normalized component-set (§4.2.3) once, to be
-// referenced by name in later private audits.
-type RegisterProviderRequest struct {
-	Name       string   `json:"name"`
-	Components []string `json:"components"`
-}
-
-// ProviderInfo describes a registered dataset without revealing it: the
-// name, the content fingerprint of the normalized component-set, and the
-// component count. This is all GET /v1/providers exposes to other tenants.
-type ProviderInfo struct {
-	Name        string `json:"name"`
-	Fingerprint string `json:"fingerprint"`
-	Components  int    `json:"components"`
-}
-
-// providerDataset is the in-memory registry entry (guarded by Server.mu).
-type providerDataset struct {
-	components []string // sorted, deduplicated
-	fp         string
-}
-
-// persistedProvider is the disk form of a registered dataset.
-type persistedProvider struct {
-	Name       string   `json:"name"`
-	Components []string `json:"components"`
-}
-
-// normalizeComponents canonicalizes a component-set: sorted, deduplicated,
-// no empty strings.
-func normalizeComponents(components []string) ([]string, error) {
-	if len(components) == 0 {
-		return nil, fmt.Errorf("auditd: provider has an empty component-set")
-	}
-	out := append([]string(nil), components...)
-	sort.Strings(out)
-	dst := out[:0]
-	var prev string
-	for i, c := range out {
-		if c == "" {
-			return nil, fmt.Errorf("auditd: empty component name")
-		}
-		if i > 0 && c == prev {
-			continue
-		}
-		dst = append(dst, c)
-		prev = c
-	}
-	return dst, nil
-}
-
-// providerFingerprint content-addresses a normalized component-set. The
-// "provider" op keeps these fingerprints disjoint from job cache keys.
-func providerFingerprint(components []string) string {
-	return canonicalKey(&struct {
-		Op         string   `json:"op"`
-		Components []string `json:"components"`
-	}{Op: "provider", Components: components})
-}
-
-// RegisterProvider validates and registers a provider dataset, persisting
-// it durably (when the service has a store and is not degraded) and
-// replacing any prior dataset under the same name. Re-registering changed
-// components yields a new fingerprint, so stale cached audits are simply
-// never addressed again.
-func (s *Server) RegisterProvider(req *RegisterProviderRequest) (ProviderInfo, error) {
-	if req.Name == "" {
-		return ProviderInfo{}, &statusErr{code: 400, err: fmt.Errorf("auditd: provider needs a name")}
-	}
-	if strings.ContainsAny(req.Name, "/\x00") {
-		return ProviderInfo{}, &statusErr{code: 400, err: fmt.Errorf("auditd: provider name %q may not contain '/'", req.Name)}
-	}
-	components, err := normalizeComponents(req.Components)
-	if err != nil {
-		return ProviderInfo{}, &statusErr{code: 400, err: fmt.Errorf("auditd: provider %q: %w", req.Name, err)}
-	}
-	ds := providerDataset{components: components, fp: providerFingerprint(components)}
-
-	// Persist before publishing, like job journaling: once a client sees the
-	// registration acknowledged it should survive a crash. Degraded mode
-	// registers memory-only (mirroring degraded ingests).
-	if s.store != nil && s.breaker.allow() {
-		blob, err := json.Marshal(persistedProvider{Name: req.Name, Components: components})
-		if err == nil {
-			if _, err := s.store.Put(providerKey(req.Name), store.KindMeta, blob); err != nil {
-				s.storeFailure("persisting provider "+req.Name, err)
-			} else {
-				s.storeOK()
-			}
-		}
-	} else if s.store != nil {
-		s.m.StoreSkippedWrites.Add(1)
-	}
-
-	s.mu.Lock()
-	s.providers[req.Name] = ds
-	s.mu.Unlock()
-	return ProviderInfo{Name: req.Name, Fingerprint: ds.fp, Components: len(components)}, nil
-}
-
-// Providers lists the registered datasets (fingerprints and counts only),
-// sorted by name.
-func (s *Server) Providers() []ProviderInfo {
-	s.mu.Lock()
-	out := make([]ProviderInfo, 0, len(s.providers))
-	for name, ds := range s.providers {
-		out = append(out, ProviderInfo{Name: name, Fingerprint: ds.fp, Components: len(ds.components)})
-	}
-	s.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// lookupProvider resolves a registered dataset for request normalization.
-func (s *Server) lookupProvider(name string) ([]string, string, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ds, ok := s.providers[name]
-	return ds.components, ds.fp, ok
-}
-
-// restoreProviders reloads the registry from the store at boot; called from
-// New before any request (and before RecoverJobs, which may replay private
-// audits referencing registered datasets). Unreadable entries are dropped
-// with a log line rather than wedging the boot.
-func (s *Server) restoreProviders() {
-	for _, e := range s.store.Entries() {
-		if e.Kind != store.KindMeta || !strings.HasPrefix(e.Key, providerKeyPrefix) {
-			continue
-		}
-		blob, _, ok, err := s.store.Get(e.Key)
-		if err != nil || !ok {
-			log.Printf("auditd: dropping provider record %s: ok=%v err=%v", e.Key, ok, err)
-			continue
-		}
-		var pp persistedProvider
-		if err := json.Unmarshal(blob, &pp); err != nil {
-			log.Printf("auditd: dropping provider record %s: %v", e.Key, err)
-			continue
-		}
-		components, err := normalizeComponents(pp.Components)
-		if err != nil || pp.Name == "" {
-			log.Printf("auditd: dropping provider record %s: %v", e.Key, err)
-			continue
-		}
-		s.providers[pp.Name] = providerDataset{components: components, fp: providerFingerprint(components)}
-	}
 }
 
 // PrivateAuditRequest is the body of POST /v1/private-audits: audit the
@@ -244,6 +85,8 @@ type normalizedPrivate struct {
 	MinHashM         int           `json:"minhash_m,omitempty"`
 	MinHashThreshold int           `json:"minhash_threshold,omitempty"`
 	KSBlindBits      int           `json:"ks_blind_bits,omitempty"`
+
+	infos []ProviderInfo // Providers as the response shows them; not in the key
 }
 
 // key derives the content address of the normalized private audit.
@@ -251,10 +94,9 @@ func (n *normalizedPrivate) key() string { return canonicalKey(n) }
 
 // normalize validates the request and produces the canonical form plus the
 // resolved pia inputs. lookup resolves referenced (non-inline) providers to
-// their registered components and fingerprint; a nil lookup — the CLI's
-// offline mode — makes references an error. The CLI's local mode runs
-// through this so offline and served audits cannot drift.
-func (r *PrivateAuditRequest) normalize(lookup func(string) ([]string, string, bool)) (normalizedPrivate, pia.Config, []pia.Provider, []pia.Deployment, error) {
+// registry entries; a nil lookup — the CLI's offline mode, which runs through
+// this so offline and served audits cannot drift — makes references an error.
+func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider, bool)) (normalizedPrivate, pia.Config, []pia.Provider, []pia.Deployment, error) {
 	n := normalizedPrivate{Op: "private-audit"}
 	var cfg pia.Config
 	if len(r.Providers) < 2 {
@@ -299,10 +141,11 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) ([]string, string, b
 	cfg.KSBlindBits = n.KSBlindBits
 	cfg.Workers = r.Workers
 
-	// Resolve every provider to (sorted components, fingerprint), then sort
-	// providers by name for a canonical order.
+	// Resolve every provider, then sort them by name for a canonical order.
+	// Only exact P-SOP can audit a provider behind a proxy.
+	exactPSOP := n.Protocol == "p-sop" && n.MinHashM == 0 && n.MinHashThreshold == 0
 	seen := make(map[string]bool, len(r.Providers))
-	provs := make([]pia.Provider, 0, len(r.Providers))
+	regs := make([]registeredProvider, 0, len(r.Providers))
 	for i, p := range r.Providers {
 		if p.Name == "" {
 			return n, cfg, nil, nil, fmt.Errorf("auditd: provider %d has no name", i)
@@ -311,30 +154,38 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) ([]string, string, b
 			return n, cfg, nil, nil, fmt.Errorf("auditd: duplicate provider %q", p.Name)
 		}
 		seen[p.Name] = true
-		var components []string
+		var reg registeredProvider
 		if len(p.Components) > 0 {
 			c, err := normalizeComponents(p.Components)
 			if err != nil {
 				return n, cfg, nil, nil, fmt.Errorf("auditd: provider %q: %w", p.Name, err)
 			}
-			components = c
+			reg = held(p.Name, c)
 		} else {
 			if lookup == nil {
 				return n, cfg, nil, nil, fmt.Errorf("auditd: provider %q has no inline components and no registry is available", p.Name)
 			}
-			c, _, ok := lookup(p.Name)
-			if !ok {
+			var ok bool
+			if reg, ok = lookup(p.Name); !ok {
 				return n, cfg, nil, nil, fmt.Errorf("auditd: unknown provider %q (not registered and no inline components)", p.Name)
 			}
-			components = c
 		}
-		provs = append(provs, pia.Provider{Name: p.Name, Components: components})
+		if reg.Endpoint != "" && !exactPSOP {
+			return n, cfg, nil, nil, fmt.Errorf("auditd: provider %q keeps its dataset behind a proxy; only exact p-sop (no minhash) can audit it", p.Name)
+		}
+		regs = append(regs, reg)
 	}
-	sort.Slice(provs, func(i, j int) bool { return provs[i].Name < provs[j].Name })
-	index := make(map[string]int, len(provs))
-	for i, p := range provs {
-		index[p.Name] = i
-		n.Providers = append(n.Providers, providerRef{Name: p.Name, Fingerprint: providerFingerprint(p.Components)})
+	sort.Slice(regs, func(i, j int) bool { return regs[i].Name < regs[j].Name })
+	provs := make([]pia.Provider, len(regs))
+	index := make(map[string]int, len(regs))
+	for i, reg := range regs {
+		provs[i] = pia.Provider{Name: reg.Name, Components: reg.Components}
+		if reg.Endpoint != "" {
+			provs[i].Party = reg.party
+		}
+		index[reg.Name] = i
+		n.Providers = append(n.Providers, providerRef{Name: reg.Name, Fingerprint: reg.Fingerprint})
+		n.infos = append(n.infos, reg.info())
 	}
 
 	// Canonicalize the deployment list: names sorted within each deployment,
@@ -395,16 +246,12 @@ func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse,
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]ProviderInfo, len(n.Providers))
-	for i, ref := range n.Providers {
-		infos[i] = ProviderInfo{Name: ref.Name, Fingerprint: ref.Fingerprint, Components: len(provs[i].Components)}
-	}
 	start := time.Now()
 	rep, err := pia.AuditDeploymentsContext(ctx, cfg, provs, deployments)
 	if err != nil {
 		return nil, err
 	}
-	resp := PrivateAuditResponseFromReport(rep, infos, n.Protocol, time.Since(start))
+	resp := PrivateAuditResponseFromReport(rep, n.infos, n.Protocol, time.Since(start))
 	resp.Title = r.Title
 	return resp, nil
 }
@@ -434,15 +281,12 @@ func (s *Server) PrivateAudit(req *PrivateAuditRequest) (JobStatus, error) {
 }
 
 // prepare readies a private audit: providers resolve against this node's
-// registry, and the run closure drives the protocol rounds.
+// registry, and the run closure drives the protocol rounds — supervising the
+// ring over any proxied provider's proxy.
 func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 	n, cfg, provs, deployments, err := r.normalize(s.lookupProvider)
 	if err != nil {
 		return nil, &statusErr{code: 400, err: err}
-	}
-	infos := make([]ProviderInfo, len(n.Providers))
-	for i, ref := range n.Providers {
-		infos[i] = ProviderInfo{Name: ref.Name, Fingerprint: ref.Fingerprint, Components: len(provs[i].Components)}
 	}
 	// The request is self-contained only when every provider inlines its
 	// components; a registry reference resolves against THIS node's provider
@@ -451,8 +295,6 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 	for _, p := range r.Providers {
 		inline = inline && len(p.Components) > 0
 	}
-	protocol := n.Protocol
-	pairs := len(deployments)
 	return &preparedJob{title: r.Title, timeoutMS: r.TimeoutMS, accepted: &s.m.PrivateAudits, Workload: Workload{
 		Key:       n.key(),
 		NoForward: !inline,
@@ -462,8 +304,8 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 			if err != nil {
 				return nil, err
 			}
-			s.m.PrivatePairs.Add(int64(pairs))
-			return PrivateAuditResponseFromReport(rep, infos, protocol, time.Since(start)), nil
+			s.m.PrivatePairs.Add(int64(len(deployments)))
+			return PrivateAuditResponseFromReport(rep, n.infos, n.Protocol, time.Since(start)), nil
 		},
 	}}, nil
 }

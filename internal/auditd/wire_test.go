@@ -285,7 +285,7 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 	// An unknown reference with a registry present names the provider.
 	ref := valid()
 	ref.Providers[0].Components = nil
-	lookup := func(string) ([]string, string, bool) { return nil, "", false }
+	lookup := func(string) (registeredProvider, bool) { return registeredProvider{}, false }
 	if _, _, _, _, err := ref.normalize(lookup); err == nil || !strings.Contains(err.Error(), "not registered") {
 		t.Fatalf("unknown reference error = %v", err)
 	}

@@ -13,7 +13,9 @@
 // that boundary by running the protocols over signature elements (§4.2.4).
 // ProtocolCleartext deliberately has no privacy: it is the trusted-auditor
 // comparison point of §6.3.3 and the validation oracle for the private
-// protocols.
+// protocols. A provider whose dataset never enters this process takes part
+// through its own psi.Party (Provider.Party), which exact P-SOP alone can
+// audit.
 package pia
 
 import (
@@ -32,10 +34,15 @@ import (
 )
 
 // Provider is one cloud provider's private dataset: the normalized
-// component-set of its infrastructure (§4.2.3).
+// component-set of its infrastructure (§4.2.3). Either this process holds
+// the set (Components), or the provider does and Party stands in for it.
 type Provider struct {
 	Name       string
 	Components []string
+	// Party, when set, returns the provider's P-SOP party for one ring of
+	// the given size; Components stays empty. Only exact P-SOP can audit
+	// such a provider: every other mode reads the components.
+	Party func(ring int) psi.Party
 }
 
 // Protocol selects the private computation mechanism.
@@ -116,6 +123,12 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 	for i, p := range providers {
 		if p.Name == "" {
 			return nil, fmt.Errorf("pia: provider %d has no name", i)
+		}
+		if p.Party != nil {
+			if cfg.Protocol != ProtocolPSOP || cfg.MinHashM > 0 || cfg.MinHashThreshold > 0 {
+				return nil, fmt.Errorf("pia: provider %q holds its own dataset; only exact p-sop can audit it", p.Name)
+			}
+			continue
 		}
 		if len(p.Components) == 0 {
 			return nil, fmt.Errorf("pia: provider %q has an empty component-set", p.Name)
@@ -241,7 +254,15 @@ func auditOne(ctx context.Context, cfg Config, providers []Provider, d Deploymen
 		}
 		jaccard = est
 	case cfg.Protocol == ProtocolPSOP && !useMinHash:
-		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Workers: cfg.Workers}, sets)
+		parties := make([]psi.Party, len(d))
+		for i, idx := range d {
+			if p := providers[idx]; p.Party != nil {
+				parties[i] = p.Party(len(d))
+			} else {
+				parties[i] = psi.NewParty(sets[i], cfg.Workers)
+			}
+		}
+		res, err := psi.Ring(ctx, parties)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"indaas/internal/deps"
+	"indaas/internal/psi"
 )
 
 func fourProviders() []Provider {
@@ -221,6 +222,43 @@ func TestPIAReportRendering(t *testing.T) {
 	for _, want := range []string{"Rank", "Jaccard", "CloudA & CloudB"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestPartyProviders: a provider that holds its own dataset (Party set,
+// Components empty) is audited by exact P-SOP to the Jaccard the same
+// components give inline, and every mode that reads components refuses it.
+func TestPartyProviders(t *testing.T) {
+	providers := fourProviders()
+	held := make([]Provider, len(providers))
+	for i, p := range providers {
+		comps := p.Components
+		held[i] = Provider{Name: p.Name, Party: func(ring int) psi.Party { return psi.NewParty(comps, 1) }}
+	}
+	deployments := []Deployment{{0, 1}, {1, 2}, {0, 1, 2}}
+	want, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, deployments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mixed := append([]Provider{held[0]}, providers[1:]...)
+	for _, provs := range [][]Provider{held, mixed} {
+		got, err := AuditDeployments(Config{Protocol: ProtocolPSOP}, provs, deployments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Entries {
+			if DeploymentKey(got.Entries[i].Providers) != DeploymentKey(want.Entries[i].Providers) || got.Entries[i].Jaccard != want.Entries[i].Jaccard {
+				t.Errorf("entry %d: %+v, want %+v", i, got.Entries[i], want.Entries[i])
+			}
+		}
+	}
+	for _, cfg := range []Config{
+		{Protocol: ProtocolCleartext}, {Protocol: ProtocolKS, Bits: 512},
+		{Protocol: ProtocolPSOP, MinHashM: 16}, {Protocol: ProtocolPSOP, MinHashThreshold: 1},
+	} {
+		if _, err := AuditDeployments(cfg, mixed, deployments); err == nil || !strings.Contains(err.Error(), "only exact p-sop") {
+			t.Errorf("%+v over a party provider: %v", cfg, err)
 		}
 	}
 }

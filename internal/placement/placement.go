@@ -177,6 +177,9 @@ func (r *Request) validate() error {
 	if r.MaxCandidates <= 0 {
 		r.MaxCandidates = DefaultMaxCandidates
 	}
+	if total := combinations(len(r.Nodes), r.Replicas-len(r.Fixed)); r.Strategy == Exact && total > r.MaxCandidates {
+		return fmt.Errorf("placement: exact search over %d candidates exceeds MaxCandidates=%d; use greedy or beam", total, r.MaxCandidates)
+	}
 	if r.BeamWidth <= 0 {
 		r.BeamWidth = 4 * r.TopK
 		if r.BeamWidth < 8 {
@@ -273,9 +276,6 @@ func Search(ctx context.Context, db depdb.Reader, req Request) (*Result, error) 
 	var err error
 	switch strategy {
 	case Exact:
-		if total > req.MaxCandidates {
-			return nil, fmt.Errorf("placement: exact search over %d candidates exceeds MaxCandidates=%d; use greedy or beam", total, req.MaxCandidates)
-		}
 		top, err = searchExact(ctx, e, &req)
 	case Greedy:
 		top, err = searchGreedy(ctx, e, &req)

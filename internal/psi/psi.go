@@ -6,9 +6,11 @@
 //     encryption and polynomial evaluation ([38], §6.3.2), the baseline the
 //     paper compares PIA against.
 //
-// Both protocols run all parties in-process over an accounting transport so
-// tests and benches can measure exact bandwidth; the agent package wires the
-// same message flow over TCP for the deployment scenario of Fig. 5b.
+// Both protocols account every message so tests and benches can measure
+// exact bandwidth. P-SOP's ring runs over Party values: NewParty holds its
+// dataset in this process, and the audit service's remote party steps a
+// provider's HTTP proxy (the deployment of Fig. 5b), so the same Ring serves
+// both.
 //
 // Threat model (§4.2.1): parties are honest but curious and do not collude.
 package psi

@@ -1,10 +1,14 @@
 package psi
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"indaas/internal/crypto/commutative"
 	"indaas/internal/deps"
 )
 
@@ -251,5 +255,100 @@ func TestProtocolCostShape(t *testing.T) {
 	if ks.Stats.BytesSent <= psop.Stats.BytesSent {
 		t.Errorf("expected KS bandwidth (%d) > P-SOP bandwidth (%d) at k=4",
 			ks.Stats.BytesSent, psop.Stats.BytesSent)
+	}
+}
+
+// countingParty wraps a party, counting its steps and failing on demand.
+type countingParty struct {
+	Party
+	own, reencrypt int
+	fail           error
+}
+
+func (p *countingParty) Own(ctx context.Context) ([]commutative.Point, error) {
+	p.own++
+	return p.Party.Own(ctx)
+}
+
+func (p *countingParty) Reencrypt(ctx context.Context, in []commutative.Point) ([]commutative.Point, error) {
+	p.reencrypt++
+	if p.fail != nil {
+		return nil, p.fail
+	}
+	return p.Party.Reencrypt(ctx, in)
+}
+
+// TestRingOverParties: Ring asks each of k parties for one own-set step and
+// k−1 re-encryptions, counts what PSOP counts over the same sets, and names
+// the party whose step failed.
+func TestRingOverParties(t *testing.T) {
+	sets := [][]string{{"a", "b", "c"}, {"b", "c", "d"}, {"c", "d", "e", "e"}}
+	parties := make([]*countingParty, len(sets))
+	ring := make([]Party, len(sets))
+	for i, s := range sets {
+		parties[i] = &countingParty{Party: NewParty(s, 2)}
+		ring[i] = parties[i]
+	}
+	res, err := Ring(context.Background(), ring)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := PSOP(PSOPConfig{}, sets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Intersection != want.Intersection || res.Union != want.Union || res.Stats.BytesSent != want.Stats.BytesSent {
+		t.Fatalf("Ring = %+v, PSOP = %+v", res, want)
+	}
+	for i, p := range parties {
+		if p.own != 1 || p.reencrypt != len(sets)-1 {
+			t.Errorf("party %d took %d own-set steps and %d re-encryptions, want 1 and %d", i, p.own, p.reencrypt, len(sets)-1)
+		}
+	}
+
+	failing := &countingParty{Party: NewParty(sets[1], 1), fail: errors.New("proxy gone")}
+	_, err = Ring(context.Background(), []Party{NewParty(sets[0], 1), failing})
+	if err == nil || !strings.Contains(err.Error(), "party 1: proxy gone") {
+		t.Fatalf("a failing party's error = %v, want it named", err)
+	}
+	if _, err := Ring(context.Background(), ring[:1]); err == nil {
+		t.Fatal("a ring of one party ran")
+	}
+}
+
+// TestPartyKeysAreFresh: two parties over one set hold different keys, so
+// their encrypted sets differ, while re-encrypting each other's output
+// yields the same doubly-encrypted set (the cipher commutes).
+func TestPartyKeysAreFresh(t *testing.T) {
+	ctx := context.Background()
+	set := []string{"pkg:a", "pkg:b"}
+	a, b := NewParty(set, 1), NewParty(set, 1)
+	ea, err := a.Own(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eb, err := b.Own(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[commutative.Point]bool{}
+	for _, p := range ea {
+		seen[p] = true
+	}
+	for _, p := range eb {
+		if seen[p] {
+			t.Fatal("two parties encrypted an element alike: their keys are not fresh")
+		}
+	}
+	ab, err := b.Reencrypt(ctx, ea)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ba, err := a.Reencrypt(ctx, eb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inter, union := countCiphertexts([][]commutative.Point{ab, ba}); inter != 2 || union != 2 {
+		t.Fatalf("doubly-encrypted sets share %d of %d points, want 2 of 2", inter, union)
 	}
 }

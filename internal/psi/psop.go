@@ -4,8 +4,7 @@ import (
 	"context"
 	cryptorand "crypto/rand"
 	"fmt"
-	"io"
-	mathrand "math/rand"
+	mathrand "math/rand/v2"
 	"sync"
 
 	"indaas/internal/crypto/commutative"
@@ -13,20 +12,104 @@ import (
 
 // PSOPConfig tunes the P-SOP protocol.
 type PSOPConfig struct {
-	// Rand is the randomness source for keys and permutations (default
-	// crypto/rand). A fixed Rand yields a deterministic transcript.
-	Rand io.Reader
-	// Workers parallelizes the encryption loops — each party encrypting its
-	// own dataset and every re-encryption hop — across up to Workers
-	// goroutines. Key generation and permutation stay sequential so a fixed
-	// Rand still yields a deterministic transcript; the protocol result is
-	// identical for every worker count. 0 or 1 is sequential.
+	// Workers parallelizes each party's encryption loops — its own dataset
+	// and every re-encryption hop — across up to Workers goroutines. The
+	// protocol result is identical for every worker count; 0 or 1 is
+	// sequential.
 	Workers int
+}
+
+// Party is one P-SOP party (§4.2.2): it holds a dataset and a commutative
+// key nobody else sees, and takes part in exactly one ring.
+type Party interface {
+	// Own returns the party's dataset disambiguated, hashed, encrypted under
+	// its key and permuted.
+	Own(ctx context.Context) ([]commutative.Point, error)
+	// Reencrypt encrypts another party's dataset under this party's key and
+	// permutes it. It may reuse in's storage.
+	Reencrypt(ctx context.Context, in []commutative.Point) ([]commutative.Point, error)
+}
+
+// localParty is a party whose dataset this process holds.
+type localParty struct {
+	set     []string
+	workers int
+	key     *commutative.Key
+	perm    *mathrand.Rand
+	err     error // drawing the key failed; every step reports it
+}
+
+// NewParty returns a party over set, with a fresh key and permutation drawn
+// from crypto/rand. workers parallelizes its encryption loops.
+func NewParty(set []string, workers int) Party {
+	p := &localParty{set: set, workers: workers}
+	var seed [32]byte
+	if _, err := cryptorand.Read(seed[:]); err != nil {
+		p.err = fmt.Errorf("psi: permutation seed: %w", err)
+		return p
+	}
+	p.perm = mathrand.New(mathrand.NewChaCha8(seed))
+	p.key, p.err = commutative.NewKey(cryptorand.Reader)
+	return p
+}
+
+func (p *localParty) Own(ctx context.Context) ([]commutative.Point, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	uniq := disambiguate(p.set)
+	ds := make([]commutative.Point, len(uniq))
+	err := parallelFor(ctx, len(uniq), p.workers, func(j int) error {
+		ds[j] = p.key.EncryptElement([]byte(uniq[j]))
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.permute(ds)
+	return ds, nil
+}
+
+func (p *localParty) Reencrypt(ctx context.Context, ds []commutative.Point) ([]commutative.Point, error) {
+	if p.err != nil {
+		return nil, p.err
+	}
+	err := parallelFor(ctx, len(ds), p.workers, func(j int) (err error) {
+		if ds[j], err = p.key.Encrypt(ds[j][:]); err != nil {
+			return fmt.Errorf("psi: re-encrypting element %d: %w", j, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	p.permute(ds)
+	return ds, nil
+}
+
+func (p *localParty) permute(ds []commutative.Point) {
+	p.perm.Shuffle(len(ds), func(a, b int) { ds[a], ds[b] = ds[b], ds[a] })
 }
 
 // PSOP runs the private set intersection cardinality protocol of §4.2.2 over
 // the given parties' datasets (multisets of normalized component
 // identifiers) and returns |∩|, |∪| and measured costs.
+func PSOP(cfg PSOPConfig, sets [][]string) (*Result, error) {
+	return PSOPContext(context.Background(), cfg, sets)
+}
+
+// PSOPContext is PSOP with cancellation: the encryption loops poll ctx and
+// abandon the run with ctx's error once it is done. Every dataset is held
+// in this process, one local party each, and the ring is Ring's.
+func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result, error) {
+	parties := make([]Party, len(sets))
+	for i, s := range sets {
+		parties[i] = NewParty(s, cfg.Workers)
+	}
+	return Ring(ctx, parties)
+}
+
+// Ring runs P-SOP over k ≥ 2 parties, wherever their datasets live.
 //
 // Protocol, per the paper: the k parties form a logical ring and agree on a
 // deterministic hash. Each party disambiguates duplicates (e‖i), hashes and
@@ -35,63 +118,26 @@ type PSOPConfig struct {
 // forwards. After k hops every dataset is encrypted under all k keys, so
 // equal plaintexts — regardless of owner — have equal ciphertexts; the
 // parties then share the encrypted datasets and count |∩| and |∪| on
-// ciphertexts.
-func PSOP(cfg PSOPConfig, sets [][]string) (*Result, error) {
-	return PSOPContext(context.Background(), cfg, sets)
-}
-
-// PSOPContext is PSOP with cancellation: the encryption loops poll ctx and
-// abandon the run with ctx's error once it is done.
-func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result, error) {
-	k := len(sets)
+// ciphertexts. Ring is the supervisor: it relays every dataset and counts,
+// and it only ever holds ciphertexts.
+func Ring(ctx context.Context, parties []Party) (*Result, error) {
+	k := len(parties)
 	if k < 2 {
 		return nil, fmt.Errorf("psi: P-SOP needs at least two parties, got %d", k)
 	}
-	for i, s := range sets {
-		if len(s) == 0 {
-			return nil, fmt.Errorf("psi: party %d has an empty dataset", i)
-		}
-	}
-	rng := cfg.Rand
-	if rng == nil {
-		rng = cryptorand.Reader
-	}
-
-	// Per-party key and permutation source.
-	keys := make([]*commutative.Key, k)
-	perms := make([]*mathrand.Rand, k)
-	for i := range keys {
-		key, err := commutative.NewKey(rng)
-		if err != nil {
-			return nil, fmt.Errorf("psi: party %d keygen: %w", i, err)
-		}
-		keys[i] = key
-		var seed [8]byte
-		if _, err := io.ReadFull(rng, seed[:]); err != nil {
-			return nil, fmt.Errorf("psi: party %d permutation seed: %w", i, err)
-		}
-		perms[i] = mathrand.New(mathrand.NewSource(int64(seed[0]) | int64(seed[1])<<8 |
-			int64(seed[2])<<16 | int64(seed[3])<<24 | int64(seed[4])<<32 |
-			int64(seed[5])<<40 | int64(seed[6])<<48 | int64(seed[7])<<56))
-	}
-
 	var stats Stats
 	const elemSize = commutative.Size
 
 	// Step 1: each party hashes, encrypts and permutes its own dataset.
 	datasets := make([][]commutative.Point, k)
-	for i, s := range sets {
-		uniq := disambiguate(s)
-		ds := make([]commutative.Point, len(uniq))
-		key := keys[i]
-		err := parallelFor(ctx, len(uniq), cfg.Workers, func(j int) error {
-			ds[j] = key.EncryptElement([]byte(uniq[j]))
-			return nil
-		})
+	for i, p := range parties {
+		ds, err := p.Own(ctx)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("psi: party %d: %w", i, err)
 		}
-		permute(perms[i], ds)
+		if len(ds) == 0 {
+			return nil, fmt.Errorf("psi: party %d has an empty dataset", i)
+		}
 		datasets[i] = ds
 	}
 
@@ -101,18 +147,11 @@ func PSOPContext(ctx context.Context, cfg PSOPConfig, sets [][]string) (*Result,
 			holder := (owner + hop) % k
 			sender := (owner + hop - 1) % k
 			stats.send(sender, int64(len(datasets[owner]))*elemSize)
-			ds := datasets[owner]
-			key := keys[holder]
-			err := parallelFor(ctx, len(ds), cfg.Workers, func(j int) (err error) {
-				if ds[j], err = key.Encrypt(ds[j][:]); err != nil {
-					return fmt.Errorf("psi: party %d re-encrypting: %w", holder, err)
-				}
-				return nil
-			})
+			ds, err := parties[holder].Reencrypt(ctx, datasets[owner])
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("psi: party %d: %w", holder, err)
 			}
-			permute(perms[holder], ds)
+			datasets[owner] = ds
 		}
 	}
 
@@ -169,10 +208,6 @@ func parallelFor(ctx context.Context, n, workers int, fn func(j int) error) erro
 	}
 	wg.Wait()
 	return context.Cause(ctx)
-}
-
-func permute(rng *mathrand.Rand, ds []commutative.Point) {
-	rng.Shuffle(len(ds), func(a, b int) { ds[a], ds[b] = ds[b], ds[a] })
 }
 
 func countCiphertexts(datasets [][]commutative.Point) (inter, union int) {

@@ -24,12 +24,16 @@
 #       memory-only serving (healthz reports it), keeps answering audits, and
 #       restores durable mode once writes succeed again.
 #
-#   ./scripts/smoke.sh pia        private-audit leg: serve with -data-dir,
+#   ./scripts/smoke.sh pia        private-audit legs: serve with -data-dir,
 #       register two provider component sets (distinct fingerprints), run a
 #       served P-SOP private audit and diff its report (clock-dependent
 #       fields zeroed) against the golden file; assert resubmission is a
 #       fingerprint-keyed cache hit that runs no new computation and that
-#       the private-audit metrics counted the job.
+#       the private-audit metrics counted the job. Then the proxied leg:
+#       serve each component set behind its own `indaas proxy`, register
+#       only the proxies' endpoints on a fresh -data-dir daemon, and assert
+#       the same request gives the same golden report, resubmits as a cache
+#       hit, and leaves no component string under the data directory.
 #
 #   ./scripts/smoke.sh cluster    clustering legs: boot a 4-node fleet
 #       (-peers), push 16 distinct audits through one node and assert each
@@ -66,6 +70,7 @@ SERVE_PID=
 SERVE_LOG="$TMP/serve.log"
 
 CLUSTER_PIDS=()
+PROXY_PIDS=()
 
 cleanup() {
     status=$?
@@ -73,7 +78,7 @@ cleanup() {
         kill "$SERVE_PID" 2>/dev/null || true
         wait "$SERVE_PID" 2>/dev/null || true
     fi
-    for pid in ${CLUSTER_PIDS+"${CLUSTER_PIDS[@]}"}; do
+    for pid in ${CLUSTER_PIDS+"${CLUSTER_PIDS[@]}"} ${PROXY_PIDS+"${PROXY_PIDS[@]}"}; do
         if kill -0 "$pid" 2>/dev/null; then
             kill "$pid" 2>/dev/null || true
             wait "$pid" 2>/dev/null || true
@@ -103,15 +108,19 @@ die() {
 # hanging the job (and orphaning the server) forever.
 CURL=(curl -sf --max-time 45)
 
+wait_ready() { # url pid what: poll url until it answers, while pid lives
+    for _ in $(seq 100); do
+        "${CURL[@]}" "$1" >/dev/null 2>&1 && return 0
+        kill -0 "$2" 2>/dev/null || die "$3 exited during startup"
+        sleep 0.1
+    done
+    die "$3 did not become ready within 10s"
+}
+
 start_daemon() { # extra serve flags...
     "$TMP/indaas" serve -listen "$ADDR" "$@" >>"$SERVE_LOG" 2>&1 &
     SERVE_PID=$!
-    for _ in $(seq 100); do
-        "${CURL[@]}" "$BASE/healthz" >/dev/null 2>&1 && return 0
-        kill -0 "$SERVE_PID" 2>/dev/null || die "daemon exited during startup"
-        sleep 0.1
-    done
-    die "daemon did not become healthy within 10s"
+    wait_ready "$BASE/healthz" "$SERVE_PID" daemon
 }
 
 stop_daemon() { # [signal]
@@ -339,16 +348,16 @@ fi
 if [ "$MODE" = pia ]; then
     DATA="$TMP/data"
     start_daemon -data-dir "$DATA"
+    COMPONENTS_A='["pkg:linux-image","pkg:libc6","pkg:openssl","pkg:nginx","pkg:zookeeper","pkg:java-runtime"]'
+    COMPONENTS_B='["pkg:linux-image","pkg:libc6","pkg:openssl","pkg:httpd","pkg:erlang"]'
 
     # Register the two provider component sets; the daemon answers each with
     # its canonical dataset fingerprint, and different sets must get
     # different fingerprints (they key the private-audit content address).
-    FPA=$("${CURL[@]}" -X POST -H 'Content-Type: application/json' \
-        --data '{"name":"CloudA","components":["pkg:linux-image","pkg:libc6","pkg:openssl","pkg:nginx","pkg:zookeeper","pkg:java-runtime"]}' \
-        "$BASE/v1/providers" | jq -r .fingerprint)
-    FPB=$("${CURL[@]}" -X POST -H 'Content-Type: application/json' \
-        --data '{"name":"CloudB","components":["pkg:linux-image","pkg:libc6","pkg:openssl","pkg:httpd","pkg:erlang"]}' \
-        "$BASE/v1/providers" | jq -r .fingerprint)
+    FPA=$(jq -cn --argjson c "$COMPONENTS_A" '{name: "CloudA", components: $c}' |
+        "${CURL[@]}" -X POST -H 'Content-Type: application/json' --data @- "$BASE/v1/providers" | jq -r .fingerprint)
+    FPB=$(jq -cn --argjson c "$COMPONENTS_B" '{name: "CloudB", components: $c}' |
+        "${CURL[@]}" -X POST -H 'Content-Type: application/json' --data @- "$BASE/v1/providers" | jq -r .fingerprint)
     { [ -n "$FPA" ] && [ "$FPA" != null ] && [ -n "$FPB" ] && [ "$FPB" != null ]; } ||
         die "provider registration returned no fingerprint"
     [ "$FPA" != "$FPB" ] || die "distinct datasets share a fingerprint: $FPA"
@@ -377,8 +386,46 @@ if [ "$MODE" = pia ]; then
 
     [ "$(metric auditd_private_audits_total)" -ge 1 ] || die "auditd_private_audits_total did not count the audit"
     [ "$(metric auditd_private_pairs_total)" -ge 1 ] || die "auditd_private_pairs_total did not count the pair"
+    stop_daemon
 
-    echo "smoke OK: private audit matched the golden report; resubmission hit the fingerprint-keyed cache with computations unchanged"
+    # Proxied leg: each provider keeps its component list behind its own
+    # P-SOP proxy, and a fresh daemon registers only the endpoints and
+    # supervises the ring. The same dataset has the same fingerprint, so the
+    # unchanged request must give the unchanged golden report.
+    NAMES=(CloudA CloudB)
+    SETS=("$COMPONENTS_A" "$COMPONENTS_B")
+    FPS=("$FPA" "$FPB")
+    PROXY_ADDRS=(127.0.0.1:7086 127.0.0.1:7087)
+    for i in 0 1; do
+        jq -r '.[]' <<<"${SETS[$i]}" > "$TMP/${NAMES[$i]}.txt"
+        "$TMP/indaas" proxy -listen "${PROXY_ADDRS[$i]}" -components "$TMP/${NAMES[$i]}.txt" \
+            >>"$TMP/proxy-${NAMES[$i]}.log" 2>&1 &
+        PROXY_PIDS+=($!)
+        wait_ready "http://${PROXY_ADDRS[$i]}/v1/psop" "$!" "proxy ${NAMES[$i]}"
+    done
+    DATA="$TMP/data-proxied"
+    start_daemon -data-dir "$DATA"
+    for i in 0 1; do
+        FP=$(jq -cn --arg n "${NAMES[$i]}" --arg e "http://${PROXY_ADDRS[$i]}" '{name: $n, endpoint: $e}' |
+            "${CURL[@]}" -X POST -H 'Content-Type: application/json' --data @- "$BASE/v1/providers" | jq -r .fingerprint)
+        [ "$FP" = "${FPS[$i]}" ] || die "proxy ${NAMES[$i]} registered fingerprint $FP, the held dataset has ${FPS[$i]}"
+    done
+    ID=$(submit v1/private-audits @scripts/private_audit_request.json)
+    wait_done "$ID" proxied-private-audit
+    "${CURL[@]}" "$BASE/v1/audits/$ID/report" > "$TMP/pia-proxied.json"
+    diff <(jq -S "$PIA_NORM" "$TMP/pia-proxied.json") <(jq -S . "$PIA_GOLDEN")
+    COMPUTATIONS_BEFORE=$(metric auditd_computations_total)
+    HIT=$("${CURL[@]}" -X POST -H 'Content-Type: application/json' \
+        --data @scripts/private_audit_request.json "$BASE/v1/private-audits")
+    [ "$(jq -r '.cached == true and .state == "done"' <<<"$HIT")" = true ] ||
+        die "identical proxied private-audit resubmission was not a cache hit: $HIT"
+    [ "$(metric auditd_computations_total)" = "$COMPUTATIONS_BEFORE" ] ||
+        die "proxied private-audit resubmission ran a new computation"
+    for c in $(jq -r '.[]' <<<"$COMPONENTS_A $COMPONENTS_B"); do
+        ! grep -rqF -- "$c" "$DATA" || die "component $c reached the supervisor's data directory"
+    done
+
+    echo "smoke OK: private audit matched the golden report, held and proxied; resubmissions hit the fingerprint-keyed cache with computations unchanged; no component reached the proxied daemon's data directory"
     exit 0
 fi
 
