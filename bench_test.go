@@ -22,9 +22,11 @@ import (
 	"indaas/internal/deps"
 	"indaas/internal/exp"
 	"indaas/internal/faultgraph"
+	"indaas/internal/minhash"
 	"indaas/internal/pia"
 	"indaas/internal/placement"
 	"indaas/internal/psi"
+	"indaas/internal/psi/ks"
 	"indaas/internal/ranking"
 	"indaas/internal/riskgroup"
 	"indaas/internal/sia"
@@ -36,7 +38,7 @@ import (
 // closures (§6.2.3), with exact cleartext set operations per iteration.
 func BenchmarkTable2PIA(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolCleartext})
+		res, err := exp.RunTable2(exp.Table2Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -47,10 +49,10 @@ func BenchmarkTable2PIA(b *testing.B) {
 }
 
 // BenchmarkTable2PIAPrivate runs the same audit through the real P-SOP
-// protocol (X25519).
+// protocol (X25519), each cloud keeping its own package list.
 func BenchmarkTable2PIAPrivate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolPSOP})
+		res, err := exp.RunTable2(exp.Table2Config{Private: true})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -319,6 +321,16 @@ func benchProviders(k, n int) []pia.Provider {
 	return out
 }
 
+// asParties wraps each provider as one that keeps its own set, as if behind
+// a proxy, so every deployment runs P-SOP.
+func asParties(providers []pia.Provider, workers int) []pia.Provider {
+	out := make([]pia.Provider, len(providers))
+	for i, p := range providers {
+		out[i] = pia.AsParty(p, workers)
+	}
+	return out
+}
+
 // benchComponents generates n labelled components.
 func benchComponents(prefix string, n int) []string {
 	out := make([]string, n)
@@ -385,7 +397,7 @@ func BenchmarkFig8KS(b *testing.B) {
 				b.ResetTimer()
 				var bytes int64
 				for i := 0; i < b.N; i++ {
-					res, err := psi.KS(psi.KSConfig{Bits: 512, BlindBits: 64}, sets)
+					res, err := ks.Run(ks.Config{Bits: 512, BlindBits: 64}, sets)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -432,17 +444,33 @@ func BenchmarkFig9SIAvsPIA(b *testing.B) {
 		}
 	})
 	b.Run("PIA-P-SOP", func(b *testing.B) {
+		parties := asParties(providers, 0)
 		for i := 0; i < b.N; i++ {
-			if _, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP}, providers, deployments); err != nil {
+			if _, err := pia.AuditDeployments(pia.Config{}, parties, deployments); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("PIA-KS", func(b *testing.B) {
+		// Each provider signs its set with 32-function MinHash, and KS
+		// counts the signature elements each pair shares (RunFig9's arm).
 		for i := 0; i < b.N; i++ {
-			cfg := pia.Config{Protocol: pia.ProtocolKS, Bits: 512, MinHashM: 32, KSBlindBits: 64}
-			if _, err := pia.AuditDeployments(cfg, providers, deployments); err != nil {
+			h, err := minhash.NewHasher(32)
+			if err != nil {
 				b.Fatal(err)
+			}
+			sigs := make([][]string, len(providers))
+			for j, p := range providers {
+				sig, err := h.Sign(p.Components)
+				if err != nil {
+					b.Fatal(err)
+				}
+				sigs[j] = sig.Elements()
+			}
+			for _, d := range deployments {
+				if _, err := ks.Run(ks.Config{Bits: 512, BlindBits: 64}, [][]string{sigs[d[0]], sigs[d[1]]}); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}
 	})
@@ -455,14 +483,12 @@ func BenchmarkFig9SIAvsPIA(b *testing.B) {
 // worth recording is the batch throughput itself; on an N-core host the
 // pairs fan out N-wide.
 func BenchmarkPrivateAuditBatch(b *testing.B) {
-	providers := benchProviders(6, 200)
 	deployments := pia.AllPairs(6)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			providers := asParties(benchProviders(6, 200), workers)
 			for i := 0; i < b.N; i++ {
-				rep, err := pia.AuditDeployments(
-					pia.Config{Protocol: pia.ProtocolPSOP, Workers: workers},
-					providers, deployments)
+				rep, err := pia.AuditDeployments(pia.Config{Workers: workers}, providers, deployments)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -568,22 +594,6 @@ func BenchmarkAblationSamplerWorkers(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				s := riskgroup.Sampler{Rounds: 20_000, Bias: 0.97, Shrink: true, Seed: 1, Workers: workers}
 				if _, err := s.Sample(g); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMinHashM sweeps the MinHash signature width used by PIA
-// for large component-sets (accuracy rises with m; this measures the cost).
-func BenchmarkAblationMinHashM(b *testing.B) {
-	providers := benchProviders(2, 2000)
-	for _, m := range []int{128, 512, 2048} {
-		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			cfg := pia.Config{Protocol: pia.ProtocolCleartext, MinHashM: m}
-			for i := 0; i < b.N; i++ {
-				if _, err := pia.AuditDeployments(cfg, providers, pia.AllPairs(2)); err != nil {
 					b.Fatal(err)
 				}
 			}

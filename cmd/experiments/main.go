@@ -18,7 +18,6 @@ import (
 	"strings"
 
 	"indaas/internal/exp"
-	"indaas/internal/pia"
 )
 
 type experiment struct {
@@ -48,7 +47,7 @@ func main() {
 		}},
 		{"fig6b", func(bool) (renderable, error) { return exp.RunFig6b() }},
 		{"table2", func(bool) (renderable, error) {
-			return exp.RunTable2(exp.Table2Config{Protocol: pia.ProtocolPSOP})
+			return exp.RunTable2(exp.Table2Config{Private: true})
 		}},
 		{"fig7", func(full bool) (renderable, error) {
 			cfg := exp.Fig7Config{}

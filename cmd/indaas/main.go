@@ -34,6 +34,8 @@
 //	    fingerprint; -register stores datasets server-side for later
 //	    reference by name, and -proxy NAME=URL registers a provider's proxy
 //	    so the service supervises the P-SOP ring without the components.
+//	    Sets the auditor holds are counted in cleartext; a deployment with a
+//	    proxied provider runs P-SOP.
 //
 //	indaas loadgen -server http://127.0.0.1:7080 -rate 10000 -duration 10s
 //	    Replay a simulated agent fleet's dependency churn against a running

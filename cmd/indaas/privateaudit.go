@@ -75,12 +75,7 @@ func cmdPrivateAudit(args []string) error {
 	register := fs.Bool("register", false, "register -provider datasets on the server first and reference them by name")
 	var deployments listFlag
 	fs.Var(&deployments, "deploy", "deployment to audit: providerA,providerB[,...] (repeatable; default: every pair)")
-	protocol := fs.String("protocol", "p-sop", "p-sop, ks or cleartext")
-	bits := fs.Int("bits", 0, "KS Paillier key size (0 = service default 512; paper setting 1024); p-sop ignores it")
-	minhashM := fs.Int("minhash-m", 0, "MinHash signature size (0 = exact sets; ks defaults to 512)")
-	minhashThreshold := fs.Int("minhash-threshold", 0, "switch to MinHash above this component count (0 = never)")
-	ksBlindBits := fs.Int("ks-blind-bits", 0, "KS blinding-coefficient width (0 = full width)")
-	workers := fs.Int("workers", 0, "concurrent pair audits and signing shards (0 = one per CPU)")
+	workers := fs.Int("workers", 0, "concurrent deployment audits and P-SOP encryption shards (0 = one per CPU)")
 	title := fs.String("title", "indaas private audit", "report title")
 	timeout := fs.Duration("timeout", 0, "job timeout (0 = service default)")
 	if err := fs.Parse(args); err != nil {
@@ -94,17 +89,14 @@ func cmdPrivateAudit(args []string) error {
 
 	// One wire request serves both modes: remotely it is POSTed verbatim;
 	// locally Local() applies the exact defaults the service would, so
-	// offline and served audits cannot drift.
+	// offline and served audits cannot drift. Where each dataset lives picks
+	// the protocol: held sets are counted in cleartext, proxied ones run
+	// P-SOP.
 	req := &auditd.PrivateAuditRequest{
-		Title:            *title,
-		Deployments:      deployments,
-		Protocol:         *protocol,
-		Bits:             *bits,
-		MinHashM:         *minhashM,
-		MinHashThreshold: *minhashThreshold,
-		KSBlindBits:      *ksBlindBits,
-		Workers:          *workers,
-		TimeoutMS:        timeout.Milliseconds(),
+		Title:       *title,
+		Deployments: deployments,
+		Workers:     *workers,
+		TimeoutMS:   timeout.Milliseconds(),
 	}
 	for _, name := range strings.Split(*uses, ",") {
 		if name != "" {
@@ -180,24 +172,18 @@ func cmdPrivateAudit(args []string) error {
 // renderPrivateAudit prints the ranked independence table, most independent
 // (lowest Jaccard similarity) deployment first.
 func renderPrivateAudit(res *auditd.PrivateAuditResponse) error {
-	fmt.Printf("=== INDaaS private audit (%s, %d pairs, %d bytes on the wire) ===\n",
-		res.Protocol, res.Pairs, res.BytesSent)
+	fmt.Printf("=== INDaaS private audit (%d deployments) ===\n", res.Pairs)
 	for _, p := range res.Providers {
 		fmt.Printf("provider %s: %d components, fingerprint %.12s…\n", p.Name, p.Components, p.Fingerprint)
 	}
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(w, "rank\tdeployment\tjaccard\testimated\tbytes\telapsed")
+	fmt.Fprintln(w, "rank\tdeployment\tjaccard\telapsed")
 	for i, e := range res.Entries {
 		jcol := "-"
 		if e.Jaccard != nil {
 			jcol = fmt.Sprintf("%.4f", *e.Jaccard)
 		}
-		est := ""
-		if e.Estimated {
-			est = "minhash"
-		}
-		fmt.Fprintf(w, "#%d\t%s\t%s\t%s\t%d\t%s\n",
-			i+1, strings.Join(e.Providers, " + "), jcol, est, e.BytesSent,
+		fmt.Fprintf(w, "#%d\t%s\t%s\t%s\n", i+1, strings.Join(e.Providers, " + "), jcol,
 			time.Duration(e.ElapsedNS).Round(time.Microsecond))
 	}
 	if err := w.Flush(); err != nil {

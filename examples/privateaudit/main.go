@@ -9,12 +9,13 @@
 // It runs Table 2 twice. First in the trusted-auditor mode: each cloud
 // registers its package list under POST /v1/providers (the service answers
 // with a content fingerprint, never echoing components), POST
-// /v1/private-audits references the datasets by name, and a second identical
-// submission is answered from the content-addressed cache. Then in the
-// paper's own trust model (§4.2, Fig. 5b): each cloud keeps its list behind
-// its own P-SOP proxy, a fresh service registers only the proxies' endpoints
-// and supervises every ring over them, and the ten similarities must equal
-// the first run's.
+// /v1/private-audits references the datasets by name, the service — which
+// holds every list — counts the overlaps in cleartext, and a second
+// identical submission is answered from the content-addressed cache. Then in
+// the paper's own trust model (§4.2, Fig. 5b): each cloud keeps its list
+// behind its own P-SOP proxy, a fresh service registers only the proxies'
+// endpoints and supervises every ring over them, and the ten similarities
+// must equal the first run's.
 package main
 
 import (
@@ -34,7 +35,7 @@ import (
 )
 
 func main() {
-	cleartext := flag.Bool("cleartext", false, "skip the private protocol (trusted-auditor baseline; no proxied run)")
+	cleartext := flag.Bool("cleartext", false, "run only the trusted-auditor audit, counted in cleartext (no proxies, no P-SOP)")
 	flag.Parse()
 	ctx := context.Background()
 
@@ -50,10 +51,6 @@ func main() {
 			sets[i] = append(sets[i], "pkg:"+id) // name+version
 		}
 	}
-	protocol := "p-sop"
-	if *cleartext {
-		protocol = "cleartext"
-	}
 
 	fmt.Println("== trusted auditor: the service holds each cloud's package list ==")
 	svc, client := serve()
@@ -66,12 +63,11 @@ func main() {
 		fmt.Printf("registered %-6s (%s): %4d packages, fingerprint %.12s…\n",
 			info.Name, roots[i], info.Components, info.Fingerprint)
 	}
-	req := table2Request(protocol)
+	req := table2Request()
 	held := audit(client, req)
 
 	// Resubmit the identical audit: the cache key is built from the dataset
-	// fingerprints, so the service answers instantly without rerunning a
-	// single protocol round.
+	// fingerprints, so the service answers instantly without recounting.
 	before := svc.Stats()
 	st2, err := client.PrivateAudit(ctx, req)
 	if err != nil {
@@ -124,7 +120,7 @@ func serve() (*auditd.Server, *auditd.Client) {
 
 // table2Request asks for every two-way pair plus every three-way deployment
 // in one batched job, referencing the providers by name only.
-func table2Request(protocol string) *auditd.PrivateAuditRequest {
+func table2Request() *auditd.PrivateAuditRequest {
 	return &auditd.PrivateAuditRequest{
 		Title: "Table 2 redundancy deployments",
 		Providers: []auditd.ProviderWire{
@@ -136,7 +132,6 @@ func table2Request(protocol string) *auditd.PrivateAuditRequest {
 			{"Cloud1", "Cloud2", "Cloud3"}, {"Cloud1", "Cloud2", "Cloud4"},
 			{"Cloud1", "Cloud3", "Cloud4"}, {"Cloud2", "Cloud3", "Cloud4"},
 		},
-		Protocol: protocol,
 	}
 }
 
@@ -145,7 +140,7 @@ func table2Request(protocol string) *auditd.PrivateAuditRequest {
 // inherent) and returns the similarities by deployment ("1+2").
 func audit(client *auditd.Client, req *auditd.PrivateAuditRequest) map[string]float64 {
 	ctx := context.Background()
-	fmt.Printf("submitting private audit (%s, %d deployments)…\n", req.Protocol, len(req.Deployments))
+	fmt.Printf("submitting private audit (%d deployments)…\n", len(req.Deployments))
 	st, err := client.PrivateAudit(ctx, req)
 	if err != nil {
 		log.Fatal(err)
@@ -156,6 +151,9 @@ func audit(client *auditd.Client, req *auditd.PrivateAuditRequest) map[string]fl
 	if st.State != auditd.StateDone {
 		log.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
 	}
+	tc := st.TraceCounts
+	fmt.Printf("%d deployments counted in cleartext, %d over P-SOP (%d bytes on the wire)\n",
+		tc["pia_cleartext_deployments"], tc["pia_psop_deployments"], tc["psop_bytes_sent"])
 	res, err := client.PrivateAuditResult(ctx, st.ID)
 	if err != nil {
 		log.Fatal(err)
@@ -181,6 +179,6 @@ func audit(client *auditd.Client, req *auditd.PrivateAuditRequest) map[string]fl
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("all %d similarities match the paper's Table 2 (%d bytes on the wire)\n", res.Pairs, res.BytesSent)
+	fmt.Printf("all %d similarities match the paper's Table 2\n", res.Pairs)
 	return out
 }

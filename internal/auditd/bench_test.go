@@ -298,3 +298,34 @@ func coldComputeLoop(b *testing.B, s *Server, req *SubmitRequest) {
 		}
 	}
 }
+
+// BenchmarkServedPrivateAuditHeld times one cold served private audit of
+// Table 2's four clouds — every pair and triple — whose package lists are
+// registered with the daemon. The request names no protocol: where the
+// datasets live picks it.
+func BenchmarkServedPrivateAuditHeld(b *testing.B) {
+	s := New(Config{Workers: 1, CacheEntries: -1})
+	b.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+	for name, comps := range table2Sets(b) {
+		if _, err := s.RegisterProvider(&RegisterProviderRequest{Name: name, Components: comps}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+	defer cancel()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := s.PrivateAudit(table2Request("table 2 held", nil))
+		if err != nil {
+			b.Fatal(err)
+		}
+		end, err := s.WaitDone(ctx, st.ID, 5*time.Minute)
+		if err != nil || end.State != StateDone || end.Cached {
+			b.Fatalf("held private audit: %v %+v", err, end)
+		}
+	}
+}

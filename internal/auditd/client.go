@@ -437,7 +437,7 @@ func (c *Client) PrivateAudit(ctx context.Context, req *PrivateAuditRequest) (Jo
 func (c *Client) PrivateAuditResult(ctx context.Context, id string) (*PrivateAuditResponse, error) {
 	res := new(PrivateAuditResponse)
 	decode := func(body []byte) error { return json.Unmarshal(body, res) }
-	if err := c.result(ctx, id, privateAuditKind, decode, func() bool { return res.Protocol == "" && res.Entries == nil }); err != nil {
+	if err := c.result(ctx, id, privateAuditKind, decode, func() bool { return res.Entries == nil }); err != nil {
 		return nil, err
 	}
 	return res, nil

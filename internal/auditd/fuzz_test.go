@@ -360,20 +360,25 @@ func FuzzPSOPHop(f *testing.F) {
 }
 
 // FuzzPrivateAuditPrepare drives the private-audit kind's submission
-// boundary through normalize and prepare against a registry of two
-// providers: a request is refused with a 4xx, or it prepares to an address
-// two prepares agree on — one that bits moves only under "ks", the one
-// protocol whose key it sizes. Nothing panics.
+// boundary — the HTTP decoder, then normalize and prepare — against two
+// registries of the same two datasets: one daemon holds them, the other
+// reaches them through proxies. A body that sets an option the request no
+// longer has (where a dataset lives picks the protocol) is a 400 at the
+// decoder. Any other body is refused with a 4xx by both daemons, or prepares
+// on both to one address that a second prepare agrees on: a held and a
+// proxied reference to one dataset share an address. Nothing panics.
 func FuzzPrivateAuditPrepare(f *testing.F) {
-	s := New(Config{Workers: 1})
-	f.Cleanup(func() { shutdown(f, s) })
-	for name, comps := range map[string][]string{
+	sets := map[string][]string{
 		"CloudA": {"pkg:linux-image", "pkg:libc6", "pkg:openssl", "pkg:nginx", "pkg:zookeeper", "pkg:java-runtime"},
 		"CloudB": {"pkg:linux-image", "pkg:libc6", "pkg:openssl", "pkg:httpd", "pkg:erlang"},
-	} {
-		if _, err := s.RegisterProvider(&RegisterProviderRequest{Name: name, Components: comps}); err != nil {
+	}
+	held, proxied := New(Config{Workers: 1}), New(Config{Workers: 1})
+	f.Cleanup(func() { shutdown(f, held); shutdown(f, proxied) })
+	for name, comps := range sets {
+		if _, err := held.RegisterProvider(&RegisterProviderRequest{Name: name, Components: comps}); err != nil {
 			f.Fatal(err)
 		}
+		registerProxy(f, proxied, name, serveProxy(f, comps))
 	}
 
 	blob, err := os.ReadFile("../../scripts/private_audit_request.json")
@@ -381,14 +386,8 @@ func FuzzPrivateAuditPrepare(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(blob)
-	var smoke PrivateAuditRequest
-	if err := json.Unmarshal(blob, &smoke); err != nil {
-		f.Fatal(err)
-	}
-	for _, protocol := range []string{"ks", "cleartext"} {
-		req := smoke
-		req.Protocol, req.Bits = protocol, 256
-		f.Add(mustJSON(f, &req))
+	for _, option := range []string{`"protocol":"ks","bits":256`, `"protocol":"cleartext","bits":256`} {
+		f.Add([]byte(`{"providers":[{"name":"CloudA"},{"name":"CloudB"}],` + option + `}`))
 	}
 	inline := testPrivateAuditRequest("inline")
 	inline.Providers = []ProviderWire{
@@ -404,36 +403,51 @@ func FuzzPrivateAuditPrepare(f *testing.F) {
 		`{"providers":[{"name":"CloudA"},{"name":"CloudB"}],"deployments":[["CloudA"]]}`,
 		`{"providers":[{"name":"CloudA"},{"name":"x","components":[""]}],"bits":-1}`,
 		`{"providers":[{"name":"a/b"},{"name":""}],"protocol":"magic"}`,
+		`{"providers":[{"name":"CloudB"},{"name":"CloudA","components":["pkg:libc6","pkg:nginx"]},{"name":"mid","components":["pkg:libc6"]}],"deployments":[["CloudB","CloudA","mid"],["mid","CloudA"]],"workers":3}`,
 	} {
 		f.Add([]byte(body))
 	}
+	removed := []string{"protocol", "bits", "minhash_m", "minhash_threshold", "ks_blind_bits"}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		var req PrivateAuditRequest
-		if json.Unmarshal(blob, &req) != nil {
-			return // the HTTP decoder's 400
+		w := httptest.NewRecorder()
+		if !decodeJSON(w, httptest.NewRequest(http.MethodPost, "/v1/private-audits", bytes.NewReader(blob)), &req) {
+			if w.Code != 400 {
+				t.Fatalf("the decoder answered %d", w.Code)
+			}
+			return
 		}
-		p, err := req.prepare(s)
+		var fields map[string]json.RawMessage
+		if json.Unmarshal(blob, &fields) == nil {
+			for _, name := range removed {
+				if _, ok := fields[name]; ok {
+					t.Fatalf("a body setting %q was decoded: %s", name, blob)
+				}
+			}
+		}
+		p, err := req.prepare(held)
+		q, perr := req.prepare(proxied)
 		if err != nil {
 			if code := httpStatus(err); code/100 != 4 {
 				t.Fatalf("request refused with %d: %v", code, err)
 			}
+			if perr == nil {
+				t.Fatalf("the proxied registry takes what the held one refuses: %v", err)
+			}
 			return
 		}
-		again, err := req.prepare(s)
+		if perr != nil {
+			t.Fatalf("the proxied registry refuses what the held one takes: %v", perr)
+		}
+		if q.Key != p.Key {
+			t.Fatalf("held datasets address %s, the same datasets proxied %s", p.Key, q.Key)
+		}
+		again, err := req.prepare(held)
 		if err != nil {
 			t.Fatalf("a second prepare refuses what the first took: %v", err)
 		}
 		if again.Key != p.Key {
 			t.Fatalf("a second prepare gives key %s, the first %s", again.Key, p.Key)
-		}
-		if req.Protocol == "ks" {
-			return
-		}
-		resized := req
-		resized.Bits ^= 1024
-		q, err := resized.prepare(s)
-		if err != nil || q.Key != p.Key {
-			t.Fatalf("bits=%d moves a %q request from %s to %v (%v)", resized.Bits, req.Protocol, p.Key, q, err)
 		}
 	})
 }

@@ -43,14 +43,14 @@ var kindFixtures = map[string]kindFixture{
 	},
 	KindPrivateAudit: {
 		request: func(title string) jobRequest {
-			return &PrivateAuditRequest{Title: title, Protocol: "cleartext", Providers: []ProviderWire{
+			return &PrivateAuditRequest{Title: title, Providers: []ProviderWire{
 				{Name: "left", Components: []string{"pkg:a", "pkg:b", "pkg:shared"}},
 				{Name: "right", Components: []string{"pkg:x", "pkg:shared"}},
 			}}
 		},
 		sample: func(title string) any {
 			jaccard := 0.25
-			return &PrivateAuditResponse{Title: title, Protocol: "p-sop", Pairs: 1, Entries: []PrivateAuditEntryWire{{Providers: []string{"x", "y"}, Jaccard: &jaccard}}}
+			return &PrivateAuditResponse{Title: title, Pairs: 1, Entries: []PrivateAuditEntryWire{{Providers: []string{"x", "y"}, Jaccard: &jaccard}}}
 		},
 	},
 }

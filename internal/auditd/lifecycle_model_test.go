@@ -157,7 +157,8 @@ func (m *modelRun) submission() (*jobKind, jobRequest) {
 		return recommendKind, req
 	default:
 		req := kindFixtures[KindPrivateAudit].request("model").(*PrivateAuditRequest)
-		req.MinHashThreshold = 100 * v
+		req.Providers = append(req.Providers, ProviderWire{Name: "mid", Components: []string{"pkg:a", "pkg:x"}})
+		req.Deployments = [][][]string{{{"left", "right"}}, {{"left", "mid"}}, {{"mid", "right"}, {"left", "mid", "right"}}}[v]
 		return privateAuditKind, req
 	}
 }

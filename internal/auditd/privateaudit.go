@@ -13,12 +13,15 @@ import (
 )
 
 // Private independence audits (§4.2) behind the daemon: POST
-// /v1/private-audits runs the P-SOP / Kissner–Song / cleartext protocols of
-// internal/pia as a run closure sharing the queue, worker pool,
-// content-addressed caches, coalescing, cancellation and crash journal with
-// audit and recommendation jobs. Providers register once under POST
-// /v1/providers (providers.go); jobs are content-addressed by the providers'
-// dataset *fingerprints* — inline, registered or proxied alike — so a
+// /v1/private-audits runs internal/pia as a run closure sharing the queue,
+// worker pool, content-addressed caches, coalescing, cancellation and crash
+// journal with audit and recommendation jobs. Providers register once under
+// POST /v1/providers (providers.go). Where a dataset lives picks the
+// protocol, not the request: a deployment of datasets the daemon holds
+// (registered or inline) is counted in cleartext, since the trusted auditor
+// already has every set, and a deployment with a proxied provider runs the
+// P-SOP ring. Both are exact, so jobs are content-addressed by the providers'
+// dataset *fingerprints* — inline, registered or proxied alike — and a
 // repeated cross-provider audit, by any tenant, hits cache.
 
 // ProviderWire is one provider dataset in a private-audit request: inline
@@ -30,8 +33,7 @@ type ProviderWire struct {
 }
 
 // PrivateAuditRequest is the body of POST /v1/private-audits: audit the
-// pairwise (or listed) independence of provider datasets through a privacy-
-// preserving protocol (§4.2).
+// pairwise (or listed) independence of provider datasets (§4.2).
 type PrivateAuditRequest struct {
 	// Title names the report; like audit titles it does not contribute to
 	// the cache key.
@@ -42,24 +44,8 @@ type PrivateAuditRequest struct {
 	// Deployments lists candidate deployments as provider-name lists (each
 	// at least a pair). Empty means audit every provider pair.
 	Deployments [][]string `json:"deployments,omitempty"`
-	// Protocol is "p-sop" (default), "ks" or "cleartext".
-	Protocol string `json:"protocol,omitempty"`
-	// Bits is the KS baseline's Paillier key size (default 512, the
-	// CI-scale setting; 1024 is the paper's). P-SOP's X25519 cipher has one
-	// size, so "p-sop" and "cleartext" ignore Bits and keep it out of the
-	// cache key.
-	Bits int `json:"bits,omitempty"`
-	// MinHashM estimates Jaccard from m-function MinHash signatures
-	// (§4.2.4) instead of full component-sets; required under "ks"
-	// (defaulting to 512 there).
-	MinHashM int `json:"minhash_m,omitempty"`
-	// MinHashThreshold switches to MinHash automatically for providers
-	// whose component-sets exceed it.
-	MinHashThreshold int `json:"minhash_threshold,omitempty"`
-	// KSBlindBits bounds KS blinding-coefficient width (0 = full width).
-	KSBlindBits int `json:"ks_blind_bits,omitempty"`
-	// Workers parallelizes the per-pair protocol rounds and MinHash
-	// signing. Parallelism never changes the report, so like Title it stays
+	// Workers parallelizes the deployments and the P-SOP encryption loops.
+	// Parallelism never changes the report, so like Title it stays
 	// out of the cache key; 0 means the server picks (one per CPU).
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS caps the job's run time; same semantics as audit jobs.
@@ -77,14 +63,9 @@ type providerRef struct {
 // normalizedPrivate is the canonical, defaults-applied form the cache key
 // hashes. Op keeps private-audit keys disjoint from the other job kinds.
 type normalizedPrivate struct {
-	Op               string        `json:"op"` // always "private-audit"
-	Providers        []providerRef `json:"providers"`
-	Deployments      [][]string    `json:"deployments"`
-	Protocol         string        `json:"protocol"`
-	Bits             int           `json:"bits,omitempty"`
-	MinHashM         int           `json:"minhash_m,omitempty"`
-	MinHashThreshold int           `json:"minhash_threshold,omitempty"`
-	KSBlindBits      int           `json:"ks_blind_bits,omitempty"`
+	Op          string        `json:"op"` // always "private-audit"
+	Providers   []providerRef `json:"providers"`
+	Deployments [][]string    `json:"deployments"`
 
 	infos []ProviderInfo // Providers as the response shows them; not in the key
 }
@@ -102,48 +83,12 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 	if len(r.Providers) < 2 {
 		return n, cfg, nil, nil, fmt.Errorf("auditd: need at least two providers, got %d", len(r.Providers))
 	}
-	if r.Bits < 0 || r.MinHashM < 0 || r.MinHashThreshold < 0 || r.KSBlindBits < 0 ||
-		r.Workers < 0 || r.TimeoutMS < 0 {
+	if r.Workers < 0 || r.TimeoutMS < 0 {
 		return n, cfg, nil, nil, fmt.Errorf("auditd: negative option")
 	}
-
-	switch r.Protocol {
-	case "", "p-sop":
-		n.Protocol = "p-sop"
-		cfg.Protocol = pia.ProtocolPSOP
-	case "ks":
-		n.Protocol = "ks"
-		cfg.Protocol = pia.ProtocolKS
-	case "cleartext":
-		n.Protocol = "cleartext"
-		cfg.Protocol = pia.ProtocolCleartext
-	default:
-		return n, cfg, nil, nil, fmt.Errorf("auditd: unknown protocol %q", r.Protocol)
-	}
-	n.MinHashM = r.MinHashM
-	n.MinHashThreshold = r.MinHashThreshold
-	if n.Protocol == "ks" {
-		n.Bits = r.Bits
-		if n.Bits == 0 {
-			n.Bits = 512
-		}
-		if n.Bits < 128 {
-			return n, cfg, nil, nil, fmt.Errorf("auditd: bits=%d too small (need at least 128)", n.Bits)
-		}
-		if n.MinHashM == 0 {
-			n.MinHashM = 512 // KS always estimates via MinHash; pin the default into the key
-		}
-		n.KSBlindBits = r.KSBlindBits
-	}
-	cfg.Bits = n.Bits
-	cfg.MinHashM = n.MinHashM
-	cfg.MinHashThreshold = n.MinHashThreshold
-	cfg.KSBlindBits = n.KSBlindBits
 	cfg.Workers = r.Workers
 
 	// Resolve every provider, then sort them by name for a canonical order.
-	// Only exact P-SOP can audit a provider behind a proxy.
-	exactPSOP := n.Protocol == "p-sop" && n.MinHashM == 0 && n.MinHashThreshold == 0
 	seen := make(map[string]bool, len(r.Providers))
 	regs := make([]registeredProvider, 0, len(r.Providers))
 	for i, p := range r.Providers {
@@ -169,9 +114,6 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 			if reg, ok = lookup(p.Name); !ok {
 				return n, cfg, nil, nil, fmt.Errorf("auditd: unknown provider %q (not registered and no inline components)", p.Name)
 			}
-		}
-		if reg.Endpoint != "" && !exactPSOP {
-			return n, cfg, nil, nil, fmt.Errorf("auditd: provider %q keeps its dataset behind a proxy; only exact p-sop (no minhash) can audit it", p.Name)
 		}
 		regs = append(regs, reg)
 	}
@@ -239,8 +181,9 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 
 // Local normalizes and runs the request in-process with no service — the
 // CLI's offline mode. It applies the exact defaults the service would, so
-// offline and served audits cannot drift; referencing a registered (non-
-// inline) provider is an error, since there is no registry to resolve it.
+// offline and served audits cannot drift; it holds every set, so it counts
+// in cleartext. Referencing a registered (non-inline) provider is an error,
+// since there is no registry to resolve it.
 func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse, error) {
 	n, cfg, provs, deployments, err := r.normalize(nil)
 	if err != nil {
@@ -251,7 +194,7 @@ func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse,
 	if err != nil {
 		return nil, err
 	}
-	resp := PrivateAuditResponseFromReport(rep, n.infos, n.Protocol, time.Since(start))
+	resp := PrivateAuditResponseFromReport(rep, n.infos, time.Since(start))
 	resp.Title = r.Title
 	return resp, nil
 }
@@ -262,7 +205,7 @@ var privateAuditKind = &jobKind{
 	name:       KindPrivateAudit,
 	route:      "/v1/private-audits",
 	hint:       "a private-audit job; use PrivateAuditResult",
-	markers:    []string{"entries", "protocol"},
+	markers:    []string{"entries"},
 	newRequest: func() jobRequest { return new(PrivateAuditRequest) },
 	decodeResult: func(obj []byte, title string) (any, error) {
 		pia := new(PrivateAuditResponse)
@@ -305,7 +248,7 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 				return nil, err
 			}
 			s.m.PrivatePairs.Add(int64(len(deployments)))
-			return PrivateAuditResponseFromReport(rep, n.infos, n.Protocol, time.Since(start)), nil
+			return PrivateAuditResponseFromReport(rep, n.infos, time.Since(start)), nil
 		},
 	}}, nil
 }
@@ -314,56 +257,45 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 // JSON is stable and NaN-safe: values that could be NaN or infinite are
 // omitted rather than encoded, which encoding/json rejects.
 type PrivateAuditResponse struct {
-	Title    string `json:"title,omitempty"`
-	Protocol string `json:"protocol"`
+	Title string `json:"title,omitempty"`
 	// Providers identifies the audited datasets by fingerprint and size —
 	// never by components.
 	Providers []ProviderInfo `json:"providers"`
 	// Pairs is how many deployments (pairs or larger groups) were audited.
-	Pairs   int                     `json:"pairs"`
-	Entries []PrivateAuditEntryWire `json:"entries"`
-	// BytesSent totals the protocol bandwidth across all entries.
-	BytesSent int64 `json:"bytes_sent"`
-	ElapsedNS int64 `json:"elapsed_ns"`
+	Pairs     int                     `json:"pairs"`
+	Entries   []PrivateAuditEntryWire `json:"entries"`
+	ElapsedNS int64                   `json:"elapsed_ns"`
 	// PairsPerSec is the batch throughput; omitted when the elapsed time
 	// was immeasurably small (a +Inf rate is not representable in JSON).
 	PairsPerSec *float64 `json:"pairs_per_sec,omitempty"`
 }
 
 // PrivateAuditEntryWire is one audited deployment, ranked most independent
-// (lowest Jaccard) first.
+// (lowest Jaccard) first. How it was computed — cleartext or P-SOP, and the
+// bytes a ring sent — is in the job's trace counts, not here: one address
+// names one result, whichever path computed it.
 type PrivateAuditEntryWire struct {
 	Providers []string `json:"providers"`
-	// Jaccard is the (exact or MinHash-estimated) similarity; omitted
-	// rather than NaN should a protocol ever fail to compute it.
-	Jaccard *float64 `json:"jaccard,omitempty"`
-	// Estimated marks MinHash-estimated similarities (§4.2.4).
-	Estimated bool  `json:"estimated,omitempty"`
-	BytesSent int64 `json:"bytes_sent,omitempty"`
-	ElapsedNS int64 `json:"elapsed_ns"`
+	// Jaccard is the exact similarity; omitted rather than NaN should a
+	// run ever fail to compute it.
+	Jaccard   *float64 `json:"jaccard,omitempty"`
+	ElapsedNS int64    `json:"elapsed_ns"`
 }
 
 // PrivateAuditResponseFromReport converts a pia report to its wire form —
 // shared by the service worker and CLI clients rendering local audits.
-func PrivateAuditResponseFromReport(rep *report.PIAReport, providers []ProviderInfo, protocol string, elapsed time.Duration) *PrivateAuditResponse {
+func PrivateAuditResponseFromReport(rep *report.PIAReport, providers []ProviderInfo, elapsed time.Duration) *PrivateAuditResponse {
 	out := &PrivateAuditResponse{
-		Protocol:  protocol,
 		Providers: providers,
 		Pairs:     len(rep.Entries),
 		ElapsedNS: elapsed.Nanoseconds(),
 	}
 	for _, e := range rep.Entries {
-		w := PrivateAuditEntryWire{
-			Providers: e.Providers,
-			Estimated: e.Estimated,
-			BytesSent: e.BytesSent,
-			ElapsedNS: e.Elapsed.Nanoseconds(),
-		}
+		w := PrivateAuditEntryWire{Providers: e.Providers, ElapsedNS: e.Elapsed.Nanoseconds()}
 		if !isNaN(e.Jaccard) {
 			j := e.Jaccard
 			w.Jaccard = &j
 		}
-		out.BytesSent += e.BytesSent
 		out.Entries = append(out.Entries, w)
 	}
 	if secs := elapsed.Seconds(); secs > 0 {

@@ -29,7 +29,6 @@ func testPrivateAuditRequest(title string) *PrivateAuditRequest {
 	return &PrivateAuditRequest{
 		Title:     title,
 		Providers: []ProviderWire{{Name: "left"}, {Name: "right"}},
-		Protocol:  "cleartext",
 	}
 }
 
@@ -46,9 +45,10 @@ func registerTestProviders(t *testing.T, s *Server) {
 }
 
 // TestPrivateAuditServed drives the full served flow through the HTTP API
-// and Client: register datasets, audit them by reference, read the ranked
-// result, then resubmit and require a cache hit — the fingerprints did not
-// change, so no protocol rounds may run.
+// and Client: register datasets, audit them by reference — the daemon holds
+// both, so it counts in cleartext and says so in the job's trace — read the
+// ranked result, then resubmit and require a cache hit: the fingerprints did
+// not change, so nothing may be recounted.
 func TestPrivateAuditServed(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
@@ -75,8 +75,12 @@ func TestPrivateAuditServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if end, err := c.WaitDone(ctx, st.ID); err != nil || end.State != StateDone {
+	end, err := c.WaitDone(ctx, st.ID)
+	if err != nil || end.State != StateDone {
 		t.Fatalf("WaitDone = %+v, %v", end, err)
+	}
+	if tc := end.TraceCounts; tc["pia_cleartext_deployments"] != 1 || tc["pia_psop_deployments"] != 0 || tc["psop_bytes_sent"] != 0 {
+		t.Fatalf("trace counts = %v, want one cleartext deployment and no ring", tc)
 	}
 	res, err := c.PrivateAuditResult(ctx, st.ID)
 	if err != nil {
@@ -89,8 +93,8 @@ func TestPrivateAuditServed(t *testing.T) {
 	if got := *res.Entries[0].Jaccard; math.Abs(got-1.0/6) > 1e-9 {
 		t.Fatalf("jaccard = %v, want 1/6", got)
 	}
-	if res.Protocol != "cleartext" || res.Title != "served" {
-		t.Fatalf("result header = %q/%q", res.Protocol, res.Title)
+	if res.Title != "served" {
+		t.Fatalf("result title = %q", res.Title)
 	}
 
 	// The wrong-kind guards on the shared result endpoint.
@@ -162,74 +166,6 @@ func TestPrivateAuditInlineSharesCacheKey(t *testing.T) {
 	}
 	if !st2.Cached || st2.CacheKey != st.CacheKey {
 		t.Fatalf("inline submission missed the cache: %+v vs key %s", st2, st.CacheKey)
-	}
-}
-
-// TestPrivateAuditBitsAddressesKSOnly: bits sizes only the KS baseline's
-// Paillier key, so two p-sop requests that differ only in bits share one
-// address while two such ks requests do not. The address a p-sop request had
-// while bits still keyed it (with the 512-bit default pinned in) is never
-// read again: a result stored there is not served for the request.
-func TestPrivateAuditBitsAddressesKSOnly(t *testing.T) {
-	st := openStore(t, t.TempDir())
-	s := New(Config{Workers: 1, Store: st})
-	defer gracefulShutdown(t, s)
-	registerTestProviders(t, s)
-
-	request := func(protocol string, bits int) *PrivateAuditRequest {
-		req := testPrivateAuditRequest(protocol)
-		req.Protocol, req.Bits = protocol, bits
-		return req
-	}
-	key := func(protocol string, bits int) string {
-		t.Helper()
-		p, err := request(protocol, bits).prepare(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return p.Key
-	}
-	if a, b := key("p-sop", 256), key("p-sop", 2048); a != b {
-		t.Fatalf("p-sop requests differing only in bits address %s and %s", a, b)
-	}
-	if a, b := key("p-sop", 0), key("p-sop", 512); a != b {
-		t.Fatalf("p-sop with default and explicit bits address %s and %s", a, b)
-	}
-	if a, b := key("ks", 256), key("ks", 2048); a == b {
-		t.Fatalf("ks requests differing in bits share the address %s", a)
-	}
-
-	req := request("p-sop", 0)
-	n, _, _, _, err := req.normalize(s.lookupProvider)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := n
-	stale.Bits = 512
-	wrong := 0.99
-	planted, err := encodeResult(privateAuditKind, &PrivateAuditResponse{Protocol: "p-sop", Pairs: 1,
-		Entries: []PrivateAuditEntryWire{{Providers: []string{"left", "right"}, Jaccard: &wrong}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(stale.key(), store.KindResult, planted.envelope()); err != nil {
-		t.Fatal(err)
-	}
-	sub, err := s.PrivateAudit(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := waitDone(t, s, sub.ID)
-	if done.Cached || done.CacheKey == stale.key() || s.Stats().Computations != 1 {
-		t.Fatalf("the p-sop request was answered from its pre-change address: %+v", done)
-	}
-	res, err := s.Result(sub.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr, ok := res.(*PrivateAuditResponse)
-	if !ok || len(pr.Entries) != 1 || pr.Entries[0].Jaccard == nil || math.Abs(*pr.Entries[0].Jaccard-1.0/6) > 1e-9 {
-		t.Fatalf("result = %#v, want one entry with Jaccard 1/6", res)
 	}
 }
 
@@ -350,13 +286,49 @@ func TestPrivateAuditJournalRecovery(t *testing.T) {
 	waitNoJournal(t, st2)
 }
 
+// TestPrivateAuditRecoversParentJournal: a journal record written before the
+// request lost its protocol options — a "ks" audit estimated from 64-function
+// MinHash signatures — is replayed at boot, and the options it still carries
+// are ignored: the job completes with the exact Jaccard of the held sets.
+func TestPrivateAuditRecoversParentJournal(t *testing.T) {
+	dir := t.TempDir()
+	st1 := openStore(t, dir)
+	s1 := New(Config{Workers: 1, Store: st1})
+	registerTestProviders(t, s1)
+	gracefulShutdown(t, s1)
+
+	st2 := openStore(t, dir)
+	record := `{"kind":"private-audit","request":{"title":"crash-me","providers":[{"name":"left"},{"name":"right"}],"protocol":"ks","minhash_m":64}}`
+	if _, err := st2.Put(journalKey("job-000007"), store.KindJob, []byte(record)); err != nil {
+		t.Fatal(err)
+	}
+	s2 := New(Config{Workers: 1, Store: st2})
+	defer gracefulShutdown(t, s2)
+	if n, err := s2.RecoverJobs(); err != nil || n != 1 {
+		t.Fatalf("RecoverJobs = %d, %v; want 1 job", n, err)
+	}
+	done := waitDone(t, s2, "job-000007")
+	if done.State != StateDone || !done.Recovered {
+		t.Fatalf("recovered job = %+v, want done+recovered", done)
+	}
+	res, err := s2.Result("job-000007")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, ok := res.(*PrivateAuditResponse)
+	if !ok || len(pr.Entries) != 1 || pr.Entries[0].Jaccard == nil || *pr.Entries[0].Jaccard != 1.0/6 {
+		t.Fatalf("recovered result = %#v, want the exact Jaccard 1/6", res)
+	}
+	waitNoJournal(t, st2)
+}
+
 // TestPrivateAuditResponseGoldenJSON pins the wire encoding against a
-// golden file, including the NaN paths: a NaN Jaccard and a zero-elapsed
+// golden file — a ring's byte count stays off it — including the NaN paths: a NaN Jaccard and a zero-elapsed
 // throughput are omitted rather than emitted (encoding/json rejects NaN),
 // and the encoding round-trips.
 func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 	rep := &report.PIAReport{Entries: []report.PIAEntry{
-		{Providers: []string{"left", "right"}, Jaccard: 0.25, Estimated: true,
+		{Providers: []string{"left", "right"}, Jaccard: 0.25,
 			BytesSent: 4096, Elapsed: 5 * time.Millisecond},
 		{Providers: []string{"left", "mid"}, Jaccard: math.NaN()},
 	}}
@@ -365,7 +337,7 @@ func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 		{Name: "mid", Fingerprint: "fp-mid", Components: 2},
 		{Name: "right", Fingerprint: "fp-right", Components: 3},
 	}
-	res := PrivateAuditResponseFromReport(rep, infos, "p-sop", 2*time.Second)
+	res := PrivateAuditResponseFromReport(rep, infos, 2*time.Second)
 	res.Title = "golden"
 
 	got, err := json.MarshalIndent(res, "", "  ")
@@ -394,7 +366,7 @@ func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 	if back.Entries[1].Jaccard != nil {
 		t.Fatalf("NaN jaccard round-tripped as %v, want omitted", *back.Entries[1].Jaccard)
 	}
-	if back.Entries[0].Jaccard == nil || *back.Entries[0].Jaccard != 0.25 || !back.Entries[0].Estimated {
+	if back.Entries[0].Jaccard == nil || *back.Entries[0].Jaccard != 0.25 {
 		t.Fatalf("entry 0 mangled: %+v", back.Entries[0])
 	}
 	if back.PairsPerSec == nil || *back.PairsPerSec != 1 {
@@ -402,7 +374,7 @@ func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 	}
 
 	// Zero elapsed: the rate is +Inf and must be omitted, not encoded.
-	instant := PrivateAuditResponseFromReport(rep, infos, "p-sop", 0)
+	instant := PrivateAuditResponseFromReport(rep, infos, 0)
 	if instant.PairsPerSec != nil {
 		t.Fatalf("zero-elapsed PairsPerSec = %v, want nil", *instant.PairsPerSec)
 	}

@@ -1,6 +1,8 @@
 package auditd
 
 import (
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -238,7 +240,9 @@ func TestRecommendNormalizeErrors(t *testing.T) {
 }
 
 // TestPrivateAuditNormalizeErrors pins every rejection path of
-// PrivateAuditRequest.normalize with the message fragment a client sees.
+// PrivateAuditRequest.normalize with the message fragment a client sees, and
+// that a body setting an option the request no longer has — where a dataset
+// lives picks the protocol — is a 400 naming the field.
 func TestPrivateAuditNormalizeErrors(t *testing.T) {
 	valid := func() *PrivateAuditRequest {
 		return &PrivateAuditRequest{
@@ -254,14 +258,8 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 		wantErr string
 	}{
 		{"one provider", func(r *PrivateAuditRequest) { r.Providers = r.Providers[:1] }, "at least two providers"},
-		{"negative bits", func(r *PrivateAuditRequest) { r.Bits = -1 }, "negative option"},
-		{"negative minhash_m", func(r *PrivateAuditRequest) { r.MinHashM = -1 }, "negative option"},
-		{"negative minhash_threshold", func(r *PrivateAuditRequest) { r.MinHashThreshold = -1 }, "negative option"},
-		{"negative ks_blind_bits", func(r *PrivateAuditRequest) { r.KSBlindBits = -1 }, "negative option"},
 		{"negative workers", func(r *PrivateAuditRequest) { r.Workers = -1 }, "negative option"},
 		{"negative timeout", func(r *PrivateAuditRequest) { r.TimeoutMS = -1 }, "negative option"},
-		{"unknown protocol", func(r *PrivateAuditRequest) { r.Protocol = "magic" }, `unknown protocol "magic"`},
-		{"bits too small", func(r *PrivateAuditRequest) { r.Protocol, r.Bits = "ks", 64 }, "too small"},
 		{"unnamed provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "" }, "has no name"},
 		{"duplicate provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "a" }, `duplicate provider "a"`},
 		{"empty component name", func(r *PrivateAuditRequest) { r.Providers[0].Components = []string{"c1", ""} }, "empty component name"},
@@ -282,6 +280,32 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 		})
 	}
 
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+	const providers = `"providers":[{"name":"a","components":["c1","c2"]},{"name":"b","components":["c2","c3"]}]`
+	for _, tc := range []struct{ name, option, field string }{
+		{"negative bits", `"bits":-1`, "bits"},
+		{"negative minhash_m", `"minhash_m":-1`, "minhash_m"},
+		{"negative minhash_threshold", `"minhash_threshold":-1`, "minhash_threshold"},
+		{"negative ks_blind_bits", `"ks_blind_bits":-1`, "ks_blind_bits"},
+		{"unknown protocol", `"protocol":"magic"`, "protocol"},
+		{"bits too small", `"protocol":"ks","bits":64`, "protocol"},
+		{"p-sop", `"protocol":"p-sop"`, "protocol"},
+		{"minhash", `"minhash_m":64`, "minhash_m"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := httptest.NewRecorder()
+			body := "{" + providers + "," + tc.option + "}"
+			s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/private-audits", strings.NewReader(body)))
+			if w.Code != 400 || !strings.Contains(w.Body.String(), `unknown field \"`+tc.field+`\"`) {
+				t.Fatalf("%s: %d %s, want a 400 naming %q", body, w.Code, w.Body, tc.field)
+			}
+		})
+	}
+	if n := s.Stats().PrivateAudits; n != 0 {
+		t.Fatalf("%d refused bodies were accepted as private audits", n)
+	}
+
 	// An unknown reference with a registry present names the provider.
 	ref := valid()
 	ref.Providers[0].Components = nil
@@ -291,9 +315,9 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 	}
 }
 
-// TestPrivateAuditNormalizeDefaults pins the canonical form: protocol and
-// KS key-size defaults land in the key, parallelism and titles stay out of
-// it, and deployment lists canonicalize order-insensitively.
+// TestPrivateAuditNormalizeDefaults pins the canonical form: providers and
+// deployments are the whole key, parallelism and titles stay out of it, and
+// deployment lists canonicalize order-insensitively.
 func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 	base := &PrivateAuditRequest{
 		Providers: []ProviderWire{
@@ -302,12 +326,9 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 			{Name: "c", Components: []string{"c4"}},
 		},
 	}
-	n, cfg, provs, deps, err := base.normalize(nil)
+	n, _, provs, deps, err := base.normalize(nil)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n.Protocol != "p-sop" || n.Bits != 0 || cfg.Bits != 0 {
-		t.Fatalf("defaults: %+v", n)
 	}
 	if len(provs) != 3 || provs[0].Name != "a" || provs[2].Name != "c" {
 		t.Fatalf("providers not sorted: %+v", provs)
@@ -334,28 +355,5 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 	}
 	if n2.key() != key {
 		t.Fatalf("key drifted on non-semantic fields:\n%s\nvs\n%s", n2.key(), key)
-	}
-
-	// KS always estimates via MinHash: the default m and the default
-	// Paillier size are pinned into the key.
-	ks := &PrivateAuditRequest{Providers: base.Providers, Protocol: "ks"}
-	nks, cfgKS, _, _, err := ks.normalize(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nks.MinHashM != 512 || cfgKS.MinHashM != 512 || nks.Bits != 512 || cfgKS.Bits != 512 {
-		t.Fatalf("ks defaults: %+v", nks)
-	}
-
-	// Cleartext ignores bits entirely, so it cannot split the key space.
-	c1 := &PrivateAuditRequest{Providers: base.Providers, Protocol: "cleartext"}
-	c2 := &PrivateAuditRequest{Providers: base.Providers, Protocol: "cleartext", Bits: 2048}
-	nc1, _, _, _, err1 := c1.normalize(nil)
-	nc2, _, _, _, err2 := c2.normalize(nil)
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if nc1.key() != nc2.key() {
-		t.Fatal("cleartext bits leaked into the cache key")
 	}
 }

@@ -227,8 +227,8 @@ func TestClusterForwardRelaysEveryKindAsBytes(t *testing.T) {
 			return coord.c.Recommend(ctx, &auditd.RecommendRequest{Records: clusterRecords(), Replicas: 2, TopK: 1 + salt})
 		},
 		"private-audit": func(salt int) (auditd.JobStatus, error) {
-			return coord.c.PrivateAudit(ctx, &auditd.PrivateAuditRequest{Protocol: "cleartext", MinHashThreshold: 100 + salt, Providers: []auditd.ProviderWire{
-				{Name: "left", Components: []string{"pkg:a", "pkg:shared"}},
+			return coord.c.PrivateAudit(ctx, &auditd.PrivateAuditRequest{Providers: []auditd.ProviderWire{
+				{Name: "left", Components: []string{"pkg:a", "pkg:shared", fmt.Sprintf("pkg:salt-%d", salt)}},
 				{Name: "right", Components: []string{"pkg:x", "pkg:shared"}},
 			}})
 		},

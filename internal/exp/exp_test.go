@@ -3,8 +3,6 @@ package exp
 import (
 	"strings"
 	"testing"
-
-	"indaas/internal/pia"
 )
 
 // TestFig6aAcceptance reproduces the §6.2.1 case study end to end and
@@ -48,7 +46,7 @@ func TestFig6bAcceptance(t *testing.T) {
 // TestTable2Acceptance reproduces Table 2 with exact cleartext Jaccards
 // (every entry within tolerance, both rankings identical).
 func TestTable2Acceptance(t *testing.T) {
-	res, err := RunTable2(Table2Config{Protocol: pia.ProtocolCleartext})
+	res, err := RunTable2(Table2Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,11 +62,11 @@ func TestTable2PrivateMatchesCleartext(t *testing.T) {
 	if testing.Short() {
 		t.Skip("private protocol run")
 	}
-	clear, err := RunTable2(Table2Config{Protocol: pia.ProtocolCleartext})
+	clear, err := RunTable2(Table2Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := RunTable2(Table2Config{Protocol: pia.ProtocolPSOP})
+	priv, err := RunTable2(Table2Config{Private: true})
 	if err != nil {
 		t.Fatal(err)
 	}

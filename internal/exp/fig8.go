@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"indaas/internal/psi"
+	"indaas/internal/psi/ks"
 )
 
 // Fig8Point is one protocol measurement.
@@ -32,7 +33,7 @@ type Fig8Config struct {
 	// Bits is KS's Paillier key size (paper: 1024; default 512 keeps the
 	// laptop-scale run fast). P-SOP's X25519 cipher has one size.
 	Bits int
-	// KSBlindBits bounds KS blinding coefficients (see psi.KSConfig).
+	// KSBlindBits bounds KS blinding coefficients (see ks.Config).
 	KSBlindBits int
 	// Overlap is the fraction of elements shared across parties.
 	Overlap float64
@@ -112,7 +113,7 @@ func RunFig8(cfg Fig8Config) (*Fig8Result, error) {
 			var r *psi.Result
 			elapsed, err := timed(func() error {
 				var err error
-				r, err = psi.KS(psi.KSConfig{Bits: cfg.Bits, BlindBits: cfg.KSBlindBits}, sets)
+				r, err = ks.Run(ks.Config{Bits: cfg.Bits, BlindBits: cfg.KSBlindBits}, sets)
 				return err
 			})
 			if err != nil {

@@ -5,7 +5,9 @@ import (
 	"time"
 
 	"indaas/internal/faultgraph"
+	"indaas/internal/minhash"
 	"indaas/internal/pia"
+	"indaas/internal/psi/ks"
 	"indaas/internal/riskgroup"
 )
 
@@ -135,9 +137,14 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 			}
 			res.Points = append(res.Points, Fig9Point{Method: "SIA-sampling", Providers: m, Arity: arity, Elapsed: elapsed})
 
-			// PIA with P-SOP.
+			// PIA with P-SOP: each provider keeps its set behind its own
+			// party, as if it ran a proxy.
+			parties := make([]pia.Provider, len(providers))
+			for i, p := range providers {
+				parties[i] = pia.AsParty(p, 0)
+			}
 			elapsed, err = timed(func() error {
-				_, err := pia.AuditDeployments(pia.Config{Protocol: pia.ProtocolPSOP}, providers, deployments)
+				_, err := pia.AuditDeployments(pia.Config{}, parties, deployments)
 				return err
 			})
 			if err != nil {
@@ -147,13 +154,7 @@ func RunFig9(cfg Fig9Config) (*Fig9Result, error) {
 
 			// PIA with KS.
 			if !cfg.SkipKS {
-				elapsed, err = timed(func() error {
-					_, err := pia.AuditDeployments(pia.Config{
-						Protocol: pia.ProtocolKS, Bits: cfg.Bits,
-						MinHashM: cfg.KSMinHashM, KSBlindBits: cfg.KSBlindBits,
-					}, providers, deployments)
-					return err
-				})
+				elapsed, err = timed(func() error { return fig9KS(cfg, providers, deployments) })
 				if err != nil {
 					return nil, fmt.Errorf("fig9: PIA-KS m=%d: %w", m, err)
 				}
@@ -179,6 +180,35 @@ func fig9Providers(m, n int, overlap float64) []pia.Provider {
 		out[i] = pia.Provider{Name: fmt.Sprintf("Cloud%d", i+1), Components: comps}
 	}
 	return out
+}
+
+// fig9KS audits every deployment as PIA-KS: each provider signs its set
+// with m-function MinHash (§4.2.4), because KS yields only |∩| and its cost
+// is quadratic in the set size, and KS counts the signature elements every
+// member shares (J ≈ |∩|/m).
+func fig9KS(cfg Fig9Config, providers []pia.Provider, deployments []pia.Deployment) error {
+	h, err := minhash.NewHasher(cfg.KSMinHashM)
+	if err != nil {
+		return err
+	}
+	sigs := make([][]string, len(providers))
+	for i, p := range providers {
+		sig, err := h.Sign(p.Components)
+		if err != nil {
+			return err
+		}
+		sigs[i] = sig.Elements()
+	}
+	for _, d := range deployments {
+		sets := make([][]string, len(d))
+		for i, idx := range d {
+			sets[i] = sigs[idx]
+		}
+		if _, err := ks.Run(ks.Config{Bits: cfg.Bits, BlindBits: cfg.KSBlindBits}, sets); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // fig9SIA evaluates every deployment at the component-set level with the

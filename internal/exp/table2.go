@@ -28,17 +28,19 @@ type Table2Result struct {
 
 // Table2Config tunes the experiment.
 type Table2Config struct {
-	// Protocol selects the PIA mechanism (default ProtocolPSOP with exact
-	// cardinalities, as in the paper's case study; ProtocolCleartext for
-	// fast validation runs).
-	Protocol pia.Protocol
+	// Private runs the paper's case study as it was deployed: each cloud
+	// keeps its own package list, as if behind its own proxy, so every
+	// deployment runs P-SOP. False counts the overlaps in cleartext, as the
+	// trusted auditor that holds every list; both give the same exact
+	// Jaccards.
+	Private bool
 }
 
 // RunTable2 reproduces Table 2: the four clouds run their software
 // dependency acquisition (apt-rdepends closures of Riak, MongoDB, Redis and
-// CouchDB), normalize the package identifiers, and PIA privately computes
-// and ranks the Jaccard similarity of every two- and three-way redundancy
-// deployment.
+// CouchDB), normalize the package identifiers, and PIA computes — privately,
+// over P-SOP, when cfg.Private — and ranks the Jaccard similarity of every
+// two- and three-way redundancy deployment.
 func RunTable2(cfg Table2Config) (*Table2Result, error) {
 	u, roots := swpkg.KeyValueStoreUniverse()
 	providers := make([]pia.Provider, len(roots))
@@ -54,11 +56,16 @@ func RunTable2(cfg Table2Config) (*Table2Result, error) {
 		}
 		providers[i] = pia.Provider{Name: fmt.Sprintf("Cloud%d", i+1), Components: comps}
 	}
-	piaCfg := pia.Config{Protocol: cfg.Protocol}
-	res := &Table2Result{Protocol: cfg.Protocol.String()}
+	res := &Table2Result{Protocol: "cleartext"}
+	if cfg.Private {
+		res.Protocol = "p-sop"
+		for i, p := range providers {
+			providers[i] = pia.AsParty(p, 0)
+		}
+	}
 
 	run := func(deployments []pia.Deployment) ([]Table2Entry, error) {
-		rep, err := pia.AuditDeployments(piaCfg, providers, deployments)
+		rep, err := pia.AuditDeployments(pia.Config{}, providers, deployments)
 		if err != nil {
 			return nil, err
 		}

@@ -27,33 +27,26 @@ func normalizeReport(t *testing.T, v any) string {
 	return elapsedField.ReplaceAllString(string(b), `"elapsed_ns":0`)
 }
 
-// TestParallelMatchesSequential: for every protocol, workers=4 produces the
-// same ranked report as workers=1 — minima merges and cardinalities are
-// order-free, so parallelism cannot change a single byte.
+// TestParallelMatchesSequential: held (cleartext) and proxied (P-SOP)
+// deployments alike, workers=4 produces the same ranked report as workers=1
+// — cardinalities are order-free, so parallelism cannot change a single
+// byte.
 func TestParallelMatchesSequential(t *testing.T) {
-	providers := fourProviders()
 	cases := []struct {
-		name string
-		cfg  Config
+		name      string
+		providers []Provider
 	}{
-		{"cleartext", Config{Protocol: ProtocolCleartext}},
-		{"cleartext minhash", Config{Protocol: ProtocolCleartext, MinHashM: 128}},
-		{"p-sop", Config{Protocol: ProtocolPSOP}},
-		{"p-sop minhash", Config{Protocol: ProtocolPSOP, MinHashM: 64}},
-		{"ks", Config{Protocol: ProtocolKS, Bits: 128, MinHashM: 64}},
+		{"cleartext", fourProviders()},
+		{"p-sop", asParties(fourProviders())},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			seq := tc.cfg
-			seq.Workers = 1
-			par := tc.cfg
-			par.Workers = 4
 			deployments := append(AllPairs(4), AllTriples(4)...)
-			repSeq, err := AuditDeployments(seq, providers, deployments)
+			repSeq, err := AuditDeployments(Config{Workers: 1}, tc.providers, deployments)
 			if err != nil {
 				t.Fatal(err)
 			}
-			repPar, err := AuditDeployments(par, providers, deployments)
+			repPar, err := AuditDeployments(Config{Workers: 4}, tc.providers, deployments)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +60,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 // TestParallelWorkerCap: more workers than deployments is fine — the pool
 // shrinks to the work available.
 func TestParallelWorkerCap(t *testing.T) {
-	rep, err := AuditDeployments(Config{Protocol: ProtocolCleartext, Workers: 64},
+	rep, err := AuditDeployments(Config{Workers: 64},
 		fourProviders(), AllPairs(4))
 	if err != nil || len(rep.Entries) != 6 {
 		t.Fatalf("rep = %v, err = %v", rep, err)
@@ -78,7 +71,7 @@ func TestParallelWorkerCap(t *testing.T) {
 // batch fails the whole audit with that deployment's error.
 func TestParallelErrorPropagates(t *testing.T) {
 	deployments := append(AllPairs(4), Deployment{0, 99})
-	_, err := AuditDeployments(Config{Protocol: ProtocolCleartext, Workers: 4},
+	_, err := AuditDeployments(Config{Workers: 4},
 		fourProviders(), deployments)
 	if err == nil {
 		t.Fatal("out-of-range provider accepted by the parallel path")
@@ -91,7 +84,7 @@ func TestCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		_, err := AuditDeploymentsContext(ctx, Config{Protocol: ProtocolCleartext, Workers: workers},
+		_, err := AuditDeploymentsContext(ctx, Config{Workers: workers},
 			fourProviders(), AllPairs(4))
 		if err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
@@ -108,11 +101,11 @@ func TestCancellationMidRun(t *testing.T) {
 	for i := range big {
 		big[i] = fmt.Sprintf("pkg:p%03d", i)
 	}
-	providers := []Provider{
+	providers := asParties([]Provider{
 		{Name: "A", Components: append([]string{"uniq-a"}, big...)},
 		{Name: "B", Components: append([]string{"uniq-b"}, big...)},
-	}
-	_, err := AuditDeploymentsContext(ctx, Config{Protocol: ProtocolPSOP, Workers: 2},
+	})
+	_, err := AuditDeploymentsContext(ctx, Config{Workers: 2},
 		providers, []Deployment{{0, 1}, {1, 0}, {0, 1}})
 	if err == nil {
 		t.Fatal("timed-out audit completed")
@@ -120,12 +113,16 @@ func TestCancellationMidRun(t *testing.T) {
 }
 
 // TestTraceReceivesPairs: a telemetry trace on the context records the
-// pia-pairs phase and the audited pair count.
+// pia-pairs phase, the audited pair count and how each deployment ran: with
+// CloudA keeping its own dataset, its three pairs run P-SOP and the other
+// three are counted in cleartext.
 func TestTraceReceivesPairs(t *testing.T) {
 	tr := telemetry.New()
 	ctx := telemetry.WithTrace(context.Background(), tr)
-	if _, err := AuditDeploymentsContext(ctx, Config{Protocol: ProtocolCleartext, Workers: 2},
-		fourProviders(), AllPairs(4)); err != nil {
+	providers := fourProviders()
+	providers[0] = AsParty(providers[0], 1)
+	rep, err := AuditDeploymentsContext(ctx, Config{Workers: 2}, providers, AllPairs(4))
+	if err != nil {
 		t.Fatal(err)
 	}
 	var sawPhase bool
@@ -137,7 +134,13 @@ func TestTraceReceivesPairs(t *testing.T) {
 	if !sawPhase {
 		t.Fatalf("trace phases = %+v, want pia-pairs", tr.Snapshot())
 	}
-	if got := tr.Counts()["pairs_audited"]; got != 6 {
-		t.Fatalf("pairs_audited = %d, want 6", got)
+	var sent int64
+	for _, e := range rep.Entries {
+		sent += e.BytesSent
+	}
+	counts := tr.Counts()
+	if counts["pairs_audited"] != 6 || counts["pia_psop_deployments"] != 3 || counts["pia_cleartext_deployments"] != 3 ||
+		sent == 0 || counts["psop_bytes_sent"] != sent {
+		t.Fatalf("trace counts = %v, want 6 pairs, 3 p-sop, 3 cleartext and %d bytes", counts, sent)
 	}
 }

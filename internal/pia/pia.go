@@ -1,21 +1,18 @@
-// Package pia implements Private Independence Auditing (§4.2): Jaccard
-// similarity over normalized component-sets, computed either exactly through
-// the P-SOP private set intersection cardinality protocol, approximately
-// through MinHash + P-SOP for large component-sets (§4.2.4), or through the
-// Kissner–Song baseline (§6.3.2). A cleartext mode exists for validation and
-// for the SIA-vs-PIA comparison of Fig. 9.
+// Package pia implements Private Independence Auditing (§4.2): the Jaccard
+// similarity of normalized component-sets, for every candidate redundancy
+// deployment, ranked most independent first.
+//
+// Where a dataset lives decides how it is intersected. A deployment whose
+// every component-set this process holds is counted in cleartext: the holder
+// already sees each set, so a cipher would hide nothing from it (the trusted
+// auditor of §6.3.3). A deployment with a member that keeps its own dataset
+// (Provider.Party) runs the P-SOP ring of package psi, and the members this
+// process holds join it through psi.NewParty. Both give the exact |∩|/|∪|.
 //
 // Security model (§4.2.1): providers are honest but curious and do not
-// collude. Under ProtocolPSOP and ProtocolKS each provider learns only the
-// intersection cardinality |∩| (and, for P-SOP, the union cardinality |∪|)
-// of the audited component-sets — equivalently the Jaccard similarity — and
-// never another provider's raw components. MinHash compression preserves
-// that boundary by running the protocols over signature elements (§4.2.4).
-// ProtocolCleartext deliberately has no privacy: it is the trusted-auditor
-// comparison point of §6.3.3 and the validation oracle for the private
-// protocols. A provider whose dataset never enters this process takes part
-// through its own psi.Party (Provider.Party), which exact P-SOP alone can
-// audit.
+// collude. Under P-SOP each party learns only |∩| and |∪| of the audited
+// component-sets — equivalently the Jaccard similarity — and never another
+// party's raw components.
 package pia
 
 import (
@@ -27,7 +24,6 @@ import (
 	"time"
 
 	"indaas/internal/deps"
-	"indaas/internal/minhash"
 	"indaas/internal/psi"
 	"indaas/internal/report"
 	"indaas/internal/telemetry"
@@ -40,63 +36,25 @@ type Provider struct {
 	Name       string
 	Components []string
 	// Party, when set, returns the provider's P-SOP party for one ring of
-	// the given size; Components stays empty. Only exact P-SOP can audit
-	// such a provider: every other mode reads the components.
+	// the given size; Components stays empty. Every deployment the provider
+	// is in runs P-SOP.
 	Party func(ring int) psi.Party
 }
 
-// Protocol selects the private computation mechanism.
-type Protocol int
-
-const (
-	// ProtocolPSOP uses the commutative-encryption ring protocol.
-	ProtocolPSOP Protocol = iota
-	// ProtocolKS uses the Kissner–Song-style baseline. Because KS yields
-	// only the intersection cardinality, the Jaccard similarity is always
-	// estimated via MinHash signatures under this protocol (the MinHashM
-	// default applies when unset).
-	ProtocolKS
-	// ProtocolCleartext computes the same quantities without privacy —
-	// the trusted-auditor comparison point of §6.3.3.
-	ProtocolCleartext
-)
-
-// String names the protocol.
-func (p Protocol) String() string {
-	switch p {
-	case ProtocolPSOP:
-		return "p-sop"
-	case ProtocolKS:
-		return "ks"
-	case ProtocolCleartext:
-		return "cleartext"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
-	}
+// AsParty returns p as a provider that keeps its own dataset, as if it ran a
+// proxy: every deployment it is in runs P-SOP, its set behind a fresh
+// psi.NewParty per ring. The experiments time the protocol this way.
+func AsParty(p Provider, workers int) Provider {
+	comps := p.Components
+	return Provider{Name: p.Name, Party: func(int) psi.Party { return psi.NewParty(comps, workers) }}
 }
 
 // Config tunes a PIA run.
 type Config struct {
-	Protocol Protocol
-	// Bits is the Paillier key size of the KS baseline (default 1024).
-	// P-SOP's X25519 cipher has one fixed size.
-	Bits int
-	// MinHashM, when non-zero, estimates Jaccard from m-function MinHash
-	// signatures instead of the full component-sets (§4.2.4). Required
-	// (defaulting to 512) under ProtocolKS.
-	MinHashM int
-	// MinHashThreshold, when non-zero, switches to MinHash automatically for
-	// providers whose component-sets exceed the threshold ("if cloud
-	// providers ... have large component-sets", §4.2.4). MinHashM (or its
-	// default 512) gives the signature width.
-	MinHashThreshold int
-	// KSBlindBits forwards to psi.KSConfig.BlindBits.
-	KSBlindBits int
 	// Workers bounds how many deployments are audited concurrently and is
-	// also the parallelism of MinHash signing and the P-SOP encryption
-	// loops inside each pair. Minima and cardinalities are order-free, so
-	// the report is identical for every worker count; 0 or 1 is the
-	// sequential path.
+	// also the parallelism of the P-SOP encryption loops inside each
+	// deployment. Cardinalities are order-free, so the report is identical
+	// for every worker count; 0 or 1 is the sequential path.
 	Workers int
 }
 
@@ -112,10 +70,11 @@ func AuditDeployments(cfg Config, providers []Provider, deployments []Deployment
 }
 
 // AuditDeploymentsContext is AuditDeployments with cancellation and
-// parallelism: deployments are fanned across cfg.Workers goroutines, each
-// running the full per-pair protocol, and the run aborts with ctx's error
-// once the context ends. A telemetry trace attached to ctx receives the
-// "pia-pairs" phase and the pairs_audited count.
+// parallelism: deployments are fanned across cfg.Workers goroutines, and
+// the run aborts with ctx's error once the context ends. A telemetry trace attached to ctx receives the "pia-pairs"
+// phase and how each deployment ran: the pairs_audited,
+// pia_cleartext_deployments and pia_psop_deployments counts and the P-SOP
+// bandwidth, psop_bytes_sent.
 func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provider, deployments []Deployment) (*report.PIAReport, error) {
 	if len(providers) < 2 {
 		return nil, fmt.Errorf("pia: need at least two providers, got %d", len(providers))
@@ -124,13 +83,7 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 		if p.Name == "" {
 			return nil, fmt.Errorf("pia: provider %d has no name", i)
 		}
-		if p.Party != nil {
-			if cfg.Protocol != ProtocolPSOP || cfg.MinHashM > 0 || cfg.MinHashThreshold > 0 {
-				return nil, fmt.Errorf("pia: provider %q holds its own dataset; only exact p-sop can audit it", p.Name)
-			}
-			continue
-		}
-		if len(p.Components) == 0 {
+		if p.Party == nil && len(p.Components) == 0 {
 			return nil, fmt.Errorf("pia: provider %q has an empty component-set", p.Name)
 		}
 	}
@@ -141,8 +94,7 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 	endPairs := tr.Start("pia-pairs")
 	defer endPairs()
 
-	rep := &report.PIAReport{Title: fmt.Sprintf("%d providers, %d deployments (%s)",
-		len(providers), len(deployments), cfg.Protocol)}
+	rep := &report.PIAReport{Title: fmt.Sprintf("%d providers, %d deployments", len(providers), len(deployments))}
 	entries := make([]report.PIAEntry, len(deployments))
 	workers := cfg.Workers
 	if workers > len(deployments) {
@@ -197,6 +149,14 @@ func AuditDeploymentsContext(ctx context.Context, cfg Config, providers []Provid
 		}
 	}
 	tr.Add("pairs_audited", int64(len(deployments)))
+	for _, e := range entries {
+		if e.BytesSent > 0 { // a ring ran: P-SOP over non-empty sets always sends
+			tr.Add("pia_psop_deployments", 1)
+			tr.Add("psop_bytes_sent", e.BytesSent)
+		} else {
+			tr.Add("pia_cleartext_deployments", 1)
+		}
+	}
 	rep.Entries = entries
 	rep.Rank()
 	return rep, nil
@@ -211,129 +171,47 @@ func auditOne(ctx context.Context, cfg Config, providers []Provider, d Deploymen
 	}
 	names := make([]string, len(d))
 	sets := make([][]string, len(d))
-	maxSet := 0
+	proxied := false
 	for i, idx := range d {
 		if idx < 0 || idx >= len(providers) {
 			return nil, fmt.Errorf("pia: deployment references unknown provider %d", idx)
 		}
 		names[i] = providers[idx].Name
 		sets[i] = providers[idx].Components
-		if len(sets[i]) > maxSet {
-			maxSet = len(sets[i])
-		}
-	}
-
-	useMinHash := cfg.MinHashM > 0 ||
-		cfg.Protocol == ProtocolKS ||
-		(cfg.MinHashThreshold > 0 && maxSet > cfg.MinHashThreshold)
-	m := cfg.MinHashM
-	if useMinHash && m == 0 {
-		m = 512
+		proxied = proxied || providers[idx].Party != nil
 	}
 
 	start := time.Now()
-	var jaccard float64
-	var bytes int64
-	switch {
-	case cfg.Protocol == ProtocolCleartext && !useMinHash:
+	entry := &report.PIAEntry{Providers: names}
+	if !proxied {
 		inter, union, err := psi.CleartextCardinality(sets)
 		if err != nil {
 			return nil, err
 		}
 		if union > 0 {
-			jaccard = float64(inter) / float64(union)
+			entry.Jaccard = float64(inter) / float64(union)
 		}
-	case cfg.Protocol == ProtocolCleartext && useMinHash:
-		sigs, err := signAll(sets, m, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		est, err := minhash.Estimate(sigs...)
-		if err != nil {
-			return nil, err
-		}
-		jaccard = est
-	case cfg.Protocol == ProtocolPSOP && !useMinHash:
-		parties := make([]psi.Party, len(d))
-		for i, idx := range d {
-			if p := providers[idx]; p.Party != nil {
-				parties[i] = p.Party(len(d))
-			} else {
-				parties[i] = psi.NewParty(sets[i], cfg.Workers)
-			}
-		}
-		res, err := psi.Ring(ctx, parties)
-		if err != nil {
-			return nil, err
-		}
-		j, err := res.Jaccard()
-		if err != nil {
-			return nil, err
-		}
-		jaccard = j
-		bytes = res.Stats.BytesSent
-	case cfg.Protocol == ProtocolPSOP && useMinHash:
-		// §4.2.4: run P-SOP over the signature elements; the agreement
-		// count is |∩ of signatures| and J ≈ |∩|/m.
-		sigSets, err := signatureElements(sets, m, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		res, err := psi.PSOPContext(ctx, psi.PSOPConfig{Workers: cfg.Workers}, sigSets)
-		if err != nil {
-			return nil, err
-		}
-		jaccard = float64(res.Intersection) / float64(m)
-		bytes = res.Stats.BytesSent
-	case cfg.Protocol == ProtocolKS:
-		sigSets, err := signatureElements(sets, m, cfg.Workers)
-		if err != nil {
-			return nil, err
-		}
-		res, err := psi.KS(psi.KSConfig{Bits: cfg.Bits, BlindBits: cfg.KSBlindBits}, sigSets)
-		if err != nil {
-			return nil, err
-		}
-		jaccard = float64(res.Intersection) / float64(m)
-		bytes = res.Stats.BytesSent
-	default:
-		return nil, fmt.Errorf("pia: unknown protocol %v", cfg.Protocol)
+		entry.Elapsed = time.Since(start)
+		return entry, nil
 	}
-	return &report.PIAEntry{
-		Providers: names,
-		Jaccard:   jaccard,
-		Estimated: useMinHash,
-		BytesSent: bytes,
-		Elapsed:   time.Since(start),
-	}, nil
-}
-
-func signAll(sets [][]string, m, workers int) ([]minhash.Signature, error) {
-	h, err := minhash.NewHasher(m)
+	parties := make([]psi.Party, len(d))
+	for i, idx := range d {
+		if p := providers[idx]; p.Party != nil {
+			parties[i] = p.Party(len(d))
+		} else {
+			parties[i] = psi.NewParty(sets[i], cfg.Workers)
+		}
+	}
+	res, err := psi.Ring(ctx, parties)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]minhash.Signature, len(sets))
-	for i, s := range sets {
-		sig, err := h.SignParallel(s, workers)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sig
-	}
-	return out, nil
-}
-
-func signatureElements(sets [][]string, m, workers int) ([][]string, error) {
-	sigs, err := signAll(sets, m, workers)
-	if err != nil {
+	if entry.Jaccard, err = res.Jaccard(); err != nil {
 		return nil, err
 	}
-	out := make([][]string, len(sigs))
-	for i, sig := range sigs {
-		out[i] = sig.Elements()
-	}
-	return out, nil
+	entry.BytesSent = res.Stats.BytesSent
+	entry.Elapsed = time.Since(start)
+	return entry, nil
 }
 
 // AllPairs enumerates every two-provider deployment over n providers.

@@ -1,13 +1,11 @@
 package pia
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"indaas/internal/deps"
-	"indaas/internal/psi"
 )
 
 func fourProviders() []Provider {
@@ -21,9 +19,21 @@ func fourProviders() []Provider {
 	}
 }
 
+// asParties wraps every provider as one that keeps its own dataset, so every
+// deployment runs P-SOP.
+func asParties(providers []Provider) []Provider {
+	out := make([]Provider, len(providers))
+	for i, p := range providers {
+		out[i] = AsParty(p, 1)
+	}
+	return out
+}
+
+// TestCleartextPairs: deployments of held datasets are counted in cleartext,
+// exact and with nothing on the wire.
 func TestCleartextPairs(t *testing.T) {
 	providers := fourProviders()
-	rep, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, AllPairs(4))
+	rep, err := AuditDeployments(Config{}, providers, AllPairs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +52,9 @@ func TestCleartextPairs(t *testing.T) {
 			if math.Abs(e.Jaccard-1.0/3.0) > 1e-12 {
 				t.Errorf("J(A,B) = %v, want 1/3", e.Jaccard)
 			}
-			if e.Estimated {
-				t.Error("cleartext exact mode marked estimated")
-			}
+		}
+		if e.BytesSent != 0 {
+			t.Errorf("%v: held datasets sent %d bytes", e.Providers, e.BytesSent)
 		}
 	}
 	if !found {
@@ -61,11 +71,11 @@ func TestCleartextPairs(t *testing.T) {
 func TestPSOPExactMatchesCleartext(t *testing.T) {
 	providers := fourProviders()
 	deployments := []Deployment{{0, 1}, {1, 2}, {0, 1, 2}}
-	clear, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, deployments)
+	clear, err := AuditDeployments(Config{}, providers, deployments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	priv, err := AuditDeployments(Config{Protocol: ProtocolPSOP}, providers, deployments)
+	priv, err := AuditDeployments(Config{}, asParties(providers), deployments)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,79 +90,6 @@ func TestPSOPExactMatchesCleartext(t *testing.T) {
 		if p.BytesSent == 0 {
 			t.Error("P-SOP reported zero bandwidth")
 		}
-	}
-}
-
-func TestPSOPMinHashApproximates(t *testing.T) {
-	// Larger sets with J = 1/3.
-	var a, b []string
-	for i := 0; i < 100; i++ {
-		shared := fmt.Sprintf("pkg:shared-%d", i)
-		a = append(a, shared, fmt.Sprintf("a/only-%d", i))
-		b = append(b, shared, fmt.Sprintf("b/only-%d", i))
-	}
-	providers := []Provider{{Name: "A", Components: a}, {Name: "B", Components: b}}
-	rep, err := AuditDeployments(Config{Protocol: ProtocolPSOP, MinHashM: 256},
-		providers, []Deployment{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := rep.Entries[0]
-	if !e.Estimated {
-		t.Error("MinHash entry not marked estimated")
-	}
-	if math.Abs(e.Jaccard-1.0/3.0) > 4.0/16.0 { // 4/√256
-		t.Errorf("MinHash estimate %v too far from 1/3", e.Jaccard)
-	}
-}
-
-func TestMinHashThresholdAutoSwitch(t *testing.T) {
-	var big []string
-	for i := 0; i < 60; i++ {
-		big = append(big, fmt.Sprintf("x-%d", i))
-	}
-	providers := []Provider{
-		{Name: "A", Components: big},
-		{Name: "B", Components: big[:50]},
-	}
-	rep, err := AuditDeployments(
-		Config{Protocol: ProtocolCleartext, MinHashThreshold: 50, MinHashM: 128},
-		providers, []Deployment{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Entries[0].Estimated {
-		t.Error("threshold did not trigger MinHash")
-	}
-	// Under the threshold: exact.
-	rep, err = AuditDeployments(
-		Config{Protocol: ProtocolCleartext, MinHashThreshold: 500},
-		providers, []Deployment{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Entries[0].Estimated {
-		t.Error("small sets should not be estimated")
-	}
-}
-
-func TestKSProtocolEstimates(t *testing.T) {
-	providers := fourProviders()
-	rep, err := AuditDeployments(
-		Config{Protocol: ProtocolKS, Bits: 512, MinHashM: 64, KSBlindBits: 64},
-		providers, []Deployment{{0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := rep.Entries[0]
-	if !e.Estimated {
-		t.Error("KS entry must be MinHash-estimated")
-	}
-	if e.Jaccard < 0 || e.Jaccard > 1 {
-		t.Errorf("KS Jaccard = %v", e.Jaccard)
-	}
-	if e.BytesSent == 0 {
-		t.Error("KS reported zero bandwidth")
 	}
 }
 
@@ -210,7 +147,7 @@ func TestNormalizeProvider(t *testing.T) {
 
 func TestPIAReportRendering(t *testing.T) {
 	providers := fourProviders()
-	rep, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, AllPairs(4))
+	rep, err := AuditDeployments(Config{}, providers, AllPairs(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,23 +164,20 @@ func TestPIAReportRendering(t *testing.T) {
 }
 
 // TestPartyProviders: a provider that holds its own dataset (Party set,
-// Components empty) is audited by exact P-SOP to the Jaccard the same
-// components give inline, and every mode that reads components refuses it.
+// Components empty) is audited by P-SOP to the Jaccard the same components
+// give in cleartext, whether every member of a deployment keeps its set or
+// only one does.
 func TestPartyProviders(t *testing.T) {
 	providers := fourProviders()
-	held := make([]Provider, len(providers))
-	for i, p := range providers {
-		comps := p.Components
-		held[i] = Provider{Name: p.Name, Party: func(ring int) psi.Party { return psi.NewParty(comps, 1) }}
-	}
+	parties := asParties(providers)
 	deployments := []Deployment{{0, 1}, {1, 2}, {0, 1, 2}}
-	want, err := AuditDeployments(Config{Protocol: ProtocolCleartext}, providers, deployments)
+	want, err := AuditDeployments(Config{}, providers, deployments)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mixed := append([]Provider{held[0]}, providers[1:]...)
-	for _, provs := range [][]Provider{held, mixed} {
-		got, err := AuditDeployments(Config{Protocol: ProtocolPSOP}, provs, deployments)
+	mixed := append([]Provider{parties[0]}, providers[1:]...)
+	for _, provs := range [][]Provider{parties, mixed} {
+		got, err := AuditDeployments(Config{}, provs, deployments)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,14 +185,6 @@ func TestPartyProviders(t *testing.T) {
 			if DeploymentKey(got.Entries[i].Providers) != DeploymentKey(want.Entries[i].Providers) || got.Entries[i].Jaccard != want.Entries[i].Jaccard {
 				t.Errorf("entry %d: %+v, want %+v", i, got.Entries[i], want.Entries[i])
 			}
-		}
-	}
-	for _, cfg := range []Config{
-		{Protocol: ProtocolCleartext}, {Protocol: ProtocolKS, Bits: 512},
-		{Protocol: ProtocolPSOP, MinHashM: 16}, {Protocol: ProtocolPSOP, MinHashThreshold: 1},
-	} {
-		if _, err := AuditDeployments(cfg, mixed, deployments); err == nil || !strings.Contains(err.Error(), "only exact p-sop") {
-			t.Errorf("%+v over a party provider: %v", cfg, err)
 		}
 	}
 }

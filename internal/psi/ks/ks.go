@@ -1,4 +1,9 @@
-package psi
+// Package ks is a Kissner–Song-style private set intersection cardinality
+// protocol based on Paillier homomorphic encryption and polynomial
+// evaluation ([38], §6.3.2): the baseline the paper compares P-SOP against in
+// Fig. 8, Fig. 9 and Table 2. Only the experiments run it; the audit service
+// runs P-SOP (package psi) across a trust boundary and nothing else.
+package ks
 
 import (
 	cryptorand "crypto/rand"
@@ -8,12 +13,14 @@ import (
 	"io"
 	"math/big"
 	mathrand "math/rand"
+	"sort"
 
 	"indaas/internal/crypto/paillier"
+	"indaas/internal/psi"
 )
 
-// KSConfig tunes the Kissner–Song-style protocol.
-type KSConfig struct {
+// Config tunes the Kissner–Song-style protocol.
+type Config struct {
 	// Bits is the Paillier modulus size (default 1024, matching the paper's
 	// Fig. 8 setting; 512 keeps CI-scale benches fast).
 	Bits int
@@ -29,7 +36,7 @@ type KSConfig struct {
 	BlindBits int
 }
 
-// KS runs a Kissner–Song-style private set intersection cardinality protocol
+// Run runs a Kissner–Song-style private set intersection cardinality protocol
 // [38] over the parties' datasets and returns |∩| (set semantics; the union
 // is not computed — Result.Union is -1).
 //
@@ -56,14 +63,14 @@ type KSConfig struct {
 // Both the O(k²·n) ciphertext traffic and the O(k²·n²) homomorphic
 // polynomial arithmetic are the scaling behaviour Fig. 8 contrasts with
 // P-SOP's linear pipeline.
-func KS(cfg KSConfig, sets [][]string) (*Result, error) {
+func Run(cfg Config, sets [][]string) (*psi.Result, error) {
 	k := len(sets)
 	if k < 2 {
-		return nil, fmt.Errorf("psi: KS needs at least two parties, got %d", k)
+		return nil, fmt.Errorf("ks: need at least two parties, got %d", k)
 	}
 	for i, s := range sets {
 		if len(s) == 0 {
-			return nil, fmt.Errorf("psi: party %d has an empty dataset", i)
+			return nil, fmt.Errorf("ks: party %d has an empty dataset", i)
 		}
 	}
 	bits := cfg.Bits
@@ -86,11 +93,11 @@ func KS(cfg KSConfig, sets [][]string) (*Result, error) {
 
 	var seed [8]byte
 	if _, err := io.ReadFull(rng, seed[:]); err != nil {
-		return nil, fmt.Errorf("psi: drawing shuffle seed: %w", err)
+		return nil, fmt.Errorf("ks: drawing shuffle seed: %w", err)
 	}
 	shuffler := mathrand.New(mathrand.NewSource(int64(binary.LittleEndian.Uint64(seed[:]))))
 
-	var stats Stats
+	var stats psi.Stats
 	ctSize := int64(pk.CiphertextSize())
 
 	// Hash every party's deduplicated set to 64-bit field elements (small
@@ -128,7 +135,7 @@ func KS(cfg KSConfig, sets [][]string) (*Result, error) {
 			enc[j] = c
 		}
 		encPolys[i] = enc
-		stats.send(i, int64(len(enc))*ctSize*int64(k-1))
+		stats.Send(i, int64(len(enc))*ctSize*int64(k-1))
 	}
 
 	// Phase 2: every party i computes its partial Enc(Σ_j f_j·r_{i,j}) by
@@ -159,7 +166,7 @@ func KS(cfg KSConfig, sets [][]string) (*Result, error) {
 				}
 			}
 		}
-		stats.send(i, int64(len(partial))*ctSize*int64(k-1))
+		stats.Send(i, int64(len(partial))*ctSize*int64(k-1))
 		for d, c := range partial {
 			if c == nil {
 				continue
@@ -202,7 +209,7 @@ func KS(cfg KSConfig, sets [][]string) (*Result, error) {
 		evals = append(evals, pk.Add(v, z))
 	}
 	shuffler.Shuffle(len(evals), func(a, b int) { evals[a], evals[b] = evals[b], evals[a] })
-	stats.send(evaluator, int64(len(evals))*ctSize)
+	stats.Send(evaluator, int64(len(evals))*ctSize)
 
 	// Leader decrypts and counts zeros.
 	inter := 0
@@ -215,7 +222,22 @@ func KS(cfg KSConfig, sets [][]string) (*Result, error) {
 			inter++
 		}
 	}
-	return &Result{Intersection: inter, Union: -1, Stats: stats}, nil
+	return &psi.Result{Intersection: inter, Union: -1, Stats: stats}, nil
+}
+
+// dedupe returns the distinct elements of a set, sorted.
+func dedupe(set []string) []string {
+	seen := make(map[string]struct{}, len(set))
+	out := make([]string, 0, len(set))
+	for _, e := range set {
+		if _, ok := seen[e]; ok {
+			continue
+		}
+		seen[e] = struct{}{}
+		out = append(out, e)
+	}
+	sort.Strings(out)
+	return out
 }
 
 // hashElement64 maps an element to a 64-bit non-zero integer.
@@ -259,7 +281,7 @@ func randomPoly(rng io.Reader, deg int, max *big.Int) ([]*big.Int, error) {
 	for i := range out {
 		c, err := cryptorand.Int(rng, max)
 		if err != nil {
-			return nil, fmt.Errorf("psi: drawing polynomial coefficient: %w", err)
+			return nil, fmt.Errorf("ks: drawing polynomial coefficient: %w", err)
 		}
 		out[i] = c
 	}
@@ -294,7 +316,7 @@ func randomUnitScalar(rng io.Reader, n *big.Int) (*big.Int, error) {
 	for {
 		s, err := cryptorand.Int(rng, n)
 		if err != nil {
-			return nil, fmt.Errorf("psi: drawing blinding scalar: %w", err)
+			return nil, fmt.Errorf("ks: drawing blinding scalar: %w", err)
 		}
 		if s.Sign() != 0 {
 			return s, nil

@@ -1,4 +1,4 @@
-package psi
+package ks
 
 import (
 	"math/big"

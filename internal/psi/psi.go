@@ -1,16 +1,12 @@
-// Package psi implements private set intersection cardinality protocols:
+// Package psi implements P-SOP, the paper's private set intersection
+// cardinality protocol based on commutative encryption ([58], §4.2.2): a ring
+// of k ≥ 2 parties computes both |∩| and |∪| of their private multisets. The
+// Kissner–Song baseline it is compared against lives in package ks.
 //
-//   - PSOP: the paper's ring protocol based on commutative encryption
-//     ([58], §4.2.2), computing both |∩| and |∪| of k ≥ 2 private multisets;
-//   - KS: a Kissner–Song-style protocol based on Paillier homomorphic
-//     encryption and polynomial evaluation ([38], §6.3.2), the baseline the
-//     paper compares PIA against.
-//
-// Both protocols account every message so tests and benches can measure
-// exact bandwidth. P-SOP's ring runs over Party values: NewParty holds its
-// dataset in this process, and the audit service's remote party steps a
-// provider's HTTP proxy (the deployment of Fig. 5b), so the same Ring serves
-// both.
+// The protocol accounts every message so tests and benches can measure exact
+// bandwidth. The ring runs over Party values: NewParty holds its dataset in
+// this process, and the audit service's remote party steps a provider's HTTP
+// proxy (the deployment of Fig. 5b), so the same Ring serves both.
 //
 // Threat model (§4.2.1): parties are honest but curious and do not collude.
 package psi
@@ -30,7 +26,8 @@ type Stats struct {
 	Messages int
 }
 
-func (s *Stats) send(party int, bytes int64) {
+// Send records one message of bytes sent by party.
+func (s *Stats) Send(party int, bytes int64) {
 	for len(s.PerParty) <= party {
 		s.PerParty = append(s.PerParty, 0)
 	}
@@ -42,7 +39,7 @@ func (s *Stats) send(party int, bytes int64) {
 // Result is the outcome of a cardinality protocol.
 type Result struct {
 	// Intersection is the number of elements common to all parties
-	// (multiset semantics for PSOP, set semantics for KS).
+	// (multiset semantics for P-SOP, set semantics for KS).
 	Intersection int
 	// Union is the number of distinct elements across all parties;
 	// -1 when the protocol does not compute it (KS).
@@ -77,21 +74,6 @@ func disambiguate(set []string) []string {
 		counts[e]++
 		out = append(out, fmt.Sprintf("%s\x00%d", e, counts[e]))
 	}
-	return out
-}
-
-// dedupe returns the distinct elements of a set, sorted.
-func dedupe(set []string) []string {
-	seen := make(map[string]struct{}, len(set))
-	out := make([]string, 0, len(set))
-	for _, e := range set {
-		if _, ok := seen[e]; ok {
-			continue
-		}
-		seen[e] = struct{}{}
-		out = append(out, e)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -146,7 +146,7 @@ func Ring(ctx context.Context, parties []Party) (*Result, error) {
 		for owner := 0; owner < k; owner++ {
 			holder := (owner + hop) % k
 			sender := (owner + hop - 1) % k
-			stats.send(sender, int64(len(datasets[owner]))*elemSize)
+			stats.Send(sender, int64(len(datasets[owner]))*elemSize)
 			ds, err := parties[holder].Reencrypt(ctx, datasets[owner])
 			if err != nil {
 				return nil, fmt.Errorf("psi: party %d: %w", holder, err)
@@ -159,7 +159,7 @@ func Ring(ctx context.Context, parties []Party) (*Result, error) {
 	// other k−1 parties so everyone can count.
 	for owner := 0; owner < k; owner++ {
 		holder := (owner + k - 1) % k
-		stats.send(holder, int64(len(datasets[owner]))*elemSize*int64(k-1))
+		stats.Send(holder, int64(len(datasets[owner]))*elemSize*int64(k-1))
 	}
 
 	// Step 4: count on ciphertexts. Disambiguation turned multisets into

@@ -236,7 +236,6 @@ func (r *Report) Render(w io.Writer, maxRGs int) error {
 type PIAEntry struct {
 	Providers []string      `json:"providers"`
 	Jaccard   float64       `json:"jaccard"`
-	Estimated bool          `json:"estimated,omitempty"` // true when MinHash-estimated rather than exact
 	BytesSent int64         `json:"bytes_sent,omitempty"`
 	Elapsed   time.Duration `json:"elapsed_ns,omitempty"`
 }
@@ -268,12 +267,8 @@ func (r *PIAReport) Render(w io.Writer) error {
 		return err
 	}
 	for i, e := range r.Entries {
-		tag := ""
-		if e.Estimated {
-			tag = " (MinHash)"
-		}
-		if _, err := fmt.Fprintf(w, "%-4d %-40s %.4f%s\n",
-			i+1, strings.Join(e.Providers, " & "), e.Jaccard, tag); err != nil {
+		if _, err := fmt.Fprintf(w, "%-4d %-40s %.4f\n",
+			i+1, strings.Join(e.Providers, " & "), e.Jaccard); err != nil {
 			return err
 		}
 	}

@@ -26,8 +26,9 @@
 #
 #   ./scripts/smoke.sh pia        private-audit legs: serve with -data-dir,
 #       register two provider component sets (distinct fingerprints), run a
-#       served P-SOP private audit and diff its report (clock-dependent
-#       fields zeroed) against the golden file; assert resubmission is a
+#       served private audit — counted in cleartext, since the daemon holds
+#       both sets — and diff its report (clock-dependent fields zeroed)
+#       against the golden file; assert resubmission is a
 #       fingerprint-keyed cache hit that runs no new computation and that
 #       the private-audit metrics counted the job. Then the proxied leg:
 #       serve each component set behind its own `indaas proxy`, register
@@ -364,15 +365,18 @@ if [ "$MODE" = pia ]; then
     [ "$("${CURL[@]}" "$BASE/v1/providers" | jq '.providers | length')" = 2 ] ||
         die "GET /v1/providers does not list both registered providers"
 
-    # Run the P-SOP audit over the registered datasets and diff the report
-    # against the golden (wall-clock and protocol byte counts zeroed; the
-    # Jaccard, ranking and fingerprints are deterministic).
-    PIA_NORM='.elapsed_ns = 0 | .pairs_per_sec = 0 | .bytes_sent = 0
-        | .entries[].elapsed_ns = 0 | .entries[].bytes_sent = 0'
+    # Run the audit over the registered datasets — the daemon holds both, so
+    # it counts in cleartext — and diff the report against the golden
+    # (wall-clock fields zeroed; the Jaccard, ranking and fingerprints are
+    # deterministic).
+    PIA_NORM='.elapsed_ns = 0 | .pairs_per_sec = 0 | .entries[].elapsed_ns = 0'
     ID=$(submit v1/private-audits @scripts/private_audit_request.json)
     wait_done "$ID" private-audit
     "${CURL[@]}" "$BASE/v1/audits/$ID/report" > "$TMP/pia.json"
     diff <(jq -S "$PIA_NORM" "$TMP/pia.json") <(jq -S . "$PIA_GOLDEN")
+    # How the job ran is in its trace counts, not in the report.
+    [ "$("${CURL[@]}" "$BASE/v1/audits/$ID" | jq -c '.trace_counts | [.pia_cleartext_deployments, .pia_psop_deployments]')" = '[1,null]' ] ||
+        die "the held private audit did not count its pair in cleartext"
 
     # Resubmitting the identical audit must be a cache hit keyed on the
     # provider fingerprints: answered done, no new computation.
@@ -390,8 +394,8 @@ if [ "$MODE" = pia ]; then
 
     # Proxied leg: each provider keeps its component list behind its own
     # P-SOP proxy, and a fresh daemon registers only the endpoints and
-    # supervises the ring. The same dataset has the same fingerprint, so the
-    # unchanged request must give the unchanged golden report.
+    # supervises the P-SOP ring. The same dataset has the same fingerprint,
+    # so the unchanged request must give the unchanged golden report.
     NAMES=(CloudA CloudB)
     SETS=("$COMPONENTS_A" "$COMPONENTS_B")
     FPS=("$FPA" "$FPB")
@@ -414,6 +418,8 @@ if [ "$MODE" = pia ]; then
     wait_done "$ID" proxied-private-audit
     "${CURL[@]}" "$BASE/v1/audits/$ID/report" > "$TMP/pia-proxied.json"
     diff <(jq -S "$PIA_NORM" "$TMP/pia-proxied.json") <(jq -S . "$PIA_GOLDEN")
+    [ "$("${CURL[@]}" "$BASE/v1/audits/$ID" | jq -c '.trace_counts | [.pia_cleartext_deployments, .pia_psop_deployments, .psop_bytes_sent > 0]')" = '[null,1,true]' ] ||
+        die "the proxied private audit did not run its pair over P-SOP"
     COMPUTATIONS_BEFORE=$(metric auditd_computations_total)
     HIT=$("${CURL[@]}" -X POST -H 'Content-Type: application/json' \
         --data @scripts/private_audit_request.json "$BASE/v1/private-audits")
