@@ -48,6 +48,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -70,7 +71,7 @@ func main() {
 	var err error
 	switch os.Args[1] {
 	case "audit":
-		err = cmdAudit(os.Args[2:])
+		err = cmdAudit(os.Stdout, os.Args[2:])
 	case "proxy":
 		err = cmdProxy(os.Args[2:])
 	case "serve":
@@ -133,7 +134,7 @@ func loadDepsXML(path string) (*depdb.DB, error) {
 	return db, nil
 }
 
-func cmdAudit(args []string) error {
+func cmdAudit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ExitOnError)
 	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required)")
 	var deployments deployFlag
@@ -192,7 +193,7 @@ func cmdAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	return rep.Render(os.Stdout, *maxRGs)
+	return rep.Render(w, *maxRGs)
 }
 
 func cmdProxy(args []string) error {
