@@ -19,7 +19,6 @@ import (
 	"os"
 
 	"indaas/internal/cloudsim"
-	"indaas/internal/core"
 	"indaas/internal/deps"
 	"indaas/internal/hwinv"
 	"indaas/internal/swpkg"
@@ -57,10 +56,9 @@ func generate(kind string, k, servers int, seed int64) ([]deps.Record, error) {
 		if servers > 0 && servers < len(subjects) {
 			subjects = subjects[:servers]
 		}
-		return core.TopologyAcquirer(ft).Collect(subjects)
+		return ft.NetworkRecords(subjects)
 	case "benson":
-		dc := topology.BensonDC()
-		return core.TopologyAcquirer(dc).Collect(topology.BensonCandidateRacks())
+		return topology.BensonDC().NetworkRecords(topology.BensonCandidateRacks())
 	case "hardware":
 		fleet := hwinv.GenerateFleet("S", servers, seed)
 		return hwinv.CollectFleet(fleet, true), nil
@@ -83,7 +81,15 @@ func generate(kind string, k, servers int, seed int64) ([]deps.Record, error) {
 		if _, err := cloud.PlaceOn("VM8", "Server2"); err != nil {
 			return nil, err
 		}
-		return core.CloudAcquirer(cloud, []string{"VM7", "VM8"}).Collect(nil)
+		var out []deps.Record
+		for _, vm := range []string{"VM7", "VM8"} {
+			recs, err := cloud.DependencyRecords(vm)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, recs...)
+		}
+		return out, nil
 	case "":
 		return nil, fmt.Errorf("missing -kind (fattree, benson, hardware, software, cloudlab)")
 	default:

@@ -53,3 +53,29 @@ func TestAuditGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestAuditRefusesWhatTheServiceRefuses: the command has no option rules of
+// its own, so it refuses exactly what the audit service refuses, with the
+// service's message.
+func TestAuditRefusesWhatTheServiceRefuses(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"repeated server", []string{"-deploy", "a=srv0_0_0,srv0_0_0"}, `auditd: deployment "a" lists server "srv0_0_0" twice`},
+		{"negative probability", []string{"-deploy", "a=srv0_0_0,srv1_0_0", "-prob", "-0.5"}, "auditd: failure_prob -0.5 out of [0,1]"},
+		{"negative workers", []string{"-deploy", "a=srv0_0_0,srv1_0_0", "-workers", "-3"}, "auditd: negative option"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := cmdAudit(&out, append([]string{"-deps", filepath.Join("testdata", "fattree-k4.xml")}, tc.args...))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("refused audit printed %q", out.String())
+			}
+		})
+	}
+}

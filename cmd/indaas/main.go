@@ -46,13 +46,16 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -60,7 +63,6 @@ import (
 	"indaas/internal/auditd"
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/sia"
 )
 
 func main() {
@@ -134,6 +136,9 @@ func loadDepsXML(path string) (*depdb.DB, error) {
 	return db, nil
 }
 
+// cmdAudit runs one audit through an in-process audit service over the
+// loaded records, so the command applies exactly the service's option rules
+// and defaults.
 func cmdAudit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ExitOnError)
 	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required)")
@@ -155,41 +160,35 @@ func cmdAudit(w io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	var kindList []deps.Kind
 	if *kinds != "" {
-		for _, name := range strings.Split(*kinds, ",") {
-			k, err := deps.KindFromString(name)
-			if err != nil {
-				return err
-			}
-			kindList = append(kindList, k)
+		for i := range deployments {
+			deployments[i].Kinds = strings.Split(*kinds, ",")
 		}
 	}
-	opts := sia.Options{Rounds: *rounds, Workers: *workers, RankMode: sia.RankBySize}
-	switch *algo {
-	case "minimal-rg":
-		opts.Algorithm = sia.MinimalRG
-	case "failure-sampling":
-		opts.Algorithm = sia.FailureSampling
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algo)
+	if *workers == 0 {
+		*workers = runtime.GOMAXPROCS(0) // the service's own default is one
 	}
-	var probFn func(string) float64
-	if *prob > 0 {
-		if *prob > 1 {
-			return fmt.Errorf("probability %v out of range", *prob)
-		}
-		p := *prob
-		probFn = func(string) float64 { return p }
-		opts.RankMode = sia.RankByProb
+	ctx := context.Background()
+	s := auditd.New(auditd.Config{DB: db})
+	defer s.Shutdown(ctx)
+	st, err := s.Submit(&auditd.SubmitRequest{
+		Title:          "indaas audit",
+		Deployments:    deployments,
+		Algorithm:      *algo,
+		Rounds:         *rounds,
+		SamplerWorkers: *workers,
+		FailureProb:    *prob,
+	})
+	if err != nil {
+		return err
 	}
-	var specs []sia.GraphSpec
-	for _, d := range deployments {
-		specs = append(specs, sia.GraphSpec{
-			Deployment: d.Name, Servers: d.Servers, Kinds: kindList, Prob: probFn,
-		})
+	if st, err = s.WaitDone(ctx, st.ID, math.MaxInt64); err != nil {
+		return err
 	}
-	rep, err := sia.AuditDeployments(db, "indaas audit", specs, opts)
+	if st.State != auditd.StateDone {
+		return fmt.Errorf("audit %s: %s", st.State, st.Error)
+	}
+	rep, err := s.Report(st.ID)
 	if err != nil {
 		return err
 	}

@@ -1,5 +1,5 @@
 // Quickstart: audit the independence of a two-way redundant storage service
-// (the Fig. 2 / Fig. 3 sample system) in a dozen lines.
+// (the Fig. 2 / Fig. 3 sample system) on an in-process audit service.
 //
 //	go run ./examples/quickstart
 //
@@ -10,21 +10,22 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
-	"indaas/internal/core"
+	"indaas/internal/auditd"
+	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/sia"
 )
 
 func main() {
-	auditor := core.NewAuditor()
-
 	// In production these records come from acquisition modules (NSDMiner,
 	// lshw, apt-rdepends); here they are the paper's Fig. 3 sample.
-	err := auditor.Register("sample", core.Static{
+	db := depdb.New()
+	err := db.Put(
 		deps.NewNetwork("S1", "Internet", "ToR1", "Core1"),
 		deps.NewNetwork("S1", "Internet", "ToR1", "Core2"),
 		deps.NewNetwork("S2", "Internet", "ToR1", "Core1"),
@@ -44,19 +45,33 @@ func main() {
 		deps.NewHardware("S3", "Disk", "S3-ST2000DM001"),
 		deps.NewSoftware("QueryEngine3", "S3", "musl", "libgcc1"),
 		deps.NewSoftware("Riak3", "S3", "musl", "libsvn1"),
+	)
+	if err != nil {
+		log.Fatal(err)
+	}
+
+	// The audit service, in process, over that database: audit the deployed
+	// configuration and an alternative (minimal RGs, size ranking).
+	ctx := context.Background()
+	s := auditd.New(auditd.Config{DB: db})
+	defer s.Shutdown(ctx)
+	st, err := s.Submit(&auditd.SubmitRequest{
+		Title: "quickstart",
+		Deployments: []auditd.DeploymentWire{
+			{Name: "S1+S2 (same rack)", Servers: []string{"S1", "S2"}},
+			{Name: "S1+S3 (cross rack)", Servers: []string{"S1", "S3"}},
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := auditor.Acquire(); err != nil {
+	if st, err = s.WaitDone(ctx, st.ID, math.MaxInt64); err != nil {
 		log.Fatal(err)
 	}
-
-	// Audit the deployed configuration and an alternative.
-	rep, err := auditor.AuditAlternatives("quickstart", []sia.GraphSpec{
-		{Deployment: "S1+S2 (same rack)", Servers: []string{"S1", "S2"}},
-		{Deployment: "S1+S3 (cross rack)", Servers: []string{"S1", "S3"}},
-	}, sia.Options{Algorithm: sia.MinimalRG, RankMode: sia.RankBySize})
+	if st.State != auditd.StateDone {
+		log.Fatalf("audit %s: %s", st.State, st.Error)
+	}
+	rep, err := s.Report(st.ID)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,8 @@
 // Package agentsim simulates a fleet of data-source agents over a fat-tree
 // datacenter — the live-acquisition side of the paper's Fig. 1: every server
 // runs the three §3 acquisition modules (hardware inventory, software
-// package resolver, traffic-based network miner) behind the core.Acquirer
-// interface, and a churn generator replays the small, continuous dependency
+// package resolver, traffic-based network miner) behind one Collect method,
+// and a churn generator replays the small, continuous dependency
 // changes (flapping NICs, rolling software upgrades, re-observed flows) that
 // the delta audit engine was built to absorb.
 //
@@ -62,7 +62,7 @@ var servicePackages = []swpkg.Package{
 }
 
 // Node is one simulated server: its hardware inventory, its package
-// universe, and a view of the shared network. It implements core.Acquirer.
+// universe, and a view of the shared network.
 type Node struct {
 	Server string
 
@@ -131,9 +131,9 @@ func (f *Fleet) Servers() []string {
 // Node returns the node simulating server, or nil.
 func (f *Fleet) Node(server string) *Node { return f.bydns[server] }
 
-// Collect implements core.Acquirer: the node runs all three acquisition
-// modules and returns its current Table 1 records. A non-empty subjects list
-// that does not include this node's server yields no records.
+// Collect runs the node's three acquisition modules and returns its current
+// Table 1 records. A non-empty subjects list that does not include this
+// node's server yields no records.
 func (n *Node) Collect(subjects []string) ([]deps.Record, error) {
 	if len(subjects) > 0 {
 		found := false

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"indaas/internal/core"
 	"indaas/internal/store"
 	"indaas/internal/topology"
 )
@@ -121,12 +120,9 @@ func fig7Server(b testing.TB, k int, cfg Config) (*Server, *SubmitRequest) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	auditor := core.NewAuditor()
-	if err := auditor.Register("net", core.TopologyAcquirer(ft)); err != nil {
-		b.Fatal(err)
-	}
 	servers := []string{topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0)}
-	if err := auditor.Acquire(servers...); err != nil {
+	records, err := ft.NetworkRecords(servers)
+	if err != nil {
 		b.Fatal(err)
 	}
 	if cfg.Workers == 0 {
@@ -134,7 +130,7 @@ func fig7Server(b testing.TB, k int, cfg Config) (*Server, *SubmitRequest) {
 	}
 	s := New(cfg)
 	b.Cleanup(func() { benchShutdown(b, s) })
-	if _, err := s.Ingest(&IngestRequest{Records: WireRecords(auditor.DB().Records())}); err != nil {
+	if _, err := s.Ingest(&IngestRequest{Records: WireRecords(records)}); err != nil {
 		b.Fatal(err)
 	}
 	req := &SubmitRequest{

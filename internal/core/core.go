@@ -1,35 +1,11 @@
-// Package core is the INDaaS façade: the pluggable architecture of Fig. 1.
-//
-// An Auditor owns a dependency database (DepDB) and a set of registered
-// dependency acquisition modules (DAMs, §3). Acquire runs the modules and
-// stores their records; AuditAlternatives runs structural independence
-// auditing (SIA, §4.1) over candidate redundancy deployments; PIA runs
-// through the pia package over normalized component-sets.
-//
-// The concrete acquisition modules in this repository are adapters over the
-// simulation substrates:
-//
-//   - NetflowAcquirer — NSDMiner-style flow mining (package netflow);
-//   - HardwareAcquirer — lshw-style inventory walking (package hwinv);
-//   - SoftwareAcquirer — apt-rdepends-style closure resolution (swpkg);
-//   - CloudAcquirer — VM dependency extraction from the IaaS simulator
-//     (package cloudsim);
-//   - Static — canned records (e.g. loaded from Table 1 XML files).
+// Package core holds the acquisition interface the service benchmark's
+// record generator calls. Audits run through the daemon (internal/auditd);
+// record generators live in their source packages (topology, netflow, hwinv,
+// swpkg, cloudsim).
 package core
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-
-	"indaas/internal/cloudsim"
-	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/hwinv"
-	"indaas/internal/netflow"
-	"indaas/internal/report"
-	"indaas/internal/sia"
-	"indaas/internal/swpkg"
 	"indaas/internal/topology"
 )
 
@@ -45,203 +21,6 @@ type AcquirerFunc func(subjects []string) ([]deps.Record, error)
 // Collect implements Acquirer.
 func (f AcquirerFunc) Collect(subjects []string) ([]deps.Record, error) { return f(subjects) }
 
-// Static serves a fixed record set, filtered by subject.
-type Static []deps.Record
-
-// Collect implements Acquirer.
-func (a Static) Collect(subjects []string) ([]deps.Record, error) {
-	if len(subjects) == 0 {
-		return a, nil
-	}
-	want := make(map[string]bool, len(subjects))
-	for _, s := range subjects {
-		want[s] = true
-	}
-	var out []deps.Record
-	for _, r := range a {
-		if want[r.Subject()] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
-}
-
-// Auditor is the INDaaS entry point.
-type Auditor struct {
-	mu        sync.Mutex
-	db        *depdb.DB
-	acquirers map[string]Acquirer
-}
-
-// NewAuditor returns an Auditor with an empty DepDB.
-func NewAuditor() *Auditor {
-	return &Auditor{db: depdb.New(), acquirers: make(map[string]Acquirer)}
-}
-
-// DB exposes the dependency database.
-func (a *Auditor) DB() *depdb.DB { return a.db }
-
-// Register adds a named acquisition module.
-func (a *Auditor) Register(name string, acq Acquirer) error {
-	if name == "" || acq == nil {
-		return fmt.Errorf("core: acquisition module needs a name and an implementation")
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, dup := a.acquirers[name]; dup {
-		return fmt.Errorf("core: duplicate acquisition module %q", name)
-	}
-	a.acquirers[name] = acq
-	return nil
-}
-
-// Modules lists the registered acquisition module names, sorted.
-func (a *Auditor) Modules() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.acquirers))
-	for n := range a.acquirers {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Acquire runs every registered module (§2 Step 3) for the given subjects
-// and stores the records in the DepDB. Modules run in deterministic name
-// order so repeated runs produce identical databases.
-func (a *Auditor) Acquire(subjects ...string) error {
-	for _, name := range a.Modules() {
-		a.mu.Lock()
-		acq := a.acquirers[name]
-		a.mu.Unlock()
-		records, err := acq.Collect(subjects)
-		if err != nil {
-			return fmt.Errorf("core: module %q: %w", name, err)
-		}
-		if err := a.db.Put(records...); err != nil {
-			return fmt.Errorf("core: module %q: %w", name, err)
-		}
-	}
-	return nil
-}
-
-// AuditAlternatives runs SIA over candidate deployments and returns the
-// ranked report (§2 Steps 4–6 in the trusted-auditor scenario).
-func (a *Auditor) AuditAlternatives(title string, specs []sia.GraphSpec, opts sia.Options) (*report.Report, error) {
-	return sia.AuditDeployments(a.db, title, specs, opts)
-}
-
-// NetflowAcquirer adapts the NSDMiner-style miner: it generates flowsPerSrv
-// simulated flows from each requested server to the Internet over the given
-// topology and mines route dependencies from them.
-func NetflowAcquirer(topo *topology.Topology, flowsPerSrv int) Acquirer {
-	return AcquirerFunc(func(subjects []string) ([]deps.Record, error) {
-		if len(subjects) == 0 {
-			subjects = topo.Servers()
-		}
-		gen := &netflow.Generator{Topo: topo}
-		miner := &netflow.Miner{MinFlows: 1}
-		var flows []netflow.Flow
-		for _, s := range subjects {
-			fs, err := gen.InternetFlows(s, flowsPerSrv)
-			if err != nil {
-				return nil, err
-			}
-			flows = append(flows, fs...)
-		}
-		return miner.Mine(flows), nil
-	})
-}
-
-// TopologyAcquirer serves ground-truth routes straight from the topology —
-// the idealized acquisition path used when mining noise is not under study.
-func TopologyAcquirer(topo *topology.Topology) Acquirer {
-	return AcquirerFunc(func(subjects []string) ([]deps.Record, error) {
-		if len(subjects) == 0 {
-			subjects = topo.Servers()
-		}
-		var out []deps.Record
-		for _, s := range subjects {
-			routes, err := topo.RoutesToInternet(s)
-			if err != nil {
-				return nil, err
-			}
-			for _, r := range routes {
-				out = append(out, deps.NewNetwork(s, "Internet", r...))
-			}
-		}
-		return out, nil
-	})
-}
-
-// HardwareAcquirer adapts the lshw-style inventory walker over a fleet.
-func HardwareAcquirer(machines []hwinv.Machine, qualified bool) Acquirer {
-	byName := make(map[string]hwinv.Machine, len(machines))
-	for _, m := range machines {
-		byName[m.Name] = m
-	}
-	return AcquirerFunc(func(subjects []string) ([]deps.Record, error) {
-		if len(subjects) == 0 {
-			return hwinv.CollectFleet(machines, qualified), nil
-		}
-		var out []deps.Record
-		for _, s := range subjects {
-			m, ok := byName[s]
-			if !ok {
-				continue // machines outside this module's scope
-			}
-			out = append(out, hwinv.Collect(m, qualified)...)
-		}
-		return out, nil
-	})
-}
-
-// Install describes a program installation for SoftwareAcquirer.
-type Install struct {
-	Pgm  string // record's program name, e.g. "Riak1"
-	HW   string // machine it runs on
-	Root string // root package in the universe, e.g. "riak"
-}
-
-// SoftwareAcquirer adapts the apt-rdepends-style resolver: every install's
-// dependency closure becomes one software record.
-func SoftwareAcquirer(u *swpkg.Universe, installs []Install) Acquirer {
-	return AcquirerFunc(func(subjects []string) ([]deps.Record, error) {
-		want := make(map[string]bool, len(subjects))
-		for _, s := range subjects {
-			want[s] = true
-		}
-		var out []deps.Record
-		for _, inst := range installs {
-			if len(subjects) > 0 && !want[inst.HW] {
-				continue
-			}
-			rec, err := u.Record(inst.Pgm, inst.HW, inst.Root)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-		return out, nil
-	})
-}
-
-// CloudAcquirer extracts VM dependency records from the IaaS simulator.
-func CloudAcquirer(c *cloudsim.Cloud, vms []string) Acquirer {
-	return AcquirerFunc(func(subjects []string) ([]deps.Record, error) {
-		names := vms
-		if len(subjects) > 0 {
-			names = subjects
-		}
-		var out []deps.Record
-		for _, vm := range names {
-			recs, err := c.DependencyRecords(vm)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, recs...)
-		}
-		return out, nil
-	})
-}
+// TopologyAcquirer serves ground-truth routes straight from the topology
+// (see topology.Topology.NetworkRecords).
+func TopologyAcquirer(topo *topology.Topology) Acquirer { return AcquirerFunc(topo.NetworkRecords) }

@@ -1,96 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"reflect"
+	"os/exec"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
-	"indaas/internal/cloudsim"
-	"indaas/internal/deps"
-	"indaas/internal/hwinv"
-	"indaas/internal/sia"
-	"indaas/internal/swpkg"
 	"indaas/internal/topology"
 )
-
-func TestRegisterAndModules(t *testing.T) {
-	a := NewAuditor()
-	if err := a.Register("hw", Static{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Register("hw", Static{}); err == nil {
-		t.Error("duplicate module accepted")
-	}
-	if err := a.Register("", Static{}); err == nil {
-		t.Error("unnamed module accepted")
-	}
-	if err := a.Register("nil", nil); err == nil {
-		t.Error("nil module accepted")
-	}
-	if err := a.Register("aaa", Static{}); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.Modules(); !reflect.DeepEqual(got, []string{"aaa", "hw"}) {
-		t.Errorf("Modules = %v", got)
-	}
-}
-
-func TestAcquireRunsModulesInOrder(t *testing.T) {
-	a := NewAuditor()
-	var order []string
-	mk := func(name string) Acquirer {
-		return AcquirerFunc(func([]string) ([]deps.Record, error) {
-			order = append(order, name)
-			return []deps.Record{deps.NewHardware("S-"+name, "CPU", "m")}, nil
-		})
-	}
-	for _, n := range []string{"zzz", "aaa", "mmm"} {
-		if err := a.Register(n, mk(n)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := a.Acquire(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(order, []string{"aaa", "mmm", "zzz"}) {
-		t.Errorf("module order = %v", order)
-	}
-	if a.DB().Len() != 3 {
-		t.Errorf("DB has %d records", a.DB().Len())
-	}
-}
-
-func TestAcquirePropagatesErrors(t *testing.T) {
-	a := NewAuditor()
-	if err := a.Register("bad", AcquirerFunc(func([]string) ([]deps.Record, error) {
-		return nil, fmt.Errorf("boom")
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Acquire(); err == nil {
-		t.Error("module error swallowed")
-	}
-	if err := a.Register("invalid", AcquirerFunc(func([]string) ([]deps.Record, error) {
-		return []deps.Record{{Kind: deps.KindNetwork}}, nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestStaticFiltering(t *testing.T) {
-	s := Static{
-		deps.NewHardware("A", "CPU", "m1"),
-		deps.NewHardware("B", "CPU", "m2"),
-	}
-	all, _ := s.Collect(nil)
-	if len(all) != 2 {
-		t.Error("Collect(nil) should return everything")
-	}
-	one, _ := s.Collect([]string{"B"})
-	if len(one) != 1 || one[0].Subject() != "B" {
-		t.Errorf("Collect(B) = %v", one)
-	}
-}
 
 func TestTopologyAcquirer(t *testing.T) {
 	dc := topology.BensonDC()
@@ -107,108 +25,32 @@ func TestTopologyAcquirer(t *testing.T) {
 	}
 }
 
-func TestNetflowAcquirerMatchesTopologyOnSmallTree(t *testing.T) {
-	ft, err := topology.FatTree(4)
+// TestOnlyBenchImportsCore: an audit runs one way, through the daemon's
+// request normalization, and record generators live in their source
+// packages. This package is the service benchmark's shim; no other package
+// — in its code, its tests or its external tests — may import it.
+func TestOnlyBenchImportsCore(t *testing.T) {
+	goTool := filepath.Join(runtime.GOROOT(), "bin", "go")
+	cmd := exec.Command(goTool, "list", "-f",
+		`{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}`, "./...")
+	cmd.Dir = filepath.Join("..", "..")
+	out, err := cmd.CombinedOutput()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list: %v\n%s", err, out)
 	}
-	srv := topology.FatTreeServer(0, 0, 0)
-	mined, err := NetflowAcquirer(ft, 500).Collect([]string{srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	truth, err := TopologyAcquirer(ft).Collect([]string{srv})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(mined) != len(truth) {
-		t.Errorf("mined %d routes, topology has %d", len(mined), len(truth))
-	}
-}
-
-func TestHardwareAcquirer(t *testing.T) {
-	fleet := hwinv.GenerateFleet("S", 3, 5)
-	acq := HardwareAcquirer(fleet, true)
-	recs, err := acq.Collect([]string{"S2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) == 0 {
-		t.Fatal("no records")
-	}
-	for _, r := range recs {
-		if r.Hardware.HW != "S2" {
-			t.Errorf("record for %s, want S2", r.Hardware.HW)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
 		}
-	}
-	all, err := acq.Collect(nil)
-	if err != nil || len(all) != 3*len(recs) {
-		t.Errorf("Collect(nil) = %d records, %v", len(all), err)
-	}
-}
-
-func TestSoftwareAcquirer(t *testing.T) {
-	u, roots := swpkg.KeyValueStoreUniverse()
-	acq := SoftwareAcquirer(u, []Install{
-		{Pgm: "Riak1", HW: "S1", Root: roots[0]},
-		{Pgm: "Redis1", HW: "S2", Root: roots[2]},
-	})
-	recs, err := acq.Collect([]string{"S1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].Software.Pgm != "Riak1" {
-		t.Fatalf("records = %v", recs)
-	}
-	if len(recs[0].Software.Dep) < 100 {
-		t.Errorf("riak closure suspiciously small: %d", len(recs[0].Software.Dep))
-	}
-	bad := SoftwareAcquirer(u, []Install{{Pgm: "X", HW: "S1", Root: "ghost"}})
-	if _, err := bad.Collect(nil); err == nil {
-		t.Error("unknown root accepted")
-	}
-}
-
-func TestCloudAcquirer(t *testing.T) {
-	c := cloudsim.FourServerLab(1)
-	if _, err := c.PlaceOn("VM7", "Server2"); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := CloudAcquirer(c, []string{"VM7"}).Collect(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 { // 2 routes + VM + host
-		t.Errorf("records = %d", len(recs))
-	}
-}
-
-// TestEndToEndAuditViaFacade is the quickstart flow: acquire from modules,
-// audit alternatives, pick the most independent deployment.
-func TestEndToEndAuditViaFacade(t *testing.T) {
-	a := NewAuditor()
-	dc := topology.BensonDC()
-	if err := a.Register("net", TopologyAcquirer(dc)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Acquire("Rack2", "Rack3", "Rack5", "Rack29"); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := a.AuditAlternatives("facade", []sia.GraphSpec{
-		{Deployment: "Rack2+Rack3", Servers: []string{"Rack2", "Rack3"}},
-		{Deployment: "Rack5+Rack29", Servers: []string{"Rack5", "Rack29"}},
-	}, sia.Options{Algorithm: sia.MinimalRG, RankMode: sia.RankBySize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	best, err := rep.Best()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Deployment != "Rack5+Rack29" {
-		t.Errorf("best = %s", best.Deployment)
-	}
-	if best.Unexpected != 0 {
-		t.Errorf("best deployment has %d unexpected RGs", best.Unexpected)
+		switch fields[0] {
+		case "indaas/bench", "indaas/internal/core":
+			continue
+		}
+		for _, imp := range fields[1:] {
+			if imp == "indaas/internal/core" {
+				t.Errorf("%s imports indaas/internal/core", fields[0])
+			}
+		}
 	}
 }

@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 
-	"indaas/internal/core"
-	"indaas/internal/sia"
+	"indaas/internal/auditd"
+	"indaas/internal/depdb"
+	"indaas/internal/report"
 	"indaas/internal/topology"
 )
 
@@ -42,7 +45,8 @@ type Fig6aConfig struct {
 // Benson-style data center: audit every two-way redundancy deployment over
 // the 20 candidate racks, first with failure sampling + size ranking (the
 // paper's run), then with the minimal RG algorithm + failure probability
-// 0.1 per device (the paper's formal analysis).
+// 0.1 per device (the paper's formal analysis). Both runs are requests to an
+// in-process audit service over the racks' records.
 func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 	rounds := cfg.Rounds
 	if rounds == 0 {
@@ -53,34 +57,38 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 		seed = 1
 	}
 
-	dc := topology.BensonDC()
 	candidates := topology.BensonCandidateRacks()
-	auditor := core.NewAuditor()
-	if err := auditor.Register("nsdminer", core.TopologyAcquirer(dc)); err != nil {
+	records, err := topology.BensonDC().NetworkRecords(candidates)
+	if err != nil {
 		return nil, err
 	}
-	if err := auditor.Acquire(candidates...); err != nil {
+	db := depdb.New()
+	if err := db.Put(records...); err != nil {
 		return nil, err
 	}
+	s := auditd.New(auditd.Config{DB: db})
+	defer s.Shutdown(context.Background())
 
-	var specs []sia.GraphSpec
+	var pairs []auditd.DeploymentWire
 	for i := 0; i < len(candidates); i++ {
 		for j := i + 1; j < len(candidates); j++ {
-			specs = append(specs, sia.GraphSpec{
-				Deployment: candidates[i] + "+" + candidates[j],
-				Servers:    []string{candidates[i], candidates[j]},
+			pairs = append(pairs, auditd.DeploymentWire{
+				Name:    candidates[i] + "+" + candidates[j],
+				Servers: []string{candidates[i], candidates[j]},
 			})
 		}
 	}
 
-	res := &Fig6aResult{Pairs: len(specs), SamplingRounds: rounds}
+	res := &Fig6aResult{Pairs: len(pairs), SamplingRounds: rounds}
 
 	// Run 1 (the paper's run): failure sampling + size-based ranking.
-	sampled, err := auditor.AuditAlternatives("fig6a sampling", specs, sia.Options{
-		Algorithm: sia.FailureSampling,
-		Rounds:    rounds,
-		Seed:      seed,
-		RankMode:  sia.RankBySize,
+	sampled, err := serveAudit(s, &auditd.SubmitRequest{
+		Title:          "fig6a sampling",
+		Deployments:    pairs,
+		Algorithm:      "failure-sampling",
+		Rounds:         rounds,
+		Seed:           seed,
+		SamplerWorkers: runtime.GOMAXPROCS(0),
 	})
 	if err != nil {
 		return nil, err
@@ -98,15 +106,11 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 	res.RandomSuccess = float64(res.SafePairs) / float64(res.Pairs)
 
 	// Run 2 (the paper's formal check): minimal RGs + failure probability
-	// 0.1 for every network device.
-	weighted := make([]sia.GraphSpec, len(specs))
-	copy(weighted, specs)
-	for i := range weighted {
-		weighted[i].Prob = func(string) float64 { return 0.1 }
-	}
-	probRep, err := auditor.AuditAlternatives("fig6a probability", weighted, sia.Options{
-		Algorithm: sia.MinimalRG,
-		RankMode:  sia.RankByProb,
+	// 0.1 for every network device, ranked by Pr(outage).
+	probRep, err := serveAudit(s, &auditd.SubmitRequest{
+		Title:       "fig6a probability",
+		Deployments: pairs,
+		FailureProb: 0.1,
 	})
 	if err != nil {
 		return nil, err
@@ -120,6 +124,24 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 	res.ProbUnique = len(probRep.Audits) < 2 ||
 		probRep.Audits[1].FailureProb > pbest.FailureProb+1e-15
 	return res, nil
+}
+
+// serveAudit runs one audit request to completion on an in-process audit
+// service and returns its report: the case studies check the paper's
+// numbers against what the service serves.
+func serveAudit(s *auditd.Server, req *auditd.SubmitRequest) (*report.Report, error) {
+	ctx := context.Background()
+	st, err := s.Submit(req)
+	if err != nil {
+		return nil, err
+	}
+	if st, err = s.WaitDone(ctx, st.ID, math.MaxInt64); err != nil {
+		return nil, err
+	}
+	if st.State != auditd.StateDone {
+		return nil, fmt.Errorf("%s: audit %s: %s", req.Title, st.State, st.Error)
+	}
+	return s.Report(st.ID)
 }
 
 // Render formats the result alongside the paper's published numbers.

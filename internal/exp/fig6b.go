@@ -1,15 +1,15 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
 
+	"indaas/internal/auditd"
 	"indaas/internal/cloudsim"
-	"indaas/internal/core"
 	"indaas/internal/deps"
 	"indaas/internal/report"
-	"indaas/internal/sia"
 )
 
 // Fig6bResult is the outcome of the §6.2.2 hardware case study.
@@ -54,10 +54,12 @@ func RunFig6b() (*Fig6bResult, error) {
 		return nil, err
 	}
 	res := &Fig6bResult{VM7Host: vm7.Host, VM8Host: vm8.Host}
+	s := auditd.New(auditd.Config{})
+	defer s.Shutdown(context.Background())
 
 	// Audit the deployed configuration (network + hardware dependencies,
 	// minimal RG algorithm, size ranking).
-	audit, err := auditRiakVMs(cloud)
+	audit, err := auditRiakVMs(s, cloud)
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +69,7 @@ func RunFig6b() (*Fig6bResult, error) {
 
 	// Consult the report for the most independent server pair, preferring
 	// fewer migrations among ties (keep a replica on its current host).
-	suggestion, err := suggestRedeployment(cloud, []string{vm7.Host, vm8.Host})
+	suggestion, err := suggestRedeployment(s, cloud, []string{vm7.Host, vm8.Host})
 	if err != nil {
 		return nil, err
 	}
@@ -77,7 +79,7 @@ func RunFig6b() (*Fig6bResult, error) {
 	if err := migrateTo(cloud, suggestion); err != nil {
 		return nil, err
 	}
-	after, err := auditRiakVMs(cloud)
+	after, err := auditRiakVMs(s, cloud)
 	if err != nil {
 		return nil, err
 	}
@@ -85,35 +87,39 @@ func RunFig6b() (*Fig6bResult, error) {
 	return res, nil
 }
 
-// auditRiakVMs runs SIA over the two Riak VMs' current placement.
-func auditRiakVMs(cloud *cloudsim.Cloud) (*report.DeploymentAudit, error) {
-	auditor := core.NewAuditor()
-	if err := auditor.Register("cloud", core.CloudAcquirer(cloud, []string{"VM7", "VM8"})); err != nil {
-		return nil, err
+// auditRiakVMs audits the two Riak VMs' current placement on the audit
+// service, the cloud's records inline: network and hardware dependencies,
+// minimal RG algorithm, size ranking.
+func auditRiakVMs(s *auditd.Server, cloud *cloudsim.Cloud) (*report.DeploymentAudit, error) {
+	var records []deps.Record
+	for _, vm := range []string{"VM7", "VM8"} {
+		recs, err := cloud.DependencyRecords(vm)
+		if err != nil {
+			return nil, err
+		}
+		records = append(records, recs...)
 	}
-	if err := auditor.Acquire(); err != nil {
-		return nil, err
-	}
-	spec := sia.GraphSpec{
-		Deployment: "riak",
-		Servers:    []string{"VM7", "VM8"},
-		Kinds:      []deps.Kind{deps.KindNetwork, deps.KindHardware},
-	}
-	g, err := sia.BuildGraph(auditor.DB(), spec)
+	rep, err := serveAudit(s, &auditd.SubmitRequest{
+		Title:   "fig6b riak",
+		Records: auditd.WireRecords(records),
+		Deployments: []auditd.DeploymentWire{{
+			Name: "riak", Servers: []string{"VM7", "VM8"}, Kinds: []string{"network", "hardware"},
+		}},
+	})
 	if err != nil {
 		return nil, err
 	}
-	return sia.Audit(g, spec, sia.Options{Algorithm: sia.MinimalRG, RankMode: sia.RankBySize})
+	return &rep.Audits[0], nil
 }
 
 // suggestRedeployment audits every server pair as a hypothetical placement
 // of the two replicas and returns the most independent pair; among ties it
 // prefers pairs that keep replicas on their current hosts (fewer
 // migrations), then lexicographic order.
-func suggestRedeployment(cloud *cloudsim.Cloud, current []string) ([2]string, error) {
+func suggestRedeployment(s *auditd.Server, cloud *cloudsim.Cloud, current []string) ([2]string, error) {
 	var all []scoredPair
 	for _, pair := range cloud.ServerPairs() {
-		audit, err := auditHypotheticalPair(cloud, pair)
+		audit, err := auditHypotheticalPair(s, cloud, pair)
 		if err != nil {
 			return [2]string{}, err
 		}
@@ -165,7 +171,7 @@ func lessPair(a, b scoredPair, curCount func([2]string) int) bool {
 // auditHypotheticalPair audits VM7-on-pair[0], VM8-on-pair[1] without
 // touching the real cloud: it builds the records a re-deployed pair would
 // produce.
-func auditHypotheticalPair(cloud *cloudsim.Cloud, pair [2]string) (*report.DeploymentAudit, error) {
+func auditHypotheticalPair(s *auditd.Server, cloud *cloudsim.Cloud, pair [2]string) (*report.DeploymentAudit, error) {
 	scratch, err := cloudsim.New(cloud.Servers, cloud.Cores, 1)
 	if err != nil {
 		return nil, err
@@ -176,7 +182,7 @@ func auditHypotheticalPair(cloud *cloudsim.Cloud, pair [2]string) (*report.Deplo
 	if _, err := scratch.PlaceOn("VM8", pair[1]); err != nil {
 		return nil, err
 	}
-	return auditRiakVMs(scratch)
+	return auditRiakVMs(s, scratch)
 }
 
 // migrateTo moves the replicas onto the suggested pair (keeping in-place

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"indaas/internal/core"
+	"indaas/internal/depdb"
 	"indaas/internal/faultgraph"
 	"indaas/internal/riskgroup"
 	"indaas/internal/sia"
@@ -83,7 +83,9 @@ func Fig7FullConfig() Fig7Config {
 
 // fig7Graph builds the audited fault graph: an r-way redundant deployment
 // across the first server of pods 0..r−1 on a k-port fat tree, at the fault
-// graph level of detail (ToR / aggregation / core path structure).
+// graph level of detail (ToR / aggregation / core path structure). Fig. 7
+// times the kernels on it directly: its sampler runs with a biased coin
+// (Fig7Config.Bias), which no audit request carries.
 func fig7Graph(k, r int) (*faultgraph.Graph, error) {
 	ft, err := topology.FatTree(k)
 	if err != nil {
@@ -92,18 +94,19 @@ func fig7Graph(k, r int) (*faultgraph.Graph, error) {
 	if r > k {
 		return nil, fmt.Errorf("fig7: %d replicas need at least %d pods", r, r)
 	}
-	auditor := core.NewAuditor()
-	if err := auditor.Register("net", core.TopologyAcquirer(ft)); err != nil {
-		return nil, err
-	}
 	servers := make([]string, r)
 	for i := range servers {
 		servers[i] = topology.FatTreeServer(i, 0, 0)
 	}
-	if err := auditor.Acquire(servers...); err != nil {
+	records, err := ft.NetworkRecords(servers)
+	if err != nil {
 		return nil, err
 	}
-	return sia.BuildGraph(auditor.DB(), sia.GraphSpec{
+	db := depdb.New()
+	if err := db.Put(records...); err != nil {
+		return nil, err
+	}
+	return sia.BuildGraph(db, sia.GraphSpec{
 		Deployment: fmt.Sprintf("fattree-k%d-%dway", k, r),
 		Servers:    servers,
 	})

@@ -89,16 +89,3 @@ func CollectFleet(ms []Machine, qualified bool) []deps.Record {
 	}
 	return out
 }
-
-// SharedModels returns, per component model, the machines using it —
-// the shared-batch view auditors use to find same-model correlated risks
-// (e.g. a bad disk firmware batch).
-func SharedModels(ms []Machine) map[string][]string {
-	out := make(map[string][]string)
-	for _, m := range ms {
-		for _, c := range m.Components {
-			out[c.Model] = append(out[c.Model], m.Name)
-		}
-	}
-	return out
-}

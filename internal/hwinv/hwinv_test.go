@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"indaas/internal/deps"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -81,18 +83,25 @@ func TestCollectBatchMode(t *testing.T) {
 	}
 }
 
-func TestSharedModels(t *testing.T) {
-	fleet := []Machine{
-		{Name: "A", Components: []Component{{Type: "Disk", Model: "SED900"}}},
-		{Name: "B", Components: []Component{{Type: "Disk", Model: "SED900"}}},
-		{Name: "C", Components: []Component{{Type: "Disk", Model: "ST2000DM001"}}},
+// TestCollectFleet: a generated fleet's records are each machine's own, in
+// fleet order.
+func TestCollectFleet(t *testing.T) {
+	fleet := GenerateFleet("S", 3, 5)
+	var want []deps.Record
+	for _, m := range fleet {
+		recs := Collect(m, true)
+		if len(recs) == 0 {
+			t.Fatalf("%s: no records", m.Name)
+		}
+		for _, r := range recs {
+			if r.Hardware.HW != m.Name {
+				t.Errorf("record for %s among %s's", r.Hardware.HW, m.Name)
+			}
+		}
+		want = append(want, recs...)
 	}
-	shared := SharedModels(fleet)
-	if got := shared["SED900"]; !reflect.DeepEqual(got, []string{"A", "B"}) {
-		t.Errorf("SED900 users = %v", got)
-	}
-	if got := shared["ST2000DM001"]; len(got) != 1 {
-		t.Errorf("ST2000DM001 users = %v", got)
+	if got := CollectFleet(fleet, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("CollectFleet = %d records, want the %d of its machines in order", len(got), len(want))
 	}
 }
 

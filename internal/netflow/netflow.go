@@ -58,26 +58,6 @@ func (g *Generator) InternetFlows(server string, n int) ([]Flow, error) {
 	return out, nil
 }
 
-// ServerFlows emits n flows between two fat-tree servers across their
-// redundant paths.
-func (g *Generator) ServerFlows(src, dst string, n int) ([]Flow, error) {
-	routes, err := topology.ServerToServerRoutes(g.Topo, src, dst)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Flow, 0, n)
-	for i := 0; i < n; i++ {
-		port := 32768 + i
-		route := routes[ecmpHash(src, dst, port)%uint32(len(routes))]
-		out = append(out, Flow{
-			Src: src, Dst: dst, SrcPort: port,
-			Bytes: 1024 + (i%5)*256,
-			Path:  append([]string(nil), route...),
-		})
-	}
-	return out, nil
-}
-
 func ecmpHash(src, dst string, port int) uint32 {
 	h := fnv.New32a()
 	h.Write([]byte(src))

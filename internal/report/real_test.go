@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"indaas/internal/agentsim"
-	"indaas/internal/core"
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
 	"indaas/internal/report"
@@ -61,7 +60,7 @@ func fatTreeRecords() ([]deps.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	return core.TopologyAcquirer(ft).Collect([]string{topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0)})
+	return ft.NetworkRecords([]string{topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0)})
 }
 
 func auditPair(records func() ([]deps.Record, error), a, b string) (*report.Report, error) {

@@ -122,15 +122,6 @@ func (u *Universe) ClosureIDs(root string) ([]string, error) {
 	return out, nil
 }
 
-// ClosureSet returns the closure as a component set.
-func (u *Universe) ClosureSet(root string) (deps.ComponentSet, error) {
-	ids, err := u.ClosureIDs(root)
-	if err != nil {
-		return nil, err
-	}
-	return deps.NewComponentSet(ids...), nil
-}
-
 // Record produces the Table 1 software dependency record for program pgm
 // running on machine hw with the given root package: the record's dep list
 // is the dependency closure, excluding the root package itself (the root is

@@ -158,6 +158,14 @@ func TestKeyValueStoreUniverseClosureSizes(t *testing.T) {
 		if len(ids) != wantSizes[root] {
 			t.Errorf("%s closure = %d packages, want %d", root, len(ids), wantSizes[root])
 		}
+		// The software record lists the closure without its root.
+		rec, err := u.Record(root+"1", "S1", root)
+		if err != nil {
+			t.Fatalf("%s: %v", root, err)
+		}
+		if rec.Software.Pgm != root+"1" || len(rec.Software.Dep) != wantSizes[root]-1 {
+			t.Errorf("%s record: pgm %q, %d deps, want %d", root, rec.Software.Pgm, len(rec.Software.Dep), wantSizes[root]-1)
+		}
 	}
 }
 
@@ -193,11 +201,11 @@ func TestTable2JaccardReproduction(t *testing.T) {
 	u, roots := KeyValueStoreUniverse()
 	sets := make([]deps.ComponentSet, len(roots))
 	for i, root := range roots {
-		s, err := u.ClosureSet(root)
+		ids, err := u.ClosureIDs(root)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sets[i] = s
+		sets[i] = deps.NewComponentSet(ids...)
 	}
 	paper := Table2Paper()
 	measured := make(map[string]float64)

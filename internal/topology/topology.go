@@ -9,7 +9,8 @@ package topology
 
 import (
 	"fmt"
-	"sort"
+
+	"indaas/internal/deps"
 )
 
 // Kind classifies a device.
@@ -133,24 +134,24 @@ func (t *Topology) RoutesToInternet(server string) ([][]string, error) {
 	return nil, fmt.Errorf("topology: unknown server %q", server)
 }
 
-// SortedRouteDevices returns the sorted set of distinct devices appearing on
-// any of server's routes to the Internet.
-func (t *Topology) SortedRouteDevices(server string) ([]string, error) {
-	routes, err := t.RoutesToInternet(server)
-	if err != nil {
-		return nil, err
+// NetworkRecords returns the ground-truth Table 1 network records of the
+// given servers (empty means every server): one record per redundant route
+// to the Internet, in route order — the idealized acquisition used when
+// mining noise is not under study.
+func (t *Topology) NetworkRecords(subjects []string) ([]deps.Record, error) {
+	if len(subjects) == 0 {
+		subjects = t.Servers()
 	}
-	set := make(map[string]struct{})
-	for _, r := range routes {
-		for _, d := range r {
-			set[d] = struct{}{}
+	var out []deps.Record
+	for _, s := range subjects {
+		routes, err := t.RoutesToInternet(s)
+		if err != nil {
+			return nil, err
+		}
+		for _, r := range routes {
+			out = append(out, deps.NewNetwork(s, "Internet", r...))
 		}
 	}
-	out := make([]string, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Strings(out)
 	return out, nil
 }
 

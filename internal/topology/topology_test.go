@@ -95,13 +95,59 @@ func TestFatTreeRouteDeviceSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	devs, err := ft.SortedRouteDevices(FatTreeServer(1, 1, 0))
+	routes, err := ft.RoutesToInternet(FatTreeServer(1, 1, 0))
 	if err != nil {
 		t.Fatal(err)
+	}
+	devs := map[string]bool{}
+	for _, r := range routes {
+		for _, d := range r {
+			devs[d] = true
+		}
 	}
 	// 1 ToR + 2 aggs + 4 cores.
 	if len(devs) != 7 {
 		t.Errorf("route device set = %v", devs)
+	}
+}
+
+// TestNetworkRecords: one network record per route to the Internet, in route
+// order; no subjects means every server.
+func TestNetworkRecords(t *testing.T) {
+	dc := BensonDC()
+	recs, err := dc.NetworkRecords([]string{"Rack29"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	routes, err := dc.RoutesToInternet("Rack29")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || len(routes) != 2 {
+		t.Fatalf("Rack29 records = %d, routes = %d, want 2 (dual routes)", len(recs), len(routes))
+	}
+	for i, r := range recs {
+		if r.Network.Src != "Rack29" || r.Network.Dst != "Internet" || !reflect.DeepEqual(r.Network.Route, routes[i]) {
+			t.Errorf("record %d = %+v, want route %v", i, r.Network, routes[i])
+		}
+	}
+	if recs[0].Network.Route[0] != "e29" {
+		t.Errorf("route = %v", recs[0].Network.Route)
+	}
+
+	ft, err := FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all, err := ft.NetworkRecords(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(ft.Servers()) * 4; len(all) != want { // k=4: 4 routes per server
+		t.Errorf("NetworkRecords(nil) = %d records, want %d", len(all), want)
+	}
+	if _, err := ft.NetworkRecords([]string{"ghost"}); err == nil {
+		t.Error("unknown server accepted")
 	}
 }
 
