@@ -2,7 +2,6 @@ package faultgraph
 
 import (
 	"fmt"
-	"math"
 	mbits "math/bits"
 )
 
@@ -129,60 +128,4 @@ func (g *Graph) TopProbExact() (float64, error) {
 		}
 	}
 	return total, nil
-}
-
-// TopProbBottomUp computes the top event probability by propagating
-// probabilities through the gates assuming *independent* child events.
-// This is exact only when the graph is a tree (no shared subtrees); with
-// shared dependencies it is an approximation — precisely the error that
-// motivates risk-group analysis. Exposed for ablation studies.
-func (g *Graph) TopProbBottomUp() (float64, error) {
-	probs := make([]float64, len(g.nodes))
-	for _, id := range g.topo {
-		n := &g.nodes[id]
-		if n.Gate == Basic {
-			if !n.HasProb() {
-				return 0, fmt.Errorf("faultgraph: basic event %q has no probability", n.Label)
-			}
-			probs[id] = n.Prob
-			continue
-		}
-		switch n.Gate {
-		case AND:
-			p := 1.0
-			for _, c := range n.Children {
-				p *= probs[c]
-			}
-			probs[id] = p
-		case OR:
-			q := 1.0
-			for _, c := range n.Children {
-				q *= 1 - probs[c]
-			}
-			probs[id] = 1 - q
-		case KofN:
-			probs[id] = kOfNProb(n.K, n.Children, probs)
-		}
-	}
-	return probs[g.top], nil
-}
-
-// kOfNProb computes P(at least k of the children fail) for independent
-// children via dynamic programming over the count of failures.
-func kOfNProb(k int, children []NodeID, probs []float64) float64 {
-	// dist[j] = P(exactly j failures among children seen so far).
-	dist := make([]float64, len(children)+1)
-	dist[0] = 1
-	for i, c := range children {
-		p := probs[c]
-		for j := i + 1; j >= 1; j-- {
-			dist[j] = dist[j]*(1-p) + dist[j-1]*p
-		}
-		dist[0] *= 1 - p
-	}
-	total := 0.0
-	for j := k; j <= len(children); j++ {
-		total += dist[j]
-	}
-	return math.Min(total, 1)
 }

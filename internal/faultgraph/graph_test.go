@@ -106,52 +106,6 @@ func TestTopProbExactRequiresProbs(t *testing.T) {
 	}
 }
 
-func TestTopProbBottomUpTree(t *testing.T) {
-	// On a tree (no shared events) bottom-up equals exact.
-	b := NewBuilder()
-	x := b.BasicProb("x", 0.5)
-	y := b.BasicProb("y", 0.25)
-	z := b.BasicProb("z", 0.125)
-	or := b.Gate("or", OR, x, y)
-	top := b.Gate("top", AND, or, z)
-	b.SetTop(top)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := g.TopProbExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu, err := g.TopProbBottomUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-bu) > 1e-12 {
-		t.Errorf("tree: exact %v != bottom-up %v", exact, bu)
-	}
-}
-
-func TestTopProbBottomUpSharedDiverges(t *testing.T) {
-	// With a shared component, naive bottom-up over-/under-estimates —
-	// this is the error INDaaS's RG analysis avoids.
-	g, err := fig4ab(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact, err := g.TopProbExact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu, err := g.TopProbBottomUp()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(exact-bu) < 1e-6 {
-		t.Errorf("shared-component graph: bottom-up %v suspiciously equals exact %v", bu, exact)
-	}
-}
-
 func TestKofNGate(t *testing.T) {
 	b := NewBuilder()
 	var kids []NodeID
@@ -198,12 +152,24 @@ func TestKofNProbMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bu, err := g.TopProbBottomUp()
-	if err != nil {
-		t.Fatal(err)
+	// The children are independent: sum over every failure pattern with at
+	// least 3 of the 4 failed.
+	want := 0.0
+	for mask := 0; mask < 1<<len(probs); mask++ {
+		p, failed := 1.0, 0
+		for i, q := range probs {
+			if mask&(1<<i) != 0 {
+				p, failed = p*q, failed+1
+			} else {
+				p *= 1 - q
+			}
+		}
+		if failed >= 3 {
+			want += p
+		}
 	}
-	if math.Abs(exact-bu) > 1e-12 {
-		t.Errorf("KofN DP %v != exact %v", bu, exact)
+	if math.Abs(exact-want) > 1e-12 {
+		t.Errorf("3-of-4 exact %v, want %v", exact, want)
 	}
 }
 
@@ -409,14 +375,8 @@ func TestSourceSetsDowngrade(t *testing.T) {
 	if sets[0].Probs["ToR1"] != 0.1 || sets[0].Probs["S1-disk"] != 0.05 {
 		t.Errorf("S1 probs = %v", sets[0].Probs)
 	}
-	cs := g.ComponentSets()
-	if !reflect.DeepEqual(cs["S2"], []string{"S2-disk"}) {
-		t.Errorf("S2 component set = %v", cs["S2"])
-	}
-	all := g.AllComponents()
-	want := []string{"Core1", "Core2", "S1-disk", "S2-disk", "ToR1"}
-	if !reflect.DeepEqual(all, want) {
-		t.Errorf("AllComponents = %v, want %v", all, want)
+	if !reflect.DeepEqual(sets[1].Components, []string{"S2-disk"}) {
+		t.Errorf("S2 components = %v", sets[1].Components)
 	}
 }
 
@@ -445,101 +405,6 @@ func TestFromSourceSetsKofN(t *testing.T) {
 	}
 	if !g.EvaluateSet([]string{"A", "C"}) {
 		t.Error("two failures should fire 2-of-3")
-	}
-}
-
-func TestCompose(t *testing.T) {
-	g1, err := FromSourceSets("ebs fails", 2, []SourceSet{
-		{Source: "ebs1", Components: []string{"disk1", "pdu"}},
-		{Source: "ebs2", Components: []string{"disk2", "pdu"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := FromSourceSets("elb fails", 2, []SourceSet{
-		{Source: "elb1", Components: []string{"lb1", "pdu"}},
-		{Source: "elb2", Components: []string{"lb2"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// EC2 service fails if EBS fails OR ELB fails.
-	g, err := Compose("ec2 fails", OR, 0, g1, g2)
-	if err != nil {
-		t.Fatalf("Compose: %v", err)
-	}
-	// "pdu" appears in both graphs: must be merged to a single basic event.
-	count := 0
-	for i := 0; i < g.Len(); i++ {
-		if g.Node(NodeID(i)).Gate == Basic && g.Node(NodeID(i)).Label == "pdu" {
-			count++
-		}
-	}
-	if count != 1 {
-		t.Fatalf("pdu appears %d times, want 1", count)
-	}
-	// pdu alone takes out EBS (both replicas) and hence the composition.
-	if !g.EvaluateSet([]string{"pdu"}) {
-		t.Error("shared pdu failure should fail the composed service")
-	}
-	if g.EvaluateSet([]string{"disk1"}) {
-		t.Error("single disk should not fail the composed service")
-	}
-	if !g.EvaluateSet([]string{"lb1", "lb2"}) {
-		t.Error("both load balancers failing should fail the composed service")
-	}
-}
-
-func TestComposeLabelCollision(t *testing.T) {
-	mk := func() *Graph {
-		g, err := FromSourceSets("svc fails", 1, []SourceSet{
-			{Source: "E1", Components: []string{"shared"}},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-	g, err := Compose("top", AND, 0, mk(), mk())
-	if err != nil {
-		t.Fatalf("Compose with colliding gate labels: %v", err)
-	}
-	// Both subtrees share the basic event, so its failure fails everything.
-	if !g.EvaluateSet([]string{"shared"}) {
-		t.Error("shared basic should fail composed AND")
-	}
-	if _, ok := g.Lookup("g1/svc fails"); !ok {
-		t.Error("colliding gate label not qualified")
-	}
-}
-
-func TestComposeErrors(t *testing.T) {
-	if _, err := Compose("t", AND, 0); err == nil {
-		t.Error("Compose with no graphs succeeded")
-	}
-	g, err := fig4ab(false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Compose("t", Basic, 0, g); err == nil {
-		t.Error("Compose with Basic gate succeeded")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	g, err := fig4ab(true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sb strings.Builder
-	if err := g.WriteDOT(&sb); err != nil {
-		t.Fatalf("WriteDOT: %v", err)
-	}
-	dot := sb.String()
-	for _, want := range []string{"digraph faultgraph", "A1", "p=0.1", "AND", "doubleoctagon", "->"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("DOT output missing %q:\n%s", want, dot)
-		}
 	}
 }
 

@@ -79,25 +79,6 @@ func (g *Graph) SourceSets() []SourceSet {
 	return out
 }
 
-// ComponentSets downgrades the graph to the component-set level: the sorted
-// basic-event labels reachable from each top-level child, probabilities
-// discarded (Fig. 4c → 4a).
-func (g *Graph) ComponentSets() map[string][]string {
-	out := make(map[string][]string)
-	for _, s := range g.SourceSets() {
-		out[s.Source] = s.Components
-	}
-	return out
-}
-
-// AllComponents returns the sorted labels of every basic event reachable
-// from the top event — the provider-wide component-set PIA feeds into the
-// private set intersection protocol (§4.2.3).
-func (g *Graph) AllComponents() []string {
-	labels := g.SortedLabels(g.reachableBasics(g.top))
-	return labels
-}
-
 func (g *Graph) reachableBasics(root NodeID) []NodeID {
 	visited := make([]bool, len(g.nodes))
 	stack := []NodeID{root}

@@ -297,21 +297,6 @@ func Search(ctx context.Context, db depdb.Reader, req Request) (*Result, error) 
 	}, nil
 }
 
-// ScoreDeployment audits one fixed deployment with the request's kinds,
-// weights and audit options — the single-candidate entry point schedulers
-// use to compare hypothetical placements.
-func ScoreDeployment(ctx context.Context, db depdb.Reader, nodes []string, req Request) (Score, error) {
-	if len(nodes) == 0 {
-		return Score{}, fmt.Errorf("placement: empty deployment")
-	}
-	e := newEvaluator(db, &req)
-	scores, err := e.scoreBatch(ctx, [][]string{sortedCopy(nodes)})
-	if err != nil {
-		return Score{}, err
-	}
-	return scores[0], nil
-}
-
 // rank stably sorts deployments most-independent first, tie-breaking on the
 // node list so results are deterministic, and truncates to k.
 func rank(sets [][]string, scores []Score, k int) []Ranked {

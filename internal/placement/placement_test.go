@@ -260,26 +260,6 @@ func TestSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestScoreDeployment: the single-candidate entry point matches what the
-// exact search computes for the same node set.
-func TestScoreDeployment(t *testing.T) {
-	db, nodes := labDB(t, 4, 2, 0)
-	req := Request{Nodes: nodes, Replicas: 2, Strategy: Exact, TopK: 6}
-	res, err := Search(context.Background(), db, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res.Top {
-		got, err := ScoreDeployment(context.Background(), db, r.Nodes, Request{Replicas: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.SizeVector, r.Score.SizeVector) || got.RGCount != r.Score.RGCount {
-			t.Fatalf("ScoreDeployment(%v) = %+v, search said %+v", r.Nodes, got, r.Score)
-		}
-	}
-}
-
 // TestRequestValidation rejects impossible searches up front.
 func TestRequestValidation(t *testing.T) {
 	db, nodes := labDB(t, 4, 2, 0)

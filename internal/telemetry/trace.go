@@ -54,14 +54,6 @@ func NewAt(t time.Time) *Trace {
 	return &Trace{start: t}
 }
 
-// Began reports when the trace's clock started.
-func (t *Trace) Began() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // Start opens a phase beginning now and returns the closure that ends it.
 // The phase is visible in snapshots immediately (Running=true) so a stuck
 // job's trace shows where it is stuck.
