@@ -66,8 +66,9 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 	if err := db.Put(records...); err != nil {
 		return nil, err
 	}
+	ctx := context.Background() // the run owns the service it starts
 	s := auditd.New(auditd.Config{DB: db})
-	defer s.Shutdown(context.Background())
+	defer s.Shutdown(ctx)
 
 	var pairs []auditd.DeploymentWire
 	for i := 0; i < len(candidates); i++ {
@@ -82,7 +83,7 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 	res := &Fig6aResult{Pairs: len(pairs), SamplingRounds: rounds}
 
 	// Run 1 (the paper's run): failure sampling + size-based ranking.
-	sampled, err := serveAudit(s, &auditd.SubmitRequest{
+	sampled, err := serveAudit(ctx, s, &auditd.SubmitRequest{
 		Title:          "fig6a sampling",
 		Deployments:    pairs,
 		Algorithm:      "failure-sampling",
@@ -107,7 +108,7 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 
 	// Run 2 (the paper's formal check): minimal RGs + failure probability
 	// 0.1 for every network device, ranked by Pr(outage).
-	probRep, err := serveAudit(s, &auditd.SubmitRequest{
+	probRep, err := serveAudit(ctx, s, &auditd.SubmitRequest{
 		Title:       "fig6a probability",
 		Deployments: pairs,
 		FailureProb: 0.1,
@@ -129,8 +130,7 @@ func RunFig6a(cfg Fig6aConfig) (*Fig6aResult, error) {
 // serveAudit runs one audit request to completion on an in-process audit
 // service and returns its report: the case studies check the paper's
 // numbers against what the service serves.
-func serveAudit(s *auditd.Server, req *auditd.SubmitRequest) (*report.Report, error) {
-	ctx := context.Background()
+func serveAudit(ctx context.Context, s *auditd.Server, req *auditd.SubmitRequest) (*report.Report, error) {
 	st, err := s.Submit(req)
 	if err != nil {
 		return nil, err

@@ -54,12 +54,13 @@ func RunFig6b() (*Fig6bResult, error) {
 		return nil, err
 	}
 	res := &Fig6bResult{VM7Host: vm7.Host, VM8Host: vm8.Host}
+	ctx := context.Background() // the run owns the service it starts
 	s := auditd.New(auditd.Config{})
-	defer s.Shutdown(context.Background())
+	defer s.Shutdown(ctx)
 
 	// Audit the deployed configuration (network + hardware dependencies,
 	// minimal RG algorithm, size ranking).
-	audit, err := auditRiakVMs(s, cloud)
+	audit, err := auditRiakVMs(ctx, s, cloud)
 	if err != nil {
 		return nil, err
 	}
@@ -69,7 +70,7 @@ func RunFig6b() (*Fig6bResult, error) {
 
 	// Consult the report for the most independent server pair, preferring
 	// fewer migrations among ties (keep a replica on its current host).
-	suggestion, err := suggestRedeployment(s, cloud, []string{vm7.Host, vm8.Host})
+	suggestion, err := suggestRedeployment(ctx, s, cloud, []string{vm7.Host, vm8.Host})
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +80,7 @@ func RunFig6b() (*Fig6bResult, error) {
 	if err := migrateTo(cloud, suggestion); err != nil {
 		return nil, err
 	}
-	after, err := auditRiakVMs(s, cloud)
+	after, err := auditRiakVMs(ctx, s, cloud)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +91,7 @@ func RunFig6b() (*Fig6bResult, error) {
 // auditRiakVMs audits the two Riak VMs' current placement on the audit
 // service, the cloud's records inline: network and hardware dependencies,
 // minimal RG algorithm, size ranking.
-func auditRiakVMs(s *auditd.Server, cloud *cloudsim.Cloud) (*report.DeploymentAudit, error) {
+func auditRiakVMs(ctx context.Context, s *auditd.Server, cloud *cloudsim.Cloud) (*report.DeploymentAudit, error) {
 	var records []deps.Record
 	for _, vm := range []string{"VM7", "VM8"} {
 		recs, err := cloud.DependencyRecords(vm)
@@ -99,7 +100,7 @@ func auditRiakVMs(s *auditd.Server, cloud *cloudsim.Cloud) (*report.DeploymentAu
 		}
 		records = append(records, recs...)
 	}
-	rep, err := serveAudit(s, &auditd.SubmitRequest{
+	rep, err := serveAudit(ctx, s, &auditd.SubmitRequest{
 		Title:   "fig6b riak",
 		Records: auditd.WireRecords(records),
 		Deployments: []auditd.DeploymentWire{{
@@ -116,10 +117,10 @@ func auditRiakVMs(s *auditd.Server, cloud *cloudsim.Cloud) (*report.DeploymentAu
 // of the two replicas and returns the most independent pair; among ties it
 // prefers pairs that keep replicas on their current hosts (fewer
 // migrations), then lexicographic order.
-func suggestRedeployment(s *auditd.Server, cloud *cloudsim.Cloud, current []string) ([2]string, error) {
+func suggestRedeployment(ctx context.Context, s *auditd.Server, cloud *cloudsim.Cloud, current []string) ([2]string, error) {
 	var all []scoredPair
 	for _, pair := range cloud.ServerPairs() {
-		audit, err := auditHypotheticalPair(s, cloud, pair)
+		audit, err := auditHypotheticalPair(ctx, s, cloud, pair)
 		if err != nil {
 			return [2]string{}, err
 		}
@@ -171,7 +172,7 @@ func lessPair(a, b scoredPair, curCount func([2]string) int) bool {
 // auditHypotheticalPair audits VM7-on-pair[0], VM8-on-pair[1] without
 // touching the real cloud: it builds the records a re-deployed pair would
 // produce.
-func auditHypotheticalPair(s *auditd.Server, cloud *cloudsim.Cloud, pair [2]string) (*report.DeploymentAudit, error) {
+func auditHypotheticalPair(ctx context.Context, s *auditd.Server, cloud *cloudsim.Cloud, pair [2]string) (*report.DeploymentAudit, error) {
 	scratch, err := cloudsim.New(cloud.Servers, cloud.Cores, 1)
 	if err != nil {
 		return nil, err
@@ -182,7 +183,7 @@ func auditHypotheticalPair(s *auditd.Server, cloud *cloudsim.Cloud, pair [2]stri
 	if _, err := scratch.PlaceOn("VM8", pair[1]); err != nil {
 		return nil, err
 	}
-	return auditRiakVMs(s, scratch)
+	return auditRiakVMs(ctx, s, scratch)
 }
 
 // migrateTo moves the replicas onto the suggested pair (keeping in-place

@@ -73,8 +73,6 @@ func FatTreeServer(pod, tor, slot int) string { return serverName(pod, tor, slot
 //   - same pod, different ToR: [torS, agg j, torD] for each aggregation j;
 //   - different pods: [torS, agg j (src pod), core (group j), agg j (dst
 //     pod), torD] for each j and each core in group j.
-//
-// Used by the netflow acquisition simulator to route service traffic.
 func ServerToServerRoutes(t *Topology, src, dst string) ([][]string, error) {
 	sd, ok := t.Device(src)
 	if !ok || sd.Kind != KindServer {
