@@ -82,8 +82,18 @@ func TestMineRecoversAllRoutes(t *testing.T) {
 			t.Errorf("mined record endpoints: %+v", r.Network)
 		}
 	}
-	// Full coverage and nothing else: the mined records are the topology's
-	// ground truth, one per route.
+}
+
+// TestMineMatchesTopologyOnSmallTree: with enough flows, mining recovers the
+// topology's ground truth and nothing else, one record per route.
+func TestMineMatchesTopologyOnSmallTree(t *testing.T) {
+	g := &Generator{Topo: fatTree4(t)}
+	srv := topology.FatTreeServer(0, 0, 0)
+	flows, err := g.InternetFlows(srv, 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := (&Miner{MinFlows: 1}).Mine(flows)
 	truth, err := g.Topo.NetworkRecords([]string{srv})
 	if err != nil {
 		t.Fatal(err)

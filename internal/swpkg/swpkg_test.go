@@ -158,13 +158,30 @@ func TestKeyValueStoreUniverseClosureSizes(t *testing.T) {
 		if len(ids) != wantSizes[root] {
 			t.Errorf("%s closure = %d packages, want %d", root, len(ids), wantSizes[root])
 		}
-		// The software record lists the closure without its root.
+	}
+}
+
+// TestKeyValueStoreRecords: over the real universe, each store's software
+// record names the program and host and lists its closure without the root.
+func TestKeyValueStoreRecords(t *testing.T) {
+	u, roots := KeyValueStoreUniverse()
+	for _, root := range roots {
+		ids, err := u.ClosureIDs(root)
+		if err != nil {
+			t.Fatalf("%s: %v", root, err)
+		}
 		rec, err := u.Record(root+"1", "S1", root)
 		if err != nil {
 			t.Fatalf("%s: %v", root, err)
 		}
-		if rec.Software.Pgm != root+"1" || len(rec.Software.Dep) != wantSizes[root]-1 {
-			t.Errorf("%s record: pgm %q, %d deps, want %d", root, rec.Software.Pgm, len(rec.Software.Dep), wantSizes[root]-1)
+		if rec.Software.Pgm != root+"1" || rec.Software.HW != "S1" {
+			t.Errorf("%s record header = %+v", root, rec.Software)
+		}
+		if len(rec.Software.Dep) != len(ids)-1 {
+			t.Errorf("%s record: %d deps, want %d (closure minus root)", root, len(rec.Software.Dep), len(ids)-1)
+		}
+		if err := rec.Validate(); err != nil {
+			t.Errorf("%s record invalid: %v", root, err)
 		}
 	}
 }
