@@ -79,9 +79,9 @@ func main() {
 	case "serve":
 		err = cmdServe(os.Args[2:])
 	case "recommend":
-		err = cmdRecommend(os.Args[2:])
+		err = cmdRecommend(os.Stdout, os.Args[2:])
 	case "private-audit":
-		err = cmdPrivateAudit(os.Args[2:])
+		err = cmdPrivateAudit(os.Stdout, os.Args[2:])
 	case "store":
 		err = cmdStore(os.Args[2:])
 	case "loadgen":

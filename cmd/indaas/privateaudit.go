@@ -5,6 +5,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"text/tabwriter"
@@ -64,7 +65,7 @@ func loadComponents(path string) ([]string, error) {
 // cmdPrivateAudit runs a private independence audit (PIA, §4.2) — locally
 // in-process, or through a running audit service's /v1/private-audits
 // endpoint, which caches results by the providers' dataset fingerprints.
-func cmdPrivateAudit(args []string) error {
+func cmdPrivateAudit(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("private-audit", flag.ExitOnError)
 	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = run locally")
 	var providers providerFlag
@@ -121,7 +122,7 @@ func cmdPrivateAudit(args []string) error {
 		if err != nil {
 			return err
 		}
-		return renderPrivateAudit(resp)
+		return renderPrivateAudit(out, resp)
 	}
 
 	ctx := context.Background()
@@ -131,7 +132,7 @@ func cmdPrivateAudit(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("registered proxy %s: %d components, fingerprint %.12s…\n", info.Name, info.Components, info.Fingerprint)
+		fmt.Fprintf(out, "registered proxy %s: %d components, fingerprint %.12s…\n", info.Name, info.Components, info.Fingerprint)
 		req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name})
 	}
 	for _, p := range providers {
@@ -144,7 +145,7 @@ func cmdPrivateAudit(args []string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("registered %s: %d components, fingerprint %.12s…\n", info.Name, info.Components, info.Fingerprint)
+			fmt.Fprintf(out, "registered %s: %d components, fingerprint %.12s…\n", info.Name, info.Components, info.Fingerprint)
 			req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name})
 		} else {
 			req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name, Components: components})
@@ -154,7 +155,7 @@ func cmdPrivateAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job %s (%s, cache key %.12s…)\n", st.ID, st.State, st.CacheKey)
+	fmt.Fprintf(out, "job %s (%s, cache key %.12s…)\n", st.ID, st.State, st.CacheKey)
 	end, err := c.WaitDone(ctx, st.ID)
 	if err != nil {
 		return err
@@ -166,17 +167,17 @@ func cmdPrivateAudit(args []string) error {
 	if err != nil {
 		return err
 	}
-	return renderPrivateAudit(resp)
+	return renderPrivateAudit(out, resp)
 }
 
 // renderPrivateAudit prints the ranked independence table, most independent
 // (lowest Jaccard similarity) deployment first.
-func renderPrivateAudit(res *auditd.PrivateAuditResponse) error {
-	fmt.Printf("=== INDaaS private audit (%d deployments) ===\n", res.Pairs)
+func renderPrivateAudit(out io.Writer, res *auditd.PrivateAuditResponse) error {
+	fmt.Fprintf(out, "=== INDaaS private audit (%d deployments) ===\n", res.Pairs)
 	for _, p := range res.Providers {
-		fmt.Printf("provider %s: %d components, fingerprint %.12s…\n", p.Name, p.Components, p.Fingerprint)
+		fmt.Fprintf(out, "provider %s: %d components, fingerprint %.12s…\n", p.Name, p.Components, p.Fingerprint)
 	}
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "rank\tdeployment\tjaccard\telapsed")
 	for i, e := range res.Entries {
 		jcol := "-"
@@ -190,7 +191,7 @@ func renderPrivateAudit(res *auditd.PrivateAuditResponse) error {
 		return err
 	}
 	if res.PairsPerSec != nil {
-		fmt.Printf("throughput: %.1f pairs/sec\n", *res.PairsPerSec)
+		fmt.Fprintf(out, "throughput: %.1f pairs/sec\n", *res.PairsPerSec)
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"os"
+	"io"
 	"strings"
 	"text/tabwriter"
 
@@ -15,7 +15,7 @@ import (
 // cmdRecommend searches the deployment space for the most independent
 // replica placements — locally over a Table 1 XML file, or remotely through
 // a running audit service's /v1/recommend endpoint.
-func cmdRecommend(args []string) error {
+func cmdRecommend(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
 	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required unless -server)")
 	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = search locally")
@@ -57,7 +57,7 @@ func cmdRecommend(args []string) error {
 		Workers:     *workers,
 	}
 	if *server != "" {
-		return recommendRemote(*server, req, *depsPath)
+		return recommendRemote(out, *server, req, *depsPath)
 	}
 
 	if *depsPath == "" {
@@ -87,13 +87,13 @@ func cmdRecommend(args []string) error {
 	if err != nil {
 		return err
 	}
-	return renderRecommendation(auditd.RecommendResponseFromResult(res))
+	return renderRecommendation(out, auditd.RecommendResponseFromResult(res))
 }
 
 // recommendRemote submits the search to a running audit service, long-polls
 // it to completion and renders the ranking. When depsPath is set, the
 // records are ingested through /v1/depdb first.
-func recommendRemote(base string, req *auditd.RecommendRequest, depsPath string) error {
+func recommendRemote(out io.Writer, base string, req *auditd.RecommendRequest, depsPath string) error {
 	ctx := context.Background()
 	c := auditd.NewClient(base, nil)
 	if depsPath != "" {
@@ -105,13 +105,13 @@ func recommendRemote(base string, req *auditd.RecommendRequest, depsPath string)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("ingested %d records (db fingerprint %.12s…)\n", resp.Added, resp.Fingerprint)
+		fmt.Fprintf(out, "ingested %d records (db fingerprint %.12s…)\n", resp.Added, resp.Fingerprint)
 	}
 	st, err := c.Recommend(ctx, req)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("job %s (%s, cache key %.12s…)\n", st.ID, st.State, st.CacheKey)
+	fmt.Fprintf(out, "job %s (%s, cache key %.12s…)\n", st.ID, st.State, st.CacheKey)
 	end, err := c.WaitDone(ctx, st.ID)
 	if err != nil {
 		return err
@@ -123,16 +123,16 @@ func recommendRemote(base string, req *auditd.RecommendRequest, depsPath string)
 	if err != nil {
 		return err
 	}
-	return renderRecommendation(res)
+	return renderRecommendation(out, res)
 }
 
 // renderRecommendation prints the ranking table. Evaluated counts every
 // candidate audit run — the heuristics also audit partial deployments, so
 // it is not a fraction of the full deployment space.
-func renderRecommendation(res *auditd.RecommendResponse) error {
-	fmt.Printf("=== INDaaS placement recommendation (%s: %d candidate audits over a %d-deployment space) ===\n",
+func renderRecommendation(out io.Writer, res *auditd.RecommendResponse) error {
+	fmt.Fprintf(out, "=== INDaaS placement recommendation (%s: %d candidate audits over a %d-deployment space) ===\n",
 		res.Strategy, res.Evaluated, res.TotalCandidates)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	w := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "rank\tdeployment\tRGs\tsize-1\tscore\tPr(outage)")
 	for _, r := range res.Rankings {
 		size1 := 0
