@@ -29,7 +29,7 @@
 //
 //	indaas private-audit -provider a=a.txt -provider b=b.txt [-server URL]
 //	    Run a private independence audit (PIA, §4.2) over provider
-//	    component-set files — locally, or through a running audit service's
+//	    component-set files, or through a running audit service's
 //	    /v1/private-audits endpoint where results are cached by dataset
 //	    fingerprint; -register stores datasets server-side for later
 //	    reference by name, and -proxy NAME=URL registers a provider's proxy
@@ -42,6 +42,10 @@
 //	    audit service and measure sustained ingest throughput, watch
 //	    notification latency, and how much re-auditing stayed incremental
 //	    (see internal/agentsim).
+//
+// audit, and recommend and private-audit without -server, run their one job
+// on an in-process audit service (internal/auditd), so they apply exactly
+// the service's option rules and defaults and fail as a served job fails.
 package main
 
 import (
@@ -63,6 +67,7 @@ import (
 	"indaas/internal/auditd"
 	"indaas/internal/depdb"
 	"indaas/internal/deps"
+	"indaas/internal/report"
 )
 
 func main() {
@@ -168,31 +173,50 @@ func cmdAudit(w io.Writer, args []string) error {
 	if *workers == 0 {
 		*workers = runtime.GOMAXPROCS(0) // the service's own default is one
 	}
-	ctx := context.Background()
-	s := auditd.New(auditd.Config{DB: db})
-	defer s.Shutdown(ctx)
-	st, err := s.Submit(&auditd.SubmitRequest{
-		Title:          "indaas audit",
-		Deployments:    deployments,
-		Algorithm:      *algo,
-		Rounds:         *rounds,
-		SamplerWorkers: *workers,
-		FailureProb:    *prob,
+	rep, err := runJob[*report.Report](db, func(s *auditd.Server) (auditd.JobStatus, error) {
+		return s.Submit(&auditd.SubmitRequest{
+			Title:          "indaas audit",
+			Deployments:    deployments,
+			Algorithm:      *algo,
+			Rounds:         *rounds,
+			SamplerWorkers: *workers,
+			FailureProb:    *prob,
+		})
 	})
 	if err != nil {
 		return err
 	}
+	return rep.Render(w, *maxRGs)
+}
+
+// runJob runs one job on an in-process audit service over db (nil when the
+// request carries its own data) and returns its result: submit, wait, check
+// the end state and fetch, as a client of a served job does. A command
+// without -server thereby applies exactly the service's rules and defaults.
+func runJob[T any](db *depdb.DB, submit func(*auditd.Server) (auditd.JobStatus, error)) (T, error) {
+	var zero T
+	ctx := context.Background()
+	s := auditd.New(auditd.Config{DB: db})
+	defer s.Shutdown(ctx)
+	st, err := submit(s)
+	if err != nil {
+		return zero, err
+	}
 	if st, err = s.WaitDone(ctx, st.ID, math.MaxInt64); err != nil {
-		return err
+		return zero, err
 	}
 	if st.State != auditd.StateDone {
-		return fmt.Errorf("audit %s: %s", st.State, st.Error)
+		return zero, fmt.Errorf("job %s ended %s: %s", st.ID, st.State, st.Error)
 	}
-	rep, err := s.Report(st.ID)
+	res, err := s.Result(st.ID)
 	if err != nil {
-		return err
+		return zero, err
 	}
-	return rep.Render(w, *maxRGs)
+	out, ok := res.(T)
+	if !ok {
+		return zero, fmt.Errorf("job %s returned a %T, want a %T", st.ID, res, zero)
+	}
+	return out, nil
 }
 
 func cmdProxy(args []string) error {

@@ -62,12 +62,13 @@ func loadComponents(path string) ([]string, error) {
 	return components, sc.Err()
 }
 
-// cmdPrivateAudit runs a private independence audit (PIA, §4.2) — locally
-// in-process, or through a running audit service's /v1/private-audits
-// endpoint, which caches results by the providers' dataset fingerprints.
+// cmdPrivateAudit runs a private independence audit (PIA, §4.2) — on an
+// in-process audit service, or through a running audit service's
+// /v1/private-audits endpoint, which caches results by the providers'
+// dataset fingerprints.
 func cmdPrivateAudit(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("private-audit", flag.ExitOnError)
-	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = run locally")
+	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = an in-process service over -provider")
 	var providers providerFlag
 	fs.Var(&providers, "provider", "provider dataset: name=components.txt (repeatable)")
 	var proxies providerFlag
@@ -88,11 +89,10 @@ func cmdPrivateAudit(out io.Writer, args []string) error {
 		return fmt.Errorf("private-audit: unexpected arguments %q (note: -register takes no value; datasets come from -provider)", fs.Args())
 	}
 
-	// One wire request serves both modes: remotely it is POSTed verbatim;
-	// locally Local() applies the exact defaults the service would, so
-	// offline and served audits cannot drift. Where each dataset lives picks
-	// the protocol: held sets are counted in cleartext, proxied ones run
-	// P-SOP.
+	// One wire request serves both modes: remotely it is POSTed verbatim,
+	// locally it runs on an in-process service. Where each dataset lives
+	// picks the protocol: held sets are counted in cleartext, proxied ones
+	// run P-SOP.
 	req := &auditd.PrivateAuditRequest{
 		Title:       *title,
 		Deployments: deployments,
@@ -118,7 +118,9 @@ func cmdPrivateAudit(out io.Writer, args []string) error {
 			}
 			req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name, Components: components})
 		}
-		resp, err := req.Local(context.Background())
+		resp, err := runJob[*auditd.PrivateAuditResponse](nil, func(s *auditd.Server) (auditd.JobStatus, error) {
+			return s.PrivateAudit(req)
+		})
 		if err != nil {
 			return err
 		}

@@ -75,3 +75,30 @@ func TestPrivateAuditLocal(t *testing.T) {
 		t.Errorf("rank, deployment, jaccard:\n%s\nwant:\n%s\nfull output:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"), out.String())
 	}
 }
+
+// TestPrivateAuditLocalTimeout: without -server, -timeout caps the job as it
+// does a served one. Twelve providers of 20,000 components make 66 pairs,
+// which take far longer to count than the 1 ms cap.
+func TestPrivateAuditLocalTimeout(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-timeout", "1ms"}
+	for p := 0; p < 12; p++ {
+		var b strings.Builder
+		for c := 0; c < 20000; c++ {
+			fmt.Fprintf(&b, "pkg:%d\n", c*(p+1))
+		}
+		path := filepath.Join(dir, fmt.Sprintf("p%d.txt", p))
+		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		args = append(args, "-provider", fmt.Sprintf("p%d=%s", p, path))
+	}
+	var out bytes.Buffer
+	err := cmdPrivateAudit(&out, args)
+	if err == nil || !strings.Contains(err.Error(), "ended canceled: timed out after 1ms") {
+		t.Fatalf("err = %v, want the job canceled by its 1ms timeout", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("timed-out audit printed %q", out.String())
+	}
+}

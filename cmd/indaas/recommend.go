@@ -9,20 +9,19 @@ import (
 	"text/tabwriter"
 
 	"indaas/internal/auditd"
-	"indaas/internal/placement"
 )
 
 // cmdRecommend searches the deployment space for the most independent
-// replica placements — locally over a Table 1 XML file, or remotely through
-// a running audit service's /v1/recommend endpoint.
+// replica placements — on an in-process audit service over a Table 1 XML
+// file, or through a running audit service's /v1/recommend endpoint.
 func cmdRecommend(out io.Writer, args []string) error {
 	fs := flag.NewFlagSet("recommend", flag.ExitOnError)
 	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required unless -server)")
-	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = search locally")
+	server := fs.String("server", "", "audit service base URL (e.g. http://127.0.0.1:7080); empty = an in-process service over -deps")
 	nodes := fs.String("nodes", "", "comma-separated candidate nodes (default: every subject in the records)")
 	fixed := fs.String("fixed", "", "comma-separated nodes pinned into every deployment")
 	replicas := fs.Int("replicas", 2, "deployment size, pinned nodes included")
-	topK := fs.Int("top", placement.DefaultTopK, "ranked deployments to return")
+	topK := fs.Int("top", 0, "ranked deployments to return (0 = the service default, 3)")
 	strategy := fs.String("strategy", "auto", "auto, exact, greedy or beam")
 	beamWidth := fs.Int("beam", 0, "beam width (0 = default)")
 	algo := fs.String("algorithm", "minimal-rg", "minimal-rg or failure-sampling, per candidate audit")
@@ -39,9 +38,8 @@ func cmdRecommend(out io.Writer, args []string) error {
 		}
 		return strings.Split(s, ",")
 	}
-	// One wire request serves both modes: remotely it is POSTed verbatim;
-	// locally its PlacementRequest conversion applies the exact defaults
-	// the service would, so offline and served rankings cannot drift.
+	// One wire request serves both modes: remotely it is POSTed verbatim,
+	// locally it runs on an in-process service over the -deps records.
 	req := &auditd.RecommendRequest{
 		Title:       "indaas recommend",
 		Nodes:       splitList(*nodes),
@@ -67,27 +65,13 @@ func cmdRecommend(out io.Writer, args []string) error {
 	if err != nil {
 		return err
 	}
-	preq, err := req.PlacementRequest()
+	res, err := runJob[*auditd.RecommendResponse](db, func(s *auditd.Server) (auditd.JobStatus, error) {
+		return s.Recommend(req)
+	})
 	if err != nil {
 		return err
 	}
-	preq.Nodes = req.Nodes
-	if len(preq.Nodes) == 0 {
-		pinned := map[string]bool{}
-		for _, f := range req.Fixed {
-			pinned[f] = true
-		}
-		for _, subj := range db.Subjects() {
-			if !pinned[subj] {
-				preq.Nodes = append(preq.Nodes, subj)
-			}
-		}
-	}
-	res, err := placement.Search(context.Background(), db, preq)
-	if err != nil {
-		return err
-	}
-	return renderRecommendation(out, auditd.RecommendResponseFromResult(res))
+	return renderRecommendation(out, res)
 }
 
 // recommendRemote submits the search to a running audit service, long-polls

@@ -1,10 +1,10 @@
 // Placement walks the independence-maximizing deployment recommender over
 // the Fig. 6b lab cloud (§6.2.2): one probe VM per physical server turns
-// "where should two Riak replicas go?" into a choose-2-of-4 search, the
-// exact/greedy/beam strategies agree on the cross-switch optimum, and the
-// same search then runs as a job on an in-process audit service through
-// POST /v1/depdb + POST /v1/recommend — the full product surface of
-// internal/placement.
+// "where should two Riak replicas go?" into a choose-2-of-4 search that runs
+// as jobs on an in-process audit service through POST /v1/depdb + POST
+// /v1/recommend. The exact, greedy and beam strategies must agree on a
+// cross-switch optimum; the example exits 1 if any strategy's top pair
+// shares a switch.
 //
 //	go run ./examples/placement
 package main
@@ -15,15 +15,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"time"
 
 	"indaas/internal/auditd"
 	"indaas/internal/cloudsim"
-	"indaas/internal/depdb"
 	"indaas/internal/deps"
-	"indaas/internal/placement"
-	"indaas/internal/sia"
 )
 
 func main() {
@@ -31,97 +29,73 @@ func main() {
 	// behind Switch2, both switches through redundant cores. One probe VM
 	// per server models "a Riak replica hosted there".
 	cloud := cloudsim.FourServerLab(1)
-	db := depdb.New()
+	var records []deps.Record
 	var pool []string
+	switchOf := map[string]string{}
 	for _, srv := range cloud.Servers {
 		probe := "riak@" + srv.Name
 		if _, err := cloud.PlaceOn(probe, srv.Name); err != nil {
 			log.Fatal(err)
 		}
-		records, err := cloud.DependencyRecords(probe)
+		recs, err := cloud.DependencyRecords(probe)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := db.Put(records...); err != nil {
-			log.Fatal(err)
-		}
+		records = append(records, recs...)
 		pool = append(pool, probe)
+		switchOf[probe] = srv.ToR
 	}
-	fmt.Printf("candidate pool: %s\n\n", strings.Join(pool, ", "))
+	fmt.Printf("candidate pool: %s\n", strings.Join(pool, ", "))
 
-	// All three strategies over the same evaluator.
-	ctx := context.Background()
-	base := placement.Request{
-		Nodes:    pool,
-		Replicas: 2,
-		TopK:     3,
-		Kinds:    []deps.Kind{deps.KindNetwork, deps.KindHardware},
-		Audit:    sia.Options{Algorithm: sia.MinimalRG, RankMode: sia.RankBySize},
-	}
-	for _, strat := range []placement.Strategy{placement.Exact, placement.Greedy, placement.Beam} {
-		req := base
-		req.Strategy = strat
-		res, err := placement.Search(ctx, db, req)
-		if err != nil {
-			log.Fatal(err)
-		}
-		top := res.Top[0]
-		// Evaluated counts every audit run, partial deployments included —
-		// greedy/beam pay a few extra small audits to skip most of the
-		// C(n, r) space.
-		fmt.Printf("%-6s ran %2d candidate audits (space: %d deployments) → %s  (size-1 RGs: %d)\n",
-			strat, res.Evaluated, res.TotalCandidates,
-			strings.Join(top.Nodes, " + "), size1(top.Score.SizeVector))
-	}
-	fmt.Println("\nall strategies cross the switch boundary — a same-switch pair would")
-	fmt.Println("inherit the {Switch} size-1 risk group the §6.2.2 audit flags.")
-
-	// The same search as a service job: push the records, then recommend.
+	// Push the records to the service; every search below runs over them.
 	svc := auditd.New(auditd.Config{Workers: 2})
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 	client := auditd.NewClient(ts.URL, http.DefaultClient)
-	cctx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-
-	ingest, err := client.Ingest(cctx, auditd.WireRecords(db.Records()))
+	ingest, err := client.Ingest(ctx, auditd.WireRecords(records))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nserved on %s: ingested %d records (fingerprint %.12s…)\n",
+	fmt.Printf("served on %s: ingested %d records (fingerprint %.12s…)\n\n",
 		ts.URL, ingest.Added, ingest.Fingerprint)
 
-	st, err := client.Recommend(cctx, &auditd.RecommendRequest{
-		Title:    "riak replica placement",
-		Replicas: 2,
-		TopK:     3,
-		Strategy: "exact",
-		Kinds:    []string{"network", "hardware"},
-	})
-	if err != nil {
-		log.Fatal(err)
+	// All three strategies, each one recommendation job.
+	var exact *auditd.RecommendResponse
+	var sameSwitch []string
+	for _, strategy := range []string{"exact", "greedy", "beam"} {
+		res := recommend(ctx, client, strategy, "riak replica placement")
+		top := res.Rankings[0]
+		// Evaluated counts the candidate audits the job ran, partial
+		// deployments included. The service keeps each candidate's score
+		// for the records it read, so greedy re-audits only the partial
+		// deployments exact never scored, and beam finds every one scored.
+		fmt.Printf("%-6s ran %2d candidate audits (space: %d deployments) → %s  (size-1 RGs: %d)\n",
+			strategy, res.Evaluated, res.TotalCandidates,
+			strings.Join(top.Nodes, " + "), size1(top.SizeVector))
+		if switchOf[top.Nodes[0]] == switchOf[top.Nodes[1]] {
+			sameSwitch = append(sameSwitch, strategy)
+		}
+		if exact == nil {
+			exact = res
+		}
 	}
-	if _, err := client.WaitDone(cctx, st.ID); err != nil {
-		log.Fatal(err)
+	if len(sameSwitch) > 0 {
+		fmt.Printf("\nWARNING: %s put both replicas behind one switch\n", strings.Join(sameSwitch, ", "))
+		os.Exit(1)
 	}
-	res, err := client.RecommendResult(cctx, st.ID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("job %s ranked %d deployments:\n", st.ID, len(res.Rankings))
-	for _, r := range res.Rankings {
+	fmt.Println("\nall strategies cross the switch boundary — a same-switch pair would")
+	fmt.Println("inherit the {Switch} size-1 risk group the §6.2.2 audit flags.")
+
+	fmt.Printf("\nthe exact search ranked %d deployments:\n", len(exact.Rankings))
+	for _, r := range exact.Rankings {
 		fmt.Printf("  #%d %-28s RGs=%d size-1=%d score=%.2f\n",
 			r.Rank, strings.Join(r.Nodes, " + "), r.RGCount, size1(r.SizeVector), r.Score)
 	}
 
 	// Identical searches are content-addressed: resubmitting is a cache hit.
-	again, err := client.Recommend(cctx, &auditd.RecommendRequest{
-		Title:    "same question, different asker",
-		Replicas: 2,
-		TopK:     3,
-		Strategy: "exact",
-		Kinds:    []string{"network", "hardware"},
-	})
+	again, err := client.Recommend(ctx, request("exact", "same question, different asker"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,6 +106,38 @@ func main() {
 	if err := svc.Shutdown(shutdownCtx); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// request asks for the three most independent two-replica deployments among
+// every probe, under the network and hardware dependencies.
+func request(strategy, title string) *auditd.RecommendRequest {
+	return &auditd.RecommendRequest{
+		Title:    title,
+		Replicas: 2,
+		TopK:     3,
+		Strategy: strategy,
+		Kinds:    []string{"network", "hardware"},
+	}
+}
+
+// recommend runs one recommendation job to completion and fetches its
+// ranking.
+func recommend(ctx context.Context, client *auditd.Client, strategy, title string) *auditd.RecommendResponse {
+	st, err := client.Recommend(ctx, request(strategy, title))
+	if err != nil {
+		log.Fatal(err)
+	}
+	if st, err = client.WaitDone(ctx, st.ID); err != nil {
+		log.Fatal(err)
+	}
+	if st.State != auditd.StateDone {
+		log.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
+	}
+	res, err := client.RecommendResult(ctx, st.ID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return res
 }
 
 func size1(sizeVector []int) int {

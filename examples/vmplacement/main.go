@@ -14,15 +14,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"math"
 	"os"
 
+	"indaas/internal/auditd"
 	"indaas/internal/cloudsim"
-	"indaas/internal/depdb"
 	"indaas/internal/deps"
 	"indaas/internal/exp"
-	"indaas/internal/sia"
 )
 
 func main() {
@@ -99,31 +100,42 @@ func placeRiak(policy string) ([2]string, int, error) {
 	return [2]string{vm7.Host, vm8.Host}, unexpected, nil
 }
 
-// auditRiak runs the §6.2.2 audit over the deployed pair and returns the
-// unexpected-RG count.
+// auditRiak runs the §6.2.2 audit over the deployed pair on an in-process
+// audit service, the VMs' records inline, and returns the unexpected-RG
+// count.
 func auditRiak(cloud *cloudsim.Cloud) (int, error) {
-	db := depdb.New()
+	var records []deps.Record
 	for _, vm := range []string{"VM7", "VM8"} {
-		records, err := cloud.DependencyRecords(vm)
+		recs, err := cloud.DependencyRecords(vm)
 		if err != nil {
 			return 0, err
 		}
-		if err := db.Put(records...); err != nil {
-			return 0, err
-		}
+		records = append(records, recs...)
 	}
-	spec := sia.GraphSpec{
-		Deployment: "riak",
-		Servers:    []string{"VM7", "VM8"},
-		Kinds:      []deps.Kind{deps.KindNetwork, deps.KindHardware},
-	}
-	g, err := sia.BuildGraph(db, spec)
+	ctx := context.Background()
+	s := auditd.New(auditd.Config{})
+	defer s.Shutdown(ctx)
+	st, err := s.Submit(&auditd.SubmitRequest{
+		Title:   "riak",
+		Records: auditd.WireRecords(records),
+		Deployments: []auditd.DeploymentWire{{
+			Name:    "riak",
+			Servers: []string{"VM7", "VM8"},
+			Kinds:   []string{"network", "hardware"},
+		}},
+	})
 	if err != nil {
 		return 0, err
 	}
-	audit, err := sia.Audit(g, spec, sia.Options{Algorithm: sia.MinimalRG, RankMode: sia.RankBySize})
+	if st, err = s.WaitDone(ctx, st.ID, math.MaxInt64); err != nil {
+		return 0, err
+	}
+	if st.State != auditd.StateDone {
+		return 0, fmt.Errorf("audit %s: %s", st.State, st.Error)
+	}
+	rep, err := s.Report(st.ID)
 	if err != nil {
 		return 0, err
 	}
-	return audit.Unexpected, nil
+	return rep.Audits[0].Unexpected, nil
 }

@@ -75,8 +75,7 @@ func (n *normalizedPrivate) key() string { return canonicalKey(n) }
 
 // normalize validates the request and produces the canonical form plus the
 // resolved pia inputs. lookup resolves referenced (non-inline) providers to
-// registry entries; a nil lookup — the CLI's offline mode, which runs through
-// this so offline and served audits cannot drift — makes references an error.
+// the serving node's registry entries.
 func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider, bool)) (normalizedPrivate, pia.Config, []pia.Provider, []pia.Deployment, error) {
 	n := normalizedPrivate{Op: "private-audit"}
 	var cfg pia.Config
@@ -107,9 +106,6 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 			}
 			reg = held(p.Name, c)
 		} else {
-			if lookup == nil {
-				return n, cfg, nil, nil, fmt.Errorf("auditd: provider %q has no inline components and no registry is available", p.Name)
-			}
 			var ok bool
 			if reg, ok = lookup(p.Name); !ok {
 				return n, cfg, nil, nil, fmt.Errorf("auditd: unknown provider %q (not registered and no inline components)", p.Name)
@@ -179,26 +175,6 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 	return n, cfg, provs, deployments, nil
 }
 
-// Local normalizes and runs the request in-process with no service — the
-// CLI's offline mode. It applies the exact defaults the service would, so
-// offline and served audits cannot drift; it holds every set, so it counts
-// in cleartext. Referencing a registered (non-inline) provider is an error,
-// since there is no registry to resolve it.
-func (r *PrivateAuditRequest) Local(ctx context.Context) (*PrivateAuditResponse, error) {
-	n, cfg, provs, deployments, err := r.normalize(nil)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	rep, err := pia.AuditDeploymentsContext(ctx, cfg, provs, deployments)
-	if err != nil {
-		return nil, err
-	}
-	resp := PrivateAuditResponseFromReport(rep, n.infos, time.Since(start))
-	resp.Title = r.Title
-	return resp, nil
-}
-
 // privateAuditKind is the private independence audit (§4.2): POST
 // /v1/private-audits, a PrivateAuditRequest in, a PrivateAuditResponse out.
 var privateAuditKind = &jobKind{
@@ -248,7 +224,7 @@ func (r *PrivateAuditRequest) prepare(s *Server) (*preparedJob, error) {
 				return nil, err
 			}
 			s.m.PrivatePairs.Add(int64(len(deployments)))
-			return PrivateAuditResponseFromReport(rep, n.infos, time.Since(start)), nil
+			return privateAuditResponseFromReport(rep, n.infos, time.Since(start)), nil
 		},
 	}}, nil
 }
@@ -282,9 +258,8 @@ type PrivateAuditEntryWire struct {
 	ElapsedNS int64    `json:"elapsed_ns"`
 }
 
-// PrivateAuditResponseFromReport converts a pia report to its wire form —
-// shared by the service worker and CLI clients rendering local audits.
-func PrivateAuditResponseFromReport(rep *report.PIAReport, providers []ProviderInfo, elapsed time.Duration) *PrivateAuditResponse {
+// privateAuditResponseFromReport converts a pia report to its wire form.
+func privateAuditResponseFromReport(rep *report.PIAReport, providers []ProviderInfo, elapsed time.Duration) *PrivateAuditResponse {
 	out := &PrivateAuditResponse{
 		Providers: providers,
 		Pairs:     len(rep.Entries),

@@ -337,7 +337,7 @@ func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 		{Name: "mid", Fingerprint: "fp-mid", Components: 2},
 		{Name: "right", Fingerprint: "fp-right", Components: 3},
 	}
-	res := PrivateAuditResponseFromReport(rep, infos, 2*time.Second)
+	res := privateAuditResponseFromReport(rep, infos, 2*time.Second)
 	res.Title = "golden"
 
 	got, err := json.MarshalIndent(res, "", "  ")
@@ -374,7 +374,7 @@ func TestPrivateAuditResponseGoldenJSON(t *testing.T) {
 	}
 
 	// Zero elapsed: the rate is +Inf and must be omitted, not encoded.
-	instant := PrivateAuditResponseFromReport(rep, infos, 0)
+	instant := privateAuditResponseFromReport(rep, infos, 0)
 	if instant.PairsPerSec != nil {
 		t.Fatalf("zero-elapsed PairsPerSec = %v, want nil", *instant.PairsPerSec)
 	}

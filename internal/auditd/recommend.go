@@ -151,16 +151,6 @@ func (n *normalizedRecommend) key() string {
 	return canonicalKey(n)
 }
 
-// PlacementRequest validates the request's options and converts them into
-// the placement engine's form, with the same defaults the service applies
-// (sampler pinned to Seed 1 / one worker for host-independent results).
-// Pool resolution is left to the caller. The CLI's local mode runs through
-// this so offline and served searches cannot drift.
-func (r *RecommendRequest) PlacementRequest() (placement.Request, error) {
-	_, preq, err := r.normalize()
-	return preq, err
-}
-
 // recommendKind is the placement recommendation (§5): POST /v1/recommend, a
 // RecommendRequest in, a RecommendResponse out.
 var recommendKind = &jobKind{
@@ -241,7 +231,7 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 			if err != nil {
 				return nil, err
 			}
-			return RecommendResponseFromResult(res), nil
+			return recommendResponseFromResult(res), nil
 		},
 	}}
 	return p, nil
@@ -276,9 +266,8 @@ type RecommendationWire struct {
 	FailureProb *float64 `json:"failure_prob,omitempty"`
 }
 
-// RecommendResponseFromResult converts an engine result to its wire form —
-// shared by the service worker and CLI clients rendering local searches.
-func RecommendResponseFromResult(res *placement.Result) *RecommendResponse {
+// recommendResponseFromResult converts an engine result to its wire form.
+func recommendResponseFromResult(res *placement.Result) *RecommendResponse {
 	out := &RecommendResponse{
 		Strategy:        res.Strategy.String(),
 		Replicas:        res.Replicas,

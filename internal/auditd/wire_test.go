@@ -263,7 +263,7 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 		{"unnamed provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "" }, "has no name"},
 		{"duplicate provider", func(r *PrivateAuditRequest) { r.Providers[1].Name = "a" }, `duplicate provider "a"`},
 		{"empty component name", func(r *PrivateAuditRequest) { r.Providers[0].Components = []string{"c1", ""} }, "empty component name"},
-		{"reference without registry", func(r *PrivateAuditRequest) { r.Providers[0].Components = nil }, "no registry is available"},
+		{"reference without registry", func(r *PrivateAuditRequest) { r.Providers[0].Components = nil }, `unknown provider "a" (not registered`},
 		{"single-provider deployment", func(r *PrivateAuditRequest) { r.Deployments = [][]string{{"a"}} }, "at least two providers"},
 		{"deployment with unknown provider", func(r *PrivateAuditRequest) { r.Deployments = [][]string{{"a", "zz"}} }, `unknown provider "zz"`},
 		{"deployment repeats provider", func(r *PrivateAuditRequest) { r.Deployments = [][]string{{"a", "a"}} }, `lists provider "a" twice`},
@@ -272,7 +272,7 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			req := valid()
 			tc.mutate(req)
-			if _, _, _, _, err := req.normalize(nil); err == nil {
+			if _, _, _, _, err := req.normalize(noProviders); err == nil {
 				t.Fatal("normalize accepted an invalid request")
 			} else if !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
@@ -305,15 +305,10 @@ func TestPrivateAuditNormalizeErrors(t *testing.T) {
 	if n := s.Stats().PrivateAudits; n != 0 {
 		t.Fatalf("%d refused bodies were accepted as private audits", n)
 	}
-
-	// An unknown reference with a registry present names the provider.
-	ref := valid()
-	ref.Providers[0].Components = nil
-	lookup := func(string) (registeredProvider, bool) { return registeredProvider{}, false }
-	if _, _, _, _, err := ref.normalize(lookup); err == nil || !strings.Contains(err.Error(), "not registered") {
-		t.Fatalf("unknown reference error = %v", err)
-	}
 }
+
+// noProviders is a provider registry that holds nothing.
+func noProviders(string) (registeredProvider, bool) { return registeredProvider{}, false }
 
 // TestPrivateAuditNormalizeDefaults pins the canonical form: providers and
 // deployments are the whole key, parallelism and titles stay out of it, and
@@ -326,7 +321,7 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 			{Name: "c", Components: []string{"c4"}},
 		},
 	}
-	n, _, provs, deps, err := base.normalize(nil)
+	n, _, provs, deps, err := base.normalize(noProviders)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +344,7 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 		Workers:   7,
 		TimeoutMS: 9999,
 	}
-	n2, _, _, _, err := noisy.normalize(nil)
+	n2, _, _, _, err := noisy.normalize(noProviders)
 	if err != nil {
 		t.Fatal(err)
 	}

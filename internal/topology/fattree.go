@@ -65,59 +65,3 @@ func serverName(pod, t, s int) string { return fmt.Sprintf("srv%d_%d_%d", pod, t
 // FatTreeServer returns the canonical name of a server in the fat tree, for
 // picking deployment members without string formatting at call sites.
 func FatTreeServer(pod, tor, slot int) string { return serverName(pod, tor, slot) }
-
-// ServerToServerRoutes returns the redundant routes between two servers of a
-// fat tree, as ordered device lists excluding the endpoint servers:
-//
-//   - same ToR: [tor];
-//   - same pod, different ToR: [torS, agg j, torD] for each aggregation j;
-//   - different pods: [torS, agg j (src pod), core (group j), agg j (dst
-//     pod), torD] for each j and each core in group j.
-func ServerToServerRoutes(t *Topology, src, dst string) ([][]string, error) {
-	sd, ok := t.Device(src)
-	if !ok || sd.Kind != KindServer {
-		return nil, fmt.Errorf("topology: unknown server %q", src)
-	}
-	dd, ok := t.Device(dst)
-	if !ok || dd.Kind != KindServer {
-		return nil, fmt.Errorf("topology: unknown server %q", dst)
-	}
-	if src == dst {
-		return nil, fmt.Errorf("topology: src and dst are the same server %q", src)
-	}
-	var sp, st, ss, dp, dt, ds int
-	if _, err := fmt.Sscanf(src, "srv%d_%d_%d", &sp, &st, &ss); err != nil {
-		return nil, fmt.Errorf("topology: %q is not a fat-tree server: %w", src, err)
-	}
-	if _, err := fmt.Sscanf(dst, "srv%d_%d_%d", &dp, &dt, &ds); err != nil {
-		return nil, fmt.Errorf("topology: %q is not a fat-tree server: %w", dst, err)
-	}
-	// Infer arity from the core count.
-	h := 0
-	for _, d := range t.devices {
-		if d.Kind == KindAgg && d.Pod == 0 {
-			h++
-		}
-	}
-	if h == 0 {
-		return nil, fmt.Errorf("topology: %q has no aggregation layer", t.Name)
-	}
-	var out [][]string
-	switch {
-	case sp == dp && st == dt:
-		out = append(out, []string{torName(sp, st)})
-	case sp == dp:
-		for j := 0; j < h; j++ {
-			out = append(out, []string{torName(sp, st), aggName(sp, j), torName(dp, dt)})
-		}
-	default:
-		for j := 0; j < h; j++ {
-			for c := 0; c < h; c++ {
-				out = append(out, []string{
-					torName(sp, st), aggName(sp, j), coreName(j, c), aggName(dp, j), torName(dp, dt),
-				})
-			}
-		}
-	}
-	return out, nil
-}

@@ -151,50 +151,6 @@ func TestNetworkRecords(t *testing.T) {
 	}
 }
 
-func TestServerToServerRoutes(t *testing.T) {
-	ft, err := FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameToR, err := ServerToServerRoutes(ft, FatTreeServer(0, 0, 0), FatTreeServer(0, 0, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sameToR, [][]string{{"tor0_0"}}) {
-		t.Errorf("same-ToR route = %v", sameToR)
-	}
-	samePod, err := ServerToServerRoutes(ft, FatTreeServer(0, 0, 0), FatTreeServer(0, 1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(samePod) != 2 {
-		t.Fatalf("same-pod routes = %v", samePod)
-	}
-	for _, r := range samePod {
-		if len(r) != 3 || r[0] != "tor0_0" || r[2] != "tor0_1" {
-			t.Errorf("bad same-pod route %v", r)
-		}
-	}
-	crossPod, err := ServerToServerRoutes(ft, FatTreeServer(0, 0, 0), FatTreeServer(2, 1, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(crossPod) != 4 { // h*h = 4
-		t.Fatalf("cross-pod routes = %d, want 4", len(crossPod))
-	}
-	for _, r := range crossPod {
-		if len(r) != 5 {
-			t.Errorf("cross-pod route %v should have 5 hops", r)
-		}
-	}
-	if _, err := ServerToServerRoutes(ft, "bogus", FatTreeServer(0, 0, 0)); err == nil {
-		t.Error("accepted bogus src")
-	}
-	if _, err := ServerToServerRoutes(ft, FatTreeServer(0, 0, 0), FatTreeServer(0, 0, 0)); err == nil {
-		t.Error("accepted identical src/dst")
-	}
-}
-
 func TestBensonDCShape(t *testing.T) {
 	dc := BensonDC()
 	c := dc.Counts()
