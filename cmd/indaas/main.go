@@ -141,9 +141,8 @@ func loadDepsXML(path string) (*depdb.DB, error) {
 	return db, nil
 }
 
-// cmdAudit runs one audit through an in-process audit service over the
-// loaded records, so the command applies exactly the service's option rules
-// and defaults.
+// cmdAudit runs one audit over the loaded records on an in-process audit
+// service (runJob).
 func cmdAudit(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("audit", flag.ExitOnError)
 	depsPath := fs.String("deps", "", "Table 1 XML file with dependency records (required)")
