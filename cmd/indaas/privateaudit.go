@@ -62,6 +62,17 @@ func loadComponents(path string) ([]string, error) {
 	return components, sc.Err()
 }
 
+// providerComponents loads a -provider file. A file with no components is
+// refused: the request would carry the name alone, which the service reads
+// as a reference to a dataset it holds under that name.
+func providerComponents(name, path string) ([]string, error) {
+	components, err := loadComponents(path)
+	if err == nil && len(components) == 0 {
+		err = fmt.Errorf("private-audit: -provider %s=%s: the file lists no components", name, path)
+	}
+	return components, err
+}
+
 // cmdPrivateAudit runs a private independence audit (PIA, §4.2) — on an
 // in-process audit service, or through a running audit service's
 // /v1/private-audits endpoint, which caches results by the providers'
@@ -112,7 +123,7 @@ func cmdPrivateAudit(out io.Writer, args []string) error {
 			return fmt.Errorf("private-audit requires at least two -provider datasets (or -server with -use)")
 		}
 		for _, p := range providers {
-			components, err := loadComponents(p.value)
+			components, err := providerComponents(p.name, p.value)
 			if err != nil {
 				return err
 			}
@@ -138,7 +149,7 @@ func cmdPrivateAudit(out io.Writer, args []string) error {
 		req.Providers = append(req.Providers, auditd.ProviderWire{Name: p.name})
 	}
 	for _, p := range providers {
-		components, err := loadComponents(p.value)
+		components, err := providerComponents(p.name, p.value)
 		if err != nil {
 			return err
 		}

@@ -102,3 +102,34 @@ func TestPrivateAuditLocalTimeout(t *testing.T) {
 		t.Errorf("timed-out audit printed %q", out.String())
 	}
 }
+
+// TestPrivateAuditRefusesEmptyProviderFile: a -provider file with no
+// components — empty, or blanks and comments only — is refused and named,
+// rather than sent as a bare name the service would resolve to a dataset it
+// holds under that name.
+func TestPrivateAuditRefusesEmptyProviderFile(t *testing.T) {
+	dir := t.TempDir()
+	full := filepath.Join(dir, "full.txt")
+	if err := os.WriteFile(full, []byte("pkg:a\npkg:b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string]string{"empty": "", "comments": "# nothing here\n\n   \n# still nothing\n"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(dir, name+".txt")
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, mode := range [][]string{nil, {"-server", "http://127.0.0.1:1"}} {
+				var out bytes.Buffer
+				err := cmdPrivateAudit(&out, append(mode, "-provider", "a="+full, "-provider", "b="+path))
+				want := fmt.Sprintf("private-audit: -provider b=%s: the file lists no components", path)
+				if err == nil || err.Error() != want {
+					t.Errorf("%v: err = %v, want %q", mode, err, want)
+				}
+				if out.Len() != 0 {
+					t.Errorf("%v: refused audit printed %q", mode, out.String())
+				}
+			}
+		})
+	}
+}

@@ -43,3 +43,28 @@ func TestRecommendGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestRecommendRefusesServersWithoutRecords: a -nodes or -fixed server the
+// database has no records for is refused at submission, with the service's
+// message, rather than accepted and then failed as a job.
+func TestRecommendRefusesServersWithoutRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		args []string
+		want string
+	}{
+		{"nodes", []string{"-nodes", "x,y"}, `auditd: no dependency records for server "x"`},
+		{"fixed", []string{"-replicas", "3", "-fixed", "srv0_0_0,ghost"}, `auditd: no dependency records for server "ghost"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			err := cmdRecommend(&out, append([]string{"-deps", filepath.Join("testdata", "fattree-k4.xml"), "-replicas", "2"}, tc.args...))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("err = %v, want %q", err, tc.want)
+			}
+			if out.Len() != 0 {
+				t.Errorf("refused recommendation printed %q", out.String())
+			}
+		})
+	}
+}

@@ -324,8 +324,9 @@ type Server struct {
 	// repeated store-write failures; see breaker.go.
 	breaker *breaker
 	// ingestMu serializes ingests with their snapshot persistence so the
-	// durable current-snapshot pointer can never lag a concurrent ingest.
-	// snapMeta (the persisted snapshot chain's state) is guarded by it.
+	// durable snapshot chain can never lag a concurrent ingest. snapMeta
+	// (the persisted snapshot chain's state, tail included) is guarded by
+	// it.
 	// snapDirty records that the next durable ingest must lay down a fresh
 	// full base segment: an ingest was committed in memory only while
 	// degraded, so the persisted chain lags the live database — or the
@@ -839,16 +840,17 @@ func (s *Server) Result(id string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
+	return s.materialize(enc, title, rep)
+}
+
+// materialize turns what resolve found into a struct for a consumer that
+// needs one: the report the audits memo holds, titled, or else a decode.
+func (s *Server) materialize(enc *EncodedResult, title string, rep *report.Report) (any, error) {
 	if rep != nil {
 		titled := *rep // the held struct is shared: title a shallow copy
 		titled.Title = title
 		return &titled, nil
 	}
-	return s.materialize(enc, title)
-}
-
-// materialize decodes an encoded result for a consumer that needs a struct.
-func (s *Server) materialize(enc *EncodedResult, title string) (any, error) {
 	s.m.ResultDecodes.Add(1)
 	res, err := enc.Decode(title)
 	if err != nil {

@@ -2,6 +2,7 @@ package auditd
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -324,4 +325,76 @@ func BenchmarkServedPrivateAuditHeld(b *testing.B) {
 			b.Fatalf("held private audit: %v %+v", err, end)
 		}
 	}
+}
+
+// BenchmarkWatchFrame times rendering one SSE frame of a watch event whose
+// report was resolved from stored bytes: "splice" is what handleWatch
+// writes, "marshal" the json.Marshal of the whole event it equals, which
+// encodes the report again.
+func BenchmarkWatchFrame(b *testing.B) {
+	s := New(Config{Workers: 1})
+	b.Cleanup(func() { benchShutdown(b, s) })
+	if _, err := s.Ingest(&IngestRequest{Records: deltaRecords()}); err != nil {
+		b.Fatal(err)
+	}
+	sub, err := s.Watch(deltaAuditRequest("frame"), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sub.Close()
+	var ev *WatchEvent
+	select {
+	case raw := <-sub.Events():
+		ev = raw.(*WatchEvent)
+	case <-time.After(30 * time.Second):
+		b.Fatal("no initial watch event")
+	}
+	if ev.enc == nil {
+		b.Fatalf("initial event = %+v, want stored bytes", ev)
+	}
+	for _, bc := range []struct {
+		name   string
+		render func() ([]byte, error)
+	}{
+		{"splice", ev.frameJSON},
+		{"marshal", func() ([]byte, error) { return json.Marshal(ev) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := bc.render(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkIngestDurable times one acknowledged single-record ingest that
+// changes the database, on a durable service with an fsyncing store: the
+// commit appends one chain segment, one store record and one fsync.
+func BenchmarkIngestDurable(b *testing.B) {
+	st, err := store.Open(store.Options{Dir: b.TempDir()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	s := New(Config{Workers: 1, Store: st})
+	defer benchShutdown(b, s)
+	if _, err := s.Ingest(&IngestRequest{Records: deltaRecords()}); err != nil {
+		b.Fatal(err)
+	}
+	puts := st.Stats().Puts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ack, err := s.Ingest(&IngestRequest{Records: []RecordWire{
+			{Kind: "hardware", HW: "s1", Type: "NIC", Dep: fmt.Sprintf("nic-%d", i)},
+		}})
+		if err != nil || !ack.Durable {
+			b.Fatalf("ingest %d = %+v, %v", i, ack, err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(st.Stats().Puts-puts)/float64(b.N), "puts/op")
 }

@@ -656,11 +656,7 @@ func (w *Watcher) readEvent() (*WatchEvent, error) {
 				return nil, errors.New("auditd: watch stream closed by server")
 			}
 			if event == "report" && len(data) > 0 {
-				ev := new(WatchEvent)
-				if err := json.Unmarshal(data, ev); err != nil {
-					return nil, err
-				}
-				return ev, nil
+				return decodeWatchEvent(data)
 			}
 			event, data = "", data[:0] // unknown frame; keep reading
 		case line[0] == ':': // heartbeat comment
@@ -670,6 +666,25 @@ func (w *Watcher) readEvent() (*WatchEvent, error) {
 			data = append(data, bytes.TrimSpace(line[len("data:"):])...) // closes up over the prefix
 		}
 	}
+}
+
+// decodeWatchEvent decodes one report frame's data. encoding/json only
+// steps over the report, as raw bytes, and the report codec decodes it once.
+func decodeWatchEvent(data []byte) (*WatchEvent, error) {
+	frame := struct {
+		*WatchEvent
+		Report json.RawMessage `json:"report,omitempty"`
+	}{WatchEvent: new(WatchEvent)}
+	if err := json.Unmarshal(data, &frame); err != nil {
+		return nil, err
+	}
+	if len(frame.Report) > 0 && string(frame.Report) != "null" {
+		frame.WatchEvent.Report = new(report.Report)
+		if err := report.DecodeJSON(frame.Report, frame.WatchEvent.Report); err != nil {
+			return nil, err
+		}
+	}
+	return frame.WatchEvent, nil
 }
 
 func (w *Watcher) closeBody() {

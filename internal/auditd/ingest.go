@@ -68,8 +68,8 @@ type ingestWaiter struct {
 //
 // Durability is group-committed: admitted batches are handed to a single
 // committer goroutine that folds every batch currently waiting into ONE
-// snapshot-chain segment and ONE pointer update — two fsyncs per group
-// instead of two per request — before any of them is acknowledged. A lone
+// snapshot-chain segment — one store append and one fsync per group instead
+// of one per request — before any of them is acknowledged. A lone
 // ingest on an idle daemon forms a group of one and behaves exactly as
 // before; under a churn storm the fsync cost amortizes across the group,
 // which is what lets a single-disk daemon absorb ~10k ingests/sec. An
@@ -158,7 +158,7 @@ func (s *Server) ingestCommitter() {
 }
 
 // commitGroup makes one group of admitted batches live: persisted (one
-// segment + one pointer flip), committed to the in-memory database, watch
+// chain segment), committed to the in-memory database, watch
 // subscriptions notified and peers sent the records that changed its state,
 // and every waiter answered. On a persist failure the memory database is
 // untouched and every waiter gets 503 — each client can safely retry, exactly

@@ -17,19 +17,26 @@ import (
 // SHA-256 hex string, which never contains '/'); DepDB entries live under
 // the depdb/ prefix so the two spaces cannot collide.
 //
-// The dependency database persists as a *snapshot chain*: depdb/current
-// holds a snapMeta naming a generation and its segment count, and
-// depdb/seg/<gen>/<i> holds the i-th batch of records as depdb frames it
-// (Batch.Segment: each record's canonical line, the bytes its fingerprint
-// digest was taken over); this package stores the bytes and never encodes a
-// record itself. Each ingest appends one segment — O(batch) bytes — instead
-// of rewriting the whole database; RestoreDB replays the chain in order —
-// replay reduces as ingest did, so it lands on the same state — and
-// consolidates it back to a single segment of the live records, so chains
-// stay short across restarts and a crash between writes is harmless (the
-// current pointer flips only after the segment it names is durable).
+// The dependency database persists as a *snapshot chain* of generations.
+// depdb/seg/<gen>/<i> holds the i-th batch of records of a generation as
+// depdb frames it (Batch.Segment: each record's canonical line, the bytes
+// its fingerprint digest was taken over); this package stores the bytes and
+// never encodes a record itself. A generation starts with a base segment of
+// every live record, and only then is depdb/current written: a snapMeta
+// naming the generation, its base and the fingerprint the base replays to.
+// Each later ingest commit appends one segment — O(batch) bytes, one store
+// append, one fsync — and leaves the pointer alone. RestoreDB replays the
+// segments the pointer names, checks its fingerprint, then replays the
+// tail — every consecutive <gen>/<i> after them — in order (replay reduces
+// as ingest did, so it lands on the same state), and consolidates the chain
+// back to a single segment of the live records, so chains stay short across
+// restarts. A commit's fsync finishes before the next commit writes, so only
+// the newest segment can be torn by a crash; store recovery drops it, and
+// every acknowledged ingest still replays. A generation's base is durable
+// before the pointer names it, so a crash while one starts leaves the
+// previous generation in place.
 const (
-	// currentSnapshotKey stores the snapMeta of the chain a restarted
+	// currentSnapshotKey stores the snapMeta of the generation a restarted
 	// daemon should replay.
 	currentSnapshotKey = "depdb/current"
 	// segmentKeyPrefix + "<gen>/<i>" stores one ingested batch.
@@ -38,16 +45,27 @@ const (
 	// snapshot under its fingerprint, named by a raw-string current pointer.
 	// RestoreDB migrates it forward.
 	legacySnapshotPrefix = "depdb/"
-	// lineSegments is the snapMeta.Format of a chain of depdb segments. A
-	// chain without it, like the pre-chain layout, holds Table 1 XML.
-	lineSegments = "lines"
+	// lineSegments is the snapMeta.Format of a chain of depdb segments with
+	// a tail. A binary that predates the tail reads the format as foreign
+	// and refuses to boot, rather than replaying the pointer's segments
+	// alone and losing the tail's acknowledged ingests.
+	lineSegments = "lines+tail"
+	// namedLineSegments is the format of a chain of depdb segments whose
+	// pointer was rewritten after every segment, written before the tail
+	// existed. It replays like lineSegments and is rewritten at boot. A
+	// chain in neither format, like the pre-chain layout, holds Table 1 XML.
+	namedLineSegments = "lines"
 )
 
 // snapMeta is the JSON value of currentSnapshotKey: which generation of the
-// snapshot chain is live, how many segments it has and in which form, and
-// the canonical fingerprint replaying them must reproduce — under the
-// fingerprint algorithm of the stated version. A meta written before the
+// snapshot chain is live, how many segments the pointer names and in which
+// form, and the canonical fingerprint replaying them must reproduce — under
+// the fingerprint algorithm of the stated version. A meta written before the
 // field existed reads as version 0 and holds a multiset (v2) fingerprint.
+//
+// The Server keeps the same struct for the chain as it stands, tail
+// included: Segments counts every segment of the generation and Fingerprint
+// is the state the last of them leads to ("" when not known).
 type snapMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	FPVersion   int    `json:"fp_version,omitempty"`
@@ -56,32 +74,98 @@ type snapMeta struct {
 	Segments    int    `json:"segments"`
 }
 
-// newSnapMeta stamps a chain's meta with the running fingerprint algorithm
-// and segment form.
-func newSnapMeta(fp string, gen, segments int) snapMeta {
-	return snapMeta{Fingerprint: fp, FPVersion: depdb.FingerprintVersion, Format: lineSegments, Gen: gen, Segments: segments}
-}
-
 func segmentKey(gen, i int) string {
 	return fmt.Sprintf("%s%d/%d", segmentKeyPrefix, gen, i)
 }
 
-// readSnapMeta loads the persisted chain state; a missing or legacy-format
-// pointer yields the zero meta (Segments == 0 ⇒ nothing persisted yet, so
-// the next ingest starts a fresh generation with a full base segment), and
-// so does a chain under another fingerprint algorithm or in another form
-// that RestoreDB was not given to rewrite: nothing may be appended to it.
-func readSnapMeta(st *store.Store) snapMeta {
-	var meta snapMeta
+// loadChain reads the current pointer and walks the chain it leads to,
+// returning the pointer's meta and every segment key in replay order: the
+// segments the pointer names, then its tail. With db non-nil each segment is
+// replayed into db, and once the pointer's own segments are in, the state
+// must reproduce the pointer's fingerprint (unless that was taken under
+// another fingerprint algorithm); with db nil the tail is only counted. A
+// store with no pointer yields no keys. A pointer that is no snapMeta is the
+// pre-chain layout — a raw fingerprint, of an older algorithm, naming one
+// whole-database XML snapshot under depdb/<fp> — and reads as a one-segment
+// XML chain of that key.
+func loadChain(st *store.Store, db *depdb.DB) (snapMeta, []string, error) {
 	blob, _, ok, err := st.Get(currentSnapshotKey)
-	if err != nil || !ok {
-		return snapMeta{}
+	if err != nil {
+		return snapMeta{}, nil, fmt.Errorf("auditd: reading current snapshot pointer: %w", err)
 	}
-	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
+	if !ok {
+		return snapMeta{}, nil, nil
+	}
+	var meta snapMeta
+	var named []string
+	legacy := json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0
+	if legacy {
+		fp := strings.TrimSpace(string(blob))
+		if fp == "" {
+			return snapMeta{}, nil, nil
+		}
+		meta, named = snapMeta{Segments: 1}, []string{legacySnapshotPrefix + fp}
+	} else {
+		for i := 0; i < meta.Segments; i++ {
+			named = append(named, segmentKey(meta.Gen, i))
+		}
+	}
+	keys := make([]string, 0, len(named))
+	for i := 0; ; i++ {
+		key := segmentKey(meta.Gen, i)
+		switch {
+		case i < len(named):
+			key = named[i]
+			if db == nil {
+				keys = append(keys, key)
+				continue
+			}
+		case legacy:
+			return meta, keys, nil // the pre-chain layout has no tail
+		}
+		seg, _, ok, err := st.Get(key)
+		if err != nil {
+			return meta, nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
+		}
+		if !ok {
+			if i < len(named) {
+				return meta, nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", len(named), key)
+			}
+			return meta, keys, nil
+		}
+		keys = append(keys, key)
+		if db == nil {
+			continue
+		}
+		if err := replaySegment(db, meta.Format, seg); err != nil {
+			return meta, nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
+		}
+		if i == len(named)-1 && meta.FPVersion == depdb.FingerprintVersion {
+			if got := db.Fingerprint(); got != meta.Fingerprint {
+				return meta, nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, got)
+			}
+		}
+	}
+}
+
+// readSnapMeta loads the persisted chain as the next ingest should extend
+// it, tail included. A missing or legacy-format pointer yields the zero meta
+// (Segments == 0 ⇒ nothing persisted yet, so the next ingest starts a fresh
+// generation with a full base segment), and so does a chain under another
+// fingerprint algorithm or in another form that RestoreDB was not given to
+// rewrite: nothing may be appended to it. The tail is counted, not replayed,
+// so a chain with one leaves the fingerprint unknown and the next ingest
+// writes a segment even if it changes nothing.
+func readSnapMeta(st *store.Store) snapMeta {
+	meta, keys, err := loadChain(st, nil)
+	if err != nil || len(keys) == 0 {
 		return snapMeta{}
 	}
 	if meta.FPVersion != depdb.FingerprintVersion || meta.Format != lineSegments {
 		return snapMeta{Gen: meta.Gen}
+	}
+	if len(keys) > meta.Segments {
+		meta.Segments, meta.Fingerprint = len(keys), ""
 	}
 	return meta
 }
@@ -90,53 +174,28 @@ func readSnapMeta(st *store.Store) snapMeta {
 // was serving by replaying the persisted snapshot chain, loaded into a fresh
 // mutable database so later ingests keep working. It returns nil (and no
 // error) when the store holds no snapshot. The restored database reproduces
-// the pre-restart canonical fingerprint, so cached results computed against
-// it stay addressable. A chain longer than one segment is consolidated back
-// to a single segment while the daemon is still offline — the one moment
-// O(database) persistence work is acceptable — and stale generations are
-// swept. An older data directory is rewritten the same way, once: a chain
-// written under an older fingerprint algorithm is re-keyed instead of
-// verified (its records replay to the same current state, which is
-// re-addressed under today's fingerprint, and results stored under the old
-// address are simply never asked for again), and a chain of Table 1 XML —
-// the pre-chain layout included — is rewritten as depdb segments.
+// the fingerprint of the last acknowledged ingest, so cached results
+// computed against it stay addressable. A chain longer than one segment is
+// consolidated back to a single segment while the daemon is still offline —
+// the one moment O(database) persistence work is acceptable — and stale
+// segments are swept. An older data directory is rewritten the same way,
+// once: a chain written under an older fingerprint algorithm is re-keyed
+// instead of verified (its records replay to the same current state, which
+// is re-addressed under today's fingerprint, and results stored under the
+// old address are simply never asked for again), and a chain of Table 1 XML
+// — the pre-chain layout included — is rewritten as depdb segments.
 func RestoreDB(st *store.Store) (*depdb.DB, error) {
-	blob, _, ok, err := st.Get(currentSnapshotKey)
+	db := depdb.New()
+	meta, keys, err := loadChain(st, db)
 	if err != nil {
-		return nil, fmt.Errorf("auditd: reading current snapshot pointer: %w", err)
+		return nil, err
 	}
-	if !ok {
-		return nil, nil
-	}
-	meta, keys := storedChain(blob)
 	if len(keys) == 0 {
 		return nil, nil
 	}
-	db := depdb.New()
-	for _, key := range keys {
-		seg, _, ok, err := st.Get(key)
-		if err != nil {
-			return nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
-		}
-		if !ok {
-			return nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", len(keys), key)
-		}
-		if err := replaySegment(db, meta.Format, seg); err != nil {
-			return nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
-		}
-	}
-	rekey := meta.FPVersion != depdb.FingerprintVersion
-	if got := db.Fingerprint(); rekey {
-		meta.Fingerprint = got
-	} else if got != meta.Fingerprint {
-		return nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, got)
-	}
 	live := meta
-	if len(keys) > 1 || rekey || meta.Format != lineSegments {
-		// The next generation is durable before the current pointer names
-		// it, so a crash at any point leaves a replayable chain.
-		live = newSnapMeta(meta.Fingerprint, meta.Gen+1, 1)
-		if _, err := writeSegment(st, live, db.Segment()); err != nil {
+	if len(keys) > 1 || meta.FPVersion != depdb.FingerprintVersion || meta.Format != lineSegments {
+		if live, _, err = startGeneration(st, db.Fingerprint(), meta.Gen+1, db.Segment()); err != nil {
 			return nil, fmt.Errorf("auditd: consolidating snapshot chain: %w", err)
 		}
 		for _, key := range keys {
@@ -147,31 +206,11 @@ func RestoreDB(st *store.Store) (*depdb.DB, error) {
 	return db, nil
 }
 
-// storedChain reads the current pointer: the chain's meta and its segment
-// keys in replay order. A pointer that is no snapMeta is the pre-chain
-// layout — a raw fingerprint, of an older algorithm, naming one
-// whole-database XML snapshot under depdb/<fp> — and reads as a one-segment
-// XML chain of that key.
-func storedChain(blob []byte) (snapMeta, []string) {
-	var meta snapMeta
-	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
-		if fp := strings.TrimSpace(string(blob)); fp != "" {
-			return snapMeta{Segments: 1}, []string{legacySnapshotPrefix + fp}
-		}
-		return snapMeta{}, nil
-	}
-	keys := make([]string, meta.Segments)
-	for i := range keys {
-		keys[i] = segmentKey(meta.Gen, i)
-	}
-	return meta, keys
-}
-
 // replaySegment puts one stored segment into db, all of it or none. A chain
 // written before segments were depdb's own form holds Table 1 XML; this is
 // the one place the daemon still reads it.
 func replaySegment(db *depdb.DB, format string, seg []byte) error {
-	if format == lineSegments {
+	if format == lineSegments || format == namedLineSegments {
 		return db.PutSegment(seg)
 	}
 	records, err := deps.DecodeXML(bytes.NewReader(seg))
@@ -181,38 +220,39 @@ func replaySegment(db *depdb.DB, format string, seg []byte) error {
 	return db.Put(records...)
 }
 
-// writeSegment persists seg as the last segment of meta's chain, then flips
-// the current pointer to meta, returning any result keys the store evicted
-// to stay in budget (none at boot time, when only RestoreDB writes).
-func writeSegment(st *store.Store, meta snapMeta, seg []byte) ([]string, error) {
-	evicted, err := st.Put(segmentKey(meta.Gen, meta.Segments-1), store.KindSnapshot, seg)
+// startGeneration persists base — every live record — as segment 0 of
+// generation gen, then points depdb/current at it, returning the new chain's
+// meta and any result keys the store evicted to stay in budget (none at boot
+// time, when only RestoreDB writes). fp is the state base replays to.
+func startGeneration(st *store.Store, fp string, gen int, base []byte) (snapMeta, []string, error) {
+	meta := snapMeta{Fingerprint: fp, FPVersion: depdb.FingerprintVersion, Format: lineSegments, Gen: gen, Segments: 1}
+	evicted, err := st.Put(segmentKey(gen, 0), store.KindSnapshot, base)
 	if err != nil {
-		return evicted, err
+		return meta, evicted, err
 	}
 	blob, err := json.Marshal(meta)
 	if err != nil {
-		return evicted, err
+		return meta, evicted, err
 	}
 	ev2, err := st.Put(currentSnapshotKey, store.KindMeta, blob)
-	return append(evicted, ev2...), err
+	return meta, append(evicted, ev2...), err
 }
 
-// sweepStaleSegments deletes snapshot segments of any generation other than
-// the live one — residue of crashes between a consolidation's writes. The
-// caller passes the chain meta it just replayed (never re-read here: a
-// transient read failure must not be mistaken for "no chain", which would
-// delete the live generation and leave the store unbootable). With no live
-// chain there is nothing to distinguish stale from, so nothing is swept.
+// sweepStaleSegments deletes every snapshot segment outside the live chain,
+// which is a single segment after a boot: residue of crashes between a
+// consolidation's writes, and superseded generations. The caller passes
+// the chain meta it just replayed (never re-read here: a transient read
+// failure must not be mistaken for "no chain", which would delete the live
+// generation and leave the store unbootable). With no live chain there is
+// nothing to distinguish stale from, so nothing is swept.
 func sweepStaleSegments(st *store.Store, live snapMeta) {
 	if live.Segments <= 0 {
 		return
 	}
-	prefix := fmt.Sprintf("%s%d/", segmentKeyPrefix, live.Gen)
 	for _, e := range st.Entries() {
-		if !strings.HasPrefix(e.Key, segmentKeyPrefix) || strings.HasPrefix(e.Key, prefix) {
-			continue
+		if strings.HasPrefix(e.Key, segmentKeyPrefix) && e.Key != segmentKey(live.Gen, 0) {
+			st.Delete(e.Key)
 		}
-		st.Delete(e.Key)
 	}
 }
 
@@ -239,22 +279,25 @@ func (s *Server) persistResult(label, key string, res *EncodedResult) []string {
 	return evicted
 }
 
-// persistIngestLocked makes one ingest batch durable before it is committed
-// to the live database. The steady-state cost is O(batch): the batch is
-// appended as one new chain segment and the current pointer advances. Only
-// the very first durable write of a database (nothing persisted yet — e.g. a
-// -deps preload about to take its first ingest) pays O(database) to lay down
-// the base segment, and a group of nothing but re-observations — a retried
-// batch — costs nothing: the chain already replays to the state it leads to.
-// Crash ordering: the segment is durable before the pointer names it, and
-// the pointer is durable before the ingest is acknowledged, so every
-// acknowledged ingest replays and every crash leaves a consistent chain (an
-// orphaned segment from an unacknowledged ingest is overwritten by the retry
-// or swept at boot). Caller holds s.ingestMu.
+// persistIngestLocked makes one ingest group durable before it is committed
+// to the live database. The steady-state cost is O(batch) and one store
+// append: the group is appended as the next segment of the chain's tail.
+// Only the start of a generation — the first durable write of a database
+// (e.g. a -deps preload about to take its first ingest), the first after
+// degraded serving, the first after the database started a fresh log — pays
+// O(database) for the base segment and a second append for the pointer; a
+// group of nothing but re-observations — a retried batch — costs nothing:
+// the chain already replays to the state it leads to. Crash ordering: the
+// segment is durable before the ingest is acknowledged, and a base before
+// the pointer names it, so every acknowledged ingest replays and every crash
+// leaves a consistent chain. A segment whose write failed is overwritten by
+// the next commit; if none follows, it may replay after a restart, which
+// only repeats what the refused ingest said. Caller holds s.ingestMu.
 func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 	newFP := db.FingerprintWith(staged)
 	meta := s.snapMeta
-	var seg []byte
+	var evicted []string
+	var err error
 	switch {
 	case meta.Segments > 0 && !s.snapDirty && newFP == meta.Fingerprint:
 		return nil
@@ -265,14 +308,12 @@ func (s *Server) persistIngestLocked(db *depdb.DB, staged *depdb.Batch) error {
 		// segment carries everything the live database holds plus the
 		// batch. A fresh generation replaces the old chain; its segments
 		// are swept at the next boot.
-		meta = newSnapMeta(newFP, meta.Gen+1, 1)
-		seg = append(db.Segment(), staged.Segment()...)
+		meta, evicted, err = startGeneration(s.store, newFP, meta.Gen+1, append(db.Segment(), staged.Segment()...))
 	default:
+		evicted, err = s.store.Put(segmentKey(meta.Gen, meta.Segments), store.KindSnapshot, staged.Segment())
 		meta.Fingerprint = newFP
 		meta.Segments++
-		seg = staged.Segment()
 	}
-	evicted, err := writeSegment(s.store, meta, seg)
 	if err != nil {
 		return err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -86,6 +87,9 @@ func (r *PrivateAuditRequest) normalize(lookup func(string) (registeredProvider,
 		return n, cfg, nil, nil, fmt.Errorf("auditd: negative option")
 	}
 	cfg.Workers = r.Workers
+	if cfg.Workers == 0 {
+		cfg.Workers = runtime.GOMAXPROCS(0) // pia runs 0 or 1 worker sequentially
+	}
 
 	// Resolve every provider, then sort them by name for a canonical order.
 	seen := make(map[string]bool, len(r.Providers))

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"indaas/internal/deps"
@@ -190,7 +191,14 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 		return nil, err
 	}
 	// Resolve the candidate pool against the snapshot: an empty pool means
-	// every subject with records, minus the fixed nodes.
+	// every subject with records, minus the fixed nodes. A named server the
+	// snapshot has no records for could only fail the search as a job.
+	subjects := snap.Subjects() // sorted
+	for _, srv := range append(append([]string(nil), n.Fixed...), r.Nodes...) {
+		if _, ok := slices.BinarySearch(subjects, srv); !ok {
+			return nil, &statusErr{code: 400, err: fmt.Errorf("auditd: no dependency records for server %q", srv)}
+		}
+	}
 	if len(r.Nodes) > 0 {
 		n.Nodes = append([]string(nil), r.Nodes...)
 		sort.Strings(n.Nodes)
@@ -199,9 +207,9 @@ func (r *RecommendRequest) prepare(s *Server) (*preparedJob, error) {
 		for _, f := range n.Fixed {
 			fixed[f] = true
 		}
-		for _, subj := range snap.Subjects() {
+		for _, subj := range subjects {
 			if !fixed[subj] {
-				n.Nodes = append(n.Nodes, subj) // Subjects() is sorted
+				n.Nodes = append(n.Nodes, subj)
 			}
 		}
 	}

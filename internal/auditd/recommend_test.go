@@ -208,6 +208,17 @@ func TestIngestThenRecommend(t *testing.T) {
 		t.Fatalf("second ingest must grow the fingerprint: %+v", resp2)
 	}
 
+	// A pool or a fixed node naming a server without records is refused at
+	// submission, not failed as a job.
+	for _, bad := range []*RecommendRequest{
+		{Replicas: 2, Nodes: []string{"n1", "ghost"}},
+		{Replicas: 2, Fixed: []string{"ghost"}},
+	} {
+		if _, err := c.Recommend(ctx, bad); httpStatus(err) != 400 || !strings.Contains(err.Error(), `no dependency records for server "ghost"`) {
+			t.Fatalf("recommend %+v: want 400 naming ghost, got %v", bad, err)
+		}
+	}
+
 	// A pool-less recommendation resolves its candidates from the ingested
 	// subjects and matches the inline-records run bit for bit.
 	st, err := c.Recommend(ctx, &RecommendRequest{Replicas: 2, TopK: 3, Strategy: "exact"})

@@ -522,6 +522,158 @@ func TestCompactionLaysFreshBase(t *testing.T) {
 	}
 }
 
+// copyDataDir copies the store file of src into a fresh directory: what a
+// kill -9 leaves on disk, since every acknowledged write was fsynced and
+// nothing is flushed or closed after it. keep, when non-negative, cuts the
+// copy to its first keep bytes.
+func copyDataDir(t *testing.T, src string, keep int64) string {
+	t.Helper()
+	log, err := os.ReadFile(filepath.Join(src, "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keep >= 0 {
+		log = log[:keep]
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "store.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// flapDisk returns a one-record ingest that changes s1's disk.
+func flapDisk(i int) []RecordWire {
+	return WireRecords([]deps.Record{deps.NewHardware("s1", "Disk", fmt.Sprintf("S1-disk-%d", i))})
+}
+
+// TestTailReplaysWithoutClose: an ingest commit after a generation's base
+// is one store append — the segment, no pointer — and a daemon killed
+// without closing its store boots to the fingerprint it acknowledged last,
+// replaying the tail the pointer never named.
+func TestTailReplaysWithoutClose(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	defer gracefulShutdown(t, s)
+	base := mustIngest(t, s, testRecords())
+	puts := st.Stats().Puts
+	var last IngestResponse
+	for i := 0; i < 5; i++ {
+		if last = mustIngest(t, s, flapDisk(i)); !last.Durable {
+			t.Fatalf("flap %d not durable: %+v", i, last)
+		}
+	}
+	if got := st.Stats().Puts - puts; got != 5 {
+		t.Fatalf("5 ingest commits wrote %d store records, want 5", got)
+	}
+	pointer, keys, err := loadChain(st, nil)
+	if err != nil || pointer.Segments != 1 || pointer.Fingerprint != base.Fingerprint || len(keys) != 6 {
+		t.Fatalf("chain = %+v with %d segments (%v), want the base's pointer and a 5-segment tail", pointer, len(keys), err)
+	}
+	want := s.db.Records()
+
+	killed := openStore(t, copyDataDir(t, dir, -1))
+	db, err := RestoreDB(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Fingerprint() != last.Fingerprint || !reflect.DeepEqual(db.Records(), want) {
+		t.Fatalf("restored %s, want the last acknowledged %s", db.Fingerprint(), last.Fingerprint)
+	}
+	if meta := readSnapMeta(killed); meta.Segments != 1 || meta.Fingerprint != last.Fingerprint {
+		t.Fatalf("the boot left chain %+v, want one consolidated segment", meta)
+	}
+}
+
+// TestTornTailBootsToPreviousAck: a crash mid-append can tear only the
+// newest segment, since each commit's fsync finishes before the next commit
+// writes. Store recovery drops the torn record, and the chain replays to the
+// ingest acknowledged before it.
+func TestTornTailBootsToPreviousAck(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	defer gracefulShutdown(t, s)
+	mustIngest(t, s, testRecords())
+	mustIngest(t, s, flapDisk(0))
+	prev := mustIngest(t, s, flapDisk(1))
+	before := st.Stats().FileBytes
+	if torn := mustIngest(t, s, flapDisk(2)); torn.Fingerprint == prev.Fingerprint {
+		t.Fatal("the last flap did not change the state")
+	}
+	after := st.Stats().FileBytes
+
+	keep := (before + after) / 2
+	crashed := openStore(t, copyDataDir(t, dir, keep))
+	if rec := crashed.Recovery(); rec.TruncatedBytes != keep-before {
+		t.Fatalf("recovery = %+v, want the %d bytes of the torn segment dropped", rec, keep-before)
+	}
+	db, err := RestoreDB(crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Fingerprint() != prev.Fingerprint {
+		t.Fatalf("restored %s, want the previous acknowledged %s", db.Fingerprint(), prev.Fingerprint)
+	}
+}
+
+// TestRestoreLineChainBootsUnchanged boots the data directory of a daemon
+// whose pointer named every segment: testdata/linechain is that daemon's
+// store after four ingests — the second replaces s2's disk and re-observes
+// a route, the third adds a route and re-observes a program, the fourth
+// adds a program — and one record-less audit. The chain must replay to the
+// fingerprint the daemon acknowledged last, be rewritten once as one
+// segment in today's format, and the audit must be a disk hit under the
+// same address.
+func TestRestoreLineChainBootsUnchanged(t *testing.T) {
+	var want struct {
+		CacheKey    string `json:"cache_key"`
+		Fingerprint string `json:"fingerprint"`
+		Segments    int    `json:"segments"`
+		Total       int    `json:"total"`
+	}
+	blob, err := os.ReadFile("testdata/linechain/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	dir := copyDataDir(t, "testdata/linechain", -1)
+	st := openStore(t, dir)
+	if snapshots, _ := countSnapshotEntries(st); snapshots != want.Segments || want.Segments < 2 {
+		t.Fatalf("the fixture holds %d segments, its record says %d", snapshots, want.Segments)
+	}
+	if meta := readSnapMeta(st); meta.Segments != 0 {
+		t.Fatalf("a chain without a tail read as appendable: %+v", meta)
+	}
+	db, err := RestoreDB(st)
+	if err != nil {
+		t.Fatalf("the data directory failed boot: %v", err)
+	}
+	if db.Fingerprint() != want.Fingerprint || db.Len() != want.Total {
+		t.Fatalf("restored %s with %d records, want %s with %d", db.Fingerprint(), db.Len(), want.Fingerprint, want.Total)
+	}
+	meta := readSnapMeta(st)
+	if meta.Format != lineSegments || meta.Segments != 1 || meta.Fingerprint != want.Fingerprint {
+		t.Fatalf("rewritten chain meta = %+v", meta)
+	}
+	if snapshots, _ := countSnapshotEntries(st); snapshots != 1 {
+		t.Fatalf("the rewritten chain holds %d segments, want 1", snapshots)
+	}
+	s := New(Config{Workers: 1, DB: db, Store: st})
+	defer gracefulShutdown(t, s)
+	job := mustSubmit(t, s, &SubmitRequest{Title: "lines", Deployments: quickRequest("").Deployments})
+	if job.CacheKey != want.CacheKey || !job.DiskHit || s.Stats().Computations != 0 {
+		t.Fatalf("submit after the boot = %+v, want a disk hit under %s", job, want.CacheKey)
+	}
+	// The next ingest extends the rewritten chain by one segment.
+	if ack := mustIngest(t, s, flapDisk(0)); !ack.Durable || s.snapMeta.Segments != 2 || s.snapMeta.Gen != meta.Gen {
+		t.Fatalf("ingest after the boot = %+v, chain %+v", ack, s.snapMeta)
+	}
+}
+
 func countSnapshotEntries(st *store.Store) (snapshots, metas int) {
 	for _, e := range st.Entries() {
 		switch e.Kind {

@@ -344,9 +344,9 @@ func TestWatchRefreshNotResurrected(t *testing.T) {
 	if ev := nextWatchEvent(t, sub2); !ev.Job.DeltaHit || len(ev.Job.DirtySubjects) != 2 {
 		t.Fatalf("refresh after a dirtying ingest = %+v, want a splice", ev.Job)
 	}
-	// Segment + pointer for the ingest, one result for the splice: no job/.
-	if got := st2.Stats().Puts - puts; got != 3 {
-		t.Fatalf("ingest + spliced refresh wrote %d store records, want 3", got)
+	// One chain segment for the ingest, one result for the splice: no job/.
+	if got := st2.Stats().Puts - puts; got != 2 {
+		t.Fatalf("ingest + spliced refresh wrote %d store records, want 2", got)
 	}
 }
 

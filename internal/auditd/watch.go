@@ -61,6 +61,38 @@ type WatchEvent struct {
 	Report *report.Report `json:"report,omitempty"`
 	// Error carries the failure when the re-audit did not complete.
 	Error string `json:"error,omitempty"`
+
+	// enc and title are the stored result Report was resolved from: an SSE
+	// frame splices those bytes instead of encoding Report again.
+	enc   *EncodedResult
+	title string
+}
+
+// frameJSON renders the event as json.Marshal does, byte for byte, without
+// encoding its report: the event is marshaled without it, and `"report":`,
+// the title and the stored object go where encoding/json would put them —
+// after the fingerprint, before the error.
+func (ev *WatchEvent) frameJSON() ([]byte, error) {
+	if ev.enc == nil || ev.Report == nil {
+		return json.Marshal(ev)
+	}
+	rest := *ev
+	rest.Report, rest.Error = nil, ""
+	blob, err := json.Marshal(&rest)
+	if err != nil {
+		return nil, err
+	}
+	head, obj := ev.enc.head(ev.title), ev.enc.obj
+	out := make([]byte, 0, len(blob)+len(`,"report":`)+len(head)+len(obj)+len(`,"error":""`)+len(ev.Error))
+	out = append(out, blob[:len(blob)-1]...)
+	out = append(out, `,"report":`...)
+	out = append(out, head...)
+	out = append(out, obj[1:len(obj)-1]...) // obj without its brace and newline
+	if ev.Error != "" {
+		quoted, _ := json.Marshal(ev.Error) // a string always encodes
+		out = append(append(out, `,"error":`...), quoted...)
+	}
+	return append(out, '}'), nil
 }
 
 // Subscription is a live watch registration. Consume Events — every element
@@ -235,10 +267,19 @@ func (s *Server) refreshOnce(sub *watch.Sub, req *SubmitRequest, trigger []strin
 	ev = &WatchEvent{Trigger: trigger, Job: st, Fingerprint: s.dbFingerprint()}
 	switch {
 	case st.State == StateDone:
-		if rep, err := s.Report(st.ID); err == nil {
-			ev.Report = rep
-		} else {
+		// The event keeps the stored bytes for its SSE frame; an in-process
+		// subscriber gets the struct, from the audits memo or one decode.
+		enc, title, rep, err := s.resolve(st.ID)
+		var res any
+		if err == nil {
+			res, err = s.materialize(enc, title, rep)
+		}
+		if rep, ok := res.(*report.Report); ok {
+			ev.Report, ev.enc, ev.title = rep, enc, title
+		} else if err != nil {
 			ev.Error = err.Error()
+		} else {
+			ev.Error = fmt.Sprintf("job %s is not an audit job", st.ID)
 		}
 	case st.Error != "":
 		ev.Error = st.Error
@@ -336,7 +377,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				continue
 			}
-			blob, err := json.Marshal(ev) // single line: JSON escapes newlines
+			blob, err := ev.frameJSON() // single line: JSON escapes newlines
 			if err != nil {
 				continue
 			}

@@ -7,8 +7,10 @@ package auditd
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -340,6 +342,73 @@ func TestWatcherReadsBoundedFrames(t *testing.T) {
 	if _, err := read("event: closed\ndata: {}\n\n"); err == nil || !strings.Contains(err.Error(), "closed by server") {
 		t.Errorf("closed frame: err = %v", err)
 	}
+}
+
+// TestWatchFrameSplicesStoredBytes: an SSE frame splices the stored report
+// bytes into the event instead of encoding the report again, and is still
+// byte for byte what json.Marshal makes of the event — for the initial
+// report, a spliced refresh, a failed re-audit and an event carrying both a
+// report and an error — under a title encoding/json escapes. The client
+// decodes every frame back to the same event.
+func TestWatchFrameSplicesStoredBytes(t *testing.T) {
+	var fail atomic.Bool
+	s := New(Config{Workers: 2, RunHook: func(context.Context, string) error {
+		if fail.Load() {
+			return errors.New("injected re-audit failure")
+		}
+		return nil
+	}})
+	defer gracefulShutdown(t, s)
+	mustIngest(t, s, deltaRecords())
+	sub, err := s.Watch(deltaAuditRequest("frame <&> \"q\" \u2028"), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	check := func(label string, ev *WatchEvent) {
+		t.Helper()
+		got, err := ev.frameJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: frame\n%s\nwant json.Marshal's\n%s", label, got, want)
+		}
+		back, err := decodeWatchEvent(got)
+		if err != nil {
+			t.Fatalf("%s: the client cannot decode the frame: %v", label, err)
+		}
+		if again, _ := json.Marshal(back); !bytes.Equal(again, want) {
+			t.Fatalf("%s: the client decoded\n%s\nfrom\n%s", label, again, want)
+		}
+	}
+
+	initial := nextWatchEvent(t, sub)
+	if initial.Report == nil || initial.enc == nil {
+		t.Fatalf("initial event = %+v, want a report with its stored bytes", initial)
+	}
+	check("initial report", initial)
+	mustIngest(t, s, []RecordWire{{Kind: "software", Pgm: "etcd", HW: "s3", Deps: []string{"libc6"}}})
+	spliced := nextWatchEvent(t, sub)
+	if !spliced.Job.DeltaHit || spliced.enc == nil {
+		t.Fatalf("refresh = %+v, want a splice with its stored bytes", spliced.Job)
+	}
+	check("spliced refresh", spliced)
+	both := *spliced
+	both.Error = "a report and an error <&>"
+	check("report and error", &both)
+
+	fail.Store(true)
+	mustIngest(t, s, []RecordWire{{Kind: "software", Pgm: "etcd", HW: "s1", Deps: []string{"libc6"}}})
+	failed := nextWatchEvent(t, sub)
+	if failed.Error == "" || failed.Report != nil {
+		t.Fatalf("refresh under a failing hook = %+v, want a failed re-audit", failed)
+	}
+	check("failed re-audit", failed)
 }
 
 // TestWatchOverHTTP drives the SSE endpoint end to end: the typed client

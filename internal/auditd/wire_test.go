@@ -3,6 +3,7 @@ package auditd
 import (
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -350,5 +351,32 @@ func TestPrivateAuditNormalizeDefaults(t *testing.T) {
 	}
 	if n2.key() != key {
 		t.Fatalf("key drifted on non-semantic fields:\n%s\nvs\n%s", n2.key(), key)
+	}
+}
+
+// TestPrivateAuditWorkersZeroIsOnePerCPU: workers 0 means one per CPU, as
+// the request doc says, not pia's sequential single worker — and, like every
+// other parallelism setting, it leaves the content address where it was.
+func TestPrivateAuditWorkersZeroIsOnePerCPU(t *testing.T) {
+	const pinned = "e9357115a91a05e58401ea7f379505471bb3bc9f889b56f4a12169d1a00492df"
+	for _, workers := range []int{0, 1, 3} {
+		req := &PrivateAuditRequest{
+			Providers: []ProviderWire{{Name: "a", Components: []string{"c1", "c2"}}, {Name: "b", Components: []string{"c2", "c3"}}},
+			Workers:   workers,
+		}
+		n, cfg, _, _, err := req.normalize(noProviders)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := workers
+		if workers == 0 {
+			want = runtime.GOMAXPROCS(0)
+		}
+		if cfg.Workers != want {
+			t.Errorf("workers %d ran %d pia workers, want %d", workers, cfg.Workers, want)
+		}
+		if got := n.key(); got != pinned {
+			t.Errorf("workers %d moved the address to %s, want %s", workers, got, pinned)
+		}
 	}
 }

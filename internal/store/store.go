@@ -514,8 +514,14 @@ func (s *Store) appendTombstoneLocked(key string) error {
 }
 
 // enforceBudgetLocked evicts the oldest KindResult entries until the size
-// and age budgets hold, returning the evicted keys.
+// and age budgets hold, returning the evicted keys. Without an age budget a
+// store within its size budget has nothing to evict, and the call does no
+// per-key work.
 func (s *Store) enforceBudgetLocked() ([]string, error) {
+	s.compactOrderLocked()
+	if s.opts.MaxAge <= 0 && (s.opts.MaxBytes <= 0 || s.resultBytes <= s.opts.MaxBytes) {
+		return nil, nil
+	}
 	var evicted []string
 	cutoff := int64(0)
 	if s.opts.MaxAge > 0 {
@@ -542,7 +548,6 @@ func (s *Store) enforceBudgetLocked() ([]string, error) {
 		s.evictions++
 		evicted = append(evicted, key)
 	}
-	s.compactOrderLocked()
 	return evicted, nil
 }
 

@@ -471,3 +471,33 @@ func TestStaleTempSegmentIsDropped(t *testing.T) {
 		t.Fatal("stale temp segment not removed")
 	}
 }
+
+// BenchmarkStorePut times one append to a store holding n live results,
+// within its size budget and with no age budget: the state of every durable
+// daemon between evictions. Appends are not fsynced, so the time is the
+// store's own work, which must not grow with n.
+func BenchmarkStorePut(b *testing.B) {
+	for _, n := range []int{100, 10_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			s, err := Open(Options{Dir: b.TempDir(), NoSync: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			val := []byte(strings.Repeat("r", 512))
+			for i := 0; i < n; i++ {
+				if _, err := s.Put(fmt.Sprintf("result-%05d", i), KindResult, val); err != nil {
+					b.Fatal(err)
+				}
+			}
+			seg := []byte(strings.Repeat("s", 64))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Put(fmt.Sprintf("depdb/seg/1/%d", i%64), KindSnapshot, seg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
