@@ -97,55 +97,47 @@ func loadChain(st *store.Store, db *depdb.DB) (snapMeta, []string, error) {
 		return snapMeta{}, nil, nil
 	}
 	var meta snapMeta
-	var named []string
 	legacy := json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0
+	fp := strings.TrimSpace(string(blob))
 	if legacy {
-		fp := strings.TrimSpace(string(blob))
 		if fp == "" {
 			return snapMeta{}, nil, nil
 		}
-		meta, named = snapMeta{Segments: 1}, []string{legacySnapshotPrefix + fp}
-	} else {
-		for i := 0; i < meta.Segments; i++ {
-			named = append(named, segmentKey(meta.Gen, i))
-		}
+		meta = snapMeta{Segments: 1}
 	}
-	keys := make([]string, 0, len(named))
+	var keys []string
 	for i := 0; ; i++ {
 		key := segmentKey(meta.Gen, i)
-		switch {
-		case i < len(named):
-			key = named[i]
-			if db == nil {
-				keys = append(keys, key)
-				continue
+		if legacy {
+			if i > 0 {
+				break // the pre-chain layout has no tail
 			}
-		case legacy:
-			return meta, keys, nil // the pre-chain layout has no tail
+			key = legacySnapshotPrefix + fp
 		}
-		seg, _, ok, err := st.Get(key)
-		if err != nil {
-			return meta, nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
-		}
-		if !ok {
-			if i < len(named) {
-				return meta, nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", len(named), key)
+		named := i < meta.Segments
+		if db != nil || !named {
+			seg, _, ok, err := st.Get(key)
+			if err != nil {
+				return meta, nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
 			}
-			return meta, keys, nil
+			if !ok && named {
+				return meta, nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", meta.Segments, key)
+			}
+			if !ok {
+				break // the end of the tail
+			}
+			if db != nil {
+				if err := replaySegment(db, meta.Format, seg); err != nil {
+					return meta, nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
+				}
+				if i == meta.Segments-1 && meta.FPVersion == depdb.FingerprintVersion && db.Fingerprint() != meta.Fingerprint {
+					return meta, nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, db.Fingerprint())
+				}
+			}
 		}
 		keys = append(keys, key)
-		if db == nil {
-			continue
-		}
-		if err := replaySegment(db, meta.Format, seg); err != nil {
-			return meta, nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
-		}
-		if i == len(named)-1 && meta.FPVersion == depdb.FingerprintVersion {
-			if got := db.Fingerprint(); got != meta.Fingerprint {
-				return meta, nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, got)
-			}
-		}
 	}
+	return meta, keys, nil
 }
 
 // readSnapMeta loads the persisted chain as the next ingest should extend
