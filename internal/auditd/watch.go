@@ -83,7 +83,7 @@ func (ev *WatchEvent) frameJSON() ([]byte, error) {
 		return nil, err
 	}
 	head, obj := ev.enc.head(ev.title), ev.enc.obj
-	out := make([]byte, 0, len(blob)+len(`,"report":`)+len(head)+len(obj)+len(`,"error":""`)+len(ev.Error))
+	out := make([]byte, 0, len(blob)+len(head)+len(obj)+len(ev.Error)+32)
 	out = append(out, blob[:len(blob)-1]...)
 	out = append(out, `,"report":`...)
 	out = append(out, head...)
