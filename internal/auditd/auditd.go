@@ -861,15 +861,26 @@ func (s *Server) materialize(enc *EncodedResult, title string, rep *report.Repor
 
 // Report returns a finished audit job's report; see Result.
 func (s *Server) Report(id string) (*report.Report, error) {
-	res, err := s.Result(id)
+	rep, _, _, err := s.auditReport(id)
+	return rep, err
+}
+
+// auditReport is Report that also returns the stored result and title the
+// report was made from, so a caller that serves bytes need not encode it.
+func (s *Server) auditReport(id string) (*report.Report, *EncodedResult, string, error) {
+	enc, title, memo, err := s.resolve(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, "", err
+	}
+	res, err := s.materialize(enc, title, memo)
+	if err != nil {
+		return nil, nil, "", err
 	}
 	rep, ok := res.(*report.Report)
 	if !ok {
-		return nil, &statusErr{code: 409, err: fmt.Errorf("job %s is not an audit job", id)}
+		return nil, nil, "", &statusErr{code: 409, err: fmt.Errorf("job %s is not an audit job", id)}
 	}
-	return rep, nil
+	return rep, enc, title, nil
 }
 
 // Cached returns the in-memory cached result for a content-address, if

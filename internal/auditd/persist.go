@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -32,7 +33,8 @@ import (
 // back to a single segment of the live records, so chains stay short across
 // restarts. A commit's fsync finishes before the next commit writes, so only
 // the newest segment can be torn by a crash; store recovery drops it, and
-// every acknowledged ingest still replays. A generation's base is durable
+// every acknowledged ingest still replays. A gap in the tail — a record the
+// store quarantined mid-log — fails the boot. A generation's base is durable
 // before the pointer names it, so a crash while one starts leaves the
 // previous generation in place.
 const (
@@ -65,7 +67,7 @@ const (
 //
 // The Server keeps the same struct for the chain as it stands, tail
 // included: Segments counts every segment of the generation and Fingerprint
-// is the state the last of them leads to ("" when not known).
+// is the state the last of them leads to.
 type snapMeta struct {
 	Fingerprint string `json:"fingerprint"`
 	FPVersion   int    `json:"fp_version,omitempty"`
@@ -78,17 +80,12 @@ func segmentKey(gen, i int) string {
 	return fmt.Sprintf("%s%d/%d", segmentKeyPrefix, gen, i)
 }
 
-// loadChain reads the current pointer and walks the chain it leads to,
-// returning the pointer's meta and every segment key in replay order: the
-// segments the pointer names, then its tail. With db non-nil each segment is
-// replayed into db, and once the pointer's own segments are in, the state
-// must reproduce the pointer's fingerprint (unless that was taken under
-// another fingerprint algorithm); with db nil the tail is only counted. A
-// store with no pointer yields no keys. A pointer that is no snapMeta is the
-// pre-chain layout — a raw fingerprint, of an older algorithm, naming one
-// whole-database XML snapshot under depdb/<fp> — and reads as a one-segment
-// XML chain of that key.
-func loadChain(st *store.Store, db *depdb.DB) (snapMeta, []string, error) {
+// readPointer reads the current pointer: the chain's meta and the keys of
+// the segments it names, in replay order. A store with no pointer yields no
+// keys. A pointer that is no snapMeta is the pre-chain layout — a raw
+// fingerprint, of an older algorithm, naming one whole-database XML snapshot
+// under depdb/<fp> — and reads as a one-segment XML chain of that key.
+func readPointer(st *store.Store) (snapMeta, []string, error) {
 	blob, _, ok, err := st.Get(currentSnapshotKey)
 	if err != nil {
 		return snapMeta{}, nil, fmt.Errorf("auditd: reading current snapshot pointer: %w", err)
@@ -97,67 +94,95 @@ func loadChain(st *store.Store, db *depdb.DB) (snapMeta, []string, error) {
 		return snapMeta{}, nil, nil
 	}
 	var meta snapMeta
-	legacy := json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0
-	fp := strings.TrimSpace(string(blob))
-	if legacy {
-		if fp == "" {
-			return snapMeta{}, nil, nil
+	if json.Unmarshal(blob, &meta) != nil || meta.Segments <= 0 {
+		if fp := strings.TrimSpace(string(blob)); fp != "" {
+			return snapMeta{Segments: 1}, []string{legacySnapshotPrefix + fp}, nil
 		}
-		meta = snapMeta{Segments: 1}
+		return snapMeta{}, nil, nil
 	}
-	var keys []string
-	for i := 0; ; i++ {
-		key := segmentKey(meta.Gen, i)
-		if legacy {
-			if i > 0 {
-				break // the pre-chain layout has no tail
-			}
-			key = legacySnapshotPrefix + fp
-		}
-		named := i < meta.Segments
-		if db != nil || !named {
-			seg, _, ok, err := st.Get(key)
-			if err != nil {
-				return meta, nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
-			}
-			if !ok && named {
-				return meta, nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", meta.Segments, key)
-			}
-			if !ok {
-				break // the end of the tail
-			}
-			if db != nil {
-				if err := replaySegment(db, meta.Format, seg); err != nil {
-					return meta, nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
-				}
-				if i == meta.Segments-1 && meta.FPVersion == depdb.FingerprintVersion && db.Fingerprint() != meta.Fingerprint {
-					return meta, nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, db.Fingerprint())
-				}
-			}
-		}
-		keys = append(keys, key)
+	keys := make([]string, meta.Segments)
+	for i := range keys {
+		keys[i] = segmentKey(meta.Gen, i)
 	}
 	return meta, keys, nil
 }
 
+// loadChain replays the persisted chain into db and returns the pointer's
+// meta and every segment key in replay order: the segments the pointer
+// names, then — in a chain of lineSegments — its tail, every consecutive
+// <gen>/<i> after them. Once the pointer's own segments are in, the state
+// must reproduce the pointer's fingerprint (unless that was taken under
+// another fingerprint algorithm). Nothing records where the tail ends, so
+// a segment of the generation stored after the first missing one is a hole
+// — a record the store quarantined as corrupt — and fails the load: the
+// acknowledged ingests after the hole must not be skipped, nor swept.
+func loadChain(st *store.Store, db *depdb.DB) (snapMeta, []string, error) {
+	meta, keys, err := readPointer(st)
+	if err != nil || len(keys) == 0 {
+		return meta, nil, err
+	}
+	for i := 0; i < meta.Segments || meta.Format == lineSegments; i++ {
+		named := i < meta.Segments
+		key := segmentKey(meta.Gen, i)
+		if named {
+			key = keys[i]
+		}
+		seg, _, ok, err := st.Get(key)
+		if err != nil {
+			return meta, nil, fmt.Errorf("auditd: reading snapshot segment %s: %w", key, err)
+		}
+		if !ok && named {
+			return meta, nil, fmt.Errorf("auditd: store names a %d-segment chain but segment %s is missing", meta.Segments, key)
+		}
+		if !ok {
+			if later := segmentAfter(st, meta.Gen, i); later != "" {
+				return meta, nil, fmt.Errorf("auditd: snapshot chain's segment %s is missing but %s follows it", key, later)
+			}
+			break // the end of the tail
+		}
+		if err := replaySegment(db, meta.Format, seg); err != nil {
+			return meta, nil, fmt.Errorf("auditd: replaying snapshot segment %s: %w", key, err)
+		}
+		if i == meta.Segments-1 && meta.FPVersion == depdb.FingerprintVersion && db.Fingerprint() != meta.Fingerprint {
+			return meta, nil, fmt.Errorf("auditd: snapshot chain stored as %s replays to fingerprint %s", meta.Fingerprint, db.Fingerprint())
+		}
+		if !named {
+			keys = append(keys, key)
+		}
+	}
+	return meta, keys, nil
+}
+
+// segmentAfter returns the key of a stored segment of generation gen with an
+// index above i, or "" if there is none.
+func segmentAfter(st *store.Store, gen, i int) string {
+	prefix := fmt.Sprintf("%s%d/", segmentKeyPrefix, gen)
+	for _, e := range st.Entries() {
+		if rest, ok := strings.CutPrefix(e.Key, prefix); ok {
+			if j, err := strconv.Atoi(rest); err == nil && j > i {
+				return e.Key
+			}
+		}
+	}
+	return ""
+}
+
 // readSnapMeta loads the persisted chain as the next ingest should extend
-// it, tail included. A missing or legacy-format pointer yields the zero meta
-// (Segments == 0 ⇒ nothing persisted yet, so the next ingest starts a fresh
-// generation with a full base segment), and so does a chain under another
-// fingerprint algorithm or in another form that RestoreDB was not given to
-// rewrite: nothing may be appended to it. The tail is counted, not replayed,
-// so a chain with one leaves the fingerprint unknown and the next ingest
-// writes a segment even if it changes nothing.
+// it. A missing or legacy-format pointer yields the zero meta (Segments == 0
+// ⇒ nothing persisted yet, so the next ingest starts a fresh generation with
+// a full base segment), and so does a chain under another fingerprint
+// algorithm, in another form, or with a tail, that RestoreDB was not given
+// to rewrite: nothing may be appended to it.
 func readSnapMeta(st *store.Store) snapMeta {
-	meta, keys, err := loadChain(st, nil)
+	meta, keys, err := readPointer(st)
 	if err != nil || len(keys) == 0 {
 		return snapMeta{}
 	}
 	if meta.FPVersion != depdb.FingerprintVersion || meta.Format != lineSegments {
 		return snapMeta{Gen: meta.Gen}
 	}
-	if len(keys) > meta.Segments {
-		meta.Segments, meta.Fingerprint = len(keys), ""
+	if _, _, tail, err := st.Get(segmentKey(meta.Gen, meta.Segments)); err != nil || tail {
+		return snapMeta{Gen: meta.Gen}
 	}
 	return meta
 }

@@ -567,7 +567,7 @@ func TestTailReplaysWithoutClose(t *testing.T) {
 	if got := st.Stats().Puts - puts; got != 5 {
 		t.Fatalf("5 ingest commits wrote %d store records, want 5", got)
 	}
-	pointer, keys, err := loadChain(st, nil)
+	pointer, keys, err := loadChain(st, depdb.New())
 	if err != nil || pointer.Segments != 1 || pointer.Fingerprint != base.Fingerprint || len(keys) != 6 {
 		t.Fatalf("chain = %+v with %d segments (%v), want the base's pointer and a 5-segment tail", pointer, len(keys), err)
 	}
@@ -627,19 +627,7 @@ func TestTornTailBootsToPreviousAck(t *testing.T) {
 // segment in today's format, and the audit must be a disk hit under the
 // same address.
 func TestRestoreLineChainBootsUnchanged(t *testing.T) {
-	var want struct {
-		CacheKey    string `json:"cache_key"`
-		Fingerprint string `json:"fingerprint"`
-		Segments    int    `json:"segments"`
-		Total       int    `json:"total"`
-	}
-	blob, err := os.ReadFile("testdata/linechain/expect.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(blob, &want); err != nil {
-		t.Fatal(err)
-	}
+	want := readLineChainExpect(t)
 	dir := copyDataDir(t, "testdata/linechain", -1)
 	st := openStore(t, dir)
 	if snapshots, _ := countSnapshotEntries(st); snapshots != want.Segments || want.Segments < 2 {
@@ -671,6 +659,109 @@ func TestRestoreLineChainBootsUnchanged(t *testing.T) {
 	// The next ingest extends the rewritten chain by one segment.
 	if ack := mustIngest(t, s, flapDisk(0)); !ack.Durable || s.snapMeta.Segments != 2 || s.snapMeta.Gen != meta.Gen {
 		t.Fatalf("ingest after the boot = %+v, chain %+v", ack, s.snapMeta)
+	}
+}
+
+// lineChainExpect is testdata/linechain/expect.json: what the daemon that
+// wrote the fixture acknowledged last.
+type lineChainExpect struct {
+	CacheKey    string `json:"cache_key"`
+	Fingerprint string `json:"fingerprint"`
+	Segments    int    `json:"segments"`
+	Total       int    `json:"total"`
+}
+
+func readLineChainExpect(t *testing.T) lineChainExpect {
+	t.Helper()
+	var want lineChainExpect
+	blob, err := os.ReadFile("testdata/linechain/expect.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(blob, &want); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestRestoreLineChainSkipsOrphan: a chain whose pointer named every
+// segment has no tail. A segment past the pointer's count — one whose write
+// was refused before a crash — is not replayed, and the boot sweeps it.
+func TestRestoreLineChainSkipsOrphan(t *testing.T) {
+	want := readLineChainExpect(t)
+	st := openStore(t, copyDataDir(t, "testdata/linechain", -1))
+	pointer, _, err := readPointer(st)
+	if err != nil || pointer.Format != namedLineSegments {
+		t.Fatalf("fixture pointer = %+v (%v), want format %q", pointer, err, namedLineSegments)
+	}
+	refused := depdb.New()
+	if err := refused.Put(deps.NewHardware("s1", "Disk", "refused")); err != nil {
+		t.Fatal(err)
+	}
+	orphan := segmentKey(pointer.Gen, pointer.Segments)
+	if _, err := st.Put(orphan, store.KindSnapshot, refused.Segment()); err != nil {
+		t.Fatal(err)
+	}
+	db, err := RestoreDB(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db.Fingerprint() != want.Fingerprint {
+		t.Fatalf("restored %s, want %s: the refused segment was replayed", db.Fingerprint(), want.Fingerprint)
+	}
+	if _, _, ok, _ := st.Get(orphan); ok {
+		t.Fatalf("the boot left the orphaned segment %s", orphan)
+	}
+}
+
+// TestTailHoleFailsBoot: store recovery quarantines a corrupt record in the
+// middle of its log and keeps the records after it, so a bit flip in a tail
+// segment leaves a gap in <gen>/<i>. The boot must fail on the gap, as on a
+// missing named segment, and change nothing — not replay up to the gap,
+// consolidate, and sweep the acknowledged segments after it.
+func TestTailHoleFailsBoot(t *testing.T) {
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	s := New(Config{Workers: 1, Store: st})
+	defer gracefulShutdown(t, s)
+	mustIngest(t, s, testRecords())
+	for i := 0; i < 4; i++ {
+		mustIngest(t, s, flapDisk(i))
+	}
+	gen := s.snapMeta.Gen
+	if s.snapMeta.Segments != 5 {
+		t.Fatalf("chain = %+v, want a base and a 4-segment tail", s.snapMeta)
+	}
+
+	log, err := os.ReadFile(filepath.Join(dir, "store.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hole := segmentKey(gen, 2)
+	at := bytes.Index(log, []byte(hole))
+	if at < 0 || bytes.Contains(log[at+1:], []byte(hole)) {
+		t.Fatalf("store.log holds %s %d times, want once", hole, bytes.Count(log, []byte(hole)))
+	}
+	log[at+len(hole)] ^= 1 // the first byte of the segment's value
+	flipped := t.TempDir()
+	if err := os.WriteFile(filepath.Join(flipped, "store.log"), log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	crashed := openStore(t, flipped)
+	if rec := crashed.Recovery(); rec.QuarantinedRanges != 1 || rec.TruncatedBytes != 0 {
+		t.Fatalf("recovery = %+v, want the flipped record quarantined", rec)
+	}
+	before := crashed.Entries()
+	if _, err := RestoreDB(crashed); err == nil || !strings.Contains(err.Error(), hole) {
+		t.Fatalf("RestoreDB = %v, want an error naming the missing %s", err, hole)
+	}
+	if after := crashed.Entries(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("the failed boot changed the store: %d entries before, %d after", len(before), len(after))
+	}
+	for i := 3; i <= 4; i++ {
+		if _, _, ok, err := crashed.Get(segmentKey(gen, i)); !ok || err != nil {
+			t.Fatalf("segment %s after the gap is gone (%v)", segmentKey(gen, i), err)
+		}
 	}
 }
 

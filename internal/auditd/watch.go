@@ -269,17 +269,10 @@ func (s *Server) refreshOnce(sub *watch.Sub, req *SubmitRequest, trigger []strin
 	case st.State == StateDone:
 		// The event keeps the stored bytes for its SSE frame; an in-process
 		// subscriber gets the struct, from the audits memo or one decode.
-		enc, title, rep, err := s.resolve(st.ID)
-		var res any
-		if err == nil {
-			res, err = s.materialize(enc, title, rep)
-		}
-		if rep, ok := res.(*report.Report); ok {
+		if rep, enc, title, err := s.auditReport(st.ID); err == nil {
 			ev.Report, ev.enc, ev.title = rep, enc, title
-		} else if err != nil {
-			ev.Error = err.Error()
 		} else {
-			ev.Error = fmt.Sprintf("job %s is not an audit job", st.ID)
+			ev.Error = err.Error()
 		}
 	case st.Error != "":
 		ev.Error = st.Error
