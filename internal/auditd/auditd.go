@@ -133,9 +133,10 @@ type Cluster interface {
 	// synchronizes itself.
 	Tier() ResultTier
 	// Replicate is called by the ingest committer after a commit group lands
-	// locally and before its waiters are acknowledged, with the wire records
-	// of every locally originated (non-replicated) ingest in the group that
-	// changed the database, so DepDB fingerprints converge across the fleet.
+	// locally and before its waiters are acknowledged, with the wire form of
+	// the records of locally originated (non-replicated) ingests in the group
+	// that changed the database, so DepDB fingerprints converge across the
+	// fleet.
 	Replicate(records []RecordWire)
 	// Metrics returns the cluster's rows of the /metrics table, drawn after
 	// the server's own.

@@ -169,6 +169,11 @@ func (c *Client) do(ctx context.Context, method, path string, body, out interfac
 			return err
 		}
 	}
+	return c.send(ctx, method, path, blob, out)
+}
+
+// send runs the attempt loop over an encoded body (nil for none).
+func (c *Client) send(ctx context.Context, method, path string, blob []byte, out interface{}) error {
 	attempts := c.Retry.MaxAttempts
 	if attempts <= 0 {
 		attempts = DefaultRetryPolicy.MaxAttempts
@@ -476,9 +481,13 @@ func (c *Client) Providers(ctx context.Context) ([]ProviderInfo, error) {
 // ingest is idempotent — records already on file change neither the
 // fingerprint nor anything downstream of it — and a batch whose first attempt
 // may or may not have landed is resent like any other request.
+//
+// The body is appended by hand (the record codec), byte for byte what
+// json.Marshal(&IngestRequest{Records: records}) writes.
 func (c *Client) Ingest(ctx context.Context, records []RecordWire) (IngestResponse, error) {
 	var resp IngestResponse
-	err := c.do(ctx, http.MethodPost, "/v1/depdb", &IngestRequest{Records: records}, &resp)
+	body := appendIngest(make([]byte, 0, ingestSize(records)), records)
+	err := c.send(ctx, http.MethodPost, "/v1/depdb", body, &resp)
 	return resp, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -183,16 +184,36 @@ func (s *Server) handleProviders(w http.ResponseWriter, r *http.Request) {
 	}{s.Providers()})
 }
 
-// handleIngest appends dependency records to the server's database.
+// handleIngest appends dependency records to the server's database. The
+// body is decoded by the record codec straight into validated records.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	var req IngestRequest
 	replicated, ok := s.peerMarked(w, r, ReplicatedHeader)
-	if !ok || !decodeJSON(w, r, &req) {
+	if !ok {
 		return
 	}
-	req.Replicated = replicated
-	resp, err := s.Ingest(&req)
+	body, err := readRequestBody(w, r)
+	if err != nil {
+		writeErr(w, badBody(err))
+		return
+	}
+	records, err := decodeIngest(body)
+	var resp IngestResponse
+	if err == nil {
+		resp, err = s.ingest(records, replicated)
+	}
 	reply(w, resp, err)
+}
+
+// readRequestBody reads a body of at most maxRequestBody bytes, in one
+// buffer when the request says how long it is.
+func readRequestBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxRequestBody)
+	if n := r.ContentLength; n > 0 && n <= maxRequestBody {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	return io.ReadAll(body)
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {

@@ -17,8 +17,8 @@ type IngestRequest struct {
 	// Replicated marks an ingest pushed by a cluster peer's replication
 	// rather than originated by a client: it bypasses the admission rate
 	// limit (the originating node already admitted it) and is not replicated
-	// onward. Set by the HTTP layer from the replication header, which it
-	// honours only from a peer; never by clients, and excluded from JSON.
+	// onward. Over HTTP the replication header carries it, honoured only
+	// from a peer; it is never a body field.
 	Replicated bool `json:"-"`
 }
 
@@ -48,9 +48,8 @@ type IngestResponse struct {
 // and the response filled in when the group it joined commits.
 type ingestWaiter struct {
 	records []deps.Record
-	// wire keeps the records' wire form for Cluster.Replicate; replica
-	// marks a peer-replicated ingest that must not be replicated onward.
-	wire    []RecordWire
+	// replica marks a peer-replicated ingest that must not be replicated
+	// onward.
 	replica bool
 	done    chan struct{} // closed once resp/err are set
 	resp    IngestResponse
@@ -80,15 +79,20 @@ type ingestWaiter struct {
 // outruns the token bucket is rejected with 429 and a Retry-After quoting
 // when the bucket will have refilled, which the Client's backoff honors.
 func (s *Server) Ingest(req *IngestRequest) (IngestResponse, error) {
-	if len(req.Records) == 0 {
-		return IngestResponse{}, &statusErr{code: 400, err: errors.New("ingest has no records")}
-	}
 	records, err := recordsFromWire(req.Records)
 	if err != nil {
 		return IngestResponse{}, err
 	}
+	return s.ingest(records, req.Replicated)
+}
 
-	if !req.Replicated {
+// ingest is Ingest for validated records: the HTTP handler decodes a body
+// straight into them.
+func (s *Server) ingest(records []deps.Record, replicated bool) (IngestResponse, error) {
+	if len(records) == 0 {
+		return IngestResponse{}, &statusErr{code: 400, err: errors.New("ingest has no records")}
+	}
+	if !replicated {
 		// Replicated ingests bypass admission: the originating node already
 		// charged its own rate limit, and dropping a replica here would let
 		// peer fingerprints diverge under load.
@@ -113,7 +117,7 @@ func (s *Server) Ingest(req *IngestRequest) (IngestResponse, error) {
 	s.ingestWG.Add(1)
 	s.mu.Unlock()
 
-	w := &ingestWaiter{records: records, wire: req.Records, replica: req.Replicated, done: make(chan struct{})}
+	w := &ingestWaiter{records: records, replica: replicated, done: make(chan struct{})}
 	s.ingestCh <- w
 	s.ingestWG.Done()
 	<-w.done
@@ -261,8 +265,8 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 		// replication is a star from the originating node, so there is no
 		// echo.
 		if c := s.cfg.Cluster; c != nil {
-			if originated := originatedWire(group, changed); len(originated) > 0 {
-				c.Replicate(originated)
+			if originated := originatedRecords(group, records, changed); len(originated) > 0 {
+				c.Replicate(WireRecords(originated))
 			}
 		}
 	}
@@ -281,17 +285,17 @@ func (s *Server) commitGroup(group []*ingestWaiter) {
 	}
 }
 
-// originatedWire returns the wire form of the group's records at the given
-// indices (ascending, into the group's batches laid end to end), leaving out
-// those a peer replicated here.
-func originatedWire(group []*ingestWaiter, indices []int) []RecordWire {
-	var out []RecordWire
+// originatedRecords returns the group's records at the given indices
+// (ascending, into records: the group's batches laid end to end), leaving
+// out those a peer replicated here.
+func originatedRecords(group []*ingestWaiter, records []deps.Record, indices []int) []deps.Record {
+	var out []deps.Record
 	start := 0 // index of w's first record
 	for _, w := range group {
 		end := start + len(w.records)
 		for ; len(indices) > 0 && indices[0] < end; indices = indices[1:] {
 			if !w.replica {
-				out = append(out, w.wire[indices[0]-start])
+				out = append(out, records[indices[0]])
 			}
 		}
 		start = end

@@ -15,7 +15,8 @@ import (
 )
 
 // RecordWire is the JSON form of a deps.Record: a flat tagged union, one
-// kind per record, matching the Table 1 fields.
+// kind per record, matching the Table 1 fields. Its codec is hand-written
+// (recordcodec.go); the tags below are the wire keys it reads and writes.
 type RecordWire struct {
 	Kind string `json:"kind"` // "network", "hardware" or "software"
 	// Network fields.
@@ -32,29 +33,17 @@ type RecordWire struct {
 }
 
 // Record converts the wire form into a validated deps.Record.
-func (w RecordWire) Record() (deps.Record, error) {
-	var r deps.Record
-	switch w.Kind {
-	case "network":
-		r = deps.NewNetwork(w.Src, w.Dst, w.Route...)
-	case "hardware":
-		r = deps.NewHardware(w.HW, w.Type, w.Dep)
-	case "software":
-		r = deps.NewSoftware(w.Pgm, w.HW, w.Deps...)
-	default:
-		return r, fmt.Errorf("auditd: unknown record kind %q", w.Kind)
-	}
-	return r, r.Validate()
-}
+func (w RecordWire) Record() (deps.Record, error) { return w.record(new(payloads)) }
 
 // recordsFromWire validates wire records into native ones; the first invalid
 // record is a 400 naming its index.
 func recordsFromWire(records []RecordWire) ([]deps.Record, error) {
 	out := make([]deps.Record, len(records))
-	for i, w := range records {
-		r, err := w.Record()
+	var p payloads
+	for i := range records {
+		r, err := records[i].record(&p)
 		if err != nil {
-			return nil, &statusErr{code: 400, err: fmt.Errorf("record %d: %w", i, err)}
+			return nil, recordErr(i, err)
 		}
 		out[i] = r
 	}

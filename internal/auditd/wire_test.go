@@ -187,6 +187,8 @@ func TestRecordWireErrors(t *testing.T) {
 		{"software without pgm", RecordWire{Kind: "software", HW: "a", Deps: []string{"libc6"}}},
 		{"list separator in a dep", RecordWire{Kind: "software", Pgm: "p", HW: "h", Deps: []string{"a\x1eb"}}},
 		{"field separator in a name", RecordWire{Kind: "hardware", HW: "s1\x1fNIC", Type: "x", Dep: "m"}},
+		{"separator at a name's first byte", RecordWire{Kind: "network", Src: "\x1fs1", Dst: "b", Route: []string{"x"}}},
+		{"separator at a name's last byte", RecordWire{Kind: "software", Pgm: "p", HW: "h", Deps: []string{"libc6\x1e"}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -164,11 +164,15 @@ func (r Record) Validate() error {
 
 const separatorErr = "a name holds a reserved separator byte (U+001E or U+001F)"
 
-// hasSeparator reports whether any name holds U+001E or U+001F.
+// hasSeparator reports whether any name holds U+001E or U+001F. Both are
+// single bytes in UTF-8 that no multi-byte sequence contains, so one pass
+// over the bytes finds them.
 func hasSeparator(names ...string) bool {
 	for _, s := range names {
-		if strings.ContainsAny(s, "\x1e\x1f") {
-			return true
+		for i := 0; i < len(s); i++ {
+			if s[i]-'\x1e' < 2 {
+				return true
+			}
 		}
 	}
 	return false

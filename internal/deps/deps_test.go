@@ -77,6 +77,35 @@ func TestRecordValidate(t *testing.T) {
 	}
 }
 
+// TestValidateAllocatesNothing gates the check every ingested record passes
+// twice (at the wire boundary and again when DepDB stages it): a valid
+// record of each kind validates with no allocation, and a separator is found
+// wherever it sits in a name, multi-byte neighbours included.
+func TestValidateAllocatesNothing(t *testing.T) {
+	records := []Record{
+		NewNetwork("srv0_1_2", "Internet", "tor0_1", "agg0_0", "core0_0"),
+		NewHardware("srv0_3_3", "NIC", "srv0_3_3-BCM5709-1GbE"),
+		NewSoftware("svc", "srv0_1_0", "libc=2.19", "libevent=2.0.21", "openssl=1.0.1"),
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for _, r := range records {
+			if err := r.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Errorf("Validate allocates %.0f times per pass, want 0", allocs)
+	}
+	for _, name := range []string{"\x1ea", "a\x1f", "é\x1eé", "\x1f"} {
+		if !hasSeparator("ok", name) {
+			t.Errorf("hasSeparator misses the separator in %q", name)
+		}
+	}
+	if hasSeparator("", "é\u241e", "\x1d \x20") {
+		t.Error("hasSeparator reports a separator in names without one")
+	}
+}
+
 func TestRecordSubject(t *testing.T) {
 	cases := []struct {
 		r    Record
