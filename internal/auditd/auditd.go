@@ -669,6 +669,7 @@ func (s *Server) compDone(comp *computation, res any, err error) {
 		}
 	}
 	s.mu.Unlock()
+	comp.trace.Seal() // its jobs keep it for as long as they are kept
 }
 
 // settleLocked moves a non-terminal job into its terminal state — the one

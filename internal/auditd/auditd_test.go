@@ -414,6 +414,24 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestHugeRoundsJobTimesOut: a request for math.MaxInt sampling rounds is
+// a long job, not a crash — it ends on its deadline like any other, with
+// the deadline error and no worker panic.
+func TestHugeRoundsJobTimesOut(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+	req := slowRequest("huge", 21)
+	req.Rounds = math.MaxInt
+	req.TimeoutMS = 50
+	end := waitDone(t, s, mustSubmit(t, s, req).ID)
+	if end.State != StateCanceled || !strings.Contains(end.Error, "deadline") {
+		t.Fatalf("huge-rounds job = %+v, want canceled on its deadline", end)
+	}
+	if p := s.Stats().WorkerPanics; p != 0 {
+		t.Fatalf("WorkerPanics = %d, want 0", p)
+	}
+}
+
 // TestCoalescedJobKeepsOwnTimeout: a short-deadline job attaching to a
 // long-running shared computation must time out on its own schedule without
 // killing the computation for the job that wanted it.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -111,6 +112,21 @@ func TestSamplerContextPreCanceled(t *testing.T) {
 	}
 	if fam != nil {
 		t.Fatalf("canceled run must discard partial state, got %d RGs", len(fam))
+	}
+}
+
+// TestSamplerContextHugeRounds: a round count near MaxInt is a long run,
+// not an overflow — the block count stays positive, and the call returns
+// the context's error instead of panicking on a negative slice length.
+func TestSamplerContextHugeRounds(t *testing.T) {
+	g := fig4c(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, rounds := range []int{math.MaxInt, math.MaxInt - 63} {
+		fam, err := Sampler{Rounds: rounds, Shrink: true, Seed: 1}.SampleContext(ctx, g)
+		if !errors.Is(err, context.Canceled) || fam != nil {
+			t.Fatalf("Rounds %d: got %d RGs, %v; want context.Canceled", rounds, len(fam), err)
+		}
 	}
 }
 

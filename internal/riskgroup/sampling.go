@@ -39,6 +39,20 @@ import (
 // for the whole word — whenever the word is full and once at the end of the
 // worker's blocks. Lanes shrink independently, so where a sample lands in
 // the word never changes its RG.
+//
+// Most failing samples need no shrink at all. A failed basic event is
+// critical in a lane when some path from it to the top fails there through
+// it at every gate: as any child of an AND, as the only failed child of an
+// OR, or as one of exactly K failed children of a K-of-N gate. Recovering a
+// critical event recovers the top, in the sample and — gates being
+// monotone — in every subset of it, so every irreducible subset of the
+// sample holds every critical event. When the critical events alone fail
+// the top, they are therefore the sample's only irreducible subset: the
+// greedy shrink returns them in whatever order it removes events, and the
+// lane is collected as it is, its shuffle draws skipped by advancing the
+// stream's counter past them. The rule needs criticality propagated through
+// the gates, not summed per event: an event shared by two failed branches
+// of an OR is critical to neither, and such a lane is shrunk as before.
 type Sampler struct {
 	// Rounds is the number of sampling rounds (paper: 10³–10⁷).
 	Rounds int
@@ -83,7 +97,7 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 		return nil, err
 	}
 	k := newWordKernel(g, thr, s.Shrink, s.Seed)
-	blocks := (s.Rounds + 63) / 64
+	blocks := (s.Rounds-1)/64 + 1 // (Rounds+63)/64 overflows near MaxInt
 	workers := runtime.GOMAXPROCS(0)
 	if s.Workers > 0 {
 		workers = min(workers, s.Workers)
@@ -95,13 +109,13 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 
 	// Worker w takes blocks w, w+workers, …; the family is the union of
 	// every block's lanes, so how blocks are striped cannot change it.
-	found := make([]*rgSet, workers)
+	ws := make([]*wordWorker, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		ws[w] = k.newWorker()
 		wg.Add(1)
-		go func(w int) {
+		go func(ws *wordWorker, w int) {
 			defer wg.Done()
-			ws := k.newWorker()
 			for b := w; b < blocks; b += workers {
 				if ctx.Err() != nil {
 					return
@@ -115,19 +129,22 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 			if ws.held != 0 {
 				ws.flush()
 			}
-			found[w] = ws.seen
-		}(w)
+		}(ws[w], w)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, set := range found[1:] {
-		found[0].union(set)
+	evals, failed := ws[0].evals, ws[0].failed
+	for _, o := range ws[1:] {
+		ws[0].seen.union(o.seen)
+		evals, failed = evals+o.evals, failed+o.failed
 	}
-	out := found[0].family(k.basics)
+	out := ws[0].seen.family(k.basics)
 	sortFamily(out)
 	tr.Add("rounds_sampled", int64(s.Rounds))
+	tr.Add("rounds_failed", int64(failed))
+	tr.Add("graph_evals", int64(evals))
 	tr.Add("rgs_found", int64(len(out)))
 	return out, nil
 }
@@ -177,6 +194,7 @@ type wordKernel struct {
 	thr    []uint64
 	gates  []wordGate // children before parents
 	kids   []int32
+	isGate []bool // by node id
 	maxK   int
 	shrink bool
 	seed   uint64
@@ -191,6 +209,7 @@ func newWordKernel(g *faultgraph.Graph, thr []uint64, shrink bool, seed int64) *
 		top:    g.Top(),
 		basics: g.BasicEvents(),
 		thr:    thr,
+		isGate: make([]bool, g.Len()),
 		shrink: shrink,
 		seed:   splitmix64(uint64(seed) ^ samplerSalt),
 	}
@@ -205,9 +224,14 @@ func newWordKernel(g *faultgraph.Graph, thr []uint64, shrink bool, seed int64) *
 		}
 		k.gates = append(k.gates, wordGate{id: int32(id), k: int32(n.K), lo: lo, hi: int32(len(k.kids))})
 		k.maxK = max(k.maxK, n.K)
+		k.isGate[id] = true
 	}
 	return k
 }
+
+// gamma is SplitMix64's counter increment: every draw advances the stream's
+// counter by it.
+const gamma = 0x9e3779b97f4a7c15
 
 // samplerSalt separates the sampler's streams from other SplitMix64 users
 // of the same seed.
@@ -215,23 +239,27 @@ const samplerSalt = 0x73616d706c657273 // "samplers"
 
 // splitmix64 is the SplitMix64 output function applied to x + γ.
 func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
+	x += gamma
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
 
 // wordWorker is one goroutine's mutable state: the block being sampled, the
-// shrink word, the K-of-N planes and the RGs found so far.
+// shrink word, the K-of-N planes, the RGs found so far and its counts.
 type wordWorker struct {
 	*wordKernel
 	blk    *lanes // the block being sampled
 	word   *lanes // the shrink word: failing lanes gathered across blocks
 	held   uint64 // the shrink word's occupied lanes; no event fails in the others
 	planes []uint64
+	exact  []uint64 // with Shrink: the block's exactly-K lanes by gate
+	crit   []uint64 // with Shrink: the block's critical lanes by node id
 	rng    uint64
 	keys   []uint64 // lane l's RG bitset in keys[l*nw : (l+1)*nw]
 	seen   *rgSet
+	evals  int // graph evaluations
+	failed int // rounds whose top event failed
 }
 
 // lanes is 64 samples side by side: a failure word per node and, with
@@ -255,19 +283,21 @@ func (k *wordKernel) newWorker() *wordWorker {
 	w := &wordWorker{
 		wordKernel: k,
 		blk:        k.newLanes(),
-		planes:     make([]uint64, k.maxK),
+		planes:     make([]uint64, k.maxK+1),
 		keys:       make([]uint64, 64*nw),
 		seen:       newRGSet(nw),
 	}
 	if k.shrink {
 		w.word = k.newLanes()
+		w.exact = make([]uint64, len(k.gates))
+		w.crit = make([]uint64, k.nodes)
 	}
 	return w
 }
 
 func (w *wordWorker) next() uint64 {
 	x := w.rng
-	w.rng += 0x9e3779b97f4a7c15
+	w.rng += gamma
 	return splitmix64(x)
 }
 
@@ -296,6 +326,7 @@ func (w *wordWorker) flip(thr uint64) uint64 {
 // eval propagates the basic events' lanes in st through every gate and
 // returns the top event's lanes.
 func (w *wordWorker) eval(st []uint64) uint64 {
+	w.evals++
 	for _, g := range w.gates {
 		kids := w.kids[g.lo:g.hi]
 		var x uint64
@@ -310,16 +341,8 @@ func (w *wordWorker) eval(st []uint64) uint64 {
 				x &= st[c]
 			}
 		default:
-			// planes[j] holds the lanes where more than j children failed.
 			p := w.planes[:g.k]
-			clear(p)
-			for _, c := range kids {
-				f := st[c]
-				for j := len(p) - 1; j > 0; j-- {
-					p[j] |= p[j-1] & f
-				}
-				p[0] |= f
-			}
+			countPlanes(p, kids, st)
 			x = p[len(p)-1]
 		}
 		st[g.id] = x
@@ -327,32 +350,148 @@ func (w *wordWorker) eval(st []uint64) uint64 {
 	return st[w.top]
 }
 
-// block samples the rounds of block b whose lanes are set in active. With
-// Shrink its failing lanes go to the shrink word; without, they are
-// collected as they are.
+// countPlanes sets p[j] to the lanes where more than j of kids are set in
+// st: a K-of-N gate fails in p[K-1].
+func countPlanes(p []uint64, kids []int32, st []uint64) {
+	clear(p)
+	for _, c := range kids {
+		f := st[c]
+		for j := len(p) - 1; j > 0; j-- {
+			p[j] |= p[j-1] & f
+		}
+		p[0] |= f
+	}
+}
+
+// evalExact is eval that also records in exact[i] the lanes where gate i
+// has exactly K failed children: those where each of its failed children
+// is critical to it. Only a block's draws need it, so the shrink's many
+// evaluations keep eval's tighter loop.
+func (w *wordWorker) evalExact(st []uint64) uint64 {
+	w.evals++
+	for i, g := range w.gates {
+		kids := w.kids[g.lo:g.hi]
+		var x, ex uint64
+		switch int(g.k) {
+		case 1:
+			var twice uint64
+			for _, c := range kids {
+				twice |= x & st[c]
+				x |= st[c]
+			}
+			ex = x &^ twice
+		case len(kids):
+			x = ^uint64(0)
+			for _, c := range kids {
+				x &= st[c]
+			}
+			ex = x
+		default:
+			// One plane more than eval's tells exactly K from more.
+			p := w.planes[:g.k+1]
+			countPlanes(p, kids, st)
+			x = p[g.k-1]
+			ex = x &^ p[g.k]
+		}
+		st[g.id], w.exact[i] = x, ex
+	}
+	return st[w.top]
+}
+
+// block samples the rounds of block b whose lanes are set in active.
+// Without Shrink its failing lanes are collected as they are; with Shrink
+// the lanes settle collects are done, and the others go to the shrink word.
 func (w *wordWorker) block(b int, active uint64) {
 	w.rng = splitmix64(w.seed + uint64(b))
 	st := w.blk.st
 	for r, id := range w.basics {
 		st[id] = w.flip(w.thr[r])
 	}
-	failed := w.eval(st) & active
+	var failed uint64
+	if w.shrink {
+		failed = w.evalExact(st) & active
+	} else {
+		failed = w.eval(st) & active
+	}
 	if failed == 0 {
 		return
 	}
+	w.failed += bits.OnesCount64(failed)
 	if !w.shrink {
 		w.collect(st, failed)
 		return
 	}
-	w.orders(failed)
-	w.gather(failed)
+	settled := w.settle(failed)
+	w.orders(failed, settled)
+	w.gather(failed &^ settled)
+}
+
+// settle finds the failing lanes of the block whose critical events alone
+// fail the top event, collects each one's critical set as its RG — the RG
+// its shrink would return, whatever the order (see Sampler) — and returns
+// those lanes.
+//
+// It walks the gates parents first: a gate's critical lanes pass to each
+// failed child in the lanes where the gate has exactly K failed children,
+// as the block's evaluation recorded them — every child of an AND, the
+// only failed child of an OR. The critical events then fail the top in a
+// lane exactly when every critical gate fails on them, which most lanes
+// decide without an evaluation: an exactly-K gate has K critical children,
+// and bottom up those fail on the critical events; a gate with K critical
+// children does too; a gate with fewer does not, unless an uncritical
+// child gate that failed can fail on them. Only lanes in that last case
+// are evaluated on the critical sets, once for the block.
+func (w *wordWorker) settle(failed uint64) uint64 {
+	st, crit := w.blk.st, w.crit
+	clear(crit)
+	crit[w.top] = failed
+	for i := len(w.gates) - 1; i >= 0; i-- {
+		g := w.gates[i]
+		c := crit[g.id] & w.exact[i]
+		if c == 0 {
+			continue
+		}
+		for _, k := range w.kids[g.lo:g.hi] {
+			crit[k] |= c & st[k]
+		}
+	}
+	settled, doubt := failed, uint64(0)
+	for i := len(w.gates) - 1; i >= 0 && settled != 0; i-- {
+		g := w.gates[i]
+		c := crit[g.id] &^ w.exact[i] & settled
+		if c == 0 {
+			continue
+		}
+		kids := w.kids[g.lo:g.hi]
+		p := w.planes[:g.k]
+		countPlanes(p, kids, crit)
+		short := c &^ p[g.k-1]
+		if short == 0 {
+			continue
+		}
+		settled &^= short
+		for _, k := range kids {
+			if w.isGate[k] { // an uncritical child gate that failed
+				doubt |= short & st[k] &^ crit[k]
+			}
+		}
+	}
+	if doubt != 0 {
+		settled |= w.eval(crit) & doubt
+	}
+	if settled != 0 {
+		w.collect(crit, settled)
+	}
+	return settled
 }
 
 // orders draws the shrink order of every failing lane of the block: its
 // failed events, shuffled from the block's stream in ascending lane order.
 // Each lane removes its events in its own random order (an order shared by
-// the block finds far fewer distinct minimal RGs).
-func (w *wordWorker) orders(failed uint64) {
+// the block finds far fewer distinct minimal RGs). A settled lane needs no
+// order: its n−1 draws are skipped by advancing the counter over them, so
+// every later lane draws what it would have drawn.
+func (w *wordWorker) orders(failed, settled uint64) {
 	x := w.blk
 	for m := failed; m != 0; m &= m - 1 {
 		x.n[bits.TrailingZeros64(m)] = 0
@@ -366,6 +505,10 @@ func (w *wordWorker) orders(failed uint64) {
 	}
 	for m := failed; m != 0; m &= m - 1 {
 		l := bits.TrailingZeros64(m)
+		if settled>>l&1 != 0 {
+			w.rng += uint64(max(x.n[l]-1, 0)) * gamma
+			continue
+		}
 		for i := int(x.n[l]) - 1; i > 0; i-- {
 			j, _ := bits.Mul64(w.next(), uint64(i+1))
 			a, b := i<<6|l, int(j)<<6|l

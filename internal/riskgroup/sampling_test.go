@@ -1,6 +1,7 @@
 package riskgroup
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"indaas/internal/faultgraph"
+	"indaas/internal/telemetry"
 )
 
 // refSampleRounds is the per-round sampler the 64-lane kernel replaced, kept
@@ -609,6 +611,22 @@ func FuzzSamplerMatchesBlockReference(f *testing.F) {
 	f.Add(int64(-3), uint16(64), uint8(77), uint8(0b111), []byte{12, 23, 255, 0, 128, 64, 2, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41})
 	f.Add(int64(42), uint16(4000), uint8(128), uint8(0b001), []byte{})
 	f.Add(int64(9), uint16(1), uint8(255), uint8(0b110), []byte{79, 0})
+	// OR(AND(b0,b1), AND(b0,b2)) with b0 always failing under UseEventProbs:
+	// b0 is critical in {b0,b1,b2} only jointly, so that lane is shrunk and
+	// {b0,b1} and {b0,b2} settle.
+	f.Add(int64(3), uint16(640), uint8(0), uint8(0b011), []byte{2, 2, 255, 128, 128, 0, 1, 0, 0, 0, 1, 3, 2, 1, 1, 1, 0})
+	f.Add(int64(3), uint16(640), uint8(128), uint8(0b001), []byte{2, 2, 255, 128, 128, 0, 1, 0, 0, 0, 1, 3, 2, 1, 1, 1, 0})
+	// 2-of-{b0,b3,b2}: exactly K failed children settle, K+1 are shrunk.
+	f.Add(int64(5), uint16(300), uint8(0), uint8(0b111), []byte{3, 0, 128, 128, 128, 128, 2, 2, 0, 0, 0, 1})
+	// AND(OR(b60,b68,b6,b14,b22,b30), b65) over 70 basic events: settled
+	// RGs with a member in the key's second word.
+	wide := []byte{69, 1}
+	for i := 0; i < 70; i++ {
+		wide = append(wide, 128)
+	}
+	wide = append(wide, 1, 5, 60, 61, 62, 63, 64, 65, 0, 1, 69, 57)
+	f.Add(int64(11), uint16(2000), uint8(0), uint8(0b011), wide)
+	f.Add(int64(11), uint16(2000), uint8(160), uint8(0b1001), wide)
 	f.Fuzz(func(t *testing.T, seed int64, rounds uint16, bias, flags uint8, data []byte) {
 		g := fuzzGraph(data)
 		s := Sampler{
@@ -631,6 +649,202 @@ func FuzzSamplerMatchesBlockReference(f *testing.F) {
 			t.Fatalf("%+v: shrink word found %d RGs, block reference %d\n got %s\nwant %s", s, len(fam), len(ref), got, want)
 		}
 	})
+}
+
+// settleLanes samples the given lanes of g — lane l fails exactly the
+// events named in lanes[l] — through one block's settle step, and returns
+// the lanes it settled and the RGs it collected.
+func settleLanes(t *testing.T, g *faultgraph.Graph, lanes [][]string) (uint64, []RG) {
+	t.Helper()
+	k := newWordKernel(g, make([]uint64, g.NumBasics()), true, 1)
+	w := k.newWorker()
+	for l, events := range lanes {
+		for _, label := range events {
+			id, ok := g.Lookup(label)
+			if !ok {
+				t.Fatalf("no event %q", label)
+			}
+			w.blk.st[id] |= 1 << l
+		}
+	}
+	settled := w.settle(w.evalExact(w.blk.st))
+	fam := w.seen.family(k.basics)
+	sortFamily(fam)
+	return settled, fam
+}
+
+// criticalSet returns the events of the failed set whose recovery alone
+// recovers the top event, by evaluating the graph once per event.
+func criticalSet(g *faultgraph.Graph, failed RG) RG {
+	words := make([]uint64, (g.NumBasics()+63)/64)
+	for _, id := range failed {
+		r := g.BasicRank(id)
+		words[r>>6] |= 1 << (r & 63)
+	}
+	var crit RG
+	for _, id := range failed {
+		r := g.BasicRank(id)
+		words[r>>6] &^= 1 << (r & 63)
+		if !g.EvaluateBasicRanks(words) {
+			crit = append(crit, id)
+		}
+		words[r>>6] |= 1 << (r & 63)
+	}
+	return crit
+}
+
+// TestSamplerCriticalSettle pins the settle rule's edges lane by lane — an
+// event critical only jointly, an uncritical gate failing on the critical
+// events, K-of-N gates with exactly K and with K+1 failed children, settled
+// RGs beyond 64 basic events — and then checks it against brute force on
+// the sampler's own draws, per-event probabilities included: every event
+// the backward pass marks is critical, a lane settles exactly when its
+// marked events fail the top, and a settled lane's RG is its whole
+// critical set.
+func TestSamplerCriticalSettle(t *testing.T) {
+	build := func(f func(b *faultgraph.Builder) faultgraph.NodeID) *faultgraph.Graph {
+		b := faultgraph.NewBuilder()
+		b.SetTop(f(b))
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	joint := build(func(b *faultgraph.Builder) faultgraph.NodeID {
+		a, x, y := b.Basic("a"), b.Basic("b"), b.Basic("c")
+		return b.Gate("top", faultgraph.OR, b.Gate("ab", faultgraph.AND, a, x), b.Gate("ac", faultgraph.AND, a, y))
+	})
+	// {a,b,c} fails the OR through both branches, so neither is critical,
+	// yet the critical {a,b} fails the top through the uncritical ab.
+	uncritical := build(func(b *faultgraph.Builder) faultgraph.NodeID {
+		a, x, y := b.Basic("a"), b.Basic("b"), b.Basic("c")
+		or := b.Gate("or", faultgraph.OR, b.Gate("ab", faultgraph.AND, a, x), b.Gate("ac", faultgraph.AND, a, y))
+		return b.Gate("top", faultgraph.AND, or, a, x)
+	})
+	kofn := build(func(b *faultgraph.Builder) faultgraph.NodeID {
+		return b.GateK("top", 2, b.Basic("a"), b.Basic("b"), b.Basic("c"))
+	})
+	wide := build(func(b *faultgraph.Builder) faultgraph.NodeID {
+		var ids []faultgraph.NodeID
+		for i := 0; i < 70; i++ {
+			p := 0.02
+			if i == 66 || i == 69 {
+				p = 0.9
+			}
+			ids = append(ids, b.BasicProb(fmt.Sprintf("e%02d", i), p))
+		}
+		return b.Gate("top", faultgraph.AND, b.Gate("any", faultgraph.OR, ids[:65]...), ids[66], ids[69])
+	})
+	cases := []struct {
+		name    string
+		g       *faultgraph.Graph
+		lanes   [][]string
+		settled uint64
+		want    string
+	}{
+		// {a,b,c}: a is critical only jointly — dropping it recovers both
+		// branches — and the OR fails through two children, so the path
+		// rule marks nothing and the lane goes to the shrink.
+		{"joint", joint, [][]string{{"a", "b", "c"}, {"a", "b"}, {"b", "c"}, {"a", "c"}}, 0b1011 &^ 1, "[[a b] [a c]]"},
+		{"uncritical", uncritical, [][]string{{"a", "b", "c"}, {"a", "b"}}, 0b11, "[[a b]]"},
+		{"kofn", kofn, [][]string{{"a", "b"}, {"a", "b", "c"}, {"c"}, {"b", "c"}}, 0b1001, "[[a b] [b c]]"},
+		{"wide", wide, [][]string{{"e03", "e66", "e69"}, {"e03", "e04", "e66", "e69"}, {"e63", "e64", "e65", "e66", "e69"}, {"e00", "e66", "e67", "e68", "e69"}},
+			0b1001, "[[e00 e66 e69] [e03 e66 e69]]"},
+	}
+	for _, c := range cases {
+		settled, fam := settleLanes(t, c.g, c.lanes)
+		if got := fmt.Sprint(labelsOf(c.g, fam)); settled != c.settled || got != c.want {
+			t.Errorf("%s: settled lanes %04b with RGs %s, want %04b with %s", c.name, settled, got, c.settled, c.want)
+		}
+	}
+
+	draws := []struct {
+		name string
+		g    *faultgraph.Graph
+		s    Sampler
+	}{
+		{"joint", joint, Sampler{Bias: 0.6}},
+		{"kofn", kofn, Sampler{Bias: 0.5}},
+		{"wide", wide, Sampler{UseEventProbs: true}},
+		{"k16", fatTreeDeployment(t, 16), Sampler{}},
+		{"kofn dag", kofnDAG(t, 9, 14, 18), Sampler{Bias: 0.4}},
+		{"kofn-90", kofnDAG(t, 4, 90, 60), Sampler{Bias: 0.3}},
+		{"kofn probs", randomProbs(t, kofnDAG(t, 6, 14, 16), 6), Sampler{UseEventProbs: true}},
+		{"k8 probs", randomProbs(t, fatTreeDeployment(t, 8), 2), Sampler{UseEventProbs: true}},
+	}
+	for _, c := range draws {
+		thr, err := c.s.thresholds(c.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := newWordKernel(c.g, thr, true, 1)
+		w := k.newWorker()
+		var fails, settles int
+		for b := 0; b < 64; b++ {
+			w.rng = splitmix64(w.seed + uint64(b))
+			for r, id := range w.basics {
+				w.blk.st[id] = w.flip(w.thr[r])
+			}
+			failed := w.evalExact(w.blk.st)
+			settled := w.settle(failed)
+			for m := failed; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				var sample, marked RG
+				for _, id := range w.basics {
+					if w.blk.st[id]>>l&1 != 0 {
+						sample = append(sample, id)
+					}
+					if w.crit[id]>>l&1 != 0 {
+						marked = append(marked, id)
+					}
+				}
+				crit := criticalSet(c.g, sample)
+				for _, id := range marked {
+					if !containsID(crit, id) {
+						t.Fatalf("%s block %d lane %d: %s marked critical in %v", c.name, b, l, c.g.Node(id).Label, Labels(c.g, sample))
+					}
+				}
+				fails++
+				if settled>>l&1 == 0 {
+					if IsRG(c.g, marked) {
+						t.Fatalf("%s block %d lane %d: marked set %v fails the top but the lane was not settled", c.name, b, l, Labels(c.g, marked))
+					}
+					continue
+				}
+				settles++
+				if fmt.Sprint(marked) != fmt.Sprint(crit) || !IsRG(c.g, crit) {
+					t.Fatalf("%s block %d lane %d: settled with %v, critical set %v", c.name, b, l, Labels(c.g, marked), Labels(c.g, crit))
+				}
+			}
+		}
+		t.Logf("%s: %d of %d failing lanes settled", c.name, settles, fails)
+		if settles == 0 || settles == fails {
+			t.Errorf("%s: %d of %d failing lanes settled; the draws must exercise both outcomes", c.name, settles, fails)
+		}
+	}
+}
+
+// TestSamplerEvaluationBudget pins the graph evaluations a served k=8 and
+// k=16 fair-coin audit costs (10⁵ rounds, seed 1, one worker): settled
+// lanes skip the shrink, so the count stays far below the one shrink
+// evaluation per removal step that every failing lane used to cost (10,547
+// at k=8 and 22,151 at k=16). The count is machine-independent.
+func TestSamplerEvaluationBudget(t *testing.T) {
+	for _, c := range []struct {
+		k, budget int
+	}{{8, 5000}, {16, 3500}} {
+		tr := telemetry.New()
+		s := Sampler{Rounds: 100_000, Shrink: true, Seed: 1, Workers: 1}
+		if _, err := s.SampleContext(telemetry.WithTrace(context.Background(), tr), fatTreeDeployment(t, c.k)); err != nil {
+			t.Fatal(err)
+		}
+		n := tr.Counts()
+		t.Logf("k=%d: %d graph evaluations, %d of %d rounds failed", c.k, n["graph_evals"], n["rounds_failed"], n["rounds_sampled"])
+		if n["graph_evals"] > int64(c.budget) || n["rounds_failed"] == 0 {
+			t.Errorf("k=%d: %d graph evaluations (%d rounds failed), want at most %d", c.k, n["graph_evals"], n["rounds_failed"], c.budget)
+		}
+	}
 }
 
 // TestSamplerRejectsBadProbabilities: a NaN bias, and an event probability
@@ -660,18 +874,26 @@ func TestSamplerRejectsBadProbabilities(t *testing.T) {
 	}
 }
 
-// BenchmarkSamplerShrink times 10⁵ shrinking rounds at the default fair
-// coin — about 30 % of lanes fail — on the Fig. 7 cross-pod deployment of
-// a k=8 and a k=16 fat tree, with the default worker count.
+// BenchmarkSamplerShrink times 10⁵ shrinking rounds on the Fig. 7
+// cross-pod deployment of a k=8 and a k=16 fat tree, with the default
+// worker count: at the default fair coin — about 30 % of lanes fail at k=8,
+// and most failing lanes settle without a shrink — and at Fig. 7's 0.97
+// coin, where nearly every lane fails and almost none settles.
 func BenchmarkSamplerShrink(b *testing.B) {
-	for _, k := range []int{8, 16} {
-		g := fatTreeDeployment(b, k)
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := (Sampler{Rounds: 100_000, Shrink: true, Seed: int64(i + 1)}).Sample(g); err != nil {
-					b.Fatal(err)
-				}
+	for _, bias := range []float64{0, 0.97} {
+		for _, k := range []int{8, 16} {
+			g := fatTreeDeployment(b, k)
+			name := fmt.Sprintf("k=%d", k)
+			if bias != 0 {
+				name += fmt.Sprintf(",bias=%v", bias)
 			}
-		})
+			b.Run(name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := (Sampler{Rounds: 100_000, Bias: bias, Shrink: true, Seed: int64(i + 1)}).Sample(g); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

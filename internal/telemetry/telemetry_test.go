@@ -6,8 +6,10 @@ import (
 	"context"
 	"encoding/json"
 	"log/slog"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -47,6 +49,56 @@ func TestTracePhases(t *testing.T) {
 	snap = tr.Snapshot()
 	if snap[1].Name != "early" {
 		t.Fatalf("snapshot not sorted by start: %+v", snap)
+	}
+}
+
+// TestTraceSeal: a sealed trace reads back exactly what it recorded, in a
+// few bytes per phase; a trace with a running phase stays open; and a
+// sealed trace records again, its earlier phases and counts kept.
+func TestTraceSeal(t *testing.T) {
+	base := time.Now()
+	tr := NewAt(base)
+	for i, name := range []string{"queue-wait", "graph-build", "sampling", "encode"} {
+		tr.Span(name, base.Add(time.Duration(i)*time.Millisecond), time.Duration(i+1)*time.Second)
+	}
+	tr.Span("backdated", base.Add(-time.Millisecond), time.Microsecond)
+	for i, name := range []string{"rounds_sampled", "rounds_failed", "graph_evals", "rgs_found"} {
+		tr.Add(name, int64(i)*100_000-1)
+	}
+	phases, counts := tr.Snapshot(), tr.Counts()
+	tr.Seal()
+	if tr.sealed == nil || tr.phases != nil || tr.counts != nil {
+		t.Fatal("a finished trace did not seal")
+	}
+	if n := len(tr.sealed); n > 64 {
+		t.Errorf("sealed trace is %d bytes, want ≤ 64 for five phases and four counts", n)
+	}
+	if got := tr.Snapshot(); !slices.Equal(got, phases) {
+		t.Fatalf("sealed phases %+v, want %+v", got, phases)
+	}
+	if got := tr.Counts(); !maps.Equal(got, counts) {
+		t.Fatalf("sealed counts %v, want %v", got, counts)
+	}
+	tr.Seal() // idempotent
+
+	tr.Add("rgs_found", 1)
+	end := tr.Start("notify")
+	if tr.sealed != nil {
+		t.Fatal("recording did not unseal the trace")
+	}
+	tr.Seal()
+	if tr.sealed != nil {
+		t.Fatal("a trace with a running phase sealed")
+	}
+	end()
+	tr.Seal()
+	got := tr.Snapshot()
+	i := slices.IndexFunc(got, func(p Phase) bool { return p.Name == "notify" })
+	if len(got) != len(phases)+1 || i < 0 || got[i].Running {
+		t.Fatalf("phases after reopening: %+v", got)
+	}
+	if n := tr.Counts()["rgs_found"]; n != counts["rgs_found"]+1 {
+		t.Fatalf("rgs_found = %d after reopening, want %d", n, counts["rgs_found"]+1)
 	}
 }
 

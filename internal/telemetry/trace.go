@@ -7,6 +7,8 @@
 package telemetry
 
 import (
+	"encoding/binary"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -27,6 +29,9 @@ type Trace struct {
 	// slice holds them in a fraction of a map's bytes: a settled job keeps
 	// its trace for as long as the job table keeps the job.
 	counts []count
+	// sealed holds phases and counts, which are then nil, once Seal has
+	// packed them.
+	sealed []byte
 }
 
 // count is one named pipeline count of a trace.
@@ -42,6 +47,119 @@ type Phase struct {
 	StartNS    int64  `json:"start_ns"`
 	DurationNS int64  `json:"duration_ns"`
 	Running    bool   `json:"running,omitempty"`
+}
+
+// Seal packs a finished trace into the form a settled job keeps it in for
+// as long as the job table keeps the job: one byte slice of varints, each
+// name one byte (its number in a process-wide table of the few names traces
+// use), a fraction of the structs' bytes. Snapshot and Counts read it as
+// before, and a phase or count recorded later unpacks it first. Seal does
+// nothing while a phase is running, or once the table is full.
+func (t *Trace) Seal() {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.sealed != nil {
+		return
+	}
+	var buf [128]byte
+	b := binary.AppendUvarint(buf[:0], uint64(len(t.phases)))
+	for _, p := range t.phases {
+		id, ok := nameID(p.Name)
+		if !ok || p.Running {
+			return
+		}
+		b = binary.AppendVarint(binary.AppendVarint(append(b, id), p.StartNS), p.DurationNS)
+	}
+	b = binary.AppendUvarint(b, uint64(len(t.counts)))
+	for _, c := range t.counts {
+		id, ok := nameID(c.name)
+		if !ok {
+			return
+		}
+		b = binary.AppendVarint(append(b, id), c.n)
+	}
+	t.sealed = append([]byte(nil), b...)
+	t.phases, t.counts = nil, nil
+}
+
+// unpacked returns the phases and counts of t, sealed or not. Caller holds
+// t.mu; the slices are t's own unless t is sealed.
+func (t *Trace) unpacked() ([]Phase, []count) {
+	if t.sealed == nil {
+		return t.phases, t.counts
+	}
+	b := t.sealed
+	uvarint := func() int {
+		n, k := binary.Uvarint(b)
+		b = b[k:]
+		return int(n)
+	}
+	varint := func() int64 {
+		n, k := binary.Varint(b)
+		b = b[k:]
+		return n
+	}
+	name := func() string {
+		id := b[0]
+		b = b[1:]
+		return nameOf(id)
+	}
+	phases := make([]Phase, uvarint())
+	for i := range phases {
+		phases[i].Name = name()
+		phases[i].StartNS = varint()
+		phases[i].DurationNS = varint()
+	}
+	counts := make([]count, uvarint())
+	for i := range counts {
+		counts[i].name = name()
+		counts[i].n = varint()
+	}
+	return phases, counts
+}
+
+// unseal makes a sealed trace recordable again. Caller holds t.mu.
+func (t *Trace) unseal() {
+	if t.sealed != nil {
+		t.phases, t.counts = t.unpacked()
+		t.sealed = nil
+	}
+}
+
+// names numbers the names sealed traces spell as one byte each.
+var names struct {
+	sync.Mutex
+	id   map[string]byte
+	list []string
+}
+
+// nameID returns name's number, giving it the next one when it has none;
+// false once all 256 are taken.
+func nameID(name string) (byte, bool) {
+	names.Lock()
+	defer names.Unlock()
+	if id, ok := names.id[name]; ok {
+		return id, true
+	}
+	if len(names.list) > math.MaxUint8 {
+		return 0, false
+	}
+	if names.id == nil {
+		names.id = make(map[string]byte)
+	}
+	id := byte(len(names.list))
+	names.id[name] = id
+	names.list = append(names.list, name)
+	return id, true
+}
+
+func nameOf(id byte) string {
+	names.Lock()
+	defer names.Unlock()
+	return names.list[id]
 }
 
 // New starts a trace whose clock begins now.
@@ -67,6 +185,7 @@ func (t *Trace) StartAt(name string, at time.Time) func() {
 		return func() {}
 	}
 	t.mu.Lock()
+	t.unseal()
 	idx := len(t.phases)
 	t.phases = append(t.phases, Phase{Name: name, StartNS: at.Sub(t.start).Nanoseconds(), Running: true})
 	t.mu.Unlock()
@@ -75,6 +194,7 @@ func (t *Trace) StartAt(name string, at time.Time) func() {
 		once.Do(func() {
 			d := time.Since(at).Nanoseconds()
 			t.mu.Lock()
+			t.unseal()
 			t.phases[idx].DurationNS = d
 			t.phases[idx].Running = false
 			t.mu.Unlock()
@@ -88,6 +208,7 @@ func (t *Trace) Span(name string, start time.Time, d time.Duration) {
 		return
 	}
 	t.mu.Lock()
+	t.unseal()
 	t.phases = append(t.phases, Phase{Name: name, StartNS: start.Sub(t.start).Nanoseconds(), DurationNS: d.Nanoseconds()})
 	t.mu.Unlock()
 }
@@ -99,6 +220,7 @@ func (t *Trace) Add(name string, n int64) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	t.unseal()
 	for i := range t.counts {
 		if t.counts[i].name == name {
 			t.counts[i].n += n
@@ -115,8 +237,9 @@ func (t *Trace) Snapshot() []Phase {
 		return nil
 	}
 	t.mu.Lock()
-	out := make([]Phase, len(t.phases))
-	copy(out, t.phases)
+	phases, _ := t.unpacked()
+	out := make([]Phase, len(phases))
+	copy(out, phases)
 	t.mu.Unlock()
 	sort.SliceStable(out, func(i, j int) bool { return out[i].StartNS < out[j].StartNS })
 	return out
@@ -129,11 +252,12 @@ func (t *Trace) Counts() map[string]int64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(t.counts) == 0 {
+	_, counts := t.unpacked()
+	if len(counts) == 0 {
 		return nil
 	}
-	out := make(map[string]int64, len(t.counts))
-	for _, c := range t.counts {
+	out := make(map[string]int64, len(counts))
+	for _, c := range counts {
 		out[c.name] = c.n
 	}
 	return out
