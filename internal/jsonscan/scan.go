@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"unicode"
 	"unicode/utf8"
 )
@@ -363,7 +364,7 @@ func (s *Scanner) Text(old string, intern bool) (string, error) {
 		case err != nil:
 			return old, err
 		case intern:
-			return s.labels.intern(lit, simple)
+			return s.labels.intern(lit, simple, len(s.Data)-s.Pos)
 		case simple:
 			return string(lit[1 : len(lit)-1]), nil
 		}
@@ -397,6 +398,7 @@ func Elements[T any](s *Scanner, dst *[]T, fresh T, each func(*T) error) error {
 		return err
 	}
 	v, n := *dst, 0
+	mark, marked := s.Pos, 0 // the offset where element marked began
 	for first := true; ; first = false {
 		more, err := s.Element(first)
 		if err != nil {
@@ -406,7 +408,13 @@ func Elements[T any](s *Scanner, dst *[]T, fresh T, each func(*T) error) error {
 			break
 		}
 		if n == cap(v) {
-			g := make([]T, max(8, 2*cap(v)))
+			size := 1 // the first element sizes the array's growth
+			if n > 0 {
+				size = grownCap(n, n-marked, s.Pos-mark, len(s.Data)-s.Pos)
+			}
+			g := slices.Grow([]T(nil), size)
+			g = g[:cap(g)] // the whole size class
+			mark, marked = s.Pos, n
 			for i := copy(g, v[:cap(v)]); i < len(g); i++ {
 				g[i] = fresh
 			}
@@ -424,6 +432,19 @@ func Elements[T any](s *Scanner, dst *[]T, fresh T, each func(*T) error) error {
 		*dst = []T{}
 	}
 	return nil
+}
+
+// grownCap is the capacity a full array of capacity c grows to, given that
+// its last k elements took read bytes and rest bytes of input are still to
+// read: room for as many more elements as rest holds at the size of the
+// last ones, so an array that ends the input grows once more at most and
+// keeps little spare room. It grows by at least a quarter, so arrays whose
+// elements keep growing still grow geometrically, and at most twofold (to
+// 8 from one element), so an array early in a large input takes no room
+// for all of it.
+func grownCap(c, k, read, rest int) int {
+	want := c + 1 + rest/max(1, read/k)
+	return min(max(want, c+c/4+1), max(8, 2*c))
 }
 
 // Strings reads a list of strings, interned when intern says so, onto the
@@ -486,8 +507,8 @@ func (s *Scanner) room(lo int) int {
 	if s.ChunkCap > 0 {
 		size = min(size, max(s.ChunkCap, 2*len(list)))
 	}
-	s.chunk = make([]string, len(list), size)
-	copy(s.chunk, list)
+	// Grow takes the whole size class the allocator rounds size up to.
+	s.chunk = append(slices.Grow([]string(nil), size), list...)
 	return 0
 }
 
@@ -506,13 +527,14 @@ type labelTable struct {
 // free slot; the empty label is never stored.
 type labelSlot struct{ wire, text string }
 
-func (t *labelTable) intern(lit []byte, simple bool) (string, error) {
+// intern returns the label lit spells; rest is the input still to read.
+func (t *labelTable) intern(lit []byte, simple bool, rest int) (string, error) {
 	wire := lit[1 : len(lit)-1]
 	if len(wire) == 0 {
 		return "", nil
 	}
 	if 4*t.used >= 3*len(t.slots) {
-		t.grow()
+		t.grow(rest)
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := maphash.Bytes(t.seed, wire) & mask; ; i = (i + 1) & mask {
@@ -536,12 +558,21 @@ func (t *labelTable) intern(lit []byte, simple bool) (string, error) {
 	}
 }
 
-func (t *labelTable) grow() {
+// grow doubles the table. The first table is sized by the input still to
+// read, rest bytes — a document names a distinct label seldom more than once
+// per 100 bytes — from 8 slots up to 64, so a small document gets a small
+// table and a large one does not start out with one sized to its length.
+func (t *labelTable) grow(rest int) {
 	old := t.slots
+	size := 2 * len(old)
 	if old == nil {
 		t.seed = maphash.MakeSeed()
+		size = 8
+		for size < 64 && 3*size < 4*(rest/100) {
+			size *= 2
+		}
 	}
-	t.slots = make([]labelSlot, max(64, 4*len(old)))
+	t.slots = make([]labelSlot, size)
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
 		if s.wire == "" {

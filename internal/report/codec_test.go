@@ -765,6 +765,10 @@ var benchSizes = []int{45, 150, 767}
 // package.
 var RealShapes func(tb testing.TB) (k8, k16 *Report)
 
+// SamplingShape builds fig7_sampling's report: a failure-sampling audit of a
+// cross-pod pair on a k=8 fat tree. real_test.go sets it too.
+var SamplingShape func(tb testing.TB) *Report
+
 // plainReport is sizedReport with labels that need no escaping on the wire,
 // as real component labels do not: the shape of the decoder's fast path.
 func plainReport(n int) *Report {
@@ -879,6 +883,42 @@ func TestDecodeAllocsBoundedByDistinctLabels(t *testing.T) {
 	t.Logf("real-k16: %.0f live bytes per decoded report", live)
 	if live > 0.8e6 {
 		t.Errorf("real-k16: a decoded report holds %.0f bytes, want ≤ 0.8 MB", live)
+	}
+	runtime.KeepAlive(held)
+}
+
+// TestDecodeGarbageBoundedOnSamplingReport gates what a decode allocates
+// beyond what it keeps, on the report a client reads most often:
+// fig7_sampling's, ~40 RGs in 5 KB. Its arrays grow to the size the input
+// still to read implies rather than doubling and then shrinking to fit, and
+// its label table starts at the input's size, so the garbage stays under
+// 7 KB per decode beside the ~9 KB the report keeps (doubling from 8 and
+// cloning to length left about 10 KB).
+func TestDecodeGarbageBoundedOnSamplingReport(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation changes what a decode allocates")
+	}
+	blob, err := json.Marshal(SamplingShape(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const copies = 64
+	held := make([]Report, copies)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := range held {
+		if err := DecodeJSON(blob, &held[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	alloc := float64(after.TotalAlloc-before.TotalAlloc) / copies
+	live := float64(after.HeapAlloc-before.HeapAlloc) / copies
+	t.Logf("sampling report: %d bytes, %d RGs: %.0f bytes allocated, %.0f kept per decode", len(blob), len(held[0].Audits[0].RGs), alloc, live)
+	if alloc-live > 7000 {
+		t.Errorf("a decode allocates %.0f bytes beyond the %.0f it keeps, want ≤ 7,000", alloc-live, live)
 	}
 	runtime.KeepAlive(held)
 }

@@ -15,7 +15,10 @@ import (
 	"indaas/internal/topology"
 )
 
-func init() { report.RealShapes = realShapes }
+func init() {
+	report.RealShapes = realShapes
+	report.SamplingShape = samplingShape
+}
 
 var real struct {
 	once    sync.Once
@@ -23,14 +26,20 @@ var real struct {
 	err     error
 }
 
+var sampled struct {
+	once sync.Once
+	rep  *report.Report
+	err  error
+}
+
 // realShapes audits one cross-pod server pair on each of the benchmark's two
 // datasets: restart_read's three-kind k=8 fleet and fig7_exact's k=16 fat
 // tree (network records only).
 func realShapes(tb testing.TB) (k8, k16 *report.Report) {
 	real.once.Do(func() {
-		real.k8, real.err = auditPair(fleetRecords, "srv0_0_0", "srv1_0_0")
+		real.k8, real.err = auditPair(fleetRecords, "srv0_0_0", "srv1_0_0", sia.Options{Algorithm: sia.MinimalRG})
 		if real.err == nil {
-			real.k16, real.err = auditPair(fatTreeRecords, topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0))
+			real.k16, real.err = auditPair(fatTreeRecords(16), topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0), sia.Options{Algorithm: sia.MinimalRG})
 		}
 	})
 	if real.err != nil {
@@ -55,15 +64,30 @@ func fleetRecords() ([]deps.Record, error) {
 	return recs, nil
 }
 
-func fatTreeRecords() ([]deps.Record, error) {
-	ft, err := topology.FatTree(16)
-	if err != nil {
-		return nil, err
+// samplingShape is fig7_sampling's report: a failure-sampling audit (10⁵
+// rounds) of a cross-pod server pair over a k=8 fat tree's network records.
+func samplingShape(tb testing.TB) *report.Report {
+	sampled.once.Do(func() {
+		sampled.rep, sampled.err = auditPair(fatTreeRecords(8), topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0),
+			sia.Options{Algorithm: sia.FailureSampling, Rounds: 100_000, Seed: 1})
+	})
+	if sampled.err != nil {
+		tb.Fatal(sampled.err)
 	}
-	return ft.NetworkRecords([]string{topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0)})
+	return sampled.rep
 }
 
-func auditPair(records func() ([]deps.Record, error), a, b string) (*report.Report, error) {
+func fatTreeRecords(k int) func() ([]deps.Record, error) {
+	return func() ([]deps.Record, error) {
+		ft, err := topology.FatTree(k)
+		if err != nil {
+			return nil, err
+		}
+		return ft.NetworkRecords([]string{topology.FatTreeServer(0, 0, 0), topology.FatTreeServer(1, 0, 0)})
+	}
+}
+
+func auditPair(records func() ([]deps.Record, error), a, b string, opts sia.Options) (*report.Report, error) {
 	recs, err := records()
 	if err != nil {
 		return nil, err
@@ -73,5 +97,5 @@ func auditPair(records func() ([]deps.Record, error), a, b string) (*report.Repo
 		return nil, err
 	}
 	spec := sia.GraphSpec{Deployment: "bench-s1-000000", Servers: []string{a, b}}
-	return sia.AuditDeployments(db.Snapshot(), "bench", []sia.GraphSpec{spec}, sia.Options{Algorithm: sia.MinimalRG})
+	return sia.AuditDeployments(db.Snapshot(), "bench", []sia.GraphSpec{spec}, opts)
 }

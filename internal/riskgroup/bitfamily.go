@@ -3,7 +3,7 @@ package riskgroup
 import (
 	"context"
 	mbits "math/bits"
-	"sort"
+	"slices"
 
 	"indaas/internal/bitset"
 	"indaas/internal/faultgraph"
@@ -168,11 +168,19 @@ func (c *minCtx) alloc() bitset.Set {
 // sortBrgs orders a family by cardinality, then by lowest differing member —
 // exactly the size-then-lexicographic order of the slice representation.
 func sortBrgs(fam []brg) {
-	sort.Slice(fam, func(i, j int) bool {
-		if fam[i].n != fam[j].n {
-			return fam[i].n < fam[j].n
+	slices.SortFunc(fam, func(a, b brg) int {
+		if a.n != b.n {
+			return a.n - b.n
 		}
-		return fam[i].w.Less(fam[j].w)
+		for i, x := range a.w {
+			if d := x ^ b.w[i]; d != 0 {
+				if x&(d&-d) != 0 { // a holds the lowest differing member
+					return -1
+				}
+				return 1
+			}
+		}
+		return 0
 	})
 }
 

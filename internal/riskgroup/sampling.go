@@ -33,12 +33,14 @@ import (
 // Workers — and growing Rounds only adds rounds to it.
 //
 // Shrinking runs in full words too. Only some of a block's lanes fail, so
-// each worker gathers the failing lanes of successive blocks, each with the
+// each worker moves the failing lanes of successive blocks, each with the
 // shrink order its block's stream drew for it, into one shrink word, and
-// shrinks all 64 of them together — one graph evaluation per removal step
-// for the whole word — whenever the word is full and once at the end of the
-// worker's blocks. Lanes shrink independently, so where a sample lands in
-// the word never changes its RG.
+// steps all 64 of them together — one graph evaluation per step for the
+// whole word, each lane removing its own next candidate. A lane that is
+// done leaves the word and the next block's lanes take its place, so the
+// word steps only while full, until it drains after the worker's last
+// block. Lanes shrink independently, so where and when a sample is shrunk
+// never changes its RG.
 //
 // Most failing samples need no shrink at all. A failed basic event is
 // critical in a lane when some path from it to the top fails there through
@@ -52,7 +54,16 @@ import (
 // lane is collected as it is, its shuffle draws skipped by advancing the
 // stream's counter past them. The rule needs criticality propagated through
 // the gates, not summed per event: an event shared by two failed branches
-// of an OR is critical to neither, and such a lane is shrunk as before.
+// of an OR is critical to neither, and such a lane is shrunk.
+//
+// The same holds in every state of a shrink, not only in the sample: the
+// state a removal leaves is a failing set whose irreducible subsets are
+// exactly those the rest of the shrink can end in, and when its critical
+// events alone fail the top they are the only one. So every few steps the
+// shrink word settles the lanes whose last removal stuck, by the same
+// rule, and collects each as its critical set — the RG its remaining
+// candidates would have shrunk it to, whatever their order — long before
+// its candidates run out.
 type Sampler struct {
 	// Rounds is the number of sampling rounds (paper: 10³–10⁷).
 	Rounds int
@@ -126,8 +137,8 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 				}
 				ws.block(b, active)
 			}
-			if ws.held != 0 {
-				ws.flush()
+			for ws.held != 0 {
+				ws.step()
 			}
 		}(ws[w], w)
 	}
@@ -135,16 +146,21 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	evals, failed := ws[0].evals, ws[0].failed
-	for _, o := range ws[1:] {
-		ws[0].seen.union(o.seen)
+	var evals, failed, settled, passes int
+	for _, o := range ws {
+		if o != ws[0] {
+			ws[0].seen.union(o.seen)
+		}
 		evals, failed = evals+o.evals, failed+o.failed
+		settled, passes = settled+o.settled, passes+o.passes
 	}
 	out := ws[0].seen.family(k.basics)
 	sortFamily(out)
 	tr.Add("rounds_sampled", int64(s.Rounds))
 	tr.Add("rounds_failed", int64(failed))
 	tr.Add("graph_evals", int64(evals))
+	tr.Add("lanes_settled", int64(settled))
+	tr.Add("settle_passes", int64(passes))
 	tr.Add("rgs_found", int64(len(out)))
 	return out, nil
 }
@@ -249,24 +265,31 @@ func splitmix64(x uint64) uint64 {
 // shrink word, the K-of-N planes, the RGs found so far and its counts.
 type wordWorker struct {
 	*wordKernel
-	blk    *lanes // the block being sampled
-	word   *lanes // the shrink word: failing lanes gathered across blocks
-	held   uint64 // the shrink word's occupied lanes; no event fails in the others
-	planes []uint64
-	exact  []uint64 // with Shrink: the block's exactly-K lanes by gate
-	crit   []uint64 // with Shrink: the block's critical lanes by node id
-	rng    uint64
-	keys   []uint64 // lane l's RG bitset in keys[l*nw : (l+1)*nw]
-	seen   *rgSet
-	evals  int // graph evaluations
-	failed int // rounds whose top event failed
+	blk       *lanes    // the block being sampled
+	word      *lanes    // the shrink word: failing lanes gathered across blocks
+	held      uint64    // the shrink word's occupied lanes; no event fails in the others
+	at        [64]int32 // shrink word lane l's next candidate
+	steps     int       // shrink steps taken
+	laneSteps int       // held lanes summed over shrink steps
+	planes    []uint64
+	exact     []uint64 // with Shrink: the evaluated lanes' exactly-K lanes by gate
+	crit      []uint64 // with Shrink: the settled lanes' critical lanes by node id
+	rng       uint64
+	key       []uint64 // an RG's basic-rank bitset
+	cols      []uint64 // collect's failure lanes of the events failed in some lane
+	ranks     []int32  // and those events' basic ranks
+	seen      *rgSet
+	evals     int // graph evaluations
+	failed    int // rounds whose top event failed
+	settled   int // failing rounds collected as their critical sets
+	passes    int // settle passes
 }
 
 // lanes is 64 samples side by side: a failure word per node and, with
 // Shrink, each lane's shrink order.
 type lanes struct {
 	st   []uint64  // failure lanes by node id
-	cand []int32   // lane l's t-th shrink candidate, a node id, in cand[t<<6|l]
+	cand []int32   // lane l's t-th shrink candidate, a node id, in cand[l*nb+t]
 	n    [64]int32 // lane l's candidate count
 }
 
@@ -284,7 +307,7 @@ func (k *wordKernel) newWorker() *wordWorker {
 		wordKernel: k,
 		blk:        k.newLanes(),
 		planes:     make([]uint64, k.maxK+1),
-		keys:       make([]uint64, 64*nw),
+		key:        make([]uint64, nw),
 		seen:       newRGSet(nw),
 	}
 	if k.shrink {
@@ -421,28 +444,31 @@ func (w *wordWorker) block(b int, active uint64) {
 		w.collect(st, failed)
 		return
 	}
-	settled := w.settle(failed)
-	w.orders(failed, settled)
-	w.gather(failed &^ settled)
+	settled := w.settle(st, failed)
+	if shrink := failed &^ settled; shrink != 0 {
+		w.orders(shrink, settled)
+		w.gather(shrink)
+	}
 }
 
-// settle finds the failing lanes of the block whose critical events alone
-// fail the top event, collects each one's critical set as its RG — the RG
-// its shrink would return, whatever the order (see Sampler) — and returns
-// those lanes.
+// settle finds the lanes of failed whose critical events in st alone fail
+// the top event, collects each one's critical set as its RG — the RG its
+// shrink would return, whatever the order (see Sampler) — and returns those
+// lanes. st's gates and exact must be the evaluation of st in those lanes.
 //
 // It walks the gates parents first: a gate's critical lanes pass to each
 // failed child in the lanes where the gate has exactly K failed children,
-// as the block's evaluation recorded them — every child of an AND, the
-// only failed child of an OR. The critical events then fail the top in a
-// lane exactly when every critical gate fails on them, which most lanes
-// decide without an evaluation: an exactly-K gate has K critical children,
-// and bottom up those fail on the critical events; a gate with K critical
-// children does too; a gate with fewer does not, unless an uncritical
-// child gate that failed can fail on them. Only lanes in that last case
-// are evaluated on the critical sets, once for the block.
-func (w *wordWorker) settle(failed uint64) uint64 {
-	st, crit := w.blk.st, w.crit
+// as the evaluation recorded them — every child of an AND, the only failed
+// child of an OR. The critical events then fail the top in a lane exactly
+// when every critical gate fails on them, which most lanes decide without
+// an evaluation: an exactly-K gate has K critical children, and bottom up
+// those fail on the critical events; a gate with K critical children does
+// too; a gate with fewer does not, unless an uncritical child gate that
+// failed can fail on them. Only lanes in that last case are evaluated on
+// the critical sets, once for the call.
+func (w *wordWorker) settle(st []uint64, failed uint64) uint64 {
+	w.passes++
+	crit := w.crit
 	clear(crit)
 	crit[w.top] = failed
 	for i := len(w.gates) - 1; i >= 0; i-- {
@@ -463,9 +489,23 @@ func (w *wordWorker) settle(failed uint64) uint64 {
 			continue
 		}
 		kids := w.kids[g.lo:g.hi]
-		p := w.planes[:g.k]
-		countPlanes(p, kids, crit)
-		short := c &^ p[g.k-1]
+		var enough uint64 // lanes with at least K critical children
+		switch int(g.k) {
+		case 1:
+			for _, k := range kids {
+				enough |= crit[k]
+			}
+		case len(kids):
+			enough = ^uint64(0)
+			for _, k := range kids {
+				enough &= crit[k]
+			}
+		default:
+			p := w.planes[:g.k]
+			countPlanes(p, kids, crit)
+			enough = p[g.k-1]
+		}
+		short := c &^ enough
 		if short == 0 {
 			continue
 		}
@@ -480,142 +520,167 @@ func (w *wordWorker) settle(failed uint64) uint64 {
 		settled |= w.eval(crit) & doubt
 	}
 	if settled != 0 {
+		w.settled += bits.OnesCount64(settled)
 		w.collect(crit, settled)
 	}
 	return settled
 }
 
-// orders draws the shrink order of every failing lane of the block: its
+// orders draws the shrink order of each lane of the block in shrink: its
 // failed events, shuffled from the block's stream in ascending lane order.
 // Each lane removes its events in its own random order (an order shared by
 // the block finds far fewer distinct minimal RGs). A settled lane needs no
-// order: its n−1 draws are skipped by advancing the counter over them, so
-// every later lane draws what it would have drawn.
-func (w *wordWorker) orders(failed, settled uint64) {
-	x := w.blk
-	for m := failed; m != 0; m &= m - 1 {
-		x.n[bits.TrailingZeros64(m)] = 0
-	}
-	for _, id := range w.basics {
-		for m := x.st[id] & failed; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			x.cand[int(x.n[l])<<6|l] = int32(id)
-			x.n[l]++
+// order, nor even a list: the n−1 draws of each run of settled lanes below
+// a shrinking lane are skipped by advancing the counter over them, so every
+// shrinking lane draws what it would have drawn. Settled lanes above the
+// last shrinking lane are not skipped at all: the next block reseeds.
+func (w *wordWorker) orders(shrink, settled uint64) {
+	x, nb := w.blk, len(w.basics)
+	for m := shrink; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		order, n := x.cand[l*nb:(l+1)*nb], 0
+		for _, id := range w.basics {
+			order[n] = int32(id)
+			n += int(x.st[id] >> l & 1)
+		}
+		order, x.n[l] = order[:n], int32(n)
+		if run := settled & (1<<l - 1); run != 0 {
+			// Every failing lane has a failed event, so a run of r lanes
+			// draws its events' count less r.
+			draws := -bits.OnesCount64(run)
+			for _, id := range w.basics {
+				draws += bits.OnesCount64(x.st[id] & run)
+			}
+			w.rng += uint64(draws) * gamma
+			settled &^= run
+		}
+		for i := len(order) - 1; i > 0; i-- {
+			j, _ := bits.Mul64(w.next(), uint64(i+1))
+			order[i], order[j] = order[j], order[i]
 		}
 	}
-	for m := failed; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		if settled>>l&1 != 0 {
-			w.rng += uint64(max(x.n[l]-1, 0)) * gamma
+}
+
+// gather moves the block's lanes in shrink into the shrink word's free
+// lanes, taking shrink steps whenever the word is full, so that the word
+// runs full from the first block it fills to the last. Block lanes whose
+// own word lanes are free move there, their events all in one pass of word
+// operations; the others move one by one to the lowest free lanes.
+func (w *wordWorker) gather(shrink uint64) {
+	for shrink != 0 {
+		for w.held == ^uint64(0) {
+			w.step()
+		}
+		if same := shrink &^ w.held; same != 0 {
+			for m := same; m != 0; m &= m - 1 {
+				l := bits.TrailingZeros64(m)
+				w.move(l, l)
+			}
+			for _, id := range w.basics {
+				w.word.st[id] |= w.blk.st[id] & same
+			}
+			w.held |= same
+			shrink &^= same
 			continue
 		}
-		for i := int(x.n[l]) - 1; i > 0; i-- {
-			j, _ := bits.Mul64(w.next(), uint64(i+1))
-			a, b := i<<6|l, int(j)<<6|l
-			x.cand[a], x.cand[b] = x.cand[b], x.cand[a]
+		d := bits.TrailingZeros64(^w.held)
+		for _, id := range w.move(bits.TrailingZeros64(shrink), d) {
+			w.word.st[id] |= 1 << d
 		}
+		w.held |= 1 << d
+		shrink &= shrink - 1
 	}
 }
 
-// gather puts the block's failing lanes into the shrink word, shrinking and
-// collecting the word whenever all 64 of its lanes are held. Filling a word
-// from two partial ones moves lanes one way or the other, so it moves the
-// fewer: the block's failing lanes into the word's free lanes, or — when the
-// word is empty, or the block is nearly full of failures — the word's lanes
-// into the block, which is adopted as the word in place. A word that fills
-// is shrunk and what is left of the other becomes the word. Lanes shrink
-// independently, so where a sample is shrunk cannot change its RG.
-func (w *wordWorker) gather(failed uint64) {
-	h, f := bits.OnesCount64(w.held), bits.OnesCount64(failed)
-	if min(h, 64-f) < min(f, 64-h) {
-		failed = w.adopt(failed)
-	}
-	for ; failed != 0 && w.held != ^uint64(0); failed &= failed - 1 {
-		w.move(bits.TrailingZeros64(failed), bits.TrailingZeros64(^w.held))
-	}
-	if w.held == ^uint64(0) {
-		w.flush()
-		if failed != 0 {
-			w.adopt(failed)
-		}
-	}
+// move copies block lane l's shrink order into word lane d, starts d at its
+// first candidate and returns the order.
+func (w *wordWorker) move(l, d int) []int32 {
+	nb, n := len(w.basics), w.blk.n[l]
+	order := w.word.cand[d*nb : d*nb+int(n)]
+	copy(order, w.blk.cand[l*nb:])
+	w.word.n[d], w.at[d] = n, 0
+	return order
 }
 
-// adopt swaps the block and the shrink word without copying: the block's
-// lanes in mask become the word's held lanes, its other lanes cleared, and
-// the lanes the word held — returned — become the block's.
-func (w *wordWorker) adopt(mask uint64) uint64 {
-	w.blk, w.word = w.word, w.blk
-	for _, id := range w.basics {
-		w.word.st[id] &= mask
-	}
-	held := w.held
-	w.held = mask
-	return held
-}
+// settleEvery is how many shrink steps pass between settle checks. A check
+// costs an evaluation that also records the exactly-K lanes and two walks
+// of the gates; most shrinking lanes settle a third of the way through
+// their candidates, so checking every few steps frees their word lanes far
+// sooner than running their lists out, for less than checking every step.
+const settleEvery = 4
 
-// move copies block lane l — its failed events and shrink order — into the
-// free word lane d, whose events are all clear, and holds d.
-func (w *wordWorker) move(l, d int) {
-	src, dst := w.blk, w.word
-	for t := 0; t < int(src.n[l]); t++ {
-		id := src.cand[t<<6|l]
-		dst.cand[t<<6|d] = id
-		dst.st[id] |= 1 << d
-	}
-	dst.n[d] = src.n[l]
-	w.held |= 1 << d
-}
-
-// flush shrinks every held lane of the shrink word to an irreducible RG,
-// collects it and empties the word: step t drops every lane's t-th
-// candidate at once, evaluates the graph once, and puts the candidate back
-// in the lanes whose top event stopped failing.
-func (w *wordWorker) flush() {
-	x := w.word
-	steps := 0
+// step advances every held lane of the shrink word by one candidate: it
+// drops each lane's next candidate at once, evaluates the graph once, and
+// puts the candidate back in the lanes whose top event stopped failing. A
+// lane whose candidates are spent holds an irreducible RG. Every
+// settleEvery-th step also settles the lanes whose removal stuck: a lane
+// whose critical events alone fail the top holds them as the only
+// irreducible subset of its state, so the rest of its shrink would return
+// them (see Sampler). Both kinds are collected and their word lanes freed
+// for the lanes gather moves in.
+func (w *wordWorker) step() {
+	x, nb := w.word, len(w.basics)
+	var done uint64
 	for m := w.held; m != 0; m &= m - 1 {
-		steps = max(steps, int(x.n[bits.TrailingZeros64(m)]))
-	}
-	pending := w.held
-	for t := 0; t < steps; t++ {
-		cand := x.cand[t<<6 : t<<6+64]
-		var step uint64
-		for m := pending; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			if t >= int(x.n[l]) {
-				pending &^= 1 << l
-				continue
-			}
-			x.st[cand[l]] &^= 1 << l
-			step |= 1 << l
-		}
-		for m := step &^ w.eval(x.st); m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			x.st[cand[l]] |= 1 << l
+		l := bits.TrailingZeros64(m)
+		x.st[x.cand[l*nb+int(w.at[l])]] &^= 1 << l
+		w.at[l]++
+		if w.at[l] == x.n[l] {
+			done |= 1 << l
 		}
 	}
-	w.collect(x.st, w.held)
-	w.held = 0
+	w.steps++
+	w.laneSteps += bits.OnesCount64(w.held)
+	check := w.steps%settleEvery == 0
+	var top uint64
+	if check {
+		top = w.evalExact(x.st)
+	} else {
+		top = w.eval(x.st)
+	}
+	for m := w.held &^ top; m != 0; m &= m - 1 {
+		l := bits.TrailingZeros64(m)
+		x.st[x.cand[l*nb+int(w.at[l])-1]] |= 1 << l
+	}
+	if done != 0 {
+		w.collect(x.st, done)
+	}
+	if stuck := w.held & top &^ done; check && stuck != 0 {
+		done |= w.settle(x.st, stuck)
+	}
+	if done != 0 {
+		for _, id := range w.basics {
+			x.st[id] &^= done
+		}
+		w.held &^= done
+	}
 }
 
 // collect records the failed basic events in st of every lane in mask as
-// an RG.
+// an RG. Lanes often repeat a set, so it takes one distinct set at a time:
+// the lowest lane left's, found together with every lane whose column
+// equals it by one pass of word operations over the events that fail in
+// any lane of mask, and added once.
 func (w *wordWorker) collect(st []uint64, mask uint64) {
-	nw := w.seen.nw
-	for m := mask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		clear(w.keys[l*nw : (l+1)*nw])
-	}
+	cols, ranks := w.cols[:0], w.ranks[:0]
 	for r, id := range w.basics {
-		for m := st[id] & mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros64(m)
-			w.keys[l*nw+r>>6] |= 1 << (r & 63)
+		if x := st[id] & mask; x != 0 {
+			cols, ranks = append(cols, x), append(ranks, int32(r))
 		}
 	}
-	for m := mask; m != 0; m &= m - 1 {
-		l := bits.TrailingZeros64(m)
-		w.seen.add(w.keys[l*nw : (l+1)*nw])
+	w.cols, w.ranks = cols, ranks
+	key := w.key
+	for mask != 0 {
+		l := uint(bits.TrailingZeros64(mask))
+		clear(key)
+		same := mask
+		for i, x := range cols {
+			b := x >> l & 1
+			key[ranks[i]>>6] |= b << (ranks[i] & 63)
+			same &= x ^ (b - 1) // x where lane l failed the event, ^x where not
+		}
+		w.seen.add(key)
+		mask &^= same
 	}
 }
 
