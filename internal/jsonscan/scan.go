@@ -507,8 +507,8 @@ func (s *Scanner) room(lo int) int {
 	if s.ChunkCap > 0 {
 		size = min(size, max(s.ChunkCap, 2*len(list)))
 	}
-	// Grow takes the whole size class the allocator rounds size up to.
-	s.chunk = append(slices.Grow([]string(nil), size), list...)
+	s.chunk = make([]string, len(list), size)
+	copy(s.chunk, list)
 	return 0
 }
 
