@@ -13,6 +13,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -26,14 +27,35 @@ import (
 // A variable so tests can shrink it.
 var maxResponseBody int64 = 1 << 30
 
-// readBody reads a response body, in one allocation when the server sent a
-// Content-Length; a body over maxResponseBody is an error here rather than a
-// JSON syntax error on a silently cut-off read.
-func readBody(resp *http.Response) ([]byte, error) {
-	var buf bytes.Buffer
+// readBody reads a response body, into an array of its exact length when the
+// server sent a Content-Length — with spare, one of spareBodies when one
+// fits; a body over maxResponseBody is an error here rather than a JSON
+// syntax error on a silently cut-off read.
+func readBody(resp *http.Response, spare bool) ([]byte, error) {
 	if n := resp.ContentLength; n > 0 && n <= maxResponseBody {
-		buf.Grow(int(n) + bytes.MinRead) // ReadFrom wants MinRead spare to see EOF without regrowing
+		var b []byte
+		if spare {
+			if p, _ := spareBodies.Get().(*[]byte); p != nil && int64(cap(*p)) >= n && int64(cap(*p)) <= 2*n {
+				b = (*p)[:n]
+			}
+		}
+		if b == nil {
+			b = make([]byte, n)
+		}
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		// Read on to EOF, which lets the transport reuse the connection.
+		var one [1]byte
+		switch k, err := resp.Body.Read(one[:]); {
+		case k > 0:
+			return nil, fmt.Errorf("auditd: response body runs past its Content-Length of %d bytes", n)
+		case err != nil && err != io.EOF:
+			return nil, err
+		}
+		return b, nil
 	}
+	var buf bytes.Buffer
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxResponseBody+1)); err != nil {
 		return nil, err
 	}
@@ -218,7 +240,8 @@ func (c *Client) doOnce(ctx context.Context, method, path string, blob []byte, o
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := readBody(resp)
+	_, raw := out.(*[]byte) // the body the caller decodes, or keeps
+	body, err := readBody(resp, raw)
 	if err != nil {
 		return err
 	}
@@ -377,8 +400,19 @@ func (c *Client) result(ctx context.Context, id string, want *jobKind, decode fu
 			return fmt.Errorf("auditd: job %s is %s", id, kind.hint)
 		}
 	}
+	if len(body) <= maxSpareBody {
+		spareBodies.Put(&body)
+	}
 	return err
 }
+
+// spareBodies holds result bodies result has decoded, none of whose
+// decoders keeps its input, for readBody to read the next raw body into; a
+// body the caller keeps is never put here, and a spare that does not fit
+// is dropped, so the pool holds no more bodies than results in flight.
+var spareBodies sync.Pool // of *[]byte
+
+const maxSpareBody = 1 << 20
 
 // JobResult fetches a finished job's result — of any kind — and adopts the
 // body as served, without decoding it (see EncodedResultFromPayload): what a
@@ -536,7 +570,7 @@ func (c *Client) Metrics(ctx context.Context) (string, error) {
 		return "", err
 	}
 	defer resp.Body.Close()
-	blob, err := readBody(resp)
+	blob, err := readBody(resp, false)
 	return string(blob), err
 }
 

@@ -102,13 +102,20 @@ func (s Set) Hash() uint64 {
 // sets of equal cardinality this coincides with lexicographic order over the
 // sorted member sequences, which is the family order the slice-based RG
 // implementation used.
-func (s Set) Less(o Set) bool {
+func (s Set) Less(o Set) bool { return s.Compare(o) < 0 }
+
+// Compare is Less as a three-way comparison: -1 when s sorts before o, 1
+// when after, 0 when they are equal.
+func (s Set) Compare(o Set) int {
 	for i, w := range s {
 		if d := w ^ o[i]; d != 0 {
-			return w&(d&-d) != 0
+			if w&(d&-d) != 0 {
+				return -1
+			}
+			return 1
 		}
 	}
-	return false
+	return 0
 }
 
 // First returns the smallest member, or -1 if the set is empty.

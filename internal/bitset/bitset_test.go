@@ -66,7 +66,7 @@ func TestSetAlgebra(t *testing.T) {
 
 // TestLessMatchesSliceOrder: for equal-cardinality sets, Less must equal
 // lexicographic order over sorted member slices — the family order the RG
-// code relies on.
+// code relies on — and Compare must be the same order, three-way.
 func TestLessMatchesSliceOrder(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
@@ -87,15 +87,24 @@ func TestLessMatchesSliceOrder(t *testing.T) {
 		}
 		xa, sa := mk()
 		xb, sb := mk()
-		want := false
+		want, cmp := false, 0
 		for i := range xa {
 			if xa[i] != xb[i] {
-				want = xa[i] < xb[i]
+				want, cmp = xa[i] < xb[i], 1
+				if want {
+					cmp = -1
+				}
 				break
 			}
 		}
 		if got := sa.Less(sb); got != want {
 			t.Fatalf("Less(%v, %v) = %v, want %v", xa, xb, got, want)
+		}
+		if got := sa.Compare(sb); got != cmp {
+			t.Fatalf("Compare(%v, %v) = %d, want %d", xa, xb, got, cmp)
+		}
+		if got := sa.Compare(sa); got != 0 {
+			t.Fatalf("Compare(%v, itself) = %d, want 0", xa, got)
 		}
 	}
 }

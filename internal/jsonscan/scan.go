@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"slices"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -36,6 +37,10 @@ type Scanner struct {
 	// list longer than that gets an array of its own. 0 sizes chunks by the
 	// input still to read.
 	ChunkCap int
+	// Scratch lets Release hand the arrays Strings carves its lists from to
+	// the next Scanner, so a caller that copies every list it keeps out of
+	// them before calling Release allocates them once, not per document.
+	Scratch bool
 
 	labels labelTable
 	// chunk is the backing array lists are being carved from; its length is
@@ -364,7 +369,7 @@ func (s *Scanner) Text(old string, intern bool) (string, error) {
 		case err != nil:
 			return old, err
 		case intern:
-			return s.labels.intern(lit, simple, len(s.Data)-s.Pos)
+			return s.labels.intern(lit, simple)
 		case simple:
 			return string(lit[1 : len(lit)-1]), nil
 		}
@@ -497,15 +502,26 @@ func (s *Scanner) Strings(dst *[]string, intern bool) error {
 // the lists carved from it: the list being built, chunk[lo:], moves to the
 // head of a new one sized by the input still to read (a label with its quotes
 // and comma is seldom under 16 bytes long, and never under 3), capped by
-// ChunkCap. It returns the list's new start.
+// ChunkCap. With Scratch the first chunk is a released one, and a new chunk
+// is at least twice the last, so the one Release hands on is the largest.
+// It returns the list's new start.
 func (s *Scanner) room(lo int) int {
 	if len(s.chunk) < cap(s.chunk) {
 		return lo
+	}
+	if s.Scratch && s.chunk == nil {
+		if p, _ := spareChunks.Get().(*[]string); p != nil {
+			s.chunk = (*p)[:0]
+			return lo
+		}
 	}
 	list := s.chunk[lo:]
 	size := 8 + 2*len(list) + (len(s.Data)-s.Pos)/16
 	if s.ChunkCap > 0 {
 		size = min(size, max(s.ChunkCap, 2*len(list)))
+	}
+	if s.Scratch {
+		size = max(size, 2*cap(s.chunk))
 	}
 	s.chunk = make([]string, len(list), size)
 	copy(s.chunk, list)
@@ -527,14 +543,39 @@ type labelTable struct {
 // free slot; the empty label is never stored.
 type labelSlot struct{ wire, text string }
 
-// intern returns the label lit spells; rest is the input still to read.
-func (t *labelTable) intern(lit []byte, simple bool, rest int) (string, error) {
+// Released arrays, for the next Scanner: label tables, and with Scratch
+// string chunks, each up to a bound so that one large document does not
+// leave a large array behind.
+var spareSlots, spareChunks sync.Pool // of *[]labelSlot and *[]string
+
+const (
+	maxSpareSlots = 1 << 12
+	maxSpareChunk = 1 << 15
+)
+
+// Release hands the scanner's label table, and with Scratch its string
+// chunk, to the next Scanner. The strings it returned stay valid; with
+// Scratch the lists Strings carved do not, as their array will be written
+// again. The scanner is not used afterwards.
+func (s *Scanner) Release() {
+	if t := s.labels.slots; t != nil && len(t) <= maxSpareSlots {
+		clear(t)
+		spareSlots.Put(&t)
+	}
+	if c := s.chunk[:cap(s.chunk)]; s.Scratch && len(c) > 0 && len(c) <= maxSpareChunk {
+		clear(c)
+		spareChunks.Put(&c)
+	}
+	*s = Scanner{}
+}
+
+func (t *labelTable) intern(lit []byte, simple bool) (string, error) {
 	wire := lit[1 : len(lit)-1]
 	if len(wire) == 0 {
 		return "", nil
 	}
 	if 4*t.used >= 3*len(t.slots) {
-		t.grow(rest)
+		t.grow()
 	}
 	mask := uint64(len(t.slots) - 1)
 	for i := maphash.Bytes(t.seed, wire) & mask; ; i = (i + 1) & mask {
@@ -558,21 +599,17 @@ func (t *labelTable) intern(lit []byte, simple bool, rest int) (string, error) {
 	}
 }
 
-// grow doubles the table. The first table is sized by the input still to
-// read, rest bytes — a document names a distinct label seldom more than once
-// per 100 bytes — from 8 slots up to 64, so a small document gets a small
-// table and a large one does not start out with one sized to its length.
-func (t *labelTable) grow(rest int) {
+// grow doubles the table, from a released table or 64 slots.
+func (t *labelTable) grow() {
 	old := t.slots
-	size := 2 * len(old)
 	if old == nil {
 		t.seed = maphash.MakeSeed()
-		size = 8
-		for size < 64 && 3*size < 4*(rest/100) {
-			size *= 2
+		if p, _ := spareSlots.Get().(*[]labelSlot); p != nil {
+			t.slots = *p
+			return
 		}
 	}
-	t.slots = make([]labelSlot, size)
+	t.slots = make([]labelSlot, max(64, 2*len(old)))
 	mask := uint64(len(t.slots) - 1)
 	for _, s := range old {
 		if s.wire == "" {

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -887,13 +888,14 @@ func TestDecodeAllocsBoundedByDistinctLabels(t *testing.T) {
 	runtime.KeepAlive(held)
 }
 
-// TestDecodeGarbageBoundedOnSamplingReport gates what a decode allocates
-// beyond what it keeps, on the report a client reads most often:
-// fig7_sampling's, ~40 RGs in 5 KB. Its arrays grow to the size the input
-// still to read implies rather than doubling and then shrinking to fit, and
-// its label table starts at the input's size, so the garbage stays under
-// 7 KB per decode beside the ~9 KB the report keeps (doubling from 8 and
-// cloning to length left about 10 KB).
+// TestDecodeGarbageBoundedOnSamplingReport gates what a decode keeps and
+// what it allocates beyond that, on the report a client reads most often:
+// fig7_sampling's, ~40 RGs in 5 KB. Its string lists end up in one array of
+// their total length, decoded into a scratch chunk the next decode reuses,
+// as it does the label table; its RG array grows to the size the input
+// still to read implies. So a decode keeps under 9.4 KB and allocates under
+// 4.5 KB beyond that (lists carved from chunks of each decode's own kept
+// 9.9 KB and left 5.5 KB).
 func TestDecodeGarbageBoundedOnSamplingReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation changes what a decode allocates")
@@ -905,6 +907,9 @@ func TestDecodeGarbageBoundedOnSamplingReport(t *testing.T) {
 	const copies = 64
 	held := make([]Report, copies)
 	var before, after runtime.MemStats
+	// Two collections empty the scratch pools, so the scratch counts as
+	// allocated, not as kept.
+	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i := range held {
@@ -913,14 +918,76 @@ func TestDecodeGarbageBoundedOnSamplingReport(t *testing.T) {
 		}
 	}
 	runtime.GC()
+	runtime.GC()
 	runtime.ReadMemStats(&after)
 	alloc := float64(after.TotalAlloc-before.TotalAlloc) / copies
 	live := float64(after.HeapAlloc-before.HeapAlloc) / copies
 	t.Logf("sampling report: %d bytes, %d RGs: %.0f bytes allocated, %.0f kept per decode", len(blob), len(held[0].Audits[0].RGs), alloc, live)
-	if alloc-live > 7000 {
-		t.Errorf("a decode allocates %.0f bytes beyond the %.0f it keeps, want ≤ 7,000", alloc-live, live)
+	if live > 9400 {
+		t.Errorf("a decode keeps %.0f bytes, want ≤ 9,400", live)
+	}
+	if alloc-live > 4500 {
+		t.Errorf("a decode allocates %.0f bytes beyond the %.0f it keeps, want ≤ 4,500", alloc-live, live)
 	}
 	runtime.KeepAlive(held)
+}
+
+// TestDecodedListsOutliveTheScratch: a decode reads its string lists into a
+// scratch chunk that the next decode writes again, so every list a report
+// holds must have been copied out of it — those a duplicate key leaves past
+// a slice's length (where a later append or reslice would find them)
+// included.
+func TestDecodedListsOutliveTheScratch(t *testing.T) {
+	rgs := func(n int, tag string) string {
+		var b strings.Builder
+		for i := range n {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			fmt.Fprintf(&b, `{"components":["%s%d","shared"]}`, tag, i)
+		}
+		return "[" + b.String() + "]"
+	}
+	docs := []string{
+		// Eight RGs, then seven over them: the eighth stays past the length.
+		`{"audits":[{"sources":["s1","s2"],"rgs":` + rgs(8, "a") + `,"rgs":` + rgs(7, "b") + `}]}`,
+		`{"audits":[{"sources":["x"]},{"sources":["y","z"],"rgs":` + rgs(3, "c") + `}]}`,
+		`{"audits":[{"sources":[],"rgs":[{"components":null},{"components":[]}]}]}`,
+	}
+	// every flattens a report's lists, the ones past a slice's length too.
+	every := func(rep *Report) []string {
+		var out []string
+		for _, a := range rep.Audits[:cap(rep.Audits)] {
+			out = append(append(out, "|"), a.Sources...)
+			for _, e := range a.RGs[:cap(a.RGs)] {
+				out = append(append(out, "/"), e.Components...)
+			}
+		}
+		return out
+	}
+	kept := make([]Report, len(docs))
+	want := make([][]string, len(docs))
+	for i, doc := range docs {
+		if err := DecodeJSON([]byte(doc), &kept[i]); err != nil {
+			t.Fatal(err)
+		}
+		want[i] = every(&kept[i])
+	}
+	if a := kept[0].Audits[0]; len(a.RGs) != 7 || cap(a.RGs) != 8 {
+		t.Fatalf("duplicate rgs: len %d cap %d, want an RG past the length", len(a.RGs), cap(a.RGs))
+	}
+	other := []byte(`{"audits":[{"sources":["p","q","r"],"rgs":` + rgs(40, "z") + `}]}`)
+	for range 16 {
+		var rep Report
+		if err := DecodeJSON(other, &rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range docs {
+		if got := every(&kept[i]); !slices.Equal(got, want[i]) {
+			t.Errorf("doc %d: lists changed by later decodes:\n got %q\nwant %q", i, got, want[i])
+		}
+	}
 }
 
 var benchSink any

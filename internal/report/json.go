@@ -236,24 +236,64 @@ func appendStrings(b []byte, labels []string) []byte {
 // skipped, the last duplicate key winning over what the earlier ones left,
 // null a no-op except into a slice). The report does not alias data. Its
 // component, source and algorithm labels are interned — one string per
-// distinct label — and its Sources and Components slices are carved,
-// capacity-capped, from backing arrays they share: appending to one copies
-// it, and holding one holds its neighbours.
+// distinct label — and its Sources and Components slices are
+// capacity-capped slices of arrays they share (one of their total length for
+// an input of up to maxScratchDecode bytes): appending to one copies it, and
+// holding one holds its neighbours.
 func DecodeJSON(data []byte, r *Report) error {
-	d := decoder{jsonscan.Scanner{Data: data}}
+	d := decoder{jsonscan.Scanner{Data: data, Scratch: len(data) <= maxScratchDecode}}
+	defer d.Release()
 	var rep Report
 	if err := d.document(&rep); err != nil {
 		return fmt.Errorf("report: decode: %w", err)
 	}
-	// Arrays grow by doubling while they decode; a decoded report is often
-	// held for long (by a client, a cache, a memo), so the two that make up
-	// most of it keep no more capacity than they hold.
+	// Arrays grow while they decode; a decoded report is often held for long
+	// (by a client, a cache, a memo), so the arrays that make up most of it
+	// keep no more capacity than they hold.
 	rep.Audits = exact(rep.Audits)
 	for i := range rep.Audits {
 		rep.Audits[i].RGs = exact(rep.Audits[i].RGs)
 	}
+	if d.Scratch {
+		keepLists(&rep)
+	}
 	*r = rep
 	return nil
+}
+
+// maxScratchDecode is the largest input whose string lists DecodeJSON reads
+// into a scratch chunk and then copies into one array of their exact
+// length: a report of a few dozen RGs, whose own chunks would be mostly
+// size-class rounding and an abandoned list. The chunks a larger report
+// carves its lists from are large beside their slack, and the copy costs
+// it more time than the chunks cost (BenchmarkReportDecode/real-k8).
+const maxScratchDecode = 16 << 10
+
+// keepLists copies every string list of rep, those past a slice's length
+// included, out of the decoder's scratch chunk into one array of their total
+// length, each list capacity-capped.
+func keepLists(rep *Report) {
+	n := 0
+	for _, a := range rep.Audits[:cap(rep.Audits)] {
+		n += len(a.Sources)
+		for _, e := range a.RGs[:cap(a.RGs)] {
+			n += len(e.Components)
+		}
+	}
+	buf := make([]string, n)
+	keep := func(l *[]string) {
+		if len(*l) > 0 {
+			k := copy(buf, *l)
+			*l, buf = buf[:k:k], buf[k:]
+		}
+	}
+	for i := range rep.Audits[:cap(rep.Audits)] {
+		a := &rep.Audits[:cap(rep.Audits)][i]
+		keep(&a.Sources)
+		for j := range a.RGs[:cap(a.RGs)] {
+			keep(&a.RGs[:cap(a.RGs)][j].Components)
+		}
+	}
 }
 
 // exact returns s in a backing array of its own length when the spare

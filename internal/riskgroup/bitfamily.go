@@ -172,15 +172,7 @@ func sortBrgs(fam []brg) {
 		if a.n != b.n {
 			return a.n - b.n
 		}
-		for i, x := range a.w {
-			if d := x ^ b.w[i]; d != 0 {
-				if x&(d&-d) != 0 { // a holds the lowest differing member
-					return -1
-				}
-				return 1
-			}
-		}
-		return 0
+		return a.w.Compare(b.w)
 	})
 }
 

@@ -143,6 +143,11 @@ func (s Sampler) SampleContext(ctx context.Context, g *faultgraph.Graph) ([]RG, 
 		}(ws[w], w)
 	}
 	wg.Wait()
+	defer func() {
+		for _, o := range ws {
+			o.release()
+		}
+	}()
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -265,24 +270,24 @@ func splitmix64(x uint64) uint64 {
 // shrink word, the K-of-N planes, the RGs found so far and its counts.
 type wordWorker struct {
 	*wordKernel
-	blk       *lanes    // the block being sampled
-	word      *lanes    // the shrink word: failing lanes gathered across blocks
-	held      uint64    // the shrink word's occupied lanes; no event fails in the others
-	at        [64]int32 // shrink word lane l's next candidate
-	steps     int       // shrink steps taken
-	laneSteps int       // held lanes summed over shrink steps
-	planes    []uint64
-	exact     []uint64 // with Shrink: the evaluated lanes' exactly-K lanes by gate
-	crit      []uint64 // with Shrink: the settled lanes' critical lanes by node id
-	rng       uint64
-	key       []uint64 // an RG's basic-rank bitset
-	cols      []uint64 // collect's failure lanes of the events failed in some lane
-	ranks     []int32  // and those events' basic ranks
-	seen      *rgSet
-	evals     int // graph evaluations
-	failed    int // rounds whose top event failed
-	settled   int // failing rounds collected as their critical sets
-	passes    int // settle passes
+	bufs    *workerBufs // where the arrays below come from and go back to
+	blk     *lanes      // the block being sampled
+	word    *lanes      // the shrink word: failing lanes gathered across blocks
+	held    uint64      // the shrink word's occupied lanes; no event fails in the others
+	at      [64]int32   // shrink word lane l's next candidate
+	steps   int         // shrink steps taken
+	planes  []uint64
+	exact   []uint64 // with Shrink: the evaluated lanes' exactly-K lanes by gate
+	crit    []uint64 // with Shrink: the settled lanes' critical lanes by node id
+	rng     uint64
+	key     []uint64 // an RG's basic-rank bitset
+	cols    []uint64 // collect's failure lanes of the events failed in some lane
+	ranks   []int32  // and those events' basic ranks
+	seen    *rgSet
+	evals   int // graph evaluations
+	failed  int // rounds whose top event failed
+	settled int // failing rounds collected as their critical sets
+	passes  int // settle passes
 }
 
 // lanes is 64 samples side by side: a failure word per node and, with
@@ -293,29 +298,67 @@ type lanes struct {
 	n    [64]int32 // lane l's candidate count
 }
 
-func (k *wordKernel) newLanes() *lanes {
-	x := &lanes{st: make([]uint64, k.nodes)}
+// workerBufs are a worker's arrays, kept in bufPool between Sample calls:
+// a served audit would otherwise allocate them — two 64-lane candidate
+// arrays and several node-sized words per worker — on every call.
+type workerBufs struct {
+	blk, word                      lanes
+	planes, exact, crit, key, cols []uint64
+	ranks                          []int32
+}
+
+var bufPool = sync.Pool{New: func() any { return new(workerBufs) }}
+
+// resized returns s with length n and every element zero, in s's own array
+// when it has room.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// fit sizes x for k's graph.
+func (x *lanes) fit(k *wordKernel) *lanes {
+	x.st = resized(x.st, k.nodes)
 	if k.shrink {
-		x.cand = make([]int32, 64*len(k.basics))
+		x.cand = resized(x.cand, 64*len(k.basics))
 	}
 	return x
 }
 
 func (k *wordKernel) newWorker() *wordWorker {
+	b := bufPool.Get().(*workerBufs)
 	nw := max(1, (len(k.basics)+63)/64)
 	w := &wordWorker{
 		wordKernel: k,
-		blk:        k.newLanes(),
-		planes:     make([]uint64, k.maxK+1),
-		key:        make([]uint64, nw),
+		bufs:       b,
+		blk:        b.blk.fit(k),
+		planes:     resized(b.planes, k.maxK+1),
+		key:        resized(b.key, nw),
+		cols:       b.cols[:0],
+		ranks:      b.ranks[:0],
 		seen:       newRGSet(nw),
 	}
 	if k.shrink {
-		w.word = k.newLanes()
-		w.exact = make([]uint64, len(k.gates))
-		w.crit = make([]uint64, k.nodes)
+		w.word = b.word.fit(k)
+		w.exact = resized(b.exact, len(k.gates))
+		w.crit = resized(b.crit, k.nodes)
 	}
 	return w
+}
+
+// release hands w's arrays back to bufPool; w is not used afterwards.
+func (w *wordWorker) release() {
+	b := w.bufs
+	b.planes, b.key, b.cols, b.ranks = w.planes, w.key, w.cols, w.ranks
+	if w.shrink {
+		b.exact, b.crit = w.exact, w.crit
+	}
+	w.bufs = nil
+	bufPool.Put(b)
 }
 
 func (w *wordWorker) next() uint64 {
@@ -421,10 +464,20 @@ func (w *wordWorker) evalExact(st []uint64) uint64 {
 	return st[w.top]
 }
 
-// block samples the rounds of block b whose lanes are set in active.
-// Without Shrink its failing lanes are collected as they are; with Shrink
-// the lanes settle collects are done, and the others go to the shrink word.
+// block samples the rounds of block b whose lanes are set in active and
+// moves the lanes draw returns into the shrink word, stepping it whenever
+// it is full.
 func (w *wordWorker) block(b int, active uint64) {
+	for shrink := w.gather(w.draw(b, active)); shrink != 0; shrink = w.gather(shrink) {
+		w.step()
+	}
+}
+
+// draw samples the rounds of block b whose lanes are set in active. Without
+// Shrink its failing lanes are collected as they are; with Shrink the lanes
+// settle collects are done, and draw returns the others, their shrink
+// orders drawn, for the shrink word.
+func (w *wordWorker) draw(b int, active uint64) uint64 {
 	w.rng = splitmix64(w.seed + uint64(b))
 	st := w.blk.st
 	for r, id := range w.basics {
@@ -437,18 +490,19 @@ func (w *wordWorker) block(b int, active uint64) {
 		failed = w.eval(st) & active
 	}
 	if failed == 0 {
-		return
+		return 0
 	}
 	w.failed += bits.OnesCount64(failed)
 	if !w.shrink {
 		w.collect(st, failed)
-		return
+		return 0
 	}
 	settled := w.settle(st, failed)
-	if shrink := failed &^ settled; shrink != 0 {
+	shrink := failed &^ settled
+	if shrink != 0 {
 		w.orders(shrink, settled)
-		w.gather(shrink)
 	}
+	return shrink
 }
 
 // settle finds the lanes of failed whose critical events in st alone fail
@@ -489,7 +543,9 @@ func (w *wordWorker) settle(st []uint64, failed uint64) uint64 {
 			continue
 		}
 		kids := w.kids[g.lo:g.hi]
-		var enough uint64 // lanes with at least K critical children
+		// Lanes with at least K critical children, as eval counts failed
+		// ones: countPlanes alone would cost an AND gate K² steps.
+		var enough uint64
 		switch int(g.k) {
 		case 1:
 			for _, k := range kids {
@@ -562,15 +618,13 @@ func (w *wordWorker) orders(shrink, settled uint64) {
 }
 
 // gather moves the block's lanes in shrink into the shrink word's free
-// lanes, taking shrink steps whenever the word is full, so that the word
-// runs full from the first block it fills to the last. Block lanes whose
-// own word lanes are free move there, their events all in one pass of word
-// operations; the others move one by one to the lowest free lanes.
-func (w *wordWorker) gather(shrink uint64) {
-	for shrink != 0 {
-		for w.held == ^uint64(0) {
-			w.step()
-		}
+// lanes and returns those that did not fit, if any; the word is then full,
+// so stepping it between gathers keeps it full from the first block it
+// fills to the last. Block lanes whose own word lanes are free move there,
+// their events all in one pass of word operations; the others move one by
+// one to the lowest free lanes.
+func (w *wordWorker) gather(shrink uint64) uint64 {
+	for shrink != 0 && w.held != ^uint64(0) {
 		if same := shrink &^ w.held; same != 0 {
 			for m := same; m != 0; m &= m - 1 {
 				l := bits.TrailingZeros64(m)
@@ -590,6 +644,7 @@ func (w *wordWorker) gather(shrink uint64) {
 		w.held |= 1 << d
 		shrink &= shrink - 1
 	}
+	return shrink
 }
 
 // move copies block lane l's shrink order into word lane d, starts d at its
@@ -630,7 +685,6 @@ func (w *wordWorker) step() {
 		}
 	}
 	w.steps++
-	w.laneSteps += bits.OnesCount64(w.held)
 	check := w.steps%settleEvery == 0
 	var top uint64
 	if check {
